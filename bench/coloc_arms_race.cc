@@ -25,29 +25,20 @@
  *   ./build-release/bench/coloc_arms_race > bench/BENCH_coloc_arms_race.golden
  */
 #include <chrono>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "colo/tournament.h"
-#include "util/cli_flags.h"
+#include "util/digest.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
 using namespace bolt;
+using util::hex64;
 
 namespace {
 
 constexpr uint64_t kSeed = 42;
-
-std::string
-hex64(uint64_t v)
-{
-    std::ostringstream os;
-    os << std::hex << std::setw(16) << std::setfill('0') << v;
-    return os.str();
-}
 
 /** Shard-invariance self-check over the fleet duel rows. */
 bool

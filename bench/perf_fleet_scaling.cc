@@ -24,9 +24,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "sim/shard.h"
@@ -35,20 +33,13 @@
 #include "util/thread_pool.h"
 
 using namespace bolt;
+using util::hex64;
 
 namespace {
 
 constexpr uint64_t kSeed = 2017;
 constexpr int kEpochs = 4;
 const size_t kHostScales[] = {1000, 4000, 16000, 64000, 128000};
-
-std::string
-hex64(uint64_t v)
-{
-    std::ostringstream os;
-    os << std::hex << std::setw(16) << std::setfill('0') << v;
-    return os.str();
-}
 
 /** The fleet config at a given host scale (8 VMs per host at boot). */
 sim::FleetConfig

@@ -14,6 +14,7 @@
  * the table mainly demonstrates the determinism guarantee.
  */
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -22,6 +23,7 @@
 
 #include "obs/report.h"
 #include "core/experiment.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -29,12 +31,22 @@ using namespace bolt;
 
 namespace {
 
-long
-flagValue(int argc, char** argv, const char* name, long fallback)
+/** Value of `name`, a non-negative integer; anything else exits 2. */
+long long
+flagValue(int argc, char** argv, const char* name, long long fallback)
 {
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return std::stol(argv[i + 1]);
+    for (int i = 1; i + 1 < argc; ++i) {
+        if (std::strcmp(argv[i], name) != 0)
+            continue;
+        long long v = 0;
+        if (!util::parseInt(argv[i + 1], &v) || v < 0) {
+            std::cerr << argv[0] << ": " << name
+                      << " expects a non-negative integer, got '"
+                      << argv[i + 1] << "'\n";
+            std::exit(2);
+        }
+        return v;
+    }
     return fallback;
 }
 

@@ -40,6 +40,7 @@
 #include "core/recommender.h"
 #include "linalg/sgd.h"
 #include "linalg/svd.h"
+#include "util/parse.h"
 #include "util/thread_pool.h"
 #include "workloads/generators.h"
 
@@ -648,8 +649,16 @@ main(int argc, char** argv)
             json_path = argv[++i];
         else if (a == "--golden" && i + 1 < argc)
             golden_path = argv[++i];
-        else if (a == "--reps" && i + 1 < argc)
-            reps = static_cast<size_t>(std::stoul(argv[++i]));
+        else if (a == "--reps" && i + 1 < argc) {
+            uint64_t n = 0;
+            if (!util::parseUInt(argv[++i], &n) || n == 0) {
+                std::cerr << "perf_recommender: --reps expects a "
+                             "positive integer, got '"
+                          << argv[i] << "'\n";
+                return 2;
+            }
+            reps = static_cast<size_t>(n);
+        }
         else if (a == "--dump-golden")
             dump_golden = true;
     }

@@ -4,15 +4,8 @@
  * deterministic query-serving engine (src/serve) and print, per offered
  * rate, the achieved/goodput QPS and latency percentiles of
  *
- *  - `batch-1`: micro-batching disabled (maxBatch = 1),
- *  - `adaptive-8`: adaptive micro-batching up to 8 requests/batch with
- *    the classic linear-additive cost model (batchMarginalCost = 1),
- *    and
- *  - `gemm-8`: the same batching with the batched-kernel cost model
- *    (batchMarginalCost = 0.7): followers in a batch ride the blocked
- *    GEMM-shaped analyze sweep, so each costs a fraction of a solo
- *    query. The discount is grounded in perf_recommender's measured
- *    batched-vs-single throughput ratio.
+ *  - `batch-1`: micro-batching disabled (maxBatch = 1), and
+ *  - `adaptive-8`: adaptive micro-batching up to 8 requests/batch.
  *
  * Everything on stdout is Sim-class — a pure function of (config,
  * seed) — so the full output is byte-identical at any --threads and is
@@ -26,10 +19,7 @@
  *  1. at mid load (offered well under capacity), adaptive batching
  *     keeps p99 latency inside the SLO, and
  *  2. at saturation, adaptive batching achieves strictly higher QPS
- *     than batch-size-1 (amortized batch setup is the point), and
- *  3. at saturation, the batched-kernel cost model serves at least as
- *     much as the linear-additive one (cheaper followers can only
- *     help).
+ *     than batch-size-1 (amortized batch setup is the point).
  *
  * Regenerate the golden after an intentional serving change with:
  *   ./build-release/bench/perf_serving > bench/BENCH_serving.golden
@@ -45,7 +35,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <iomanip>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -61,6 +50,7 @@
 #include "workloads/generators.h"
 
 using namespace bolt;
+using util::hex64;
 
 namespace {
 
@@ -73,19 +63,8 @@ struct ModeSpec
 {
     const char* name;
     size_t maxBatch;
-    double marginalCost;
 };
-const ModeSpec kModes[] = {{"batch-1", 1, 1.0},
-                           {"adaptive-8", 8, 1.0},
-                           {"gemm-8", 8, 0.7}};
-
-std::string
-hex64(uint64_t v)
-{
-    std::ostringstream os;
-    os << std::hex << std::setw(16) << std::setfill('0') << v;
-    return os.str();
-}
+const ModeSpec kModes[] = {{"batch-1", 1}, {"adaptive-8", 8}};
 
 /** Saturation-load config the telemetry probe uses. */
 serve::ServeConfig
@@ -95,7 +74,6 @@ saturationConfig()
     cfg.workers = 4;
     cfg.queueCapacity = 256;
     cfg.maxBatch = 8;
-    cfg.batchMarginalCost = 1.0;
     cfg.load.requests = static_cast<size_t>(kSaturationQps);
     cfg.load.offeredQps = kSaturationQps;
     cfg.load.sloMs = kSloMs;
@@ -187,7 +165,7 @@ main(int argc, char** argv)
         if (std::string(argv[i]) == "--json")
             json_mode = true;
 
-    // Same corpus construction as bolt_cli serve-bench --seed 1.
+    // Same corpus construction as a serve scenario stage with seed 1.
     util::Rng rng(1);
     util::Rng tr = rng.substream("train");
     auto specs = workloads::trainingSet(tr);
@@ -211,7 +189,6 @@ main(int argc, char** argv)
             cfg.workers = 4;
             cfg.queueCapacity = 256;
             cfg.maxBatch = mode.maxBatch;
-            cfg.batchMarginalCost = mode.marginalCost;
             cfg.load.requests = static_cast<size_t>(qps);
             cfg.load.offeredQps = qps;
             cfg.load.sloMs = kSloMs;
@@ -258,7 +235,6 @@ main(int argc, char** argv)
     const auto& mid = sweep[{kMidLoadQps, "adaptive-8"}];
     const auto& sat_batched = sweep[{kSaturationQps, "adaptive-8"}];
     const auto& sat_single = sweep[{kSaturationQps, "batch-1"}];
-    const auto& sat_gemm = sweep[{kSaturationQps, "gemm-8"}];
     int rc = 0;
     if (mid.latencyMs.percentile(99) > kSloMs) {
         std::cerr << "FAIL: adaptive-8 p99 at " << kMidLoadQps
@@ -267,11 +243,6 @@ main(int argc, char** argv)
     }
     if (sat_batched.achievedQps <= sat_single.achievedQps) {
         std::cerr << "FAIL: adaptive-8 does not out-serve batch-1 at "
-                  << kSaturationQps << " qps saturation\n";
-        rc = 1;
-    }
-    if (sat_gemm.achievedQps < sat_batched.achievedQps) {
-        std::cerr << "FAIL: gemm-8 under-serves adaptive-8 at "
                   << kSaturationQps << " qps saturation\n";
         rc = 1;
     }

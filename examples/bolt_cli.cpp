@@ -1,71 +1,39 @@
 /**
  * @file
- * Command-line driver for libbolt: run any of the library's scenarios
- * with configurable parameters without writing code.
+ * Command-line front end for libbolt (`bolt_cli help` lists the commands).
  *
- *   bolt_cli run        --scenario FILE [--dump] [--threads N]
- *   bolt_cli experiment [--servers N] [--victims N] [--seed S]
- *                       [--threads N]
- *                       [--quasar] [--isolation none|pinning|net|mem|
- *                        cache|core-full|core-only]
- *                       [--platform baremetal|container|vm]
- *                       [--obfuscation A]
- *   bolt_cli detect     [--family NAME] [--seed S]
- *   bolt_cli dos        [--seed S]
- *   bolt_cli coresidency [--probes N] [--waves N] [--seed S]
- *   bolt_cli serve-bench [--requests N] [--qps Q] [--workers N]
- *                       [--queue-cap N] [--max-batch N] [--slo-ms MS]
- *                       [--closed-loop --clients N --think-ms MS] ...
- *   bolt_cli fleet      [--hosts N] [--tenants N] [--shards N]
- *                       [--epochs N] [--arrivals R] [--departures P]
- *                       [--migrations P] [--host-faults P] [--seed S]
- *   bolt_cli arms-race  [--servers N] [--probes N] [--waves N]
- *                       [--reps N] [--util-levels CSV] [--seed S]
- *   bolt_cli report     --telemetry FILE [--top N]
+ * A run subcommand (experiment, serve, attack, fleet, armsrace, include)
+ * is flag sugar for a one-stage scenario: the subcommand names the
+ * `stage:` kind and each `--key value` becomes a key of that stage
+ * (dotted keys such as --faults.arrivals open nested blocks), so
+ * docs/SCENARIOS.md is the flag reference. scenario::compileFlags and
+ * runScenario do all validation, seeding and output, exactly as for
+ * `bolt_cli run --scenario`: `bolt_cli <kind> FLAGS` and `bolt_cli run`
+ * on what `bolt_cli <kind> FLAGS --dump` prints emit the same bytes.
  *
- * Every subcommand also takes the shared observability flags:
- *   --metrics-out FILE  write a RunReport JSON (config + metrics)
- *   --trace-out FILE    write a sim-time trace (Chrome JSON; .jsonl
- *                       for flat JSONL)
- *   --telemetry-out FILE  windowed time-series + SLO alerts (JSONL;
- *                       `bolt_cli report` renders it)
- *   --telemetry-window SEC  telemetry window width (default 1)
- *   --log-level L       error|warn|info|debug (default warn)
- *
- * Every run is deterministic for a given seed; --threads only changes
- * wall-clock time, never results, and the observability flags never
- * change results either (scripts/check.sh --obs enforces both).
- *
- * Flag parsing is strict (util::CliArgs): unknown flags, stray
- * positionals, numeric values with trailing garbage ("10x") and
- * out-of-range values ("--threads 99999") all exit 2 with the valid
- * flags listed — a typo must fail loudly, not silently run a default.
+ * --threads and the observability flags never change stdout
+ * (scripts/check.sh --obs enforces it). Invalid input — an unknown
+ * command, key or name, a malformed number, an out-of-range value —
+ * exits 2 with the valid names or range; a failed `expect:` item or
+ * layer self-check exits 3.
  */
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "attacks/coresidency.h"
-#include "attacks/dos.h"
-#include "colo/tournament.h"
 #include "core/experiment.h"
-#include "fault/fault.h"
-#include "obs/metrics.h"
 #include "obs/report.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
-#include "serve/engine.h"
-#include "sim/shard.h"
 #include "util/cli_flags.h"
+#include "util/digest.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
-#include "workloads/generators.h"
+#include "workloads/catalog.h"
 
 using namespace bolt;
 using util::CliArgs;
@@ -74,171 +42,92 @@ using util::FlagKind;
 
 namespace {
 
-/** Effectively-unbounded upper limit for 64-bit seed flags. */
-constexpr double kSeedMax = 9.3e18;
+const std::vector<CliFlagSpec> kCommonFlags = {
+    {"threads", FlagKind::Int, 0, util::kMaxThreadsFlag},
+};
+const std::vector<CliFlagSpec> kStageFlags = {
+    {"dump", FlagKind::Flag},
+};
+const std::vector<CliFlagSpec> kRunFlags = {
+    {"scenario", FlagKind::String},
+    {"dump", FlagKind::Flag},
+};
+const std::vector<CliFlagSpec> kDetectFlags = {
+    {"family", FlagKind::String},
+    {"seed", FlagKind::UInt, 0, 9.3e18},
+};
+const std::vector<CliFlagSpec> kReportFlags = {
+    {"telemetry", FlagKind::String},
+    {"top", FlagKind::Int, 1, 1000},
+};
+
+double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+}
 
 /**
- * Flags every subcommand accepts. --threads is range-checked here:
- * 0 means hardware concurrency, anything above 512 is a typo, not a
- * machine.
+ * Run (or, with `dump`, print) a compiled scenario; the RunReport is
+ * named after `command` ("run" or the stage subcommand).
  */
-const std::vector<CliFlagSpec> kCommonFlags = {
-    {"threads", FlagKind::Int, 0, 512},
-};
-
-sim::Platform
-parsePlatform(const std::string& name)
-{
-    if (name == "baremetal")
-        return sim::Platform::Baremetal;
-    if (name == "container")
-        return sim::Platform::Container;
-    return sim::Platform::VirtualMachine;
-}
-
-sim::IsolationConfig
-parseIsolation(const std::string& name, sim::Platform platform)
-{
-    if (name == "pinning")
-        return sim::IsolationConfig::withThreadPinning(platform);
-    if (name == "net")
-        return sim::IsolationConfig::withNetPartitioning(platform);
-    if (name == "mem")
-        return sim::IsolationConfig::withMemBwPartitioning(platform);
-    if (name == "cache")
-        return sim::IsolationConfig::withCachePartitioning(platform);
-    if (name == "core-full")
-        return sim::IsolationConfig::withCoreIsolation(platform);
-    if (name == "core-only")
-        return sim::IsolationConfig::coreIsolationOnly(platform);
-    return sim::IsolationConfig::none(platform);
-}
-
-/** Wall-clock timer for the RunReport (observability only). */
-class WallTimer
-{
-  public:
-    WallTimer() : start_(std::chrono::steady_clock::now()) {}
-    double
-    seconds() const
-    {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start_)
-            .count();
-    }
-
-  private:
-    std::chrono::steady_clock::time_point start_;
-};
-
-std::string
-hex64(uint64_t v)
-{
-    std::ostringstream os;
-    os << std::hex << std::setw(16) << std::setfill('0') << v;
-    return os.str();
-}
-
 int
-runExperiment(const CliArgs& args)
+runCompiled(const scenario::Scenario& s, const std::string& command,
+            const std::string& file, bool dump)
 {
-    core::ExperimentConfig cfg;
-    cfg.servers = static_cast<size_t>(args.getInt("servers", 40));
-    cfg.victims = static_cast<size_t>(args.getInt("victims", 108));
-    cfg.seed = static_cast<uint64_t>(args.getInt("seed", 1));
-    cfg.victimObfuscation = args.getDouble("obfuscation", 0.0);
-    if (args.has("quasar"))
-        cfg.policy = core::ExperimentConfig::Policy::Quasar;
-    cfg.isolation = parseIsolation(
-        args.get("isolation", "none"),
-        parsePlatform(args.get("platform", "vm")));
-
-    // Fault-injection plan: each --fault-<key> flag maps onto the plan
-    // via src/fault's parser; a set of pure modifiers (seed, spike-mag)
-    // with no rate enabled is rejected — it would silently do nothing.
-    static const char* kFaultKeys[] = {
-        "arrivals", "departures", "phase-flips",   "dropouts", "spikes",
-        "spike-mag", "jitter",    "jitter-window", "seed"};
-    bool any_fault_flag = false;
-    std::string fault_err;
-    for (const char* key : kFaultKeys) {
-        std::string flag = std::string("fault-") + key;
-        if (!args.has(flag))
-            continue;
-        any_fault_flag = true;
-        if (!fault::applyFaultFlag(cfg.faults, key, args.get(flag, ""),
-                                   &fault_err)) {
-            std::cerr << "bolt_cli: " << fault_err << "\n";
-            return 2;
-        }
-    }
-    if (!fault::validateFaultFlags(cfg.faults, any_fault_flag,
-                                   &fault_err)) {
-        std::cerr << "bolt_cli: " << fault_err << "\n";
-        return 2;
+    if (dump) {
+        // Canonical serialization: every key explicit, recompiles to an
+        // identical graph (the round-trip the tests pin).
+        std::cout << s.dump();
+        return 0;
     }
 
-    obs::RunReport report("experiment");
-    report.set("servers", static_cast<uint64_t>(cfg.servers));
-    report.set("victims", static_cast<uint64_t>(cfg.victims));
-    report.set("seed", cfg.seed);
-    report.set("policy", args.has("quasar") ? "quasar" : "least-loaded");
-    report.set("platform", args.get("platform", "vm"));
-    report.set("isolation", args.get("isolation", "none"));
-    report.set("obfuscation", cfg.victimObfuscation);
-    report.set("faults_enabled", cfg.faults.enabled());
+    obs::RunReport report(command);
+    report.set("scenario", s.name);
+    if (!file.empty())
+        report.set("file", file);
+    report.set("seed", s.seed);
+    report.set("stages", static_cast<uint64_t>(s.stages.size()));
+    report.set("graph_digest", util::hex64(s.graphDigest()));
     report.set("threads",
                static_cast<uint64_t>(util::ThreadPool::globalThreads()));
+    auto start = std::chrono::steady_clock::now();
 
-    WallTimer wall;
-    auto result = core::ControlledExperiment(cfg).run();
-    report.setWallSeconds(wall.seconds());
+    auto result = scenario::runScenario(s, std::cout);
 
-    auto& metrics = obs::MetricsRegistry::global();
-    if (metrics.enabled()) {
-        report.setSimSeconds(
-            metrics.snapshot()
-                .histogram(obs::MetricId::kExperimentHostSimSec)
-                .sum);
-    }
-    report.set("result_digest", hex64(result.digest()));
+    report.setWallSeconds(secondsSince(start));
+    report.setSimSeconds(result.simSeconds);
+    report.set("stages_run", static_cast<uint64_t>(result.stagesRun));
+    report.set("run_digest", util::hex64(result.digest));
+    report.set("failures", static_cast<uint64_t>(result.failures.size()));
     obs::writeConfiguredOutputs(report);
-
-    util::AsciiTable table({"Metric", "Value"});
-    table.addRow({"Victims scheduled",
-                  std::to_string(result.outcomes.size())});
-    table.addRow({"Class accuracy", util::AsciiTable::percent(
-                                        result.aggregateAccuracy(), 1)});
-    table.addRow({"Characteristics accuracy",
-                  util::AsciiTable::percent(
-                      result.characteristicsAccuracy(), 1)});
-    for (const auto& [n, acc] : result.accuracyByCoResidents())
-        table.addRow({"Accuracy @ " + std::to_string(n) +
-                          " co-resident(s)",
-                      util::AsciiTable::percent(acc, 1)});
-    if (cfg.faults.enabled())
-        table.addRow({"Victims departed (churn)",
-                      std::to_string(result.departedCount())});
-    table.addRow({"Result digest", hex64(result.digest())});
-    table.print(std::cout);
-    return 0;
+    for (const std::string& f : result.failures)
+        std::cerr << "bolt_cli: " << f << "\n";
+    return result.ok() ? 0 : 3;
 }
 
 int
 runDetect(const CliArgs& args)
 {
-    util::Rng rng(static_cast<uint64_t>(args.getInt("seed", 2017)));
+    uint64_t seed = static_cast<uint64_t>(args.getInt("seed", 2017));
+    util::Rng rng(seed);
     std::string family = args.get("family", "memcached");
     const auto* fam = workloads::findFamily(family);
     if (!fam) {
-        std::cerr << "unknown family: " << family << "\n";
+        std::cerr << "bolt_cli: unknown family '" << family
+                  << "' (valid:";
+        for (const workloads::FamilyDef& f : workloads::catalog())
+            std::cerr << " " << f.name;
+        std::cerr << ")\n";
         return 2;
     }
 
     obs::RunReport report("detect");
     report.set("family", family);
-    report.set("seed", static_cast<uint64_t>(args.getInt("seed", 2017)));
-    WallTimer wall;
+    report.set("seed", seed);
+    auto start = std::chrono::steady_clock::now();
 
     util::Rng tr = rng.substream("train");
     auto specs = workloads::trainingSet(tr);
@@ -268,7 +157,7 @@ runDetect(const CliArgs& args)
     };
     auto round = detector.detectOnce(env, 0.0, rng);
 
-    report.setWallSeconds(wall.seconds());
+    report.setWallSeconds(secondsSince(start));
     report.setSimSeconds(round.profilingSec);
     report.set("victim_class", spec.classLabel());
     report.set("top_match", round.topClass());
@@ -280,11 +169,9 @@ runDetect(const CliArgs& args)
         std::cout << "no confident match\n";
         return 1;
     }
-    for (const auto& [label, share] :
-         round.guesses.front().distribution) {
+    for (const auto& [label, share] : round.guesses.front().distribution)
         std::cout << "  " << label << ": "
                   << util::AsciiTable::percent(share, 1) << "\n";
-    }
     std::cout << "top match: " << round.topClass() << " ("
               << (round.topClass() == spec.classLabel() ? "correct"
                                                         : "incorrect")
@@ -292,467 +179,40 @@ runDetect(const CliArgs& args)
     return 0;
 }
 
-int
-runDos(const CliArgs& args)
-{
-    attacks::DosTimelineConfig cfg;
-    cfg.seed = static_cast<uint64_t>(args.getInt("seed", 99));
-
-    obs::RunReport report("dos");
-    report.set("seed", cfg.seed);
-    WallTimer wall;
-
-    attacks::DosTimelineExperiment experiment(cfg);
-    auto bolt_run = experiment.run(true);
-    auto naive_run = experiment.run(false);
-
-    report.setWallSeconds(wall.seconds());
-    report.setSimSeconds(static_cast<double>(bolt_run.size() +
-                                             naive_run.size()));
-    obs::writeConfiguredOutputs(report);
-
-    double nominal = bolt_run[5].p99Ms;
-    util::AsciiTable table(
-        {"t", "Bolt p99 x", "Bolt util", "Naive p99 x", "Naive util"});
-    for (size_t t = 0; t < bolt_run.size(); t += 15) {
-        table.addRow(
-            {std::to_string(t),
-             util::AsciiTable::num(bolt_run[t].p99Ms / nominal, 1),
-             util::AsciiTable::num(bolt_run[t].cpuUtil, 0) + "%",
-             util::AsciiTable::num(naive_run[t].p99Ms / nominal, 1),
-             util::AsciiTable::num(naive_run[t].cpuUtil, 0) + "%"});
-    }
-    table.print(std::cout);
-    return 0;
-}
-
-int
-runCoResidency(const CliArgs& args)
-{
-    attacks::CoResidencyConfig cfg;
-    cfg.seed = static_cast<uint64_t>(args.getInt("seed", 7));
-    cfg.probeVms = static_cast<size_t>(args.getInt("probes", 10));
-    cfg.maxWaves = static_cast<size_t>(args.getInt("waves", 8));
-
-    obs::RunReport report("coresidency");
-    report.set("seed", cfg.seed);
-    report.set("probes", static_cast<uint64_t>(cfg.probeVms));
-    report.set("waves", static_cast<uint64_t>(cfg.maxWaves));
-    WallTimer wall;
-
-    auto result = attacks::CoResidencyAttack(cfg).run();
-
-    report.setWallSeconds(wall.seconds());
-    report.setSimSeconds(result.detectionTimeSec);
-    report.set("victim_pinpointed", result.victimPinpointed);
-    obs::writeConfiguredOutputs(report);
-
-    util::AsciiTable table({"Metric", "Value"});
-    table.addRow({"P(probe lands)",
-                  util::AsciiTable::num(result.placementProbability, 3)});
-    table.addRow({"Waves used", std::to_string(result.wavesUsed)});
-    table.addRow({"Adversarial VMs",
-                  std::to_string(result.adversaryVmsUsed)});
-    table.addRow({"Baseline latency",
-                  util::AsciiTable::num(result.baselineLatencyMs, 2) +
-                      " ms"});
-    table.addRow({"Latency under attack",
-                  util::AsciiTable::num(result.attackLatencyMs, 2) +
-                      " ms"});
-    table.addRow(
-        {"Victim pinpointed", result.victimPinpointed ? "yes" : "no"});
-    table.addRow({"Time", util::AsciiTable::num(
-                              result.detectionTimeSec, 1) +
-                              " s"});
-    table.print(std::cout);
-    return result.victimPinpointed ? 0 : 1;
-}
-
-int
-runServeBench(const CliArgs& args)
-{
-    serve::ServeConfig cfg;
-    cfg.workers = static_cast<size_t>(args.getInt("workers", 4));
-    cfg.queueCapacity =
-        static_cast<size_t>(args.getInt("queue-cap", 128));
-    cfg.maxBatch = static_cast<size_t>(args.getInt("max-batch", 8));
-    cfg.batchSetupMs = args.getDouble("batch-setup-ms", 2.0);
-    cfg.batchWaitMs = args.getDouble("batch-wait-ms", 0.0);
-    cfg.batchMarginalCost =
-        args.getDouble("batch-marginal-cost", 1.0);
-    cfg.admitSloCheck = !args.has("no-admit-check");
-    cfg.load.requests =
-        static_cast<size_t>(args.getInt("requests", 2000));
-    cfg.load.offeredQps = args.getDouble("qps", 1000.0);
-    cfg.load.closedLoop = args.has("closed-loop");
-    cfg.load.clients = static_cast<size_t>(args.getInt("clients", 16));
-    cfg.load.thinkMs = args.getDouble("think-ms", 4.0);
-    cfg.load.sloMs = args.getDouble("slo-ms", 50.0);
-    cfg.load.decomposeFraction = args.getDouble("decompose-frac", 0.0);
-    cfg.load.seed = static_cast<uint64_t>(args.getInt("seed", 1));
-
-    obs::RunReport report("serve-bench");
-    report.set("requests", static_cast<uint64_t>(cfg.load.requests));
-    report.set("qps", cfg.load.offeredQps);
-    report.set("closed_loop", cfg.load.closedLoop);
-    report.set("workers", static_cast<uint64_t>(cfg.workers));
-    report.set("queue_cap", static_cast<uint64_t>(cfg.queueCapacity));
-    report.set("max_batch", static_cast<uint64_t>(cfg.maxBatch));
-    report.set("batch_marginal_cost", cfg.batchMarginalCost);
-    report.set("slo_ms", cfg.load.sloMs);
-    report.set("seed", cfg.load.seed);
-    report.set("threads",
-               static_cast<uint64_t>(util::ThreadPool::globalThreads()));
-    WallTimer wall;
-
-    // Training corpus and recommender, derived from the run seed the
-    // same way the detect subcommand builds them.
-    util::Rng rng(cfg.load.seed);
-    util::Rng tr = rng.substream("train");
-    auto specs = workloads::trainingSet(tr);
-    auto training = core::TrainingSet::fromSpecs(specs, tr);
-    core::HybridRecommender recommender(training);
-
-    serve::ServeEngine engine(recommender, cfg);
-    auto result = engine.run();
-    const serve::ServeStats& st = result.stats;
-
-    report.setWallSeconds(wall.seconds());
-    report.setSimSeconds(st.makespanMs / 1000.0);
-    report.set("result_digest", hex64(result.digest()));
-    obs::writeConfiguredOutputs(report);
-
-    // Every value below is Sim-class: byte-identical at any --threads.
-    util::AsciiTable table({"Metric", "Value"});
-    auto count = [](uint64_t v) { return std::to_string(v); };
-    table.addRow({"Requests offered", count(st.offered)});
-    table.addRow({"Admitted", count(st.admitted)});
-    table.addRow({"Rejected (queue full)", count(st.rejectedQueueFull)});
-    table.addRow(
-        {"Rejected (SLO infeasible)", count(st.rejectedSloInfeasible)});
-    table.addRow({"Shed (deadline expired)", count(st.shedDeadline)});
-    table.addRow({"Completed", count(st.completed)});
-    table.addRow({"SLO misses (late)", count(st.sloMisses)});
-    table.addRow({"Batches", count(st.batches)});
-    table.addRow({"Batch deferrals", count(st.batchDeferrals)});
-    table.addRow({"Mean batch size",
-                  util::AsciiTable::num(st.batchSizes.mean(), 2)});
-    table.addRow({"Queue depth peak", count(st.queueDepthPeak)});
-    table.addRow({"Makespan (sim)",
-                  util::AsciiTable::num(st.makespanMs, 1) + " ms"});
-    table.addRow({"Achieved QPS",
-                  util::AsciiTable::num(st.achievedQps, 1)});
-    table.addRow({"Goodput QPS",
-                  util::AsciiTable::num(st.goodputQps, 1)});
-    table.addRow({"Latency p50",
-                  util::AsciiTable::num(st.latencyMs.percentile(50), 2) +
-                      " ms"});
-    table.addRow({"Latency p95",
-                  util::AsciiTable::num(st.latencyMs.percentile(95), 2) +
-                      " ms"});
-    table.addRow({"Latency p99",
-                  util::AsciiTable::num(st.latencyMs.percentile(99), 2) +
-                      " ms"});
-    table.addRow({"Result digest", hex64(result.digest())});
-    table.print(std::cout);
-    return 0;
-}
-
-int
-runFleet(const CliArgs& args)
-{
-    sim::FleetConfig cfg;
-    cfg.hosts = static_cast<size_t>(args.getInt("hosts", 64));
-    cfg.tenants = static_cast<size_t>(args.getInt("tenants", 256));
-    cfg.shards = static_cast<size_t>(args.getInt("shards", 1));
-    cfg.epochs = args.getInt("epochs", 4);
-    cfg.arrivalsPerHostEpoch = args.getDouble("arrivals", 0.2);
-    cfg.departureProb = args.getDouble("departures", 0.04);
-    cfg.migrationProb = args.getDouble("migrations", 0.02);
-    cfg.hostFaultProb = args.getDouble("host-faults", 0.0);
-    cfg.seed = static_cast<uint64_t>(args.getInt("seed", 42));
-
-    obs::RunReport report("fleet");
-    report.set("hosts", static_cast<uint64_t>(cfg.hosts));
-    report.set("tenants", static_cast<uint64_t>(cfg.tenants));
-    report.set("shards", static_cast<uint64_t>(cfg.shards));
-    report.set("epochs", static_cast<uint64_t>(cfg.epochs));
-    report.set("arrivals", cfg.arrivalsPerHostEpoch);
-    report.set("departures", cfg.departureProb);
-    report.set("migrations", cfg.migrationProb);
-    report.set("host_faults", cfg.hostFaultProb);
-    report.set("seed", cfg.seed);
-    report.set("threads",
-               static_cast<uint64_t>(util::ThreadPool::globalThreads()));
-    WallTimer wall;
-
-    auto result = sim::FleetCluster(cfg).run();
-
-    report.setWallSeconds(wall.seconds());
-    report.setSimSeconds(result.simSeconds);
-    report.set("vms_alive", result.vmsAlive);
-    report.set("result_digest", hex64(result.digest));
-    obs::writeConfiguredOutputs(report);
-
-    if (!result.consistent) {
-        std::cerr << "bolt_cli: fleet inconsistency: "
-                  << result.inconsistency << "\n";
-        return 1;
-    }
-
-    // Every value below is Sim-class: byte-identical at any --threads
-    // and any --shards (the one shard-dependent statistic, cross-shard
-    // migrations, is reported but never folded into the digest).
-    util::AsciiTable epochs({"Epoch", "Alive", "Arrive", "Depart", "Migrate",
-                             "Faults", "Util", "Anomaly"});
-    for (size_t e = 0; e < result.epochs.size(); ++e) {
-        const sim::FleetEpoch& ep = result.epochs[e];
-        epochs.addRow({std::to_string(e), std::to_string(ep.alive),
-                       std::to_string(ep.arrivals),
-                       std::to_string(ep.departures),
-                       std::to_string(ep.migrations),
-                       std::to_string(ep.hostFaults),
-                       util::AsciiTable::num(ep.meanUtil, 1) + "%",
-                       util::AsciiTable::percent(ep.anomalyRate, 1)});
-    }
-    epochs.print(std::cout);
-
-    util::AsciiTable table({"Metric", "Value"});
-    auto count = [](uint64_t v) { return std::to_string(v); };
-    table.addRow({"Hosts", count(cfg.hosts)});
-    table.addRow({"Shards", count(cfg.shards)});
-    table.addRow({"VMs booted", count(result.vmsBooted)});
-    table.addRow({"VMs alive", count(result.vmsAlive)});
-    table.addRow({"Arrivals", count(result.arrivals)});
-    table.addRow({"Departures", count(result.departures)});
-    table.addRow({"Migrations", count(result.migrations)});
-    table.addRow({"Cross-shard migrations",
-                  count(result.crossShardMigrations)});
-    table.addRow({"Host faults", count(result.hostFaults)});
-    table.addRow({"Placement failures", count(result.placementFailures)});
-    table.addRow({"Sim time", util::AsciiTable::num(result.simSeconds, 0) +
-                                  " s"});
-    table.addRow({"Result digest", hex64(result.digest)});
-    table.print(std::cout);
-    return 0;
-}
-
-int
-runArmsRace(const CliArgs& args)
-{
-    colo::TournamentConfig cfg;
-    cfg.servers = static_cast<size_t>(args.getInt("servers", 24));
-    cfg.probesPerWave = args.getInt("probes", 4);
-    cfg.waves = args.getInt("waves", 3);
-    cfg.reps = args.getInt("reps", 8);
-    cfg.seed = static_cast<uint64_t>(args.getInt("seed", 42));
-
-    // --util-levels is a CSV of utilization percents; the parser keeps
-    // it a string, so range-check each entry here (same strictness as
-    // the numeric flags: garbage exits 2).
-    std::string levels = args.get("util-levels", "");
-    if (!levels.empty()) {
-        cfg.utilLevels.clear();
-        std::istringstream is(levels);
-        std::string item;
-        while (std::getline(is, item, ',')) {
-            size_t pos = 0;
-            double v = 0.0;
-            try {
-                v = std::stod(item, &pos);
-            } catch (const std::exception&) {
-                pos = 0;
-            }
-            if (pos != item.size() || v < 5.0 || v > 90.0) {
-                std::cerr << "bolt_cli: --util-levels entry '" << item
-                          << "' is not a percent in [5, 90]\n";
-                return 2;
-            }
-            cfg.utilLevels.push_back(v);
-        }
-        if (cfg.utilLevels.empty()) {
-            std::cerr << "bolt_cli: --util-levels is empty\n";
-            return 2;
-        }
-    }
-
-    obs::RunReport report("arms-race");
-    report.set("servers", static_cast<uint64_t>(cfg.servers));
-    report.set("probes", static_cast<uint64_t>(cfg.probesPerWave));
-    report.set("waves", static_cast<uint64_t>(cfg.waves));
-    report.set("reps", static_cast<uint64_t>(cfg.reps));
-    report.set("seed", cfg.seed);
-    report.set("threads",
-               static_cast<uint64_t>(util::ThreadPool::globalThreads()));
-    WallTimer wall;
-
-    colo::TournamentResult result = colo::runTournament(cfg);
-
-    report.setWallSeconds(wall.seconds());
-    report.set("cells", static_cast<uint64_t>(result.cells.size()));
-    report.set("result_digest", hex64(result.digest));
-    obs::writeConfiguredOutputs(report);
-
-    // Everything below is Sim-class: byte-identical at any --threads.
-    colo::printTournament(result, std::cout);
-    std::cout << "tournament digest: " << hex64(result.digest) << "\n";
-
-    std::string violation = colo::tournamentSelfCheck(cfg, result);
-    if (!violation.empty()) {
-        std::cerr << "bolt_cli: arms-race gate: " << violation << "\n";
-        return 1;
-    }
-    std::cout << "arms-race gates: OK\n";
-    return 0;
-}
-
-int
-runScenarioCmd(const CliArgs& args)
-{
-    std::string path = args.get("scenario", "");
-    if (path.empty()) {
-        std::cerr << "bolt_cli: run requires --scenario <file>\n";
-        return 2;
-    }
-
-    scenario::Scenario s;
-    std::string err;
-    if (!scenario::compileFile(path, &s, &err)) {
-        std::cerr << "bolt_cli: " << err << "\n";
-        return 2;
-    }
-
-    if (args.has("dump")) {
-        // Canonical serialization: every key explicit, recompiles to an
-        // identical graph (the round-trip the tests pin).
-        std::cout << s.dump();
-        return 0;
-    }
-
-    obs::RunReport report("run");
-    report.set("scenario", s.name);
-    report.set("file", path);
-    report.set("seed", s.seed);
-    report.set("stages", static_cast<uint64_t>(s.stages.size()));
-    report.set("graph_digest", hex64(s.graphDigest()));
-    report.set("threads",
-               static_cast<uint64_t>(util::ThreadPool::globalThreads()));
-    WallTimer wall;
-
-    auto result = scenario::runScenario(s, std::cout);
-
-    report.setWallSeconds(wall.seconds());
-    report.setSimSeconds(result.simSeconds);
-    report.set("stages_run", static_cast<uint64_t>(result.stagesRun));
-    report.set("run_digest", hex64(result.digest));
-    if (result.expectsTotal > 0)
-        report.set("expect_failures",
-                   static_cast<uint64_t>(result.expectFailures.size()));
-    obs::writeConfiguredOutputs(report);
-    if (!result.ok()) {
-        for (const std::string& f : result.expectFailures)
-            std::cerr << "bolt_cli: " << f << "\n";
-        return 3;
-    }
-    return 0;
-}
-
 // ------------------------------------------------------------------
-// `bolt_cli report`: post-run analyzer over a --telemetry-out JSONL
-// dump. Everything below derives purely from the file, so the report
-// for a given dump is byte-identical wherever it is rendered.
-
-/** One parsed telemetry point line. */
-struct ReportPoint
-{
-    std::string series;
-    std::string label;
-    int64_t window = 0;
-    uint64_t count = 0;
-    double mean = 0.0;
-    double p99 = 0.0;
-    bool sample = false; ///< Line carried sum/mean/percentiles.
-};
-
-/** One parsed alert line. */
-struct ReportAlert
-{
-    std::string rule;
-    bool firing = false;
-    int64_t window = 0;
-    double t = 0.0;
-    double value = 0.0;
-    int epoch = 1;
-};
+// `bolt_cli report`: post-run analyzer over a --telemetry-out dump.
+// Everything below derives purely from the file, so the report for a
+// given dump is byte-identical wherever it is rendered.
 
 /**
- * Extract one field from a flat telemetry JSONL object. Good for
- * exactly the format writeTelemetryJsonl/writeAlertsJsonl emit (no
- * nesting, no escaped quotes in values).
+ * Render (window, value) points as a fixed-ramp ASCII sparkline over at
+ * most `cols` columns spanning windows [wMin, wMax]. A column shows the
+ * mean over every window it covers (absent windows count as 0). Points
+ * aggregate straight into the columns, so memory stays O(cols) whatever
+ * the window ids.
  */
-bool
-jsonField(const std::string& line, const std::string& key,
-          std::string* out)
-{
-    std::string needle = "\"" + key + "\":";
-    size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    if (pos < line.size() && line[pos] == '"') {
-        size_t end = line.find('"', pos + 1);
-        if (end == std::string::npos)
-            return false;
-        *out = line.substr(pos + 1, end - pos - 1);
-        return true;
-    }
-    size_t end = pos;
-    while (end < line.size() && line[end] != ',' && line[end] != '}')
-        ++end;
-    *out = line.substr(pos, end - pos);
-    return true;
-}
-
-double
-jsonNumField(const std::string& line, const std::string& key,
-             double fallback)
-{
-    std::string raw;
-    if (!jsonField(line, key, &raw) || raw == "null")
-        return fallback;
-    try {
-        return std::stod(raw);
-    } catch (...) {
-        return fallback;
-    }
-}
-
-/** Render values as a fixed-ramp ASCII sparkline over `cols` columns. */
 std::string
-sparkline(const std::vector<double>& byWindow, int64_t wMin,
-          int64_t wMax, size_t cols)
+sparkline(const std::vector<std::pair<int64_t, double>>& values,
+          int64_t wMin, int64_t wMax, size_t cols)
 {
     static const char kRamp[] = " .:-=+*#%@";
     const size_t levels = sizeof kRamp - 2; // Index of the top glyph.
-    int64_t span = wMax - wMin + 1;
-    if (span <= 0 || byWindow.empty())
-        return "";
-    cols = std::min<size_t>(cols, static_cast<size_t>(span));
+    using Wide = unsigned __int128;
+    auto offset = [wMin](int64_t w) {
+        return static_cast<Wide>(static_cast<uint64_t>(w) -
+                                 static_cast<uint64_t>(wMin));
+    };
+    const Wide span = offset(wMax) + 1;
+    cols = static_cast<size_t>(std::min<Wide>(cols, span));
     std::vector<double> col(cols, 0.0);
-    std::vector<uint64_t> n(cols, 0);
-    for (int64_t w = 0; w < span; ++w) {
-        if (static_cast<size_t>(w) >= byWindow.size())
-            break;
-        size_t c = static_cast<size_t>(
-            (static_cast<uint64_t>(w) * cols) /
-            static_cast<uint64_t>(span));
-        col[c] += byWindow[static_cast<size_t>(w)];
-        ++n[c];
-    }
+    for (const auto& [w, v] : values)
+        col[static_cast<size_t>(offset(w) * cols / span)] += v;
     double peak = 0.0;
     for (size_t c = 0; c < cols; ++c) {
-        if (n[c])
-            col[c] /= static_cast<double>(n[c]);
+        // Column c covers windows [ceil(c*span/cols), ceil((c+1)*span/cols)).
+        Wide first = (Wide(c) * span + cols - 1) / cols;
+        Wide next = (Wide(c + 1) * span + cols - 1) / cols;
+        col[c] /= static_cast<double>(next - first);
         peak = std::max(peak, col[c]);
     }
     std::string out(cols, ' ');
@@ -780,64 +240,19 @@ runReport(const CliArgs& args)
         std::cerr << "bolt_cli: cannot open '" << path << "'\n";
         return 2;
     }
-    std::string line;
-    if (!std::getline(in, line) ||
-        line.find("\"bolt_telemetry\"") == std::string::npos) {
-        std::cerr << "bolt_cli: '" << path
-                  << "' is not a bolt telemetry dump (missing "
-                     "bolt_telemetry header)\n";
+    obs::TelemetryDump dump;
+    std::string err;
+    if (!obs::readTelemetryJsonl(in, path, &dump, &err)) {
+        std::cerr << "bolt_cli: " << err << "\n";
         return 2;
     }
-    double window_sec = jsonNumField(line, "window_sec", 1.0);
-    uint64_t dropped = static_cast<uint64_t>(
-        jsonNumField(line, "series_dropped", 0.0));
-
-    std::vector<ReportPoint> points;
-    std::vector<ReportAlert> alerts;
-    int lineno = 1;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        std::string s;
-        if (jsonField(line, "alert", &s)) {
-            ReportAlert a;
-            a.rule = s;
-            jsonField(line, "state", &s);
-            a.firing = s == "firing";
-            a.window = static_cast<int64_t>(
-                jsonNumField(line, "window", 0.0));
-            a.t = jsonNumField(line, "t", 0.0);
-            a.value = jsonNumField(line, "value", 0.0);
-            a.epoch =
-                static_cast<int>(jsonNumField(line, "epoch", 1.0));
-            alerts.push_back(std::move(a));
-        } else if (jsonField(line, "series", &s)) {
-            ReportPoint p;
-            p.series = s;
-            jsonField(line, "label", &p.label);
-            p.window = static_cast<int64_t>(
-                jsonNumField(line, "window", 0.0));
-            p.count = static_cast<uint64_t>(
-                jsonNumField(line, "count", 0.0));
-            std::string raw;
-            p.sample = jsonField(line, "mean", &raw);
-            p.mean = jsonNumField(line, "mean", 0.0);
-            p.p99 = jsonNumField(line, "p99", 0.0);
-            points.push_back(std::move(p));
-        } else {
-            std::cerr << "bolt_cli: " << path << ":" << lineno
-                      << ": unrecognized telemetry line\n";
-            return 2;
-        }
-    }
+    const auto& points = dump.points;
+    const auto& alerts = dump.alerts;
 
     int64_t wMin = 0, wMax = 0;
-    bool haveW = false;
-    for (const ReportPoint& p : points) {
-        wMin = haveW ? std::min(wMin, p.window) : p.window;
-        wMax = haveW ? std::max(wMax, p.window) : p.window;
-        haveW = true;
+    for (size_t i = 0; i < points.size(); ++i) {
+        wMin = i ? std::min(wMin, points[i].window) : points[i].window;
+        wMax = i ? std::max(wMax, points[i].window) : points[i].window;
     }
 
     // Group by (series, label), insertion order = export order.
@@ -851,12 +266,13 @@ runReport(const CliArgs& args)
         groups.back().second.push_back(i);
     }
 
+    double window_sec = dump.windowSec;
     std::cout << "telemetry report: " << path << "\n"
               << "windows " << wMin << ".." << wMax << " ("
               << util::AsciiTable::num(window_sec, window_sec < 1 ? 3 : 0)
               << "s each), " << groups.size() << " series, "
               << points.size() << " points, " << alerts.size()
-              << " alert events, dropped=" << dropped << "\n\n";
+              << " alert events, dropped=" << dump.seriesDropped << "\n\n";
 
     // Per-series sparkline table: counts for counter series, per-window
     // means for sample series.
@@ -865,49 +281,42 @@ runReport(const CliArgs& args)
         uint64_t total = 0;
         double weighted = 0.0;
         bool sample = false;
-        std::vector<double> byWindow(
-            static_cast<size_t>(wMax - wMin + 1), 0.0);
+        std::vector<std::pair<int64_t, double>> values;
         for (size_t i : idx) {
-            const ReportPoint& p = points[i];
+            const obs::TelemetryPointRecord& p = points[i];
             total += p.count;
             weighted += p.mean * static_cast<double>(p.count);
             sample = sample || p.sample;
-            byWindow[static_cast<size_t>(p.window - wMin)] =
-                sample ? p.mean : static_cast<double>(p.count);
+            values.emplace_back(p.window, sample ? p.mean
+                                                 : static_cast<double>(
+                                                       p.count));
         }
         double mean =
             total ? weighted / static_cast<double>(total) : 0.0;
         table.addRow({key, std::to_string(idx.size()),
                       std::to_string(total),
                       sample ? util::AsciiTable::num(mean, 2) : "-",
-                      sparkline(byWindow, wMin, wMax, 48)});
+                      sparkline(values, wMin, wMax, 48)});
     }
     table.print(std::cout);
 
     // SLO-violation timeline.
-    std::cout << "\nslo alerts:";
-    if (alerts.empty()) {
-        std::cout << " none\n";
-    } else {
+    std::cout << "\nslo alerts:" << (alerts.empty() ? " none\n" : "\n");
+    for (const obs::AlertEvent& a : alerts) {
+        std::cout << "  " << (a.firing ? "fired   " : "resolved") << " "
+                  << a.rule << "  window " << a.window
+                  << " (t=" << util::AsciiTable::num(a.t, 0)
+                  << "s) value=" << util::AsciiTable::num(a.value, 2);
+        if (a.epoch > 1)
+            std::cout << " epoch=" << a.epoch;
         std::cout << "\n";
-        for (const ReportAlert& a : alerts) {
-            std::cout << "  " << (a.firing ? "fired   " : "resolved")
-                      << " " << a.rule << "  window " << a.window
-                      << " (t=" << util::AsciiTable::num(a.t, 0)
-                      << "s) value="
-                      << util::AsciiTable::num(a.value, 2);
-            if (a.epoch > 1)
-                std::cout << " epoch=" << a.epoch;
-            std::cout << "\n";
-        }
     }
 
     // Queue/batch occupancy profile.
     bool any_occ = false;
     for (const auto& [key, idx] : groups) {
         const std::string& series = points[idx.front()].series;
-        if (series != "serve.queue_depth" &&
-            series != "serve.batch_size")
+        if (series != "serve.queue_depth" && series != "serve.batch_size")
             continue;
         if (!any_occ)
             std::cout << "\noccupancy:\n";
@@ -915,7 +324,7 @@ runReport(const CliArgs& args)
         uint64_t total = 0;
         double weighted = 0.0, peak = 0.0, p99 = 0.0;
         for (size_t i : idx) {
-            const ReportPoint& p = points[i];
+            const obs::TelemetryPointRecord& p = points[i];
             total += p.count;
             weighted += p.mean * static_cast<double>(p.count);
             peak = std::max(peak, p.mean);
@@ -926,14 +335,12 @@ runReport(const CliArgs& args)
                          total ? weighted / static_cast<double>(total)
                                : 0.0,
                          2)
-                  << " peak-window-mean="
-                  << util::AsciiTable::num(peak, 2)
-                  << " max-p99=" << util::AsciiTable::num(p99, 2)
-                  << "\n";
+                  << " peak-window-mean=" << util::AsciiTable::num(peak, 2)
+                  << " max-p99=" << util::AsciiTable::num(p99, 2) << "\n";
     }
 
     // Top-k tenant attribution per firing alert window range.
-    int top = args.getInt("top", 5);
+    int top = static_cast<int>(args.getInt("top", 5));
     for (size_t a = 0; a < alerts.size(); ++a) {
         if (!alerts[a].firing)
             continue;
@@ -946,19 +353,17 @@ runReport(const CliArgs& args)
             }
         }
         std::vector<std::pair<std::string, uint64_t>> tenants;
-        for (const ReportPoint& p : points) {
-            if (p.series != "serve.tenant_requests" ||
-                p.window < wStart || p.window > wEnd)
+        for (const obs::TelemetryPointRecord& p : points) {
+            if (p.series != "serve.tenant_requests" || p.window < wStart ||
+                p.window > wEnd)
                 continue;
-            bool found = false;
-            for (auto& [label, n] : tenants) {
-                if (label == p.label) {
-                    n += p.count;
-                    found = true;
-                }
-            }
-            if (!found)
+            auto it = std::find_if(
+                tenants.begin(), tenants.end(),
+                [&p](const auto& t) { return t.first == p.label; });
+            if (it == tenants.end())
                 tenants.emplace_back(p.label, p.count);
+            else
+                it->second += p.count;
         }
         if (tenants.empty())
             continue;
@@ -970,220 +375,114 @@ runReport(const CliArgs& args)
                   << " (windows " << wStart << ".." << wEnd << ", top "
                   << top << " by serve.tenant_requests):\n";
         for (size_t i = 0;
-             i < tenants.size() && i < static_cast<size_t>(top); ++i) {
+             i < tenants.size() && i < static_cast<size_t>(top); ++i)
             std::cout << "  " << tenants[i].first << ": "
                       << tenants[i].second << "\n";
-        }
     }
     return 0;
 }
 
 void
-usage()
+usage(std::ostream& os)
 {
-    std::cout
-        << "usage: bolt_cli <run|experiment|detect|dos|coresidency|"
-           "serve-bench|fleet|arms-race|report> [--flag value ...]\n"
-           "  run         --scenario FILE (declarative scenario; see\n"
-           "              docs/SCENARIOS.md and scenarios/)\n"
-           "              --dump (print the canonical form, don't run)\n"
-           "              exit 3 when an `expect:` item fails\n"
-           "  experiment  --servers N --victims N --seed S [--quasar]\n"
-           "              --threads N (0 = hardware; any value gives\n"
-           "              bit-identical results)\n"
-           "              --platform baremetal|container|vm\n"
-           "              --isolation none|pinning|net|mem|cache|"
-           "core-full|core-only\n"
-           "              --obfuscation A\n"
-           "              --fault-arrivals P --fault-departures P\n"
-           "              --fault-phase-flips P --fault-dropouts P\n"
-           "              --fault-spikes P --fault-spike-mag M\n"
-           "              --fault-jitter A --fault-jitter-window SEC\n"
-           "              --fault-seed S (deterministic fault "
-           "injection;\n"
-           "              at least one rate must be nonzero)\n"
-           "  detect      --family NAME --seed S\n"
-           "  dos         --seed S\n"
-           "  coresidency --probes N --waves N --seed S\n"
-           "  serve-bench --requests N --qps Q --workers N "
-           "--queue-cap N\n"
-           "              --max-batch N --batch-setup-ms MS "
-           "--batch-wait-ms MS\n"
-           "              --batch-marginal-cost F (cost of batch\n"
-           "              followers relative to the first request;\n"
-           "              1 = classic linear-additive model)\n"
-           "              --slo-ms MS --decompose-frac F --seed S\n"
-           "              --no-admit-check (disable SLO admission "
-           "control)\n"
-           "              --closed-loop --clients N --think-ms MS\n"
-           "  fleet       --hosts N --tenants N --shards N --epochs N\n"
-           "              --arrivals R (mean VM arrivals per host per "
-           "epoch)\n"
-           "              --departures P --migrations P --host-faults P\n"
-           "              --seed S (digest is byte-identical at any\n"
-           "              --shards x --threads; only the cross-shard\n"
-           "              migration statistic depends on --shards)\n"
-           "  arms-race   --servers N --probes N --waves N --reps N\n"
-           "              --util-levels CSV (percents in [5,90], "
-           "default 30,50,70)\n"
-           "              --seed S (co-location tournament: every\n"
-           "              attacker x policy x utilization cell; exits "
-           "1\n"
-           "              when a defense fails the arms-race gates)\n"
-           "  report      --telemetry FILE (a --telemetry-out dump)\n"
-           "              --top N (tenants per alert attribution, "
-           "default 5)\n"
-           "observability (any subcommand):\n"
-           "  --metrics-out FILE  RunReport JSON: config + metrics "
-           "snapshot\n"
-           "  --trace-out FILE    sim-time trace (Chrome JSON; .jsonl "
-           "= JSONL)\n"
-           "  --telemetry-out FILE  windowed time-series + alerts "
-           "(JSONL)\n"
-           "  --telemetry-window SEC  window width (default 1)\n"
-           "  --log-level L       error|warn|info|debug (default "
-           "warn)\n"
-           "unknown flags are rejected\n";
+    os << "usage: bolt_cli <command> [--flag value ...]\n"
+          "run commands (flag sugar for a one-stage scenario; every\n"
+          "stages[] key of docs/SCENARIOS.md is a flag, dotted for\n"
+          "nested blocks, e.g. --faults.arrivals 0.1 --arrival.shape\n"
+          "diurnal; --seed S sets the stage seed):\n"
+          "  experiment  controlled detection experiment (Section 3.4)\n"
+          "  serve       serving-layer load test\n"
+          "  attack      --kind dos|coresidency attack campaign\n"
+          "  fleet       fleet-scale sharded simulation\n"
+          "  armsrace    one placement arms-race cell\n"
+          "  include     --path FILE sub-scenario\n"
+          "  run         --scenario FILE (a declarative .scn file)\n"
+          "  run paths take --dump (print the compiled scenario) and\n"
+          "  exit 3 when an `expect:` item or a self-check fails\n"
+          "other commands:\n"
+          "  detect      --family NAME --seed S (one detection round)\n"
+          "  report      --telemetry FILE (a --telemetry-out dump)\n"
+          "              --top N (tenants per alert attribution, "
+          "default 5)\n"
+          "  help        print this message\n"
+          "common flags (any command):\n"
+          "  --threads N         0 = hardware; never changes results\n"
+          "  --metrics-out FILE  RunReport JSON: config + metrics "
+          "snapshot\n"
+          "  --trace-out FILE    sim-time trace (Chrome JSON; .jsonl "
+          "= JSONL)\n"
+          "  --telemetry-out FILE  windowed time-series + alerts "
+          "(JSONL)\n"
+          "  --telemetry-window SEC  window width (default 1)\n"
+          "  --log-level L       error|warn|info|debug (default warn)\n"
+          "invalid input exits 2 with the valid names or range\n";
 }
-
-const std::vector<CliFlagSpec> kExperimentFlags = {
-    {"servers", FlagKind::Int, 1, 100000},
-    {"victims", FlagKind::Int, 0, 1000000},
-    {"seed", FlagKind::UInt, 0, kSeedMax},
-    {"quasar", FlagKind::Flag},
-    {"platform", FlagKind::String},
-    {"isolation", FlagKind::String},
-    {"obfuscation", FlagKind::Double, 0.0, 100.0},
-    // Fault values stay strings: src/fault's parser owns their
-    // validation (rates in [0,1], windows > 0, ...).
-    {"fault-arrivals", FlagKind::String},
-    {"fault-departures", FlagKind::String},
-    {"fault-phase-flips", FlagKind::String},
-    {"fault-dropouts", FlagKind::String},
-    {"fault-spikes", FlagKind::String},
-    {"fault-spike-mag", FlagKind::String},
-    {"fault-jitter", FlagKind::String},
-    {"fault-jitter-window", FlagKind::String},
-    {"fault-seed", FlagKind::String},
-};
-const std::vector<CliFlagSpec> kDetectFlags = {
-    {"family", FlagKind::String},
-    {"seed", FlagKind::UInt, 0, kSeedMax},
-};
-const std::vector<CliFlagSpec> kDosFlags = {
-    {"seed", FlagKind::UInt, 0, kSeedMax},
-};
-const std::vector<CliFlagSpec> kCoResidencyFlags = {
-    {"probes", FlagKind::Int, 1, 10000},
-    {"waves", FlagKind::Int, 1, 1000},
-    {"seed", FlagKind::UInt, 0, kSeedMax},
-};
-const std::vector<CliFlagSpec> kRunFlags = {
-    {"scenario", FlagKind::String},
-    {"dump", FlagKind::Flag},
-};
-const std::vector<CliFlagSpec> kArmsRaceFlags = {
-    {"servers", FlagKind::Int, 4, 4096},
-    {"probes", FlagKind::Int, 1, 64},
-    {"waves", FlagKind::Int, 1, 64},
-    {"reps", FlagKind::Int, 1, 64},
-    // CSV of utilization percents; runArmsRace range-checks entries.
-    {"util-levels", FlagKind::String},
-    {"seed", FlagKind::UInt, 0, kSeedMax},
-};
-const std::vector<CliFlagSpec> kFleetFlags = {
-    {"hosts", FlagKind::Int, 1, 1000000},
-    {"tenants", FlagKind::Int, 0, 10000000},
-    {"shards", FlagKind::Int, 1, 4096},
-    {"epochs", FlagKind::Int, 1, 10000},
-    {"arrivals", FlagKind::Double, 0.0, 100.0},
-    {"departures", FlagKind::Double, 0.0, 1.0},
-    {"migrations", FlagKind::Double, 0.0, 1.0},
-    {"host-faults", FlagKind::Double, 0.0, 1.0},
-    {"seed", FlagKind::UInt, 0, kSeedMax},
-};
-const std::vector<CliFlagSpec> kReportFlags = {
-    {"telemetry", FlagKind::String},
-    {"top", FlagKind::Int, 1, 1000},
-};
-const std::vector<CliFlagSpec> kServeBenchFlags = {
-    {"requests", FlagKind::Int, 1, 10000000},
-    {"qps", FlagKind::Double, 1e-6, 1e9},
-    {"workers", FlagKind::Int, 1, 256},
-    {"queue-cap", FlagKind::Int, 1, 1000000},
-    {"max-batch", FlagKind::Int, 1, 64},
-    {"batch-setup-ms", FlagKind::Double, 0.0, 1000.0},
-    {"batch-wait-ms", FlagKind::Double, 0.0, 1000.0},
-    {"batch-marginal-cost", FlagKind::Double, 0.0, 1.0},
-    {"slo-ms", FlagKind::Double, 0.001, 1e6},
-    {"decompose-frac", FlagKind::Double, 0.0, 1.0},
-    {"seed", FlagKind::UInt, 0, kSeedMax},
-    {"closed-loop", FlagKind::Flag},
-    {"clients", FlagKind::Int, 1, 100000},
-    {"think-ms", FlagKind::Double, 0.0, 1e6},
-    {"no-admit-check", FlagKind::Flag},
-};
 
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    if (argc < 2) {
-        usage();
-        return 2;
+    std::string command = argc >= 2 ? argv[1] : "";
+    if (command == "help" || command == "--help" || command == "-h") {
+        usage(std::cout);
+        return 0;
     }
-    // Consumes --metrics-out/--trace-out/--log-level and enables the
-    // subsystems; must run before the strict parser below sees argv.
+    // Consumes the observability flags and enables the subsystems; must
+    // run before the strict parsers below see argv.
     if (!obs::applyObsFlags(argc, argv))
         return 2;
 
-    std::string command = argv[1];
-    const std::vector<CliFlagSpec>* spec = nullptr;
-    int (*run)(const CliArgs&) = nullptr;
-    if (command == "run") {
-        spec = &kRunFlags;
-        run = runScenarioCmd;
-    } else if (command == "experiment") {
-        spec = &kExperimentFlags;
-        run = runExperiment;
-    } else if (command == "detect") {
-        spec = &kDetectFlags;
-        run = runDetect;
-    } else if (command == "dos") {
-        spec = &kDosFlags;
-        run = runDos;
-    } else if (command == "coresidency") {
-        spec = &kCoResidencyFlags;
-        run = runCoResidency;
-    } else if (command == "serve-bench") {
-        spec = &kServeBenchFlags;
-        run = runServeBench;
-    } else if (command == "fleet") {
-        spec = &kFleetFlags;
-        run = runFleet;
-    } else if (command == "arms-race") {
-        spec = &kArmsRaceFlags;
-        run = runArmsRace;
-    } else if (command == "report") {
-        spec = &kReportFlags;
-        run = runReport;
-    } else {
-        std::cerr << "bolt_cli: unknown command '" << command << "'\n";
-        usage();
+    scenario::StageKind kind{};
+    bool stage_command =
+        util::enumFromKey(scenario::kStageKindKeys, command, &kind);
+    const std::vector<CliFlagSpec>* spec =
+        stage_command          ? &kStageFlags
+        : command == "run"     ? &kRunFlags
+        : command == "detect"  ? &kDetectFlags
+        : command == "report"  ? &kReportFlags
+                               : nullptr;
+    if (!spec) {
+        if (!command.empty())
+            std::cerr << "bolt_cli: unknown command '" << command << "'\n";
+        usage(std::cerr);
         return 2;
     }
 
+    // Stage commands pass every other --key value pair through to the
+    // scenario compiler, which owns their validation.
     CliArgs args;
+    std::vector<std::string> stage_flags;
     std::string err;
-    if (!args.parse(argc, argv, 2, *spec, kCommonFlags, &err)) {
+    if (!args.parse(argc, argv, 2, *spec, kCommonFlags, &err,
+                    stage_command ? &stage_flags : nullptr)) {
         std::cerr << "bolt_cli: " << err;
+        if (stage_command)
+            std::cerr << "plus the " << command
+                      << " stage keys of docs/SCENARIOS.md\n";
         return 2;
     }
-    // --threads was validated by the parser ([0, 512]; 0 = hardware).
-    // The lenient applyThreadsFlag stays for the bench drivers; the CLI
-    // goes through the strict path.
     util::ThreadPool::setGlobalThreads(
         static_cast<unsigned>(args.getInt("threads", 0)));
-    return run(args);
+
+    if (command == "detect")
+        return runDetect(args);
+    if (command == "report")
+        return runReport(args);
+
+    scenario::Scenario s;
+    std::string file = args.get("scenario", "");
+    bool ok = false;
+    if (stage_command) {
+        ok = scenario::compileFlags(command, stage_flags, &s, &err);
+    } else if (file.empty()) {
+        err = "run requires --scenario <file>";
+    } else {
+        ok = scenario::compileFile(file, &s, &err);
+    }
+    if (!ok) {
+        std::cerr << "bolt_cli: " << err << "\n";
+        return 2;
+    }
+    return runCompiled(s, command, file, args.has("dump"));
 }

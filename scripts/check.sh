@@ -17,7 +17,7 @@
 # figure must reproduce bench/BENCH_fig15_churn.golden bit-for-bit.
 #
 # The --serve stage asserts the serving-layer determinism contract:
-# `bolt_cli serve-bench` stdout must be byte-identical at 1 and 8
+# `bolt_cli serve` stdout must be byte-identical at 1 and 8
 # worker threads (open and closed loop), the perf_serving
 # throughput-latency sweep must reproduce bench/BENCH_serving.golden
 # bit-for-bit at both thread counts, and malformed numeric flags must
@@ -48,9 +48,9 @@
 # regenerate the golden instead of diffing it.
 #
 # The --armsrace stage asserts the placement-arms-race contract:
-# `bolt_cli arms-race` stdout must be byte-identical at 1 and 8
-# threads with its self-check gates passing (exit 0), malformed flags
-# must be rejected with exit 2, and the coloc_arms_race bench — the
+# `bolt_cli armsrace` (one arms-race cell) stdout must be byte-identical
+# at 1 and 8 threads, malformed flags must be rejected with exit 2, and
+# the coloc_arms_race bench — the
 # full tournament plus the fleet duel, self-checked for defense
 # effectiveness and 16-shard digest invariance — must reproduce
 # bench/BENCH_coloc_arms_race.golden bit-for-bit at both thread
@@ -155,9 +155,9 @@ if [[ "${mode}" == "--fault" || "${mode}" == "all" ]]; then
     trap 'rm -rf "${obs_dir:-}" "${fault_dir:-}"' EXIT
     cli=./build/examples/bolt_cli
     fault_flags=(experiment --servers 12 --victims 30 --seed 42
-                 --fault-arrivals 0.1 --fault-departures 0.08
-                 --fault-phase-flips 0.1 --fault-dropouts 0.15
-                 --fault-spikes 0.05 --fault-jitter 0.05
+                 --faults.arrivals 0.1 --faults.departures 0.08
+                 --faults.phase-flips 0.1 --faults.dropouts 0.15
+                 --faults.spikes 0.05 --faults.jitter 0.05
                  --log-level error)
 
     # A nontrivial fault plan must be thread-count invariant: churn,
@@ -173,8 +173,8 @@ if [[ "${mode}" == "--fault" || "${mode}" == "all" ]]; then
 
     # Strict flag validation: modifiers without a fault rate are an
     # error (exit 2), not a silent unfaulted run.
-    if "${cli}" experiment --fault-seed 7 >/dev/null 2>&1; then
-        echo "FAIL: bolt_cli accepted --fault-seed with no fault enabled" >&2
+    if "${cli}" experiment --faults.seed 7 >/dev/null 2>&1; then
+        echo "FAIL: bolt_cli accepted --faults.seed with no fault enabled" >&2
         exit 1
     fi
 
@@ -207,9 +207,9 @@ if [[ "${mode}" == "--serve" || "${mode}" == "all" ]]; then
     # percentiles, digest) are decided by a sequential event loop; the
     # worker pool only executes already-formed batches. Output must be
     # byte-identical at any thread count, open and closed loop.
-    open_flags=(serve-bench --requests 1500 --qps 2500
+    open_flags=(serve --requests 1500 --qps 2500
                 --decompose-frac 0.2 --seed 11 --log-level error)
-    closed_flags=(serve-bench --requests 1000 --closed-loop --clients 32
+    closed_flags=(serve --requests 1000 --loop closed --clients 32
                   --think-ms 2 --seed 12 --log-level error)
     for loop in open closed; do
         flags_var="${loop}_flags[@]"
@@ -219,7 +219,7 @@ if [[ "${mode}" == "--serve" || "${mode}" == "all" ]]; then
         done
         if ! diff -u "${serve_dir}/${loop}_1.txt" \
                      "${serve_dir}/${loop}_8.txt"; then
-            echo "FAIL: ${loop}-loop serve-bench output differs between" \
+            echo "FAIL: ${loop}-loop serve output differs between" \
                  "1 and 8 threads" >&2
             exit 1
         fi
@@ -230,9 +230,9 @@ if [[ "${mode}" == "--serve" || "${mode}" == "all" ]]; then
     for bad in "--requests 10x" "--threads 99999" "--no-such-flag 1"; do
         rc=0
         # shellcheck disable=SC2086  # word splitting is intentional
-        "${cli}" serve-bench ${bad} >/dev/null 2>&1 || rc=$?
+        "${cli}" serve ${bad} >/dev/null 2>&1 || rc=$?
         if [[ "${rc}" != 2 ]]; then
-            echo "FAIL: 'serve-bench ${bad}' exited ${rc}, expected 2" >&2
+            echo "FAIL: 'serve ${bad}' exited ${rc}, expected 2" >&2
             exit 1
         fi
     done
@@ -451,8 +451,8 @@ if [[ "${mode}" == "--fleet" || "${mode}" == "all" ]]; then
         > "${fleet_dir}/s_1.txt"
     "${cli}" "${fleet_flags[@]}" --shards 16 --threads 8 \
         > "${fleet_dir}/s_16.txt"
-    if ! diff <(grep "Result digest" "${fleet_dir}/s_1.txt") \
-              <(grep "Result digest" "${fleet_dir}/s_16.txt"); then
+    if ! diff <(grep "run digest" "${fleet_dir}/s_1.txt") \
+              <(grep "run digest" "${fleet_dir}/s_16.txt"); then
         echo "FAIL: fleet digest differs between 1 and 16 shards" >&2
         exit 1
     fi
@@ -501,32 +501,31 @@ if [[ "${mode}" == "--armsrace" || "${mode}" == "all" ]]; then
     cli=./build/examples/bolt_cli
     update_goldens=0
     [[ "${2:-}" == "--update" ]] && update_goldens=1
-    ar_flags=(arms-race --servers 16 --probes 3 --waves 2 --reps 4
-              --util-levels 40,60 --seed 7 --log-level error)
+    ar_flags=(armsrace --servers 16 --probes 3 --waves 2 --reps 4
+              --utilization 40 --allocator mab --seed 7 --log-level error)
 
     # Campaign reps fan out on the pool but each writes only its own
-    # result slot; the tournament table and digest fold sequentially,
-    # so the whole stdout is byte-identical at any thread count. The
-    # command also applies the arms-race self-check gates (exit 1 if a
-    # defense stops beating least-loaded).
+    # result slot; the cell result and digest fold sequentially, so the
+    # whole stdout is byte-identical at any thread count. The defense
+    # gates over the full tournament run in coloc_arms_race below.
     for threads in 1 8; do
         "${cli}" "${ar_flags[@]}" --threads "${threads}" \
             > "${ar_dir}/t_${threads}.txt"
     done
     if ! diff -u "${ar_dir}/t_1.txt" "${ar_dir}/t_8.txt"; then
-        echo "FAIL: arms-race output differs between 1 and 8 threads" >&2
+        echo "FAIL: armsrace output differs between 1 and 8 threads" >&2
         exit 1
     fi
 
     # Strict flag validation: trailing garbage, out-of-range values,
-    # malformed utilization lists and unknown flags must exit 2.
-    for bad in "--servers 10x" "--reps 99999" "--util-levels 40,x" \
-               "--util-levels 200" "--no-such-flag 1"; do
+    # malformed utilization values and unknown flags must exit 2.
+    for bad in "--servers 10x" "--reps 99999" "--utilization 40,x" \
+               "--utilization 200" "--no-such-flag 1"; do
         rc=0
         # shellcheck disable=SC2086  # word splitting is intentional
-        "${cli}" arms-race ${bad} >/dev/null 2>&1 || rc=$?
+        "${cli}" armsrace ${bad} >/dev/null 2>&1 || rc=$?
         if [[ "${rc}" != 2 ]]; then
-            echo "FAIL: 'arms-race ${bad}' exited ${rc}, expected 2" >&2
+            echo "FAIL: 'armsrace ${bad}' exited ${rc}, expected 2" >&2
             exit 1
         fi
     done

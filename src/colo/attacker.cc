@@ -20,20 +20,6 @@ contains(const std::vector<size_t>& v, size_t x)
 
 } // namespace
 
-const char*
-attackerName(AttackerKind kind)
-{
-    switch (kind) {
-    case AttackerKind::Replication:
-        return "replication";
-    case AttackerKind::Affinity:
-        return "affinity";
-    case AttackerKind::Churn:
-        return "churn";
-    }
-    return "?";
-}
-
 CoResidencyOracle::CoResidencyOracle(const sim::Cluster& cluster,
                                      const workloads::AppSpec& victimSpec,
                                      sim::TenantId victimId, uint64_t seed,

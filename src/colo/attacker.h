@@ -9,6 +9,7 @@
 #include "sched/policy.h"
 #include "sim/cluster.h"
 #include "sim/contention.h"
+#include "util/enum_keys.h"
 #include "workloads/app.h"
 
 namespace bolt {
@@ -29,11 +30,27 @@ namespace colo {
  *  - Churn: plain launch/teardown probing that re-samples the
  *    allocator's placement distribution every wave, relying on ruled-
  *    out bookkeeping to sweep a deterministic policy host by host.
+ *
+ *   X(Sym, "key")
  */
-enum class AttackerKind : uint8_t { Replication, Affinity, Churn };
+#define BOLT_ATTACKER_CATALOG(X)                                               \
+    X(Replication, "replication")                                              \
+    X(Affinity, "affinity")                                                    \
+    X(Churn, "churn")
 
-/** Display name of an attacker strategy. */
-const char* attackerName(AttackerKind kind);
+enum class AttackerKind : uint8_t { BOLT_ATTACKER_CATALOG(BOLT_ENUMERATOR) };
+
+#define BOLT_ATTACKER_KEY(Sym, Key) {AttackerKind::Sym, Key},
+inline constexpr util::EnumKey<AttackerKind> kAttackerKeys[] = {
+    BOLT_ATTACKER_CATALOG(BOLT_ATTACKER_KEY)};
+#undef BOLT_ATTACKER_KEY
+
+/** Display name of an attacker strategy (its key). */
+inline const char*
+attackerName(AttackerKind kind)
+{
+    return util::enumKey(kAttackerKeys, kind);
+}
 
 /** Knobs of one co-location campaign. */
 struct AttackerConfig

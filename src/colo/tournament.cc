@@ -181,16 +181,11 @@ const char*
 policyName(PolicyKind kind)
 {
     switch (kind) {
-    case PolicyKind::LeastLoaded:
-        return "least-loaded";
-    case PolicyKind::Quasar:
-        return "quasar";
-    case PolicyKind::Random:
-        return "random";
-    case PolicyKind::Mab:
-        return "mab";
-    case PolicyKind::Secure:
-        return "secure-opt";
+#define BOLT_COLO_POLICY_CASE(Sym, Key, Name)                                  \
+    case PolicyKind::Sym:                                                      \
+        return Name;
+        BOLT_COLO_POLICY_CATALOG(BOLT_COLO_POLICY_CASE)
+#undef BOLT_COLO_POLICY_CASE
     }
     return "?";
 }

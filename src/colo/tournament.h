@@ -12,8 +12,27 @@
 namespace bolt {
 namespace colo {
 
-/** Allocation policies entered in the tournament. */
-enum class PolicyKind : uint8_t { LeastLoaded, Quasar, Random, Mab, Secure };
+/**
+ * Allocation policies entered in the tournament:
+ *
+ *   X(Sym, "key", "display name")
+ *
+ * The key is the scenario/flag spelling (`allocator:`); the display
+ * name labels tournament tables and telemetry.
+ */
+#define BOLT_COLO_POLICY_CATALOG(X)                                            \
+    X(LeastLoaded, "least-loaded", "least-loaded")                             \
+    X(Quasar, "quasar", "quasar")                                              \
+    X(Random, "random", "random")                                              \
+    X(Mab, "mab", "mab")                                                       \
+    X(Secure, "secure", "secure-opt")
+
+enum class PolicyKind : uint8_t { BOLT_COLO_POLICY_CATALOG(BOLT_ENUMERATOR) };
+
+#define BOLT_COLO_POLICY_KEY(Sym, Key, Name) {PolicyKind::Sym, Key},
+inline constexpr util::EnumKey<PolicyKind> kPolicyKindKeys[] = {
+    BOLT_COLO_POLICY_CATALOG(BOLT_COLO_POLICY_KEY)};
+#undef BOLT_COLO_POLICY_KEY
 
 /** Display name of a tournament policy. */
 const char* policyName(PolicyKind kind);

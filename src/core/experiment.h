@@ -10,10 +10,20 @@
 #include "fault/fault.h"
 #include "sched/scheduler.h"
 #include "sim/cluster.h"
+#include "util/enum_keys.h"
 #include "workloads/generators.h"
 
 namespace bolt {
 namespace core {
+
+/**
+ * Victim placement policies of the controlled experiment:
+ *
+ *   X(Sym, "key")
+ */
+#define BOLT_EXPERIMENT_POLICY_CATALOG(X)                                      \
+    X(LeastLoaded, "least-loaded")                                             \
+    X(Quasar, "quasar")
 
 /**
  * Configuration of the controlled detection experiment (Section 3.4):
@@ -33,7 +43,7 @@ struct ExperimentConfig
     int adversaryVcpus = 4;
     int maxVictimsPerServer = 5;
 
-    enum class Policy { LeastLoaded, Quasar };
+    enum class Policy { BOLT_EXPERIMENT_POLICY_CATALOG(BOLT_ENUMERATOR) };
     Policy policy = Policy::LeastLoaded;
 
     sim::IsolationConfig isolation; ///< Defaults: plain VMs, no extras.
@@ -52,6 +62,12 @@ struct ExperimentConfig
     fault::FaultPlan faults;
     uint64_t seed = 1;
 };
+
+#define BOLT_EXPERIMENT_POLICY_KEY(Sym, Key)                                   \
+    {ExperimentConfig::Policy::Sym, Key},
+inline constexpr util::EnumKey<ExperimentConfig::Policy> kPolicyKeys[] = {
+    BOLT_EXPERIMENT_POLICY_CATALOG(BOLT_EXPERIMENT_POLICY_KEY)};
+#undef BOLT_EXPERIMENT_POLICY_KEY
 
 /** Per-victim outcome of the experiment. */
 struct VictimOutcome

@@ -1,8 +1,6 @@
 #include "fault.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 
 #include "workloads/catalog.h"
 
@@ -24,113 +22,7 @@ enum FaultRngPhase : uint64_t {
     kPhaseFlip = 0x0Bf4,
 };
 
-bool
-parseNonNegative(std::string_view value, double* out)
-{
-    double v = 0.0;
-    auto [ptr, ec] =
-        std::from_chars(value.data(), value.data() + value.size(), v);
-    if (ec != std::errc{} || ptr != value.data() + value.size() ||
-        !std::isfinite(v) || v < 0.0)
-        return false;
-    *out = v;
-    return true;
-}
-
-// Parsers only write *out on success so a rejected flag value leaves
-// the plan untouched (the CLI exits anyway, but tests rely on it).
-bool
-parseProbability(std::string_view value, double* out)
-{
-    double v = 0.0;
-    if (!parseNonNegative(value, &v) || v > 1.0)
-        return false;
-    *out = v;
-    return true;
-}
-
 } // namespace
-
-bool
-applyFaultFlag(FaultPlan& plan, std::string_view key,
-               std::string_view value, std::string* err)
-{
-    auto bad_value = [&](const char* range) {
-        if (err)
-            *err = "invalid value '" + std::string(value) +
-                   "' for --fault-" + std::string(key) + " (expected " +
-                   range + ")";
-        return false;
-    };
-    if (key == "arrivals")
-        return parseProbability(value, &plan.arrivalProb) ||
-               bad_value("a probability in [0, 1]");
-    if (key == "departures")
-        return parseProbability(value, &plan.departureProb) ||
-               bad_value("a probability in [0, 1]");
-    if (key == "phase-flips")
-        return parseProbability(value, &plan.phaseFlipProb) ||
-               bad_value("a probability in [0, 1]");
-    if (key == "dropouts")
-        return parseProbability(value, &plan.dropoutProb) ||
-               bad_value("a probability in [0, 1]");
-    if (key == "spikes")
-        return parseProbability(value, &plan.spikeProb) ||
-               bad_value("a probability in [0, 1]");
-    if (key == "spike-mag")
-        return parseNonNegative(value, &plan.spikeMagnitude) ||
-               bad_value("pressure points >= 0");
-    if (key == "jitter") {
-        double amp = 0.0;
-        if (!parseProbability(value, &amp) || amp >= 1.0)
-            return bad_value("an amplitude in [0, 1)");
-        plan.capacityJitterAmp = amp;
-        return true;
-    }
-    if (key == "jitter-window") {
-        double window = 0.0;
-        if (!parseNonNegative(value, &window) || window <= 0.0)
-            return bad_value("seconds > 0");
-        plan.capacityJitterWindowSec = window;
-        return true;
-    }
-    if (key == "seed") {
-        uint64_t s = 0;
-        auto [ptr, ec] = std::from_chars(
-            value.data(), value.data() + value.size(), s);
-        if (ec != std::errc{} || ptr != value.data() + value.size())
-            return bad_value("an unsigned integer");
-        plan.seed = s;
-        return true;
-    }
-    if (err)
-        *err = "unknown fault flag '--fault-" + std::string(key) +
-               "'\nvalid fault flags: " + faultFlagList();
-    return false;
-}
-
-bool
-validateFaultFlags(const FaultPlan& plan, bool any_flag_seen,
-                   std::string* err)
-{
-    if (any_flag_seen && !plan.enabled()) {
-        if (err)
-            *err = "--fault-* flags given but no fault is enabled; set "
-                   "at least one of --fault-arrivals --fault-departures "
-                   "--fault-phase-flips --fault-dropouts --fault-spikes "
-                   "--fault-jitter to a nonzero rate";
-        return false;
-    }
-    return true;
-}
-
-std::string
-faultFlagList()
-{
-    return "--fault-arrivals --fault-departures --fault-phase-flips "
-           "--fault-dropouts --fault-spikes --fault-spike-mag "
-           "--fault-jitter --fault-jitter-window --fault-seed";
-}
 
 HostFaults::HostFaults(const FaultPlan& plan, uint64_t root_seed,
                        size_t server)

@@ -2,8 +2,6 @@
 #define BOLT_FAULT_FAULT_H
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 
 #include "util/rng.h"
 #include "workloads/app.h"
@@ -67,7 +65,8 @@ struct FaultPlan
     /**
      * Whether any fault can actually fire. Modifier-only plans (a seed
      * or a spike magnitude with every rate at zero) are *not* enabled —
-     * bolt_cli rejects such flag combinations.
+     * the scenario compiler rejects a `faults:` block that sets only
+     * modifiers.
      */
     bool enabled() const
     {
@@ -76,31 +75,6 @@ struct FaultPlan
                spikeProb > 0.0 || capacityJitterAmp > 0.0;
     }
 };
-
-/**
- * Apply one `--fault-<key> value` CLI flag to a plan.
- *
- * Keys are the flag names without the `--fault-` prefix: arrivals,
- * departures, phase-flips, dropouts, spikes, spike-mag, jitter,
- * jitter-window, seed. @return false (with a message in *err) for an
- * unknown key or an out-of-range value; probabilities must lie in
- * [0, 1], magnitudes and windows must be non-negative.
- */
-bool applyFaultFlag(FaultPlan& plan, std::string_view key,
-                    std::string_view value, std::string* err);
-
-/**
- * Validate a fully-parsed plan against the flags that produced it:
- * passing any `--fault-*` flag without enabling at least one fault rate
- * is an error (a plan of pure modifiers silently does nothing, which is
- * exactly the kind of typo the strict CLI rejects). @return false with
- * a message in *err; callers should exit 2.
- */
-bool validateFaultFlags(const FaultPlan& plan, bool any_flag_seen,
-                        std::string* err);
-
-/** The valid `--fault-*` flags, one space-separated line (for usage). */
-std::string faultFlagList();
 
 /** One kept-or-dropped classification of a probe sample. */
 struct SampleFault

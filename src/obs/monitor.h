@@ -11,13 +11,25 @@
 namespace bolt {
 namespace obs {
 
-/** How a rule aggregates one window of its series. */
-enum class RuleAgg { Count, Sum, Mean, P50, P95, P99 };
+/**
+ * SLO rule vocabularies, X(Sym, "key") with each enumerator's
+ * scenario-file spelling: how a rule aggregates one window of its
+ * series, the comparison direction of a threshold rule, and the rule
+ * kind. The scenario compiler expands these into its key tables (obs
+ * sits below util's lookup helpers).
+ */
+#define BOLT_RULE_AGG_CATALOG(X)                                               \
+    X(Count, "count") X(Sum, "sum") X(Mean, "mean") X(P50, "p50")              \
+        X(P95, "p95") X(P99, "p99")
+#define BOLT_RULE_OP_CATALOG(X) X(Above, "above") X(Below, "below")
+#define BOLT_RULE_KIND_CATALOG(X)                                              \
+    X(Threshold, "threshold") X(BurnRate, "burn-rate") X(Absence, "absence")
 
-/** Comparison direction of a threshold rule. */
-enum class RuleOp { Above, Below };
-
-enum class RuleKind { Threshold, BurnRate, Absence };
+#define BOLT_RULE_ENUMERATOR(Sym, Key) Sym,
+enum class RuleAgg { BOLT_RULE_AGG_CATALOG(BOLT_RULE_ENUMERATOR) };
+enum class RuleOp { BOLT_RULE_OP_CATALOG(BOLT_RULE_ENUMERATOR) };
+enum class RuleKind { BOLT_RULE_KIND_CATALOG(BOLT_RULE_ENUMERATOR) };
+#undef BOLT_RULE_ENUMERATOR
 
 /**
  * One declarative SLO rule, evaluated at every closed window

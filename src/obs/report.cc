@@ -5,12 +5,16 @@
 #include "timeseries.h"
 #include "trace.h"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 namespace bolt {
 namespace obs {
@@ -33,6 +37,74 @@ std::string
 indentStr(int indent)
 {
     return std::string(static_cast<size_t>(indent), ' ');
+}
+
+/**
+ * Full-token finite number parse. obs sits below util's parser, so the
+ * --telemetry-window check and the telemetry dump reader share this
+ * one instead.
+ */
+template <typename T>
+bool
+parseNumber(std::string_view s, T* out)
+{
+    T v{};
+    auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (s.empty() || ec != std::errc{} || ptr != s.data() + s.size())
+        return false;
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(v))
+            return false;
+    }
+    *out = v;
+    return true;
+}
+
+/** One field of a flat JSONL object; strings arrive unquoted. */
+struct JsonField
+{
+    std::string key;
+    std::string raw;
+    bool quoted = false;
+};
+
+/**
+ * Split one flat object the telemetry writers emit ({"k":v,"k":"s"},
+ * no nesting, no escapes); false when the line has another shape.
+ */
+bool
+splitFlatObject(std::string_view line, std::vector<JsonField>* out)
+{
+    if (line.size() < 2 || line.front() != '{' || line.back() != '}')
+        return false;
+    const size_t end = line.size() - 1;
+    size_t i = 1;
+    auto quoted = [&](std::string* text) {
+        size_t close = line.find('"', i + 1);
+        if (i >= end || line[i] != '"' || close >= end)
+            return false;
+        *text = std::string(line.substr(i + 1, close - i - 1));
+        i = close + 1;
+        return true;
+    };
+    while (i < end) {
+        if (!out->empty() && line[i++] != ',')
+            return false;
+        JsonField f;
+        if (!quoted(&f.key) || i >= end || line[i++] != ':')
+            return false;
+        if (i < end && line[i] == '"') {
+            f.quoted = true;
+            if (!quoted(&f.raw))
+                return false;
+        } else {
+            size_t stop = std::min(line.find(',', i), end);
+            f.raw = std::string(line.substr(i, stop - i));
+            i = stop;
+        }
+        out->push_back(std::move(f));
+    }
+    return true;
 }
 
 } // namespace
@@ -357,9 +429,9 @@ applyObsFlags(int& argc, char** argv)
                 TimeSeriesRecorder::global().setEnabled(true);
                 any = true;
             } else if (arg == "--telemetry-window") {
-                char* end = nullptr;
-                double sec = std::strtod(value, &end);
-                if (end == value || *end != '\0' || !(sec > 0.0)) {
+                double sec = 0.0;
+                if (!parseNumber(std::string_view(value), &sec) ||
+                    !(sec > 0.0)) {
                     std::fprintf(stderr,
                                  "%s: --telemetry-window expects a "
                                  "positive number of sim seconds, got "
@@ -395,6 +467,104 @@ applyObsFlags(int& argc, char** argv)
         if (!registered) {
             std::atexit(atexitWriter);
             registered = true;
+        }
+    }
+    return true;
+}
+
+bool
+readTelemetryJsonl(std::istream& in, const std::string& file,
+                   TelemetryDump* out, std::string* err)
+{
+    int lineno = 0;
+    std::vector<JsonField> fields;
+    auto fail = [&](const std::string& what) {
+        *err = file + ":" + std::to_string(lineno) + ": " + what;
+        return false;
+    };
+    auto find = [&](const char* key) -> const JsonField* {
+        for (const JsonField& f : fields)
+            if (f.key == key)
+                return &f;
+        return nullptr;
+    };
+    auto missing = [&](const char* key) {
+        return fail(std::string("missing field '") + key + "'");
+    };
+    auto text = [&](const char* key, std::string* v, bool required) {
+        const JsonField* f = find(key);
+        if (!f)
+            return !required || missing(key);
+        if (!f->quoted)
+            return fail(std::string("field '") + key + "' is not a string");
+        *v = f->raw;
+        return true;
+    };
+    auto number = [&](const char* key, auto* v, bool required) {
+        const JsonField* f = find(key);
+        if (!f)
+            return !required || missing(key);
+        using T = std::remove_pointer_t<decltype(v)>;
+        if (std::is_floating_point_v<T> && !f->quoted && f->raw == "null")
+            return true;
+        if (f->quoted || !parseNumber(f->raw, v))
+            return fail(std::string("field '") + key + "' value '" +
+                        f->raw + "' is not a number");
+        return true;
+    };
+
+    std::string line;
+    ++lineno;
+    if (!std::getline(in, line) || !splitFlatObject(line, &fields) ||
+        !find("bolt_telemetry"))
+        return fail("not a bolt telemetry dump (missing bolt_telemetry "
+                    "header)");
+    if (!number("window_sec", &out->windowSec, false) ||
+        !number("series_dropped", &out->seriesDropped, false))
+        return false;
+    if (!(out->windowSec > 0.0))
+        return fail("window_sec must be positive");
+
+    while (std::getline(in, line)) {
+        ++lineno;
+        if (line.empty())
+            continue;
+        fields.clear();
+        if (!splitFlatObject(line, &fields))
+            return fail("malformed telemetry line");
+        if (find("alert")) {
+            AlertEvent a;
+            std::string state;
+            if (!text("alert", &a.rule, true) ||
+                !text("state", &state, true) ||
+                !number("window", &a.window, true) ||
+                !number("t", &a.t, false) ||
+                !number("value", &a.value, false) ||
+                !number("epoch", &a.epoch, false))
+                return false;
+            if (state != "firing" && state != "resolved")
+                return fail("alert state '" + state +
+                            "' is not firing or resolved");
+            a.firing = state == "firing";
+            out->alerts.push_back(std::move(a));
+        } else if (find("series")) {
+            TelemetryPointRecord p;
+            double t = 0.0, sum = 0.0, p50 = 0.0, p95 = 0.0;
+            if (!text("series", &p.series, true) ||
+                !text("label", &p.label, false) ||
+                !number("window", &p.window, true) ||
+                !number("t", &t, false) ||
+                !number("count", &p.count, true) ||
+                !number("sum", &sum, false) ||
+                !number("mean", &p.mean, false) ||
+                !number("p50", &p50, false) ||
+                !number("p95", &p95, false) ||
+                !number("p99", &p.p99, false))
+                return false;
+            p.sample = find("mean") != nullptr;
+            out->points.push_back(std::move(p));
+        } else {
+            return fail("unrecognized telemetry line");
         }
     }
     return true;

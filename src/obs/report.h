@@ -2,7 +2,9 @@
 #define BOLT_OBS_REPORT_H
 
 #include "metrics.h"
+#include "monitor.h"
 
+#include <istream>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -119,6 +121,39 @@ void writeConfiguredOutputs(const RunReport& report);
  * own richer report and the atexit write detects that and stands down.
  */
 bool applyObsFlags(int& argc, char** argv);
+
+/** One series point of a telemetry dump, as read back. */
+struct TelemetryPointRecord
+{
+    std::string series;
+    std::string label; ///< Empty for unkeyed series.
+    int64_t window = 0;
+    uint64_t count = 0;
+    double mean = 0.0;
+    double p99 = 0.0;
+    bool sample = false; ///< The line carried sum/mean/percentiles.
+};
+
+/** A --telemetry-out dump read back: header, points, alert events. */
+struct TelemetryDump
+{
+    double windowSec = 1.0;
+    uint64_t seriesDropped = 0;
+    std::vector<TelemetryPointRecord> points; ///< In file order.
+    std::vector<AlertEvent> alerts;           ///< In file order.
+};
+
+/**
+ * Read a --telemetry-out dump: the writeTelemetryJsonl header and
+ * points followed by writeAlertsJsonl events, so one module owns the
+ * format in both directions. Strict: every line must be one flat JSON
+ * object of the writers' shape, and every number field a full token
+ * ("7x", "zz" and "abc" are errors, never 0; `null`, the writers' NaN
+ * spelling, reads as absent). On failure returns false with
+ * *err = "<file>:<line>: <message>"; `bolt_cli report` exits 2.
+ */
+bool readTelemetryJsonl(std::istream& in, const std::string& file,
+                        TelemetryDump* out, std::string* err);
 
 } // namespace obs
 } // namespace bolt

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
-#include <iomanip>
-#include <ostream>
-#include <sstream>
-#include <string>
-
 #include <filesystem>
+#include <ostream>
+#include <string>
 
 #include "attacks/coresidency.h"
 #include "attacks/dos.h"
@@ -38,14 +35,8 @@ using util::seeds::fanoutSeed;
 using util::seeds::kScenarioRepeat;
 using util::seeds::kScenarioSegment;
 using util::seeds::kScenarioStage;
-
-std::string
-hex64(uint64_t v)
-{
-    std::ostringstream os;
-    os << std::hex << std::setw(16) << std::setfill('0') << v;
-    return os.str();
-}
+using util::enumKey;
+using util::hex64;
 
 uint64_t
 stageSeed(const Scenario& s, uint64_t scenario_seed, size_t index)
@@ -54,34 +45,6 @@ stageSeed(const Scenario& s, uint64_t scenario_seed, size_t index)
     if (stage.seed != 0)
         return stage.seed;
     return derivedSeed(scenario_seed, kScenarioStage, index);
-}
-
-sim::Platform
-parsePlatform(const std::string& name)
-{
-    if (name == "baremetal")
-        return sim::Platform::Baremetal;
-    if (name == "container")
-        return sim::Platform::Container;
-    return sim::Platform::VirtualMachine;
-}
-
-sim::IsolationConfig
-parseIsolation(const std::string& name, sim::Platform platform)
-{
-    if (name == "pinning")
-        return sim::IsolationConfig::withThreadPinning(platform);
-    if (name == "net")
-        return sim::IsolationConfig::withNetPartitioning(platform);
-    if (name == "mem")
-        return sim::IsolationConfig::withMemBwPartitioning(platform);
-    if (name == "cache")
-        return sim::IsolationConfig::withCachePartitioning(platform);
-    if (name == "core-full")
-        return sim::IsolationConfig::withCoreIsolation(platform);
-    if (name == "core-only")
-        return sim::IsolationConfig::coreIsolationOnly(platform);
-    return sim::IsolationConfig::none(platform);
 }
 
 /** The per-segment QPS multiplier of a serve stage's arrival ramp. */
@@ -111,6 +74,7 @@ struct StageOutcome
 {
     uint64_t digest = 0;
     double simSeconds = 0.0;
+    std::string failure; ///< A failed layer self-check; empty = ok.
 };
 
 StageOutcome
@@ -121,11 +85,8 @@ runExperimentStage(const Stage& stage, uint64_t seed, std::ostream& os,
     core::ExperimentConfig cfg;
     cfg.servers = static_cast<size_t>(e.servers);
     cfg.victims = static_cast<size_t>(e.victims);
-    cfg.policy = e.policy == "quasar"
-                     ? core::ExperimentConfig::Policy::Quasar
-                     : core::ExperimentConfig::Policy::LeastLoaded;
-    cfg.isolation =
-        parseIsolation(e.isolation, parsePlatform(e.platform));
+    cfg.policy = e.policy;
+    cfg.isolation = sim::IsolationConfig::forLevel(e.isolation, e.platform);
     cfg.victimObfuscation = e.obfuscation;
     if (e.hasFaults)
         cfg.faults = e.faults;
@@ -151,8 +112,7 @@ runServeStage(const Stage& stage, uint64_t seed, std::ostream& os,
 {
     const ServeStage& s = stage.serve;
 
-    // Training corpus and recommender, derived from the stage seed the
-    // same way bolt_cli serve-bench builds them.
+    // Training corpus and recommender, derived from the stage seed.
     util::Rng rng(seed);
     util::Rng tr = rng.substream("train");
     auto specs = workloads::trainingSet(tr);
@@ -313,6 +273,8 @@ runFleetStage(const Stage& stage, uint64_t seed, std::ostream& os,
     StageOutcome out;
     out.digest = result.digest;
     out.simSeconds = result.simSeconds;
+    if (!result.consistent)
+        out.failure = "fleet inconsistency: " + result.inconsistency;
     double util =
         result.epochs.empty() ? 0.0 : result.epochs.back().meanUtil;
     os << indent << "    booted=" << result.vmsBooted
@@ -335,16 +297,8 @@ runArmsraceStage(const Stage& stage, uint64_t seed, std::ostream& os,
     colo::TournamentConfig cfg;
     cfg.servers = static_cast<size_t>(a.servers);
     cfg.utilLevels = {a.utilization};
-    cfg.attackers = {a.attacker == "replication"
-                         ? colo::AttackerKind::Replication
-                     : a.attacker == "affinity"
-                         ? colo::AttackerKind::Affinity
-                         : colo::AttackerKind::Churn};
-    cfg.policies = {a.allocator == "quasar" ? colo::PolicyKind::Quasar
-                    : a.allocator == "random" ? colo::PolicyKind::Random
-                    : a.allocator == "mab"    ? colo::PolicyKind::Mab
-                    : a.allocator == "secure" ? colo::PolicyKind::Secure
-                                              : colo::PolicyKind::LeastLoaded};
+    cfg.attackers = {a.attacker};
+    cfg.policies = {a.allocator};
     cfg.reps = a.reps;
     cfg.probesPerWave = a.probes;
     cfg.waves = a.waves;
@@ -396,6 +350,8 @@ runIncludeStage(const Stage& stage, uint64_t scenario_seed,
         d.u64(sub.digest);
         out.simSeconds += sub.simSeconds;
         total->stagesRun += sub.stagesRun;
+        total->failures.insert(total->failures.end(),
+                               sub.failures.begin(), sub.failures.end());
         obs::MetricsRegistry::global().add(
             obs::MetricId::kScenarioIncludesRun);
     }
@@ -422,14 +378,16 @@ runWithSeed(const Scenario& s, uint64_t seed, std::ostream& os,
         uint64_t sseed = stageSeed(s, seed, i);
 
         os << indent << "  [" << i << "] "
-           << stageKindName(stage.kind) << " " << stage.name;
+           << enumKey(kStageKindKeys, stage.kind) << " " << stage.name;
         StageOutcome outcome;
         switch (stage.kind) {
         case StageKind::Experiment: {
             const ExperimentStage& e = stage.experiment;
             os << ": servers=" << e.servers << " victims=" << e.victims
-               << " policy=" << e.policy << " platform=" << e.platform
-               << " isolation=" << e.isolation;
+               << " policy=" << enumKey(core::kPolicyKeys, e.policy)
+               << " platform=" << enumKey(sim::kPlatformKeys, e.platform)
+               << " isolation="
+               << enumKey(sim::kIsolationKeys, e.isolation);
             if (e.obfuscation > 0.0)
                 os << " obfuscation="
                    << util::AsciiTable::num(e.obfuscation, 2);
@@ -441,8 +399,8 @@ runWithSeed(const Scenario& s, uint64_t seed, std::ostream& os,
         }
         case StageKind::Serve: {
             const ServeStage& sv = stage.serve;
-            os << ": " << loopKindName(sv.loop) << " "
-               << arrivalShapeName(sv.shape);
+            os << ": " << enumKey(kLoopKindKeys, sv.loop) << " "
+               << enumKey(kArrivalShapeKeys, sv.shape);
             if (sv.shape != ArrivalShape::Steady)
                 os << " segments=" << sv.segments;
             os << " requests=" << sv.requests << " qps="
@@ -453,7 +411,7 @@ runWithSeed(const Scenario& s, uint64_t seed, std::ostream& os,
         }
         case StageKind::Attack: {
             const AttackStage& a = stage.attack;
-            os << ": " << attackKindName(a.kind);
+            os << ": " << enumKey(kAttackKindKeys, a.kind);
             if (a.kind == AttackKind::Dos)
                 os << " margin=" << util::AsciiTable::num(a.margin, 2)
                    << " top=" << a.topResources << " duration="
@@ -475,8 +433,10 @@ runWithSeed(const Scenario& s, uint64_t seed, std::ostream& os,
         }
         case StageKind::Armsrace: {
             const ArmsraceStage& a = stage.armsrace;
-            os << ": allocator=" << a.allocator << " attacker="
-               << a.attacker << " servers=" << a.servers << " utilization="
+            os << ": allocator="
+               << enumKey(colo::kPolicyKindKeys, a.allocator)
+               << " attacker=" << enumKey(colo::kAttackerKeys, a.attacker)
+               << " servers=" << a.servers << " utilization="
                << util::AsciiTable::num(a.utilization, 0)
                << " seed=" << sseed << "\n";
             outcome = runArmsraceStage(stage, sseed, os, indent);
@@ -488,6 +448,9 @@ runWithSeed(const Scenario& s, uint64_t seed, std::ostream& os,
             outcome = runIncludeStage(stage, seed, os, depth, &total);
             break;
         }
+        if (!outcome.failure.empty())
+            total.failures.push_back("stage " + stage.name + ": " +
+                                     outcome.failure);
         d.u64(i);
         d.u8(static_cast<uint8_t>(stage.kind));
         d.u64(outcome.digest);
@@ -518,18 +481,11 @@ toObsRule(const SloRuleSpec& spec)
 {
     obs::SloRule r;
     r.name = spec.rule;
-    r.kind = spec.kind == "burn-rate" ? obs::RuleKind::BurnRate
-             : spec.kind == "absence" ? obs::RuleKind::Absence
-                                      : obs::RuleKind::Threshold;
+    r.kind = spec.kind;
     obs::seriesByName(spec.series, &r.series);
     r.label = spec.label;
-    r.agg = spec.agg == "count" ? obs::RuleAgg::Count
-            : spec.agg == "sum" ? obs::RuleAgg::Sum
-            : spec.agg == "p50" ? obs::RuleAgg::P50
-            : spec.agg == "p95" ? obs::RuleAgg::P95
-            : spec.agg == "p99" ? obs::RuleAgg::P99
-                                : obs::RuleAgg::Mean;
-    r.op = spec.op == "below" ? obs::RuleOp::Below : obs::RuleOp::Above;
+    r.agg = spec.agg;
+    r.op = spec.op;
     r.value = spec.value;
     r.sustain = static_cast<uint32_t>(spec.sustainWindows);
     if (!spec.totalSeries.empty())
@@ -628,26 +584,26 @@ runScenario(const Scenario& s, std::ostream& os)
                     failure = "metric " + e.metric + " = " +
                               std::to_string(delta) + " above max " +
                               std::to_string(e.max);
-            } else if (e.slo == "no-alerts-firing") {
+            } else if (e.slo == SloCheck::NoAlertsFiring) {
                 if (monitor.firingCount() != 0)
                     failure = std::to_string(monitor.firingCount()) +
                               " alert(s) still firing at end of run";
-            } else if (e.slo == "fired") {
+            } else if (e.slo == SloCheck::Fired) {
                 if (!monitor.everFired(e.rule))
                     failure = "slo rule '" + e.rule + "' never fired";
-            } else { // not-fired
+            } else { // NotFired
                 if (monitor.everFired(e.rule))
                     failure = "slo rule '" + e.rule + "' fired";
             }
             if (failure.empty())
                 ++passed;
             else
-                total.expectFailures.push_back(
+                total.failures.push_back(
                     file + ":" + std::to_string(e.line) +
                     ": expectation failed: " + failure);
         }
         os << "  expect: " << passed << "/" << total.expectsTotal
-           << (total.expectFailures.empty() ? " ok" : " FAILED")
+           << (passed == total.expectsTotal ? " ok" : " FAILED")
            << "\n";
     }
 

@@ -31,13 +31,14 @@ struct RunResult
     /** `expect:` items evaluated (top-level scenario only; include
      *  stages run sub-scenarios without their expect/slo blocks). */
     int expectsTotal = 0;
-    /** One "<file>:<line>: expectation failed: ..." per failed item;
-     *  non-empty makes `bolt_cli run` exit 3. */
-    std::vector<std::string> expectFailures;
+    /** One "<file>:<line>: expectation failed: ..." per failed item
+     *  and one "stage <name>: ..." per failed layer self-check (a fleet
+     *  inconsistency); non-empty makes bolt_cli exit 3. */
+    std::vector<std::string> failures;
 
     bool ok() const
     {
-        return expectFailures.empty();
+        return failures.empty();
     }
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -11,6 +10,7 @@
 #include "obs/timeseries.h"
 #include "scenario/text.h"
 #include "util/digest.h"
+#include "util/parse.h"
 
 namespace bolt {
 namespace scenario {
@@ -19,6 +19,23 @@ namespace {
 
 constexpr int kMaxStages = 64;
 constexpr int kMaxIncludeDepth = 8;
+
+// Key tables of the obs SLO-rule vocabularies, expanded from the
+// catalogs obs owns.
+#define BOLT_RULE_KIND_KEY(Sym, Key) {obs::RuleKind::Sym, Key},
+#define BOLT_RULE_AGG_KEY(Sym, Key) {obs::RuleAgg::Sym, Key},
+#define BOLT_RULE_OP_KEY(Sym, Key) {obs::RuleOp::Sym, Key},
+constexpr util::EnumKey<obs::RuleKind> kRuleKindKeys[] = {
+    BOLT_RULE_KIND_CATALOG(BOLT_RULE_KIND_KEY)};
+constexpr util::EnumKey<obs::RuleAgg> kRuleAggKeys[] = {
+    BOLT_RULE_AGG_CATALOG(BOLT_RULE_AGG_KEY)};
+constexpr util::EnumKey<obs::RuleOp> kRuleOpKeys[] = {
+    BOLT_RULE_OP_CATALOG(BOLT_RULE_OP_KEY)};
+#undef BOLT_RULE_KIND_KEY
+#undef BOLT_RULE_AGG_KEY
+#undef BOLT_RULE_OP_KEY
+
+using util::enumKey;
 
 std::string
 errorAt(std::string_view filename, int line, const std::string& message)
@@ -36,40 +53,6 @@ fmtDouble(double v)
     auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
     (void)ec;
     return std::string(buf, ptr);
-}
-
-bool
-parseFullInt(std::string_view s, long long* out)
-{
-    long long v = 0;
-    auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec != std::errc{} || ptr != s.data() + s.size())
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-parseFullUInt(std::string_view s, uint64_t* out)
-{
-    uint64_t v = 0;
-    auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec != std::errc{} || ptr != s.data() + s.size())
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-parseFullDouble(std::string_view s, double* out)
-{
-    double v = 0.0;
-    auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec != std::errc{} || ptr != s.data() + s.size() ||
-        !std::isfinite(v))
-        return false;
-    *out = v;
-    return true;
 }
 
 /**
@@ -117,7 +100,7 @@ class MapReader
         if (failed() || !v || !expectScalar(key, v))
             return;
         uint64_t parsed = 0;
-        if (!parseFullUInt(v->scalar, &parsed)) {
+        if (!util::parseUInt(v->scalar, &parsed)) {
             fail(v->line, "value '" + v->scalar + "' for '" + key +
                               "' is not an unsigned integer");
             return;
@@ -132,7 +115,7 @@ class MapReader
         if (failed() || !v || !expectScalar(key, v))
             return;
         long long parsed = 0;
-        if (!parseFullInt(v->scalar, &parsed)) {
+        if (!util::parseInt(v->scalar, &parsed)) {
             fail(v->line, "value '" + v->scalar + "' for '" + key +
                               "' is not an integer");
             return;
@@ -153,7 +136,7 @@ class MapReader
         if (failed() || !v || !expectScalar(key, v))
             return;
         double parsed = 0.0;
-        if (!parseFullDouble(v->scalar, &parsed)) {
+        if (!util::parseDouble(v->scalar, &parsed)) {
             fail(v->line, "value '" + v->scalar + "' for '" + key +
                               "' is not a number");
             return;
@@ -183,24 +166,17 @@ class MapReader
         }
     }
 
+    template <typename E, size_t N>
     void
-    getEnum(const char* key, const std::vector<const char*>& options,
-            std::string* out)
+    getEnum(const char* key, const util::EnumKey<E> (&table)[N], E* out)
     {
         const TextNode* v = claim(key);
         if (failed() || !v || !expectScalar(key, v))
             return;
-        for (const char* opt : options) {
-            if (v->scalar == opt) {
-                *out = v->scalar;
-                return;
-            }
-        }
-        std::string list;
-        for (size_t i = 0; i < options.size(); ++i)
-            list += std::string(i ? ", " : "") + options[i];
-        fail(v->line, "value '" + v->scalar + "' for '" + key +
-                          "' must be one of " + list);
+        if (!util::enumFromKey(table, v->scalar, out))
+            fail(v->line, "value '" + v->scalar + "' for '" + key +
+                              "' must be one of " +
+                              util::enumKeyList(table));
     }
 
     /** Optional nested block of the given kind; nullptr when absent. */
@@ -326,12 +302,9 @@ compileExperimentStage(MapReader& r, const TextNode& item,
     ExperimentStage& e = stage->experiment;
     r.getInt("servers", 1, 100000, &e.servers);
     r.getInt("victims", 0, 1000000, &e.victims);
-    r.getEnum("policy", {"least-loaded", "quasar"}, &e.policy);
-    r.getEnum("platform", {"baremetal", "container", "vm"}, &e.platform);
-    r.getEnum("isolation",
-              {"none", "pinning", "net", "mem", "cache", "core-full",
-               "core-only"},
-              &e.isolation);
+    r.getEnum("policy", core::kPolicyKeys, &e.policy);
+    r.getEnum("platform", sim::kPlatformKeys, &e.platform);
+    r.getEnum("isolation", sim::kIsolationKeys, &e.isolation);
     r.getDouble("obfuscation", 0.0, 1.0, &e.obfuscation);
     const TextNode* faults = r.block("faults", TextNode::Kind::Map);
     if (!r.finish()) {
@@ -350,8 +323,7 @@ compileServeStage(MapReader& r, const TextNode& item,
                   std::string* err)
 {
     ServeStage& s = stage->serve;
-    std::string loop = "open";
-    r.getEnum("loop", {"open", "closed"}, &loop);
+    r.getEnum("loop", kLoopKindKeys, &s.loop);
     r.getInt("requests", 1, 10000000, &s.requests);
     r.getDouble("qps", 1e-6, 1e9, &s.qps);
     r.getInt("clients", 1, 100000, &s.clients);
@@ -369,13 +341,10 @@ compileServeStage(MapReader& r, const TextNode& item,
         *err = r.error();
         return false;
     }
-    s.loop = loop == "closed" ? LoopKind::Closed : LoopKind::Open;
 
     if (arrival) {
         MapReader ar(*arrival, filename, "arrival block");
-        std::string shape = "steady";
-        ar.getEnum("shape", {"steady", "flash-crowd", "diurnal"},
-                   &shape);
+        ar.getEnum("shape", kArrivalShapeKeys, &s.shape);
         ar.getInt("segments", 1, 64, &s.segments);
         ar.getDouble("peak-factor", 1.0, 1000.0, &s.peakFactor);
         ar.getDouble("floor-factor", 0.0, 1.0, &s.floorFactor);
@@ -383,13 +352,12 @@ compileServeStage(MapReader& r, const TextNode& item,
             *err = ar.error();
             return false;
         }
-        s.shape = shape == "flash-crowd" ? ArrivalShape::FlashCrowd
-                  : shape == "diurnal"   ? ArrivalShape::Diurnal
-                                         : ArrivalShape::Steady;
         if (s.shape != ArrivalShape::Steady &&
             s.loop == LoopKind::Closed) {
             *err = errorAt(filename, arrival->find("shape")->line,
-                           "arrival shape '" + shape +
+                           "arrival shape '" +
+                               std::string(enumKey(kArrivalShapeKeys,
+                                                   s.shape)) +
                                "' requires loop: open (a closed loop "
                                "paces itself; offered QPS has no "
                                "effect)");
@@ -406,8 +374,7 @@ compileAttackStage(MapReader& r, const TextNode& item,
                    std::string* err)
 {
     AttackStage& a = stage->attack;
-    std::string kind;
-    r.getEnum("kind", {"dos", "coresidency"}, &kind);
+    r.getEnum("kind", kAttackKindKeys, &a.kind);
     if (r.failed()) {
         *err = r.error();
         return false;
@@ -417,13 +384,11 @@ compileAttackStage(MapReader& r, const TextNode& item,
                        "missing required key 'kind' in attack stage");
         return false;
     }
-    if (kind == "dos") {
-        a.kind = AttackKind::Dos;
+    if (a.kind == AttackKind::Dos) {
         r.getDouble("margin", 1.0, 2.0, &a.margin);
         r.getInt("top-resources", 1, 10, &a.topResources);
         r.getDouble("duration-sec", 30.0, 600.0, &a.durationSec);
     } else {
-        a.kind = AttackKind::CoResidency;
         r.getInt("probes", 1, 10000, &a.probes);
         r.getInt("waves", 1, 1000, &a.waves);
         r.getInt("victim-vms", 1, 100, &a.victimVms);
@@ -464,11 +429,8 @@ compileArmsraceStage(MapReader& r, const TextNode& item,
                      std::string* err)
 {
     ArmsraceStage& a = stage->armsrace;
-    r.getEnum("allocator",
-              {"least-loaded", "quasar", "random", "mab", "secure"},
-              &a.allocator);
-    r.getEnum("attacker", {"replication", "affinity", "churn"},
-              &a.attacker);
+    r.getEnum("allocator", colo::kPolicyKindKeys, &a.allocator);
+    r.getEnum("attacker", colo::kAttackerKeys, &a.attacker);
     r.getInt("servers", 1, 100000, &a.servers);
     r.getInt("probes", 1, 10000, &a.probes);
     r.getInt("waves", 1, 1000, &a.waves);
@@ -570,8 +532,7 @@ compileSloRules(const TextNode& list, std::string_view filename,
         spec.line = item.line;
         {
             MapReader probe(item, filename, "slo rule");
-            probe.getEnum("kind", {"threshold", "burn-rate", "absence"},
-                          &spec.kind);
+            probe.getEnum("kind", kRuleKindKeys, &spec.kind);
             if (probe.failed()) {
                 *err = probe.error();
                 return false;
@@ -579,21 +540,20 @@ compileSloRules(const TextNode& list, std::string_view filename,
         }
         // Like attack stages, only the keys of the declared kind are
         // claimed, so a stray key fails loudly with the valid set.
-        MapReader r(item, filename, spec.kind + " slo rule");
-        std::string discard;
-        r.getEnum("kind", {"threshold", "burn-rate", "absence"},
-                  &discard);
+        MapReader r(item, filename,
+                    std::string(enumKey(kRuleKindKeys, spec.kind)) +
+                        " slo rule");
+        obs::RuleKind discard{};
+        r.getEnum("kind", kRuleKindKeys, &discard);
         r.getString("rule", &spec.rule, /*required=*/true);
         r.getString("series", &spec.series, /*required=*/true);
         r.getString("label", &spec.label);
-        if (spec.kind == "threshold") {
-            r.getEnum("agg",
-                      {"count", "sum", "mean", "p50", "p95", "p99"},
-                      &spec.agg);
-            r.getEnum("op", {"above", "below"}, &spec.op);
+        if (spec.kind == obs::RuleKind::Threshold) {
+            r.getEnum("agg", kRuleAggKeys, &spec.agg);
+            r.getEnum("op", kRuleOpKeys, &spec.op);
             r.getDouble("value", -1e18, 1e18, &spec.value);
             r.getInt("sustain-windows", 1, 10000, &spec.sustainWindows);
-        } else if (spec.kind == "burn-rate") {
+        } else if (spec.kind == obs::RuleKind::BurnRate) {
             r.getString("total-series", &spec.totalSeries,
                         /*required=*/true);
             r.getString("total-label", &spec.totalLabel);
@@ -615,7 +575,7 @@ compileSloRules(const TextNode& list, std::string_view filename,
                                "' for 'series'");
             return false;
         }
-        if (spec.kind == "burn-rate" &&
+        if (spec.kind == obs::RuleKind::BurnRate &&
             !obs::seriesByName(spec.totalSeries, &sid)) {
             *err = errorAt(filename, item.find("total-series")->line,
                            "unknown telemetry series '" +
@@ -651,18 +611,18 @@ compileExpects(const TextNode& list, std::string_view filename,
         e.line = item.line;
         e.hasMin = item.find("min") != nullptr;
         e.hasMax = item.find("max") != nullptr;
+        e.hasSlo = item.find("slo") != nullptr;
         MapReader r(item, filename, "expect item");
         r.getString("metric", &e.metric);
         r.getUInt("min", &e.min);
         r.getUInt("max", &e.max);
-        r.getEnum("slo", {"no-alerts-firing", "fired", "not-fired"},
-                  &e.slo);
+        r.getEnum("slo", kSloCheckKeys, &e.slo);
         r.getString("rule", &e.rule);
         if (!r.finish()) {
             *err = r.error();
             return false;
         }
-        if (e.metric.empty() == e.slo.empty()) {
+        if (e.metric.empty() != e.hasSlo) {
             *err = errorAt(filename, item.line,
                            "expect item needs exactly one of 'metric' "
                            "or 'slo'");
@@ -701,12 +661,13 @@ compileExpects(const TextNode& list, std::string_view filename,
                                "'metric'");
                 return false;
             }
-            bool needs_rule = e.slo != "no-alerts-firing";
+            bool needs_rule = e.slo != SloCheck::NoAlertsFiring;
             if (needs_rule == e.rule.empty()) {
                 *err = errorAt(
                     filename, item.line,
                     needs_rule
-                        ? "expect slo: " + e.slo +
+                        ? "expect slo: " +
+                              std::string(enumKey(kSloCheckKeys, e.slo)) +
                               " requires 'rule: <slo rule name>'"
                         : "'rule' is not valid with slo: "
                           "no-alerts-firing");
@@ -737,39 +698,25 @@ compileStage(const TextNode& item, size_t index,
 {
     if (item.kind != TextNode::Kind::Map || !item.find("stage")) {
         *err = errorAt(filename, item.line,
-                       "each stages[] item must begin with "
-                       "'- stage: experiment|serve|attack|include|"
-                       "fleet|armsrace'");
+                       "each stages[] item must begin with '- stage: " +
+                           util::enumKeyList(kStageKindKeys, "|") + "'");
         return false;
     }
 
-    std::string kind;
-    std::string context = "stage";
     {
-        MapReader probe(item, filename, context);
-        probe.getEnum("stage",
-                      {"experiment", "serve", "attack", "include",
-                       "fleet", "armsrace"},
-                      &kind);
+        MapReader probe(item, filename, "stage");
+        probe.getEnum("stage", kStageKindKeys, &stage->kind);
         if (probe.failed()) {
             *err = probe.error();
             return false;
         }
     }
-    stage->kind = kind == "experiment" ? StageKind::Experiment
-                  : kind == "serve"    ? StageKind::Serve
-                  : kind == "attack"   ? StageKind::Attack
-                  : kind == "fleet"    ? StageKind::Fleet
-                  : kind == "armsrace" ? StageKind::Armsrace
-                                       : StageKind::Include;
+    std::string kind = enumKey(kStageKindKeys, stage->kind);
     stage->name = kind + "-" + std::to_string(index);
 
     MapReader r(item, filename, kind + " stage");
-    std::string discard;
-    r.getEnum("stage",
-              {"experiment", "serve", "attack", "include", "fleet",
-               "armsrace"},
-              &discard);
+    StageKind discard{};
+    r.getEnum("stage", kStageKindKeys, &discard);
     r.getString("name", &stage->name);
     r.getUInt("seed", &stage->seed);
 
@@ -842,10 +789,10 @@ compileTree(const TextNode& root, std::string_view filename,
 void
 dumpStage(const Stage& stage, std::ostream& os)
 {
-    auto kv = [&os](const char* key, const std::string& value) {
+    auto kv = [&os](const char* key, std::string_view value) {
         os << "    " << key << ": " << value << "\n";
     };
-    os << "  - stage: " << stageKindName(stage.kind) << "\n";
+    os << "  - stage: " << enumKey(kStageKindKeys, stage.kind) << "\n";
     kv("name", stage.name);
     kv("seed", std::to_string(stage.seed));
     switch (stage.kind) {
@@ -853,9 +800,9 @@ dumpStage(const Stage& stage, std::ostream& os)
         const ExperimentStage& e = stage.experiment;
         kv("servers", std::to_string(e.servers));
         kv("victims", std::to_string(e.victims));
-        kv("policy", e.policy);
-        kv("platform", e.platform);
-        kv("isolation", e.isolation);
+        kv("policy", enumKey(core::kPolicyKeys, e.policy));
+        kv("platform", enumKey(sim::kPlatformKeys, e.platform));
+        kv("isolation", enumKey(sim::kIsolationKeys, e.isolation));
         kv("obfuscation", fmtDouble(e.obfuscation));
         if (e.hasFaults) {
             const fault::FaultPlan& p = e.faults;
@@ -877,7 +824,7 @@ dumpStage(const Stage& stage, std::ostream& os)
     }
     case StageKind::Serve: {
         const ServeStage& s = stage.serve;
-        kv("loop", loopKindName(s.loop));
+        kv("loop", enumKey(kLoopKindKeys, s.loop));
         kv("requests", std::to_string(s.requests));
         kv("qps", fmtDouble(s.qps));
         kv("clients", std::to_string(s.clients));
@@ -891,7 +838,8 @@ dumpStage(const Stage& stage, std::ostream& os)
         kv("admit-check", s.admitCheck ? "true" : "false");
         kv("decompose-frac", fmtDouble(s.decomposeFrac));
         os << "    arrival:\n";
-        os << "      shape: " << arrivalShapeName(s.shape) << "\n";
+        os << "      shape: " << enumKey(kArrivalShapeKeys, s.shape)
+           << "\n";
         os << "      segments: " << s.segments << "\n";
         os << "      peak-factor: " << fmtDouble(s.peakFactor) << "\n";
         os << "      floor-factor: " << fmtDouble(s.floorFactor)
@@ -900,7 +848,7 @@ dumpStage(const Stage& stage, std::ostream& os)
     }
     case StageKind::Attack: {
         const AttackStage& a = stage.attack;
-        kv("kind", attackKindName(a.kind));
+        kv("kind", enumKey(kAttackKindKeys, a.kind));
         if (a.kind == AttackKind::Dos) {
             kv("margin", fmtDouble(a.margin));
             kv("top-resources", std::to_string(a.topResources));
@@ -926,8 +874,8 @@ dumpStage(const Stage& stage, std::ostream& os)
     }
     case StageKind::Armsrace: {
         const ArmsraceStage& a = stage.armsrace;
-        kv("allocator", a.allocator);
-        kv("attacker", a.attacker);
+        kv("allocator", enumKey(colo::kPolicyKindKeys, a.allocator));
+        kv("attacker", enumKey(colo::kAttackerKeys, a.attacker));
         kv("servers", std::to_string(a.servers));
         kv("probes", std::to_string(a.probes));
         kv("waves", std::to_string(a.waves));
@@ -945,7 +893,7 @@ dumpStage(const Stage& stage, std::ostream& os)
 void
 digestStage(const Stage& stage, util::Fnv1a* d)
 {
-    auto str = [d](const std::string& s) {
+    auto str = [d](std::string_view s) {
         d->u64(s.size());
         d->str(s);
     };
@@ -957,9 +905,9 @@ digestStage(const Stage& stage, util::Fnv1a* d)
         const ExperimentStage& e = stage.experiment;
         d->u64(static_cast<uint64_t>(e.servers));
         d->u64(static_cast<uint64_t>(e.victims));
-        str(e.policy);
-        str(e.platform);
-        str(e.isolation);
+        str(enumKey(core::kPolicyKeys, e.policy));
+        str(enumKey(sim::kPlatformKeys, e.platform));
+        str(enumKey(sim::kIsolationKeys, e.isolation));
         d->f64(e.obfuscation);
         d->u8(e.hasFaults ? 1 : 0);
         if (e.hasFaults) {
@@ -1025,8 +973,8 @@ digestStage(const Stage& stage, util::Fnv1a* d)
     }
     case StageKind::Armsrace: {
         const ArmsraceStage& a = stage.armsrace;
-        str(a.allocator);
-        str(a.attacker);
+        str(enumKey(colo::kPolicyKindKeys, a.allocator));
+        str(enumKey(colo::kAttackerKeys, a.attacker));
         d->u64(static_cast<uint64_t>(a.servers));
         d->u64(static_cast<uint64_t>(a.probes));
         d->u64(static_cast<uint64_t>(a.waves));
@@ -1044,57 +992,11 @@ digestStage(const Stage& stage, util::Fnv1a* d)
 
 } // namespace
 
-const char*
-stageKindName(StageKind k)
-{
-    switch (k) {
-    case StageKind::Experiment:
-        return "experiment";
-    case StageKind::Serve:
-        return "serve";
-    case StageKind::Attack:
-        return "attack";
-    case StageKind::Include:
-        return "include";
-    case StageKind::Fleet:
-        return "fleet";
-    case StageKind::Armsrace:
-        return "armsrace";
-    }
-    return "?";
-}
-
-const char*
-attackKindName(AttackKind k)
-{
-    return k == AttackKind::Dos ? "dos" : "coresidency";
-}
-
-const char*
-loopKindName(LoopKind k)
-{
-    return k == LoopKind::Open ? "open" : "closed";
-}
-
-const char*
-arrivalShapeName(ArrivalShape s)
-{
-    switch (s) {
-    case ArrivalShape::Steady:
-        return "steady";
-    case ArrivalShape::FlashCrowd:
-        return "flash-crowd";
-    case ArrivalShape::Diurnal:
-        return "diurnal";
-    }
-    return "?";
-}
-
 uint64_t
 Scenario::graphDigest() const
 {
     util::Fnv1a d;
-    auto str = [&d](const std::string& s) {
+    auto str = [&d](std::string_view s) {
         d.u64(s.size());
         d.str(s);
     };
@@ -1105,11 +1007,11 @@ Scenario::graphDigest() const
     d.u64(sloRules.size());
     for (const SloRuleSpec& r : sloRules) {
         str(r.rule);
-        str(r.kind);
+        str(enumKey(kRuleKindKeys, r.kind));
         str(r.series);
         str(r.label);
-        str(r.agg);
-        str(r.op);
+        str(enumKey(kRuleAggKeys, r.agg));
+        str(enumKey(kRuleOpKeys, r.op));
         d.f64(r.value);
         d.u64(static_cast<uint64_t>(r.sustainWindows));
         str(r.totalSeries);
@@ -1126,7 +1028,7 @@ Scenario::graphDigest() const
         d.u64(e.min);
         d.u8(e.hasMax ? 1 : 0);
         d.u64(e.max);
-        str(e.slo);
+        str(e.hasSlo ? enumKey(kSloCheckKeys, e.slo) : "");
         str(e.rule);
     }
     d.u64(stages.size());
@@ -1148,20 +1050,20 @@ Scenario::dump() const
     if (!sloRules.empty()) {
         os << "slo:\n";
         for (const SloRuleSpec& r : sloRules) {
-            auto kv = [&os](const char* key, const std::string& value) {
+            auto kv = [&os](const char* key, std::string_view value) {
                 os << "    " << key << ": " << value << "\n";
             };
             os << "  - rule: " << r.rule << "\n";
-            kv("kind", r.kind);
+            kv("kind", enumKey(kRuleKindKeys, r.kind));
             kv("series", r.series);
             if (!r.label.empty())
                 kv("label", r.label);
-            if (r.kind == "threshold") {
-                kv("agg", r.agg);
-                kv("op", r.op);
+            if (r.kind == obs::RuleKind::Threshold) {
+                kv("agg", enumKey(kRuleAggKeys, r.agg));
+                kv("op", enumKey(kRuleOpKeys, r.op));
                 kv("value", fmtDouble(r.value));
                 kv("sustain-windows", std::to_string(r.sustainWindows));
-            } else if (r.kind == "burn-rate") {
+            } else if (r.kind == obs::RuleKind::BurnRate) {
                 kv("total-series", r.totalSeries);
                 if (!r.totalLabel.empty())
                     kv("total-label", r.totalLabel);
@@ -1184,7 +1086,7 @@ Scenario::dump() const
                 if (e.hasMax)
                     os << "    max: " << e.max << "\n";
             } else {
-                os << "  - slo: " << e.slo << "\n";
+                os << "  - slo: " << enumKey(kSloCheckKeys, e.slo) << "\n";
                 if (!e.rule.empty())
                     os << "    rule: " << e.rule << "\n";
             }
@@ -1199,6 +1101,9 @@ Scenario::dump() const
 const std::vector<KeyDoc>&
 schemaKeys()
 {
+    auto keys = [](const auto& table) {
+        return util::enumKeyList(table, " | ");
+    };
     static const std::vector<KeyDoc> kKeys = {
         // Top level.
         {"scenario", "string", "-", "-", "meta",
@@ -1213,15 +1118,15 @@ schemaKeys()
          "Declarative SLO rules the monitor evaluates during the run"},
         {"slo[].rule", "string", "-", "-", "meta",
          "Alert name (required, unique per scenario)"},
-        {"slo[].kind", "enum", "threshold | burn-rate | absence",
+        {"slo[].kind", "enum", keys(kRuleKindKeys),
          "threshold", "meta", "Rule evaluation strategy"},
         {"slo[].series", "string", "-", "-", "meta",
          "Telemetry series the rule watches (required)"},
         {"slo[].label", "string", "-", "(empty)", "meta",
          "Series label; empty reads the unkeyed slot"},
-        {"slo[].agg", "enum", "count | sum | mean | p50 | p95 | p99",
+        {"slo[].agg", "enum", keys(kRuleAggKeys),
          "mean", "meta", "Threshold: per-window aggregate"},
-        {"slo[].op", "enum", "above | below", "above", "meta",
+        {"slo[].op", "enum", keys(kRuleOpKeys), "above", "meta",
          "Threshold: violation direction"},
         {"slo[].value", "double", "[-1e+18, 1e+18]", "0", "meta",
          "Threshold trigger / burn-rate burn factor"},
@@ -1247,15 +1152,14 @@ schemaKeys()
          "Inclusive lower bound on the counter delta"},
         {"expect[].max", "uint", "[0, 2^64)", "(absent)", "meta",
          "Inclusive upper bound on the counter delta"},
-        {"expect[].slo", "enum", "no-alerts-firing | fired | not-fired",
+        {"expect[].slo", "enum", keys(kSloCheckKeys),
          "-", "meta", "Alert-state check against the SLO monitor"},
         {"expect[].rule", "string", "-", "-", "meta",
          "Rule name for slo: fired / not-fired"},
         {"stages", "list", "1..64 items", "-", "sim",
          "Ordered stage list (required)"},
         // Common stage keys.
-        {"stages[].stage", "enum",
-         "experiment | serve | attack | include | fleet | armsrace",
+        {"stages[].stage", "enum", keys(kStageKindKeys),
          "-", "sim", "Stage kind discriminator (required, first key)"},
         {"stages[].name", "string", "-", "<kind>-<index>", "meta",
          "Stage display name"},
@@ -1267,13 +1171,12 @@ schemaKeys()
          "Cluster size (experiment; armsrace defaults to 24)"},
         {"stages[].victims", "int", "[0, 1000000]", "20", "sim",
          "Victim workloads scheduled onto the cluster"},
-        {"stages[].policy", "enum", "least-loaded | quasar",
+        {"stages[].policy", "enum", keys(core::kPolicyKeys),
          "least-loaded", "sim", "Placement policy"},
-        {"stages[].platform", "enum", "baremetal | container | vm",
+        {"stages[].platform", "enum", keys(sim::kPlatformKeys),
          "vm", "sim", "Tenant packaging (Section 6)"},
-        {"stages[].isolation", "enum",
-         "none | pinning | net | mem | cache | core-full | core-only",
-         "none", "sim", "Isolation ladder rung (Fig. 14)"},
+        {"stages[].isolation", "enum", keys(sim::kIsolationKeys), "none",
+         "sim", "Isolation ladder rung (Fig. 14)"},
         {"stages[].obfuscation", "double", "[0, 1]", "0", "sim",
          "Victim pattern-obfuscation defense amplitude"},
         {"stages[].faults", "map", "-", "(absent)", "sim",
@@ -1297,7 +1200,7 @@ schemaKeys()
         {"stages[].faults.seed", "uint", "[0, 2^64)", "0", "sim",
          "Fault seed; 0 derives from the stage seed"},
         // Serve stage.
-        {"stages[].loop", "enum", "open | closed", "open", "sim",
+        {"stages[].loop", "enum", keys(kLoopKindKeys), "open", "sim",
          "Open-loop Poisson arrivals or closed-loop client lanes"},
         {"stages[].requests", "int", "[1, 10000000]", "1000", "sim",
          "Total requests (split across ramp segments)"},
@@ -1325,8 +1228,8 @@ schemaKeys()
          "Fraction of requests that are decompose queries"},
         {"stages[].arrival", "map", "-", "(steady)", "sim",
          "Arrival-process shape block"},
-        {"stages[].arrival.shape", "enum",
-         "steady | flash-crowd | diurnal", "steady", "sim",
+        {"stages[].arrival.shape", "enum", keys(kArrivalShapeKeys),
+         "steady", "sim",
          "QPS curve; non-steady shapes require loop: open"},
         {"stages[].arrival.segments", "int", "[1, 64]", "6", "sim",
          "Ramp resolution: back-to-back engine runs"},
@@ -1335,7 +1238,7 @@ schemaKeys()
         {"stages[].arrival.floor-factor", "double", "[0, 1]", "0.25",
          "sim", "Diurnal: trough QPS / base QPS"},
         // Attack stage.
-        {"stages[].kind", "enum", "dos | coresidency", "-", "sim",
+        {"stages[].kind", "enum", keys(kAttackKindKeys), "-", "sim",
          "Attack campaign kind (required)"},
         {"stages[].margin", "double", "[1, 2]", "1.15", "sim",
          "DoS contention margin over the victim's pressure"},
@@ -1369,12 +1272,11 @@ schemaKeys()
         {"stages[].host-faults", "double", "[0, 1]", "0", "sim",
          "Fleet: per-host per-epoch fault probability"},
         // Armsrace stage.
-        {"stages[].allocator", "enum",
-         "least-loaded | quasar | random | mab | secure",
+        {"stages[].allocator", "enum", keys(colo::kPolicyKindKeys),
          "least-loaded", "sim",
          "Armsrace: allocation policy the campaign attacks"},
-        {"stages[].attacker", "enum", "replication | affinity | churn",
-         "churn", "sim", "Armsrace: co-location attacker strategy"},
+        {"stages[].attacker", "enum", keys(colo::kAttackerKeys), "churn",
+         "sim", "Armsrace: co-location attacker strategy"},
         {"stages[].reps", "int", "[1, 64]", "8", "sim",
          "Armsrace: independent campaigns in the cell"},
         {"stages[].utilization", "double", "[5, 90]", "50", "sim",
@@ -1419,6 +1321,91 @@ compileFile(const std::string& path, Scenario* out, std::string* err)
     std::stringstream buffer;
     buffer << in.rdbuf();
     return compileText(buffer.str(), path, out, err);
+}
+
+bool
+compileFlags(std::string_view kind, const std::vector<std::string>& flags,
+             Scenario* out, std::string* err)
+{
+    const char* kFile = "flags";
+    auto scalar = [](std::string value, int line) {
+        TextNode n;
+        n.line = line;
+        n.scalar = std::move(value);
+        return n;
+    };
+    auto block = [](TextNode::Kind kind, int line) {
+        TextNode n;
+        n.kind = kind;
+        n.line = line;
+        return n;
+    };
+    TextNode stage = block(TextNode::Kind::Map, 1);
+    stage.entries.emplace_back("stage", scalar(std::string(kind), 1));
+    for (size_t i = 0; i < flags.size(); i += 2) {
+        int line = static_cast<int>(i / 2) + 1;
+        const std::string& flag = flags[i];
+        if (flag.rfind("--", 0) != 0) {
+            *err = errorAt(kFile, line, "unexpected argument '" + flag +
+                                            "' (flags are --key value)");
+            return false;
+        }
+        if (i + 1 == flags.size()) {
+            *err = errorAt(kFile, line,
+                           "flag '" + flag + "' requires a value");
+            return false;
+        }
+        // A value must read back from a scenario file unchanged, so the
+        // dump of a flag-built stage recompiles to the same graph.
+        const std::string& value = flags[i + 1];
+        TextNode probe;
+        std::string ignored;
+        if (!parseText("v: " + value + "\n", kFile, &probe, &ignored) ||
+            probe.find("v")->scalar != value) {
+            *err = errorAt(kFile, line,
+                           "value '" + value + "' for '" + flag +
+                               "' cannot be written in a scenario file");
+            return false;
+        }
+        // Walk the dotted key path, opening nested blocks on the way.
+        TextNode* node = &stage;
+        std::string_view path = std::string_view(flag).substr(2);
+        for (;;) {
+            size_t dot = path.find('.');
+            std::string key(path.substr(0, dot));
+            auto it = std::find_if(
+                node->entries.begin(), node->entries.end(),
+                [&key](const auto& entry) { return entry.first == key; });
+            bool leaf = dot == std::string_view::npos;
+            if (key.empty() ||
+                (it != node->entries.end() &&
+                 (leaf || it->second.kind != TextNode::Kind::Map))) {
+                *err = errorAt(kFile, line,
+                               "flag '" + flag +
+                                   "' is malformed, repeated or "
+                                   "conflicts with an earlier flag");
+                return false;
+            }
+            if (leaf) {
+                node->entries.emplace_back(key, scalar(value, line));
+                break;
+            }
+            if (it == node->entries.end()) {
+                node->entries.emplace_back(
+                    key, block(TextNode::Kind::Map, line));
+                it = std::prev(node->entries.end());
+            }
+            node = &it->second;
+            path = path.substr(dot + 1);
+        }
+    }
+    TextNode stages = block(TextNode::Kind::List, 1);
+    stages.items.push_back(std::move(stage));
+    TextNode root = block(TextNode::Kind::Map, 1);
+    root.entries.emplace_back("scenario", scalar(std::string(kind), 1));
+    root.entries.emplace_back("stages", std::move(stages));
+    CompileCtx ctx;
+    return compileTree(root, kFile, "", &ctx, out, err);
 }
 
 } // namespace scenario

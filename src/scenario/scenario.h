@@ -7,7 +7,12 @@
 #include <string_view>
 #include <vector>
 
+#include "colo/tournament.h"
+#include "core/experiment.h"
 #include "fault/fault.h"
+#include "obs/monitor.h"
+#include "sim/isolation.h"
+#include "util/enum_keys.h"
 
 namespace bolt {
 namespace scenario {
@@ -29,44 +34,69 @@ namespace scenario {
  * complete, reproducible description of a run.
  */
 
-/** What a stage does; the `stage:` discriminator key. */
-enum class StageKind : uint8_t
-{
-    Experiment,
-    Serve,
-    Attack,
-    Include,
-    Fleet,
-    Armsrace
+/**
+ * The scenario vocabularies, X(Sym, "key"): what a stage does (the
+ * `stage:` discriminator, which is also the bolt_cli subcommand), the
+ * `kind:` of an attack stage, the `loop:` of a serve stage, the
+ * `shape:` of its arrival block, and the `slo:` check of an expect
+ * item.
+ */
+#define BOLT_STAGE_KIND_CATALOG(X)                                             \
+    X(Experiment, "experiment")                                                \
+    X(Serve, "serve")                                                          \
+    X(Attack, "attack")                                                        \
+    X(Include, "include")                                                      \
+    X(Fleet, "fleet")                                                          \
+    X(Armsrace, "armsrace")
+#define BOLT_ATTACK_KIND_CATALOG(X) X(Dos, "dos") X(CoResidency, "coresidency")
+#define BOLT_LOOP_KIND_CATALOG(X) X(Open, "open") X(Closed, "closed")
+#define BOLT_ARRIVAL_SHAPE_CATALOG(X)                                          \
+    X(Steady, "steady") X(FlashCrowd, "flash-crowd") X(Diurnal, "diurnal")
+#define BOLT_SLO_CHECK_CATALOG(X)                                              \
+    X(NoAlertsFiring, "no-alerts-firing") X(Fired, "fired")                    \
+        X(NotFired, "not-fired")
+
+enum class StageKind : uint8_t { BOLT_STAGE_KIND_CATALOG(BOLT_ENUMERATOR) };
+enum class AttackKind : uint8_t { BOLT_ATTACK_KIND_CATALOG(BOLT_ENUMERATOR) };
+enum class LoopKind : uint8_t { BOLT_LOOP_KIND_CATALOG(BOLT_ENUMERATOR) };
+enum class ArrivalShape : uint8_t {
+    BOLT_ARRIVAL_SHAPE_CATALOG(BOLT_ENUMERATOR)
 };
+enum class SloCheck : uint8_t { BOLT_SLO_CHECK_CATALOG(BOLT_ENUMERATOR) };
 
-/** `kind:` of an attack stage. */
-enum class AttackKind : uint8_t { Dos, CoResidency };
-
-/** `loop:` of a serve stage. */
-enum class LoopKind : uint8_t { Open, Closed };
-
-/** `shape:` of a serve stage's arrival block. */
-enum class ArrivalShape : uint8_t { Steady, FlashCrowd, Diurnal };
-
-const char* stageKindName(StageKind k);
-const char* attackKindName(AttackKind k);
-const char* loopKindName(LoopKind k);
-const char* arrivalShapeName(ArrivalShape s);
+#define BOLT_STAGE_KIND_KEY(Sym, Key) {StageKind::Sym, Key},
+#define BOLT_ATTACK_KIND_KEY(Sym, Key) {AttackKind::Sym, Key},
+#define BOLT_LOOP_KIND_KEY(Sym, Key) {LoopKind::Sym, Key},
+#define BOLT_ARRIVAL_SHAPE_KEY(Sym, Key) {ArrivalShape::Sym, Key},
+#define BOLT_SLO_CHECK_KEY(Sym, Key) {SloCheck::Sym, Key},
+inline constexpr util::EnumKey<StageKind> kStageKindKeys[] = {
+    BOLT_STAGE_KIND_CATALOG(BOLT_STAGE_KIND_KEY)};
+inline constexpr util::EnumKey<AttackKind> kAttackKindKeys[] = {
+    BOLT_ATTACK_KIND_CATALOG(BOLT_ATTACK_KIND_KEY)};
+inline constexpr util::EnumKey<LoopKind> kLoopKindKeys[] = {
+    BOLT_LOOP_KIND_CATALOG(BOLT_LOOP_KIND_KEY)};
+inline constexpr util::EnumKey<ArrivalShape> kArrivalShapeKeys[] = {
+    BOLT_ARRIVAL_SHAPE_CATALOG(BOLT_ARRIVAL_SHAPE_KEY)};
+inline constexpr util::EnumKey<SloCheck> kSloCheckKeys[] = {
+    BOLT_SLO_CHECK_CATALOG(BOLT_SLO_CHECK_KEY)};
+#undef BOLT_STAGE_KIND_KEY
+#undef BOLT_ATTACK_KIND_KEY
+#undef BOLT_LOOP_KIND_KEY
+#undef BOLT_ARRIVAL_SHAPE_KEY
+#undef BOLT_SLO_CHECK_KEY
 
 /** A controlled detection experiment (core::ControlledExperiment). */
 struct ExperimentStage
 {
     int servers = 8;
     int victims = 20;
-    std::string policy = "least-loaded"; ///< least-loaded | quasar.
-    std::string platform = "vm"; ///< baremetal | container | vm.
-    /** none|pinning|net|mem|cache|core-full|core-only. */
-    std::string isolation = "none";
+    core::ExperimentConfig::Policy policy =
+        core::ExperimentConfig::Policy::LeastLoaded;
+    sim::Platform platform = sim::Platform::VirtualMachine;
+    sim::IsolationLevel isolation = sim::IsolationLevel::None;
     double obfuscation = 0.0;
-    /** Present iff the file had a `faults:` block (which must enable
-     *  at least one rate — a modifier-only block is a compile error,
-     *  matching bolt_cli's --fault-* validation). */
+    /** Present iff the stage had a `faults:` block (which must enable
+     *  at least one rate — a modifier-only block is a compile error). */
     bool hasFaults = false;
     fault::FaultPlan faults;
 };
@@ -140,9 +170,8 @@ struct FleetStage
  */
 struct ArmsraceStage
 {
-    /** least-loaded | quasar | random | mab | secure. */
-    std::string allocator = "least-loaded";
-    std::string attacker = "churn"; ///< replication | affinity | churn.
+    colo::PolicyKind allocator = colo::PolicyKind::LeastLoaded;
+    colo::AttackerKind attacker = colo::AttackerKind::Churn;
     int servers = 24;
     int probes = 4;           ///< Probe VMs per wave.
     int waves = 3;            ///< Waves before the campaign gives up.
@@ -151,20 +180,20 @@ struct ArmsraceStage
 };
 
 /**
- * One `slo:` rule, compiled into an obs::SloRule by the runner. Kept
- * in source (string) form here so the scenario graph stays a plain
- * data description; the runner resolves series names against the
- * telemetry catalog at run time (the compiler already validated them).
+ * One `slo:` rule, compiled into an obs::SloRule by the runner. Series
+ * stay in source (string) form so the scenario graph stays a plain
+ * data description; the runner resolves them against the telemetry
+ * catalog at run time (the compiler already validated them).
  */
 struct SloRuleSpec
 {
-    std::string rule;               ///< Alert name (required, unique).
-    std::string kind = "threshold"; ///< threshold | burn-rate | absence.
-    std::string series;             ///< Telemetry series (required).
-    std::string label;              ///< Series label; empty = unkeyed.
-    std::string agg = "mean"; ///< count|sum|mean|p50|p95|p99 (threshold).
-    std::string op = "above"; ///< above | below (threshold).
-    double value = 0.0;       ///< Threshold / burn-rate trigger.
+    std::string rule;   ///< Alert name (required, unique).
+    obs::RuleKind kind = obs::RuleKind::Threshold;
+    std::string series; ///< Telemetry series (required).
+    std::string label;  ///< Series label; empty = unkeyed.
+    obs::RuleAgg agg = obs::RuleAgg::Mean; ///< Threshold aggregate.
+    obs::RuleOp op = obs::RuleOp::Above;   ///< Threshold direction.
+    double value = 0.0; ///< Threshold / burn-rate trigger.
     int sustainWindows = 1;   ///< Threshold: consecutive windows.
     std::string totalSeries;  ///< Burn-rate denominator series.
     std::string totalLabel;
@@ -188,7 +217,8 @@ struct ExpectSpec
     bool hasMax = false;
     uint64_t min = 0;
     uint64_t max = 0;
-    std::string slo;  ///< no-alerts-firing | fired | not-fired.
+    bool hasSlo = false; ///< An alert-state check rather than a metric.
+    SloCheck slo = SloCheck::NoAlertsFiring;
     std::string rule; ///< Rule name for fired / not-fired.
     int line = 0;     ///< Source line (diagnostics only).
 };
@@ -257,7 +287,7 @@ struct KeyDoc
 {
     const char* path; ///< e.g. "stages[].faults.arrivals".
     const char* type; ///< string|uint|int|double|bool|enum|map|list.
-    const char* range; ///< "[0, 1]", enum options, or "-".
+    std::string range; ///< "[0, 1]", enum keys "a | b", or "-".
     const char* defaultValue; ///< "-" when required.
     const char* determinism; ///< "sim" | "meta".
     const char* help;
@@ -277,6 +307,19 @@ bool compileText(std::string_view source, std::string_view filename,
 /** Compile a scenario file from disk (same contract as compileText). */
 bool compileFile(const std::string& path, Scenario* out,
                  std::string* err);
+
+/**
+ * Compile a bolt_cli run subcommand into a one-stage scenario named
+ * after it: `kind` is the `stage:` kind and each `--key value` pair of
+ * `flags` becomes a key of that stage. Dotted keys open nested blocks
+ * (`--faults.arrivals 0.1`), so docs/SCENARIOS.md is the flag
+ * reference and `--seed` sets the stage's `seed:`. All validation is
+ * the compiler's; diagnostics read "flags:<n>: <message>" where n is
+ * the 1-based position of the offending flag.
+ */
+bool compileFlags(std::string_view kind,
+                  const std::vector<std::string>& flags, Scenario* out,
+                  std::string* err);
 
 } // namespace scenario
 } // namespace bolt

@@ -162,17 +162,15 @@ ServeEngine::run() const
     };
 
     // Predicted queue delay if one more request joins: pending batches
-    // ahead of it, each costing one setup plus a nominal-cost fill,
-    // spread over the lanes. Coarse on purpose — admission control
-    // must be cheap and depend only on Sim state.
+    // ahead of it, each costing one setup plus a full batch of
+    // nominal-cost requests, spread over the lanes. Coarse on purpose —
+    // admission control must be cheap and depend only on Sim state.
     auto estimatedWaitMs = [&]() {
         double batches_ahead = static_cast<double>(
             (pendingQ.size() + max_batch) / max_batch);
-        double nominal_fill =
-            1.0 + config_.batchMarginalCost *
-                      static_cast<double>(max_batch - 1);
-        double batch_ms =
-            config_.batchSetupMs + nominal_fill * load.serviceMedianMs;
+        double batch_ms = config_.batchSetupMs +
+                          static_cast<double>(max_batch) *
+                              load.serviceMedianMs;
         return batches_ahead * batch_ms / static_cast<double>(workers);
     };
 
@@ -296,14 +294,8 @@ ServeEngine::run() const
         }
 
         double service_ms = config_.batchSetupMs;
-        bool first_in_batch = true;
-        for (uint64_t id : batch) {
-            service_ms += first_in_batch
-                              ? requests[id].costMs
-                              : config_.batchMarginalCost *
-                                    requests[id].costMs;
-            first_in_batch = false;
-        }
+        for (uint64_t id : batch)
+            service_ms += requests[id].costMs;
         double completion_ms = ev.t + service_ms;
         uint32_t batch_id = static_cast<uint32_t>(batches.size());
         for (uint64_t id : batch) {

@@ -31,15 +31,6 @@ struct ServeConfig
     /** Fixed per-batch service overhead (dispatch + cache warm), ms. */
     double batchSetupMs = 2.0;
     /**
-     * Sim-time cost multiplier for every request in a batch after the
-     * first, modeling the batched kernel path's economies of scale
-     * (the execution plane runs a micro-batch's analyze queries as one
-     * blocked sweep; followers share the entry-side work the first
-     * query paid for). 1.0 (default) keeps the classic linear-additive
-     * cost model — and the historical schedule digests — bit-exactly.
-     */
-    double batchMarginalCost = 1.0;
-    /**
      * Optional batch-fill wait: a lane that finds fewer than maxBatch
      * requests pending may defer once by this long to let the batch
      * fill. 0 (default) = adaptive greedy batching — take whatever is

@@ -1,17 +1,7 @@
 #include "isolation.h"
 
-#include <array>
-
 namespace bolt {
 namespace sim {
-
-const std::string&
-platformName(Platform p)
-{
-    static const std::array<std::string, 3> names = {
-        "Baremetal", "Linux Containers", "Virtual Machines"};
-    return names.at(static_cast<size_t>(p));
-}
 
 double
 IsolationConfig::crossVisibility(Resource r) const
@@ -139,22 +129,17 @@ IsolationConfig::coreIsolationOnly(Platform p)
     return c;
 }
 
-std::string
-IsolationConfig::label() const
+IsolationConfig
+IsolationConfig::forLevel(IsolationLevel level, Platform p)
 {
-    if (coreIsolation && cachePartitioning)
-        return "+Core Isolation";
-    if (coreIsolation)
-        return "Core Isolation only";
-    if (cachePartitioning)
-        return "+Cache Partitioning";
-    if (memBwPartitioning)
-        return "+Mem BW Partitioning";
-    if (netBwPartitioning)
-        return "+Net BW Partitioning";
-    if (threadPinning)
-        return "Thread Pinning";
-    return "None";
+    switch (level) {
+#define BOLT_ISOLATION_CASE(Sym, Key, Factory)                                 \
+    case IsolationLevel::Sym:                                                  \
+        return Factory(p);
+        BOLT_ISOLATION_CATALOG(BOLT_ISOLATION_CASE)
+#undef BOLT_ISOLATION_CASE
+    }
+    return none(p);
 }
 
 } // namespace sim

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "sim/resource.h"
+#include "util/enum_keys.h"
 
 namespace bolt {
 namespace sim {
@@ -13,15 +14,42 @@ namespace sim {
  * packaged. Containers and VMs constrain core and memory-capacity usage
  * relative to a baremetal deployment where the Linux scheduler floats
  * tasks freely.
+ *
+ *   X(Sym, "key")
  */
-enum class Platform : uint8_t {
-    Baremetal = 0,
-    Container,
-    VirtualMachine,
-};
+#define BOLT_PLATFORM_CATALOG(X)                                               \
+    X(Baremetal, "baremetal")                                                  \
+    X(Container, "container")                                                  \
+    X(VirtualMachine, "vm")
 
-/** Display name for a platform setting. */
-const std::string& platformName(Platform p);
+enum class Platform : uint8_t { BOLT_PLATFORM_CATALOG(BOLT_ENUMERATOR) };
+
+#define BOLT_PLATFORM_KEY(Sym, Key) {Platform::Sym, Key},
+inline constexpr util::EnumKey<Platform> kPlatformKeys[] = {
+    BOLT_PLATFORM_CATALOG(BOLT_PLATFORM_KEY)};
+#undef BOLT_PLATFORM_KEY
+
+/**
+ * Rungs of the Section 6 isolation ladder (Fig. 14), each built by the
+ * IsolationConfig factory in the last column:
+ *
+ *   X(Sym, "key", factory)
+ */
+#define BOLT_ISOLATION_CATALOG(X)                                              \
+    X(None, "none", none)                                                      \
+    X(Pinning, "pinning", withThreadPinning)                                   \
+    X(Net, "net", withNetPartitioning)                                         \
+    X(Mem, "mem", withMemBwPartitioning)                                       \
+    X(Cache, "cache", withCachePartitioning)                                   \
+    X(CoreFull, "core-full", withCoreIsolation)                                \
+    X(CoreOnly, "core-only", coreIsolationOnly)
+
+enum class IsolationLevel : uint8_t { BOLT_ISOLATION_CATALOG(BOLT_ENUMERATOR) };
+
+#define BOLT_ISOLATION_KEY(Sym, Key, Factory) {IsolationLevel::Sym, Key},
+inline constexpr util::EnumKey<IsolationLevel> kIsolationKeys[] = {
+    BOLT_ISOLATION_CATALOG(BOLT_ISOLATION_KEY)};
+#undef BOLT_ISOLATION_KEY
 
 /**
  * Resource-specific isolation mechanisms evaluated in Section 6, applied
@@ -73,9 +101,8 @@ struct IsolationConfig
     static IsolationConfig withCoreIsolation(Platform p);
     /** Core isolation alone, without the partitioning mechanisms. */
     static IsolationConfig coreIsolationOnly(Platform p);
-
-    /** Human-readable ladder label ("+Cache Partitioning", ...). */
-    std::string label() const;
+    /** The ladder rung `level` on platform `p`. */
+    static IsolationConfig forLevel(IsolationLevel level, Platform p);
 };
 
 } // namespace sim

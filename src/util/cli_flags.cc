@@ -1,10 +1,9 @@
 #include "cli_flags.h"
 
-#include <charconv>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
+
+#include "util/parse.h"
 
 namespace bolt {
 namespace util {
@@ -42,29 +41,6 @@ rangeText(const CliFlagSpec& f)
            formatBound(f.max, f.kind) + "]";
 }
 
-/** Full-token signed-integer parse; false on any leftover character. */
-bool
-parseFullInt(const std::string& s, long long* out)
-{
-    const char* b = s.data();
-    const char* e = b + s.size();
-    auto res = std::from_chars(b, e, *out);
-    return res.ec == std::errc() && res.ptr == e && !s.empty();
-}
-
-/** Full-token finite-double parse; false on any leftover character. */
-bool
-parseFullDouble(const std::string& s, double* out)
-{
-    if (s.empty())
-        return false;
-    char* end = nullptr;
-    errno = 0;
-    *out = std::strtod(s.c_str(), &end);
-    return end == s.c_str() + s.size() && errno == 0 &&
-           std::isfinite(*out);
-}
-
 } // namespace
 
 std::string
@@ -76,15 +52,16 @@ CliArgs::validFlagsLine(const std::vector<CliFlagSpec>& spec,
         line += std::string(" --") + f.name;
     for (const auto& f : common)
         line += std::string(" --") + f.name;
-    line += " --metrics-out --trace-out --log-level\n";
+    line += " --metrics-out --trace-out --telemetry-out --telemetry-window "
+            "--log-level\n";
     return line;
 }
 
 bool
 CliArgs::parse(int argc, char** argv, int first,
                const std::vector<CliFlagSpec>& spec,
-               const std::vector<CliFlagSpec>& common,
-               std::string* error)
+               const std::vector<CliFlagSpec>& common, std::string* error,
+               std::vector<std::string>* passthrough)
 {
     auto fail = [&](const std::string& what) {
         *error = what + "\n" + validFlagsLine(spec, common);
@@ -92,11 +69,19 @@ CliArgs::parse(int argc, char** argv, int first,
     };
 
     for (int i = first; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--", 2) != 0)
+        bool is_flag = std::strncmp(argv[i], "--", 2) == 0;
+        const CliFlagSpec* f =
+            is_flag ? findSpec(argv[i] + 2, spec, common) : nullptr;
+        if (!f && passthrough) {
+            passthrough->push_back(argv[i]);
+            if (is_flag && i + 1 < argc)
+                passthrough->push_back(argv[++i]);
+            continue;
+        }
+        if (!is_flag)
             return fail("unexpected argument '" + std::string(argv[i]) +
                         "'");
         std::string name = argv[i] + 2;
-        const CliFlagSpec* f = findSpec(name, spec, common);
         if (!f)
             return fail("unknown flag '--" + name + "'");
 
@@ -116,7 +101,7 @@ CliArgs::parse(int argc, char** argv, int first,
         case FlagKind::Int:
         case FlagKind::UInt: {
             long long v = 0;
-            bool ok = parseFullInt(value, &v);
+            bool ok = parseInt(value, &v);
             if (f->kind == FlagKind::UInt && v < 0)
                 ok = false;
             if (!ok)
@@ -131,7 +116,7 @@ CliArgs::parse(int argc, char** argv, int first,
         }
         case FlagKind::Double: {
             double v = 0.0;
-            if (!parseFullDouble(value, &v))
+            if (!parseDouble(value, &v))
                 return fail("flag '--" + name +
                             "' expects a finite number, got '" + value +
                             "'");

@@ -58,11 +58,16 @@ class CliArgs
      * Parse argv[first..argc) against `spec` plus `common` (flags every
      * subcommand shares). On failure returns false and sets *error to a
      * complete multi-line diagnostic (offending token + valid flags).
+     *
+     * With `passthrough`, tokens outside the spec are not errors: each
+     * unknown `--key` and the token after it (its value), and any stray
+     * token, are appended there in order for a later validator (the
+     * scenario compiler, for bolt_cli's stage subcommands).
      */
     bool parse(int argc, char** argv, int first,
                const std::vector<CliFlagSpec>& spec,
-               const std::vector<CliFlagSpec>& common,
-               std::string* error);
+               const std::vector<CliFlagSpec>& common, std::string* error,
+               std::vector<std::string>* passthrough = nullptr);
 
     bool has(const std::string& name) const
     {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <string_view>
 
 namespace bolt {
@@ -38,6 +39,17 @@ struct Fnv1a
     }
     void str(std::string_view s) { bytes(s.data(), s.size()); }
 };
+
+/** A digest as 16 zero-padded lowercase hex digits, as goldens print it. */
+inline std::string
+hex64(uint64_t v)
+{
+    static const char kDigits[] = "0123456789abcdef";
+    std::string out(16, '0');
+    for (int i = 15; i >= 0; --i, v >>= 4)
+        out[static_cast<size_t>(i)] = kDigits[v & 0xf];
+    return out;
+}
 
 } // namespace util
 } // namespace bolt

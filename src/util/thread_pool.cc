@@ -1,9 +1,11 @@
 #include "thread_pool.h"
 
 #include "obs/metrics.h"
+#include "util/parse.h"
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <string_view>
@@ -247,9 +249,15 @@ applyThreadsFlag(int argc, char** argv)
 {
     for (int i = 1; i + 1 < argc; ++i) {
         if (std::string_view(argv[i]) == "--threads") {
-            long n = std::strtol(argv[i + 1], nullptr, 10);
-            if (n >= 0)
-                ThreadPool::setGlobalThreads(static_cast<unsigned>(n));
+            long long n = -1;
+            if (!parseInt(argv[i + 1], &n) || n < 0 || n > kMaxThreadsFlag) {
+                std::fprintf(stderr,
+                             "%s: --threads expects an integer in [0, %d], "
+                             "got '%s'\n",
+                             argv[0], kMaxThreadsFlag, argv[i + 1]);
+                std::exit(2);
+            }
+            ThreadPool::setGlobalThreads(static_cast<unsigned>(n));
             return;
         }
     }

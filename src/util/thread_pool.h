@@ -144,11 +144,17 @@ class ThreadPool
 void parallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)>& body, size_t grain = 0);
 
+/** Upper bound of --threads: 0 means hardware concurrency, anything
+ *  above this is a typo, not a machine. */
+constexpr int kMaxThreadsFlag = 512;
+
 /**
  * Scan argv for "--threads N" and apply it to the global pool — the
- * shared flag of bolt_cli and every bench driver. Call once at the top
- * of main(), before any parallel work. Unrecognized arguments are left
- * alone; thread count never changes results, only wall-clock time.
+ * shared flag of every bench binary. Call once at the top of main(),
+ * before any parallel work. Unrecognized arguments are left alone; a
+ * value that is not an integer in [0, kMaxThreadsFlag] ("2x", "abc")
+ * prints a diagnostic and exits 2. Thread count never changes results,
+ * only wall-clock time.
  */
 void applyThreadsFlag(int argc, char** argv);
 

@@ -1,5 +1,6 @@
 /** Regression tests for the strict typed CLI flag parser
- *  (src/util/cli_flags.*): trailing garbage, range checks, unknown
+ *  (src/util/cli_flags.*) and the full-token number parser under it
+ *  (src/util/parse.*): trailing garbage, range checks, unknown
  *  flags — every malformed input must fail loudly with the valid
  *  flags listed, never fall back to a default. */
 #include <gtest/gtest.h>
@@ -8,6 +9,9 @@
 #include <vector>
 
 #include "util/cli_flags.h"
+#include "util/digest.h"
+#include "util/parse.h"
+#include "util/thread_pool.h"
 
 using namespace bolt;
 using util::CliArgs;
@@ -125,6 +129,80 @@ TEST(CliFlags, RejectsUnknownFlagsAndPositionals)
 
     EXPECT_FALSE(tryParse({"positional"}).first);
     EXPECT_FALSE(tryParse({"--requests"}).first); // missing value
+}
+
+TEST(CliFlags, PassthroughCollectsFlagsOutsideTheSpec)
+{
+    std::vector<std::string> tokens = {"--faults.arrivals", "0.1",
+                                       "--threads",         "2",
+                                       "stray",             "--servers"};
+    std::vector<char*> argv = {const_cast<char*>("prog"),
+                               const_cast<char*>("cmd")};
+    for (auto& t : tokens)
+        argv.push_back(t.data());
+    CliArgs args;
+    std::string err;
+    std::vector<std::string> rest;
+    ASSERT_TRUE(args.parse(static_cast<int>(argv.size()), argv.data(), 2,
+                           kSpec, kCommon, &err, &rest))
+        << err;
+    EXPECT_EQ(args.getInt("threads", 0), 2);
+    EXPECT_EQ(rest, (std::vector<std::string>{"--faults.arrivals", "0.1",
+                                              "stray", "--servers"}));
+    // Spec'd flags keep their strict validation.
+    tokens = {"--threads", "2x"};
+    argv.resize(2);
+    for (auto& t : tokens)
+        argv.push_back(t.data());
+    CliArgs strict;
+    EXPECT_FALSE(strict.parse(static_cast<int>(argv.size()), argv.data(),
+                              2, kSpec, kCommon, &err, &rest));
+}
+
+TEST(UtilParse, AcceptsWholeTokensOnly)
+{
+    long long i = -1;
+    uint64_t u = 0;
+    double d = 0.0;
+    EXPECT_TRUE(util::parseInt("-42", &i));
+    EXPECT_EQ(i, -42);
+    EXPECT_TRUE(util::parseUInt("18446744073709551615", &u));
+    EXPECT_EQ(u, UINT64_MAX);
+    EXPECT_TRUE(util::parseDouble("1e-3", &d));
+    EXPECT_EQ(d, 1e-3);
+    for (const char* bad : {"", "10x", " 5", "+5", "0x10", "1 2"}) {
+        long long before = i;
+        EXPECT_FALSE(util::parseInt(bad, &i)) << bad;
+        EXPECT_EQ(i, before) << "failed parse wrote *out";
+        EXPECT_FALSE(util::parseDouble(bad, &d)) << bad;
+    }
+    EXPECT_FALSE(util::parseUInt("-1", &u));
+    EXPECT_FALSE(util::parseUInt("18446744073709551616", &u));
+    for (const char* bad : {"inf", "nan", "1e999", "-inf"})
+        EXPECT_FALSE(util::parseDouble(bad, &d)) << bad;
+}
+
+TEST(UtilParse, Hex64PadsToSixteenDigits)
+{
+    EXPECT_EQ(util::hex64(0), "0000000000000000");
+    EXPECT_EQ(util::hex64(0xc21a1cdb71312d5full), "c21a1cdb71312d5f");
+    EXPECT_EQ(util::hex64(0xabcull), "0000000000000abc");
+}
+
+TEST(ThreadsFlag, MalformedValueExitsTwo)
+{
+    auto apply = [](const char* value) {
+        const char* raw[] = {"bench", "--threads", value, nullptr};
+        util::applyThreadsFlag(3, const_cast<char**>(raw));
+    };
+    for (const char* bad : {"2x", "abc", "-1", "99999", ""})
+        EXPECT_EXIT(apply(bad), ::testing::ExitedWithCode(2),
+                    "--threads expects an integer in \\[0, 512\\]")
+            << bad;
+    unsigned before = util::ThreadPool::globalThreads();
+    apply("1");
+    EXPECT_EQ(util::ThreadPool::globalThreads(), 1u);
+    util::ThreadPool::setGlobalThreads(before);
 }
 
 } // namespace

@@ -193,81 +193,6 @@ TEST_P(ObfuscationSweep, PressureStaysBounded)
 INSTANTIATE_TEST_SUITE_P(Amplitudes, ObfuscationSweep,
                          ::testing::Values(0.0, 0.1, 0.3, 0.5, 0.9));
 
-// ---------------------------------------------------------------------
-// Fault-flag parsing and validation: the logic behind bolt_cli's
-// --fault-* flags lives in src/fault so it can be unit-tested without
-// spawning the binary. The CLI's contract: unknown keys and
-// out-of-range values fail with a message, and a set of pure modifiers
-// (seed, spike-mag) with no fault rate enabled is rejected — it would
-// silently run an unfaulted experiment.
-// ---------------------------------------------------------------------
-
-TEST(FaultFlags, AppliesEveryKnownKey)
-{
-    fault::FaultPlan plan;
-    std::string err;
-    EXPECT_TRUE(fault::applyFaultFlag(plan, "arrivals", "0.25", &err));
-    EXPECT_TRUE(fault::applyFaultFlag(plan, "departures", "0.1", &err));
-    EXPECT_TRUE(fault::applyFaultFlag(plan, "phase-flips", "0.3", &err));
-    EXPECT_TRUE(fault::applyFaultFlag(plan, "dropouts", "0.05", &err));
-    EXPECT_TRUE(fault::applyFaultFlag(plan, "spikes", "0.02", &err));
-    EXPECT_TRUE(fault::applyFaultFlag(plan, "spike-mag", "50", &err));
-    EXPECT_TRUE(fault::applyFaultFlag(plan, "jitter", "0.08", &err));
-    EXPECT_TRUE(fault::applyFaultFlag(plan, "jitter-window", "15", &err));
-    EXPECT_TRUE(fault::applyFaultFlag(plan, "seed", "99", &err));
-    EXPECT_DOUBLE_EQ(plan.arrivalProb, 0.25);
-    EXPECT_DOUBLE_EQ(plan.departureProb, 0.1);
-    EXPECT_DOUBLE_EQ(plan.phaseFlipProb, 0.3);
-    EXPECT_DOUBLE_EQ(plan.dropoutProb, 0.05);
-    EXPECT_DOUBLE_EQ(plan.spikeProb, 0.02);
-    EXPECT_DOUBLE_EQ(plan.spikeMagnitude, 50.0);
-    EXPECT_DOUBLE_EQ(plan.capacityJitterAmp, 0.08);
-    EXPECT_DOUBLE_EQ(plan.capacityJitterWindowSec, 15.0);
-    EXPECT_EQ(plan.seed, 99u);
-    EXPECT_TRUE(plan.enabled());
-    EXPECT_TRUE(fault::validateFaultFlags(plan, true, &err));
-}
-
-TEST(FaultFlags, RejectsUnknownKeyWithValidList)
-{
-    fault::FaultPlan plan;
-    std::string err;
-    EXPECT_FALSE(fault::applyFaultFlag(plan, "dropout", "0.1", &err));
-    EXPECT_NE(err.find("unknown fault flag"), std::string::npos) << err;
-    // The message lists the valid flags so the typo is self-correcting.
-    EXPECT_NE(err.find("--fault-dropouts"), std::string::npos) << err;
-    EXPECT_FALSE(plan.enabled());
-}
-
-TEST(FaultFlags, RejectsOutOfRangeValues)
-{
-    fault::FaultPlan plan;
-    std::string err;
-    EXPECT_FALSE(fault::applyFaultFlag(plan, "arrivals", "1.5", &err));
-    EXPECT_FALSE(fault::applyFaultFlag(plan, "dropouts", "-0.1", &err));
-    EXPECT_FALSE(fault::applyFaultFlag(plan, "dropouts", "nope", &err));
-    EXPECT_FALSE(fault::applyFaultFlag(plan, "jitter", "1.0", &err));
-    EXPECT_FALSE(fault::applyFaultFlag(plan, "jitter-window", "0", &err));
-    EXPECT_FALSE(fault::applyFaultFlag(plan, "seed", "-3", &err));
-    EXPECT_FALSE(plan.enabled());
-}
-
-TEST(FaultFlags, ModifierOnlyPlanIsRejected)
-{
-    // --fault-seed / --fault-spike-mag alone enable nothing: the strict
-    // CLI treats that as an error (exit 2), not a silent no-op.
-    fault::FaultPlan plan;
-    std::string err;
-    ASSERT_TRUE(fault::applyFaultFlag(plan, "seed", "7", &err));
-    ASSERT_TRUE(fault::applyFaultFlag(plan, "spike-mag", "60", &err));
-    EXPECT_FALSE(plan.enabled());
-    EXPECT_FALSE(fault::validateFaultFlags(plan, true, &err));
-    EXPECT_NE(err.find("no fault is enabled"), std::string::npos) << err;
-    // With no --fault-* flag seen at all, an empty plan is fine.
-    fault::FaultPlan none;
-    EXPECT_TRUE(fault::validateFaultFlags(none, false, &err));
-}
-
 TEST(FaultPlan, ZeroRatePlanIsBitIdenticalToNoPlan)
 {
     // The inertness contract: a FaultPlan with every rate at zero must

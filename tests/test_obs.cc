@@ -592,4 +592,17 @@ TEST(ObsReport, ApplyObsFlagsConsumesFlagsAndRejectsBadLevel)
     }
 }
 
+TEST(ObsReport, TelemetryWindowRejectsNonFiniteAndMalformed)
+{
+    for (const char* bad : {"inf", "1e999", "nan", "0", "-1", "2x", ""}) {
+        const char* raw[] = {"prog", "--telemetry-window", bad, nullptr};
+        std::vector<char*> argv;
+        for (const char** p = raw; *p; ++p)
+            argv.push_back(const_cast<char*>(*p));
+        argv.push_back(nullptr);
+        int argc = 3;
+        EXPECT_FALSE(obs::applyObsFlags(argc, argv.data())) << bad;
+    }
+}
+
 } // namespace

@@ -11,6 +11,10 @@
  *    docs/SCENARIOS.md must list exactly the keys schemaKeys() accepts,
  *    and dump() must emit every leaf key (so the table, the compiler
  *    and the doc cannot drift apart)
+ *  - bolt_cli's flag front end (compileFlags): every stage kind
+ *    compiled from flags dumps, recompiles and runs (at toy sizes) to
+ *    the same graph and run digests, and every enum name table
+ *    round-trips and rejects a bogus name with the full valid list
  */
 #include <gtest/gtest.h>
 
@@ -18,6 +22,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
@@ -208,8 +213,8 @@ TEST(ScenarioCompile, ErrorGoldens)
               "bad.scn:5: unknown key 'probes' in attack stage "
               "(valid: stage, name, seed, kind, margin, top-resources, "
               "duration-sec)");
-    // Modifier-only fault plans would silently do nothing -> rejected,
-    // matching bolt_cli's --fault-* validation.
+    // Modifier-only fault plans (a seed or a spike magnitude with every
+    // rate at zero) would silently do nothing -> rejected.
     EXPECT_EQ(compileError("scenario: x\n"
                            "stages:\n"
                            "  - stage: experiment\n"
@@ -222,8 +227,48 @@ TEST(ScenarioCompile, ErrorGoldens)
                            "stages:\n"
                            "  - stage: experiment\n"
                            "    faults:\n"
+                           "      seed: 7\n"
+                           "      spike-mag: 60\n"),
+              "bad.scn:4: faults block enables no fault rate (set one "
+              "of: arrivals, departures, phase-flips, dropouts, "
+              "spikes, jitter)");
+    EXPECT_EQ(compileError("scenario: x\n"
+                           "stages:\n"
+                           "  - stage: experiment\n"
+                           "    faults:\n"
                            "      jitter: 1\n"),
               "bad.scn:5: value 1 for 'jitter' out of range [0, 1)");
+    // Unknown fault keys list the valid set so the typo self-corrects.
+    EXPECT_EQ(compileError("scenario: x\n"
+                           "stages:\n"
+                           "  - stage: experiment\n"
+                           "    faults:\n"
+                           "      dropout: 0.1\n"),
+              "bad.scn:5: unknown key 'dropout' in faults block (valid: "
+              "arrivals, departures, phase-flips, dropouts, spikes, "
+              "spike-mag, jitter, jitter-window, seed)");
+    // Fault rates are probabilities, windows positive, seeds unsigned.
+    const std::pair<const char*, const char*> kBadFaults[] = {
+        {"arrivals: 1.5", "value 1.5 for 'arrivals' out of range [0, 1]"},
+        {"dropouts: -0.1",
+         "value -0.1 for 'dropouts' out of range [0, 1]"},
+        {"dropouts: nope", "value 'nope' for 'dropouts' is not a number"},
+        {"spike-mag: 500",
+         "value 500 for 'spike-mag' out of range [0, 100]"},
+        {"jitter-window: 0",
+         "value 0 for 'jitter-window' out of range [0.001, 3600]"},
+        {"seed: -3", "value '-3' for 'seed' is not an unsigned integer"},
+    };
+    for (const auto& [line, message] : kBadFaults) {
+        EXPECT_EQ(compileError(std::string("scenario: x\n"
+                                           "stages:\n"
+                                           "  - stage: experiment\n"
+                                           "    faults:\n"
+                                           "      phase-flips: 0.1\n"
+                                           "      ") +
+                               line + "\n"),
+                  std::string("bad.scn:6: ") + message);
+    }
     // Ramps shape offered load; a closed loop ignores offered load.
     EXPECT_EQ(compileError("scenario: x\n"
                            "stages:\n"
@@ -593,6 +638,349 @@ TEST(ScenarioSchema, StageSeedsDeriveFromScenarioSeed)
     Scenario other = s;
     other.seed = 6;
     EXPECT_NE(s.graphDigest(), other.graphDigest());
+}
+
+// ---------------------------------------------------------- flag front end
+
+/** Compile flags expecting failure; returns the diagnostic. */
+std::string
+flagsError(const std::string& kind, const std::vector<std::string>& flags)
+{
+    Scenario s;
+    std::string err;
+    EXPECT_FALSE(scenario::compileFlags(kind, flags, &s, &err)) << kind;
+    return err;
+}
+
+TEST(ScenarioFlags, EveryStageKindDumpsRecompilesAndRunsIdentically)
+{
+    std::string child = ::testing::TempDir() + "/flags_child.scn";
+    writeFile(child, "scenario: child\n"
+                     "stages:\n"
+                     "  - stage: attack\n"
+                     "    kind: coresidency\n"
+                     "    probes: 2\n"
+                     "    waves: 1\n");
+    const std::pair<const char*, std::vector<std::string>> kCommands[] = {
+        {"experiment",
+         {"--servers", "2", "--victims", "3", "--seed", "5",
+          "--faults.dropouts", "0.1"}},
+        {"serve",
+         {"--requests", "60", "--qps", "500", "--arrival.shape",
+          "flash-crowd", "--arrival.segments", "2"}},
+        {"attack", {"--kind", "dos", "--duration-sec", "30"}},
+        {"attack", {"--kind", "coresidency", "--probes", "3", "--waves", "2"}},
+        {"fleet",
+         {"--hosts", "16", "--tenants", "32", "--epochs", "2", "--shards",
+          "2"}},
+        {"armsrace",
+         {"--servers", "8", "--reps", "1", "--probes", "2", "--waves", "1"}},
+        {"include", {"--path", child}},
+    };
+    for (const auto& [kind, flags] : kCommands) {
+        Scenario first;
+        std::string err;
+        ASSERT_TRUE(scenario::compileFlags(kind, flags, &first, &err))
+            << kind << ": " << err;
+        EXPECT_EQ(first.name, kind);
+        ASSERT_EQ(first.stages.size(), 1u);
+        std::string dumped = first.dump();
+        Scenario second;
+        ASSERT_TRUE(
+            scenario::compileText(dumped, "dumped.scn", &second, &err))
+            << kind << ": " << err << "\ndump was:\n"
+            << dumped;
+        EXPECT_EQ(first.graphDigest(), second.graphDigest()) << kind;
+        EXPECT_EQ(dumped, second.dump()) << kind;
+
+        std::ostringstream out_flags, out_dump;
+        auto a = scenario::runScenario(first, out_flags);
+        auto b = scenario::runScenario(second, out_dump);
+        EXPECT_EQ(a.digest, b.digest) << kind;
+        EXPECT_EQ(out_flags.str(), out_dump.str()) << kind;
+    }
+}
+
+TEST(ScenarioFlags, DottedKeysAndSeedMapOntoTheStage)
+{
+    Scenario s;
+    std::string err;
+    ASSERT_TRUE(scenario::compileFlags(
+        "experiment",
+        {"--seed", "1", "--faults.arrivals", "0.25", "--faults.departures",
+         "0.1", "--faults.phase-flips", "0.3", "--faults.dropouts", "0.05",
+         "--faults.spikes", "0.02", "--faults.spike-mag", "50",
+         "--faults.jitter", "0.08", "--faults.jitter-window", "15",
+         "--faults.seed", "99"},
+        &s, &err))
+        << err;
+    EXPECT_EQ(s.seed, 1u);
+    EXPECT_EQ(s.stages[0].seed, 1u);
+    const scenario::ExperimentStage& e = s.stages[0].experiment;
+    ASSERT_TRUE(e.hasFaults);
+    EXPECT_EQ(e.faults.arrivalProb, 0.25);
+    EXPECT_EQ(e.faults.departureProb, 0.1);
+    EXPECT_EQ(e.faults.phaseFlipProb, 0.3);
+    EXPECT_EQ(e.faults.dropoutProb, 0.05);
+    EXPECT_EQ(e.faults.spikeProb, 0.02);
+    EXPECT_EQ(e.faults.spikeMagnitude, 50.0);
+    EXPECT_EQ(e.faults.capacityJitterAmp, 0.08);
+    EXPECT_EQ(e.faults.capacityJitterWindowSec, 15.0);
+    EXPECT_EQ(e.faults.seed, 99u);
+    // Schema defaults, not the old per-command ones.
+    EXPECT_EQ(e.servers, 8);
+    EXPECT_EQ(e.victims, 20);
+}
+
+TEST(ScenarioFlags, RejectsWhatTheOldFrontEndSilentlyRan)
+{
+    // Each of these exited 0 and ran a default (or out-of-schema)
+    // configuration before the CLI compiled through the schema.
+    EXPECT_EQ(flagsError("experiment", {"--isolation", "bogus"}),
+              "flags:1: value 'bogus' for 'isolation' must be one of "
+              "none, pinning, net, mem, cache, core-full, core-only");
+    EXPECT_EQ(flagsError("experiment", {"--platform", "nope"}),
+              "flags:1: value 'nope' for 'platform' must be one of "
+              "baremetal, container, vm");
+    EXPECT_EQ(flagsError("experiment", {"--obfuscation", "50"}),
+              "flags:1: value 50 for 'obfuscation' out of range [0, 1]");
+    EXPECT_EQ(flagsError("experiment", {"--faults.spikes", "0.1",
+                                        "--faults.spike-mag", "500"}),
+              "flags:2: value 500 for 'spike-mag' out of range [0, 100]");
+    EXPECT_EQ(flagsError("experiment", {"--faults.seed", "7"}),
+              "flags:1: faults block enables no fault rate (set one of: "
+              "arrivals, departures, phase-flips, dropouts, spikes, "
+              "jitter)");
+    EXPECT_EQ(flagsError("serve", {"--requests", "10x"}),
+              "flags:1: value '10x' for 'requests' is not an integer");
+    EXPECT_EQ(flagsError("experiment", {"--serveurs", "9"}),
+              "flags:1: unknown key 'serveurs' in experiment stage "
+              "(valid: stage, name, seed, servers, victims, policy, "
+              "platform, isolation, obfuscation, faults)");
+    EXPECT_EQ(flagsError("armsrace", {"--util-levels", "40,60"}),
+              "flags:1: unknown key 'util-levels' in armsrace stage "
+              "(valid: stage, name, seed, allocator, attacker, servers, "
+              "probes, waves, reps, utilization)");
+    EXPECT_EQ(flagsError("armsrace", {"--utilization", "200"}),
+              "flags:1: value 200 for 'utilization' out of range [5, 90]");
+    EXPECT_EQ(flagsError("attack", {}),
+              "flags:1: missing required key 'kind' in attack stage");
+    // Flag-shape errors name the offending flag.
+    EXPECT_EQ(flagsError("fleet", {"--hosts"}),
+              "flags:1: flag '--hosts' requires a value");
+    EXPECT_EQ(flagsError("fleet", {"--hosts", "4", "8"}),
+              "flags:2: unexpected argument '8' (flags are --key value)");
+    // Values the text format cannot hold would break the dump round trip.
+    for (const char* value : {"", "x #y", "x ", "a\nb: c"}) {
+        EXPECT_EQ(flagsError("fleet", {"--name", value}),
+                  std::string("flags:1: value '") + value +
+                      "' for '--name' cannot be written in a scenario "
+                      "file");
+    }
+    for (const std::vector<std::string>& bad :
+         {std::vector<std::string>{"--hosts", "4", "--hosts", "8"},
+          std::vector<std::string>{"--stage", "serve"},
+          std::vector<std::string>{"--faults.", "1"}}) {
+        EXPECT_NE(flagsError(bad[0] == "--faults." ? "experiment" : "fleet",
+                             bad)
+                      .find("is malformed, repeated or conflicts"),
+                  std::string::npos)
+            << bad[0];
+    }
+}
+
+// Fault flags: bolt_cli's --faults.<key> flags compile through the same
+// faults block as a scenario file. Unknown keys and out-of-range values
+// fail with a message, and a set of pure modifiers (seed, spike-mag)
+// with no fault rate enabled is rejected — it would silently run an
+// unfaulted experiment.
+
+TEST(FaultFlags, RejectsUnknownKeyWithValidList)
+{
+    // The message lists the valid keys so the typo is self-correcting.
+    EXPECT_EQ(flagsError("experiment", {"--faults.dropout", "0.1"}),
+              "flags:1: unknown key 'dropout' in faults block (valid: "
+              "arrivals, departures, phase-flips, dropouts, spikes, "
+              "spike-mag, jitter, jitter-window, seed)");
+}
+
+TEST(FaultFlags, RejectsOutOfRangeValues)
+{
+    const std::pair<std::vector<std::string>, const char*> kBad[] = {
+        {{"--faults.arrivals", "1.5"},
+         "flags:1: value 1.5 for 'arrivals' out of range [0, 1]"},
+        {{"--faults.dropouts", "-0.1"},
+         "flags:1: value -0.1 for 'dropouts' out of range [0, 1]"},
+        {{"--faults.dropouts", "nope"},
+         "flags:1: value 'nope' for 'dropouts' is not a number"},
+        {{"--faults.jitter", "1.0"},
+         "flags:1: value 1 for 'jitter' out of range [0, 1)"},
+        {{"--faults.phase-flips", "0.1", "--faults.jitter-window", "0"},
+         "flags:2: value 0 for 'jitter-window' out of range "
+         "[0.001, 3600]"},
+        {{"--faults.phase-flips", "0.1", "--faults.seed", "-3"},
+         "flags:2: value '-3' for 'seed' is not an unsigned integer"},
+    };
+    for (const auto& [flags, message] : kBad)
+        EXPECT_EQ(flagsError("experiment", flags), message) << flags[0];
+}
+
+TEST(FaultFlags, ModifierOnlyPlanIsRejected)
+{
+    // --faults.seed / --faults.spike-mag alone enable nothing: the
+    // strict CLI treats that as an error (exit 2), not a silent no-op.
+    EXPECT_EQ(flagsError("experiment", {"--faults.seed", "7",
+                                        "--faults.spike-mag", "60"}),
+              "flags:1: faults block enables no fault rate (set one of: "
+              "arrivals, departures, phase-flips, dropouts, spikes, "
+              "jitter)");
+    // With no --faults.* flag at all the stage simply has no plan.
+    Scenario s;
+    std::string err;
+    ASSERT_TRUE(scenario::compileFlags("experiment", {}, &s, &err)) << err;
+    EXPECT_FALSE(s.stages[0].experiment.hasFaults);
+}
+
+/**
+ * One name table through the flag front end: every key compiles to its
+ * enumerator and back, and a bogus name fails with the full valid list.
+ */
+template <typename E, size_t N, typename Field>
+void
+expectNameTable(const util::EnumKey<E> (&table)[N], const char* kind,
+                std::vector<std::string> base, const std::string& flag,
+                Field field, const std::string& bogus_error)
+{
+    for (const util::EnumKey<E>& row : table) {
+        E back{};
+        ASSERT_TRUE(util::enumFromKey(table, row.key, &back)) << row.key;
+        EXPECT_EQ(back, row.value);
+        EXPECT_STREQ(util::enumKey(table, row.value), row.key);
+        std::vector<std::string> flags = base;
+        flags.insert(flags.end(), {"--" + flag, row.key});
+        Scenario s;
+        std::string err;
+        ASSERT_TRUE(scenario::compileFlags(kind, flags, &s, &err))
+            << row.key << ": " << err;
+        EXPECT_EQ(field(s.stages[0]), row.value) << row.key;
+    }
+    base.insert(base.end(), {"--" + flag, "bogus"});
+    EXPECT_EQ(flagsError(kind, base), bogus_error);
+}
+
+TEST(NameTables, Platform)
+{
+    expectNameTable(
+        sim::kPlatformKeys, "experiment", {}, "platform",
+        [](const scenario::Stage& st) { return st.experiment.platform; },
+        "flags:1: value 'bogus' for 'platform' must be one of baremetal, "
+        "container, vm");
+}
+
+TEST(NameTables, Isolation)
+{
+    expectNameTable(
+        sim::kIsolationKeys, "experiment", {}, "isolation",
+        [](const scenario::Stage& st) { return st.experiment.isolation; },
+        "flags:1: value 'bogus' for 'isolation' must be one of none, "
+        "pinning, net, mem, cache, core-full, core-only");
+    // Each rung builds the ladder config its factory builds.
+    using sim::IsolationConfig;
+    using sim::IsolationLevel;
+    auto same = [](const IsolationConfig& a, const IsolationConfig& b) {
+        return a.platform == b.platform &&
+               a.threadPinning == b.threadPinning &&
+               a.netBwPartitioning == b.netBwPartitioning &&
+               a.memBwPartitioning == b.memBwPartitioning &&
+               a.cachePartitioning == b.cachePartitioning &&
+               a.coreIsolation == b.coreIsolation;
+    };
+    auto p = sim::Platform::Container;
+    EXPECT_TRUE(same(IsolationConfig::forLevel(IsolationLevel::Cache, p),
+                     IsolationConfig::withCachePartitioning(p)));
+    EXPECT_TRUE(
+        same(IsolationConfig::forLevel(IsolationLevel::CoreOnly, p),
+             IsolationConfig::coreIsolationOnly(p)));
+    EXPECT_TRUE(same(IsolationConfig::forLevel(IsolationLevel::None, p),
+                     IsolationConfig::none(p)));
+}
+
+TEST(NameTables, Policy)
+{
+    expectNameTable(
+        core::kPolicyKeys, "experiment", {}, "policy",
+        [](const scenario::Stage& st) { return st.experiment.policy; },
+        "flags:1: value 'bogus' for 'policy' must be one of least-loaded, "
+        "quasar");
+}
+
+TEST(NameTables, Allocator)
+{
+    expectNameTable(
+        colo::kPolicyKindKeys, "armsrace", {}, "allocator",
+        [](const scenario::Stage& st) { return st.armsrace.allocator; },
+        "flags:1: value 'bogus' for 'allocator' must be one of "
+        "least-loaded, quasar, random, mab, secure");
+    // The key and the display label are separate columns.
+    EXPECT_STREQ(colo::policyName(colo::PolicyKind::Secure), "secure-opt");
+}
+
+TEST(NameTables, Attacker)
+{
+    expectNameTable(
+        colo::kAttackerKeys, "armsrace", {}, "attacker",
+        [](const scenario::Stage& st) { return st.armsrace.attacker; },
+        "flags:1: value 'bogus' for 'attacker' must be one of "
+        "replication, affinity, churn");
+}
+
+TEST(NameTables, AttackKind)
+{
+    expectNameTable(
+        scenario::kAttackKindKeys, "attack", {}, "kind",
+        [](const scenario::Stage& st) { return st.attack.kind; },
+        "flags:1: value 'bogus' for 'kind' must be one of dos, "
+        "coresidency");
+}
+
+TEST(NameTables, Loop)
+{
+    expectNameTable(
+        scenario::kLoopKindKeys, "serve", {}, "loop",
+        [](const scenario::Stage& st) { return st.serve.loop; },
+        "flags:1: value 'bogus' for 'loop' must be one of open, closed");
+}
+
+TEST(NameTables, ArrivalShape)
+{
+    expectNameTable(
+        scenario::kArrivalShapeKeys, "serve", {"--loop", "open"},
+        "arrival.shape",
+        [](const scenario::Stage& st) { return st.serve.shape; },
+        "flags:2: value 'bogus' for 'shape' must be one of steady, "
+        "flash-crowd, diurnal");
+}
+
+TEST(NameTables, StageKind)
+{
+    // The stage kind is the subcommand itself.
+    for (const auto& row : scenario::kStageKindKeys) {
+        std::vector<std::string> flags;
+        if (row.value == scenario::StageKind::Attack)
+            flags = {"--kind", "dos"};
+        if (row.value == scenario::StageKind::Include)
+            flags = {"--path", repoPath("scenarios/dos_blitz.scn")};
+        Scenario s;
+        std::string err;
+        ASSERT_TRUE(scenario::compileFlags(row.key, flags, &s, &err))
+            << row.key << ": " << err;
+        EXPECT_EQ(s.stages[0].kind, row.value);
+        EXPECT_STREQ(util::enumKey(scenario::kStageKindKeys, row.value),
+                     row.key);
+    }
+    EXPECT_EQ(flagsError("bogus", {}),
+              "flags:1: value 'bogus' for 'stage' must be one of "
+              "experiment, serve, attack, include, fleet, armsrace");
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the sim-time telemetry pipeline: the windowed
- * TimeSeriesRecorder, the mergeable QuantileSketch, and the SloMonitor
- * (obs/timeseries.h, obs/monitor.h).
+ * TimeSeriesRecorder, the mergeable QuantileSketch, the SloMonitor and
+ * the strict dump reader (obs/timeseries.h, obs/monitor.h,
+ * obs/report.h).
  *
  * The load-bearing properties: window assignment is exact at
  * boundaries, shard merging is a sum of integers so the JSONL export
@@ -11,6 +12,7 @@
  * deterministic pure function of the recorded data.
  */
 #include "obs/monitor.h"
+#include "obs/report.h"
 #include "obs/timeseries.h"
 
 #include <gtest/gtest.h>
@@ -437,4 +439,107 @@ TEST(SloMonitorRules, AlertsJsonlIsStable)
     EXPECT_EQ(os.str(), "{\"alert\":\"hot\",\"state\":\"firing\","
                         "\"window\":3,\"t\":3,\"value\":42.5,"
                         "\"epoch\":2}\n");
+}
+
+// ----------------------------------------------------------- dump reader
+
+TEST(TelemetryDump, WriterOutputRoundTripsThroughReader)
+{
+    TelemetryConfig cfg;
+    cfg.windowSec = 0.25;
+    TimeSeriesRecorder rec(cfg);
+    rec.setEnabled(true);
+    rec.sample(SeriesId::kServeQueueDepth, 0.1, 3.0);
+    rec.sample(SeriesId::kServeQueueDepth, 0.6, 5.0);
+    rec.count(SeriesId::kServeTenantRequests, "c7", 0.3, 4);
+    std::vector<obs::AlertEvent> alerts(2);
+    alerts[0].rule = "hot";
+    alerts[0].firing = true;
+    alerts[0].window = 2;
+    alerts[0].t = 0.5;
+    alerts[0].value = 5.0;
+    alerts[1].rule = "hot";
+    alerts[1].window = 9;
+    alerts[1].epoch = 3;
+
+    std::stringstream dump;
+    obs::TelemetrySnapshot snap = rec.snapshot();
+    obs::writeTelemetryJsonl(dump, snap);
+    obs::writeAlertsJsonl(dump, alerts);
+    obs::TelemetryDump back;
+    std::string err;
+    ASSERT_TRUE(obs::readTelemetryJsonl(dump, "t.jsonl", &back, &err))
+        << err;
+
+    EXPECT_EQ(back.windowSec, 0.25);
+    EXPECT_EQ(back.seriesDropped, 0u);
+    ASSERT_EQ(back.points.size(), snap.points.size());
+    for (size_t i = 0; i < snap.points.size(); ++i) {
+        const obs::SeriesPoint& want = snap.points[i];
+        const obs::TelemetryPointRecord& got = back.points[i];
+        EXPECT_EQ(got.series, obs::seriesInfo(want.id).name);
+        EXPECT_EQ(got.label, want.label);
+        EXPECT_EQ(got.window, want.window);
+        EXPECT_EQ(got.count, want.count);
+        EXPECT_EQ(got.sample, obs::seriesInfo(want.id).kind ==
+                                  obs::SeriesKind::Sample);
+        if (got.sample) {
+            EXPECT_EQ(got.mean, want.mean());
+            EXPECT_EQ(got.p99, want.sketch.percentile(99.0));
+        }
+    }
+    ASSERT_EQ(back.alerts.size(), 2u);
+    EXPECT_EQ(back.alerts[0].rule, "hot");
+    EXPECT_TRUE(back.alerts[0].firing);
+    EXPECT_EQ(back.alerts[0].window, 2);
+    EXPECT_EQ(back.alerts[0].t, 0.5);
+    EXPECT_EQ(back.alerts[0].value, 5.0);
+    EXPECT_FALSE(back.alerts[1].firing);
+    EXPECT_EQ(back.alerts[1].window, 9);
+    EXPECT_EQ(back.alerts[1].epoch, 3u);
+}
+
+TEST(TelemetryDump, MalformedNumbersFailWithFileAndLine)
+{
+    const std::string header =
+        "{\"bolt_telemetry\":1,\"window_sec\":1,\"series_dropped\":0}\n";
+    struct Case
+    {
+        std::string line;
+        std::string error;
+    };
+    const Case kCases[] = {
+        {"{\"series\":\"serve.queue_depth\",\"window\":zz,\"count\":7x,"
+         "\"mean\":\"abc\"}",
+         "d.jsonl:2: field 'window' value 'zz' is not a number"},
+        {"{\"series\":\"serve.queue_depth\",\"window\":1,\"count\":7x}",
+         "d.jsonl:2: field 'count' value '7x' is not a number"},
+        {"{\"series\":\"serve.queue_depth\",\"window\":1,\"count\":7,"
+         "\"mean\":\"abc\"}",
+         "d.jsonl:2: field 'mean' value 'abc' is not a number"},
+        {"{\"series\":\"serve.queue_depth\",\"count\":7}",
+         "d.jsonl:2: missing field 'window'"},
+        {"{\"alert\":\"hot\",\"state\":\"firing\",\"window\":1e3}",
+         "d.jsonl:2: field 'window' value '1e3' is not a number"},
+        {"{\"alert\":\"hot\",\"state\":\"burning\",\"window\":1}",
+         "d.jsonl:2: alert state 'burning' is not firing or resolved"},
+        {"{\"series\":\"x\",\"window\":1,\"count\":1",
+         "d.jsonl:2: malformed telemetry line"},
+        {"{\"other\":1}", "d.jsonl:2: unrecognized telemetry line"},
+    };
+    for (const Case& c : kCases) {
+        std::istringstream in(header + c.line + "\n");
+        obs::TelemetryDump dump;
+        std::string err;
+        EXPECT_FALSE(obs::readTelemetryJsonl(in, "d.jsonl", &dump, &err))
+            << c.line;
+        EXPECT_EQ(err, c.error);
+    }
+    std::istringstream not_telemetry("scenario: x\n");
+    obs::TelemetryDump dump;
+    std::string err;
+    EXPECT_FALSE(
+        obs::readTelemetryJsonl(not_telemetry, "d.jsonl", &dump, &err));
+    EXPECT_EQ(err, "d.jsonl:1: not a bolt telemetry dump (missing "
+                   "bolt_telemetry header)");
 }
