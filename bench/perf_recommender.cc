@@ -8,9 +8,6 @@
  *    a mixed analyze/decompose workload single- and multi-threaded and
  *    writes machine-readable BENCH_recommender.json (p50/p99 latency,
  *    queries/sec, and a bit-exact digest of every query's outputs).
- *    The harness also sweeps analyzeBatch() over batch sizes 1-64
- *    (`batched.batch_size_sweep`) and gates that the batched path folds
- *    to the same digest as per-query analyze().
  *
  * The digest folds the raw IEEE-754 bytes of every ranking score,
  *    margin, fitted level, reconstructed coordinate, decomposition part
@@ -31,7 +28,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -316,13 +312,6 @@ struct HarnessResult
     unsigned mtThreads = 0;
     uint64_t digest = 0;     ///< Single-thread output digest.
     uint64_t mtDigest = 0;   ///< Multi-thread output digest (must match).
-
-    /** Analyze-only throughput with the whole mix in one batch call. */
-    double batchedQps = 0.0;
-    /** (batch size, analyze queries/sec) for each swept batch size. */
-    std::vector<std::pair<size_t, double>> batchSweep;
-    /** analyzeBatch outputs fold to the same digest as analyze(). */
-    bool batchDigestOk = false;
 };
 
 HarnessResult
@@ -397,51 +386,6 @@ runHarness(size_t reps)
     res.mtDigest = mt.h;
     res.digest = st.h;
     res.mtQps = static_cast<double>(queries.size()) / best_mt;
-
-    // Batched analyze: the mix's analyze queries pushed through
-    // analyzeBatch() at increasing batch sizes, single-threaded. The
-    // speedup over batch size 1 is pure kernel blocking — same thread,
-    // same queries, the Pearson ranking term computed as one Q x E
-    // block per call instead of Q row sweeps.
-    const auto& rec = *trained().recommender;
-    std::vector<core::SparseObservation> analyze_obs;
-    for (const auto& q : queries)
-        if (!q.isDecompose)
-            analyze_obs.push_back(q.obs);
-    const size_t sweep_sizes[] = {1, 2, 4, 8, 16, 32, 64};
-    size_t sink = 0;
-    for (size_t bs : sweep_sizes) {
-        double best = 1e300;
-        for (size_t rep = 0; rep < reps; ++rep) {
-            auto t0 = clock::now();
-            for (size_t i = 0; i < analyze_obs.size(); i += bs) {
-                size_t n = std::min(bs, analyze_obs.size() - i);
-                sink += rec.analyzeBatch(
-                               std::span<const core::SparseObservation>(
-                                   analyze_obs.data() + i, n))
-                            .size();
-            }
-            best = std::min(
-                best,
-                std::chrono::duration<double>(clock::now() - t0).count());
-        }
-        res.batchSweep.emplace_back(
-            bs, static_cast<double>(analyze_obs.size()) / best);
-    }
-    res.batchedQps = res.batchSweep.back().second;
-    if (sink != analyze_obs.size() * std::size(sweep_sizes) * reps)
-        res.batchedQps = 0.0; // lost queries: report as broken
-
-    // Bit-equality gate: one full-mix batch must fold to the same
-    // digest as the per-query analyze() path, in query order.
-    auto batched = rec.analyzeBatch(
-        std::span<const core::SparseObservation>(analyze_obs));
-    Digest batch_dig, solo_dig;
-    for (const auto& one : batched)
-        foldAnalyze(batch_dig, one);
-    for (const auto& obs : analyze_obs)
-        foldAnalyze(solo_dig, rec.analyze(obs));
-    res.batchDigestOk = batch_dig.h == solo_dig.h;
     return res;
 }
 
@@ -550,21 +494,7 @@ jsonMode(const std::string& json_path, const std::string& golden_path,
        << "  \"multi_thread\": {\n"
        << "    \"threads\": " << r.mtThreads << ",\n"
        << "    \"queries_per_sec\": " << r.mtQps << "\n"
-       << "  },\n"
-       << "  \"batched\": {\n"
-       << "    \"batched_qps\": " << r.batchedQps << ",\n"
-       << "    \"digest_matches_analyze\": "
-       << (r.batchDigestOk ? "true" : "false") << ",\n"
-       << "    \"speedup_vs_baseline_st\": "
-       << (g.baselineStQps > 0.0 ? r.batchedQps / g.baselineStQps : 0.0)
-       << ",\n"
-       << "    \"batch_size_sweep\": [";
-    for (size_t i = 0; i < r.batchSweep.size(); ++i) {
-        js << (i ? ", " : "") << "{\"batch_size\": "
-           << r.batchSweep[i].first
-           << ", \"queries_per_sec\": " << r.batchSweep[i].second << "}";
-    }
-    js << "]\n  },\n";
+       << "  },\n";
 
     // Query-path internals from the metrics registry, over every query
     // the harness ran (timed reps, both thread modes, digest passes).
@@ -621,11 +551,6 @@ jsonMode(const std::string& json_path, const std::string& golden_path,
     if (!mt_ok) {
         std::cerr << "FAIL: multi-thread digest diverges from "
                      "single-thread digest\n";
-        return 1;
-    }
-    if (!r.batchDigestOk) {
-        std::cerr << "FAIL: analyzeBatch digest diverges from "
-                     "per-query analyze digest\n";
         return 1;
     }
     return 0;

@@ -1,10 +1,20 @@
 #!/usr/bin/env bash
 # Full verification: build + ctest in the plain configuration, then
 # again under ThreadSanitizer (BOLT_SANITIZE=thread) to vet the thread
-# pool and the parallel experiment engine. Finally a Release build runs
-# the recommender query-path benchmark, which fails if its output
-# digest diverges from the committed golden (bench/BENCH_recommender.golden)
-# and writes throughput/latency numbers to BENCH_recommender.json.
+# pool and the parallel experiment engine, under AddressSanitizer
+# (address) and under UndefinedBehaviorSanitizer (undefined). The
+# sanitizer legs run with UBSAN_OPTIONS=halt_on_error=1, so any report
+# fails the leg. Finally a Release build runs the recommender
+# query-path benchmark, which fails if its output digest diverges from
+# the committed golden (bench/BENCH_recommender.golden) and writes
+# throughput/latency numbers to BENCH_recommender.json.
+#
+# There is one build configuration per sanitizer, not per kernel
+# backend: every x86-64 build carries the AVX2 kernels and selects them
+# at startup when the CPU supports AVX2, so on such a CPU every stage
+# below runs the AVX2 backend against goldens that the scalar backend
+# reproduces too. The scalar-vs-AVX2 bit-equality tests
+# (tests/test_kernels.cc) run in every ctest.
 #
 # The --obs stage asserts the observability contract: running the same
 # experiment with metrics+tracing enabled vs disabled, at 1 and 8
@@ -57,14 +67,13 @@
 # counts. Pass --update after --armsrace to regenerate the golden
 # instead of diffing it.
 #
-# The --simd stage asserts the kernel-backend determinism contract: a
-# Release build with -DBOLT_SIMD=ON must pass its test suite (including
-# the scalar-vs-AVX2 bit-equality tests in tests/test_kernels.cc) and
-# must reproduce the scalar build's perf_recommender digest and
-# perf_serving sweep byte-for-byte. On hardware without AVX2 the SIMD
-# build falls back to the scalar backend and the gate still holds.
+# The --paper stage asserts the paper-artifact contract: Table 1
+# (table1_detection_accuracy) prints byte-identical stdout at 1 and 4
+# threads that matches its committed golden (bench/BENCH_table1.golden),
+# so no number EXPERIMENTS.md quotes from it can drift silently. Pass
+# --update after --paper to regenerate the golden instead of diffing it.
 #
-# Usage: scripts/check.sh [--plain-only|--tsan-only|--obs|--fault|--serve|--scenario [--update]|--telemetry|--fleet [--update]|--armsrace [--update]|--simd|--bench-only]
+# Usage: scripts/check.sh [--plain-only|--tsan-only|--asan-only|--ubsan-only|--obs|--fault|--serve|--scenario [--update]|--telemetry|--fleet [--update]|--armsrace [--update]|--paper [--update]|--bench-only]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -89,6 +98,18 @@ fi
 if [[ "${mode}" == "--tsan-only" || "${mode}" == "all" ]]; then
     # TSan slows execution ~5-15x; the suite still finishes in minutes.
     run_config build-tsan -DBOLT_SANITIZE=thread
+fi
+
+# Any UBSan report aborts the test that triggered it (with a stack), so
+# a report fails the leg instead of scrolling past.
+if [[ "${mode}" == "--asan-only" || "${mode}" == "all" ]]; then
+    UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+        run_config build-asan -DBOLT_SANITIZE=address
+fi
+
+if [[ "${mode}" == "--ubsan-only" || "${mode}" == "all" ]]; then
+    UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+        run_config build-ubsan -DBOLT_SANITIZE=undefined
 fi
 
 if [[ "${mode}" == "--obs" || "${mode}" == "all" ]]; then
@@ -552,46 +573,33 @@ if [[ "${mode}" == "--armsrace" || "${mode}" == "all" ]]; then
     echo "Arms-race gate passed."
 fi
 
-if [[ "${mode}" == "--simd" || "${mode}" == "all" ]]; then
-    echo "== SIMD backend equivalence gate =="
+if [[ "${mode}" == "--paper" || "${mode}" == "all" ]]; then
+    echo "== Paper artifact gate =="
     cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
     cmake --build build-release -j "$(nproc)" \
-        --target perf_recommender perf_serving
-    cmake -B build-simd -S . -DCMAKE_BUILD_TYPE=Release \
-        -DBOLT_SIMD=ON >/dev/null
-    cmake --build build-simd -j "$(nproc)"
-    echo "-- SIMD build test suite (incl. scalar-vs-AVX2 bit equality) --"
-    ctest --test-dir build-simd --output-on-failure -j "$(nproc)" -L tier1
-    simd_dir="$(mktemp -d)"
-    trap 'rm -rf "${obs_dir:-}" "${fault_dir:-}" "${serve_dir:-}" "${scn_dir:-}" "${tel_dir:-}" "${simd_dir:-}"' EXIT
+        --target table1_detection_accuracy
+    paper_dir="$(mktemp -d)"
+    trap 'rm -rf "${obs_dir:-}" "${fault_dir:-}" "${serve_dir:-}" "${scn_dir:-}" "${tel_dir:-}" "${fleet_dir:-}" "${ar_dir:-}" "${paper_dir:-}"' EXIT
+    golden=bench/BENCH_table1.golden
 
-    # The recommender query digest must be byte-identical across
-    # backends (each run is also gated against the committed golden).
-    echo "-- scalar vs SIMD: perf_recommender digest --"
-    ./build-release/bench/perf_recommender --reps 1 \
-        --json "${simd_dir}/rec_scalar.json" \
-        --golden bench/BENCH_recommender.golden >/dev/null
-    ./build-simd/bench/perf_recommender --reps 1 \
-        --json "${simd_dir}/rec_simd.json" \
-        --golden bench/BENCH_recommender.golden >/dev/null
-    if ! diff <(grep '"digest' "${simd_dir}/rec_scalar.json") \
-              <(grep '"digest' "${simd_dir}/rec_simd.json"); then
-        echo "FAIL: perf_recommender digests differ between scalar and" \
-             "SIMD builds" >&2
+    # Table 1 is Sim-class stdout: byte-identical at any thread count.
+    for threads in 1 4; do
+        ./build-release/bench/table1_detection_accuracy \
+            --threads "${threads}" --log-level error \
+            > "${paper_dir}/table1_${threads}.txt"
+    done
+    if ! diff -u "${paper_dir}/table1_1.txt" "${paper_dir}/table1_4.txt"; then
+        echo "FAIL: table1 output differs between 1 and 4 threads" >&2
         exit 1
     fi
-
-    # The full serving sweep (Sim-class stdout) must match byte-for-byte.
-    echo "-- scalar vs SIMD: perf_serving sweep --"
-    ./build-release/bench/perf_serving > "${simd_dir}/sweep_scalar.txt"
-    ./build-simd/bench/perf_serving > "${simd_dir}/sweep_simd.txt"
-    if ! diff -u "${simd_dir}/sweep_scalar.txt" \
-                 "${simd_dir}/sweep_simd.txt"; then
-        echo "FAIL: perf_serving sweep differs between scalar and SIMD" \
-             "builds" >&2
+    if [[ "${2:-}" == "--update" ]]; then
+        cp "${paper_dir}/table1_1.txt" "${golden}"
+    elif ! diff -u "${golden}" "${paper_dir}/table1_1.txt"; then
+        echo "FAIL: table1 output diverged from ${golden}" \
+             "(regenerate intentionally with --paper --update)" >&2
         exit 1
     fi
-    echo "SIMD gate passed."
+    echo "Paper artifact gate passed."
 fi
 
 if [[ "${mode}" == "--bench-only" || "${mode}" == "all" ]]; then

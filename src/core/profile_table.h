@@ -29,7 +29,7 @@ namespace core {
  *
  * Storage is three structure-of-arrays matrices (linalg::SoaMatrix):
  * one aligned, block-padded column per resource, entries contiguous
- * within a column. The batched fit/prune kernels in linalg/kernels.h
+ * within a column. The blocked fit/prune kernels in linalg/kernels.h
  * stream these columns directly (baseCol/loCol/hiCol); the scalar
  * accessors keep their exact pre-SoA semantics.
  */

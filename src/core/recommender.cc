@@ -96,9 +96,7 @@ struct QueryScratch
     std::array<linalg::FitCoord, linalg::kMaxFitCoords> fitCoords;
     linalg::AlignedVector levels; ///< Fitted level per entry, padded.
     linalg::AlignedVector scores; ///< Deviation per entry, padded.
-    linalg::AlignedVector pearsonRow;   ///< 1 x paddedEntries.
-    linalg::AlignedVector batchRows;    ///< Q x n completed victim rows.
-    linalg::AlignedVector batchPearson; ///< Q x paddedEntries.
+    linalg::AlignedVector pearsonRow; ///< Pearson per entry, padded.
 
     // decompose() working state.
     std::vector<std::pair<double, size_t>> shortlist;
@@ -434,7 +432,6 @@ HybridRecommender::completeRow(const SparseObservation& observation,
 void
 HybridRecommender::finishAnalyze(const SparseObservation& observation,
                                  QueryScratch& s,
-                                 const double* pearson_row,
                                  SimilarityResult& result) const
 {
     const linalg::Matrix& a = training_.matrix();
@@ -482,6 +479,8 @@ HybridRecommender::finishAnalyze(const SparseObservation& observation,
     s.levels.resize(table_.paddedEntries());
     s.scores.resize(table_.paddedEntries());
     linalg::fitLevelsAndScore(fit, m, s.levels.data(), s.scores.data());
+    s.pearsonRow.resize(pearson_.centered.paddedRows());
+    linalg::pearsonRow(pearson_, full_row.data(), s.pearsonRow.data());
 
     // With Upper (aggregate) entries present, the completed full_row is
     // contaminated by the other co-residents, so the Pearson shape term
@@ -492,7 +491,7 @@ HybridRecommender::finishAnalyze(const SparseObservation& observation,
     result.ranking.reserve(m);
     for (size_t r = 0; r < m; ++r) {
         double direct = std::exp(-s.scores[r] / kMatchDistanceScale);
-        double pearson = std::max(0.0, pearson_row[r]);
+        double pearson = std::max(0.0, s.pearsonRow[r]);
         result.ranking.emplace_back(
             r, direct_weight * direct + (1.0 - direct_weight) * pearson);
     }
@@ -590,70 +589,8 @@ HybridRecommender::analyze(const SparseObservation& observation) const
     QueryScratch& s = *lease;
     unpackObservation(observation, resourceWeights_, s);
     completeRow(observation, s);
-    s.pearsonRow.resize(pearson_.centered.paddedRows());
-    linalg::pearsonBatch(pearson_, s.fullRow.data(), 1,
-                         s.pearsonRow.data());
-    finishAnalyze(observation, s, s.pearsonRow.data(), result);
+    finishAnalyze(observation, s, result);
     return result;
-}
-
-std::vector<SimilarityResult>
-HybridRecommender::analyzeBatch(
-    std::span<const SparseObservation> observations) const
-{
-    std::vector<SimilarityResult> results(observations.size());
-    if (observations.empty())
-        return results;
-
-    auto& metrics = obs::MetricsRegistry::global();
-    bool timed = metrics.enabled();
-    std::chrono::steady_clock::time_point start;
-    if (timed)
-        start = std::chrono::steady_clock::now();
-
-    size_t q_count = observations.size();
-    size_t n = training_.matrix().cols();
-
-    ScratchLease lease(*this);
-    QueryScratch& s = *lease;
-
-    // Pass 1 — per-query victim-row completion into the batch block.
-    s.batchRows.resize(q_count * n);
-    for (size_t q = 0; q < q_count; ++q) {
-        metrics.add(obs::MetricId::kRecommenderAnalyzeCalls);
-        unpackObservation(observations[q], resourceWeights_, s);
-        completeRow(observations[q], s);
-        std::copy(s.fullRow.begin(), s.fullRow.end(),
-                  s.batchRows.begin() + static_cast<long>(q * n));
-    }
-
-    // Pass 2 — the whole batch's Pearson ranking terms as one blocked
-    // Q x entries sweep over the hoisted table.
-    size_t padded = pearson_.centered.paddedRows();
-    s.batchPearson.resize(q_count * padded);
-    linalg::pearsonBatch(pearson_, s.batchRows.data(), q_count,
-                         s.batchPearson.data());
-
-    // Pass 3 — per-query ranking and augmentation.
-    for (size_t q = 0; q < q_count; ++q) {
-        unpackObservation(observations[q], resourceWeights_, s);
-        s.fullRow.assign(
-            s.batchRows.begin() + static_cast<long>(q * n),
-            s.batchRows.begin() + static_cast<long>((q + 1) * n));
-        finishAnalyze(observations[q], s, s.batchPearson.data() + q * padded,
-                      results[q]);
-    }
-
-    if (timed) {
-        double us = std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-        double per_query = us / static_cast<double>(q_count);
-        for (size_t q = 0; q < q_count; ++q)
-            metrics.observe(obs::MetricId::kRecommenderAnalyzeWallUs,
-                            per_query);
-    }
-    return results;
 }
 
 Decomposition

@@ -7,8 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include <span>
-
 #include "core/observation.h"
 #include "core/profile_table.h"
 #include "core/training.h"
@@ -159,20 +157,6 @@ class HybridRecommender
     SimilarityResult analyze(const SparseObservation& observation) const;
 
     /**
-     * Analyze a micro-batch of sparse signals in one pass. Results are
-     * bit-identical to calling analyze() per observation, in order: the
-     * per-query stages (SGD completion, level fits, ranking) run
-     * sequentially through the same code, and the one batched stage —
-     * the weighted-Pearson ranking term — computes each (query, entry)
-     * correlation in the reference accumulation order (see
-     * linalg::pearsonBatch). Batching exists purely to turn the
-     * ranking's Q x E similarity block into blocked column-major work
-     * over the hoisted Pearson table instead of Q separate sweeps.
-     */
-    std::vector<SimilarityResult>
-    analyzeBatch(std::span<const SparseObservation> observations) const;
-
-    /**
      * Explain an aggregate observation as the sum of up to `max_parts`
      * previously-seen applications (Section 3.3): uncore readings are
      * the sum of every co-resident's pressure; core readings belong to
@@ -233,13 +217,12 @@ class HybridRecommender
     void completeRow(const SparseObservation& observation,
                      QueryScratch& s) const;
     /**
-     * Stage 2 of analyze(): content ranking, augmentation and
-     * distribution, consuming s.fullRow and this query's row of the
-     * batched Pearson output.
+     * Stage 2 of analyze(): content ranking (level fit and weighted
+     * Pearson against every entry), augmentation and distribution,
+     * consuming s.fullRow.
      */
     void finishAnalyze(const SparseObservation& observation,
-                       QueryScratch& s, const double* pearson_row,
-                       SimilarityResult& result) const;
+                       QueryScratch& s, SimilarityResult& result) const;
 
     const TrainingSet& training_;
     RecommenderConfig config_;

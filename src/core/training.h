@@ -83,7 +83,7 @@ class TrainingSet
 
     /**
      * The same profiles in structure-of-arrays form: one aligned,
-     * block-padded column per resource, for the batched kernels in
+     * block-padded column per resource, for the blocked kernels in
      * linalg/kernels.h (buildPearsonTable streams these columns).
      * Cached alongside matrix(); invalidated by add().
      */

@@ -54,40 +54,34 @@ predictAt(double base, bool capacity, double floor_, double level)
 namespace scalar_kernels {
 
 void
-pearsonBatch(const PearsonTable& t, const double* queries,
-             size_t query_count, double* out)
+pearsonRow(const PearsonTable& t, const double* query, double* out)
 {
     const size_t padded = t.centered.paddedRows();
     const size_t n = t.lanes;
-    for (size_t q = 0; q < query_count; ++q) {
-        const double* query = queries + q * n;
-        double* row = out + q * padded;
-        if (t.wsum <= 0.0) {
-            std::fill(row, row + padded, 0.0);
-            continue;
-        }
-        // Query-side mean/variance, accumulated exactly like the
-        // reference's joint loops (each accumulator is independent, so
-        // splitting them preserves the bits).
-        double ma = 0.0;
+    if (t.wsum <= 0.0) {
+        std::fill(out, out + padded, 0.0);
+        return;
+    }
+    // Query-side mean/variance, accumulated exactly like the reference's
+    // joint loops (each accumulator is independent, so splitting them
+    // preserves the bits).
+    double ma = 0.0;
+    for (size_t i = 0; i < n; ++i)
+        ma += t.weights[i] * query[i];
+    ma /= t.wsum;
+    double s[kMaxFitCoords];
+    double va = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+        double da = query[i] - ma;
+        s[i] = t.weights[i] * da;
+        va += s[i] * da;
+    }
+    for (size_t e = 0; e < padded; ++e) {
+        double cov = 0.0;
         for (size_t i = 0; i < n; ++i)
-            ma += t.weights[i] * query[i];
-        ma /= t.wsum;
-        double s[kMaxFitCoords];
-        double va = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-            double da = query[i] - ma;
-            s[i] = t.weights[i] * da;
-            va += s[i] * da;
-        }
-        for (size_t e = 0; e < padded; ++e) {
-            double cov = 0.0;
-            for (size_t i = 0; i < n; ++i)
-                cov += s[i] * t.centered.col(i)[e];
-            double vb = t.variance[e];
-            row[e] =
-                (va <= 0.0 || vb <= 0.0) ? 0.0 : cov / std::sqrt(va * vb);
-        }
+            cov += s[i] * t.centered.col(i)[e];
+        double vb = t.variance[e];
+        out[e] = (va <= 0.0 || vb <= 0.0) ? 0.0 : cov / std::sqrt(va * vb);
     }
 }
 
@@ -247,13 +241,13 @@ widenFit(const WidenSpec& spec, size_t cand_count, double* dist,
 } // namespace scalar_kernels
 
 // ---------------------------------------------------------------------
-// AVX2 backend (compiled only under BOLT_SIMD; see kernels_avx2.cc)
+// AVX2 backend (x86-64 only; see kernels_avx2.cc). Its functions carry
+// target("avx2"), so they may only run once the CPU has reported AVX2.
 // ---------------------------------------------------------------------
 
-#if defined(BOLT_SIMD)
+#if defined(__x86_64__)
 namespace avx2_kernels {
-bool cpuSupported();
-void pearsonBatch(const PearsonTable&, const double*, size_t, double*);
+void pearsonRow(const PearsonTable&, const double*, double*);
 void fitLevelsAndScore(const FitSpec&, size_t, double*, double*);
 void pruneBounds(const PruneCoord*, size_t, size_t, double*);
 void widenFit(const WidenSpec&, size_t, double*, double*);
@@ -266,14 +260,22 @@ void widenFit(const WidenSpec&, size_t, double*, double*);
 
 namespace {
 
+bool
+cpuHasAvx2()
+{
+#if defined(__x86_64__)
+    // Idempotent; keeps the check valid even before static constructors.
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
+#else
+    return false;
+#endif
+}
+
 KernelBackend
 defaultBackend()
 {
-#if defined(BOLT_SIMD)
-    if (avx2_kernels::cpuSupported())
-        return KernelBackend::Avx2;
-#endif
-    return KernelBackend::Scalar;
+    return cpuHasAvx2() ? KernelBackend::Avx2 : KernelBackend::Scalar;
 }
 
 std::atomic<KernelBackend>&
@@ -298,11 +300,7 @@ kernelBackendAvailable(KernelBackend b)
     case KernelBackend::Scalar:
         return true;
     case KernelBackend::Avx2:
-#if defined(BOLT_SIMD)
-        return avx2_kernels::cpuSupported();
-#else
-        return false;
-#endif
+        return cpuHasAvx2();
     }
     return false;
 }
@@ -353,16 +351,15 @@ buildPearsonTable(const SoaMatrix& rows, std::span<const double> weights)
 }
 
 void
-pearsonBatch(const PearsonTable& table, const double* queries,
-             size_t query_count, double* out)
+pearsonRow(const PearsonTable& table, const double* query, double* out)
 {
-#if defined(BOLT_SIMD)
+#if defined(__x86_64__)
     if (activeKernelBackend() == KernelBackend::Avx2) {
-        avx2_kernels::pearsonBatch(table, queries, query_count, out);
+        avx2_kernels::pearsonRow(table, query, out);
         return;
     }
 #endif
-    scalar_kernels::pearsonBatch(table, queries, query_count, out);
+    scalar_kernels::pearsonRow(table, query, out);
 }
 
 void
@@ -371,7 +368,7 @@ fitLevelsAndScore(const FitSpec& spec, size_t entry_count, double* levels,
 {
     if (spec.coordCount > kMaxFitCoords)
         throw std::invalid_argument("fitLevelsAndScore: too many coords");
-#if defined(BOLT_SIMD)
+#if defined(__x86_64__)
     if (activeKernelBackend() == KernelBackend::Avx2) {
         avx2_kernels::fitLevelsAndScore(spec, entry_count, levels, scores);
         return;
@@ -386,7 +383,7 @@ pruneBounds(const PruneCoord* coords, size_t coord_count,
 {
     if (coord_count > kMaxFitCoords)
         throw std::invalid_argument("pruneBounds: too many coords");
-#if defined(BOLT_SIMD)
+#if defined(__x86_64__)
     if (activeKernelBackend() == KernelBackend::Avx2) {
         avx2_kernels::pruneBounds(coords, coord_count, entry_count,
                                   bounds);
@@ -403,7 +400,7 @@ widenFit(const WidenSpec& spec, size_t cand_count, double* dist,
     if (spec.coordCount > kMaxFitCoords ||
         spec.partCount > kMaxWidenParts || spec.partCount == 0)
         throw std::invalid_argument("widenFit: shape out of range");
-#if defined(BOLT_SIMD)
+#if defined(__x86_64__)
     if (activeKernelBackend() == KernelBackend::Avx2) {
         avx2_kernels::widenFit(spec, cand_count, dist, levels);
         return;

@@ -12,26 +12,29 @@ namespace bolt {
 namespace linalg {
 
 /**
- * Batched, blocked kernels for the recommender's serve-path math.
+ * Blocked kernels for the recommender's serve-path math.
  *
  * The recommender ranks a query against every training entry with the
  * same few inner loops: a weighted-Pearson pass, a ternary level-fit of
  * the load-scaling law, a lower-bound prune test, and a multi-part
  * coordinate-descent refit. This header turns each of those loops
  * inside out — entries become the innermost dimension, processed in
- * fixed-width blocks over structure-of-arrays columns — so a micro-batch
- * of queries against E entries is GEMM-shaped blocked work instead of
- * Q x E scalar matvecs.
+ * fixed-width blocks over structure-of-arrays columns — so one query
+ * against E entries is blocked column work instead of E scalar passes.
  *
  * Determinism contract: every kernel is *bit-identical* to the scalar
  * reference loops it replaces. Entries are independent output lanes, so
- * blocking (and the optional AVX2 backend) only evaluates independent
- * lanes side by side; no reduction is ever reassociated, every
- * per-entry accumulation keeps the reference coordinate order, and the
- * AVX2 translation unit is compiled with FMA contraction disabled so a
- * vector lane executes exactly the scalar instruction stream. The
- * scalar backend is the golden reference; tests/test_kernels.cc holds
- * the bit-equality suite.
+ * blocking (and the AVX2 backend) only evaluates independent lanes side
+ * by side; no reduction is ever reassociated, every per-entry
+ * accumulation keeps the reference coordinate order, and the AVX2
+ * functions are compiled without FMA (neither the target nor
+ * contraction allows it) so a vector lane executes exactly the scalar
+ * instruction stream. The scalar backend is the golden reference;
+ * tests/test_kernels.cc holds the bit-equality suite.
+ *
+ * Backend selection: the AVX2 backend is part of every x86-64 build and
+ * is selected at startup when the CPU reports AVX2; otherwise (and on
+ * other platforms) the scalar backend runs.
  *
  * This layer is resource-agnostic (linalg sits below sim): callers pass
  * the load-scaling tags (capacity => load floor) and deviation mode per
@@ -126,19 +129,22 @@ class SoaMatrix
 /** Kernel backend. Scalar is the golden reference. */
 enum class KernelBackend : uint8_t {
     Scalar,
-    Avx2, ///< Available only in BOLT_SIMD builds on AVX2 hardware.
+    Avx2, ///< Available on x86-64 CPUs that report AVX2.
 };
 
-/** Backend used by subsequent kernel calls (process-wide). */
+/**
+ * Backend used by subsequent kernel calls (process-wide). Starts as
+ * Avx2 when available, else Scalar.
+ */
 KernelBackend activeKernelBackend();
 
-/** Whether a backend can run here (compiled in + CPU support). */
+/** Whether a backend can run here (x86-64 + CPU support for Avx2). */
 bool kernelBackendAvailable(KernelBackend b);
 
 /**
  * Select the kernel backend; returns false (and keeps the current
- * backend) when unavailable. Intended for startup and for the
- * equivalence tests — not for mid-query switching.
+ * backend) when unavailable. The hook of the backend-equivalence
+ * tests — not for mid-query switching.
  */
 bool setKernelBackend(KernelBackend b);
 
@@ -158,7 +164,7 @@ dotOrdered(const double* a, const double* b, size_t k)
 }
 
 // ---------------------------------------------------------------------
-// Batched weighted Pearson (the ranking stage's GEMM)
+// Weighted Pearson against every entry (the ranking stage)
 // ---------------------------------------------------------------------
 
 /**
@@ -166,7 +172,7 @@ dotOrdered(const double* a, const double* b, size_t k)
  * fixed row set and fixed weights, hoisted once: the weight sum, each
  * entry's weighted mean and variance, and the mean-centered rows stored
  * as SoA columns (one column per coordinate, entries padded). All three
- * are accumulated in the reference implementation's order, so a batched
+ * are accumulated in the reference implementation's order, so a blocked
  * correlation is bit-identical to calling weightedPearson per entry.
  */
 struct PearsonTable
@@ -187,14 +193,13 @@ PearsonTable buildPearsonTable(const SoaMatrix& rows,
                                std::span<const double> weights);
 
 /**
- * Weighted Pearson of Q query rows (row-major, Q x lanes) against every
- * table entry: out is row-major Q x paddedRows (the caller sizes it as
- * queries * table.centered.paddedRows() and ignores lanes beyond
- * entries). Bit-identical per (q, e) to
- * weightedPearson(query_q, row_e, weights).
+ * Weighted Pearson of one query row (length lanes) against every table
+ * entry: out needs table.centered.paddedRows() capacity, and the caller
+ * ignores lanes beyond entries. Bit-identical per entry e to
+ * weightedPearson(query, row_e, weights).
  */
-void pearsonBatch(const PearsonTable& table, const double* queries,
-                  size_t query_count, double* out);
+void pearsonRow(const PearsonTable& table, const double* query,
+                double* out);
 
 // ---------------------------------------------------------------------
 // Blocked ternary level fit (analyze ranking / decompose shortlists)

@@ -1,15 +1,22 @@
 /**
- * AVX2 backend for the batched recommender kernels.
+ * AVX2 backend for the blocked recommender kernels.
  *
  * Bit-reproducibility rules (see kernels.h): entries/candidates are
  * independent output lanes, so a 256-bit vector holds four of them side
  * by side and every lane executes exactly the scalar reference's
  * operation sequence — same coordinate order, same division (not
  * reciprocal-multiply), same min/max selection. No reduction crosses
- * lanes and nothing is reassociated. This translation unit is compiled
- * with -mavx2 -mno-fma -ffp-contract=off so the compiler cannot fuse a
- * mul+add pair into an FMA (which rounds once instead of twice and
- * would diverge from the scalar reference in the last bit).
+ * lanes and nothing is reassociated. The compiler cannot fuse a mul+add
+ * pair into an FMA (which rounds once instead of twice and would
+ * diverge from the scalar reference in the last bit): the target string
+ * names no fma, and this file is built with -ffp-contract=off.
+ *
+ * Every function here carries target("avx2") instead of the whole file
+ * being built with -mavx2. A file-wide -mavx2 could let AVX2 code into
+ * out-of-line copies of inline and template functions that the linker
+ * then shares with scalar callers; per-function targets confine the
+ * ISA to this backend, which kernels.cc only dispatches to once the CPU
+ * has reported AVX2. The body is x86-64 only.
  *
  * Equivalence notes for the selection intrinsics (all inputs here are
  * finite, and products of nonnegative values never produce -0.0):
@@ -20,35 +27,34 @@
 
 #include "kernels.h"
 
+#if defined(__x86_64__)
+
 #include <immintrin.h>
+
+/** Enables AVX2 (and nothing else: no fma) for one function. */
+#define BOLT_AVX2 __attribute__((target("avx2")))
 
 namespace bolt {
 namespace linalg {
 namespace avx2_kernels {
 
-bool
-cpuSupported()
-{
-    return __builtin_cpu_supports("avx2");
-}
-
 namespace {
 
-inline __m256d
+BOLT_AVX2 inline __m256d
 vabs(__m256d x)
 {
     return _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
 }
 
 /** clamp(base * scale, 0, 100) per lane; v is never negative here. */
-inline __m256d
+BOLT_AVX2 inline __m256d
 vclamp01h(__m256d v)
 {
     return _mm256_min_pd(_mm256_max_pd(v, _mm256_setzero_pd()),
                          _mm256_set1_pd(100.0));
 }
 
-inline __m256d
+BOLT_AVX2 inline __m256d
 vpredict(__m256d base, bool capacity, __m256d floor_, __m256d level)
 {
     __m256d scale = capacity ? _mm256_max_pd(level, floor_) : level;
@@ -57,57 +63,51 @@ vpredict(__m256d base, bool capacity, __m256d floor_, __m256d level)
 
 } // namespace
 
-void
-pearsonBatch(const PearsonTable& t, const double* queries,
-             size_t query_count, double* out)
+BOLT_AVX2 void
+pearsonRow(const PearsonTable& t, const double* query, double* out)
 {
     const size_t padded = t.centered.paddedRows();
     const size_t n = t.lanes;
     const __m256d zero = _mm256_setzero_pd();
-    for (size_t q = 0; q < query_count; ++q) {
-        const double* query = queries + q * n;
-        double* row = out + q * padded;
-        if (t.wsum <= 0.0) {
-            for (size_t e = 0; e < padded; e += kKernelBlock)
-                _mm256_store_pd(row + e, zero);
-            continue;
-        }
-        // Query-side statistics are lane-independent scalars; computed
-        // exactly like the reference.
-        double ma = 0.0;
-        for (size_t i = 0; i < n; ++i)
-            ma += t.weights[i] * query[i];
-        ma /= t.wsum;
-        double s[kMaxFitCoords];
-        double va = 0.0;
+    if (t.wsum <= 0.0) {
+        for (size_t e = 0; e < padded; e += kKernelBlock)
+            _mm256_store_pd(out + e, zero);
+        return;
+    }
+    // Query-side statistics are lane-independent scalars; computed
+    // exactly like the reference.
+    double ma = 0.0;
+    for (size_t i = 0; i < n; ++i)
+        ma += t.weights[i] * query[i];
+    ma /= t.wsum;
+    double s[kMaxFitCoords];
+    double va = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+        double da = query[i] - ma;
+        s[i] = t.weights[i] * da;
+        va += s[i] * da;
+    }
+    const __m256d va_v = _mm256_set1_pd(va);
+    const __m256d va_bad = _mm256_cmp_pd(va_v, zero, _CMP_LE_OQ);
+    for (size_t e = 0; e < padded; e += kKernelBlock) {
+        __m256d cov = zero;
         for (size_t i = 0; i < n; ++i) {
-            double da = query[i] - ma;
-            s[i] = t.weights[i] * da;
-            va += s[i] * da;
+            __m256d d = _mm256_load_pd(t.centered.col(i) + e);
+            cov = _mm256_add_pd(cov, _mm256_mul_pd(_mm256_set1_pd(s[i]), d));
         }
-        const __m256d va_v = _mm256_set1_pd(va);
-        const __m256d va_bad = _mm256_cmp_pd(va_v, zero, _CMP_LE_OQ);
-        for (size_t e = 0; e < padded; e += kKernelBlock) {
-            __m256d cov = zero;
-            for (size_t i = 0; i < n; ++i) {
-                __m256d d = _mm256_load_pd(t.centered.col(i) + e);
-                cov = _mm256_add_pd(
-                    cov, _mm256_mul_pd(_mm256_set1_pd(s[i]), d));
-            }
-            __m256d vb = _mm256_load_pd(t.variance.data() + e);
-            __m256d den = _mm256_sqrt_pd(_mm256_mul_pd(va_v, vb));
-            __m256d r = _mm256_div_pd(cov, den);
-            __m256d bad = _mm256_or_pd(
-                va_bad, _mm256_cmp_pd(vb, zero, _CMP_LE_OQ));
-            _mm256_store_pd(row + e, _mm256_blendv_pd(r, zero, bad));
-        }
+        __m256d vb = _mm256_load_pd(t.variance.data() + e);
+        __m256d den = _mm256_sqrt_pd(_mm256_mul_pd(va_v, vb));
+        __m256d r = _mm256_div_pd(cov, den);
+        __m256d bad =
+            _mm256_or_pd(va_bad, _mm256_cmp_pd(vb, zero, _CMP_LE_OQ));
+        _mm256_store_pd(out + e, _mm256_blendv_pd(r, zero, bad));
     }
 }
 
 namespace {
 
 /** Vector deviation of one entry block at per-lane levels. */
-inline __m256d
+BOLT_AVX2 inline __m256d
 fitDeviationVec(const FitSpec& spec, size_t e, __m256d level,
                 bool fit_phase)
 {
@@ -144,7 +144,7 @@ fitDeviationVec(const FitSpec& spec, size_t e, __m256d level,
 
 } // namespace
 
-void
+BOLT_AVX2 void
 fitLevelsAndScore(const FitSpec& spec, size_t entry_count, double* levels,
                   double* scores)
 {
@@ -173,7 +173,7 @@ fitLevelsAndScore(const FitSpec& spec, size_t entry_count, double* levels,
     }
 }
 
-void
+BOLT_AVX2 void
 pruneBounds(const PruneCoord* coords, size_t coord_count,
             size_t entry_count, double* bounds)
 {
@@ -220,7 +220,7 @@ struct WidenState
     __m256d lvl[kMaxWidenParts];
 };
 
-inline __m256d
+BOLT_AVX2 inline __m256d
 widenDeviationVec(const WidenSpec& spec, const WidenState& st)
 {
     const __m256d zero = _mm256_setzero_pd();
@@ -247,7 +247,7 @@ widenDeviationVec(const WidenSpec& spec, const WidenState& st)
     return _mm256_set1_pd(1e9);
 }
 
-inline void
+BOLT_AVX2 inline void
 widenRefresh(const WidenSpec& spec, WidenState& st, size_t p,
              __m256d level)
 {
@@ -259,7 +259,7 @@ widenRefresh(const WidenSpec& spec, WidenState& st, size_t p,
 
 } // namespace
 
-void
+BOLT_AVX2 void
 widenFit(const WidenSpec& spec, size_t cand_count, double* dist,
          double* levels)
 {
@@ -318,3 +318,5 @@ widenFit(const WidenSpec& spec, size_t cand_count, double* dist,
 } // namespace avx2_kernels
 } // namespace linalg
 } // namespace bolt
+
+#endif // __x86_64__

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/thread_pool.h"
-
 namespace bolt {
 namespace linalg {
 
@@ -97,7 +95,7 @@ Matrix::multiply(const Matrix& other) const
     if (cols_ != other.rows_)
         throw std::invalid_argument("Matrix::multiply shape mismatch");
     Matrix out(rows_, other.cols_);
-    auto compute_row = [&](size_t r) {
+    for (size_t r = 0; r < rows_; ++r) {
         for (size_t k = 0; k < cols_; ++k) {
             double a = (*this)(r, k);
             if (a == 0.0)
@@ -105,16 +103,6 @@ Matrix::multiply(const Matrix& other) const
             for (size_t c = 0; c < other.cols_; ++c)
                 out(r, c) += a * other(k, c);
         }
-    };
-    // Output rows are disjoint, so the parallel product is bit-identical
-    // to the sequential one; only fan out when the flop count outweighs
-    // the task overhead (the recommender's 120x10 products stay inline).
-    constexpr size_t kParallelFlops = 1u << 18;
-    if (rows_ * cols_ * other.cols_ >= kParallelFlops && rows_ > 1) {
-        util::parallelFor(0, rows_, compute_row);
-    } else {
-        for (size_t r = 0; r < rows_; ++r)
-            compute_row(r);
     }
     return out;
 }

@@ -103,8 +103,8 @@ double norm(const std::vector<double>& a);
  *
  * The span form is the only form (std::vector converts implicitly;
  * pair it with Matrix::rowSpan in ranking loops to stay
- * allocation-free). The batched multi-query form lives in
- * linalg/kernels.h (buildPearsonTable / pearsonBatch) and is
+ * allocation-free). The blocked one-query-against-every-entry form
+ * lives in linalg/kernels.h (buildPearsonTable / pearsonRow) and is
  * bit-identical to calling this per entry.
  */
 double weightedPearson(std::span<const double> a, std::span<const double> b,

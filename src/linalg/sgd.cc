@@ -1,10 +1,8 @@
 #include "sgd.h"
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
-
-#include "util/thread_pool.h"
 
 namespace bolt {
 namespace linalg {
@@ -69,53 +67,29 @@ namespace {
 template <typename OrderFn>
 void
 runSgdEpochs(SgdResult& res, const std::vector<SgdEntry>& entries,
-             const SgdConfig& config, std::vector<double>& batch_err,
-             OrderFn&& order_for)
+             const SgdConfig& config, OrderFn&& order_for)
 {
     const size_t r = config.rank;
-    const size_t batch =
-        config.batchSize > 1 ? config.batchSize : size_t{1};
-    batch_err.resize(batch);
-
     double prev_rmse = std::numeric_limits<double>::infinity();
     for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
         const std::vector<size_t>& order = order_for(epoch);
         double sq_err = 0.0;
-        for (size_t base = 0; base < order.size(); base += batch) {
-            size_t count = std::min(batch, order.size() - base);
-            if (count > 1) {
-                // Mini-batch epoch: every gradient in the batch reads
-                // the batch-start factors, so the errors can be
-                // computed in parallel (each index owns its slot);
-                // updates are then applied in the fixed shuffled order,
-                // keeping the result thread-count invariant.
-                util::parallelFor(0, count, [&](size_t i) {
-                    const SgdEntry& e = entries[order[base + i]];
-                    batch_err[i] = e.value - res.predict(e.row, e.col);
-                });
-            } else {
-                const SgdEntry& e = entries[order[base]];
-                const double* pr = res.p.rowPtr(e.row);
-                const double* qr = res.q.rowPtr(e.col);
-                double acc = 0.0;
-                for (size_t k = 0; k < r; ++k)
-                    acc += pr[k] * qr[k];
-                batch_err[0] = e.value - acc;
-            }
-            for (size_t i = 0; i < count; ++i) {
-                const SgdEntry& e = entries[order[base + i]];
-                double err = batch_err[i];
-                sq_err += err * err;
-                double* pr = res.p.rowPtr(e.row);
-                double* qr = res.q.rowPtr(e.col);
-                for (size_t k = 0; k < r; ++k) {
-                    double pk = pr[k];
-                    double qk = qr[k];
-                    pr[k] += config.learningRate *
-                             (err * qk - config.regularization * pk);
-                    qr[k] += config.learningRate *
-                             (err * pk - config.regularization * qk);
-                }
+        for (size_t idx : order) {
+            const SgdEntry& e = entries[idx];
+            double* pr = res.p.rowPtr(e.row);
+            double* qr = res.q.rowPtr(e.col);
+            double acc = 0.0;
+            for (size_t k = 0; k < r; ++k)
+                acc += pr[k] * qr[k];
+            double err = e.value - acc;
+            sq_err += err * err;
+            for (size_t k = 0; k < r; ++k) {
+                double pk = pr[k];
+                double qk = qr[k];
+                pr[k] += config.learningRate *
+                         (err * qk - config.regularization * pk);
+                qr[k] += config.learningRate *
+                         (err * pk - config.regularization * qk);
             }
         }
         res.trainRmse =
@@ -177,9 +151,8 @@ sgdFactorize(const SparseMatrix& data, const SgdConfig& config,
                 res.q(j, k) = rng.gaussian(0.0, 0.1);
     }
 
-    std::vector<double> batch_err;
     std::vector<size_t> order;
-    runSgdEpochs(res, entries, config, batch_err,
+    runSgdEpochs(res, entries, config,
                  [&](size_t) -> const std::vector<size_t>& {
                      order = rng.permutation(entries.size());
                      return order;
@@ -204,7 +177,7 @@ sgdFactorizeWarm(const SgdConfig& config, const Matrix& warm_p,
     res.q = warm_q;
     res.trainRmse = 0.0;
     res.epochsRun = 0;
-    runSgdEpochs(res, scratch.entries, config, scratch.batchErr,
+    runSgdEpochs(res, scratch.entries, config,
                  [&](size_t epoch) -> const std::vector<size_t>& {
                      return scratch.epochOrder(
                          config.seed, scratch.entries.size(), epoch);

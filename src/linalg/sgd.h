@@ -22,19 +22,6 @@ struct SgdConfig
     double regularization = 0.05; ///< L2 penalty on factors.
     double tolerance = 1e-6;    ///< Early-exit on training RMSE delta.
     uint64_t seed = 42;         ///< Factor-initialization seed.
-    /**
-     * Entries per mini-batch. 0 or 1 reproduces classic sequential SGD
-     * (one update per entry, immediately applied). Values > 1 switch to
-     * mini-batch epochs: each batch's gradients are computed against
-     * the factors as of the batch start — fanned out across the global
-     * thread pool — then applied in the shuffled entry order.
-     *
-     * The batch gradient is a pure function of the batch-start factors
-     * and the application order is fixed, so results for a given
-     * batchSize are bit-identical at any thread count (they differ
-     * between batch sizes, as mini-batch SGD should).
-     */
-    size_t batchSize = 0;
 };
 
 /**
@@ -81,7 +68,6 @@ struct SgdScratch
 {
     std::vector<SgdEntry> entries; ///< Caller-built observed entries.
     SgdResult result;              ///< Factor storage reused across calls.
-    std::vector<double> batchErr;
 
     /** Cached shuffle orders for one (seed, entry-count) shape. */
     struct PermCache

@@ -1,7 +1,6 @@
 #include "scenario/runner.h"
 
 #include <algorithm>
-#include <charconv>
 #include <filesystem>
 #include <ostream>
 #include <string>
@@ -17,6 +16,7 @@
 #include "serve/engine.h"
 #include "sim/shard.h"
 #include "util/digest.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/seeds.h"
 #include "util/table.h"
@@ -465,16 +465,6 @@ runWithSeed(const Scenario& s, uint64_t seed, std::ostream& os,
     return total;
 }
 
-/** Shortest round-trip decimal form of a double. */
-std::string
-fmtNum(double v)
-{
-    char buf[64];
-    auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-    (void)ec;
-    return std::string(buf, ptr);
-}
-
 /** Resolve one compiled SloRuleSpec into the monitor's rule form. */
 obs::SloRule
 toObsRule(const SloRuleSpec& spec)
@@ -554,7 +544,7 @@ runScenario(const Scenario& s, std::ostream& os)
             os << "\n";
             for (const obs::AlertEvent& ev : monitor.events()) {
                 os << "    " << (ev.firing ? "fired" : "resolved")
-                   << " " << ev.rule << " t=" << fmtNum(ev.t)
+                   << " " << ev.rule << " t=" << util::fmtDouble(ev.t)
                    << "s value=" << util::AsciiTable::num(ev.value, 2);
                 if (ev.epoch > 1)
                     os << " epoch=" << ev.epoch;

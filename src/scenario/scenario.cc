@@ -1,7 +1,6 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
-#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -36,6 +35,7 @@ constexpr util::EnumKey<obs::RuleOp> kRuleOpKeys[] = {
 #undef BOLT_RULE_OP_KEY
 
 using util::enumKey;
+using util::fmtDouble;
 
 std::string
 errorAt(std::string_view filename, int line, const std::string& message)
@@ -43,16 +43,6 @@ errorAt(std::string_view filename, int line, const std::string& message)
     std::ostringstream os;
     os << filename << ":" << line << ": " << message;
     return os.str();
-}
-
-/** Shortest round-trip decimal form of a double ("2", "0.25", ...). */
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-    (void)ec;
-    return std::string(buf, ptr);
 }
 
 /**

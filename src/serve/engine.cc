@@ -362,34 +362,17 @@ ServeEngine::run() const
 
         auto execBatch = [&](size_t b) {
             auto t0 = std::chrono::steady_clock::now();
-            // Decompose queries run per request; the batch's analyze
-            // queries run as one blocked sweep (analyzeBatch is
-            // bit-identical to per-request analyze, and every digest
-            // lands slot-addressed, so the fold order is free).
-            std::vector<uint64_t> analyze_ids;
-            std::vector<core::SparseObservation> analyze_queries;
-            analyze_ids.reserve(batches[b].size());
-            analyze_queries.reserve(batches[b].size());
+            // Every request runs on its own; its digest lands in its
+            // own outcome slot.
             for (uint64_t id : batches[b]) {
                 const Request& req = requests[id];
-                if (req.isDecompose) {
-                    util::Fnv1a dig;
+                util::Fnv1a dig;
+                if (req.isDecompose)
                     foldDecompose(dig, recommender_.decompose(
                                            req.query, req.coreShared));
-                    res.outcomes[id].resultDigest = dig.h;
-                } else {
-                    analyze_ids.push_back(id);
-                    analyze_queries.push_back(req.query);
-                }
-            }
-            if (!analyze_ids.empty()) {
-                std::vector<core::SimilarityResult> results =
-                    recommender_.analyzeBatch(analyze_queries);
-                for (size_t i = 0; i < analyze_ids.size(); ++i) {
-                    util::Fnv1a dig;
-                    foldAnalyze(dig, results[i]);
-                    res.outcomes[analyze_ids[i]].resultDigest = dig.h;
-                }
+                else
+                    foldAnalyze(dig, recommender_.analyze(req.query));
+                res.outcomes[id].resultDigest = dig.h;
             }
             metrics.observe(
                 obs::MetricId::kServeExecWallUs,

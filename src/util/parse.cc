@@ -44,5 +44,14 @@ parseDouble(std::string_view s, double* out)
     return true;
 }
 
+std::string
+fmtDouble(double v)
+{
+    char buf[64];
+    auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
+    (void)ec;
+    return std::string(buf, ptr);
+}
+
 } // namespace util
 } // namespace bolt

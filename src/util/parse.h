@@ -2,6 +2,7 @@
 #define BOLT_UTIL_PARSE_H
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace bolt {
@@ -17,6 +18,13 @@ bool parseInt(std::string_view s, long long* out);
 bool parseUInt(std::string_view s, uint64_t* out);
 /** Finite values only: "nan", "inf" and overflow ("1e999") fail. */
 bool parseDouble(std::string_view s, double* out);
+
+/**
+ * Shortest decimal form of v that reads back to the same double ("2",
+ * "0.25", "1e-07"): the one formatter behind scenario dumps and
+ * numeric diagnostics, so what is printed parses back bit for bit.
+ */
+std::string fmtDouble(double v);
 
 } // namespace util
 } // namespace bolt

@@ -182,6 +182,20 @@ TEST(UtilParse, AcceptsWholeTokensOnly)
         EXPECT_FALSE(util::parseDouble(bad, &d)) << bad;
 }
 
+TEST(UtilParse, FmtDoubleIsShortestRoundTrip)
+{
+    EXPECT_EQ(util::fmtDouble(2.0), "2");
+    EXPECT_EQ(util::fmtDouble(0.25), "0.25");
+    EXPECT_EQ(util::fmtDouble(0.1), "0.1");
+    EXPECT_EQ(util::fmtDouble(-3.5), "-3.5");
+    EXPECT_EQ(util::fmtDouble(1e-7), "1e-07");
+    for (double v : {0.1 + 0.2, 1.0 / 3.0, 12345.678, 9.07e-300}) {
+        double back = 0.0;
+        ASSERT_TRUE(util::parseDouble(util::fmtDouble(v), &back));
+        EXPECT_EQ(back, v) << util::fmtDouble(v);
+    }
+}
+
 TEST(UtilParse, Hex64PadsToSixteenDigits)
 {
     EXPECT_EQ(util::hex64(0), "0000000000000000");

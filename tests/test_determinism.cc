@@ -2,9 +2,9 @@
  * @file
  * Determinism under parallelism: the same seed must produce bit-identical
  * results at any thread count. Covers the controlled experiment (the
- * per-server fan-out), batched SGD (parallel gradient batches), the
- * parallel matrix product, and the counter-based Rng::stream derivation
- * the task decomposition relies on.
+ * per-server fan-out), the recommender's per-thread query scratch, and
+ * the counter-based Rng::stream derivation the task decomposition
+ * relies on.
  */
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 
 #include "core/experiment.h"
 #include "core/recommender.h"
-#include "linalg/sgd.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -136,57 +135,6 @@ TEST(Determinism, FaultDigestTracksFaultSeed)
 
     auto reseeded = ControlledExperiment(faultedConfig(77, 12345)).run();
     EXPECT_NE(base.digest(), reseeded.digest());
-}
-
-TEST(Determinism, BatchedSgdIdenticalAcrossThreadCounts)
-{
-    // A 24x10 completion problem with a hidden low-rank structure.
-    linalg::Matrix full(24, 10);
-    for (size_t i = 0; i < full.rows(); ++i)
-        for (size_t j = 0; j < full.cols(); ++j)
-            full(i, j) = 10.0 + 3.0 * static_cast<double>(i % 5) +
-                         2.0 * static_cast<double>(j % 3);
-    auto data = linalg::SparseMatrix::dense(full);
-    // Mask out a third of the entries.
-    for (size_t i = 0; i < data.rows(); ++i)
-        for (size_t j = 0; j < data.cols(); ++j)
-            if ((i * 7 + j) % 3 == 0)
-                data.mask[i][j] = false;
-
-    linalg::SgdConfig cfg;
-    cfg.rank = 2;
-    cfg.epochs = 40;
-    cfg.batchSize = 16; // parallel mini-batch path
-
-    util::ThreadPool::setGlobalThreads(1);
-    auto r1 = linalg::sgdFactorize(data, cfg);
-    util::ThreadPool::setGlobalThreads(2);
-    auto r2 = linalg::sgdFactorize(data, cfg);
-    util::ThreadPool::setGlobalThreads(8);
-    auto r8 = linalg::sgdFactorize(data, cfg);
-
-    EXPECT_EQ(0.0, linalg::Matrix::maxAbsDiff(r1.p, r2.p));
-    EXPECT_EQ(0.0, linalg::Matrix::maxAbsDiff(r1.q, r2.q));
-    EXPECT_EQ(0.0, linalg::Matrix::maxAbsDiff(r1.p, r8.p));
-    EXPECT_EQ(0.0, linalg::Matrix::maxAbsDiff(r1.q, r8.q));
-    EXPECT_EQ(r1.epochsRun, r8.epochsRun);
-    EXPECT_DOUBLE_EQ(r1.trainRmse, r8.trainRmse);
-}
-
-TEST(Determinism, ParallelMatrixProductMatchesSequential)
-{
-    // Big enough to cross the parallel threshold (128^3 = 2M flops).
-    linalg::Matrix a(128, 128), b(128, 128);
-    for (size_t i = 0; i < 128; ++i)
-        for (size_t j = 0; j < 128; ++j) {
-            a(i, j) = std::sin(static_cast<double>(i * 128 + j));
-            b(i, j) = std::cos(static_cast<double>(i + 2 * j));
-        }
-    util::ThreadPool::setGlobalThreads(1);
-    auto c1 = a.multiply(b);
-    util::ThreadPool::setGlobalThreads(8);
-    auto c8 = a.multiply(b);
-    EXPECT_EQ(0.0, linalg::Matrix::maxAbsDiff(c1, c8));
 }
 
 TEST(Determinism, RngStreamIsPureAndOrderFree)

@@ -1,29 +1,30 @@
 /**
  * @file
- * Bit-equality suite for the batched serve-path kernels
+ * Bit-equality suite for the blocked serve-path kernels
  * (src/linalg/kernels.h).
  *
- * Two layers of evidence:
+ * Three layers of evidence:
  *
- *  - Reference equality: pearsonBatch must reproduce the scalar
- *    linalg::weightedPearson per (query, entry) bit for bit, and
- *    analyzeBatch must reproduce per-query analyze() field for field.
- *    These run in every build.
+ *  - Reference equality: pearsonRow must reproduce the scalar
+ *    linalg::weightedPearson per entry bit for bit. This runs on every
+ *    CPU, under whichever backend the CPU selected.
  *  - Backend equality: every kernel must produce byte-identical output
  *    lanes under the Scalar and Avx2 backends across randomized shapes
- *    (ragged tails, degenerate counts). These skip unless the binary
- *    was built with BOLT_SIMD on AVX2 hardware.
+ *    (ragged tails, degenerate counts).
+ *  - End to end: a fixed mix of analyze() and decompose() queries must
+ *    return bit-identical results under both backends, field by field.
  *
- * Comparisons go through the raw IEEE-754 bit pattern, never through
- * an epsilon: the kernels promise bit-exactness, so the tests demand
- * it.
+ * The backend tests skip only when the CPU lacks AVX2. Comparisons go
+ * through the raw IEEE-754 bit pattern, never through an epsilon: the
+ * kernels promise bit-exactness, so the tests demand it.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <random>
-#include <span>
+#include <string>
 #include <vector>
 
 #include "core/recommender.h"
@@ -110,6 +111,7 @@ TEST(PearsonBatch, MatchesScalarWeightedPearsonBitForBit)
 {
     std::mt19937_64 rng(0x5eed0001);
     std::uniform_real_distribution<double> wdist(0.05, 1.0);
+    std::uniform_real_distribution<double> qdist(0.0, 100.0);
     for (size_t entries : kEntryCounts) {
         const size_t lanes = 10;
         SoaMatrix rows = randomRows(rng, entries, lanes);
@@ -118,40 +120,34 @@ TEST(PearsonBatch, MatchesScalarWeightedPearsonBitForBit)
             w = wdist(rng);
         PearsonTable table = buildPearsonTable(rows, weights);
 
-        for (size_t q_count : {size_t(1), size_t(3), size_t(8)}) {
-            std::vector<double> queries(q_count * lanes);
-            std::uniform_real_distribution<double> qdist(0.0, 100.0);
-            for (double& v : queries)
+        for (size_t q = 0; q < 3; ++q) {
+            std::vector<double> query(lanes);
+            for (double& v : query)
                 v = qdist(rng);
-            AlignedVector out(q_count * rows.paddedRows(), -1.0);
-            pearsonBatch(table, queries.data(), q_count, out.data());
+            AlignedVector out(rows.paddedRows(), -1.0);
+            pearsonRow(table, query.data(), out.data());
 
-            for (size_t q = 0; q < q_count; ++q) {
-                std::span<const double> qrow(queries.data() + q * lanes,
-                                             lanes);
-                for (size_t e = 0; e < entries; ++e) {
-                    std::vector<double> row(lanes);
-                    for (size_t l = 0; l < lanes; ++l)
-                        row[l] = rows.at(e, l);
-                    double ref = weightedPearson(qrow, row, weights);
-                    double got = out[q * rows.paddedRows() + e];
-                    EXPECT_EQ(bits(got), bits(ref))
-                        << "entries=" << entries << " q=" << q
-                        << " e=" << e;
-                }
+            for (size_t e = 0; e < entries; ++e) {
+                std::vector<double> row(lanes);
+                for (size_t l = 0; l < lanes; ++l)
+                    row[l] = rows.at(e, l);
+                double ref = weightedPearson(query, row, weights);
+                EXPECT_EQ(bits(out[e]), bits(ref))
+                    << "entries=" << entries << " q=" << q << " e=" << e;
             }
         }
     }
 }
 
-TEST(PearsonBatch, EmptyQueryBatchWritesNothing)
+TEST(PearsonBatch, EmptyTableWritesNothing)
 {
-    std::mt19937_64 rng(0x5eed0002);
-    SoaMatrix rows = randomRows(rng, 5, 4);
+    SoaMatrix rows(0, 4);
     std::vector<double> weights = {0.4, 0.3, 0.2, 0.1};
     PearsonTable table = buildPearsonTable(rows, weights);
-    AlignedVector out(rows.paddedRows(), -7.0);
-    pearsonBatch(table, nullptr, 0, out.data());
+    ASSERT_EQ(table.centered.paddedRows(), 0u);
+    std::vector<double> query = {1.0, 2.0, 3.0, 4.0};
+    AlignedVector out(kKernelBlock, -7.0);
+    pearsonRow(table, query.data(), out.data());
     for (double v : out)
         EXPECT_EQ(v, -7.0);
 }
@@ -168,9 +164,31 @@ TEST(PearsonBatch, ZeroVarianceEntryCorrelatesToZero)
     PearsonTable table = buildPearsonTable(rows, weights);
     std::vector<double> query = {1.0, 2.0, 3.0};
     AlignedVector out(rows.paddedRows(), -1.0);
-    pearsonBatch(table, query.data(), 1, out.data());
+    pearsonRow(table, query.data(), out.data());
     EXPECT_EQ(out[0], 0.0);
     EXPECT_GT(out[1], 0.9);
+}
+
+TEST(KernelBackendSelection, StartsAsAvx2ExactlyWhenCpuSupportsIt)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    const bool cpu_avx2 = __builtin_cpu_supports("avx2");
+#else
+    const bool cpu_avx2 = false;
+#endif
+    EXPECT_TRUE(kernelBackendAvailable(KernelBackend::Scalar));
+    EXPECT_EQ(kernelBackendAvailable(KernelBackend::Avx2), cpu_avx2);
+    EXPECT_EQ(activeKernelBackend(),
+              cpu_avx2 ? KernelBackend::Avx2 : KernelBackend::Scalar);
+
+    BackendGuard guard;
+    EXPECT_TRUE(setKernelBackend(KernelBackend::Scalar));
+    EXPECT_EQ(activeKernelBackend(), KernelBackend::Scalar);
+    // An unavailable backend is refused and the current one kept.
+    EXPECT_EQ(setKernelBackend(KernelBackend::Avx2), cpu_avx2);
+    EXPECT_EQ(activeKernelBackend(),
+              cpu_avx2 ? KernelBackend::Avx2 : KernelBackend::Scalar);
 }
 
 TEST(FitKernel, NonPositiveWsumYieldsSentinelScore)
@@ -189,7 +207,7 @@ TEST(FitKernel, NonPositiveWsumYieldsSentinelScore)
 }
 
 // ---------------------------------------------------------------------
-// Scalar-vs-AVX2 backend equality (skipped without BOLT_SIMD + AVX2).
+// Scalar-vs-AVX2 backend equality (skipped when the CPU lacks AVX2).
 // ---------------------------------------------------------------------
 
 namespace {
@@ -197,9 +215,7 @@ namespace {
 #define SKIP_WITHOUT_AVX2()                                              \
     do {                                                                 \
         if (!kernelBackendAvailable(KernelBackend::Avx2))                \
-            GTEST_SKIP() << "AVX2 backend not available "                \
-                            "(build with -DBOLT_SIMD=ON on AVX2 "        \
-                            "hardware)";                                 \
+            GTEST_SKIP() << "CPU lacks AVX2";                            \
     } while (0)
 
 void
@@ -228,24 +244,21 @@ TEST(BackendEquality, PearsonBatchRandomizedShapes)
         for (double& w : weights)
             w = wdist(rng);
         PearsonTable table = buildPearsonTable(rows, weights);
-        const size_t q_count = 5;
-        std::vector<double> queries(q_count * lanes);
         std::uniform_real_distribution<double> qdist(0.0, 100.0);
-        for (double& v : queries)
-            v = qdist(rng);
-
-        size_t out_size = q_count * rows.paddedRows();
-        AlignedVector scalar_out(out_size, 0.0), simd_out(out_size, 0.0);
-        ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
-        pearsonBatch(table, queries.data(), q_count, scalar_out.data());
-        ASSERT_TRUE(setKernelBackend(KernelBackend::Avx2));
-        pearsonBatch(table, queries.data(), q_count, simd_out.data());
-        for (size_t q = 0; q < q_count; ++q)
-            for (size_t e = 0; e < entries; ++e) {
-                size_t i = q * rows.paddedRows() + e;
-                EXPECT_EQ(bits(scalar_out[i]), bits(simd_out[i]))
+        for (size_t q = 0; q < 5; ++q) {
+            std::vector<double> query(lanes);
+            for (double& v : query)
+                v = qdist(rng);
+            AlignedVector scalar_out(rows.paddedRows(), 0.0);
+            AlignedVector simd_out(rows.paddedRows(), 0.0);
+            ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
+            pearsonRow(table, query.data(), scalar_out.data());
+            ASSERT_TRUE(setKernelBackend(KernelBackend::Avx2));
+            pearsonRow(table, query.data(), simd_out.data());
+            for (size_t e = 0; e < entries; ++e)
+                EXPECT_EQ(bits(scalar_out[e]), bits(simd_out[e]))
                     << "entries=" << entries << " q=" << q << " e=" << e;
-            }
+        }
     }
 }
 
@@ -389,13 +402,13 @@ TEST(BackendEquality, WidenFitRandomizedShapes)
 }
 
 // ---------------------------------------------------------------------
-// analyzeBatch vs per-query analyze (end-to-end bit equality).
+// Scalar-vs-AVX2 end to end: analyze() and decompose() results.
 // ---------------------------------------------------------------------
 
 namespace {
 
 /** Shared trained recommender (expensive, built once per suite). */
-class BatchedAnalyze : public ::testing::Test
+class BackendEndToEnd : public ::testing::Test
 {
   protected:
     static void
@@ -421,8 +434,94 @@ class BatchedAnalyze : public ::testing::Test
     static core::HybridRecommender* recommender_;
 };
 
-core::TrainingSet* BatchedAnalyze::training_ = nullptr;
-core::HybridRecommender* BatchedAnalyze::recommender_ = nullptr;
+core::TrainingSet* BackendEndToEnd::training_ = nullptr;
+core::HybridRecommender* BackendEndToEnd::recommender_ = nullptr;
+
+/** One query of the fixed mix. */
+struct MixQuery
+{
+    core::SparseObservation obs;
+    bool isDecompose = false;
+    bool coreShared = false;
+    size_t maxParts = 3;
+};
+
+/**
+ * The fixed mix: analyze probes with 2-10 observed resources, Exact and
+ * Upper bounds and varying victim load, then decompose aggregates of two
+ * blended entries over every (core_shared, max_parts 1-3) pair, also
+ * with 2-10 observed resources.
+ */
+std::vector<MixQuery>
+buildMix(const core::TrainingSet& tr)
+{
+    util::Rng rng(77);
+    std::vector<MixQuery> mix;
+    for (size_t q = 0; q < 18; ++q) {
+        const auto& entry = tr.entry((q * 5 + 2) % tr.size());
+        sim::ResourceVector p = workloads::scaledPressure(
+            entry.fullLoadBase, 0.35 + 0.05 * static_cast<double>(q % 13));
+        MixQuery query;
+        size_t observed = 2 + q % 9;
+        size_t n = 0;
+        for (sim::Resource r : sim::kAllResources) {
+            if (n++ >= observed)
+                break;
+            double v = std::clamp(p[r] + rng.gaussian(0.0, 1.0), 0.0, 100.0);
+            bool upper = (q % 3 == 1) && !sim::isCoreResource(r);
+            query.obs.set(r, v,
+                          upper ? core::SparseObservation::Bound::Upper
+                                : core::SparseObservation::Bound::Exact);
+        }
+        mix.push_back(std::move(query));
+    }
+    for (size_t q = 0; q < 12; ++q) {
+        const auto& a = tr.entry((q * 11 + 5) % tr.size());
+        const auto& b = tr.entry((q * 17 + 29) % tr.size());
+        sim::ResourceVector pa = workloads::scaledPressure(
+            a.fullLoadBase, 0.5 + 0.1 * static_cast<double>(q % 5));
+        sim::ResourceVector pb = workloads::scaledPressure(
+            b.fullLoadBase, 0.4 + 0.1 * static_cast<double>(q % 7));
+        MixQuery query;
+        query.isDecompose = true;
+        query.coreShared = q % 2 == 0;
+        query.maxParts = 1 + q % 3;
+        size_t observed = 10 - (q * 5) % 9;
+        size_t n = 0;
+        for (sim::Resource r : sim::kAllResources) {
+            if (n++ >= observed)
+                break;
+            double v = sim::isCoreResource(r)
+                           ? pa[r]
+                           : std::min(pa[r] + pb[r], 100.0);
+            query.obs.set(r,
+                          std::clamp(v + rng.gaussian(0.0, 1.0), 0.0, 100.0));
+        }
+        mix.push_back(std::move(query));
+    }
+    return mix;
+}
+
+/** Every query's outputs under one backend, in mix order. */
+struct MixResults
+{
+    std::vector<core::SimilarityResult> analyzed;
+    std::vector<core::Decomposition> decomposed;
+};
+
+MixResults
+runMix(const core::HybridRecommender& rec, const std::vector<MixQuery>& mix)
+{
+    MixResults out;
+    for (const auto& q : mix) {
+        if (q.isDecompose)
+            out.decomposed.push_back(
+                rec.decompose(q.obs, q.coreShared, q.maxParts));
+        else
+            out.analyzed.push_back(rec.analyze(q.obs));
+    }
+    return out;
+}
 
 void
 expectResultsBitEqual(const core::SimilarityResult& a,
@@ -447,57 +546,43 @@ expectResultsBitEqual(const core::SimilarityResult& a,
     EXPECT_EQ(bits(a.confidence), bits(b.confidence));
 }
 
+void
+expectDecompositionsBitEqual(const core::Decomposition& a,
+                             const core::Decomposition& b)
+{
+    ASSERT_EQ(a.parts.size(), b.parts.size());
+    for (size_t i = 0; i < a.parts.size(); ++i) {
+        EXPECT_EQ(a.parts[i].index, b.parts[i].index);
+        EXPECT_EQ(bits(a.parts[i].level), bits(b.parts[i].level));
+    }
+    EXPECT_EQ(bits(a.distance), bits(b.distance));
+    EXPECT_EQ(bits(a.score), bits(b.score));
+}
+
 } // namespace
 
-TEST_F(BatchedAnalyze, MatchesPerQueryAnalyzeBitForBit)
+TEST_F(BackendEndToEnd, AnalyzeAndDecomposeBitIdentical)
 {
-    // A mixed batch: sparse and full observations, Exact and Upper
-    // bounds, varying load levels — the shapes the serve path batches.
-    util::Rng rng(77);
-    std::vector<core::SparseObservation> batch;
-    for (size_t q = 0; q < 9; ++q) {
-        const auto& entry = training_->entry((q * 5 + 2) %
-                                             training_->size());
-        core::SparseObservation obs;
-        size_t observed = 2 + q % 9;
-        size_t n = 0;
-        for (sim::Resource r : sim::kAllResources) {
-            if (n++ >= observed)
-                break;
-            double v = std::clamp(
-                entry.profile[r] + rng.gaussian(0.0, 1.0), 0.0, 100.0);
-            bool upper = (q % 3 == 1) && !sim::isCoreResource(r);
-            obs.set(r, v,
-                    upper ? core::SparseObservation::Bound::Upper
-                          : core::SparseObservation::Bound::Exact);
-        }
-        batch.push_back(std::move(obs));
+    SKIP_WITHOUT_AVX2();
+    BackendGuard guard;
+    std::vector<MixQuery> mix = buildMix(*training_);
+
+    ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
+    MixResults scalar = runMix(*recommender_, mix);
+    ASSERT_TRUE(setKernelBackend(KernelBackend::Avx2));
+    MixResults simd = runMix(*recommender_, mix);
+
+    ASSERT_EQ(scalar.analyzed.size(), 18u);
+    ASSERT_EQ(simd.analyzed.size(), scalar.analyzed.size());
+    for (size_t q = 0; q < scalar.analyzed.size(); ++q) {
+        SCOPED_TRACE("analyze query " + std::to_string(q));
+        expectResultsBitEqual(scalar.analyzed[q], simd.analyzed[q]);
     }
-
-    auto batched = recommender_->analyzeBatch(batch);
-    ASSERT_EQ(batched.size(), batch.size());
-    for (size_t q = 0; q < batch.size(); ++q) {
-        SCOPED_TRACE("query " + std::to_string(q));
-        expectResultsBitEqual(batched[q], recommender_->analyze(batch[q]));
+    ASSERT_EQ(scalar.decomposed.size(), 12u);
+    ASSERT_EQ(simd.decomposed.size(), scalar.decomposed.size());
+    for (size_t q = 0; q < scalar.decomposed.size(); ++q) {
+        SCOPED_TRACE("decompose query " + std::to_string(q));
+        expectDecompositionsBitEqual(scalar.decomposed[q],
+                                     simd.decomposed[q]);
     }
-}
-
-TEST_F(BatchedAnalyze, EmptyBatchReturnsEmpty)
-{
-    EXPECT_TRUE(
-        recommender_->analyzeBatch(
-                        std::span<const core::SparseObservation>())
-            .empty());
-}
-
-TEST_F(BatchedAnalyze, SingleQueryBatchMatchesAnalyze)
-{
-    core::SparseObservation obs;
-    obs.set(sim::Resource::CPU, 40.0);
-    obs.set(sim::Resource::L2, 25.0);
-    obs.set(sim::Resource::MemBw, 60.0);
-    auto batched = recommender_->analyzeBatch(
-        std::span<const core::SparseObservation>(&obs, 1));
-    ASSERT_EQ(batched.size(), 1u);
-    expectResultsBitEqual(batched[0], recommender_->analyze(obs));
 }
