@@ -279,8 +279,10 @@ if [[ "${mode}" == "--scenario" || "${mode}" == "all" ]]; then
     cmake -B build -S . >/dev/null
     cmake --build build -j "$(nproc)" --target bolt_cli
     scn_dir="$(mktemp -d)"
-    trap 'rm -rf "${obs_dir:-}" "${fault_dir:-}" "${serve_dir:-}" "${scn_dir:-}"' EXIT
+    trap 'rm -rf "${obs_dir:-}" "${fault_dir:-}" "${serve_dir:-}" "${scn_dir:-}" "${rt:-}"' EXIT
     cli=./build/examples/bolt_cli
+    # A killed run can leave a round-trip dump behind; it is no scenario.
+    rm -f scenarios/*.roundtrip.scn
     update_goldens=0
     [[ "${2:-}" == "--update" ]] && update_goldens=1
 
@@ -308,15 +310,19 @@ if [[ "${mode}" == "--scenario" || "${mode}" == "all" ]]; then
             exit 1
         fi
         # The canonical dump must recompile to an identical dump. Dump
-        # into the scenarios/ dir namespace so includes resolve.
-        "${cli}" run --scenario "${scn}" --dump \
-            > "scenarios/${name}.roundtrip.scn"
-        "${cli}" run --scenario "scenarios/${name}.roundtrip.scn" --dump \
-            > "${scn_dir}/${name}_dump2.txt"
+        # into the scenarios/ dir namespace so includes resolve; the
+        # EXIT trap removes the file if anything below fails.
+        rt="scenarios/${name}.roundtrip.scn"
         rt_ok=0
-        diff -u "scenarios/${name}.roundtrip.scn" \
-                "${scn_dir}/${name}_dump2.txt" || rt_ok=$?
-        rm -f "scenarios/${name}.roundtrip.scn"
+        "${cli}" run --scenario "${scn}" --dump > "${rt}" || rt_ok=$?
+        if [[ "${rt_ok}" == 0 ]]; then
+            "${cli}" run --scenario "${rt}" --dump \
+                > "${scn_dir}/${name}_dump2.txt" || rt_ok=$?
+        fi
+        if [[ "${rt_ok}" == 0 ]]; then
+            diff -u "${rt}" "${scn_dir}/${name}_dump2.txt" || rt_ok=$?
+        fi
+        rm -f "${rt}"
         if [[ "${rt_ok}" != 0 ]]; then
             echo "FAIL: ${name} canonical dump did not round-trip" >&2
             exit 1

@@ -1,9 +1,12 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <type_traits>
 
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -45,154 +48,233 @@ errorAt(std::string_view filename, int line, const std::string& message)
     return os.str();
 }
 
+// ------------------------------------------------------------ field lists
+//
+// Every key of every block is declared once, as one Key in the field
+// lists below (topKeys, sloRuleKeys, expectKeys, stageKeys) bound to
+// the struct member it fills. Four passes walk the same lists: Reader
+// compiles a parsed map into the structs, Writer is dump(), Folder is
+// graphDigest() and Describer is schemaKeys(). So a key's spelling,
+// range, default and order cannot disagree between them.
+//
+// A pass is a visitor with these members:
+//   v(key, member)              int, double, uint64_t, bool, string
+//   v(key, member, table)       enum named by a util::EnumKey table
+//   v.opt(key, has, member...)  key whose presence is its own flag
+//   v.block(key, has, walk)     nested map (has == nullptr: always on)
+//   v.list(key, items, walk)    list of item maps
+//   v.branch(taken)             true when the keys under an `if` apply
+// Key-selected lists (stage kinds, attack and slo kinds) sit under
+// v.branch(), so Describer, whose branch() is always true, documents
+// every kind while the other passes walk only the selected one.
+
+enum KeyFlag : unsigned {
+    kMeta = 1,     ///< Determinism class "meta" (default "sim").
+    kRequired = 2, ///< No default; a missing scalar is an error.
+    kBelowHi = 4,  ///< `hi` itself is out of range.
+};
+
+/** One declared key; see the field lists below. */
+struct Key
+{
+    const char* key;
+    const char* help;
+    double lo = 0.0; ///< Range of an int/double key; a list's
+    double hi = 0.0; ///< item-count bound (hi 0: unbounded).
+    unsigned flags = 0;          ///< KeyFlag bits.
+    const char* shown = nullptr; ///< Default text the struct cannot say.
+};
+
+/** "[lo, hi]" (or "[lo, hi)"), integers in integer form. */
+std::string
+bracket(const Key& k, bool integral, bool open)
+{
+    auto num = [integral](double v) {
+        return integral ? std::to_string(static_cast<long long>(v))
+                        : fmtDouble(v);
+    };
+    std::string text = "[";
+    text += num(k.lo) + ", " + num(k.hi) + (open ? ")" : "]");
+    return text;
+}
+
+/** Canonical text of a scalar member (dump values and doc defaults). */
+template <typename T>
+std::string
+text(const T& m)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        return m ? "true" : "false";
+    else if constexpr (std::is_same_v<T, double>)
+        return fmtDouble(m);
+    else if constexpr (std::is_same_v<T, std::string>)
+        return m;
+    else
+        return std::to_string(m);
+}
+
 /**
- * Typed, strict reader over one parsed map: getters validate kind,
- * full-token numeric syntax and inclusive ranges; finish() rejects any
- * key no getter asked for, listing the valid set — the same
- * fail-loudly contract as util::CliArgs, with line numbers.
+ * Read pass over one parsed map: claims each key in list order and
+ * parses it into its member (syntax, then inclusive range). finish()
+ * rejects any key nobody claimed, listing the claimed set in claim
+ * order (the fail-loudly contract of util::CliArgs, with line
+ * numbers), then reads each nested block. Lists are only claimed;
+ * their items carry cross-field rules (see compileTree).
  *
- * The first error wins; later getters become no-ops, so compile code
- * reads every key unconditionally and checks failed() once.
+ * The first error wins and later claims are no-ops, so compile code
+ * walks every key unconditionally and checks once. node() gives the
+ * source node of any member that was present, for the line numbers of
+ * explicit rule diagnostics.
  */
-class MapReader
+class Reader
 {
   public:
-    MapReader(const TextNode& node, std::string_view filename,
-              std::string context)
-        : node_(node), filename_(filename), context_(std::move(context))
+    using Seen = std::vector<std::pair<const void*, const TextNode*>>;
+
+    /** `seen` is shared with the reader of the enclosing map. */
+    Reader(const TextNode& node, std::string_view filename,
+           std::string context, Seen* seen = nullptr)
+        : node_(node), filename_(filename), context_(std::move(context)),
+          seen_(seen ? seen : &own_)
     {
     }
+
+    /** With `only` set, a walk reads that key alone (a discriminator
+     *  probe ahead of the real walk). */
+    const char* only = nullptr;
 
     bool failed() const { return !error_.empty(); }
     const std::string& error() const { return error_; }
+    static bool branch(bool taken) { return taken; }
 
+    template <typename T>
     void
-    getString(const char* key, std::string* out, bool required = false)
+    operator()(const Key& k, T& m)
     {
-        const TextNode* v = claim(key);
-        if (failed())
+        const TextNode* v = scalar(k, &m);
+        if (!v)
             return;
-        if (!v) {
-            if (required)
-                fail(node_.line, std::string("missing required key '") +
-                                     key + "' in " + context_);
-            return;
-        }
-        if (!expectScalar(key, v))
-            return;
-        *out = v->scalar;
-    }
-
-    void
-    getUInt(const char* key, uint64_t* out)
-    {
-        const TextNode* v = claim(key);
-        if (failed() || !v || !expectScalar(key, v))
-            return;
-        uint64_t parsed = 0;
-        if (!util::parseUInt(v->scalar, &parsed)) {
-            fail(v->line, "value '" + v->scalar + "' for '" + key +
-                              "' is not an unsigned integer");
-            return;
-        }
-        *out = parsed;
-    }
-
-    void
-    getInt(const char* key, long long lo, long long hi, int* out)
-    {
-        const TextNode* v = claim(key);
-        if (failed() || !v || !expectScalar(key, v))
-            return;
-        long long parsed = 0;
-        if (!util::parseInt(v->scalar, &parsed)) {
-            fail(v->line, "value '" + v->scalar + "' for '" + key +
-                              "' is not an integer");
-            return;
-        }
-        if (parsed < lo || parsed > hi) {
-            fail(v->line, "value " + v->scalar + " for '" + key +
-                              "' out of range [" + std::to_string(lo) +
-                              ", " + std::to_string(hi) + "]");
-            return;
-        }
-        *out = static_cast<int>(parsed);
-    }
-
-    void
-    getDouble(const char* key, double lo, double hi, double* out)
-    {
-        const TextNode* v = claim(key);
-        if (failed() || !v || !expectScalar(key, v))
-            return;
-        double parsed = 0.0;
-        if (!util::parseDouble(v->scalar, &parsed)) {
-            fail(v->line, "value '" + v->scalar + "' for '" + key +
-                              "' is not a number");
-            return;
-        }
-        if (parsed < lo || parsed > hi) {
-            fail(v->line, "value " + v->scalar + " for '" + key +
-                              "' out of range [" + fmtDouble(lo) + ", " +
-                              fmtDouble(hi) + "]");
-            return;
-        }
-        *out = parsed;
-    }
-
-    void
-    getBool(const char* key, bool* out)
-    {
-        const TextNode* v = claim(key);
-        if (failed() || !v || !expectScalar(key, v))
-            return;
-        if (v->scalar == "true") {
-            *out = true;
-        } else if (v->scalar == "false") {
-            *out = false;
+        const std::string& s = v->scalar;
+        std::string bad = "value '" + s + "' for '" + k.key + "' ";
+        std::string out = "value " + s + " for '" + k.key +
+                          "' out of range ";
+        if constexpr (std::is_same_v<T, std::string>) {
+            m = s;
+        } else if constexpr (std::is_same_v<T, bool>) {
+            if (s == "true" || s == "false")
+                m = s == "true";
+            else
+                fail(v->line, bad + "must be true or false");
+        } else if constexpr (std::is_same_v<T, uint64_t>) {
+            if (!util::parseUInt(s, &m))
+                fail(v->line, bad + "is not an unsigned integer");
+        } else if constexpr (std::is_same_v<T, int>) {
+            long long parsed = 0;
+            if (!util::parseInt(s, &parsed))
+                fail(v->line, bad + "is not an integer");
+            else if (parsed < k.lo || parsed > k.hi)
+                fail(v->line, out + bracket(k, true, false));
+            else
+                m = static_cast<int>(parsed);
         } else {
-            fail(v->line, "value '" + v->scalar + "' for '" + key +
-                              "' must be true or false");
+            double parsed = 0.0;
+            if (!util::parseDouble(s, &parsed))
+                fail(v->line, bad + "is not a number");
+            else if (parsed < k.lo || parsed > k.hi)
+                fail(v->line, out + bracket(k, false, false));
+            else
+                m = parsed;
+            if (k.flags & kBelowHi)
+                belowHi_.emplace_back(k, &m);
         }
     }
 
     template <typename E, size_t N>
     void
-    getEnum(const char* key, const util::EnumKey<E> (&table)[N], E* out)
+    operator()(const Key& k, E& m, const util::EnumKey<E> (&table)[N])
     {
-        const TextNode* v = claim(key);
-        if (failed() || !v || !expectScalar(key, v))
-            return;
-        if (!util::enumFromKey(table, v->scalar, out))
-            fail(v->line, "value '" + v->scalar + "' for '" + key +
+        const TextNode* v = scalar(k, &m);
+        if (v && !util::enumFromKey(table, v->scalar, &m))
+            fail(v->line, "value '" + v->scalar + "' for '" + k.key +
                               "' must be one of " +
                               util::enumKeyList(table));
     }
 
-    /** Optional nested block of the given kind; nullptr when absent. */
-    const TextNode*
-    block(const char* key, TextNode::Kind kind)
+    template <typename... M>
+    void
+    opt(const Key& k, bool& has, M&... m)
     {
-        const TextNode* v = claim(key);
-        if (failed() || !v)
-            return nullptr;
-        if (v->kind != kind) {
-            fail(v->line, std::string("key '") + key + "' expects " +
-                              (kind == TextNode::Kind::Map
-                                   ? "an indented block"
-                                   : "a list") +
-                              ", not a value");
-            return nullptr;
-        }
-        return v;
+        has = !skip(k) && node_.find(k.key);
+        (*this)(k, m...);
     }
 
-    /** Reject unclaimed keys. Call after every getter has run. */
-    bool
-    finish()
+    template <typename Walk>
+    void
+    block(const Key& k, bool* has, Walk walk)
     {
-        if (failed())
-            return false;
+        if (const TextNode* v = claim(k, TextNode::Kind::Map))
+            blocks_.push_back({k.key, v, has, walk});
+    }
+
+    template <typename Items, typename Walk>
+    void
+    list(const Key& k, Items& items, Walk)
+    {
+        if (const TextNode* v = claim(k, TextNode::Kind::List))
+            seen_->emplace_back(&items, v);
+    }
+
+    /** Source node of `member`; nullptr when it was absent. */
+    const TextNode*
+    node(const void* member) const
+    {
+        for (const auto& [m, v] : *seen_)
+            if (m == member)
+                return v;
+        return nullptr;
+    }
+
+    /**
+     * Claim `key` (listed once as valid, however often claimed). The
+     * node when present and of `kind`; nullptr when absent (an error if
+     * required), mis-shaped, skipped by `only`, or after an error.
+     */
+    const TextNode*
+    claim(const Key& k, TextNode::Kind kind)
+    {
+        if (skip(k))
+            return nullptr;
+        if (std::find(claimed_.begin(), claimed_.end(), k.key) ==
+            claimed_.end())
+            claimed_.push_back(k.key);
+        const TextNode* v = failed() ? nullptr : node_.find(k.key);
+        if (!v && !failed() && (k.flags & kRequired) &&
+            kind == TextNode::Kind::Scalar)
+            fail(node_.line, std::string("missing required key '") +
+                                 k.key + "' in " + context_);
+        if (!v || v->kind == kind)
+            return v;
+        fail(v->line, std::string("key '") + k.key + "' expects " +
+                          (kind == TextNode::Kind::Scalar
+                               ? "a value, not a block"
+                           : kind == TextNode::Kind::Map
+                               ? "an indented block, not a value"
+                               : "a list, not a value"));
+        return nullptr;
+    }
+
+    /**
+     * Close the map: half-open bounds, then unknown keys, then each
+     * nested block (read, closed and marked present in turn).
+     */
+    bool
+    finish(std::string* err)
+    {
+        for (const auto& [k, m] : belowHi_)
+            if (*m >= k.hi)
+                fail(node(m)->line, "value " + fmtDouble(*m) + " for '" +
+                                        k.key + "' out of range " +
+                                        bracket(k, false, true));
         for (const auto& [key, value] : node_.entries) {
             if (std::find(claimed_.begin(), claimed_.end(), key) !=
                 claimed_.end())
@@ -202,9 +284,20 @@ class MapReader
                 valid += (i ? ", " : "") + claimed_[i];
             fail(value.line, "unknown key '" + key + "' in " + context_ +
                                  " (valid: " + valid + ")");
-            return false;
         }
-        return true;
+        for (const Block& b : blocks_) {
+            if (failed())
+                break;
+            Reader in(*b.node, filename_, b.key + " block", seen_);
+            b.walk(in);
+            if (!in.finish(&error_))
+                break;
+            seen_->emplace_back(b.has, b.node);
+            if (b.has)
+                *b.has = true;
+        }
+        *err = error_;
+        return !failed();
     }
 
     void
@@ -215,21 +308,23 @@ class MapReader
     }
 
   private:
-    const TextNode*
-    claim(const char* key)
+    struct Block
     {
-        claimed_.push_back(key);
-        return node_.find(key);
-    }
+        std::string key;
+        const TextNode* node;
+        bool* has;
+        std::function<void(Reader&)> walk;
+    };
 
-    bool
-    expectScalar(const char* key, const TextNode* v)
+    bool skip(const Key& k) const { return only && std::strcmp(only, k.key); }
+
+    const TextNode*
+    scalar(const Key& k, const void* member)
     {
-        if (v->kind == TextNode::Kind::Scalar)
-            return true;
-        fail(v->line, std::string("key '") + key +
-                          "' expects a value, not a block");
-        return false;
+        const TextNode* v = claim(k, TextNode::Kind::Scalar);
+        if (v)
+            seen_->emplace_back(member, v);
+        return v;
     }
 
     const TextNode& node_;
@@ -237,12 +332,548 @@ class MapReader
     std::string context_;
     std::string error_;
     std::vector<std::string> claimed_;
+    Seen own_;
+    Seen* seen_;
+    std::vector<std::pair<Key, const double*>> belowHi_;
+    std::vector<Block> blocks_;
 };
+
+/** Write pass: the canonical text of dump(). */
+class Writer
+{
+  public:
+    explicit Writer(std::ostream& os) : os_(os) {}
+
+    static bool branch(bool taken) { return taken; }
+
+    template <typename T>
+    void
+    operator()(const Key& k, const T& m)
+    {
+        // An empty string cannot be written; absent reads back as empty.
+        if constexpr (std::is_same_v<T, std::string>)
+            if (m.empty())
+                return;
+        os_ << (lead_.empty() ? pad_ : lead_) << k.key << ": " << text(m)
+            << "\n";
+        lead_.clear();
+    }
+
+    template <typename E, size_t N>
+    void
+    operator()(const Key& k, const E& m, const util::EnumKey<E> (&table)[N])
+    {
+        (*this)(k, std::string(enumKey(table, m)));
+    }
+
+    template <typename... M>
+    void
+    opt(const Key& k, bool has, const M&... m)
+    {
+        if (has)
+            (*this)(k, m...);
+    }
+
+    template <typename Walk>
+    void
+    block(const Key& k, const bool* has, Walk walk)
+    {
+        if (has && !*has)
+            return;
+        os_ << pad_ << k.key << ":\n";
+        pad_ += "  ";
+        walk(*this);
+        pad_.resize(pad_.size() - 2);
+    }
+
+    /** Items open with "- " on their first key. */
+    template <typename Items, typename Walk>
+    void
+    list(const Key& k, const Items& items, Walk walk)
+    {
+        if (items.empty())
+            return;
+        os_ << pad_ << k.key << ":\n";
+        for (const auto& item : items) {
+            lead_ = pad_ + "  - ";
+            pad_ += "    ";
+            walk(*this, item);
+            pad_.resize(pad_.size() - 4);
+        }
+    }
+
+  private:
+    std::ostream& os_;
+    std::string pad_;
+    std::string lead_;
+};
+
+/** Fold pass: graphDigest() over the typed values. */
+class Folder
+{
+  public:
+    explicit Folder(util::Fnv1a* d) : d_(d) {}
+
+    static bool branch(bool taken) { return taken; }
+
+    template <typename T>
+    void
+    operator()(const Key&, const T& m)
+    {
+        if constexpr (std::is_same_v<T, std::string>) {
+            d_->u64(m.size());
+            d_->str(m);
+        } else if constexpr (std::is_same_v<T, double>) {
+            d_->f64(m);
+        } else {
+            d_->u64(static_cast<uint64_t>(m));
+        }
+    }
+
+    template <typename E, size_t N>
+    void
+    operator()(const Key& k, const E& m, const util::EnumKey<E> (&table)[N])
+    {
+        (*this)(k, std::string(enumKey(table, m)));
+    }
+
+    template <typename... M>
+    void
+    opt(const Key& k, bool has, const M&... m)
+    {
+        (*this)(k, has);
+        (*this)(k, m...);
+    }
+
+    template <typename Walk>
+    void
+    block(const Key& k, const bool* has, Walk walk)
+    {
+        if (has)
+            (*this)(k, *has);
+        if (!has || *has)
+            walk(*this);
+    }
+
+    template <typename Items, typename Walk>
+    void
+    list(const Key&, const Items& items, Walk walk)
+    {
+        d_->u64(items.size());
+        for (const auto& item : items)
+            walk(*this, item);
+    }
+
+  private:
+    util::Fnv1a* d_;
+};
+
+/**
+ * Describe pass: one schemaKeys() row per key, its default read from a
+ * default-constructed struct. A block's rows follow its own row; a
+ * list's rows wait for flush(), after the rows of the map holding it.
+ */
+class Describer
+{
+  public:
+    explicit Describer(std::vector<KeyDoc>* out) : out_(out) {}
+
+    static bool branch(bool) { return true; }
+
+    template <typename T>
+    void
+    operator()(const Key& k, const T& m)
+    {
+        constexpr bool is_int = std::is_same_v<T, int>;
+        if constexpr (std::is_same_v<T, std::string>)
+            row(k, "string", "-", m.empty() ? "(empty)" : m);
+        else if constexpr (std::is_same_v<T, bool>)
+            row(k, "bool", "true | false", text(m));
+        else if constexpr (std::is_same_v<T, uint64_t>)
+            row(k, "uint", "[0, 2^64)", text(m));
+        else
+            row(k, is_int ? "int" : "double",
+                bracket(k, is_int, k.flags & kBelowHi), text(m));
+    }
+
+    template <typename E, size_t N>
+    void
+    operator()(const Key& k, const E& m, const util::EnumKey<E> (&table)[N])
+    {
+        row(k, "enum", util::enumKeyList(table, " | "), enumKey(table, m));
+    }
+
+    template <typename... M>
+    void
+    opt(Key k, bool, const M&... m)
+    {
+        k.shown = "(absent)";
+        (*this)(k, m...);
+    }
+
+    template <typename Walk>
+    void
+    block(const Key& k, const bool*, Walk walk)
+    {
+        row(k, "map", "-", "(absent)");
+        std::string outer = prefix_;
+        prefix_ += std::string(k.key) + ".";
+        walk(*this);
+        prefix_ = outer;
+    }
+
+    template <typename Items, typename Walk>
+    void
+    list(const Key& k, const Items&, Walk walk)
+    {
+        row(k, "list",
+            k.hi ? text(static_cast<int>(k.lo)) + ".." +
+                       text(static_cast<int>(k.hi)) + " items"
+                 : "-",
+            "(absent)");
+        std::string prefix = prefix_ + k.key + "[].";
+        lists_.push_back([this, prefix, walk] {
+            prefix_ = prefix;
+            const typename Items::value_type item{};
+            walk(*this, item);
+        });
+    }
+
+    /** Describe the lists found so far, in the order they were found. */
+    void
+    flush()
+    {
+        for (size_t i = 0; i < lists_.size(); ++i)
+            lists_[i]();
+    }
+
+  private:
+    void
+    row(const Key& k, const char* type, std::string range,
+        std::string value)
+    {
+        KeyDoc doc{prefix_ + k.key,
+                   type,
+                   std::move(range),
+                   (k.flags & kRequired) ? "-"
+                   : k.shown             ? k.shown
+                                         : std::move(value),
+                   (k.flags & kMeta) ? "meta" : "sim",
+                   k.help};
+        // A key several kinds share (slo value) is one row.
+        for (const KeyDoc& prev : *out_)
+            if (prev.path == doc.path &&
+                std::string_view(prev.help) == doc.help)
+                return;
+        out_->push_back(std::move(doc));
+    }
+
+    std::vector<KeyDoc>* out_;
+    std::string prefix_;
+    std::vector<std::function<void()>> lists_;
+};
+
+/** slo[] items: the common keys, then the keys of the rule's kind. */
+template <typename V, typename S>
+void
+sloRuleKeys(V& v, S& r)
+{
+    v({"rule", "Alert name (required, unique per scenario)", 0, 0,
+       kMeta | kRequired},
+      r.rule);
+    v({"kind", "Rule evaluation strategy", 0, 0, kMeta}, r.kind,
+      kRuleKindKeys);
+    v({"series", "Telemetry series the rule watches (required)", 0, 0,
+       kMeta | kRequired},
+      r.series);
+    v({"label", "Series label; empty reads the unkeyed slot", 0, 0, kMeta},
+      r.label);
+    auto value = [&] {
+        v({"value", "Threshold trigger / burn-rate burn factor", -1e18,
+           1e18, kMeta},
+          r.value);
+    };
+    if (v.branch(r.kind == obs::RuleKind::Threshold)) {
+        v({"agg", "Threshold: per-window aggregate", 0, 0, kMeta}, r.agg,
+          kRuleAggKeys);
+        v({"op", "Threshold: violation direction", 0, 0, kMeta}, r.op,
+          kRuleOpKeys);
+        value();
+        v({"sustain-windows",
+           "Threshold: consecutive violating windows before firing", 1,
+           10000, kMeta},
+          r.sustainWindows);
+    }
+    if (v.branch(r.kind == obs::RuleKind::BurnRate)) {
+        v({"total-series", "Burn-rate denominator series (required)", 0, 0,
+           kMeta | kRequired},
+          r.totalSeries);
+        v({"total-label", "Burn-rate denominator label", 0, 0, kMeta},
+          r.totalLabel);
+        v({"budget", "Burn-rate: allowed bad/total fraction", 1e-9, 1,
+           kMeta},
+          r.budget);
+        value();
+        v({"short-windows", "Burn-rate fast trailing window", 1, 10000,
+           kMeta},
+          r.shortWindows);
+        v({"long-windows", "Burn-rate slow trailing window", 1, 10000,
+           kMeta},
+          r.longWindows);
+    }
+    if (v.branch(r.kind == obs::RuleKind::Absence))
+        v({"windows", "Absence: consecutive empty windows before firing", 1,
+           10000, kMeta},
+          r.windows);
+}
+
+/** expect[] items; which keys combine is checked in compileExpects. */
+template <typename V, typename S>
+void
+expectKeys(V& v, S& e)
+{
+    v({"metric", "Counter whose run delta is bounded by min/max", 0, 0,
+       kMeta},
+      e.metric);
+    v.opt({"min", "Inclusive lower bound on the counter delta", 0, 0, kMeta},
+          e.hasMin, e.min);
+    v.opt({"max", "Inclusive upper bound on the counter delta", 0, 0, kMeta},
+          e.hasMax, e.max);
+    v.opt({"slo", "Alert-state check against the SLO monitor", 0, 0, kMeta},
+          e.hasSlo, e.slo, kSloCheckKeys);
+    v({"rule", "Rule name for slo: fired / not-fired", 0, 0, kMeta},
+      e.rule);
+}
+
+/**
+ * stages[] items: the common keys, then the keys of the stage's kind.
+ * Include resolution (path -> compiled sub-scenario) is explicit code;
+ * see compileInclude.
+ */
+template <typename V, typename S>
+void
+stageKeys(V& v, S& st)
+{
+    v({"stage", "Stage kind discriminator (required, first key)", 0, 0,
+       kRequired},
+      st.kind, kStageKindKeys);
+    v({"name", "Stage display name", 0, 0, kMeta, "<kind>-<index>"},
+      st.name);
+    v({"seed", "Stage seed; 0 derives Rng::stream(scenario seed, "
+               "{stage-phase, index})"},
+      st.seed);
+
+    if (v.branch(st.kind == StageKind::Experiment)) {
+        auto& e = st.experiment;
+        v({"servers", "Cluster size", 1, 100000}, e.servers);
+        v({"victims", "Victim workloads scheduled onto the cluster", 0,
+           1000000},
+          e.victims);
+        v({"policy", "Placement policy"}, e.policy, core::kPolicyKeys);
+        v({"platform", "Tenant packaging (Section 6)"}, e.platform,
+          sim::kPlatformKeys);
+        v({"isolation", "Isolation ladder rung (Fig. 14)"}, e.isolation,
+          sim::kIsolationKeys);
+        v({"obfuscation", "Victim pattern-obfuscation defense amplitude", 0,
+           1},
+          e.obfuscation);
+        v.block({"faults",
+                 "Fault-injection plan; must enable at least one rate"},
+                &e.hasFaults, [&p = e.faults](auto& v) {
+                    v({"arrivals",
+                       "P(background VM arrives) per host per round", 0, 1},
+                      p.arrivalProb);
+                    v({"departures", "P(victim departs) per victim per round",
+                       0, 1},
+                      p.departureProb);
+                    v({"phase-flips",
+                       "P(victim load-pattern phase flip) per victim per "
+                       "round",
+                       0, 1},
+                      p.phaseFlipProb);
+                    v({"dropouts", "P(probe sample lost) per probe", 0, 1},
+                      p.dropoutProb);
+                    v({"spikes",
+                       "P(probe sample takes an outlier spike) per probe", 0,
+                       1},
+                      p.spikeProb);
+                    v({"spike-mag",
+                       "Spike amplitude upper bound, pressure points", 0,
+                       100},
+                      p.spikeMagnitude);
+                    v({"jitter", "Transient capacity-jitter amplitude", 0, 1,
+                       kBelowHi},
+                      p.capacityJitterAmp);
+                    v({"jitter-window",
+                       "Jitter window length, virtual seconds", 0.001, 3600},
+                      p.capacityJitterWindowSec);
+                    v({"seed", "Fault seed; 0 derives from the stage seed"},
+                      p.seed);
+                });
+    }
+    if (v.branch(st.kind == StageKind::Serve)) {
+        auto& s = st.serve;
+        v({"loop", "Open-loop Poisson arrivals or closed-loop client lanes"},
+          s.loop, kLoopKindKeys);
+        v({"requests", "Total requests (split across ramp segments)", 1,
+           10000000},
+          s.requests);
+        v({"qps", "Base offered QPS (open loop); ramps scale it per segment",
+           1e-6, 1e9},
+          s.qps);
+        v({"clients", "Closed-loop client lanes", 1, 100000}, s.clients);
+        v({"think-ms", "Closed-loop mean think time, sim ms", 0, 1e6},
+          s.thinkMs);
+        v({"slo-ms", "Per-request deadline budget, sim ms", 0.001, 1e6},
+          s.sloMs);
+        v({"workers", "Virtual service lanes of the sim timeline", 1, 256},
+          s.workers);
+        v({"queue-cap", "Bounded request-queue capacity", 1, 1000000},
+          s.queueCap);
+        v({"max-batch", "Micro-batch size cap (1 disables batching)", 1, 64},
+          s.maxBatch);
+        v({"batch-setup-ms", "Fixed per-batch service overhead, sim ms", 0,
+           1000},
+          s.batchSetupMs);
+        v({"batch-wait-ms", "Optional one-shot batch-fill wait, sim ms", 0,
+           1000},
+          s.batchWaitMs);
+        v({"admit-check", "SLO-aware admission control at arrival"},
+          s.admitCheck);
+        v({"decompose-frac", "Fraction of requests that are decompose "
+                             "queries",
+           0, 1},
+          s.decomposeFrac);
+        v.block({"arrival", "Arrival-process shape block", 0, 0, 0,
+                 "(steady)"},
+                nullptr, [&s](auto& v) {
+                    v({"shape",
+                       "QPS curve; non-steady shapes require loop: open"},
+                      s.shape, kArrivalShapeKeys);
+                    v({"segments", "Ramp resolution: back-to-back engine runs",
+                       1, 64},
+                      s.segments);
+                    v({"peak-factor", "Flash-crowd: peak QPS / base QPS", 1,
+                       1000},
+                      s.peakFactor);
+                    v({"floor-factor", "Diurnal: trough QPS / base QPS", 0,
+                       1},
+                      s.floorFactor);
+                });
+    }
+    if (v.branch(st.kind == StageKind::Attack)) {
+        auto& a = st.attack;
+        v({"kind", "Attack campaign kind (required)", 0, 0, kRequired},
+          a.kind, kAttackKindKeys);
+        if (v.branch(a.kind == AttackKind::Dos)) {
+            v({"margin", "DoS contention margin over the victim's pressure",
+               1, 2},
+              a.margin);
+            v({"top-resources", "DoS: victim resources stressed", 1, 10},
+              a.topResources);
+            v({"duration-sec", "DoS timeline length, virtual seconds", 30,
+               600},
+              a.durationSec);
+        }
+        if (v.branch(a.kind == AttackKind::CoResidency)) {
+            v({"probes", "Co-residency: probe VMs per wave", 1, 10000},
+              a.probes);
+            v({"waves", "Co-residency: probe waves before giving up", 1,
+               1000},
+              a.waves);
+            v({"victim-vms", "Co-residency: VMs the target user runs", 1,
+               100},
+              a.victimVms);
+        }
+    }
+    if (v.branch(st.kind == StageKind::Fleet)) {
+        auto& f = st.fleet;
+        v({"hosts", "Fleet: physical hosts simulated", 1, 1000000}, f.hosts);
+        v({"tenants", "Fleet: tenant VMs placed at boot", 0, 10000000},
+          f.tenants);
+        v({"shards", "Fleet: host partitions (cross-shard stats only; never "
+                     "the digest)",
+           1, 4096},
+          f.shards);
+        v({"epochs", "Fleet: churn + profiling epochs to run", 1, 10000},
+          f.epochs);
+        v({"arrivals", "Fleet: mean VM arrivals per host per epoch", 0, 100},
+          f.arrivals);
+        v({"departures", "Fleet: per-VM per-epoch departure probability", 0,
+           1},
+          f.departures);
+        v({"migrations", "Fleet: per-VM per-epoch migration probability", 0,
+           1},
+          f.migrations);
+        v({"host-faults", "Fleet: per-host per-epoch fault probability", 0,
+           1},
+          f.hostFaults);
+    }
+    if (v.branch(st.kind == StageKind::Armsrace)) {
+        auto& a = st.armsrace;
+        v({"allocator", "Armsrace: allocation policy the campaign attacks"},
+          a.allocator, colo::kPolicyKindKeys);
+        v({"attacker", "Armsrace: co-location attacker strategy"},
+          a.attacker, colo::kAttackerKeys);
+        v({"servers", "Armsrace: cluster size", 1, 100000}, a.servers);
+        v({"probes", "Armsrace: probe VMs per wave", 1, 10000}, a.probes);
+        v({"waves", "Armsrace: probe waves before the campaign gives up", 1,
+           1000},
+          a.waves);
+        v({"reps", "Armsrace: independent campaigns in the cell", 1, 64},
+          a.reps);
+        v({"utilization", "Armsrace: prefill slot-utilization percent", 5,
+           90},
+          a.utilization);
+    }
+    if (v.branch(st.kind == StageKind::Include)) {
+        v({"path", "Sub-scenario file, relative to the including file "
+                   "(required)",
+           0, 0, kRequired},
+          st.includePath);
+        v({"repeat", "Run the sub-scenario this many times, distinct seeds",
+           1, 32},
+          st.repeat);
+    }
+}
+
+/**
+ * Top level. `stages` is required, but its presence and item count are
+ * checked after slo/expect compile (see compileTree); its Key only
+ * documents them.
+ */
+template <typename V, typename S>
+void
+topKeys(V& v, S& s)
+{
+    v({"scenario", "Scenario name (required)", 0, 0, kMeta | kRequired},
+      s.name);
+    v({"description", "One-line intent shown in reports", 0, 0, kMeta},
+      s.description);
+    v({"seed", "Root seed; stages without a seed derive theirs from it"},
+      s.seed);
+    v({"slo-window-sec",
+       "Telemetry window the runner forces when slo rules exist", 0.001,
+       3600, kMeta},
+      s.sloWindowSec);
+    v.list({"slo", "Declarative SLO rules the monitor evaluates during the "
+                   "run",
+            0, 0, kMeta},
+           s.sloRules, [](auto& v, auto& r) { sloRuleKeys(v, r); });
+    v.list({"expect", "End-of-run expectations; a failure exits bolt_cli "
+                      "with 3",
+            0, 0, kMeta},
+           s.expects, [](auto& v, auto& e) { expectKeys(v, e); });
+    v.list({"stages", "Ordered stage list (required)", 1, kMaxStages,
+            kRequired},
+           s.stages, [](auto& v, auto& st) { stageKeys(v, st); });
+}
 
 /** Compile-time include state: the stack of files being compiled. */
 struct CompileCtx
 {
     std::vector<std::string> stack; ///< Canonical paths, outermost first.
+    bool subError = false; ///< The error is an included file's own.
 };
 
 bool compileTree(const TextNode& root, std::string_view filename,
@@ -250,205 +881,11 @@ bool compileTree(const TextNode& root, std::string_view filename,
                  std::string* err);
 
 bool
-compileFaults(const TextNode& node, std::string_view filename,
-              ExperimentStage* stage, std::string* err)
+compileInclude(const Reader& rd, std::string_view filename,
+               const std::string& dir, CompileCtx* ctx, Stage* stage,
+               std::string* err)
 {
-    MapReader r(node, filename, "faults block");
-    fault::FaultPlan& plan = stage->faults;
-    r.getDouble("arrivals", 0.0, 1.0, &plan.arrivalProb);
-    r.getDouble("departures", 0.0, 1.0, &plan.departureProb);
-    r.getDouble("phase-flips", 0.0, 1.0, &plan.phaseFlipProb);
-    r.getDouble("dropouts", 0.0, 1.0, &plan.dropoutProb);
-    r.getDouble("spikes", 0.0, 1.0, &plan.spikeProb);
-    r.getDouble("spike-mag", 0.0, 100.0, &plan.spikeMagnitude);
-    r.getDouble("jitter", 0.0, 1.0, &plan.capacityJitterAmp);
-    r.getDouble("jitter-window", 0.001, 3600.0,
-                &plan.capacityJitterWindowSec);
-    r.getUInt("seed", &plan.seed);
-    if (!r.failed() && plan.capacityJitterAmp >= 1.0)
-        r.fail(node.find("jitter")->line,
-               "value " + fmtDouble(plan.capacityJitterAmp) +
-                   " for 'jitter' out of range [0, 1)");
-    if (!r.finish()) {
-        *err = r.error();
-        return false;
-    }
-    if (!plan.enabled()) {
-        *err = errorAt(filename, node.line,
-                       "faults block enables no fault rate (set one "
-                       "of: arrivals, departures, phase-flips, "
-                       "dropouts, spikes, jitter)");
-        return false;
-    }
-    stage->hasFaults = true;
-    return true;
-}
-
-bool
-compileExperimentStage(MapReader& r, const TextNode& item,
-                       std::string_view filename, Stage* stage,
-                       std::string* err)
-{
-    ExperimentStage& e = stage->experiment;
-    r.getInt("servers", 1, 100000, &e.servers);
-    r.getInt("victims", 0, 1000000, &e.victims);
-    r.getEnum("policy", core::kPolicyKeys, &e.policy);
-    r.getEnum("platform", sim::kPlatformKeys, &e.platform);
-    r.getEnum("isolation", sim::kIsolationKeys, &e.isolation);
-    r.getDouble("obfuscation", 0.0, 1.0, &e.obfuscation);
-    const TextNode* faults = r.block("faults", TextNode::Kind::Map);
-    if (!r.finish()) {
-        *err = r.error();
-        return false;
-    }
-    if (faults && !compileFaults(*faults, filename, &e, err))
-        return false;
-    (void)item;
-    return true;
-}
-
-bool
-compileServeStage(MapReader& r, const TextNode& item,
-                  std::string_view filename, Stage* stage,
-                  std::string* err)
-{
-    ServeStage& s = stage->serve;
-    r.getEnum("loop", kLoopKindKeys, &s.loop);
-    r.getInt("requests", 1, 10000000, &s.requests);
-    r.getDouble("qps", 1e-6, 1e9, &s.qps);
-    r.getInt("clients", 1, 100000, &s.clients);
-    r.getDouble("think-ms", 0.0, 1e6, &s.thinkMs);
-    r.getDouble("slo-ms", 0.001, 1e6, &s.sloMs);
-    r.getInt("workers", 1, 256, &s.workers);
-    r.getInt("queue-cap", 1, 1000000, &s.queueCap);
-    r.getInt("max-batch", 1, 64, &s.maxBatch);
-    r.getDouble("batch-setup-ms", 0.0, 1000.0, &s.batchSetupMs);
-    r.getDouble("batch-wait-ms", 0.0, 1000.0, &s.batchWaitMs);
-    r.getBool("admit-check", &s.admitCheck);
-    r.getDouble("decompose-frac", 0.0, 1.0, &s.decomposeFrac);
-    const TextNode* arrival = r.block("arrival", TextNode::Kind::Map);
-    if (!r.finish()) {
-        *err = r.error();
-        return false;
-    }
-
-    if (arrival) {
-        MapReader ar(*arrival, filename, "arrival block");
-        ar.getEnum("shape", kArrivalShapeKeys, &s.shape);
-        ar.getInt("segments", 1, 64, &s.segments);
-        ar.getDouble("peak-factor", 1.0, 1000.0, &s.peakFactor);
-        ar.getDouble("floor-factor", 0.0, 1.0, &s.floorFactor);
-        if (!ar.finish()) {
-            *err = ar.error();
-            return false;
-        }
-        if (s.shape != ArrivalShape::Steady &&
-            s.loop == LoopKind::Closed) {
-            *err = errorAt(filename, arrival->find("shape")->line,
-                           "arrival shape '" +
-                               std::string(enumKey(kArrivalShapeKeys,
-                                                   s.shape)) +
-                               "' requires loop: open (a closed loop "
-                               "paces itself; offered QPS has no "
-                               "effect)");
-            return false;
-        }
-    }
-    (void)item;
-    return true;
-}
-
-bool
-compileAttackStage(MapReader& r, const TextNode& item,
-                   std::string_view filename, Stage* stage,
-                   std::string* err)
-{
-    AttackStage& a = stage->attack;
-    r.getEnum("kind", kAttackKindKeys, &a.kind);
-    if (r.failed()) {
-        *err = r.error();
-        return false;
-    }
-    if (!item.find("kind")) {
-        *err = errorAt(filename, item.line,
-                       "missing required key 'kind' in attack stage");
-        return false;
-    }
-    if (a.kind == AttackKind::Dos) {
-        r.getDouble("margin", 1.0, 2.0, &a.margin);
-        r.getInt("top-resources", 1, 10, &a.topResources);
-        r.getDouble("duration-sec", 30.0, 600.0, &a.durationSec);
-    } else {
-        r.getInt("probes", 1, 10000, &a.probes);
-        r.getInt("waves", 1, 1000, &a.waves);
-        r.getInt("victim-vms", 1, 100, &a.victimVms);
-    }
-    if (!r.finish()) {
-        *err = r.error();
-        return false;
-    }
-    return true;
-}
-
-bool
-compileFleetStage(MapReader& r, const TextNode& item,
-                  std::string_view filename, Stage* stage,
-                  std::string* err)
-{
-    FleetStage& f = stage->fleet;
-    r.getInt("hosts", 1, 1000000, &f.hosts);
-    r.getInt("tenants", 0, 10000000, &f.tenants);
-    r.getInt("shards", 1, 4096, &f.shards);
-    r.getInt("epochs", 1, 10000, &f.epochs);
-    r.getDouble("arrivals", 0.0, 100.0, &f.arrivals);
-    r.getDouble("departures", 0.0, 1.0, &f.departures);
-    r.getDouble("migrations", 0.0, 1.0, &f.migrations);
-    r.getDouble("host-faults", 0.0, 1.0, &f.hostFaults);
-    if (!r.finish()) {
-        *err = r.error();
-        return false;
-    }
-    (void)item;
-    (void)filename;
-    return true;
-}
-
-bool
-compileArmsraceStage(MapReader& r, const TextNode& item,
-                     std::string_view filename, Stage* stage,
-                     std::string* err)
-{
-    ArmsraceStage& a = stage->armsrace;
-    r.getEnum("allocator", colo::kPolicyKindKeys, &a.allocator);
-    r.getEnum("attacker", colo::kAttackerKeys, &a.attacker);
-    r.getInt("servers", 1, 100000, &a.servers);
-    r.getInt("probes", 1, 10000, &a.probes);
-    r.getInt("waves", 1, 1000, &a.waves);
-    r.getInt("reps", 1, 64, &a.reps);
-    r.getDouble("utilization", 5.0, 90.0, &a.utilization);
-    if (!r.finish()) {
-        *err = r.error();
-        return false;
-    }
-    (void)item;
-    (void)filename;
-    return true;
-}
-
-bool
-compileIncludeStage(MapReader& r, const TextNode& item,
-                    std::string_view filename, const std::string& dir,
-                    CompileCtx* ctx, Stage* stage, std::string* err)
-{
-    r.getString("path", &stage->includePath, /*required=*/true);
-    r.getInt("repeat", 1, 32, &stage->repeat);
-    if (!r.finish()) {
-        *err = r.error();
-        return false;
-    }
-    const TextNode* path_node = item.find("path");
-    int path_line = path_node ? path_node->line : item.line;
-
+    int path_line = rd.node(&stage->includePath)->line;
     namespace fs = std::filesystem;
     fs::path resolved = fs::path(dir) / stage->includePath;
     std::error_code ec;
@@ -480,18 +917,18 @@ compileIncludeStage(MapReader& r, const TextNode& item,
     buffer << in.rdbuf();
 
     TextNode sub_root;
-    if (!parseText(buffer.str(), resolved.string(), &sub_root, err))
-        return false;
-
     auto sub = std::make_shared<Scenario>();
     sub->sourcePath = resolved.string();
     ctx->stack.push_back(canon);
-    bool ok = compileTree(sub_root, resolved.string(),
-                          resolved.parent_path().string(), ctx,
-                          sub.get(), err);
+    bool ok = parseText(buffer.str(), resolved.string(), &sub_root, err) &&
+              compileTree(sub_root, resolved.string(),
+                          resolved.parent_path().string(), ctx, sub.get(),
+                          err);
     ctx->stack.pop_back();
-    if (!ok)
+    if (!ok) {
+        ctx->subError = true;
         return false;
+    }
     stage->sub = std::move(sub);
     return true;
 }
@@ -521,53 +958,34 @@ compileSloRules(const TextNode& list, std::string_view filename,
         SloRuleSpec spec;
         spec.line = item.line;
         {
-            MapReader probe(item, filename, "slo rule");
-            probe.getEnum("kind", kRuleKindKeys, &spec.kind);
-            if (probe.failed()) {
-                *err = probe.error();
+            Reader kind(item, filename, "slo rule");
+            kind.only = "kind";
+            sloRuleKeys(kind, spec);
+            if (kind.failed()) {
+                *err = kind.error();
                 return false;
             }
         }
         // Like attack stages, only the keys of the declared kind are
-        // claimed, so a stray key fails loudly with the valid set.
-        MapReader r(item, filename,
-                    std::string(enumKey(kRuleKindKeys, spec.kind)) +
-                        " slo rule");
-        obs::RuleKind discard{};
-        r.getEnum("kind", kRuleKindKeys, &discard);
-        r.getString("rule", &spec.rule, /*required=*/true);
-        r.getString("series", &spec.series, /*required=*/true);
-        r.getString("label", &spec.label);
-        if (spec.kind == obs::RuleKind::Threshold) {
-            r.getEnum("agg", kRuleAggKeys, &spec.agg);
-            r.getEnum("op", kRuleOpKeys, &spec.op);
-            r.getDouble("value", -1e18, 1e18, &spec.value);
-            r.getInt("sustain-windows", 1, 10000, &spec.sustainWindows);
-        } else if (spec.kind == obs::RuleKind::BurnRate) {
-            r.getString("total-series", &spec.totalSeries,
-                        /*required=*/true);
-            r.getString("total-label", &spec.totalLabel);
-            r.getDouble("budget", 1e-9, 1.0, &spec.budget);
-            r.getDouble("value", -1e18, 1e18, &spec.value);
-            r.getInt("short-windows", 1, 10000, &spec.shortWindows);
-            r.getInt("long-windows", 1, 10000, &spec.longWindows);
-        } else {
-            r.getInt("windows", 1, 10000, &spec.windows);
-        }
-        if (!r.finish()) {
-            *err = r.error();
+        // claimed, so a stray key fails loudly with the valid set; the
+        // discriminator leads that set.
+        Reader rd(item, filename,
+                  std::string(enumKey(kRuleKindKeys, spec.kind)) +
+                      " slo rule");
+        rd.claim({"kind", nullptr}, TextNode::Kind::Scalar);
+        sloRuleKeys(rd, spec);
+        if (!rd.finish(err))
             return false;
-        }
         obs::SeriesId sid;
         if (!obs::seriesByName(spec.series, &sid)) {
-            *err = errorAt(filename, item.find("series")->line,
+            *err = errorAt(filename, rd.node(&spec.series)->line,
                            "unknown telemetry series '" + spec.series +
                                "' for 'series'");
             return false;
         }
         if (spec.kind == obs::RuleKind::BurnRate &&
             !obs::seriesByName(spec.totalSeries, &sid)) {
-            *err = errorAt(filename, item.find("total-series")->line,
+            *err = errorAt(filename, rd.node(&spec.totalSeries)->line,
                            "unknown telemetry series '" +
                                spec.totalSeries +
                                "' for 'total-series'");
@@ -599,19 +1017,10 @@ compileExpects(const TextNode& list, std::string_view filename,
         }
         ExpectSpec e;
         e.line = item.line;
-        e.hasMin = item.find("min") != nullptr;
-        e.hasMax = item.find("max") != nullptr;
-        e.hasSlo = item.find("slo") != nullptr;
-        MapReader r(item, filename, "expect item");
-        r.getString("metric", &e.metric);
-        r.getUInt("min", &e.min);
-        r.getUInt("max", &e.max);
-        r.getEnum("slo", kSloCheckKeys, &e.slo);
-        r.getString("rule", &e.rule);
-        if (!r.finish()) {
-            *err = r.error();
+        Reader rd(item, filename, "expect item");
+        expectKeys(rd, e);
+        if (!rd.finish(err))
             return false;
-        }
         if (e.metric.empty() != e.hasSlo) {
             *err = errorAt(filename, item.line,
                            "expect item needs exactly one of 'metric' "
@@ -620,7 +1029,7 @@ compileExpects(const TextNode& list, std::string_view filename,
         }
         if (!e.metric.empty()) {
             if (!isCounterMetric(e.metric)) {
-                *err = errorAt(filename, item.find("metric")->line,
+                *err = errorAt(filename, rd.node(&e.metric)->line,
                                "unknown counter metric '" + e.metric +
                                    "' for 'metric'");
                 return false;
@@ -640,7 +1049,7 @@ compileExpects(const TextNode& list, std::string_view filename,
                 return false;
             }
             if (!e.rule.empty()) {
-                *err = errorAt(filename, item.find("rule")->line,
+                *err = errorAt(filename, rd.node(&e.rule)->line,
                                "'rule' is only valid with 'slo'");
                 return false;
             }
@@ -668,7 +1077,7 @@ compileExpects(const TextNode& list, std::string_view filename,
                 for (const SloRuleSpec& spec : out->sloRules)
                     known = known || spec.rule == e.rule;
                 if (!known) {
-                    *err = errorAt(filename, item.find("rule")->line,
+                    *err = errorAt(filename, rd.node(&e.rule)->line,
                                    "expect references undeclared slo "
                                    "rule '" +
                                        e.rule + "'");
@@ -692,40 +1101,45 @@ compileStage(const TextNode& item, size_t index,
                            util::enumKeyList(kStageKindKeys, "|") + "'");
         return false;
     }
-
     {
-        MapReader probe(item, filename, "stage");
-        probe.getEnum("stage", kStageKindKeys, &stage->kind);
-        if (probe.failed()) {
-            *err = probe.error();
+        Reader kind(item, filename, "stage");
+        kind.only = "stage";
+        stageKeys(kind, *stage);
+        if (kind.failed()) {
+            *err = kind.error();
             return false;
         }
     }
     std::string kind = enumKey(kStageKindKeys, stage->kind);
     stage->name = kind + "-" + std::to_string(index);
 
-    MapReader r(item, filename, kind + " stage");
-    StageKind discard{};
-    r.getEnum("stage", kStageKindKeys, &discard);
-    r.getString("name", &stage->name);
-    r.getUInt("seed", &stage->seed);
+    Reader rd(item, filename, kind + " stage");
+    stageKeys(rd, *stage);
+    if (!rd.finish(err))
+        return false;
 
-    switch (stage->kind) {
-    case StageKind::Experiment:
-        return compileExperimentStage(r, item, filename, stage, err);
-    case StageKind::Serve:
-        return compileServeStage(r, item, filename, stage, err);
-    case StageKind::Attack:
-        return compileAttackStage(r, item, filename, stage, err);
-    case StageKind::Fleet:
-        return compileFleetStage(r, item, filename, stage, err);
-    case StageKind::Armsrace:
-        return compileArmsraceStage(r, item, filename, stage, err);
-    case StageKind::Include:
-        return compileIncludeStage(r, item, filename, dir, ctx, stage,
-                                   err);
+    const ExperimentStage& e = stage->experiment;
+    if (e.hasFaults && !e.faults.enabled()) {
+        *err = errorAt(filename, rd.node(&e.hasFaults)->line,
+                       "faults block enables no fault rate (set one "
+                       "of: arrivals, departures, phase-flips, "
+                       "dropouts, spikes, jitter)");
+        return false;
     }
-    return false; // Unreachable.
+    const ServeStage& s = stage->serve;
+    if (s.shape != ArrivalShape::Steady && s.loop == LoopKind::Closed) {
+        *err = errorAt(filename, rd.node(&s.shape)->line,
+                       "arrival shape '" +
+                           std::string(enumKey(kArrivalShapeKeys,
+                                               s.shape)) +
+                           "' requires loop: open (a closed loop "
+                           "paces itself; offered QPS has no "
+                           "effect)");
+        return false;
+    }
+    if (stage->kind == StageKind::Include)
+        return compileInclude(rd, filename, dir, ctx, stage, err);
+    return true;
 }
 
 bool
@@ -733,27 +1147,22 @@ compileTree(const TextNode& root, std::string_view filename,
             const std::string& dir, CompileCtx* ctx, Scenario* out,
             std::string* err)
 {
-    MapReader r(root, filename, "top level");
-    r.getString("scenario", &out->name, /*required=*/true);
-    r.getString("description", &out->description);
-    r.getUInt("seed", &out->seed);
-    r.getDouble("slo-window-sec", 0.001, 3600.0, &out->sloWindowSec);
-    const TextNode* slo = r.block("slo", TextNode::Kind::List);
-    const TextNode* expect = r.block("expect", TextNode::Kind::List);
-    const TextNode* stages = r.block("stages", TextNode::Kind::List);
-    if (!r.finish()) {
-        *err = r.error();
+    Reader rd(root, filename, "top level");
+    topKeys(rd, *out);
+    if (!rd.finish(err))
         return false;
-    }
-    if (slo && !compileSloRules(*slo, filename, out, err))
+    if (const TextNode* slo = rd.node(&out->sloRules);
+        slo && !compileSloRules(*slo, filename, out, err))
         return false;
-    if (expect && !compileExpects(*expect, filename, out, err))
+    if (const TextNode* expect = rd.node(&out->expects);
+        expect && !compileExpects(*expect, filename, out, err))
         return false;
-    if (!r.failed() && out->name.empty()) {
-        *err = errorAt(filename, root.find("scenario")->line,
+    if (out->name.empty()) {
+        *err = errorAt(filename, rd.node(&out->name)->line,
                        "scenario name must not be empty");
         return false;
     }
+    const TextNode* stages = rd.node(&out->stages);
     if (!stages) {
         *err = errorAt(filename, root.line,
                        "missing required key 'stages' in top level");
@@ -776,254 +1185,17 @@ compileTree(const TextNode& root, std::string_view filename,
     return true;
 }
 
-void
-dumpStage(const Stage& stage, std::ostream& os)
-{
-    auto kv = [&os](const char* key, std::string_view value) {
-        os << "    " << key << ": " << value << "\n";
-    };
-    os << "  - stage: " << enumKey(kStageKindKeys, stage.kind) << "\n";
-    kv("name", stage.name);
-    kv("seed", std::to_string(stage.seed));
-    switch (stage.kind) {
-    case StageKind::Experiment: {
-        const ExperimentStage& e = stage.experiment;
-        kv("servers", std::to_string(e.servers));
-        kv("victims", std::to_string(e.victims));
-        kv("policy", enumKey(core::kPolicyKeys, e.policy));
-        kv("platform", enumKey(sim::kPlatformKeys, e.platform));
-        kv("isolation", enumKey(sim::kIsolationKeys, e.isolation));
-        kv("obfuscation", fmtDouble(e.obfuscation));
-        if (e.hasFaults) {
-            const fault::FaultPlan& p = e.faults;
-            os << "    faults:\n";
-            auto fv = [&os](const char* key, const std::string& value) {
-                os << "      " << key << ": " << value << "\n";
-            };
-            fv("arrivals", fmtDouble(p.arrivalProb));
-            fv("departures", fmtDouble(p.departureProb));
-            fv("phase-flips", fmtDouble(p.phaseFlipProb));
-            fv("dropouts", fmtDouble(p.dropoutProb));
-            fv("spikes", fmtDouble(p.spikeProb));
-            fv("spike-mag", fmtDouble(p.spikeMagnitude));
-            fv("jitter", fmtDouble(p.capacityJitterAmp));
-            fv("jitter-window", fmtDouble(p.capacityJitterWindowSec));
-            fv("seed", std::to_string(p.seed));
-        }
-        break;
-    }
-    case StageKind::Serve: {
-        const ServeStage& s = stage.serve;
-        kv("loop", enumKey(kLoopKindKeys, s.loop));
-        kv("requests", std::to_string(s.requests));
-        kv("qps", fmtDouble(s.qps));
-        kv("clients", std::to_string(s.clients));
-        kv("think-ms", fmtDouble(s.thinkMs));
-        kv("slo-ms", fmtDouble(s.sloMs));
-        kv("workers", std::to_string(s.workers));
-        kv("queue-cap", std::to_string(s.queueCap));
-        kv("max-batch", std::to_string(s.maxBatch));
-        kv("batch-setup-ms", fmtDouble(s.batchSetupMs));
-        kv("batch-wait-ms", fmtDouble(s.batchWaitMs));
-        kv("admit-check", s.admitCheck ? "true" : "false");
-        kv("decompose-frac", fmtDouble(s.decomposeFrac));
-        os << "    arrival:\n";
-        os << "      shape: " << enumKey(kArrivalShapeKeys, s.shape)
-           << "\n";
-        os << "      segments: " << s.segments << "\n";
-        os << "      peak-factor: " << fmtDouble(s.peakFactor) << "\n";
-        os << "      floor-factor: " << fmtDouble(s.floorFactor)
-           << "\n";
-        break;
-    }
-    case StageKind::Attack: {
-        const AttackStage& a = stage.attack;
-        kv("kind", enumKey(kAttackKindKeys, a.kind));
-        if (a.kind == AttackKind::Dos) {
-            kv("margin", fmtDouble(a.margin));
-            kv("top-resources", std::to_string(a.topResources));
-            kv("duration-sec", fmtDouble(a.durationSec));
-        } else {
-            kv("probes", std::to_string(a.probes));
-            kv("waves", std::to_string(a.waves));
-            kv("victim-vms", std::to_string(a.victimVms));
-        }
-        break;
-    }
-    case StageKind::Fleet: {
-        const FleetStage& f = stage.fleet;
-        kv("hosts", std::to_string(f.hosts));
-        kv("tenants", std::to_string(f.tenants));
-        kv("shards", std::to_string(f.shards));
-        kv("epochs", std::to_string(f.epochs));
-        kv("arrivals", fmtDouble(f.arrivals));
-        kv("departures", fmtDouble(f.departures));
-        kv("migrations", fmtDouble(f.migrations));
-        kv("host-faults", fmtDouble(f.hostFaults));
-        break;
-    }
-    case StageKind::Armsrace: {
-        const ArmsraceStage& a = stage.armsrace;
-        kv("allocator", enumKey(colo::kPolicyKindKeys, a.allocator));
-        kv("attacker", enumKey(colo::kAttackerKeys, a.attacker));
-        kv("servers", std::to_string(a.servers));
-        kv("probes", std::to_string(a.probes));
-        kv("waves", std::to_string(a.waves));
-        kv("reps", std::to_string(a.reps));
-        kv("utilization", fmtDouble(a.utilization));
-        break;
-    }
-    case StageKind::Include:
-        kv("path", stage.includePath);
-        kv("repeat", std::to_string(stage.repeat));
-        break;
-    }
-}
-
-void
-digestStage(const Stage& stage, util::Fnv1a* d)
-{
-    auto str = [d](std::string_view s) {
-        d->u64(s.size());
-        d->str(s);
-    };
-    d->u8(static_cast<uint8_t>(stage.kind));
-    str(stage.name);
-    d->u64(stage.seed);
-    switch (stage.kind) {
-    case StageKind::Experiment: {
-        const ExperimentStage& e = stage.experiment;
-        d->u64(static_cast<uint64_t>(e.servers));
-        d->u64(static_cast<uint64_t>(e.victims));
-        str(enumKey(core::kPolicyKeys, e.policy));
-        str(enumKey(sim::kPlatformKeys, e.platform));
-        str(enumKey(sim::kIsolationKeys, e.isolation));
-        d->f64(e.obfuscation);
-        d->u8(e.hasFaults ? 1 : 0);
-        if (e.hasFaults) {
-            const fault::FaultPlan& p = e.faults;
-            d->f64(p.arrivalProb);
-            d->f64(p.departureProb);
-            d->f64(p.phaseFlipProb);
-            d->f64(p.dropoutProb);
-            d->f64(p.spikeProb);
-            d->f64(p.spikeMagnitude);
-            d->f64(p.capacityJitterAmp);
-            d->f64(p.capacityJitterWindowSec);
-            d->u64(p.seed);
-        }
-        break;
-    }
-    case StageKind::Serve: {
-        const ServeStage& s = stage.serve;
-        d->u8(static_cast<uint8_t>(s.loop));
-        d->u64(static_cast<uint64_t>(s.requests));
-        d->f64(s.qps);
-        d->u64(static_cast<uint64_t>(s.clients));
-        d->f64(s.thinkMs);
-        d->f64(s.sloMs);
-        d->u64(static_cast<uint64_t>(s.workers));
-        d->u64(static_cast<uint64_t>(s.queueCap));
-        d->u64(static_cast<uint64_t>(s.maxBatch));
-        d->f64(s.batchSetupMs);
-        d->f64(s.batchWaitMs);
-        d->u8(s.admitCheck ? 1 : 0);
-        d->f64(s.decomposeFrac);
-        d->u8(static_cast<uint8_t>(s.shape));
-        d->u64(static_cast<uint64_t>(s.segments));
-        d->f64(s.peakFactor);
-        d->f64(s.floorFactor);
-        break;
-    }
-    case StageKind::Attack: {
-        const AttackStage& a = stage.attack;
-        d->u8(static_cast<uint8_t>(a.kind));
-        if (a.kind == AttackKind::Dos) {
-            d->f64(a.margin);
-            d->u64(static_cast<uint64_t>(a.topResources));
-            d->f64(a.durationSec);
-        } else {
-            d->u64(static_cast<uint64_t>(a.probes));
-            d->u64(static_cast<uint64_t>(a.waves));
-            d->u64(static_cast<uint64_t>(a.victimVms));
-        }
-        break;
-    }
-    case StageKind::Fleet: {
-        const FleetStage& f = stage.fleet;
-        d->u64(static_cast<uint64_t>(f.hosts));
-        d->u64(static_cast<uint64_t>(f.tenants));
-        d->u64(static_cast<uint64_t>(f.shards));
-        d->u64(static_cast<uint64_t>(f.epochs));
-        d->f64(f.arrivals);
-        d->f64(f.departures);
-        d->f64(f.migrations);
-        d->f64(f.hostFaults);
-        break;
-    }
-    case StageKind::Armsrace: {
-        const ArmsraceStage& a = stage.armsrace;
-        str(enumKey(colo::kPolicyKindKeys, a.allocator));
-        str(enumKey(colo::kAttackerKeys, a.attacker));
-        d->u64(static_cast<uint64_t>(a.servers));
-        d->u64(static_cast<uint64_t>(a.probes));
-        d->u64(static_cast<uint64_t>(a.waves));
-        d->u64(static_cast<uint64_t>(a.reps));
-        d->f64(a.utilization);
-        break;
-    }
-    case StageKind::Include:
-        str(stage.includePath);
-        d->u64(static_cast<uint64_t>(stage.repeat));
-        d->u64(stage.sub ? stage.sub->graphDigest() : 0);
-        break;
-    }
-}
-
 } // namespace
 
 uint64_t
 Scenario::graphDigest() const
 {
     util::Fnv1a d;
-    auto str = [&d](std::string_view s) {
-        d.u64(s.size());
-        d.str(s);
-    };
-    str(name);
-    str(description);
-    d.u64(seed);
-    d.f64(sloWindowSec);
-    d.u64(sloRules.size());
-    for (const SloRuleSpec& r : sloRules) {
-        str(r.rule);
-        str(enumKey(kRuleKindKeys, r.kind));
-        str(r.series);
-        str(r.label);
-        str(enumKey(kRuleAggKeys, r.agg));
-        str(enumKey(kRuleOpKeys, r.op));
-        d.f64(r.value);
-        d.u64(static_cast<uint64_t>(r.sustainWindows));
-        str(r.totalSeries);
-        str(r.totalLabel);
-        d.f64(r.budget);
-        d.u64(static_cast<uint64_t>(r.shortWindows));
-        d.u64(static_cast<uint64_t>(r.longWindows));
-        d.u64(static_cast<uint64_t>(r.windows));
-    }
-    d.u64(expects.size());
-    for (const ExpectSpec& e : expects) {
-        str(e.metric);
-        d.u8(e.hasMin ? 1 : 0);
-        d.u64(e.min);
-        d.u8(e.hasMax ? 1 : 0);
-        d.u64(e.max);
-        str(e.hasSlo ? enumKey(kSloCheckKeys, e.slo) : "");
-        str(e.rule);
-    }
-    d.u64(stages.size());
+    Folder fold(&d);
+    topKeys(fold, *this);
     for (const Stage& stage : stages)
-        digestStage(stage, &d);
+        if (stage.sub)
+            d.u64(stage.sub->graphDigest());
     return d.h;
 }
 
@@ -1031,253 +1203,22 @@ std::string
 Scenario::dump() const
 {
     std::ostringstream os;
-    os << "scenario: " << name << "\n";
-    if (!description.empty())
-        os << "description: " << description << "\n";
-    os << "seed: " << seed << "\n";
-    if (!sloRules.empty() || !expects.empty())
-        os << "slo-window-sec: " << fmtDouble(sloWindowSec) << "\n";
-    if (!sloRules.empty()) {
-        os << "slo:\n";
-        for (const SloRuleSpec& r : sloRules) {
-            auto kv = [&os](const char* key, std::string_view value) {
-                os << "    " << key << ": " << value << "\n";
-            };
-            os << "  - rule: " << r.rule << "\n";
-            kv("kind", enumKey(kRuleKindKeys, r.kind));
-            kv("series", r.series);
-            if (!r.label.empty())
-                kv("label", r.label);
-            if (r.kind == obs::RuleKind::Threshold) {
-                kv("agg", enumKey(kRuleAggKeys, r.agg));
-                kv("op", enumKey(kRuleOpKeys, r.op));
-                kv("value", fmtDouble(r.value));
-                kv("sustain-windows", std::to_string(r.sustainWindows));
-            } else if (r.kind == obs::RuleKind::BurnRate) {
-                kv("total-series", r.totalSeries);
-                if (!r.totalLabel.empty())
-                    kv("total-label", r.totalLabel);
-                kv("budget", fmtDouble(r.budget));
-                kv("value", fmtDouble(r.value));
-                kv("short-windows", std::to_string(r.shortWindows));
-                kv("long-windows", std::to_string(r.longWindows));
-            } else {
-                kv("windows", std::to_string(r.windows));
-            }
-        }
-    }
-    if (!expects.empty()) {
-        os << "expect:\n";
-        for (const ExpectSpec& e : expects) {
-            if (!e.metric.empty()) {
-                os << "  - metric: " << e.metric << "\n";
-                if (e.hasMin)
-                    os << "    min: " << e.min << "\n";
-                if (e.hasMax)
-                    os << "    max: " << e.max << "\n";
-            } else {
-                os << "  - slo: " << enumKey(kSloCheckKeys, e.slo) << "\n";
-                if (!e.rule.empty())
-                    os << "    rule: " << e.rule << "\n";
-            }
-        }
-    }
-    os << "stages:\n";
-    for (const Stage& stage : stages)
-        dumpStage(stage, os);
+    Writer write(os);
+    topKeys(write, *this);
     return os.str();
 }
 
 const std::vector<KeyDoc>&
 schemaKeys()
 {
-    auto keys = [](const auto& table) {
-        return util::enumKeyList(table, " | ");
-    };
-    static const std::vector<KeyDoc> kKeys = {
-        // Top level.
-        {"scenario", "string", "-", "-", "meta",
-         "Scenario name (required)"},
-        {"description", "string", "-", "(empty)", "meta",
-         "One-line intent shown in reports"},
-        {"seed", "uint", "[0, 2^64)", "1", "sim",
-         "Root seed; stages without a seed derive theirs from it"},
-        {"slo-window-sec", "double", "[0.001, 3600]", "1", "meta",
-         "Telemetry window the runner forces when slo rules exist"},
-        {"slo", "list", "-", "(absent)", "meta",
-         "Declarative SLO rules the monitor evaluates during the run"},
-        {"slo[].rule", "string", "-", "-", "meta",
-         "Alert name (required, unique per scenario)"},
-        {"slo[].kind", "enum", keys(kRuleKindKeys),
-         "threshold", "meta", "Rule evaluation strategy"},
-        {"slo[].series", "string", "-", "-", "meta",
-         "Telemetry series the rule watches (required)"},
-        {"slo[].label", "string", "-", "(empty)", "meta",
-         "Series label; empty reads the unkeyed slot"},
-        {"slo[].agg", "enum", keys(kRuleAggKeys),
-         "mean", "meta", "Threshold: per-window aggregate"},
-        {"slo[].op", "enum", keys(kRuleOpKeys), "above", "meta",
-         "Threshold: violation direction"},
-        {"slo[].value", "double", "[-1e+18, 1e+18]", "0", "meta",
-         "Threshold trigger / burn-rate burn factor"},
-        {"slo[].sustain-windows", "int", "[1, 10000]", "1", "meta",
-         "Threshold: consecutive violating windows before firing"},
-        {"slo[].total-series", "string", "-", "-", "meta",
-         "Burn-rate denominator series (required)"},
-        {"slo[].total-label", "string", "-", "(empty)", "meta",
-         "Burn-rate denominator label"},
-        {"slo[].budget", "double", "[1e-09, 1]", "0.01", "meta",
-         "Burn-rate: allowed bad/total fraction"},
-        {"slo[].short-windows", "int", "[1, 10000]", "1", "meta",
-         "Burn-rate fast trailing window"},
-        {"slo[].long-windows", "int", "[1, 10000]", "1", "meta",
-         "Burn-rate slow trailing window"},
-        {"slo[].windows", "int", "[1, 10000]", "1", "meta",
-         "Absence: consecutive empty windows before firing"},
-        {"expect", "list", "-", "(absent)", "meta",
-         "End-of-run expectations; a failure exits bolt_cli with 3"},
-        {"expect[].metric", "string", "-", "-", "meta",
-         "Counter whose run delta is bounded by min/max"},
-        {"expect[].min", "uint", "[0, 2^64)", "(absent)", "meta",
-         "Inclusive lower bound on the counter delta"},
-        {"expect[].max", "uint", "[0, 2^64)", "(absent)", "meta",
-         "Inclusive upper bound on the counter delta"},
-        {"expect[].slo", "enum", keys(kSloCheckKeys),
-         "-", "meta", "Alert-state check against the SLO monitor"},
-        {"expect[].rule", "string", "-", "-", "meta",
-         "Rule name for slo: fired / not-fired"},
-        {"stages", "list", "1..64 items", "-", "sim",
-         "Ordered stage list (required)"},
-        // Common stage keys.
-        {"stages[].stage", "enum", keys(kStageKindKeys),
-         "-", "sim", "Stage kind discriminator (required, first key)"},
-        {"stages[].name", "string", "-", "<kind>-<index>", "meta",
-         "Stage display name"},
-        {"stages[].seed", "uint", "[0, 2^64)", "0", "sim",
-         "Stage seed; 0 derives Rng::stream(scenario seed, {stage-"
-         "phase, index})"},
-        // Experiment stage.
-        {"stages[].servers", "int", "[1, 100000]", "8", "sim",
-         "Cluster size (experiment; armsrace defaults to 24)"},
-        {"stages[].victims", "int", "[0, 1000000]", "20", "sim",
-         "Victim workloads scheduled onto the cluster"},
-        {"stages[].policy", "enum", keys(core::kPolicyKeys),
-         "least-loaded", "sim", "Placement policy"},
-        {"stages[].platform", "enum", keys(sim::kPlatformKeys),
-         "vm", "sim", "Tenant packaging (Section 6)"},
-        {"stages[].isolation", "enum", keys(sim::kIsolationKeys), "none",
-         "sim", "Isolation ladder rung (Fig. 14)"},
-        {"stages[].obfuscation", "double", "[0, 1]", "0", "sim",
-         "Victim pattern-obfuscation defense amplitude"},
-        {"stages[].faults", "map", "-", "(absent)", "sim",
-         "Fault-injection plan; must enable at least one rate"},
-        {"stages[].faults.arrivals", "double", "[0, 1]", "0", "sim",
-         "P(background VM arrives) per host per round"},
-        {"stages[].faults.departures", "double", "[0, 1]", "0", "sim",
-         "P(victim departs) per victim per round"},
-        {"stages[].faults.phase-flips", "double", "[0, 1]", "0", "sim",
-         "P(victim load-pattern phase flip) per victim per round"},
-        {"stages[].faults.dropouts", "double", "[0, 1]", "0", "sim",
-         "P(probe sample lost) per probe"},
-        {"stages[].faults.spikes", "double", "[0, 1]", "0", "sim",
-         "P(probe sample takes an outlier spike) per probe"},
-        {"stages[].faults.spike-mag", "double", "[0, 100]", "35",
-         "sim", "Spike amplitude upper bound, pressure points"},
-        {"stages[].faults.jitter", "double", "[0, 1)", "0", "sim",
-         "Transient capacity-jitter amplitude"},
-        {"stages[].faults.jitter-window", "double", "[0.001, 3600]",
-         "20", "sim", "Jitter window length, virtual seconds"},
-        {"stages[].faults.seed", "uint", "[0, 2^64)", "0", "sim",
-         "Fault seed; 0 derives from the stage seed"},
-        // Serve stage.
-        {"stages[].loop", "enum", keys(kLoopKindKeys), "open", "sim",
-         "Open-loop Poisson arrivals or closed-loop client lanes"},
-        {"stages[].requests", "int", "[1, 10000000]", "1000", "sim",
-         "Total requests (split across ramp segments)"},
-        {"stages[].qps", "double", "[1e-06, 1e+09]", "1000", "sim",
-         "Base offered QPS (open loop); ramps scale it per segment"},
-        {"stages[].clients", "int", "[1, 100000]", "16", "sim",
-         "Closed-loop client lanes"},
-        {"stages[].think-ms", "double", "[0, 1e+06]", "4", "sim",
-         "Closed-loop mean think time, sim ms"},
-        {"stages[].slo-ms", "double", "[0.001, 1e+06]", "50", "sim",
-         "Per-request deadline budget, sim ms"},
-        {"stages[].workers", "int", "[1, 256]", "4", "sim",
-         "Virtual service lanes of the sim timeline"},
-        {"stages[].queue-cap", "int", "[1, 1000000]", "128", "sim",
-         "Bounded request-queue capacity"},
-        {"stages[].max-batch", "int", "[1, 64]", "8", "sim",
-         "Micro-batch size cap (1 disables batching)"},
-        {"stages[].batch-setup-ms", "double", "[0, 1000]", "2", "sim",
-         "Fixed per-batch service overhead, sim ms"},
-        {"stages[].batch-wait-ms", "double", "[0, 1000]", "0", "sim",
-         "Optional one-shot batch-fill wait, sim ms"},
-        {"stages[].admit-check", "bool", "true | false", "true", "sim",
-         "SLO-aware admission control at arrival"},
-        {"stages[].decompose-frac", "double", "[0, 1]", "0", "sim",
-         "Fraction of requests that are decompose queries"},
-        {"stages[].arrival", "map", "-", "(steady)", "sim",
-         "Arrival-process shape block"},
-        {"stages[].arrival.shape", "enum", keys(kArrivalShapeKeys),
-         "steady", "sim",
-         "QPS curve; non-steady shapes require loop: open"},
-        {"stages[].arrival.segments", "int", "[1, 64]", "6", "sim",
-         "Ramp resolution: back-to-back engine runs"},
-        {"stages[].arrival.peak-factor", "double", "[1, 1000]", "4",
-         "sim", "Flash-crowd: peak QPS / base QPS"},
-        {"stages[].arrival.floor-factor", "double", "[0, 1]", "0.25",
-         "sim", "Diurnal: trough QPS / base QPS"},
-        // Attack stage.
-        {"stages[].kind", "enum", keys(kAttackKindKeys), "-", "sim",
-         "Attack campaign kind (required)"},
-        {"stages[].margin", "double", "[1, 2]", "1.15", "sim",
-         "DoS contention margin over the victim's pressure"},
-        {"stages[].top-resources", "int", "[1, 10]", "2", "sim",
-         "DoS: victim resources stressed"},
-        {"stages[].duration-sec", "double", "[30, 600]", "120", "sim",
-         "DoS timeline length, virtual seconds"},
-        {"stages[].probes", "int", "[1, 10000]", "10", "sim",
-         "Probe VMs per wave (coresidency; armsrace defaults to 4)"},
-        {"stages[].waves", "int", "[1, 1000]", "8", "sim",
-         "Probe waves before giving up (coresidency; armsrace "
-         "defaults to 3)"},
-        {"stages[].victim-vms", "int", "[1, 100]", "1", "sim",
-         "Co-residency: VMs the target user runs"},
-        // Fleet stage.
-        {"stages[].hosts", "int", "[1, 1000000]", "64", "sim",
-         "Fleet: physical hosts simulated"},
-        {"stages[].tenants", "int", "[0, 10000000]", "256", "sim",
-         "Fleet: tenant VMs placed at boot"},
-        {"stages[].shards", "int", "[1, 4096]", "1", "sim",
-         "Fleet: host partitions (cross-shard stats only; never the "
-         "digest)"},
-        {"stages[].epochs", "int", "[1, 10000]", "4", "sim",
-         "Fleet: churn + profiling epochs to run"},
-        {"stages[].arrivals", "double", "[0, 100]", "0.2", "sim",
-         "Fleet: mean VM arrivals per host per epoch"},
-        {"stages[].departures", "double", "[0, 1]", "0.04", "sim",
-         "Fleet: per-VM per-epoch departure probability"},
-        {"stages[].migrations", "double", "[0, 1]", "0.02", "sim",
-         "Fleet: per-VM per-epoch migration probability"},
-        {"stages[].host-faults", "double", "[0, 1]", "0", "sim",
-         "Fleet: per-host per-epoch fault probability"},
-        // Armsrace stage.
-        {"stages[].allocator", "enum", keys(colo::kPolicyKindKeys),
-         "least-loaded", "sim",
-         "Armsrace: allocation policy the campaign attacks"},
-        {"stages[].attacker", "enum", keys(colo::kAttackerKeys), "churn",
-         "sim", "Armsrace: co-location attacker strategy"},
-        {"stages[].reps", "int", "[1, 64]", "8", "sim",
-         "Armsrace: independent campaigns in the cell"},
-        {"stages[].utilization", "double", "[5, 90]", "50", "sim",
-         "Armsrace: prefill slot-utilization percent"},
-        // Include stage.
-        {"stages[].path", "string", "-", "-", "sim",
-         "Sub-scenario file, relative to the including file "
-         "(required)"},
-        {"stages[].repeat", "int", "[1, 32]", "1", "sim",
-         "Run the sub-scenario this many times, distinct seeds"},
-    };
+    static const std::vector<KeyDoc> kKeys = [] {
+        std::vector<KeyDoc> keys;
+        Describer describe(&keys);
+        const Scenario defaults;
+        topKeys(describe, defaults);
+        describe.flush();
+        return keys;
+    }();
     return kKeys;
 }
 
@@ -1317,7 +1258,12 @@ bool
 compileFlags(std::string_view kind, const std::vector<std::string>& flags,
              Scenario* out, std::string* err)
 {
+    // Node line n > 0 stands for the flag flags[2n - 2]; line 0 for the
+    // subcommand, i.e. the stage as a whole. Diagnostics name either.
     const char* kFile = "flags";
+    auto name = [&](int line) {
+        return line == 0 ? std::string(kind) : flags[2 * (line - 1)];
+    };
     auto scalar = [](std::string value, int line) {
         TextNode n;
         n.line = line;
@@ -1330,19 +1276,18 @@ compileFlags(std::string_view kind, const std::vector<std::string>& flags,
         n.line = line;
         return n;
     };
-    TextNode stage = block(TextNode::Kind::Map, 1);
-    stage.entries.emplace_back("stage", scalar(std::string(kind), 1));
+    TextNode stage = block(TextNode::Kind::Map, 0);
+    stage.entries.emplace_back("stage", scalar(std::string(kind), 0));
     for (size_t i = 0; i < flags.size(); i += 2) {
         int line = static_cast<int>(i / 2) + 1;
         const std::string& flag = flags[i];
         if (flag.rfind("--", 0) != 0) {
-            *err = errorAt(kFile, line, "unexpected argument '" + flag +
-                                            "' (flags are --key value)");
+            *err = name(0) + ": unexpected argument '" + flag +
+                   "' (flags are --key value)";
             return false;
         }
         if (i + 1 == flags.size()) {
-            *err = errorAt(kFile, line,
-                           "flag '" + flag + "' requires a value");
+            *err = flag + ": flag '" + flag + "' requires a value";
             return false;
         }
         // A value must read back from a scenario file unchanged, so the
@@ -1352,9 +1297,8 @@ compileFlags(std::string_view kind, const std::vector<std::string>& flags,
         std::string ignored;
         if (!parseText("v: " + value + "\n", kFile, &probe, &ignored) ||
             probe.find("v")->scalar != value) {
-            *err = errorAt(kFile, line,
-                           "value '" + value + "' for '" + flag +
-                               "' cannot be written in a scenario file");
+            *err = flag + ": value '" + value + "' for '" + flag +
+                   "' cannot be written in a scenario file";
             return false;
         }
         // Walk the dotted key path, opening nested blocks on the way.
@@ -1370,10 +1314,9 @@ compileFlags(std::string_view kind, const std::vector<std::string>& flags,
             if (key.empty() ||
                 (it != node->entries.end() &&
                  (leaf || it->second.kind != TextNode::Kind::Map))) {
-                *err = errorAt(kFile, line,
-                               "flag '" + flag +
-                                   "' is malformed, repeated or "
-                                   "conflicts with an earlier flag");
+                *err = flag + ": flag '" + flag +
+                       "' is malformed, repeated or conflicts with an "
+                       "earlier flag";
                 return false;
             }
             if (leaf) {
@@ -1389,13 +1332,22 @@ compileFlags(std::string_view kind, const std::vector<std::string>& flags,
             path = path.substr(dot + 1);
         }
     }
-    TextNode stages = block(TextNode::Kind::List, 1);
+    TextNode stages = block(TextNode::Kind::List, 0);
     stages.items.push_back(std::move(stage));
-    TextNode root = block(TextNode::Kind::Map, 1);
-    root.entries.emplace_back("scenario", scalar(std::string(kind), 1));
+    TextNode root = block(TextNode::Kind::Map, 0);
+    root.entries.emplace_back("scenario", scalar(std::string(kind), 0));
     root.entries.emplace_back("stages", std::move(stages));
     CompileCtx ctx;
-    return compileTree(root, kFile, "", &ctx, out, err);
+    if (compileTree(root, kFile, "", &ctx, out, err))
+        return true;
+    // "flags:<line>: message" -> "<flag or subcommand>: message".
+    std::string prefix = std::string(kFile) + ":";
+    if (!ctx.subError && err->rfind(prefix, 0) == 0) {
+        size_t colon = err->find(':', prefix.size());
+        *err = name(std::atoi(err->c_str() + prefix.size())) +
+               err->substr(colon);
+    }
+    return false;
 }
 
 } // namespace scenario

@@ -22,9 +22,15 @@ namespace scenario {
  * (text.h) compiled into a validated scenario graph that the runner
  * (runner.h) executes against the existing sim/fault/serve/attacks
  * layers. New experiments become data plus documentation instead of a
- * new C++ bench driver — the schema is documented key-by-key in
- * docs/SCENARIOS.md, and a test diffs that document against
- * schemaKeys() so the two cannot drift apart.
+ * new C++ bench driver.
+ *
+ * Each key of each block (top level, slo rule, expect item, stage and
+ * its nested blocks) is declared once, in a field list in scenario.cc:
+ * key, struct member, range or enum table, class and help. Compile,
+ * dump(), graphDigest() and schemaKeys() are generic walks over those
+ * lists; only cross-field rules and include resolution are explicit
+ * code. docs/SCENARIOS.md documents the schema key by key, and a test
+ * compares it with schemaKeys() row by row, so the two cannot drift.
  *
  * Determinism: every stage owns a counter-based seed (explicit
  * `seed:`, or derived from the scenario seed and the stage index via
@@ -269,10 +275,11 @@ struct Scenario
 
     /**
      * Canonical text serialization: every schema key written
-     * explicitly (defaults filled in), doubles in shortest
-     * round-trip form, stable ordering. Recompiling the dump yields
-     * an identical graph. Include stages are dumped as include
-     * stages (the sub-scenario file must still be reachable).
+     * explicitly (defaults filled in; empty strings, absent optional
+     * items and blocks omitted), doubles in shortest round-trip form,
+     * stable ordering. Recompiling the dump yields an identical graph.
+     * Include stages are dumped as include stages (the sub-scenario
+     * file must still be reachable).
      */
     std::string dump() const;
 };
@@ -280,20 +287,24 @@ struct Scenario
 /**
  * One row of the schema key table: the machine-readable contract that
  * docs/SCENARIOS.md documents and tests/test_scenario.cc diffs against
- * the doc. `determinism` is "sim" (the key changes results and is
- * folded into digests) or "meta" (cosmetic: names and descriptions).
+ * the doc. `determinism` is "sim" (the key changes results) or "meta"
+ * (names, descriptions, telemetry checks); both fold into graphDigest().
  */
 struct KeyDoc
 {
-    const char* path; ///< e.g. "stages[].faults.arrivals".
-    const char* type; ///< string|uint|int|double|bool|enum|map|list.
+    std::string path;  ///< e.g. "stages[].faults.arrivals".
+    const char* type;  ///< string|uint|int|double|bool|enum|map|list.
     std::string range; ///< "[0, 1]", enum keys "a | b", or "-".
-    const char* defaultValue; ///< "-" when required.
-    const char* determinism; ///< "sim" | "meta".
+    std::string defaultValue; ///< "-" when required.
+    const char* determinism;  ///< "sim" | "meta".
     const char* help;
 };
 
-/** Every key the compiler accepts, in documentation order. */
+/**
+ * Every key the compiler accepts, in documentation order. A key whose
+ * default depends on the stage kind (servers, probes, waves) has one
+ * row per kind.
+ */
 const std::vector<KeyDoc>& schemaKeys();
 
 /**
@@ -314,8 +325,8 @@ bool compileFile(const std::string& path, Scenario* out,
  * `flags` becomes a key of that stage. Dotted keys open nested blocks
  * (`--faults.arrivals 0.1`), so docs/SCENARIOS.md is the flag
  * reference and `--seed` sets the stage's `seed:`. All validation is
- * the compiler's; diagnostics read "flags:<n>: <message>" where n is
- * the 1-based position of the offending flag.
+ * the compiler's; diagnostics read "<flag>: <message>", naming the
+ * offending flag, or "<kind>: <message>" for the stage as a whole.
  */
 bool compileFlags(std::string_view kind,
                   const std::vector<std::string>& flags, Scenario* out,

@@ -7,26 +7,35 @@
  *    cyclic-include and modifier-only-faults cases
  *  - compile -> dump -> recompile graph identity for synthetic and
  *    every shipped scenario
- *  - schema/documentation sync: the key table embedded in
- *    docs/SCENARIOS.md must list exactly the keys schemaKeys() accepts,
- *    and dump() must emit every leaf key (so the table, the compiler
- *    and the doc cannot drift apart)
+ *  - schema/documentation sync: the key tables embedded in
+ *    docs/SCENARIOS.md must equal schemaKeys() row by row, every
+ *    column, and dump() must emit every leaf key (so the table, the
+ *    compiler and the doc cannot drift apart)
  *  - bolt_cli's flag front end (compileFlags): every stage kind
  *    compiled from flags dumps, recompiles and runs (at toy sizes) to
  *    the same graph and run digests, and every enum name table
  *    round-trips and rejects a bogus name with the full valid list
+ *  - seeded fuzzing: random valid scenarios drawn from schemaKeys()
+ *    round-trip through dump(); mutated shipped files and random flag
+ *    lists compile or fail with a diagnostic, never crash or hang
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
-#include <set>
+#include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/timeseries.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 #include "scenario/text.h"
+#include "util/parse.h"
 
 using namespace bolt;
 using scenario::Scenario;
@@ -487,6 +496,27 @@ TEST(ScenarioRoundTrip, SyntheticAllFeatures)
     EXPECT_EQ(dumped, second.dump());
 }
 
+TEST(ScenarioRoundTrip, SloWindowWithoutRules)
+{
+    // The window is a key like any other: the dump writes it even when
+    // no slo: or expect: block would use it.
+    Scenario first;
+    std::string err;
+    ASSERT_TRUE(scenario::compileText("scenario: w\n"
+                                      "slo-window-sec: 2\n"
+                                      "stages:\n"
+                                      "  - stage: fleet\n",
+                                      "w.scn", &first, &err))
+        << err;
+    std::string dumped = first.dump();
+    Scenario second;
+    ASSERT_TRUE(scenario::compileText(dumped, "w.scn", &second, &err))
+        << err;
+    EXPECT_EQ(second.sloWindowSec, 2.0);
+    EXPECT_EQ(first.graphDigest(), second.graphDigest());
+    EXPECT_EQ(dumped, second.dump());
+}
+
 TEST(ScenarioRoundTrip, EveryShippedScenario)
 {
     for (const char* name : kShipped) {
@@ -518,30 +548,42 @@ TEST(ScenarioSchema, DocTableMatchesSchemaKeys)
     size_t end = doc.find("## Cookbook");
     ASSERT_NE(begin, std::string::npos);
     ASSERT_NE(end, std::string::npos);
-    std::set<std::string> documented;
-    // Key-table rows look like "| `stages[].servers` | int | ... |".
+    // Key-table rows look like "| `stages[].servers` | int | ... |":
+    // split on unescaped '|' and undo the \|, \< and \> escapes.
+    std::vector<std::vector<std::string>> documented;
     std::stringstream lines(doc.substr(begin, end - begin));
     std::string line;
     while (std::getline(lines, line)) {
         if (line.rfind("| `", 0) != 0)
             continue;
-        size_t end = line.find('`', 3);
-        if (end == std::string::npos)
-            continue;
-        documented.insert(line.substr(3, end - 3));
+        std::vector<std::string> cells(1);
+        for (size_t i = 1; i + 1 < line.size(); ++i) {
+            if (line[i] == '|')
+                cells.emplace_back();
+            else
+                cells.back() += line[i] == '\\' ? line[++i] : line[i];
+        }
+        for (std::string& cell : cells) { // " `path` " -> "path"
+            size_t first = cell.find_first_not_of(" `");
+            size_t last = cell.find_last_not_of(" `");
+            cell = first == std::string::npos
+                       ? ""
+                       : cell.substr(first, last - first + 1);
+        }
+        documented.push_back(cells);
     }
-    std::set<std::string> accepted;
-    for (const scenario::KeyDoc& key : scenario::schemaKeys())
-        accepted.insert(key.path);
-    ASSERT_FALSE(accepted.empty());
-    for (const std::string& key : accepted)
-        EXPECT_TRUE(documented.count(key))
-            << "schema key '" << key
-            << "' is missing from docs/SCENARIOS.md";
-    for (const std::string& key : documented)
-        EXPECT_TRUE(accepted.count(key))
-            << "docs/SCENARIOS.md documents '" << key
-            << "' but schemaKeys() does not accept it";
+    const std::vector<scenario::KeyDoc>& keys = scenario::schemaKeys();
+    ASSERT_FALSE(keys.empty());
+    EXPECT_EQ(documented.size(), keys.size());
+    for (size_t i = 0; i < std::min(documented.size(), keys.size()); ++i) {
+        const scenario::KeyDoc& key = keys[i];
+        std::vector<std::string> row = {key.path,         key.type,
+                                        key.range,        key.defaultValue,
+                                        key.determinism, key.help};
+        EXPECT_EQ(documented[i], row)
+            << "docs/SCENARIOS.md row " << i << " (" << documented[i][0]
+            << ") differs from schemaKeys() row '" << key.path << "'";
+    }
 }
 
 TEST(ScenarioSchema, DumpEmitsEveryLeafKey)
@@ -737,43 +779,45 @@ TEST(ScenarioFlags, RejectsWhatTheOldFrontEndSilentlyRan)
     // Each of these exited 0 and ran a default (or out-of-schema)
     // configuration before the CLI compiled through the schema.
     EXPECT_EQ(flagsError("experiment", {"--isolation", "bogus"}),
-              "flags:1: value 'bogus' for 'isolation' must be one of "
+              "--isolation: value 'bogus' for 'isolation' must be one of "
               "none, pinning, net, mem, cache, core-full, core-only");
     EXPECT_EQ(flagsError("experiment", {"--platform", "nope"}),
-              "flags:1: value 'nope' for 'platform' must be one of "
+              "--platform: value 'nope' for 'platform' must be one of "
               "baremetal, container, vm");
     EXPECT_EQ(flagsError("experiment", {"--obfuscation", "50"}),
-              "flags:1: value 50 for 'obfuscation' out of range [0, 1]");
+              "--obfuscation: value 50 for 'obfuscation' out of range [0, 1]");
     EXPECT_EQ(flagsError("experiment", {"--faults.spikes", "0.1",
                                         "--faults.spike-mag", "500"}),
-              "flags:2: value 500 for 'spike-mag' out of range [0, 100]");
+              "--faults.spike-mag: value 500 for 'spike-mag' out of range "
+              "[0, 100]");
     EXPECT_EQ(flagsError("experiment", {"--faults.seed", "7"}),
-              "flags:1: faults block enables no fault rate (set one of: "
+              "--faults.seed: faults block enables no fault rate (set one of: "
               "arrivals, departures, phase-flips, dropouts, spikes, "
               "jitter)");
     EXPECT_EQ(flagsError("serve", {"--requests", "10x"}),
-              "flags:1: value '10x' for 'requests' is not an integer");
+              "--requests: value '10x' for 'requests' is not an integer");
     EXPECT_EQ(flagsError("experiment", {"--serveurs", "9"}),
-              "flags:1: unknown key 'serveurs' in experiment stage "
+              "--serveurs: unknown key 'serveurs' in experiment stage "
               "(valid: stage, name, seed, servers, victims, policy, "
               "platform, isolation, obfuscation, faults)");
     EXPECT_EQ(flagsError("armsrace", {"--util-levels", "40,60"}),
-              "flags:1: unknown key 'util-levels' in armsrace stage "
+              "--util-levels: unknown key 'util-levels' in armsrace stage "
               "(valid: stage, name, seed, allocator, attacker, servers, "
               "probes, waves, reps, utilization)");
     EXPECT_EQ(flagsError("armsrace", {"--utilization", "200"}),
-              "flags:1: value 200 for 'utilization' out of range [5, 90]");
+              "--utilization: value 200 for 'utilization' out of range "
+              "[5, 90]");
     EXPECT_EQ(flagsError("attack", {}),
-              "flags:1: missing required key 'kind' in attack stage");
+              "attack: missing required key 'kind' in attack stage");
     // Flag-shape errors name the offending flag.
     EXPECT_EQ(flagsError("fleet", {"--hosts"}),
-              "flags:1: flag '--hosts' requires a value");
+              "--hosts: flag '--hosts' requires a value");
     EXPECT_EQ(flagsError("fleet", {"--hosts", "4", "8"}),
-              "flags:2: unexpected argument '8' (flags are --key value)");
+              "fleet: unexpected argument '8' (flags are --key value)");
     // Values the text format cannot hold would break the dump round trip.
     for (const char* value : {"", "x #y", "x ", "a\nb: c"}) {
         EXPECT_EQ(flagsError("fleet", {"--name", value}),
-                  std::string("flags:1: value '") + value +
+                  std::string("--name: value '") + value +
                       "' for '--name' cannot be written in a scenario "
                       "file");
     }
@@ -799,7 +843,7 @@ TEST(FaultFlags, RejectsUnknownKeyWithValidList)
 {
     // The message lists the valid keys so the typo is self-correcting.
     EXPECT_EQ(flagsError("experiment", {"--faults.dropout", "0.1"}),
-              "flags:1: unknown key 'dropout' in faults block (valid: "
+              "--faults.dropout: unknown key 'dropout' in faults block (valid: "
               "arrivals, departures, phase-flips, dropouts, spikes, "
               "spike-mag, jitter, jitter-window, seed)");
 }
@@ -808,18 +852,18 @@ TEST(FaultFlags, RejectsOutOfRangeValues)
 {
     const std::pair<std::vector<std::string>, const char*> kBad[] = {
         {{"--faults.arrivals", "1.5"},
-         "flags:1: value 1.5 for 'arrivals' out of range [0, 1]"},
+         "--faults.arrivals: value 1.5 for 'arrivals' out of range [0, 1]"},
         {{"--faults.dropouts", "-0.1"},
-         "flags:1: value -0.1 for 'dropouts' out of range [0, 1]"},
+         "--faults.dropouts: value -0.1 for 'dropouts' out of range [0, 1]"},
         {{"--faults.dropouts", "nope"},
-         "flags:1: value 'nope' for 'dropouts' is not a number"},
+         "--faults.dropouts: value 'nope' for 'dropouts' is not a number"},
         {{"--faults.jitter", "1.0"},
-         "flags:1: value 1 for 'jitter' out of range [0, 1)"},
+         "--faults.jitter: value 1 for 'jitter' out of range [0, 1)"},
         {{"--faults.phase-flips", "0.1", "--faults.jitter-window", "0"},
-         "flags:2: value 0 for 'jitter-window' out of range "
+         "--faults.jitter-window: value 0 for 'jitter-window' out of range "
          "[0.001, 3600]"},
         {{"--faults.phase-flips", "0.1", "--faults.seed", "-3"},
-         "flags:2: value '-3' for 'seed' is not an unsigned integer"},
+         "--faults.seed: value '-3' for 'seed' is not an unsigned integer"},
     };
     for (const auto& [flags, message] : kBad)
         EXPECT_EQ(flagsError("experiment", flags), message) << flags[0];
@@ -831,7 +875,7 @@ TEST(FaultFlags, ModifierOnlyPlanIsRejected)
     // strict CLI treats that as an error (exit 2), not a silent no-op.
     EXPECT_EQ(flagsError("experiment", {"--faults.seed", "7",
                                         "--faults.spike-mag", "60"}),
-              "flags:1: faults block enables no fault rate (set one of: "
+              "--faults.seed: faults block enables no fault rate (set one of: "
               "arrivals, departures, phase-flips, dropouts, spikes, "
               "jitter)");
     // With no --faults.* flag at all the stage simply has no plan.
@@ -873,7 +917,7 @@ TEST(NameTables, Platform)
     expectNameTable(
         sim::kPlatformKeys, "experiment", {}, "platform",
         [](const scenario::Stage& st) { return st.experiment.platform; },
-        "flags:1: value 'bogus' for 'platform' must be one of baremetal, "
+        "--platform: value 'bogus' for 'platform' must be one of baremetal, "
         "container, vm");
 }
 
@@ -882,7 +926,7 @@ TEST(NameTables, Isolation)
     expectNameTable(
         sim::kIsolationKeys, "experiment", {}, "isolation",
         [](const scenario::Stage& st) { return st.experiment.isolation; },
-        "flags:1: value 'bogus' for 'isolation' must be one of none, "
+        "--isolation: value 'bogus' for 'isolation' must be one of none, "
         "pinning, net, mem, cache, core-full, core-only");
     // Each rung builds the ladder config its factory builds.
     using sim::IsolationConfig;
@@ -910,7 +954,7 @@ TEST(NameTables, Policy)
     expectNameTable(
         core::kPolicyKeys, "experiment", {}, "policy",
         [](const scenario::Stage& st) { return st.experiment.policy; },
-        "flags:1: value 'bogus' for 'policy' must be one of least-loaded, "
+        "--policy: value 'bogus' for 'policy' must be one of least-loaded, "
         "quasar");
 }
 
@@ -919,7 +963,7 @@ TEST(NameTables, Allocator)
     expectNameTable(
         colo::kPolicyKindKeys, "armsrace", {}, "allocator",
         [](const scenario::Stage& st) { return st.armsrace.allocator; },
-        "flags:1: value 'bogus' for 'allocator' must be one of "
+        "--allocator: value 'bogus' for 'allocator' must be one of "
         "least-loaded, quasar, random, mab, secure");
     // The key and the display label are separate columns.
     EXPECT_STREQ(colo::policyName(colo::PolicyKind::Secure), "secure-opt");
@@ -930,7 +974,7 @@ TEST(NameTables, Attacker)
     expectNameTable(
         colo::kAttackerKeys, "armsrace", {}, "attacker",
         [](const scenario::Stage& st) { return st.armsrace.attacker; },
-        "flags:1: value 'bogus' for 'attacker' must be one of "
+        "--attacker: value 'bogus' for 'attacker' must be one of "
         "replication, affinity, churn");
 }
 
@@ -939,7 +983,7 @@ TEST(NameTables, AttackKind)
     expectNameTable(
         scenario::kAttackKindKeys, "attack", {}, "kind",
         [](const scenario::Stage& st) { return st.attack.kind; },
-        "flags:1: value 'bogus' for 'kind' must be one of dos, "
+        "--kind: value 'bogus' for 'kind' must be one of dos, "
         "coresidency");
 }
 
@@ -948,7 +992,7 @@ TEST(NameTables, Loop)
     expectNameTable(
         scenario::kLoopKindKeys, "serve", {}, "loop",
         [](const scenario::Stage& st) { return st.serve.loop; },
-        "flags:1: value 'bogus' for 'loop' must be one of open, closed");
+        "--loop: value 'bogus' for 'loop' must be one of open, closed");
 }
 
 TEST(NameTables, ArrivalShape)
@@ -957,7 +1001,7 @@ TEST(NameTables, ArrivalShape)
         scenario::kArrivalShapeKeys, "serve", {"--loop", "open"},
         "arrival.shape",
         [](const scenario::Stage& st) { return st.serve.shape; },
-        "flags:2: value 'bogus' for 'shape' must be one of steady, "
+        "--arrival.shape: value 'bogus' for 'shape' must be one of steady, "
         "flash-crowd, diurnal");
 }
 
@@ -979,8 +1023,403 @@ TEST(NameTables, StageKind)
                      row.key);
     }
     EXPECT_EQ(flagsError("bogus", {}),
-              "flags:1: value 'bogus' for 'stage' must be one of "
+              "bogus: value 'bogus' for 'stage' must be one of "
               "experiment, serve, attack, include, fleet, armsrace");
+}
+
+// ---------------------------------------------------------------- fuzz
+//
+// Seeded round-trip fuzzing of the compiler. The generator draws keys,
+// types, ranges and enum names from schemaKeys() and asks the compiler
+// which keys each block accepts (the valid list of its unknown-key
+// diagnostic), so a new key is fuzzed without touching this file.
+
+/** Deterministic draws (std distributions differ between libraries). */
+struct FuzzRng
+{
+    std::mt19937_64 gen;
+    uint64_t next() { return gen(); }
+    size_t below(size_t n) { return static_cast<size_t>(next() % n); }
+    bool coin() { return next() & 1; }
+    double unit() { return static_cast<double>(next() >> 11) * 0x1p-53; }
+    template <typename T>
+    const T&
+    pick(const std::vector<T>& v)
+    {
+        return v[below(v.size())];
+    }
+};
+
+/** "a | b | c" -> {"a", "b", "c"}. */
+std::vector<std::string>
+splitList(const std::string& text, const std::string& sep)
+{
+    std::vector<std::string> parts;
+    for (size_t at = 0;;) {
+        size_t next = text.find(sep, at);
+        parts.push_back(text.substr(at, next - at));
+        if (next == std::string::npos)
+            return parts;
+        at = next + sep.size();
+    }
+}
+
+/**
+ * The keys `block` accepts, in claim order: `block` is scenario text
+ * with "zzz-probe: 1" at the position of the block's first key.
+ */
+std::vector<std::string>
+acceptedKeys(const std::string& block)
+{
+    std::string err = compileError(block);
+    size_t at = err.find("(valid: ");
+    EXPECT_NE(at, std::string::npos) << err;
+    if (at == std::string::npos)
+        return {};
+    at += 8;
+    return splitList(err.substr(at, err.size() - at - 1), ", ");
+}
+
+/** Writes random valid scenarios drawn from schemaKeys(). */
+class ScenarioGen
+{
+  public:
+    ScenarioGen(uint64_t seed, std::string child) : child_(std::move(child))
+    {
+        rng_.gen.seed(seed);
+        for (size_t i = 0; i < obs::kNumCounters; ++i)
+            counters_.push_back(
+                obs::metricInfo(static_cast<obs::MetricId>(i)).name);
+        for (size_t i = 0; i < obs::kNumSeries; ++i)
+            series_.push_back(
+                obs::seriesInfo(static_cast<obs::SeriesId>(i)).name);
+    }
+
+    std::string
+    scenario()
+    {
+        rules_.clear();
+        std::string out;
+        // Top level, minus the lists drawn below.
+        for (const std::string& key : keys("scenario: x\nzzz-probe: 1\n")) {
+            if (key == "slo" || key == "expect" || key == "stages")
+                continue;
+            if (key == "scenario")
+                out += "scenario: " + token() + "\n";
+            else if (rng_.coin())
+                out += key + ": " + value(key) + "\n";
+        }
+        if (rng_.coin()) {
+            out += "slo:\n";
+            for (size_t n = 1 + rng_.below(3); n--;)
+                out += sloRule();
+        }
+        if (rng_.coin()) {
+            out += "expect:\n";
+            for (size_t n = 1 + rng_.below(3); n--;)
+                out += expectItem();
+        }
+        out += "stages:\n";
+        for (size_t n = 1 + rng_.below(4); n--;)
+            out += stage();
+        return out;
+    }
+
+  private:
+    /** Cached acceptedKeys(). */
+    const std::vector<std::string>&
+    keys(const std::string& block)
+    {
+        auto it = accepted_.find(block);
+        if (it == accepted_.end())
+            it = accepted_.emplace(block, acceptedKeys(block)).first;
+        return it->second;
+    }
+
+    const scenario::KeyDoc&
+    row(const std::string& path)
+    {
+        for (const scenario::KeyDoc& key : scenario::schemaKeys())
+            if (key.path == path)
+                return key;
+        ADD_FAILURE() << "no schemaKeys() row for accepted key " << path;
+        return scenario::schemaKeys().front();
+    }
+
+    std::string
+    token()
+    {
+        std::string t = "t";
+        for (size_t n = rng_.below(8); n--;)
+            t += "abz09-_."[rng_.below(8)];
+        return t;
+    }
+
+    /** An in-range value for schema row `path`. */
+    std::string
+    value(const std::string& path)
+    {
+        const scenario::KeyDoc& r = row(path);
+        std::string type = r.type;
+        if (type == "enum" || type == "bool")
+            return rng_.pick(splitList(r.range, " | "));
+        if (type == "string")
+            return token();
+        if (type == "uint")
+            return std::to_string(rng_.coin() ? rng_.below(100)
+                                              : rng_.next());
+        std::vector<std::string> bounds =
+            splitList(r.range.substr(1, r.range.size() - 2), ", ");
+        double lo = std::stod(bounds.at(0));
+        double hi = std::stod(bounds.at(1));
+        if (type == "int")
+            return std::to_string(static_cast<long long>(lo) +
+                                  static_cast<long long>(rng_.below(
+                                      static_cast<size_t>(
+                                          std::min(hi - lo, 1e6)) +
+                                      1)));
+        if (r.range.back() == ')')
+            hi = std::nextafter(hi, lo);
+        double v = rng_.coin() ? lo + (hi - lo) * rng_.unit()
+                               : std::min(hi, lo + rng_.below(100));
+        return util::fmtDouble(std::clamp(v, lo, hi));
+    }
+
+    /** Random optional keys of one block; `pad` indents each line. */
+    std::string
+    keysOf(const std::vector<std::string>& accepted,
+           const std::string& prefix, const std::string& pad,
+           const std::vector<std::string>& skip)
+    {
+        std::string out;
+        for (const std::string& key : accepted) {
+            if (std::count(skip.begin(), skip.end(), key) ||
+                !rng_.coin())
+                continue;
+            const scenario::KeyDoc& r = row(prefix + key);
+            if (std::string(r.type) == "map" ||
+                std::string(r.type) == "list")
+                continue;
+            out += pad + key + ": " + value(prefix + key) + "\n";
+        }
+        return out;
+    }
+
+    std::string
+    sloRule()
+    {
+        std::string kind = rng_.pick(splitList(row("slo[].kind").range,
+                                               " | "));
+        std::string name = "r";
+        name += std::to_string(rules_.size());
+        rules_.push_back(name);
+        std::string out = "  - rule: " + name + "\n    kind: " + kind +
+                          "\n    series: " + rng_.pick(series_) + "\n";
+        if (kind == "burn-rate")
+            out += "    total-series: " + rng_.pick(series_) + "\n";
+        const std::vector<std::string>& accepted =
+            keys("scenario: x\nslo:\n" + out +
+                 "    zzz-probe: 1\nstages:\n  - stage: fleet\n");
+        return out + keysOf(accepted, "slo[].", "    ",
+                            {"rule", "kind", "series", "total-series"});
+    }
+
+    std::string
+    expectItem()
+    {
+        if (rng_.coin()) {
+            std::string out = "  - metric: " + rng_.pick(counters_) + "\n";
+            uint64_t a = rng_.below(1000), b = rng_.below(1000);
+            bool both = rng_.coin(), min = both || rng_.coin();
+            if (min)
+                out += "    min: " + std::to_string(std::min(a, b)) + "\n";
+            if (both || !min)
+                out += "    max: " + std::to_string(std::max(a, b)) + "\n";
+            return out;
+        }
+        std::vector<std::string> checks =
+            splitList(row("expect[].slo").range, " | ");
+        std::string check = rules_.empty() ? checks.front()
+                                           : rng_.pick(checks);
+        std::string out = "  - slo: " + check + "\n";
+        if (check != checks.front())
+            out += "    rule: " + rng_.pick(rules_) + "\n";
+        return out;
+    }
+
+    std::string
+    stage()
+    {
+        std::string kind =
+            rng_.pick(splitList(row("stages[].stage").range, " | "));
+        std::string head = "  - stage: " + kind + "\n";
+        std::vector<std::string> fixed = {"stage"};
+        if (kind == "attack") {
+            head += "    kind: " +
+                    rng_.pick(splitList(row("stages[].kind").range, " | ")) +
+                    "\n";
+            fixed.push_back("kind");
+        }
+        if (kind == "include") {
+            head += "    path: " + child_ + "\n";
+            fixed.push_back("path");
+        }
+        std::string probe = "scenario: x\nstages:\n" + head;
+        const std::vector<std::string>& accepted =
+            keys(probe + "    zzz-probe: 1\n");
+        std::string out = head + keysOf(accepted, "stages[].", "    ", fixed);
+        for (std::string block : {"faults", "arrival"}) {
+            if (!std::count(accepted.begin(), accepted.end(), block) ||
+                !rng_.coin())
+                continue;
+            std::string prefix = "stages[]." + block + ".";
+            // Cross-field rules: a faults block enables a rate, and a
+            // non-steady arrival shape needs an open loop.
+            std::string body = keysOf(
+                keys(probe + "    " + block + ":\n      zzz-probe: 1\n"),
+                prefix, "      ", {"dropouts", "shape"});
+            if (block == "faults")
+                body += "      dropouts: " +
+                        util::fmtDouble(0.01 + 0.99 * rng_.unit()) + "\n";
+            else if (out.find("loop: closed") == std::string::npos)
+                body += "      shape: " + value(prefix + "shape") + "\n";
+            if (!body.empty())
+                out += "    " + block + ":\n" + body;
+        }
+        return out;
+    }
+
+    FuzzRng rng_;
+    std::string child_;
+    std::vector<std::string> counters_, series_, rules_;
+    std::map<std::string, std::vector<std::string>> accepted_;
+};
+
+TEST(ScenarioFuzz, RandomValidScenariosRoundTrip)
+{
+    std::string dir = ::testing::TempDir();
+    writeFile(dir + "/fuzz_child.scn", "scenario: child\n"
+                                       "stages:\n"
+                                       "  - stage: fleet\n");
+    ScenarioGen gen(20170408, "fuzz_child.scn");
+    for (int i = 0; i < 400; ++i) {
+        std::string source = gen.scenario();
+        Scenario first;
+        std::string err;
+        ASSERT_TRUE(scenario::compileText(source, dir + "/fuzz.scn",
+                                          &first, &err))
+            << err << "\nsource:\n"
+            << source;
+        std::string dumped = first.dump();
+        Scenario second;
+        ASSERT_TRUE(scenario::compileText(dumped, dir + "/fuzz.scn",
+                                          &second, &err))
+            << err << "\ndump:\n"
+            << dumped;
+        ASSERT_EQ(first.graphDigest(), second.graphDigest())
+            << "source:\n" << source << "dump:\n" << dumped;
+        ASSERT_EQ(dumped, second.dump()) << "source:\n" << source;
+    }
+}
+
+/**
+ * Either compiles (and then round-trips through its dump) or fails with
+ * a "<where>: <message>" diagnostic.
+ */
+void
+expectCompilesOrDiagnoses(bool ok, const Scenario& s, const std::string& err,
+                          const std::string& dir, const std::string& input)
+{
+    if (!ok) {
+        EXPECT_NE(err.find(": "), std::string::npos)
+            << "no diagnostic for:\n" << input;
+        return;
+    }
+    Scenario again;
+    std::string again_err;
+    ASSERT_TRUE(scenario::compileText(s.dump(), dir + "/rt.scn", &again,
+                                      &again_err))
+        << again_err << "\ninput:\n" << input;
+    EXPECT_EQ(s.graphDigest(), again.graphDigest()) << input;
+}
+
+TEST(ScenarioFuzz, MutatedShippedScenariosNeverCrash)
+{
+    FuzzRng rng;
+    rng.gen.seed(42);
+    const std::string chars = "ab0-_.: #\t\n\\|\"'9ez";
+    for (int i = 0; i < 3000; ++i) {
+        std::string text = readFile(
+            repoPath("scenarios/" +
+                     std::string(kShipped[rng.below(std::size(kShipped))]) +
+                     ".scn"));
+        for (size_t n = 1 + rng.below(4); n--;) {
+            char c = chars[rng.below(chars.size())];
+            size_t op = text.empty() ? 2 : rng.below(6);
+            size_t at = text.empty() ? 0 : rng.below(text.size());
+            if (op == 0) {
+                text[at] = c;
+            } else if (op == 1) {
+                text.erase(at, 1);
+            } else if (op == 2) {
+                text.insert(at, 1, c);
+            } else {
+                // Line edits: drop, duplicate or indent one line.
+                std::vector<std::string> lines = splitList(text, "\n");
+                size_t line = rng.below(lines.size());
+                if (op == 3)
+                    lines.erase(lines.begin() + line);
+                else if (op == 4)
+                    lines.insert(lines.begin() + line, rng.pick(lines));
+                else
+                    lines[line].insert(0, rng.coin() ? "  " : " ");
+                text.clear();
+                for (size_t k = 0; k < lines.size(); ++k)
+                    text += (k ? "\n" : "") + lines[k];
+            }
+        }
+        Scenario s;
+        std::string err;
+        // Compile beside the shipped files so includes still resolve.
+        bool ok = scenario::compileText(
+            text, repoPath("scenarios/fuzz.scn"), &s, &err);
+        expectCompilesOrDiagnoses(ok, s, err, repoPath("scenarios"), text);
+    }
+}
+
+TEST(ScenarioFuzz, RandomFlagListsNeverCrash)
+{
+    FuzzRng rng;
+    rng.gen.seed(7);
+    std::vector<std::string> kinds, flags;
+    std::vector<std::string> values = {"0",     "1",    "-1",     "0.5",
+                                       "x",     "1e999", "true",  "dos",
+                                       "closed", "diurnal", ""};
+    for (const scenario::KeyDoc& key : scenario::schemaKeys()) {
+        std::string path = key.path;
+        if (path == "stages[].stage")
+            kinds = splitList(key.range, " | ");
+        if (path.rfind("stages[].", 0) != 0)
+            continue;
+        flags.push_back("--" + path.substr(9));
+        for (const std::string& v : splitList(key.range, " | "))
+            values.push_back(v);
+    }
+    kinds.push_back("bogus");
+    flags.insert(flags.end(), {"--", "--.x", "--faults.", "-x", "bare"});
+    for (int i = 0; i < 2000; ++i) {
+        std::vector<std::string> args;
+        for (size_t n = rng.below(7); n--;)
+            args.push_back(rng.coin() ? rng.pick(flags) : rng.pick(values));
+        std::string kind = rng.pick(kinds);
+        std::string input = kind;
+        for (const std::string& a : args)
+            input += " '" + a + "'";
+        Scenario s;
+        std::string err;
+        bool ok = scenario::compileFlags(kind, args, &s, &err);
+        expectCompilesOrDiagnoses(ok, s, err, ".", input);
+    }
 }
 
 } // namespace
