@@ -59,17 +59,23 @@ Detector::detectOnce(const HostEnvironment& env, double t, util::Rng& rng,
     double floor = recommender_.config().confidenceFloor;
     double mfloor = recommender_.config().marginFloor;
 
-    SimilarityResult whole = recommender_.analyze(prof.observation.allExact());
-
     size_t core_seen = 0;
     for (sim::Resource r : sim::kCoreResources)
         if (prof.observation.has(r))
             ++core_seen;
 
-    if (!whole.confident(floor, mfloor) ||
-        prof.observation.observedCount() <
-            static_cast<size_t>(config_.minObservedForMatch) ||
-        (prof.coreShared && core_seen < 3)) {
+    // A thin snapshot is widened whatever the analysis says, and the
+    // widened one is re-analyzed before anything reads the result, so
+    // the first analysis runs only when coverage alone does not force
+    // widening. A default round's two or three probes are always thin.
+    bool thin = prof.observation.observedCount() <
+                    static_cast<size_t>(config_.minObservedForMatch) ||
+                (prof.coreShared && core_seen < 3);
+    SimilarityResult whole;
+    if (!thin)
+        whole = recommender_.analyze(prof.observation.allExact());
+
+    if (thin || !whole.confident(floor, mfloor)) {
         // Inconclusive or thin signal: widen the in-round snapshot with
         // extra probes (temporally coherent — a round fits in seconds).
         metrics.add(obs::MetricId::kDetectorExtraProbeRounds);

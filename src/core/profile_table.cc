@@ -1,26 +1,19 @@
 #include "profile_table.h"
 
-#include <algorithm>
-
 namespace bolt {
 namespace core {
 
 ScaledProfileTable::ScaledProfileTable(const TrainingSet& training)
     : base_(training.size(), sim::kNumResources),
-      lo_(training.size(), sim::kNumResources),
-      hi_(training.size(), sim::kNumResources)
+      edges_(training.size(), (kLevelCells + 1) * sim::kNumResources)
 {
     for (size_t e = 0; e < training.size(); ++e) {
         const sim::ResourceVector& full = training.entry(e).fullLoadBase;
         for (size_t c = 0; c < sim::kNumResources; ++c) {
             base_.at(e, c) = full.at(c);
-            // The scaling law is monotone in level (nondecreasing for
-            // nonnegative bases, nonincreasing otherwise), so the range
-            // extremes sit at the grid endpoints either way.
-            double a = at(e, c, kLevelMin);
-            double b = at(e, c, kLevelMax);
-            lo_.at(e, c) = std::min(a, b);
-            hi_.at(e, c) = std::max(a, b);
+            for (size_t k = 0; k <= kLevelCells; ++k)
+                edges_.at(e, k * sim::kNumResources + c) =
+                    at(e, c, edgeLevel(k));
         }
     }
 }

@@ -19,19 +19,22 @@ namespace core {
  * linear in the load level: one knot at workloads::kCapacityLoadFloor
  * for capacity resources plus saturation at 100 pressure points. The
  * table therefore stores, per (entry, resource), the full-load base
- * value (the segment slope) alongside the profile evaluated at the
- * grid's two outer levels. at() reconstructs the profile at *any*
- * level exactly — bit-identical to building the entry's
+ * value (the segment slope) alongside the profile evaluated at the edges
+ * of a grid of level cells. at() reconstructs the profile at *any* level
+ * exactly — bit-identical to building the entry's
  * workloads::scaledPressure vector — without touching the TrainingSet,
- * while lo()/hi() bound it over the whole searched level range, which
- * is what decompose()'s candidate pruning relies on (the scaling law
- * is monotone nondecreasing in level for nonnegative bases).
+ * while the edges bound it: the scaling law is nondecreasing in level
+ * (a negative base clamps to 0 at every level), so within cell k the
+ * profile lies between edges k and k+1, and over the whole searched
+ * range between edges 0 and kLevelCells. decompose()'s candidate
+ * pruning relies on both.
  *
- * Storage is three structure-of-arrays matrices (linalg::SoaMatrix):
- * one aligned, block-padded column per resource, entries contiguous
- * within a column. The blocked fit/prune kernels in linalg/kernels.h
- * stream these columns directly (baseCol/loCol/hiCol); the scalar
- * accessors keep their exact pre-SoA semantics.
+ * Storage is two structure-of-arrays matrices (linalg::SoaMatrix): one
+ * aligned, block-padded column per resource (per resource and edge for
+ * the grid), entries contiguous within a column. The blocked fit/prune
+ * kernels in linalg/kernels.h stream these columns directly
+ * (baseCol/edgeCol); the scalar accessors keep their exact pre-SoA
+ * semantics.
  */
 class ScaledProfileTable
 {
@@ -43,6 +46,23 @@ class ScaledProfileTable
      */
     static constexpr double kLevelMin = 0.05;
     static constexpr double kLevelMax = 1.1;
+
+    /** Equal-width level cells the range is split into. */
+    static constexpr size_t kLevelCells = 4;
+    static_assert(kLevelCells <= linalg::kMaxPruneCells);
+
+    /**
+     * Level of grid edge k in [0, kLevelCells]. The outer edges are
+     * exactly kLevelMin and kLevelMax, so the cells cover the range.
+     */
+    static constexpr double edgeLevel(size_t k)
+    {
+        return k == kLevelCells
+                   ? kLevelMax
+                   : kLevelMin + (kLevelMax - kLevelMin) *
+                                     static_cast<double>(k) /
+                                     static_cast<double>(kLevelCells);
+    }
 
     ScaledProfileTable() = default;
 
@@ -65,25 +85,27 @@ class ScaledProfileTable
             base_.at(e, c), static_cast<sim::Resource>(c), level);
     }
 
-    /** Smallest at(e, c, level) over level in [kLevelMin, kLevelMax]. */
-    double lo(size_t e, size_t c) const { return lo_.at(e, c); }
-
-    /** Largest at(e, c, level) over level in [kLevelMin, kLevelMax]. */
-    double hi(size_t e, size_t c) const { return hi_.at(e, c); }
+    /**
+     * at(e, c, edgeLevel(k)). Nondecreasing in k: edge 0 is the smallest
+     * value over [kLevelMin, kLevelMax], edge kLevelCells the largest.
+     */
+    double edge(size_t e, size_t c, size_t k) const
+    {
+        return edges_.at(e, k * sim::kNumResources + c);
+    }
 
     /** Padded full-load-base column for resource index c. */
     const double* baseCol(size_t c) const { return base_.col(c); }
 
-    /** Padded lower-bound column for resource index c. */
-    const double* loCol(size_t c) const { return lo_.col(c); }
-
-    /** Padded upper-bound column for resource index c. */
-    const double* hiCol(size_t c) const { return hi_.col(c); }
+    /** Padded column of edge k for resource index c. */
+    const double* edgeCol(size_t c, size_t k) const
+    {
+        return edges_.col(k * sim::kNumResources + c);
+    }
 
   private:
-    linalg::SoaMatrix base_; ///< fullLoadBase, one column per resource.
-    linalg::SoaMatrix lo_;   ///< Profile at kLevelMin.
-    linalg::SoaMatrix hi_;   ///< Profile at kLevelMax.
+    linalg::SoaMatrix base_;  ///< fullLoadBase, one column per resource.
+    linalg::SoaMatrix edges_; ///< Profile at each grid edge, edge-major.
 };
 
 } // namespace core

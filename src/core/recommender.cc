@@ -30,15 +30,17 @@ constexpr double kMatchDistanceScale = 12.0;
 constexpr double kPruneSlack = 1e-6;
 
 /**
- * Candidates per widening block: the prune bound gates a whole block
- * against the incumbent at block start, then the survivors are packed
- * and refit together by linalg::widenFit. A stale incumbent within a
- * block only admits extra candidates whose exact deviation the bound
- * already proves uncompetitive, so the search outcome is unchanged.
- * A multiple of the kernel block keeps packed columns aligned.
+ * Candidates per prune chunk: linalg::pruneBounds bounds a whole chunk
+ * at once, and the level-cell grid bound then runs on the chunk's
+ * candidates that pass the one-cell bound. A multiple of the kernel
+ * block keeps the table columns it streams (offset by the chunk start)
+ * and the packed grid columns aligned.
  */
-constexpr size_t kWidenChunk = 16;
-static_assert(kWidenChunk % linalg::kKernelBlock == 0);
+constexpr size_t kPruneChunk = 16;
+static_assert(kPruneChunk % linalg::kKernelBlock == 0);
+
+/** Level cells per part of the grid bound (the table's grid). */
+constexpr size_t kCells = ScaledProfileTable::kLevelCells;
 
 } // namespace
 
@@ -103,26 +105,37 @@ struct QueryScratch
     std::vector<DecompositionPart> bestParts;
     std::vector<DecompositionPart> improvedParts;
     std::vector<DecompositionPart> baseParts;
-    /** Per-coordinate prediction-sum bounds of the fixed base parts. */
-    sim::LaneArray<double> baseLo;
-    sim::LaneArray<double> baseHi;
+    /** One-cell prune bound: each coordinate over the whole range. */
     std::array<linalg::PruneCoord, linalg::kMaxFitCoords> pruneCoords;
+    /** Level-cell grid bound (depth 2), over packed candidate edges. */
+    std::array<linalg::PruneCoord, linalg::kMaxFitCoords> gridCoords;
     std::array<linalg::WidenCoord, linalg::kMaxFitCoords> widenCoords;
     /** Base parts' full-load bases, row-major (partCount-1) x coords. */
     alignas(linalg::kKernelAlign) double
         fixedBase[(linalg::kMaxWidenParts - 1) * linalg::kMaxFitCoords];
     double fixedLevels[linalg::kMaxWidenParts - 1];
-    // One widening block: prune bounds, surviving candidate ids, their
+    // One prune chunk: bounds, the candidate ids they belong to, and
+    // the grid-bound candidates' packed edge columns (coordinate-major,
+    // then edge, one aligned column each).
+    alignas(linalg::kKernelAlign) double pruneBuf[kPruneChunk];
+    size_t gated[kPruneChunk] = {};
+    alignas(linalg::kKernelAlign) double
+        gridPack[linalg::kMaxFitCoords * (kCells + 1) * kPruneChunk];
+    /** Packed column of coordinate i's edge k in gridPack. */
+    double* gridCol(size_t i, size_t k)
+    {
+        return gridPack + (i * (kCells + 1) + k) * kPruneChunk;
+    }
+    // The survivor queue: one kernel block of candidate ids, their
     // packed base columns (one aligned column per coordinate), and the
     // refit outputs.
-    alignas(linalg::kKernelAlign) double pruneBuf[kWidenChunk];
+    size_t queued[linalg::kKernelBlock] = {};
     alignas(linalg::kKernelAlign) double
-        widenPack[linalg::kMaxFitCoords * kWidenChunk];
-    alignas(linalg::kKernelAlign) double widenDist[kWidenChunk];
+        widenPack[linalg::kMaxFitCoords * linalg::kKernelBlock];
+    alignas(linalg::kKernelAlign) double widenDist[linalg::kKernelBlock];
     alignas(linalg::kKernelAlign) double
-        widenLevels[kWidenChunk * linalg::kMaxWidenParts];
+        widenLevels[linalg::kKernelBlock * linalg::kMaxWidenParts];
     const double* candPtrs[linalg::kMaxFitCoords] = {};
-    size_t survivors[kWidenChunk] = {};
 };
 
 /** RAII lease of a QueryScratch from a recommender's per-thread pool. */
@@ -703,9 +716,9 @@ HybridRecommender::decompose(const SparseObservation& observation,
     // Greedy widening: add a part while it improves the explanation
     // meaningfully (Occam margin), re-fitting levels by coordinate
     // descent. The candidate pool for the added part is the full
-    // training set, walked in aligned blocks: each block is gated by
-    // the pruning bound against the incumbent, and the survivors are
-    // packed and refit together by linalg::widenFit (lanes independent,
+    // training set, walked in chunks: each chunk is bounded against the
+    // incumbent, and the survivors queue up until they fill a kernel
+    // block, which linalg::widenFit refits together (lanes independent,
     // so the fold below reproduces the one-candidate-at-a-time search
     // bit for bit). Part 0 stays within the anchored shortlist.
     for (size_t depth = 2; depth <= max_parts; ++depth) {
@@ -722,11 +735,13 @@ HybridRecommender::decompose(const SparseObservation& observation,
                 // Deeper searches keep the incumbent parts but still
                 // re-anchor part 0 within the strongest few shortlist
                 // candidates (a wrong early anchor would otherwise lock
-                // in a bad decomposition).
-                if (s0 >= 4)
+                // in a bad decomposition). Without a shared core the
+                // anchor is not re-seated, so a later pass would rerun
+                // the first on identical inputs and never beat it.
+                if (s0 >= 4 || (s0 > 0 && !core_shared))
                     break;
                 s.baseParts = s.bestParts;
-                if (s0 > 0 && core_shared)
+                if (s0 > 0)
                     s.baseParts[0] = {s.shortlist[s0].second, 0.8};
             }
             bool prune_ok = s.wsumAll > 0.0;
@@ -738,30 +753,16 @@ HybridRecommender::decompose(const SparseObservation& observation,
                 prune_evaluated += m;
                 continue;
             }
-            // Per-coordinate bounds on the base parts' prediction over
-            // every level assignment the coordinate descent can reach
-            // (levels stay inside the table's grid range). Summed in
-            // part order, like the exact evaluation.
-            for (size_t i = 0; i < s.obsCount; ++i) {
-                size_t c = s.obsIdx[i];
-                double lo_sum = 0.0, hi_sum = 0.0;
-                if (sim::isCoreResource(static_cast<sim::Resource>(c))) {
-                    if (core_shared) {
-                        lo_sum = table_.lo(s.baseParts[0].index, c);
-                        hi_sum = table_.hi(s.baseParts[0].index, c);
-                    }
-                } else {
-                    for (const auto& p : s.baseParts) {
-                        lo_sum += table_.lo(p.index, c);
-                        hi_sum += table_.hi(p.index, c);
-                    }
-                }
-                s.baseLo[i] = lo_sum;
-                s.baseHi[i] = hi_sum;
-            }
 
-            // Candidate-independent halves of the prune bound and the
-            // widening refit problem.
+            // Candidate-independent halves of the prune bounds and the
+            // widening refit problem. The one-cell bound lets every
+            // coordinate take its own level anywhere in the range. At
+            // depth 2 the anchor is the only base part, so the grid
+            // bound then ties all coordinates to one level cell per
+            // part. Base sums run in part order, like the exact
+            // evaluation.
+            const bool grid = depth == 2;
+            const size_t anchor = s.baseParts[0].index;
             const size_t num_parts = s.baseParts.size() + 1;
             for (size_t p = 0; p + 1 < num_parts; ++p) {
                 s.fixedLevels[p] = s.baseParts[p].level;
@@ -773,18 +774,31 @@ HybridRecommender::decompose(const SparseObservation& observation,
                 size_t c = s.obsIdx[i];
                 bool core =
                     sim::isCoreResource(static_cast<sim::Resource>(c));
+                double lo_sum = 0.0, hi_sum = 0.0;
+                if (!core) {
+                    for (const auto& p : s.baseParts) {
+                        lo_sum += table_.edge(p.index, c, 0);
+                        hi_sum += table_.edge(p.index, c, kCells);
+                    }
+                } else if (core_shared) {
+                    lo_sum = table_.edge(anchor, c, 0);
+                    hi_sum = table_.edge(anchor, c, kCells);
+                }
                 linalg::PruneCoord& pc = s.pruneCoords[i];
                 pc.additive = !core;
                 pc.weight = s.obsWeight[i];
                 pc.target = s.obsVal[i];
-                if (core) {
-                    pc.candLo = nullptr;
-                    pc.candHi = nullptr;
-                    pc.baseLo = core_shared ? s.baseLo[i] : 0.0;
-                    pc.baseHi = core_shared ? s.baseHi[i] : 0.0;
-                } else {
-                    pc.baseLo = s.baseLo[i];
-                    pc.baseHi = s.baseHi[i];
+                pc.base[0] = lo_sum;
+                pc.base[1] = hi_sum;
+                if (grid) {
+                    linalg::PruneCoord& gc = s.gridCoords[i];
+                    gc = pc;
+                    for (size_t k = 0; k <= kCells; ++k) {
+                        gc.base[k] = core && !core_shared
+                                         ? 0.0
+                                         : table_.edge(anchor, c, k);
+                        gc.cand[k] = s.gridCol(i, k);
+                    }
                 }
                 linalg::WidenCoord& wc = s.widenCoords[i];
                 wc.weight = s.obsWeight[i];
@@ -809,56 +823,24 @@ HybridRecommender::decompose(const SparseObservation& observation,
             wspec.hi = ScaledProfileTable::kLevelMax;
             wspec.capacityFloor = workloads::kCapacityLoadFloor;
 
-            for (size_t j0 = 0; j0 < m; j0 += kWidenChunk) {
-                size_t count = std::min(kWidenChunk, m - j0);
-                // Lower-bound every candidate's best reachable
-                // deviation; a candidate whose bound cannot beat the
-                // incumbent (as of block start — only ever a
-                // conservative staleness) skips the coordinate descent.
-                // Every step of the bound is a monotone floating-point
-                // operation on quantities that bound the exact
-                // evaluation's, so pruning never changes the search's
-                // outcome.
-                for (size_t i = 0; i < s.obsCount; ++i) {
-                    if (s.pruneCoords[i].additive) {
-                        size_t c = s.obsIdx[i];
-                        s.pruneCoords[i].candLo = table_.loCol(c) + j0;
-                        s.pruneCoords[i].candHi = table_.hiCol(c) + j0;
-                    }
-                }
-                linalg::pruneBounds(s.pruneCoords.data(), s.obsCount,
-                                    count, s.pruneBuf);
-                size_t n_surv = 0;
-                for (size_t jl = 0; jl < count; ++jl) {
-                    if (s.pruneBuf[jl] / s.wsumAll >
-                        improved_distance + kPruneSlack) {
-                        ++prune_skipped;
-                    } else {
-                        s.survivors[n_surv++] = j0 + jl;
-                    }
-                }
-                if (n_surv == 0)
-                    continue;
-                // Pack the survivors' base columns and refit the whole
-                // block.
+            // Refit the queued candidates as one block and fold them in
+            // candidate order: a lane's deviation does not depend on the
+            // incumbent, so this reproduces the sequential search's
+            // improvement trajectory exactly.
+            size_t n_queued = 0;
+            auto refit_queued = [&]() {
                 for (size_t i = 0; i < s.obsCount; ++i) {
                     const double* src = table_.baseCol(s.obsIdx[i]);
-                    double* dst = s.widenPack + i * kWidenChunk;
-                    for (size_t si = 0; si < n_surv; ++si)
-                        dst[si] = src[s.survivors[si]];
-                    for (size_t si = n_surv;
-                         si < linalg::paddedCount(n_surv); ++si)
-                        dst[si] = 0.0;
+                    double* dst = s.widenPack + i * linalg::kKernelBlock;
+                    for (size_t q = 0; q < linalg::kKernelBlock; ++q)
+                        dst[q] = q < n_queued ? src[s.queued[q]] : 0.0;
                     s.candPtrs[i] = dst;
                 }
-                linalg::widenFit(wspec, n_surv, s.widenDist,
+                linalg::widenFit(wspec, n_queued, s.widenDist,
                                  s.widenLevels);
-                // Fold in candidate order: a lane's deviation does not
-                // depend on the incumbent, so this reproduces the
-                // sequential search's improvement trajectory exactly.
-                for (size_t si = 0; si < n_surv; ++si) {
+                for (size_t q = 0; q < n_queued; ++q) {
                     ++prune_evaluated;
-                    double d = s.widenDist[si];
+                    double d = s.widenDist[q];
                     if (d < improved_distance) {
                         improved_distance = d;
                         found = true;
@@ -866,14 +848,83 @@ HybridRecommender::decompose(const SparseObservation& observation,
                         for (size_t p = 0; p + 1 < num_parts; ++p)
                             s.improvedParts.push_back(
                                 {s.baseParts[p].index,
-                                 s.widenLevels[si * num_parts + p]});
+                                 s.widenLevels[q * num_parts + p]});
                         s.improvedParts.push_back(
-                            {s.survivors[si],
-                             s.widenLevels[si * num_parts +
+                            {s.queued[q],
+                             s.widenLevels[q * num_parts +
                                            (num_parts - 1)]});
                     }
                 }
+                n_queued = 0;
+            };
+
+            // Lower-bound every candidate's best reachable deviation; a
+            // candidate whose bound cannot beat the incumbent skips the
+            // coordinate descent. Every step of a bound is a monotone
+            // floating-point operation on quantities that bound the
+            // exact evaluation's, and the descent's final levels lie
+            // inside the grid, so pruning never changes the search's
+            // outcome. Candidates gated while others wait in the queue
+            // see the incumbent from before that block's refit; a stale
+            // incumbent only admits candidates the fold then rejects.
+            auto uncompetitive = [&](double bound) {
+                return bound / s.wsumAll > improved_distance + kPruneSlack;
+            };
+            for (size_t j0 = 0; j0 < m; j0 += kPruneChunk) {
+                size_t count = std::min(kPruneChunk, m - j0);
+                for (size_t i = 0; i < s.obsCount; ++i) {
+                    if (s.pruneCoords[i].additive) {
+                        size_t c = s.obsIdx[i];
+                        s.pruneCoords[i].cand[0] = table_.edgeCol(c, 0) + j0;
+                        s.pruneCoords[i].cand[1] =
+                            table_.edgeCol(c, kCells) + j0;
+                    }
+                }
+                linalg::pruneBounds(s.pruneCoords.data(), s.obsCount, 1,
+                                    count, s.pruneBuf);
+                size_t n_gated = 0;
+                if (grid) {
+                    // Pack the one-cell survivors' edge columns and
+                    // bound them again on the grid.
+                    for (size_t jl = 0; jl < count; ++jl) {
+                        if (uncompetitive(s.pruneBuf[jl]))
+                            ++prune_skipped;
+                        else
+                            s.gated[n_gated++] = j0 + jl;
+                    }
+                    if (n_gated == 0)
+                        continue;
+                    for (size_t i = 0; i < s.obsCount; ++i) {
+                        if (!s.gridCoords[i].additive)
+                            continue;
+                        for (size_t k = 0; k <= kCells; ++k) {
+                            const double* src =
+                                table_.edgeCol(s.obsIdx[i], k);
+                            double* dst = s.gridCol(i, k);
+                            for (size_t g = 0;
+                                 g < linalg::paddedCount(n_gated); ++g)
+                                dst[g] = g < n_gated ? src[s.gated[g]]
+                                                     : 0.0;
+                        }
+                    }
+                    linalg::pruneBounds(s.gridCoords.data(), s.obsCount,
+                                        kCells, n_gated, s.pruneBuf);
+                } else {
+                    for (size_t jl = 0; jl < count; ++jl)
+                        s.gated[n_gated++] = j0 + jl;
+                }
+                for (size_t g = 0; g < n_gated; ++g) {
+                    if (uncompetitive(s.pruneBuf[g])) {
+                        ++prune_skipped;
+                        continue;
+                    }
+                    s.queued[n_queued++] = s.gated[g];
+                    if (n_queued == linalg::kKernelBlock)
+                        refit_queued();
+                }
             }
+            if (n_queued > 0)
+                refit_queued();
         }
         // Occam margin: an extra tenant must reduce the unexplained
         // signal meaningfully, or the simpler explanation stands.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace bolt {
@@ -137,27 +138,34 @@ fitLevelsAndScore(const FitSpec& spec, size_t entry_count, double* levels,
 }
 
 void
-pruneBounds(const PruneCoord* coords, size_t coord_count,
+pruneBounds(const PruneCoord* coords, size_t coord_count, size_t cells,
             size_t entry_count, double* bounds)
 {
     for (size_t e = 0; e < entry_count; ++e) {
-        double lb = 0.0;
-        for (size_t i = 0; i < coord_count; ++i) {
-            const PruneCoord& c = coords[i];
-            double lo_v, hi_v;
-            if (c.additive) {
-                lo_v = std::min(c.baseLo + c.candLo[e], 100.0);
-                hi_v = std::min(c.baseHi + c.candHi[e], 100.0);
-            } else {
-                lo_v = c.baseLo;
-                hi_v = c.baseHi;
+        double best = std::numeric_limits<double>::infinity();
+        for (size_t a = 0; a < cells; ++a) {
+            for (size_t b = 0; b < cells; ++b) {
+                double lb = 0.0;
+                for (size_t i = 0; i < coord_count; ++i) {
+                    const PruneCoord& c = coords[i];
+                    double lo_v, hi_v;
+                    if (c.additive) {
+                        lo_v = std::min(c.base[a] + c.cand[b][e], 100.0);
+                        hi_v = std::min(c.base[a + 1] + c.cand[b + 1][e],
+                                        100.0);
+                    } else {
+                        lo_v = c.base[a];
+                        hi_v = c.base[a + 1];
+                    }
+                    double v = c.target;
+                    double gap =
+                        v < lo_v ? lo_v - v : (v > hi_v ? v - hi_v : 0.0);
+                    lb += c.weight * gap;
+                }
+                best = std::min(best, lb);
             }
-            double v = c.target;
-            double gap =
-                v < lo_v ? lo_v - v : (v > hi_v ? v - hi_v : 0.0);
-            lb += c.weight * gap;
         }
-        bounds[e] = lb;
+        bounds[e] = best;
     }
 }
 
@@ -249,7 +257,7 @@ widenFit(const WidenSpec& spec, size_t cand_count, double* dist,
 namespace avx2_kernels {
 void pearsonRow(const PearsonTable&, const double*, double*);
 void fitLevelsAndScore(const FitSpec&, size_t, double*, double*);
-void pruneBounds(const PruneCoord*, size_t, size_t, double*);
+void pruneBounds(const PruneCoord*, size_t, size_t, size_t, double*);
 void widenFit(const WidenSpec&, size_t, double*, double*);
 } // namespace avx2_kernels
 #endif
@@ -378,19 +386,21 @@ fitLevelsAndScore(const FitSpec& spec, size_t entry_count, double* levels,
 }
 
 void
-pruneBounds(const PruneCoord* coords, size_t coord_count,
+pruneBounds(const PruneCoord* coords, size_t coord_count, size_t cells,
             size_t entry_count, double* bounds)
 {
-    if (coord_count > kMaxFitCoords)
-        throw std::invalid_argument("pruneBounds: too many coords");
+    if (coord_count > kMaxFitCoords || cells == 0 ||
+        cells > kMaxPruneCells)
+        throw std::invalid_argument("pruneBounds: shape out of range");
 #if defined(__x86_64__)
     if (activeKernelBackend() == KernelBackend::Avx2) {
-        avx2_kernels::pruneBounds(coords, coord_count, entry_count,
+        avx2_kernels::pruneBounds(coords, coord_count, cells, entry_count,
                                   bounds);
         return;
     }
 #endif
-    scalar_kernels::pruneBounds(coords, coord_count, entry_count, bounds);
+    scalar_kernels::pruneBounds(coords, coord_count, cells, entry_count,
+                                bounds);
 }
 
 void

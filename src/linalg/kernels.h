@@ -266,19 +266,25 @@ void fitLevelsAndScore(const FitSpec& spec, size_t entry_count,
 // Blocked lower-bound pruning (decompose's candidate gate)
 // ---------------------------------------------------------------------
 
+/** Upper bound on the level cells per part of the prune bound. */
+constexpr size_t kMaxPruneCells = 4;
+
 /**
- * One observed coordinate of the prune bound. For additive coordinates
- * the candidate's own [lo, hi] column widens the base parts' bounds
- * (sum clamped at 100); for core coordinates the candidate never
- * contributes and the caller bakes the core-shared case into
- * baseLo/baseHi (zeros when no core is shared).
+ * One observed coordinate of the prune bound on a grid of `cells` level
+ * cells, shared by every coordinate. Edge k of a cell grid is a level;
+ * with the base parts in cell a their prediction sum lies in
+ * [base[a], base[a+1]], and with the candidate in cell b its own
+ * prediction lies in [cand[b][e], cand[b+1][e]]. Additive coordinates
+ * sum the two intervals (clamped at 100); for core coordinates the
+ * candidate never contributes and the caller bakes the core-shared case
+ * into base (zeros when no core is shared).
  */
 struct PruneCoord
 {
-    const double* candLo = nullptr; ///< Candidate lo column (additive).
-    const double* candHi = nullptr; ///< Candidate hi column (additive).
-    double baseLo = 0.0;
-    double baseHi = 0.0;
+    /** Candidate prediction at each edge: padded columns (additive). */
+    const double* cand[kMaxPruneCells + 1] = {};
+    /** Base parts' summed prediction at each edge. */
+    double base[kMaxPruneCells + 1] = {};
     double weight = 0.0;
     double target = 0.0;
     bool additive = true; ///< False: candidate-independent (core) coord.
@@ -287,10 +293,15 @@ struct PruneCoord
 /**
  * Unnormalized lower bound on each candidate's best reachable deviation
  * (the caller divides by its weight sum and compares to the incumbent).
- * bounds needs paddedCount(entry_count) capacity. Bit-identical per
- * candidate to the scalar bound loop.
+ * For every (base cell, candidate cell) pair, each coordinate adds its
+ * weighted gap between target and prediction interval; the bound is the
+ * smallest pair sum. Whatever cells the final levels fall in, that
+ * pair's sum bounds the exact deviation term by term, so the minimum
+ * does too. With cells == 1 every coordinate spans the whole level range
+ * independently. bounds needs paddedCount(entry_count) capacity.
+ * Bit-identical per candidate to the scalar bound loop.
  */
-void pruneBounds(const PruneCoord* coords, size_t coord_count,
+void pruneBounds(const PruneCoord* coords, size_t coord_count, size_t cells,
                  size_t entry_count, double* bounds);
 
 // ---------------------------------------------------------------------

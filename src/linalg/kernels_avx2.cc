@@ -31,6 +31,8 @@
 
 #include <immintrin.h>
 
+#include <limits>
+
 /** Enables AVX2 (and nothing else: no fma) for one function. */
 #define BOLT_AVX2 __attribute__((target("avx2")))
 
@@ -173,41 +175,74 @@ fitLevelsAndScore(const FitSpec& spec, size_t entry_count, double* levels,
     }
 }
 
+namespace {
+
+/** Gap from target v to [lo_v, hi_v] per lane (0 inside). */
+BOLT_AVX2 inline __m256d
+vgap(__m256d v, __m256d lo_v, __m256d hi_v)
+{
+    __m256d below = _mm256_cmp_pd(v, lo_v, _CMP_LT_OQ);
+    __m256d above = _mm256_cmp_pd(v, hi_v, _CMP_GT_OQ);
+    return _mm256_blendv_pd(
+        _mm256_blendv_pd(_mm256_setzero_pd(), _mm256_sub_pd(v, hi_v),
+                         above),
+        _mm256_sub_pd(lo_v, v), below);
+}
+
+} // namespace
+
 BOLT_AVX2 void
-pruneBounds(const PruneCoord* coords, size_t coord_count,
+pruneBounds(const PruneCoord* coords, size_t coord_count, size_t cells,
             size_t entry_count, double* bounds)
 {
     const size_t padded = paddedCount(entry_count);
     const __m256d zero = _mm256_setzero_pd();
     const __m256d hundred = _mm256_set1_pd(100.0);
     for (size_t e = 0; e < padded; e += kKernelBlock) {
-        __m256d lb = zero;
+        // One accumulator per (base cell, candidate cell) pair, walked
+        // coordinate-outer so each candidate edge is loaded once. Every
+        // accumulator still sums its terms in coordinate order, like the
+        // reference's pair-outer loop.
+        __m256d lb[kMaxPruneCells * kMaxPruneCells];
+        for (size_t k = 0; k < cells * cells; ++k)
+            lb[k] = zero;
         for (size_t i = 0; i < coord_count; ++i) {
             const PruneCoord& c = coords[i];
-            __m256d lo_v, hi_v;
-            if (c.additive) {
-                lo_v = _mm256_min_pd(
-                    _mm256_add_pd(_mm256_set1_pd(c.baseLo),
-                                  _mm256_load_pd(c.candLo + e)),
-                    hundred);
-                hi_v = _mm256_min_pd(
-                    _mm256_add_pd(_mm256_set1_pd(c.baseHi),
-                                  _mm256_load_pd(c.candHi + e)),
-                    hundred);
-            } else {
-                lo_v = _mm256_set1_pd(c.baseLo);
-                hi_v = _mm256_set1_pd(c.baseHi);
+            const __m256d v = _mm256_set1_pd(c.target);
+            const __m256d w = _mm256_set1_pd(c.weight);
+            if (!c.additive) {
+                for (size_t a = 0; a < cells; ++a) {
+                    __m256d term = _mm256_mul_pd(
+                        w, vgap(v, _mm256_set1_pd(c.base[a]),
+                                _mm256_set1_pd(c.base[a + 1])));
+                    for (size_t b = 0; b < cells; ++b)
+                        lb[a * cells + b] =
+                            _mm256_add_pd(lb[a * cells + b], term);
+                }
+                continue;
             }
-            __m256d v = _mm256_set1_pd(c.target);
-            __m256d below = _mm256_cmp_pd(v, lo_v, _CMP_LT_OQ);
-            __m256d above = _mm256_cmp_pd(v, hi_v, _CMP_GT_OQ);
-            __m256d gap = _mm256_blendv_pd(
-                _mm256_blendv_pd(zero, _mm256_sub_pd(v, hi_v), above),
-                _mm256_sub_pd(lo_v, v), below);
-            lb = _mm256_add_pd(
-                lb, _mm256_mul_pd(_mm256_set1_pd(c.weight), gap));
+            __m256d cand[kMaxPruneCells + 1];
+            for (size_t k = 0; k <= cells; ++k)
+                cand[k] = _mm256_load_pd(c.cand[k] + e);
+            for (size_t a = 0; a < cells; ++a) {
+                const __m256d base_lo = _mm256_set1_pd(c.base[a]);
+                const __m256d base_hi = _mm256_set1_pd(c.base[a + 1]);
+                for (size_t b = 0; b < cells; ++b) {
+                    __m256d lo_v = _mm256_min_pd(
+                        _mm256_add_pd(base_lo, cand[b]), hundred);
+                    __m256d hi_v = _mm256_min_pd(
+                        _mm256_add_pd(base_hi, cand[b + 1]), hundred);
+                    lb[a * cells + b] = _mm256_add_pd(
+                        lb[a * cells + b],
+                        _mm256_mul_pd(w, vgap(v, lo_v, hi_v)));
+                }
+            }
         }
-        _mm256_store_pd(bounds + e, lb);
+        __m256d best = _mm256_set1_pd(
+            std::numeric_limits<double>::infinity());
+        for (size_t k = 0; k < cells * cells; ++k)
+            best = _mm256_min_pd(lb[k], best);
+        _mm256_store_pd(bounds + e, best);
     }
 }
 
@@ -257,6 +292,67 @@ widenRefresh(const WidenSpec& spec, WidenState& st, size_t p,
                                  floor_, level);
 }
 
+/**
+ * Both probes of one ternary step on part p in one coordinate pass: d1
+ * is the deviation with part p at level m1, d2 at m2, the other parts
+ * at their cached values. Each accumulator runs the reference's
+ * refresh-then-deviate operation sequence (the shared part prefix sum
+ * is the same operations, done once); the two independent add chains
+ * overlap each other's latency. st.vals is left untouched: the
+ * reference's probe values are overwritten by the refresh at the
+ * fitted level before anything reads them.
+ */
+BOLT_AVX2 inline void
+widenProbePair(const WidenSpec& spec, const WidenState& st, size_t p,
+               __m256d m1, __m256d m2, __m256d& d1, __m256d& d2)
+{
+    const __m256d zero = _mm256_setzero_pd();
+    const __m256d hundred = _mm256_set1_pd(100.0);
+    const __m256d floor_ = _mm256_set1_pd(spec.capacityFloor);
+    __m256d dist1 = zero, dist2 = zero;
+    for (size_t i = 0; i < spec.coordCount; ++i) {
+        const WidenCoord& c = spec.coords[i];
+        __m256d pred1, pred2;
+        if (c.core) {
+            if (!spec.coreShared) {
+                pred1 = pred2 = zero;
+            } else if (p == 0) {
+                pred1 = vpredict(st.base[i][0], c.capacity, floor_, m1);
+                pred2 = vpredict(st.base[i][0], c.capacity, floor_, m2);
+            } else {
+                pred1 = pred2 = st.vals[i][0];
+            }
+        } else {
+            __m256d prefix = zero;
+            for (size_t q = 0; q < p; ++q)
+                prefix = _mm256_add_pd(prefix, st.vals[i][q]);
+            pred1 = _mm256_add_pd(
+                prefix, vpredict(st.base[i][p], c.capacity, floor_, m1));
+            pred2 = _mm256_add_pd(
+                prefix, vpredict(st.base[i][p], c.capacity, floor_, m2));
+            for (size_t q = p + 1; q < spec.partCount; ++q) {
+                pred1 = _mm256_add_pd(pred1, st.vals[i][q]);
+                pred2 = _mm256_add_pd(pred2, st.vals[i][q]);
+            }
+            pred1 = _mm256_min_pd(pred1, hundred);
+            pred2 = _mm256_min_pd(pred2, hundred);
+        }
+        __m256d t = _mm256_set1_pd(c.target);
+        __m256d w = _mm256_set1_pd(c.weight);
+        dist1 = _mm256_add_pd(
+            dist1, _mm256_mul_pd(w, vabs(_mm256_sub_pd(t, pred1))));
+        dist2 = _mm256_add_pd(
+            dist2, _mm256_mul_pd(w, vabs(_mm256_sub_pd(t, pred2))));
+    }
+    if (spec.wsum > 0.0) {
+        const __m256d wsum = _mm256_set1_pd(spec.wsum);
+        d1 = _mm256_div_pd(dist1, wsum);
+        d2 = _mm256_div_pd(dist2, wsum);
+    } else {
+        d1 = d2 = _mm256_set1_pd(1e9);
+    }
+}
+
 } // namespace
 
 BOLT_AVX2 void
@@ -292,10 +388,8 @@ widenFit(const WidenSpec& spec, size_t cand_count, double* dist,
                         _mm256_div_pd(_mm256_sub_pd(hi, lo), third);
                     __m256d m1 = _mm256_add_pd(lo, step);
                     __m256d m2 = _mm256_sub_pd(hi, step);
-                    widenRefresh(spec, st, p, m1);
-                    __m256d d1 = widenDeviationVec(spec, st);
-                    widenRefresh(spec, st, p, m2);
-                    __m256d d2 = widenDeviationVec(spec, st);
+                    __m256d d1, d2;
+                    widenProbePair(spec, st, p, m1, m2, d1, d2);
                     __m256d take = _mm256_cmp_pd(d1, d2, _CMP_LT_OQ);
                     hi = _mm256_blendv_pd(hi, m2, take);
                     lo = _mm256_blendv_pd(m1, lo, take);

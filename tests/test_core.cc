@@ -510,35 +510,139 @@ TEST_F(TrainedFixture, TrainingMatrixAndLabelsAreCachedConsistently)
 
 TEST_F(TrainedFixture, ScaledProfileTableMatchesScaledPressureExactly)
 {
-    ScaledProfileTable table(*training_);
+    using Table = ScaledProfileTable;
+    constexpr size_t K = Table::kLevelCells;
+    Table table(*training_);
     ASSERT_EQ(training_->size(), table.entries());
+    // The grid's outer edges are the searched range itself.
+    ASSERT_EQ(Table::edgeLevel(0), Table::kLevelMin);
+    ASSERT_EQ(Table::edgeLevel(K), Table::kLevelMax);
     // Levels across the whole grid range, including the capacity-floor
-    // knot (0.85) and both endpoints.
-    const double levels[] = {ScaledProfileTable::kLevelMin,
-                             0.1,
-                             0.3,
-                             0.5,
-                             0.7,
-                             0.85,
-                             0.9,
-                             1.0,
-                             ScaledProfileTable::kLevelMax};
+    // knot (0.85), both endpoints and every interior edge.
+    std::vector<double> levels = {Table::kLevelMin, 0.1, 0.3, 0.5, 0.7,
+                                  0.85, 0.9, 1.0, Table::kLevelMax};
+    for (size_t k = 1; k < K; ++k)
+        levels.push_back(Table::edgeLevel(k));
     for (size_t e = 0; e < training_->size(); ++e) {
         const auto& base = training_->entry(e).fullLoadBase;
+        for (size_t c = 0; c < sim::kNumResources; ++c) {
+            for (size_t k = 0; k <= K; ++k) {
+                // Each edge is the scaled profile at its level, exactly,
+                // and the edges never decrease.
+                ASSERT_EQ(workloads::scaledPressure(base, Table::edgeLevel(k))
+                              .at(c),
+                          table.edge(e, c, k))
+                    << "entry " << e << " res " << c << " edge " << k;
+                ASSERT_EQ(table.edgeCol(c, k)[e], table.edge(e, c, k));
+                if (k > 0) {
+                    ASSERT_LE(table.edge(e, c, k - 1), table.edge(e, c, k));
+                }
+            }
+        }
         for (double level : levels) {
             sim::ResourceVector direct =
                 workloads::scaledPressure(base, level);
             for (size_t c = 0; c < sim::kNumResources; ++c) {
                 // Exact, not approximate: the table must be a perfect
                 // stand-in for building the scaled profile vector.
-                ASSERT_EQ(direct.at(c), table.at(e, c, level))
+                double at = table.at(e, c, level);
+                ASSERT_EQ(direct.at(c), at)
                     << "entry " << e << " res " << c << " level "
                     << level;
-                ASSERT_LE(table.lo(e, c), table.at(e, c, level));
-                ASSERT_GE(table.hi(e, c), table.at(e, c, level));
+                ASSERT_LE(table.edge(e, c, 0), at);
+                ASSERT_GE(table.edge(e, c, K), at);
+                // The cells holding the level bound it too.
+                for (size_t k = 0; k < K; ++k) {
+                    if (level < Table::edgeLevel(k) ||
+                        level > Table::edgeLevel(k + 1))
+                        continue;
+                    ASSERT_LE(table.edge(e, c, k), at) << level;
+                    ASSERT_GE(table.edge(e, c, k + 1), at) << level;
+                }
             }
         }
     }
+}
+
+// ------------------------------------------------------------------
+// The detector's first analysis runs only when its result is read.
+// ------------------------------------------------------------------
+
+TEST_F(TrainedFixture, DefaultRoundRunsOneAnalysis)
+{
+    // A default round's two or three probes never cover
+    // minObservedForMatch readings, so the round always widens, and only
+    // the widened snapshot is analyzed.
+    util::Rng rng(84);
+    auto spec = steadySpec("memcached", "rd-heavy", rng, 0.9, 2);
+    MiniHost host({spec}, rng.substream("host"));
+    Detector detector(*recommender_);
+    auto env = host.env();
+    util::Rng drng = rng.substream("detect");
+
+    auto& metrics = obs::MetricsRegistry::global();
+    metrics.reset();
+    metrics.setEnabled(true);
+    auto round = detector.detectOnce(env, 0.0, drng);
+    metrics.setEnabled(false);
+    auto snap = metrics.snapshot();
+    metrics.reset();
+
+    EXPECT_FALSE(round.usedShutter);
+    EXPECT_FALSE(round.guesses.empty());
+    EXPECT_EQ(snap.counter(obs::MetricId::kDetectorExtraProbeRounds).value,
+              1u);
+    EXPECT_EQ(snap.counter(obs::MetricId::kRecommenderAnalyzeCalls).value,
+              1u);
+}
+
+TEST_F(TrainedFixture, CarriedCoverageRunsAndReadsFirstAnalysis)
+{
+    // With carried observations the second round starts from the first
+    // round's widened aggregate, so coverage passes: the first analysis
+    // runs, is confident, and is what the round reports.
+    util::Rng rng(85);
+    auto spec = steadySpec("memcached", "rd-heavy", rng, 0.9, 2);
+    MiniHost host({spec}, rng.substream("host"));
+    DetectorConfig cfg;
+    cfg.carryObservations = true;
+    cfg.maxIterations = 2;
+    Detector detector(*recommender_, cfg);
+    auto env = host.env();
+    util::Rng drng = rng.substream("detect");
+
+    auto& metrics = obs::MetricsRegistry::global();
+    metrics.reset();
+    metrics.setEnabled(true);
+    obs::Snapshot second_round;
+    int seen = 0;
+    auto rounds = detector.detectIteratively(
+        env, 0.0, drng, [&](const DetectionRound&) {
+            if (++seen == 1) {
+                metrics.reset(); // count the second round alone
+                return false;
+            }
+            second_round = metrics.snapshot();
+            return true;
+        });
+    metrics.setEnabled(false);
+    metrics.reset();
+
+    ASSERT_EQ(rounds.size(), 2u);
+    ASSERT_GE(rounds[0].aggregate.observedCount(),
+              static_cast<size_t>(cfg.minObservedForMatch));
+    const DetectionRound& round = rounds[1];
+    EXPECT_EQ(second_round.counter(obs::MetricId::kRecommenderAnalyzeCalls)
+                  .value,
+              1u);
+    EXPECT_EQ(second_round.counter(obs::MetricId::kDetectorExtraProbeRounds)
+                  .value,
+              0u);
+    ASSERT_FALSE(round.guesses.empty());
+    SimilarityResult direct =
+        recommender_->analyze(round.aggregate.allExact());
+    EXPECT_GT(direct.confidence, 0.0);
+    EXPECT_EQ(round.confidence, direct.confidence);
 }
 
 // ------------------------------------------------------------------

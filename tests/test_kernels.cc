@@ -314,32 +314,62 @@ TEST(BackendEquality, PruneBoundsRandomizedShapes)
 {
     SKIP_WITHOUT_AVX2();
     BackendGuard guard;
-    std::mt19937_64 rng(0x9c0de);
+    std::mt19937_64 rng(0x6e1d);
     std::uniform_real_distribution<double> wdist(0.05, 1.0);
     std::uniform_real_distribution<double> tdist(0.0, 100.0);
     std::uniform_int_distribution<int> bdist(0, 1);
+    // One cell (the range-wide bound) up to the largest grid. Edges are
+    // the scaling law at evenly spaced levels, as the profile table
+    // builds them: capacity coordinates go flat below the 0.85 floor,
+    // and bases up to 100 make anchor + candidate sums clamp.
+    auto predict = [](double base, bool capacity, double level) {
+        double scale = capacity ? std::max(level, 0.85) : level;
+        return std::clamp(base * scale, 0.0, 100.0);
+    };
     for (size_t entries : kEntryCounts) {
-        const size_t coords = 8;
-        std::vector<AlignedVector> lo_cols, hi_cols;
-        std::vector<PruneCoord> pc(coords);
-        for (size_t i = 0; i < coords; ++i) {
-            lo_cols.push_back(randomColumn(rng, entries, 0.0, 50.0));
-            hi_cols.push_back(randomColumn(rng, entries, 50.0, 100.0));
-            pc[i].additive = bdist(rng) == 1;
-            pc[i].candLo = pc[i].additive ? lo_cols.back().data() : nullptr;
-            pc[i].candHi = pc[i].additive ? hi_cols.back().data() : nullptr;
-            pc[i].baseLo = tdist(rng) * 0.3;
-            pc[i].baseHi = pc[i].baseLo + tdist(rng) * 0.5;
-            pc[i].weight = wdist(rng);
-            pc[i].target = tdist(rng);
+        for (size_t cells = 1; cells <= kMaxPruneCells; ++cells) {
+            for (bool core_shared : {false, true}) {
+                const size_t coords = 10;
+                std::vector<double> levels(cells + 1);
+                for (size_t k = 0; k <= cells; ++k)
+                    levels[k] = 0.05 + 1.05 * static_cast<double>(k) /
+                                           static_cast<double>(cells);
+                std::vector<AlignedVector> cols;
+                std::vector<PruneCoord> pc(coords);
+                for (size_t i = 0; i < coords; ++i) {
+                    bool core = bdist(rng) == 1;
+                    bool capacity = bdist(rng) == 1;
+                    double anchor = tdist(rng);
+                    AlignedVector bases =
+                        randomColumn(rng, entries, 0.0, 100.0);
+                    pc[i].additive = !core;
+                    pc[i].weight = wdist(rng);
+                    pc[i].target = tdist(rng);
+                    for (size_t k = 0; k <= cells; ++k) {
+                        pc[i].base[k] = core && !core_shared
+                                            ? 0.0
+                                            : predict(anchor, capacity,
+                                                      levels[k]);
+                        if (core)
+                            continue;
+                        AlignedVector col(paddedCount(entries), 0.0);
+                        for (size_t e = 0; e < entries; ++e)
+                            col[e] = predict(bases[e], capacity, levels[k]);
+                        cols.push_back(std::move(col));
+                        pc[i].cand[k] = cols.back().data();
+                    }
+                }
+                size_t padded = paddedCount(entries);
+                AlignedVector b1(padded), b2(padded);
+                ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
+                pruneBounds(pc.data(), coords, cells, entries, b1.data());
+                ASSERT_TRUE(setKernelBackend(KernelBackend::Avx2));
+                pruneBounds(pc.data(), coords, cells, entries, b2.data());
+                SCOPED_TRACE("cells=" + std::to_string(cells) +
+                             " core_shared=" + std::to_string(core_shared));
+                expectLanesEqual(b1, b2, entries, "prune bound");
+            }
         }
-        size_t padded = paddedCount(entries);
-        AlignedVector b1(padded), b2(padded);
-        ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
-        pruneBounds(pc.data(), coords, entries, b1.data());
-        ASSERT_TRUE(setKernelBackend(KernelBackend::Avx2));
-        pruneBounds(pc.data(), coords, entries, b2.data());
-        expectLanesEqual(b1, b2, entries, "prune bound");
     }
 }
 
@@ -450,7 +480,8 @@ struct MixQuery
  * The fixed mix: analyze probes with 2-10 observed resources, Exact and
  * Upper bounds and varying victim load, then decompose aggregates of two
  * blended entries over every (core_shared, max_parts 1-3) pair, also
- * with 2-10 observed resources.
+ * with 2-10 observed resources, and one three-entry blend without a
+ * shared core.
  */
 std::vector<MixQuery>
 buildMix(const core::TrainingSet& tr)
@@ -494,6 +525,23 @@ buildMix(const core::TrainingSet& tr)
             double v = sim::isCoreResource(r)
                            ? pa[r]
                            : std::min(pa[r] + pb[r], 100.0);
+            query.obs.set(r,
+                          std::clamp(v + rng.gaussian(0.0, 1.0), 0.0, 100.0));
+        }
+        mix.push_back(std::move(query));
+    }
+    {
+        // A three-tenant blend without a shared core: the search reaches
+        // depth 3, where it runs no re-anchoring pass.
+        MixQuery query;
+        query.isDecompose = true;
+        query.coreShared = false;
+        query.maxParts = 3;
+        sim::ResourceVector sum;
+        for (size_t idx : {size_t(7), size_t(48), size_t(95)})
+            sum += workloads::scaledPressure(tr.entry(idx).fullLoadBase, 0.7);
+        for (sim::Resource r : sim::kAllResources) {
+            double v = sim::isCoreResource(r) ? 0.0 : std::min(sum[r], 100.0);
             query.obs.set(r,
                           std::clamp(v + rng.gaussian(0.0, 1.0), 0.0, 100.0));
         }
@@ -578,7 +626,10 @@ TEST_F(BackendEndToEnd, AnalyzeAndDecomposeBitIdentical)
         SCOPED_TRACE("analyze query " + std::to_string(q));
         expectResultsBitEqual(scalar.analyzed[q], simd.analyzed[q]);
     }
-    ASSERT_EQ(scalar.decomposed.size(), 12u);
+    ASSERT_EQ(scalar.decomposed.size(), 13u);
+    // The no-shared-core blend took a second part, so its search went
+    // on to depth 3.
+    EXPECT_GE(scalar.decomposed.back().parts.size(), 2u);
     ASSERT_EQ(simd.decomposed.size(), scalar.decomposed.size());
     for (size_t q = 0; q < scalar.decomposed.size(); ++q) {
         SCOPED_TRACE("decompose query " + std::to_string(q));

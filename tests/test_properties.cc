@@ -19,12 +19,15 @@
 
 #include <gtest/gtest.h>
 
+#include "core/profile_table.h"
 #include "core/profiler.h"
 #include "fault/fault.h"
+#include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "linalg/sgd.h"
 #include "linalg/svd.h"
 #include "util/rng.h"
+#include "workloads/app.h"
 
 using namespace bolt;
 
@@ -286,4 +289,156 @@ TEST(Properties, FaultOracleIsPureAndWindowed)
             EXPECT_LE(f0, 1.0 + plan.capacityJitterAmp) << "rep " << rep;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Decompose's prune bounds are conservative: for random anchor and
+// candidate bases, targets and weights, neither the one-cell bound nor
+// the level-cell grid bound ever exceeds the deviation widenFit returns
+// at its fitted levels. This is what lets a pruned candidate skip its
+// refit without changing the search's outcome. The grid bound, whose
+// cells nest inside the one cell, is never looser.
+TEST(Properties, PruneBoundsNeverExceedWidenFitDeviation)
+{
+    using Table = core::ScaledProfileTable;
+    constexpr size_t K = Table::kLevelCells;
+    constexpr size_t kCands = 13; // three full kernel blocks and a tail
+    const size_t padded = linalg::paddedCount(kCands);
+    const double floor_ = workloads::kCapacityLoadFloor;
+    auto predict = [&](double base, bool capacity, double level) {
+        double scale = capacity ? std::max(level, floor_) : level;
+        return std::clamp(base * scale, 0.0, 100.0);
+    };
+    size_t clamped = 0, below_floor = 0;
+    for (uint64_t rep = 0; rep < kReps; ++rep) {
+        util::Rng rng = util::Rng::stream(kSweepSeed, {6, rep});
+        const size_t n = 3 + rng.index(8); // 3..10 coordinates
+        const bool core_shared = rng.uniform() < 0.5;
+        std::vector<linalg::WidenCoord> wc(n);
+        std::vector<double> anchor(n);
+        std::vector<linalg::AlignedVector> cand(
+            n, linalg::AlignedVector(padded, 0.0));
+        double wsum = 0.0;
+        for (size_t i = 0; i < n; ++i) {
+            wc[i].weight = rng.uniform(0.05, 1.0);
+            wc[i].core = rng.uniform() < 0.25;
+            wc[i].capacity = rng.uniform() < 0.4;
+            anchor[i] = rng.uniform(0.0, 100.0);
+            for (size_t e = 0; e < kCands; ++e)
+                cand[i][e] = rng.uniform(0.0, 100.0);
+            wsum += wc[i].weight;
+        }
+        // Even reps aim the targets near the anchor plus the first
+        // candidate at random levels, so the bound gets close to the
+        // fit; odd reps draw them uniformly.
+        double la = rng.uniform(Table::kLevelMin, Table::kLevelMax);
+        double lc = rng.uniform(Table::kLevelMin, Table::kLevelMax);
+        for (size_t i = 0; i < n; ++i) {
+            if (rep % 2 == 1) {
+                wc[i].target = rng.uniform(0.0, 100.0);
+                continue;
+            }
+            double a = predict(anchor[i], wc[i].capacity, la);
+            double sum =
+                wc[i].core ? (core_shared ? a : 0.0)
+                           : std::min(a + predict(cand[i][0],
+                                                  wc[i].capacity, lc),
+                                      100.0);
+            wc[i].target =
+                std::clamp(sum + rng.gaussian(0.0, 2.0), 0.0, 100.0);
+        }
+
+        std::vector<const double*> cand_ptrs(n);
+        for (size_t i = 0; i < n; ++i)
+            cand_ptrs[i] = cand[i].data();
+        const double init_level = 0.8;
+        linalg::WidenSpec spec;
+        spec.coords = wc.data();
+        spec.coordCount = n;
+        spec.partCount = 2;
+        spec.fixedBase = anchor.data();
+        spec.candBase = cand_ptrs.data();
+        spec.fixedInitLevels = &init_level;
+        spec.coreShared = core_shared;
+        spec.wsum = wsum;
+        spec.lo = Table::kLevelMin;
+        spec.hi = Table::kLevelMax;
+        spec.capacityFloor = floor_;
+        linalg::AlignedVector dist(padded), levels(padded * 2);
+        linalg::widenFit(spec, kCands, dist.data(), levels.data());
+
+        // The bounds over the table's grid: candidate edges as padded
+        // columns, anchor edges as the base (zero on unshared cores).
+        std::vector<linalg::AlignedVector> edge_cols;
+        edge_cols.reserve(n * (K + 1));
+        std::vector<linalg::PruneCoord> one(n), grid(n);
+        for (size_t i = 0; i < n; ++i) {
+            bool core = wc[i].core;
+            for (linalg::PruneCoord* pc : {&one[i], &grid[i]}) {
+                pc->additive = !core;
+                pc->weight = wc[i].weight;
+                pc->target = wc[i].target;
+            }
+            for (size_t k = 0; k <= K; ++k) {
+                double level = Table::edgeLevel(k);
+                grid[i].base[k] =
+                    core && !core_shared
+                        ? 0.0
+                        : predict(anchor[i], wc[i].capacity, level);
+                edge_cols.emplace_back(padded, 0.0);
+                for (size_t e = 0; e < kCands; ++e)
+                    edge_cols.back()[e] =
+                        predict(cand[i][e], wc[i].capacity, level);
+                grid[i].cand[k] = edge_cols.back().data();
+            }
+            one[i].base[0] = grid[i].base[0];
+            one[i].base[1] = grid[i].base[K];
+            one[i].cand[0] = grid[i].cand[0];
+            one[i].cand[1] = grid[i].cand[K];
+        }
+        // Both bounds on every backend this CPU runs, against the
+        // deviation of the backend the CPU picked (the two agree bit
+        // for bit; tests/test_kernels.cc checks that).
+        linalg::AlignedVector b1(padded), bk(padded);
+        for (linalg::KernelBackend backend :
+             {linalg::KernelBackend::Scalar, linalg::KernelBackend::Avx2}) {
+            if (!linalg::kernelBackendAvailable(backend))
+                continue;
+            linalg::KernelBackend saved = linalg::activeKernelBackend();
+            linalg::setKernelBackend(backend);
+            linalg::pruneBounds(one.data(), n, 1, kCands, b1.data());
+            linalg::pruneBounds(grid.data(), n, K, kCands, bk.data());
+            linalg::setKernelBackend(saved);
+            for (size_t e = 0; e < kCands; ++e) {
+                SCOPED_TRACE(::testing::Message()
+                             << "rep " << rep << " e " << e << " backend "
+                             << static_cast<int>(backend));
+                EXPECT_LE(b1[e] / wsum, dist[e]);
+                EXPECT_LE(bk[e] / wsum, dist[e]);
+                EXPECT_LE(b1[e], bk[e]);
+            }
+        }
+
+        for (size_t e = 0; e < kCands; ++e) {
+            // Coverage: sums clamped at 100 and capacity coordinates
+            // held at the load floor, at the fitted levels.
+            double l0 = levels[e * 2], l1 = levels[e * 2 + 1];
+            bool any_clamped = false, any_floor = false;
+            for (size_t i = 0; i < n; ++i) {
+                if (wc[i].core)
+                    continue;
+                any_clamped = any_clamped ||
+                              predict(anchor[i], wc[i].capacity, l0) +
+                                      predict(cand[i][e], wc[i].capacity,
+                                              l1) >
+                                  100.0;
+                any_floor = any_floor || (wc[i].capacity &&
+                                          std::min(l0, l1) < floor_);
+            }
+            clamped += any_clamped;
+            below_floor += any_floor;
+        }
+    }
+    EXPECT_GT(clamped, 0u);
+    EXPECT_GT(below_floor, 0u);
 }
