@@ -67,11 +67,14 @@
 # counts. Pass --update after --armsrace to regenerate the golden
 # instead of diffing it.
 #
-# The --paper stage asserts the paper-artifact contract: Table 1
-# (table1_detection_accuracy) prints byte-identical stdout at 1 and 4
-# threads that matches its committed golden (bench/BENCH_table1.golden),
-# so no number EXPERIMENTS.md quotes from it can drift silently. Pass
-# --update after --paper to regenerate the golden instead of diffing it.
+# The --paper stage asserts the paper-artifact contract: every paper
+# driver without a gate of its own (Table 1, Table 2, Figs. 2-14, the
+# co-residency attack, calibration and the detector ablations) prints
+# byte-identical stdout at 1 and 4 threads that matches its committed
+# golden, bench/BENCH_<name>.golden with <name> the driver's name up to
+# its first underscore (table1_detection_accuracy -> BENCH_table1), so
+# no number EXPERIMENTS.md quotes from them can drift silently. Pass
+# --update after --paper to regenerate the goldens instead of diffing.
 #
 # Usage: scripts/check.sh [--plain-only|--tsan-only|--asan-only|--ubsan-only|--obs|--fault|--serve|--scenario [--update]|--telemetry|--fleet [--update]|--armsrace [--update]|--paper [--update]|--bench-only]
 set -euo pipefail
@@ -581,30 +584,42 @@ fi
 
 if [[ "${mode}" == "--paper" || "${mode}" == "all" ]]; then
     echo "== Paper artifact gate =="
+    paper_drivers=(table1_detection_accuracy table2_rfa
+                   fig2_memcached_heatmaps fig4_training_coverage
+                   fig5_star_charts fig6_coresidents_dominant
+                   fig7_iterations_pdf fig8_phase_detection
+                   fig9_accuracy_vs_pressure fig10_sensitivity
+                   fig11_user_study_mix fig12_user_study_detection
+                   fig13_dos_attack fig14_isolation coresidency_attack
+                   calibration ablation_detector)
     cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-    cmake --build build-release -j "$(nproc)" \
-        --target table1_detection_accuracy
+    cmake --build build-release -j "$(nproc)" --target "${paper_drivers[@]}"
     paper_dir="$(mktemp -d)"
     trap 'rm -rf "${obs_dir:-}" "${fault_dir:-}" "${serve_dir:-}" "${scn_dir:-}" "${tel_dir:-}" "${fleet_dir:-}" "${ar_dir:-}" "${paper_dir:-}"' EXIT
-    golden=bench/BENCH_table1.golden
 
-    # Table 1 is Sim-class stdout: byte-identical at any thread count.
-    for threads in 1 4; do
-        ./build-release/bench/table1_detection_accuracy \
-            --threads "${threads}" --log-level error \
-            > "${paper_dir}/table1_${threads}.txt"
+    # Paper drivers print Sim-class stdout: byte-identical at any thread
+    # count.
+    for driver in "${paper_drivers[@]}"; do
+        golden="bench/BENCH_${driver%%_*}.golden"
+        echo "-- ${driver} --"
+        for threads in 1 4; do
+            ./build-release/bench/"${driver}" \
+                --threads "${threads}" --log-level error \
+                > "${paper_dir}/${driver}_${threads}.txt"
+        done
+        if ! diff -u "${paper_dir}/${driver}_1.txt" \
+                     "${paper_dir}/${driver}_4.txt"; then
+            echo "FAIL: ${driver} output differs between 1 and 4 threads" >&2
+            exit 1
+        fi
+        if [[ "${2:-}" == "--update" ]]; then
+            cp "${paper_dir}/${driver}_1.txt" "${golden}"
+        elif ! diff -u "${golden}" "${paper_dir}/${driver}_1.txt"; then
+            echo "FAIL: ${driver} output diverged from ${golden}" \
+                 "(regenerate intentionally with --paper --update)" >&2
+            exit 1
+        fi
     done
-    if ! diff -u "${paper_dir}/table1_1.txt" "${paper_dir}/table1_4.txt"; then
-        echo "FAIL: table1 output differs between 1 and 4 threads" >&2
-        exit 1
-    fi
-    if [[ "${2:-}" == "--update" ]]; then
-        cp "${paper_dir}/table1_1.txt" "${golden}"
-    elif ! diff -u "${golden}" "${paper_dir}/table1_1.txt"; then
-        echo "FAIL: table1 output diverged from ${golden}" \
-             "(regenerate intentionally with --paper --update)" >&2
-        exit 1
-    fi
     echo "Paper artifact gate passed."
 fi
 
