@@ -3,7 +3,7 @@
  * Recommender query-path benchmark, two modes in one binary:
  *
  *  - default: google-benchmark microlatencies of the data-mining
- *    pipeline (SVD+SGD completion, analyze, decompose), as before.
+ *    pipeline (training SVD, analyze, decompose), as before.
  *  - `--json PATH`: a fixed, seeded query-throughput harness that runs
  *    a mixed analyze/decompose workload single- and multi-threaded and
  *    writes machine-readable BENCH_recommender.json (p50/p99 latency,
@@ -34,7 +34,6 @@
 
 #include "obs/report.h"
 #include "core/recommender.h"
-#include "linalg/sgd.h"
 #include "linalg/svd.h"
 #include "util/parse.h"
 #include "util/thread_pool.h"
@@ -90,22 +89,6 @@ BM_TrainingSvd(benchmark::State& state)
         benchmark::DoNotOptimize(linalg::svd(matrix));
 }
 BENCHMARK(BM_TrainingSvd);
-
-static void
-BM_SgdCompletion(benchmark::State& state)
-{
-    auto matrix = trained().training.matrix();
-    linalg::SparseMatrix sparse = linalg::SparseMatrix::dense(matrix);
-    // Hide the last row's tail entries as an unknown victim would.
-    for (size_t c = 3; c < sim::kNumResources; ++c)
-        sparse.mask[matrix.rows() - 1][c] = false;
-    linalg::SgdConfig cfg;
-    cfg.rank = 4;
-    cfg.epochs = 60;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(linalg::sgdFactorize(sparse, cfg));
-}
-BENCHMARK(BM_SgdCompletion);
 
 static void
 BM_RecommenderAnalyze(benchmark::State& state)
@@ -399,8 +382,8 @@ hex(uint64_t v)
 
 /**
  * Golden file format (bench/BENCH_recommender.golden), one `key value`
- * pair per line: `digest <hex>` recorded from the pre-optimization
- * build plus `baseline_*` throughput measured at the same commit.
+ * pair per line: the output `digest <hex>` plus `baseline_*` throughput
+ * of the pre-optimization build.
  */
 struct Golden
 {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "linalg/fold_in.h"
 #include "obs/metrics.h"
 #include "util/thread_pool.h"
 
@@ -19,6 +20,18 @@ namespace {
  * deviation of this many points halves-ish the similarity score.
  */
 constexpr double kMatchDistanceScale = 12.0;
+
+/**
+ * Ridge weight of the victim-row fold-in: how strongly the completion
+ * is pulled toward the training centroid, against the squared error on
+ * the victim's Exact entries (pressures normalized to [0, 1]). Chosen
+ * from a sweep over {0.001, ..., 0.3} (EXPERIMENTS.md, "Fold-in ridge
+ * weight"): detection accuracy barely moves across it, while the
+ * completed row's error on unobserved coordinates is lowest here.
+ * Weights of 0.03 and below over-fit rows with 3-5 Exact entries,
+ * completing them worse than the centroid row does.
+ */
+constexpr double kFoldInLambda = 0.3;
 
 /**
  * Safety slack (pressure points) on decompose()'s candidate pruning
@@ -53,17 +66,6 @@ constexpr size_t kCells = ScaledProfileTable::kLevelCells;
  */
 struct QueryScratch
 {
-    // Collaborative-filtering completion: entry list, factor storage
-    // and cached shuffle orders (see linalg::SgdScratch).
-    linalg::SgdScratch sgd;
-    /**
-     * Whether sgd.entries still begins with the recommender's
-     * query-invariant training block. Once loaded, later queries only
-     * truncate back to it and append their victim tail instead of
-     * re-copying the whole block (scratch never migrates between
-     * recommender instances, so the prefix cannot go stale).
-     */
-    bool sgdPrefixLoaded = false;
     std::vector<double> fullRow; ///< Reconstructed victim row.
 
     // The observation unpacked into fixed-size lane arrays over the
@@ -266,31 +268,23 @@ HybridRecommender::HybridRecommender(const TrainingSet& training,
         for (auto& w : resourceWeights_)
             w /= total;
 
-    // Hoist the query-invariant half of analyze()'s completion problem:
-    // warm-start factors from the truncated SVD (plus the victim row's
-    // centroid warm start) and the normalized training block of the
-    // sparse matrix. Per query only the victim's Exact entries vary.
-    sgdRank_ = std::max<size_t>(rank_, 4);
-    warmP_ = linalg::Matrix(m + 1, sgdRank_);
-    warmQ_ = linalg::Matrix(n, sgdRank_);
-    for (size_t k = 0; k < sgdRank_ && k < svd_.s.size(); ++k) {
+    // Hoist the query-invariant half of analyze()'s completion: the PQ
+    // factors of the fully observed, normalized ([0, 1]) training block
+    // are its truncated SVD, P = U * sqrt(S / 100) and
+    // Q = V * sqrt(S / 100). The fold-in keeps Q and centres the victim
+    // row on the centroid of P's rows, so only that centroid is kept.
+    foldRank_ = std::max<size_t>(rank_, 4);
+    foldQ_ = linalg::Matrix(n, foldRank_);
+    foldPrior_.assign(foldRank_, 0.0);
+    for (size_t k = 0; k < foldRank_ && k < svd_.s.size(); ++k) {
         double root = std::sqrt(std::max(0.0, svd_.s[k] / 100.0));
-        for (size_t r = 0; r < m; ++r)
-            warmP_(r, k) = svd_.u(r, k) * root;
-        for (size_t c = 0; c < n; ++c)
-            warmQ_(c, k) = svd_.v(c, k) * root;
-    }
-    // The victim row starts at the training centroid in factor space.
-    for (size_t k = 0; k < sgdRank_; ++k) {
         double mean = 0.0;
         for (size_t r = 0; r < m; ++r)
-            mean += warmP_(r, k);
-        warmP_(m, k) = mean / static_cast<double>(m);
-    }
-    entryPrefix_.reserve(m * n);
-    for (size_t r = 0; r < m; ++r)
+            mean += svd_.u(r, k) * root;
+        foldPrior_[k] = mean / static_cast<double>(m);
         for (size_t c = 0; c < n; ++c)
-            entryPrefix_.push_back({r, c, a(r, c) / 100.0});
+            foldQ_(c, k) = svd_.v(c, k) * root;
+    }
 
     table_ = ScaledProfileTable(training_);
 
@@ -384,51 +378,34 @@ void
 HybridRecommender::completeRow(const SparseObservation& observation,
                                QueryScratch& s) const
 {
-    const linalg::Matrix& a = training_.matrix();
-    size_t m = a.rows();
-    size_t n = a.cols();
+    size_t n = training_.matrix().cols();
 
     // Stage 1 — collaborative filtering: complete the sparse victim row
-    // by PQ-reconstruction, warm-started from the truncated SVD factors
-    // precomputed in the constructor. The training rows are fully
-    // observed; the victim contributes only its measured entries — and
-    // only the Exact ones, since an Upper (aggregate) entry is not the
-    // victim's own pressure. Pressures are normalized to [0, 1] for the
-    // factorization so the SGD step size is scale-free.
-    //
-    // The training block of the entry list is query-invariant, so once
-    // a scratch has loaded it the next query merely truncates the
-    // victim tail off instead of re-copying ~m*n entries.
-    if (s.sgdPrefixLoaded && s.sgd.entries.size() >= entryPrefix_.size()) {
-        s.sgd.entries.resize(entryPrefix_.size());
-    } else {
-        s.sgd.entries.assign(entryPrefix_.begin(), entryPrefix_.end());
-        s.sgdPrefixLoaded = true;
-    }
+    // by PQ-reconstruction. The training rows are fully observed, so
+    // their factors are fixed by the SVD (constructor); only the
+    // victim's factor row p is unknown, and with Q fixed its
+    // L2-regularized least-squares fit to the victim's measured entries
+    // has a closed form (linalg::foldInRow). Only Exact entries count,
+    // since an Upper (aggregate) entry is not the victim's own pressure.
+    // Pressures are normalized to [0, 1], as in the factors.
+    sim::LaneArray<size_t> cols;
+    sim::LaneArray<double> values;
+    size_t exact = 0;
     for (size_t i = 0; i < s.obsCount; ++i) {
-        if (s.obsExact[i])
-            s.sgd.entries.push_back({m, s.obsIdx[i], s.obsVal[i] / 100.0});
+        if (s.obsExact[i]) {
+            cols[exact] = s.obsIdx[i];
+            values[exact] = s.obsVal[i] / 100.0;
+            ++exact;
+        }
     }
-
-    linalg::SgdConfig sgd_cfg;
-    sgd_cfg.rank = sgdRank_;
-    sgd_cfg.epochs = config_.sgdEpochs;
-    sgd_cfg.learningRate = config_.sgdLearningRate;
-    sgd_cfg.regularization = config_.sgdRegularization;
-    sgd_cfg.seed = config_.seed;
-
-    const linalg::SgdResult& completion =
-        linalg::sgdFactorizeWarm(sgd_cfg, warmP_, warmQ_, s.sgd);
+    double p[linalg::kMaxFoldInRank];
+    linalg::foldInRow(foldQ_, {cols.data(), exact}, {values.data(), exact},
+                      foldPrior_, kFoldInLambda, {p, foldRank_});
 
     s.fullRow.resize(n);
     std::vector<double>& full_row = s.fullRow;
-    {
-        const double* pr = completion.p.rowPtr(m);
-        for (size_t c = 0; c < n; ++c) {
-            const double* qr = completion.q.rowPtr(c);
-            full_row[c] = linalg::dotOrdered(pr, qr, sgdRank_);
-        }
-    }
+    for (size_t c = 0; c < n; ++c)
+        full_row[c] = linalg::dotOrdered(p, foldQ_.rowPtr(c), foldRank_);
     // Back to pressure points; Exact measurements are trusted over the
     // low-rank estimate, Upper bounds cap it.
     for (size_t c = 0; c < n; ++c) {

@@ -11,7 +11,6 @@
 #include "core/profile_table.h"
 #include "core/training.h"
 #include "linalg/kernels.h"
-#include "linalg/sgd.h"
 #include "linalg/svd.h"
 
 namespace bolt {
@@ -29,10 +28,6 @@ struct RecommenderConfig
 {
     /** Energy fraction preserved when keeping the top r concepts. */
     double energyKept = 0.90;
-    /** SGD epochs for the PQ-reconstruction of the victim row. */
-    size_t sgdEpochs = 60;
-    double sgdLearningRate = 0.05;
-    double sgdRegularization = 0.02;
     /** Confidence floor: below this, detection is inconclusive. */
     double confidenceFloor = 0.10;
     /**
@@ -44,7 +39,6 @@ struct RecommenderConfig
     double marginFloor = 0.06;
     /** Entries reported in the similarity distribution. */
     size_t topK = 5;
-    uint64_t seed = 7;
 };
 
 /** Output of one analysis round. */
@@ -110,24 +104,26 @@ struct Decomposition
 
 /**
  * The hybrid recommender with feature augmentation (Section 3.2): a
- * collaborative-filtering stage (SVD + PQ-reconstruction via SGD)
- * recovers the pressure the victim places on non-profiled resources,
- * then a content-based stage ranks previously-seen applications by
- * weighted Pearson similarity (Eq. 1), where the weights come from the
- * r strongest similarity concepts.
+ * collaborative-filtering stage (SVD + PQ-reconstruction) recovers the
+ * pressure the victim places on non-profiled resources, then a
+ * content-based stage ranks previously-seen applications by weighted
+ * Pearson similarity (Eq. 1), where the weights come from the r
+ * strongest similarity concepts.
  *
- * SVD runs once per training set; each query performs a warm-started
- * SGD completion of its sparse row plus one weighted-Pearson pass.
+ * SVD runs once per training set. The training block is fully observed,
+ * so its PQ factors are the truncated SVD; each query folds its sparse
+ * row in against the fixed column factors (a k x k ridge solve,
+ * linalg::foldInRow) plus one weighted-Pearson pass.
  *
- * Everything query-invariant is hoisted into the constructor: the SGD
- * warm-start factors (including the victim row's centroid warm start),
- * the normalized training block of the completion problem, and a flat
- * table of load-scaled training profiles (ScaledProfileTable). Per-query
- * working memory lives in reusable QueryScratch buffers handed out per
- * thread-pool worker, so after each thread's first query the hot loops
- * of analyze() and decompose() perform no heap allocation (only the
- * returned result vectors are freshly built). All caching is invisible
- * in the outputs: results are bit-identical to the uncached computation.
+ * Everything query-invariant is hoisted into the constructor: the
+ * column factors and the centroid row the fold-in is centred on, and a
+ * flat table of load-scaled training profiles (ScaledProfileTable).
+ * Per-query working memory lives in reusable QueryScratch buffers handed
+ * out per thread-pool worker, so after each thread's first query the hot
+ * loops of analyze() and decompose() perform no heap allocation (only
+ * the returned result vectors are freshly built). All caching is
+ * invisible in the outputs: results are bit-identical to the uncached
+ * computation.
  *
  * Thread-safety: construction is not thread-safe, but a constructed
  * recommender behaves as immutable — analyze(), decompose() and the
@@ -232,11 +228,10 @@ class HybridRecommender
     std::vector<double> columnSpread_;    ///< Per-resource training stddev.
 
     // Query-invariant caches, built once in the constructor.
-    size_t sgdRank_ = 0;       ///< max(rank_, 4): completion rank.
-    linalg::Matrix warmP_;     ///< (m+1) x sgdRank_ warm start + centroid.
-    linalg::Matrix warmQ_;     ///< n x sgdRank_ warm start.
-    /** Normalized ([0, 1]) training block of the completion problem. */
-    std::vector<linalg::SgdEntry> entryPrefix_;
+    size_t foldRank_ = 0;  ///< max(rank_, 4): completion rank k.
+    linalg::Matrix foldQ_; ///< n x k column factors, V * sqrt(S / 100).
+    /** Centroid of the training rows' factors U * sqrt(S / 100). */
+    std::vector<double> foldPrior_;
     ScaledProfileTable table_; ///< Load-scaled training profiles.
     /** Entry-side half of the ranking's weighted Pearson, hoisted. */
     linalg::PearsonTable pearson_;

@@ -16,8 +16,7 @@ namespace util {
 
 /**
  * Work-stealing thread pool shared by every parallel stage of the
- * simulator (per-server detection, batched SGD, matrix products, bench
- * trial sweeps).
+ * simulator (per-server detection, fleet shards, bench trial sweeps).
  *
  * Structure: one task deque per worker. A worker pops from the back of
  * its own deque (LIFO, cache-friendly) and, when empty, steals from the

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <thread>
 
 #include "core/detector.h"
@@ -276,6 +278,52 @@ TEST_F(TrainedFixture, ReconstructionTrustsExactCoordinates)
         EXPECT_GE(result.reconstructed[r], 0.0);
         EXPECT_LE(result.reconstructed[r], 100.0);
     }
+}
+
+TEST_F(TrainedFixture, FoldInBeatsCentroidOnHeldOutCoordinates)
+{
+    // Complete each training row from its `exact` top-weight coordinates
+    // and score the held-out ones against the row's truth. An Upper
+    // bound of 100 on every held-out coordinate caps nothing and keeps
+    // feature augmentation off it, so reconstructed[] there is the CF
+    // completion itself. With no Exact entry the completion is the
+    // centroid row. An over-fitting ridge weight loses to the centroid
+    // at some prefix size; one that collapsed the fold-in onto its prior
+    // would tie it everywhere.
+    auto importance = recommender_->resourceImportance();
+    std::vector<sim::Resource> order(sim::kAllResources.begin(),
+                                     sim::kAllResources.end());
+    std::stable_sort(order.begin(), order.end(),
+                     [&](sim::Resource x, sim::Resource y) {
+                         return importance[x] > importance[y];
+                     });
+    SparseObservation bounds;
+    for (sim::Resource r : order)
+        bounds.set(r, 100.0, SparseObservation::Bound::Upper);
+    auto centroid = recommender_->analyze(bounds).reconstructed;
+
+    double fold_total = 0.0;
+    double centroid_total = 0.0;
+    for (size_t exact = 1; exact < order.size(); ++exact) {
+        double fold_err = 0.0;
+        double centroid_err = 0.0;
+        for (const auto& entry : training_->entries()) {
+            SparseObservation obs = bounds;
+            for (size_t i = 0; i < exact; ++i)
+                obs.set(order[i], entry.profile[order[i]]);
+            auto completed = recommender_->analyze(obs).reconstructed;
+            for (size_t i = exact; i < order.size(); ++i) {
+                double truth = entry.profile[order[i]];
+                fold_err += std::abs(completed[order[i]] - truth);
+                centroid_err += std::abs(centroid[order[i]] - truth);
+            }
+        }
+        EXPECT_LT(fold_err, centroid_err) << exact << " Exact coordinates";
+        fold_total += fold_err;
+        centroid_total += centroid_err;
+    }
+    EXPECT_LT(fold_total, 0.9 * centroid_total)
+        << "fold-in " << fold_total << " vs centroid " << centroid_total;
 }
 
 TEST_F(TrainedFixture, DistributionNormalized)

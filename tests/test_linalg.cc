@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit and property tests for the linalg library: dense matrices,
- * one-sided Jacobi SVD, SGD PQ-reconstruction, and weighted Pearson.
+ * one-sided Jacobi SVD, the ridge fold-in of a sparse row, and weighted
+ * Pearson.
  */
 #include <cmath>
 #include <span>
@@ -10,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "linalg/matrix.h"
-#include "linalg/sgd.h"
+#include "linalg/fold_in.h"
 #include "linalg/svd.h"
 #include "util/rng.h"
 
@@ -193,90 +194,81 @@ TEST(Svd, ThrowsOnEmpty)
     EXPECT_THROW(svd(Matrix()), std::invalid_argument);
 }
 
-TEST(Sgd, FitsFullyObservedMatrix)
+TEST(FoldIn, NoObservedEntriesReturnsPrior)
 {
     Rng rng(201);
-    Matrix a = lowRankMatrix(15, 8, 3, rng);
-    SgdConfig cfg;
-    cfg.rank = 3;
-    cfg.epochs = 600;
-    cfg.learningRate = 0.05;
-    cfg.regularization = 0.001;
-    auto result = sgdFactorize(SparseMatrix::dense(a), cfg);
-    EXPECT_LT(result.trainRmse, 0.05);
+    Matrix q = randomMatrix(10, 4, rng, -1.0, 1.0);
+    std::vector<double> prior = {0.3, -0.2, 0.05, 0.7};
+    std::vector<double> p(4, 99.0);
+    foldInRow(q, {}, {}, prior, 0.003, p);
+    for (size_t k = 0; k < 4; ++k)
+        EXPECT_EQ(prior[k], p[k]) << k;
 }
 
-TEST(Sgd, RecoversMissingEntriesOfLowRankMatrix)
+TEST(FoldIn, RecoversRowInSpanOfQ)
 {
+    // A low-rank matrix's row is p_true . Q; observing any k or more of
+    // its columns pins p_true, so with a vanishing ridge weight the
+    // fold-in recovers the whole row, held-out columns included.
     Rng rng(202);
-    Matrix a = lowRankMatrix(20, 8, 2, rng);
-    SparseMatrix sparse = SparseMatrix::dense(a);
-    // Hide 20% of the entries.
-    std::vector<std::pair<size_t, size_t>> hidden;
-    for (size_t r = 0; r < a.rows(); ++r)
-        for (size_t c = 0; c < a.cols(); ++c)
-            if (rng.bernoulli(0.2)) {
-                sparse.mask[r][c] = false;
-                hidden.push_back({r, c});
-            }
-    SgdConfig cfg;
-    cfg.rank = 2;
-    cfg.epochs = 800;
-    cfg.learningRate = 0.05;
-    cfg.regularization = 0.002;
-    auto result = sgdFactorize(sparse, cfg);
-    double err = 0.0;
-    for (auto [r, c] : hidden)
-        err += std::abs(result.predict(r, c) - a(r, c));
-    err /= static_cast<double>(hidden.size());
-    EXPECT_LT(err, 0.25) << "mean abs error on held-out entries";
+    for (size_t rep = 0; rep < 8; ++rep) {
+        Matrix q = randomMatrix(10, 4, rng, -1.0, 1.0);
+        std::vector<double> truth = {rng.uniform(-1.0, 1.0),
+                                     rng.uniform(-1.0, 1.0),
+                                     rng.uniform(-1.0, 1.0),
+                                     rng.uniform(-1.0, 1.0)};
+        std::vector<size_t> cols = {0, 2, 3, 5, 8};
+        std::vector<double> values;
+        for (size_t c : cols)
+            values.push_back(dot(truth, q.row(c)));
+        std::vector<double> prior(4, 0.25);
+        std::vector<double> p(4);
+        foldInRow(q, cols, values, prior, 1e-12, p);
+        for (size_t c = 0; c < q.rows(); ++c)
+            EXPECT_NEAR(dot(p, q.row(c)), dot(truth, q.row(c)), 1e-8)
+                << "rep " << rep << " col " << c;
+    }
 }
 
-TEST(Sgd, WarmStartConverges)
+TEST(FoldIn, SolvesTheRidgeNormalEquations)
 {
     Rng rng(203);
-    Matrix a = lowRankMatrix(12, 6, 2, rng);
-    auto s = svd(a);
-    SgdConfig cfg;
-    cfg.rank = 2;
-    cfg.epochs = 50;
-    cfg.regularization = 0.0005;
-    Matrix warm_p(a.rows(), 2), warm_q(a.cols(), 2);
-    for (size_t k = 0; k < 2; ++k) {
-        double root = std::sqrt(s.s[k]);
-        for (size_t r = 0; r < a.rows(); ++r)
-            warm_p(r, k) = s.u(r, k) * root;
-        for (size_t c = 0; c < a.cols(); ++c)
-            warm_q(c, k) = s.v(c, k) * root;
+    Matrix q = randomMatrix(10, 4, rng, -1.0, 1.0);
+    std::vector<size_t> cols = {1, 4, 6};
+    std::vector<double> values = {0.4, 0.9, 0.1};
+    std::vector<double> prior = {0.2, -0.1, 0.3, 0.0};
+    const double lambda = 0.01;
+    std::vector<double> p(4);
+    foldInRow(q, cols, values, prior, lambda, p);
+    // (sum q q^T + lambda I) p == sum values q + lambda prior.
+    for (size_t i = 0; i < 4; ++i) {
+        double lhs = lambda * p[i];
+        double rhs = lambda * prior[i];
+        for (size_t e = 0; e < cols.size(); ++e) {
+            lhs += q(cols[e], i) * dot(p, q.row(cols[e]));
+            rhs += q(cols[e], i) * values[e];
+        }
+        EXPECT_NEAR(lhs, rhs, 1e-12) << i;
     }
-    auto result =
-        sgdFactorize(SparseMatrix::dense(a), cfg, warm_p, warm_q);
-    EXPECT_LT(result.trainRmse, 0.01);
-    EXPECT_LE(result.epochsRun, 50u);
 }
 
-TEST(Sgd, ReconstructRowMatchesPredict)
+TEST(FoldIn, RejectsBadInput)
 {
-    Rng rng(204);
-    Matrix a = lowRankMatrix(8, 5, 2, rng);
-    SgdConfig cfg;
-    cfg.rank = 2;
-    cfg.epochs = 100;
-    auto result = sgdFactorize(SparseMatrix::dense(a), cfg);
-    auto row = result.reconstructRow(3);
-    for (size_t c = 0; c < 5; ++c)
-        EXPECT_DOUBLE_EQ(row[c], result.predict(3, c));
-}
-
-TEST(Sgd, RejectsDegenerateInput)
-{
-    SgdConfig cfg;
-    EXPECT_THROW(sgdFactorize(SparseMatrix{}, cfg),
+    Matrix q(10, 4);
+    std::vector<double> prior(4), p(4);
+    std::vector<size_t> cols = {10};
+    std::vector<double> values = {0.5};
+    EXPECT_THROW(foldInRow(q, cols, values, prior, 0.01, p),
+                 std::invalid_argument); // column out of range
+    EXPECT_THROW(foldInRow(q, {}, {}, prior, 0.0, p),
+                 std::invalid_argument); // no ridge: may be singular
+    std::vector<double> short_p(3);
+    EXPECT_THROW(foldInRow(q, {}, {}, prior, 0.01, short_p),
                  std::invalid_argument);
-    SparseMatrix no_entries;
-    no_entries.values = Matrix(2, 2);
-    no_entries.mask.assign(2, std::vector<bool>(2, false));
-    EXPECT_THROW(sgdFactorize(no_entries, cfg), std::invalid_argument);
+    // Cholesky refuses a matrix that is not positive definite.
+    double a[4] = {1.0, 2.0, 2.0, 1.0};
+    double b[2] = {1.0, 1.0};
+    EXPECT_THROW(choleskySolve(a, b, 2), std::invalid_argument);
 }
 
 /** Property sweep: SVD must reconstruct matrices of many shapes. */
@@ -356,62 +348,3 @@ TEST(Svd, ReconstructRankMatchesNaiveTripleLoop)
     }
 }
 
-TEST(Sgd, WarmEntryPathMatchesSgdFactorize)
-{
-    Rng rng(313);
-    Matrix a = lowRankMatrix(14, 8, 3, rng);
-    auto data = SparseMatrix::dense(a);
-    for (size_t i = 0; i < data.rows(); ++i)
-        for (size_t j = 0; j < data.cols(); ++j)
-            if ((i * 5 + j) % 4 == 0)
-                data.mask[i][j] = false;
-
-    auto s = svd(a);
-    SgdConfig cfg;
-    cfg.rank = 3;
-    cfg.epochs = 30;
-    Matrix warm_p(a.rows(), 3), warm_q(a.cols(), 3);
-    for (size_t k = 0; k < 3; ++k) {
-        double root = std::sqrt(s.s[k]);
-        for (size_t r = 0; r < a.rows(); ++r)
-            warm_p(r, k) = s.u(r, k) * root;
-        for (size_t c = 0; c < a.cols(); ++c)
-            warm_q(c, k) = s.v(c, k) * root;
-    }
-    auto classic = sgdFactorize(data, cfg, warm_p, warm_q);
-
-    SgdScratch scratch;
-    for (size_t i = 0; i < data.rows(); ++i)
-        for (size_t j = 0; j < data.cols(); ++j)
-            if (data.known(i, j))
-                scratch.entries.push_back({i, j, data.values(i, j)});
-    const SgdResult& warm = sgdFactorizeWarm(cfg, warm_p, warm_q, scratch);
-
-    EXPECT_EQ(0.0, Matrix::maxAbsDiff(classic.p, warm.p));
-    EXPECT_EQ(0.0, Matrix::maxAbsDiff(classic.q, warm.q));
-    EXPECT_EQ(classic.trainRmse, warm.trainRmse);
-    EXPECT_EQ(classic.epochsRun, warm.epochsRun);
-
-    // A second solve on the same scratch replays the cached shuffle
-    // orders and reuses the factor storage: still bit-identical.
-    const SgdResult& again = sgdFactorizeWarm(cfg, warm_p, warm_q, scratch);
-    EXPECT_EQ(0.0, Matrix::maxAbsDiff(classic.p, again.p));
-    EXPECT_EQ(0.0, Matrix::maxAbsDiff(classic.q, again.q));
-    EXPECT_EQ(classic.trainRmse, again.trainRmse);
-}
-
-TEST(Sgd, WarmEntryPathValidatesInput)
-{
-    SgdConfig cfg;
-    cfg.rank = 2;
-    SgdScratch scratch;
-    Matrix warm_p(3, 2), warm_q(4, 2);
-    // No observed entries.
-    EXPECT_THROW(sgdFactorizeWarm(cfg, warm_p, warm_q, scratch),
-                 std::invalid_argument);
-    // Warm-start rank mismatch.
-    scratch.entries.push_back({0, 0, 1.0});
-    Matrix bad_p(3, 1);
-    EXPECT_THROW(sgdFactorizeWarm(cfg, bad_p, warm_q, scratch),
-                 std::invalid_argument);
-}

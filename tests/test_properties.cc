@@ -24,7 +24,7 @@
 #include "fault/fault.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
-#include "linalg/sgd.h"
+#include "linalg/fold_in.h"
 #include "linalg/svd.h"
 #include "util/rng.h"
 #include "workloads/app.h"
@@ -139,48 +139,31 @@ TEST(Properties, WeightedPearsonSymmetricAndScaleInvariant)
 }
 
 // ---------------------------------------------------------------------
-// SGD completion: the scratch-based warm path documents bit-identical
-// results to the cold API given the same warm starts and row-major
-// entry order. This is the contract that lets the recommender reuse
-// per-thread scratch without changing any output.
-TEST(Properties, SgdWarmPathBitIdenticalToColdPath)
+// Cholesky solve: on random symmetric positive-definite systems (B B^T
+// plus a small ridge, the shape of the fold-in's normal equations) the
+// solution satisfies A x = b to within 1e-12.
+TEST(Properties, CholeskySolveResidualOnRandomSpdSystems)
 {
     for (uint64_t rep = 0; rep < kReps; ++rep) {
         util::Rng rng = util::Rng::stream(kSweepSeed, {3, rep});
-        size_t m = 4 + rng.index(5);
-        size_t n = 3 + rng.index(4);
-        linalg::SgdConfig cfg;
-        cfg.rank = 2 + rng.index(2);
-        cfg.epochs = 15;
-        cfg.seed = 100 + rep;
+        size_t k = 1 + rng.index(linalg::kMaxFoldInRank);
+        linalg::Matrix b = randomMatrix(rng, k, k + 2, -1.0, 1.0);
+        linalg::Matrix spd = b.multiply(b.transposed());
+        for (size_t i = 0; i < k; ++i)
+            spd(i, i) += 1e-3;
+        std::vector<double> rhs(k);
+        for (double& v : rhs)
+            v = rng.uniform(-1.0, 1.0);
 
-        // Partially-observed matrix (~70% coverage) plus warm factors.
-        linalg::SparseMatrix data;
-        data.values = randomMatrix(rng, m, n);
-        data.mask.assign(m, std::vector<bool>(n, false));
-        for (size_t i = 0; i < m; ++i)
-            for (size_t j = 0; j < n; ++j)
-                data.mask[i][j] = rng.uniform() < 0.7 || j == 0;
-        linalg::Matrix warm_p = randomMatrix(rng, m, cfg.rank, -1.0, 1.0);
-        linalg::Matrix warm_q = randomMatrix(rng, n, cfg.rank, -1.0, 1.0);
-
-        linalg::SgdResult cold =
-            linalg::sgdFactorize(data, cfg, warm_p, warm_q);
-
-        linalg::SgdScratch scratch;
-        for (size_t i = 0; i < m; ++i) // row-major, like the cold path
-            for (size_t j = 0; j < n; ++j)
-                if (data.mask[i][j])
-                    scratch.entries.push_back({i, j, data.values(i, j)});
-        const linalg::SgdResult& warm =
-            linalg::sgdFactorizeWarm(cfg, warm_p, warm_q, scratch);
-
-        EXPECT_EQ(linalg::Matrix::maxAbsDiff(cold.p, warm.p), 0.0)
-            << "rep " << rep << ": P factors diverge";
-        EXPECT_EQ(linalg::Matrix::maxAbsDiff(cold.q, warm.q), 0.0)
-            << "rep " << rep << ": Q factors diverge";
-        EXPECT_EQ(cold.trainRmse, warm.trainRmse) << "rep " << rep;
-        EXPECT_EQ(cold.epochsRun, warm.epochsRun) << "rep " << rep;
+        linalg::Matrix factor = spd;
+        std::vector<double> x = rhs;
+        linalg::choleskySolve(factor.rowPtr(0), x.data(), k);
+        for (size_t i = 0; i < k; ++i) {
+            double ax = 0.0;
+            for (size_t j = 0; j < k; ++j)
+                ax += spd(i, j) * x[j];
+            EXPECT_NEAR(ax, rhs[i], 1e-12) << "rep " << rep << " row " << i;
+        }
     }
 }
 
