@@ -1,16 +1,13 @@
 /**
  * @file
- * Recommender query-path benchmark, two modes in one binary:
- *
- *  - default: google-benchmark microlatencies of the data-mining
- *    pipeline (training SVD, analyze, decompose), as before.
- *  - `--json PATH`: a fixed, seeded query-throughput harness that runs
- *    a mixed analyze/decompose workload single- and multi-threaded and
- *    writes machine-readable BENCH_recommender.json (p50/p99 latency,
- *    queries/sec, and a bit-exact digest of every query's outputs).
+ * Recommender query-path benchmark: a fixed, seeded query-throughput
+ * harness that runs a mixed analyze/decompose workload single- and
+ * multi-threaded and prints (with `--json PATH`, also writes)
+ * machine-readable BENCH_recommender.json: p50/p99 latency,
+ * queries/sec, and a bit-exact digest of every query's outputs.
  *
  * The digest folds the raw IEEE-754 bytes of every ranking score,
- *    margin, fitted level, reconstructed coordinate, decomposition part
+ * margin, fitted level, reconstructed coordinate, decomposition part
  * and distance into an FNV-1a hash, so any change to the query path
  * that is not bit-identical flips it. `scripts/check.sh` compares the
  * digest (and the multi-thread digest) against the recorded golden in
@@ -20,22 +17,19 @@
  * The paper reports ~50 msec + ~30 msec stages and an 80 msec
  * 95th-percentile end-to-end latency on 2016 hardware.
  */
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "obs/report.h"
 #include "core/recommender.h"
-#include "linalg/svd.h"
-#include "util/parse.h"
+#include "obs/report.h"
+#include "util/cli_flags.h"
+#include "util/digest.h"
 #include "util/thread_pool.h"
 #include "workloads/generators.h"
 
@@ -64,88 +58,6 @@ trained()
     static Trained instance;
     return instance;
 }
-
-core::SparseObservation
-sampleObservation(size_t observed)
-{
-    const auto& entry = trained().training.entry(17);
-    core::SparseObservation obs;
-    size_t n = 0;
-    for (sim::Resource r : sim::kAllResources) {
-        if (n++ >= observed)
-            break;
-        obs.set(r, entry.profile[r]);
-    }
-    return obs;
-}
-
-} // namespace
-
-static void
-BM_TrainingSvd(benchmark::State& state)
-{
-    auto matrix = trained().training.matrix();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(linalg::svd(matrix));
-}
-BENCHMARK(BM_TrainingSvd);
-
-static void
-BM_RecommenderAnalyze(benchmark::State& state)
-{
-    auto obs = sampleObservation(static_cast<size_t>(state.range(0)));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(trained().recommender->analyze(obs));
-    state.SetLabel("observed=" + std::to_string(state.range(0)) +
-                   " (paper end-to-end p95 ~80ms)");
-}
-BENCHMARK(BM_RecommenderAnalyze)->Arg(2)->Arg(3)->Arg(6)->Arg(10);
-
-static void
-BM_Decompose(benchmark::State& state)
-{
-    auto obs = sampleObservation(10);
-    auto max_parts = static_cast<size_t>(state.range(0));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            trained().recommender->decompose(obs, true, max_parts));
-}
-BENCHMARK(BM_Decompose)->Arg(1)->Arg(2)->Arg(3);
-
-static void
-BM_TrainingSetBuild(benchmark::State& state)
-{
-    for (auto _ : state) {
-        util::Rng rng(9);
-        auto specs = workloads::trainingSet(rng);
-        benchmark::DoNotOptimize(
-            core::TrainingSet::fromSpecs(specs, rng));
-    }
-}
-BENCHMARK(BM_TrainingSetBuild);
-
-// ---------------------------------------------------------------------------
-// Query-throughput harness (--json mode).
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/** FNV-1a over raw bytes; doubles are folded bit-for-bit. */
-struct Digest
-{
-    uint64_t h = 1469598103934665603ull;
-
-    void bytes(const void* p, size_t n)
-    {
-        const auto* b = static_cast<const unsigned char*>(p);
-        for (size_t i = 0; i < n; ++i) {
-            h ^= b[i];
-            h *= 1099511628211ull;
-        }
-    }
-    void d(double v) { bytes(&v, sizeof v); }
-    void u(uint64_t v) { bytes(&v, sizeof v); }
-};
 
 /** One pre-built query of the fixed mix. */
 struct Query
@@ -223,39 +135,39 @@ buildQueryMix(size_t analyze_queries, size_t decompose_queries)
 }
 
 void
-foldAnalyze(Digest& dig, const core::SimilarityResult& r)
+foldAnalyze(util::Fnv1a& dig, const core::SimilarityResult& r)
 {
-    dig.u(r.ranking.size());
+    dig.u64(r.ranking.size());
     for (const auto& [idx, score] : r.ranking) {
-        dig.u(idx);
-        dig.d(score);
+        dig.u64(idx);
+        dig.f64(score);
     }
     for (const auto& [label, share] : r.distribution) {
-        dig.bytes(label.data(), label.size());
-        dig.d(share);
+        dig.str(label);
+        dig.f64(share);
     }
     for (size_t c = 0; c < sim::kNumResources; ++c)
-        dig.d(r.reconstructed.at(c));
-    dig.u(r.conceptsKept);
-    dig.d(r.margin);
-    dig.d(r.topFittedLevel);
+        dig.f64(r.reconstructed.at(c));
+    dig.u64(r.conceptsKept);
+    dig.f64(r.margin);
+    dig.f64(r.topFittedLevel);
 }
 
 void
-foldDecompose(Digest& dig, const core::Decomposition& d)
+foldDecompose(util::Fnv1a& dig, const core::Decomposition& d)
 {
-    dig.u(d.parts.size());
+    dig.u64(d.parts.size());
     for (const auto& part : d.parts) {
-        dig.u(part.index);
-        dig.d(part.level);
+        dig.u64(part.index);
+        dig.f64(part.level);
     }
-    dig.d(d.distance);
-    dig.d(d.score);
+    dig.f64(d.distance);
+    dig.f64(d.score);
 }
 
 /** Run one query, fold its outputs into `dig`. */
 void
-runQuery(const Query& q, Digest& dig)
+runQuery(const Query& q, util::Fnv1a& dig)
 {
     const auto& rec = *trained().recommender;
     if (q.isDecompose)
@@ -310,7 +222,7 @@ runHarness(size_t reps)
 
     using clock = std::chrono::steady_clock;
     for (size_t rep = 0; rep < reps; ++rep) {
-        Digest dig;
+        util::Fnv1a dig;
         std::vector<double> a_us, d_us;
         double a_wall = 0.0, d_wall = 0.0;
         auto t0 = clock::now();
@@ -347,7 +259,7 @@ runHarness(size_t reps)
     for (size_t rep = 0; rep < reps; ++rep) {
         auto t0 = clock::now();
         util::parallelFor(0, queries.size(), [&](size_t i) {
-            Digest dig;
+            util::Fnv1a dig;
             runQuery(queries[i], dig);
             slot[i] = dig.h;
         });
@@ -355,16 +267,16 @@ runHarness(size_t reps)
             best_mt,
             std::chrono::duration<double>(clock::now() - t0).count());
     }
-    Digest mt;
+    util::Fnv1a mt;
     for (uint64_t h : slot)
-        mt.u(h);
+        mt.u64(h);
     // Recompute the single-thread digest the same slot-wise way for an
     // apples-to-apples comparison.
-    Digest st;
+    util::Fnv1a st;
     for (const auto& q : queries) {
-        Digest dig;
+        util::Fnv1a dig;
         runQuery(q, dig);
-        st.u(dig.h);
+        st.u64(dig.h);
     }
     res.mtDigest = mt.h;
     res.digest = st.h;
@@ -422,7 +334,7 @@ loadGolden(const std::string& path)
 }
 
 int
-jsonMode(const std::string& json_path, const std::string& golden_path,
+runBench(const std::string& json_path, const std::string& golden_path,
          size_t reps, bool dump_golden)
 {
     // Metrics are recorded for the whole harness so the report can show
@@ -521,9 +433,8 @@ jsonMode(const std::string& json_path, const std::string& golden_path,
        << (g.baselineStQps > 0.0 ? r.stQps / g.baselineStQps : 0.0)
        << "\n}\n";
 
-    std::ofstream out(json_path);
-    out << js.str();
-    out.close();
+    if (!json_path.empty())
+        std::ofstream(json_path) << js.str();
     std::cout << js.str();
 
     if (!digest_ok) {
@@ -546,34 +457,25 @@ main(int argc, char** argv)
 {
     if (!obs::applyObsFlags(argc, argv))
         return 2;
-    util::applyThreadsFlag(argc, argv);
-
-    std::string json_path, golden_path = "bench/BENCH_recommender.golden";
-    size_t reps = 5;
-    bool dump_golden = false;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--json" && i + 1 < argc)
-            json_path = argv[++i];
-        else if (a == "--golden" && i + 1 < argc)
-            golden_path = argv[++i];
-        else if (a == "--reps" && i + 1 < argc) {
-            uint64_t n = 0;
-            if (!util::parseUInt(argv[++i], &n) || n == 0) {
-                std::cerr << "perf_recommender: --reps expects a "
-                             "positive integer, got '"
-                          << argv[i] << "'\n";
-                return 2;
-            }
-            reps = static_cast<size_t>(n);
-        }
-        else if (a == "--dump-golden")
-            dump_golden = true;
+    const std::vector<util::CliFlagSpec> spec = {
+        {"json", util::FlagKind::String},
+        {"golden", util::FlagKind::String},
+        {"reps", util::FlagKind::Int, 1, 1e6},
+        {"dump-golden", util::FlagKind::Flag},
+    };
+    const std::vector<util::CliFlagSpec> common = {
+        {"threads", util::FlagKind::Int, 0, util::kMaxThreadsFlag},
+    };
+    util::CliArgs args;
+    std::string err;
+    if (!args.parse(argc, argv, 1, spec, common, &err)) {
+        std::cerr << "perf_recommender: " << err;
+        return 2;
     }
-    if (!json_path.empty() || dump_golden)
-        return jsonMode(json_path, golden_path, reps, dump_golden);
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    util::ThreadPool::setGlobalThreads(
+        static_cast<unsigned>(args.getInt("threads", 0)));
+    return runBench(args.get("json", ""),
+                    args.get("golden", "bench/BENCH_recommender.golden"),
+                    static_cast<size_t>(args.getInt("reps", 5)),
+                    args.has("dump-golden"));
 }

@@ -2,8 +2,8 @@
  * @file
  * Command-line front end for libbolt (`bolt_cli help` lists the commands).
  *
- * A run subcommand (experiment, serve, attack, fleet, armsrace, include)
- * is flag sugar for a one-stage scenario: the subcommand names the
+ * A run subcommand (experiment, serve, attack, fleet, armsrace, detect,
+ * include) is flag sugar for a one-stage scenario: the subcommand names the
  * `stage:` kind and each `--key value` becomes a key of that stage
  * (dotted keys such as --faults.arrivals open nested blocks), so
  * docs/SCENARIOS.md is the flag reference. scenario::compileFlags and
@@ -25,41 +25,20 @@
 #include <utility>
 #include <vector>
 
-#include "core/experiment.h"
 #include "obs/report.h"
+#include "scenario/commands.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 #include "util/cli_flags.h"
 #include "util/digest.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
-#include "workloads/catalog.h"
 
 using namespace bolt;
 using util::CliArgs;
 using util::CliFlagSpec;
-using util::FlagKind;
 
 namespace {
-
-const std::vector<CliFlagSpec> kCommonFlags = {
-    {"threads", FlagKind::Int, 0, util::kMaxThreadsFlag},
-};
-const std::vector<CliFlagSpec> kStageFlags = {
-    {"dump", FlagKind::Flag},
-};
-const std::vector<CliFlagSpec> kRunFlags = {
-    {"scenario", FlagKind::String},
-    {"dump", FlagKind::Flag},
-};
-const std::vector<CliFlagSpec> kDetectFlags = {
-    {"family", FlagKind::String},
-    {"seed", FlagKind::UInt, 0, 9.3e18},
-};
-const std::vector<CliFlagSpec> kReportFlags = {
-    {"telemetry", FlagKind::String},
-    {"top", FlagKind::Int, 1, 1000},
-};
 
 double
 secondsSince(std::chrono::steady_clock::time_point start)
@@ -106,77 +85,6 @@ runCompiled(const scenario::Scenario& s, const std::string& command,
     for (const std::string& f : result.failures)
         std::cerr << "bolt_cli: " << f << "\n";
     return result.ok() ? 0 : 3;
-}
-
-int
-runDetect(const CliArgs& args)
-{
-    uint64_t seed = static_cast<uint64_t>(args.getInt("seed", 2017));
-    util::Rng rng(seed);
-    std::string family = args.get("family", "memcached");
-    const auto* fam = workloads::findFamily(family);
-    if (!fam) {
-        std::cerr << "bolt_cli: unknown family '" << family
-                  << "' (valid:";
-        for (const workloads::FamilyDef& f : workloads::catalog())
-            std::cerr << " " << f.name;
-        std::cerr << ")\n";
-        return 2;
-    }
-
-    obs::RunReport report("detect");
-    report.set("family", family);
-    report.set("seed", seed);
-    auto start = std::chrono::steady_clock::now();
-
-    util::Rng tr = rng.substream("train");
-    auto specs = workloads::trainingSet(tr);
-    auto training = core::TrainingSet::fromSpecs(specs, tr);
-    core::HybridRecommender recommender(training);
-    core::Detector detector(recommender);
-
-    sim::Cluster cluster(1);
-    sim::Tenant adversary{cluster.nextTenantId(), 4, true};
-    cluster.placeOn(0, adversary);
-    util::Rng vr = rng.substream("victim");
-    auto spec = workloads::randomSpec(*fam, vr);
-    spec.pattern = workloads::LoadPattern::constant(0.9);
-    sim::Tenant victim{cluster.nextTenantId(), spec.vcpus, false};
-    cluster.placeOn(0, victim);
-    workloads::AppInstance instance(spec, vr.substream("inst"));
-
-    sim::ContentionModel contention(cluster.isolation());
-    core::HostEnvironment env;
-    env.server = &cluster.server(0);
-    env.adversary = adversary.id;
-    env.contention = &contention;
-    env.pressureAt = [&](double t) {
-        sim::PressureMap pm;
-        pm[victim.id] = instance.pressureAt(t);
-        return pm;
-    };
-    auto round = detector.detectOnce(env, 0.0, rng);
-
-    report.setWallSeconds(secondsSince(start));
-    report.setSimSeconds(round.profilingSec);
-    report.set("victim_class", spec.classLabel());
-    report.set("top_match", round.topClass());
-    report.set("correct", round.topClass() == spec.classLabel());
-    obs::writeConfiguredOutputs(report);
-
-    std::cout << "hidden victim: " << spec.classLabel() << "\n";
-    if (round.guesses.empty()) {
-        std::cout << "no confident match\n";
-        return 1;
-    }
-    for (const auto& [label, share] : round.guesses.front().distribution)
-        std::cout << "  " << label << ": "
-                  << util::AsciiTable::percent(share, 1) << "\n";
-    std::cout << "top match: " << round.topClass() << " ("
-              << (round.topClass() == spec.classLabel() ? "correct"
-                                                        : "incorrect")
-              << ")\n";
-    return 0;
 }
 
 // ------------------------------------------------------------------
@@ -395,12 +303,12 @@ usage(std::ostream& os)
           "  attack      --kind dos|coresidency attack campaign\n"
           "  fleet       fleet-scale sharded simulation\n"
           "  armsrace    one placement arms-race cell\n"
+          "  detect      --family NAME one-host detection round\n"
           "  include     --path FILE sub-scenario\n"
           "  run         --scenario FILE (a declarative .scn file)\n"
           "  run paths take --dump (print the compiled scenario) and\n"
           "  exit 3 when an `expect:` item or a self-check fails\n"
           "other commands:\n"
-          "  detect      --family NAME --seed S (one detection round)\n"
           "  report      --telemetry FILE (a --telemetry-out dump)\n"
           "              --top N (tenants per alert attribution, "
           "default 5)\n"
@@ -437,11 +345,10 @@ main(int argc, char** argv)
     bool stage_command =
         util::enumFromKey(scenario::kStageKindKeys, command, &kind);
     const std::vector<CliFlagSpec>* spec =
-        stage_command          ? &kStageFlags
-        : command == "run"     ? &kRunFlags
-        : command == "detect"  ? &kDetectFlags
-        : command == "report"  ? &kReportFlags
-                               : nullptr;
+        stage_command         ? &scenario::kStageCliFlags
+        : command == "run"    ? &scenario::kRunCliFlags
+        : command == "report" ? &scenario::kReportCliFlags
+                              : nullptr;
     if (!spec) {
         if (!command.empty())
             std::cerr << "bolt_cli: unknown command '" << command << "'\n";
@@ -454,7 +361,7 @@ main(int argc, char** argv)
     CliArgs args;
     std::vector<std::string> stage_flags;
     std::string err;
-    if (!args.parse(argc, argv, 2, *spec, kCommonFlags, &err,
+    if (!args.parse(argc, argv, 2, *spec, scenario::kCommonCliFlags, &err,
                     stage_command ? &stage_flags : nullptr)) {
         std::cerr << "bolt_cli: " << err;
         if (stage_command)
@@ -465,8 +372,6 @@ main(int argc, char** argv)
     util::ThreadPool::setGlobalThreads(
         static_cast<unsigned>(args.getInt("threads", 0)));
 
-    if (command == "detect")
-        return runDetect(args);
     if (command == "report")
         return runReport(args);
 

@@ -7,7 +7,8 @@
 # fails the leg. Finally a Release build runs the recommender
 # query-path benchmark, which fails if its output digest diverges from
 # the committed golden (bench/BENCH_recommender.golden) and writes
-# throughput/latency numbers to BENCH_recommender.json.
+# throughput/latency numbers to BENCH_recommender.json; an unknown flag
+# or a flag without its value must make it exit 2 first.
 #
 # There is one build configuration per sanitizer, not per kernel
 # backend: every x86-64 build carries the AVX2 kernels and selects them
@@ -628,6 +629,18 @@ if [[ "${mode}" == "--bench-only" || "${mode}" == "all" ]]; then
     cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
     echo "== Building recommender benchmark =="
     cmake --build build-release -j "$(nproc)" --target perf_recommender
+    # Strict flags: an unknown flag or a flag without its value is a
+    # usage error (exit 2), never a run with defaults.
+    for bad in "--bogus" "--json"; do
+        rc=0
+        ./build-release/bench/perf_recommender "${bad}" \
+            >/dev/null 2>&1 || rc=$?
+        if [[ "${rc}" != 2 ]]; then
+            echo "FAIL: 'perf_recommender ${bad}' exited ${rc}," \
+                 "expected 2" >&2
+            exit 1
+        fi
+    done
     echo "== Recommender query-path benchmark (digest-gated) =="
     # Exits non-zero if the query-output digest does not match the
     # committed golden, i.e. if an optimization changed results.

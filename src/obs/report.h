@@ -110,8 +110,8 @@ void writeConfiguredOutputs(const RunReport& report);
  *   --telemetry-window SEC  telemetry window width in sim seconds (> 0)
  *   --log-level LEVEL       error|warn|info|debug (default warn)
  *
- * Consumed flags are removed from argv (argc is updated) so drivers
- * with their own strict parsers — google-benchmark — never see them.
+ * Consumed flags are removed from argv (argc is updated) so a
+ * driver's own strict parser (util::CliArgs) never sees them.
  * Returns false (after printing to stderr) on a malformed flag, e.g. a
  * missing value or unknown log level; callers should exit(2).
  *

@@ -8,6 +8,7 @@
 #include "attacks/coresidency.h"
 #include "attacks/dos.h"
 #include "colo/tournament.h"
+#include "core/detector.h"
 #include "core/experiment.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
@@ -20,6 +21,7 @@
 #include "util/rng.h"
 #include "util/seeds.h"
 #include "util/table.h"
+#include "workloads/catalog.h"
 #include "workloads/generators.h"
 
 namespace bolt {
@@ -320,6 +322,72 @@ runArmsraceStage(const Stage& stage, uint64_t seed, std::ostream& os,
     return out;
 }
 
+StageOutcome
+runDetectStage(const Stage& stage, uint64_t seed, std::ostream& os,
+               const std::string& indent)
+{
+    util::Rng rng(seed);
+    util::Rng tr = rng.substream("train");
+    auto specs = workloads::trainingSet(tr);
+    auto training = core::TrainingSet::fromSpecs(specs, tr);
+    core::HybridRecommender recommender(training);
+    core::Detector detector(recommender);
+
+    // The compiler checked the family against the catalog.
+    const workloads::FamilyDef& family =
+        *workloads::findFamily(stage.detect.family);
+    sim::Cluster cluster(1);
+    sim::Tenant adversary{cluster.nextTenantId(), 4, true};
+    cluster.placeOn(0, adversary);
+    util::Rng vr = rng.substream("victim");
+    auto spec = workloads::randomSpec(family, vr);
+    spec.pattern = workloads::LoadPattern::constant(0.9);
+    sim::Tenant victim{cluster.nextTenantId(), spec.vcpus, false};
+    cluster.placeOn(0, victim);
+    workloads::AppInstance instance(spec, vr.substream("inst"));
+
+    sim::ContentionModel contention(cluster.isolation());
+    core::HostEnvironment env;
+    env.server = &cluster.server(0);
+    env.adversary = adversary.id;
+    env.contention = &contention;
+    env.pressureAt = [&](double t) {
+        sim::PressureMap pm;
+        pm[victim.id] = instance.pressureAt(t);
+        return pm;
+    };
+    core::DetectionRound round = detector.detectOnce(env, 0.0, rng);
+
+    StageOutcome out;
+    out.simSeconds = round.profilingSec;
+    util::Fnv1a d;
+    std::string hidden = spec.classLabel();
+    d.str(hidden);
+    d.f64(round.profilingSec);
+    os << indent << "    hidden victim: " << hidden << "\n";
+    if (round.guesses.empty()) {
+        d.u8(0);
+        out.digest = d.h;
+        os << indent << "    no confident match digest=" << hex64(out.digest)
+           << "\n";
+        return out;
+    }
+    d.u8(1);
+    for (const auto& [label, share] : round.guesses.front().distribution) {
+        d.str(label);
+        d.f64(share);
+        os << indent << "      " << label << ": "
+           << util::AsciiTable::percent(share, 1) << "\n";
+    }
+    std::string top = round.topClass();
+    d.str(top);
+    out.digest = d.h;
+    os << indent << "    top match: " << top << " ("
+       << (top == hidden ? "correct" : "incorrect")
+       << ") digest=" << hex64(out.digest) << "\n";
+    return out;
+}
+
 RunResult runWithSeed(const Scenario& s, uint64_t seed,
                       std::ostream& os, int depth);
 
@@ -442,6 +510,11 @@ runWithSeed(const Scenario& s, uint64_t seed, std::ostream& os,
             outcome = runArmsraceStage(stage, sseed, os, indent);
             break;
         }
+        case StageKind::Detect:
+            os << ": family=" << stage.detect.family << " seed=" << sseed
+               << "\n";
+            outcome = runDetectStage(stage, sseed, os, indent);
+            break;
         case StageKind::Include:
             os << ": " << stage.includePath
                << " repeat=" << stage.repeat << "\n";

@@ -19,7 +19,8 @@ struct RunResult
      * kind, stage digest) where each stage digest is the underlying
      * layer's Sim-class result digest (ExperimentResult::digest(),
      * folded ServeResult::digest()s per ramp segment, the full attack
-     * timeline / result fields, or the sub-scenario's run digests for
+     * timeline / result fields, the detection round's victim class,
+     * distribution and top match, or the sub-scenario's run digests for
      * include stages). Bit-identical at any --threads — the value the
      * scenario goldens gate on.
      */
@@ -44,10 +45,11 @@ struct RunResult
 
 /**
  * Execute a compiled scenario: each stage drives the matching layer
- * (core::ControlledExperiment, serve::ServeEngine, attacks::*) with a
- * per-stage counter-based seed, printing one two-line Sim-class summary
- * per stage to `os` (the scenario goldens capture exactly this output)
- * and recording scenario.* metrics.
+ * (core::ControlledExperiment, serve::ServeEngine, attacks::*,
+ * sim::FleetCluster, colo::runTournament, core::Detector) with a
+ * per-stage counter-based seed, printing a short Sim-class summary per
+ * stage to `os` (the scenario goldens capture exactly this output) and
+ * recording scenario.* metrics.
  *
  * Stage seeds: an explicit `seed:` wins; otherwise
  * `Rng::stream(scenario seed, {stage phase, index})`. Include stages

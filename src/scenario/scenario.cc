@@ -13,6 +13,7 @@
 #include "scenario/text.h"
 #include "util/digest.h"
 #include "util/parse.h"
+#include "workloads/catalog.h"
 
 namespace bolt {
 namespace scenario {
@@ -826,6 +827,10 @@ stageKeys(V& v, S& st)
            90},
           a.utilization);
     }
+    if (v.branch(st.kind == StageKind::Detect))
+        v({"family", "Detect: hidden victim's application family (a "
+                     "workloads catalog name, Fig. 11)"},
+          st.detect.family);
     if (v.branch(st.kind == StageKind::Include)) {
         v({"path", "Sub-scenario file, relative to the including file "
                    "(required)",
@@ -1135,6 +1140,16 @@ compileStage(const TextNode& item, size_t index,
                            "' requires loop: open (a closed loop "
                            "paces itself; offered QPS has no "
                            "effect)");
+        return false;
+    }
+    const std::string& family = stage->detect.family;
+    if (stage->kind == StageKind::Detect && !workloads::findFamily(family)) {
+        std::string valid;
+        for (const workloads::FamilyDef& f : workloads::catalog())
+            valid += (valid.empty() ? "" : ", ") + f.name;
+        *err = errorAt(filename, rd.node(&family)->line,
+                       "unknown family '" + family +
+                           "' for 'family' (valid: " + valid + ")");
         return false;
     }
     if (stage->kind == StageKind::Include)

@@ -53,7 +53,8 @@ namespace scenario {
     X(Attack, "attack")                                                        \
     X(Include, "include")                                                      \
     X(Fleet, "fleet")                                                          \
-    X(Armsrace, "armsrace")
+    X(Armsrace, "armsrace")                                                    \
+    X(Detect, "detect")
 #define BOLT_ATTACK_KIND_CATALOG(X) X(Dos, "dos") X(CoResidency, "coresidency")
 #define BOLT_LOOP_KIND_CATALOG(X) X(Open, "open") X(Closed, "closed")
 #define BOLT_ARRIVAL_SHAPE_CATALOG(X)                                          \
@@ -186,6 +187,17 @@ struct ArmsraceStage
 };
 
 /**
+ * One detection round on one host (core::Detector::detectOnce): a
+ * hidden victim drawn from `family` runs at 90% load beside a 4-vCPU
+ * adversary, and the round's recommender names it. The compiler checks
+ * the family against workloads::catalog().
+ */
+struct DetectStage
+{
+    std::string family = "memcached";
+};
+
+/**
  * One `slo:` rule, compiled into an obs::SloRule by the runner. Series
  * stay in source (string) form so the scenario graph stays a plain
  * data description; the runner resolves them against the telemetry
@@ -244,6 +256,7 @@ struct Stage
     AttackStage attack;         ///< kind == Attack.
     FleetStage fleet;           ///< kind == Fleet.
     ArmsraceStage armsrace;     ///< kind == Armsrace.
+    DetectStage detect;         ///< kind == Detect.
 
     // kind == Include: a composable sub-scenario.
     std::string includePath; ///< As written (relative to includer).

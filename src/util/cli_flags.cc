@@ -1,7 +1,6 @@
 #include "cli_flags.h"
 
 #include <cstring>
-#include <sstream>
 
 #include "util/parse.h"
 
@@ -24,21 +23,10 @@ findSpec(const std::string& name, const std::vector<CliFlagSpec>& spec,
 }
 
 std::string
-formatBound(double v, FlagKind kind)
-{
-    std::ostringstream os;
-    if (kind == FlagKind::Double)
-        os << v;
-    else
-        os << static_cast<long long>(v);
-    return os.str();
-}
-
-std::string
 rangeText(const CliFlagSpec& f)
 {
-    return "[" + formatBound(f.min, f.kind) + ", " +
-           formatBound(f.max, f.kind) + "]";
+    return "[" + std::to_string(static_cast<long long>(f.min)) + ", " +
+           std::to_string(static_cast<long long>(f.max)) + "]";
 }
 
 } // namespace
@@ -93,18 +81,9 @@ CliArgs::parse(int argc, char** argv, int first,
             return fail("flag '--" + name + "' requires a value");
         std::string value = argv[++i];
 
-        switch (f->kind) {
-        case FlagKind::Flag:
-            break;
-        case FlagKind::String:
-            break;
-        case FlagKind::Int:
-        case FlagKind::UInt: {
+        if (f->kind == FlagKind::Int) {
             long long v = 0;
-            bool ok = parseInt(value, &v);
-            if (f->kind == FlagKind::UInt && v < 0)
-                ok = false;
-            if (!ok)
+            if (!parseInt(value, &v))
                 return fail("flag '--" + name + "' expects an integer, "
                             "got '" + value + "'");
             if (static_cast<double>(v) < f->min ||
@@ -112,20 +91,6 @@ CliArgs::parse(int argc, char** argv, int first,
                 return fail("flag '--" + name + "' expects a value in " +
                             rangeText(*f) + ", got '" + value + "'");
             ints_[name] = v;
-            break;
-        }
-        case FlagKind::Double: {
-            double v = 0.0;
-            if (!parseDouble(value, &v))
-                return fail("flag '--" + name +
-                            "' expects a finite number, got '" + value +
-                            "'");
-            if (v < f->min || v > f->max)
-                return fail("flag '--" + name + "' expects a value in " +
-                            rangeText(*f) + ", got '" + value + "'");
-            doubles_[name] = v;
-            break;
-        }
         }
         raw_[name] = value;
     }
@@ -144,18 +109,6 @@ CliArgs::getInt(const std::string& name, long long fallback) const
 {
     auto it = ints_.find(name);
     return it == ints_.end() ? fallback : it->second;
-}
-
-double
-CliArgs::getDouble(const std::string& name, double fallback) const
-{
-    auto it = doubles_.find(name);
-    if (it != doubles_.end())
-        return it->second;
-    // An Int-kind flag may be read as a double (e.g. shared knobs).
-    auto ii = ints_.find(name);
-    return ii == ints_.end() ? fallback
-                             : static_cast<double>(ii->second);
 }
 
 } // namespace util

@@ -14,16 +14,14 @@ enum class FlagKind {
     Flag,   ///< Boolean presence flag; takes no value.
     String, ///< Free-form value; validated by the subcommand.
     Int,    ///< Signed integer, full-token match, range-checked.
-    UInt,   ///< Unsigned integer (seeds), full-token match.
-    Double, ///< Finite floating-point, full-token match, range-checked.
 };
 
 /**
  * One accepted flag: name (without the leading "--"), value kind, and
- * an inclusive numeric range for Int/UInt/Double kinds.
+ * an inclusive range for the Int kind.
  *
- * The range bounds are doubles for uniformity; integer flags in Bolt
- * are all far below 2^53, where a double holds integers exactly.
+ * The range bounds are doubles; integer flags in Bolt are all far
+ * below 2^53, where a double holds integers exactly.
  */
 struct CliFlagSpec
 {
@@ -34,7 +32,9 @@ struct CliFlagSpec
 };
 
 /**
- * Strict typed CLI flag parser shared by bolt_cli's subcommands.
+ * Strict typed CLI flag parser shared by bolt_cli's commands and
+ * perf_recommender. Stage values (seeds, doubles) are the scenario
+ * compiler's to parse, so the kinds stop at Int.
  *
  * Strictness contract — every violation is a parse error with a
  * diagnostic that names the offending token and lists the valid flags,
@@ -45,8 +45,7 @@ struct CliFlagSpec
  *  - a value-taking flag without a value is rejected;
  *  - numeric values must consume the *entire* token ("10x", "1e3garbage"
  *    and "" are rejected, unlike the permissive std::stol family);
- *  - numeric values must fall inside the spec's inclusive [min, max];
- *  - doubles must be finite (no "nan"/"inf" deadlines).
+ *  - numeric values must fall inside the spec's inclusive [min, max].
  *
  * Validation happens at parse time: after parse() returns true, the
  * typed getters cannot fail.
@@ -75,9 +74,8 @@ class CliArgs
     }
     std::string get(const std::string& name,
                     const std::string& fallback) const;
-    /** Int or UInt flags; parse() already range-checked the value. */
+    /** Int flags; parse() already range-checked the value. */
     long long getInt(const std::string& name, long long fallback) const;
-    double getDouble(const std::string& name, double fallback) const;
 
     /** "valid flags: --a --b ..." line used in parse diagnostics. */
     static std::string validFlagsLine(
@@ -87,7 +85,6 @@ class CliArgs
   private:
     std::map<std::string, std::string> raw_;
     std::map<std::string, long long> ints_;
-    std::map<std::string, double> doubles_;
 };
 
 } // namespace util

@@ -84,7 +84,7 @@ TEST(BoltCli, RenamedAndUnknownCommandsExitTwo)
               std::string::npos)
         << run.err;
     EXPECT_EQ(runCli("experiment --threads 2x").exitCode, 2);
-    EXPECT_EQ(runCli("detect --dump").exitCode, 2);
+    EXPECT_EQ(runCli("report --dump").exitCode, 2);
 }
 
 TEST(BoltCli, DetectUnknownFamilyListsValidFamilies)
@@ -99,17 +99,21 @@ TEST(BoltCli, DetectUnknownFamilyListsValidFamilies)
 
 TEST(BoltCli, StageCommandPrintsTheSameBytesAsRunOfItsDump)
 {
-    const std::string flags =
-        "attack --kind coresidency --probes 3 --waves 2 --seed 7";
-    CliRun direct = runCli(flags);
-    ASSERT_EQ(direct.exitCode, 0) << direct.err;
-    CliRun dump = runCli(flags + " --dump");
-    ASSERT_EQ(dump.exitCode, 0) << dump.err;
-    std::string scn = writeTemp("cli_dump.scn", dump.out);
-    CliRun replay = runCli("run --scenario " + scn);
-    ASSERT_EQ(replay.exitCode, 0) << replay.err;
-    EXPECT_EQ(direct.out, replay.out);
-    EXPECT_NE(direct.out.find("seed=7"), std::string::npos);
+    for (const std::string flags :
+         {"attack --kind coresidency --probes 3 --waves 2 --seed 7",
+          "detect --family cassandra --seed 7"}) {
+        SCOPED_TRACE(flags);
+        CliRun direct = runCli(flags + " --threads 1");
+        ASSERT_EQ(direct.exitCode, 0) << direct.err;
+        CliRun dump = runCli(flags + " --dump");
+        ASSERT_EQ(dump.exitCode, 0) << dump.err;
+        std::string scn = writeTemp("cli_dump.scn", dump.out);
+        CliRun replay = runCli("run --scenario " + scn);
+        ASSERT_EQ(replay.exitCode, 0) << replay.err;
+        EXPECT_EQ(direct.out, replay.out);
+        EXPECT_EQ(direct.out, runCli(flags + " --threads 8").out);
+        EXPECT_NE(direct.out.find("seed=7"), std::string::npos);
+    }
 }
 
 TEST(BoltCli, ReportRejectsMalformedNumbersWithFileLine)

@@ -2,12 +2,15 @@
  *  (src/util/cli_flags.*) and the full-token number parser under it
  *  (src/util/parse.*): trailing garbage, range checks, unknown
  *  flags — every malformed input must fail loudly with the valid
- *  flags listed, never fall back to a default. */
+ *  flags listed, never fall back to a default. A seeded fuzz test
+ *  drives the parser with random argv over bolt_cli's own specs. */
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
+#include "scenario/commands.h"
 #include "util/cli_flags.h"
 #include "util/digest.h"
 #include "util/parse.h"
@@ -22,8 +25,6 @@ namespace {
 
 const std::vector<CliFlagSpec> kSpec = {
     {"requests", FlagKind::Int, 1, 1000000},
-    {"qps", FlagKind::Double, 0.001, 1e9},
-    {"seed", FlagKind::UInt, 0, 9.3e18},
     {"mode", FlagKind::String},
     {"closed-loop", FlagKind::Flag},
 };
@@ -48,10 +49,10 @@ tryParse(std::vector<std::string> tokens)
 
 TEST(CliFlags, AcceptsWellFormedFlagsWithTypedValues)
 {
-    std::vector<std::string> tokens = {
-        "--requests", "500",  "--qps",  "1234.5", "--seed",
-        "42",         "--mode", "fast", "--closed-loop",
-        "--threads",  "8"};
+    std::vector<std::string> tokens = {"--requests",    "500",
+                                       "--mode",        "fast",
+                                       "--closed-loop", "--threads",
+                                       "8"};
     std::vector<char*> argv = {const_cast<char*>("prog"),
                                const_cast<char*>("cmd")};
     for (auto& t : tokens)
@@ -62,13 +63,9 @@ TEST(CliFlags, AcceptsWellFormedFlagsWithTypedValues)
                            2, kSpec, kCommon, &err))
         << err;
     EXPECT_EQ(args.getInt("requests", 0), 500);
-    EXPECT_DOUBLE_EQ(args.getDouble("qps", 0.0), 1234.5);
-    EXPECT_EQ(args.getInt("seed", 0), 42);
     EXPECT_EQ(args.get("mode", ""), "fast");
     EXPECT_TRUE(args.has("closed-loop"));
     EXPECT_EQ(args.getInt("threads", 0), 8);
-    // An Int flag may be read as a double (shared knobs).
-    EXPECT_DOUBLE_EQ(args.getDouble("requests", 0.0), 500.0);
     // Absent flags fall back.
     EXPECT_EQ(args.getInt("absent", 7), 7);
     EXPECT_FALSE(args.has("absent"));
@@ -96,27 +93,8 @@ TEST(CliFlags, RejectsOutOfRangeValues)
 
     EXPECT_FALSE(tryParse({"--requests", "0"}).first);  // min is 1
     EXPECT_FALSE(tryParse({"--requests", "-5"}).first);
-    EXPECT_FALSE(tryParse({"--qps", "0.00001"}).first); // below min
     EXPECT_TRUE(tryParse({"--threads", "0"}).first);    // inclusive
     EXPECT_TRUE(tryParse({"--threads", "512"}).first);
-}
-
-TEST(CliFlags, RejectsNegativeSeeds)
-{
-    EXPECT_FALSE(tryParse({"--seed", "-1"}).first);
-    EXPECT_TRUE(tryParse({"--seed", "0"}).first);
-    // Larger than any long long: the full-token parse itself fails.
-    EXPECT_FALSE(tryParse({"--seed", "99999999999999999999"}).first);
-}
-
-TEST(CliFlags, RejectsNonFiniteAndMalformedDoubles)
-{
-    EXPECT_FALSE(tryParse({"--qps", "nan"}).first);
-    EXPECT_FALSE(tryParse({"--qps", "inf"}).first);
-    EXPECT_FALSE(tryParse({"--qps", "1e3garbage"}).first);
-    EXPECT_FALSE(tryParse({"--qps", ""}).first);
-    EXPECT_TRUE(tryParse({"--qps", "1e3"}).first);
-    EXPECT_TRUE(tryParse({"--qps", "0.5"}).first);
 }
 
 TEST(CliFlags, RejectsUnknownFlagsAndPositionals)
@@ -157,6 +135,90 @@ TEST(CliFlags, PassthroughCollectsFlagsOutsideTheSpec)
     CliArgs strict;
     EXPECT_FALSE(strict.parse(static_cast<int>(argv.size()), argv.data(),
                               2, kSpec, kCommon, &err, &rest));
+}
+
+TEST(CliFlags, RandomArgvNeverCrashes)
+{
+    // bolt_cli's real specs, each parsed with and without passthrough
+    // (the stage commands use it).
+    const std::vector<CliFlagSpec>& common = scenario::kCommonCliFlags;
+    const std::vector<const std::vector<CliFlagSpec>*> specs = {
+        &scenario::kStageCliFlags, &scenario::kRunCliFlags,
+        &scenario::kReportCliFlags};
+    // Spec names, near misses, values at and just past each Int range
+    // edge, and garbage.
+    std::vector<std::string> tokens = {"",  "-",  "--", "---", "x", "10x",
+                                       "1e3", "nan", " 5", "+5", "0x10",
+                                       "99999999999999999999", "--=1",
+                                       "\xff", "-threads", "--threads="};
+    for (const auto* list : {specs[0], specs[1], specs[2], &common}) {
+        for (const CliFlagSpec& f : *list) {
+            std::string name = f.name;
+            tokens.push_back("--" + name);
+            tokens.push_back("--" + name + "s");
+            tokens.push_back("--" + name.substr(1));
+            tokens.push_back("-" + name);
+            if (f.kind != FlagKind::Int)
+                continue;
+            auto lo = static_cast<long long>(f.min);
+            auto hi = static_cast<long long>(f.max);
+            for (long long v : {lo - 1, lo, hi, hi + 1})
+                tokens.push_back(std::to_string(v));
+        }
+    }
+
+    std::mt19937_64 rng(20170408);
+    for (int i = 0; i < 2000; ++i) {
+        const std::vector<CliFlagSpec>& spec = *specs[rng() % specs.size()];
+        bool passthrough = rng() & 1;
+        std::vector<std::string> argv_tokens = {"bolt_cli", "cmd"};
+        for (size_t n = rng() % 8; n--;)
+            argv_tokens.push_back(tokens[rng() % tokens.size()]);
+        std::vector<char*> argv;
+        for (std::string& t : argv_tokens)
+            argv.push_back(t.data());
+
+        CliArgs args;
+        std::string err;
+        std::vector<std::string> rest;
+        bool ok = args.parse(static_cast<int>(argv.size()), argv.data(), 2,
+                             spec, common, &err,
+                             passthrough ? &rest : nullptr);
+        std::string input;
+        for (size_t k = 2; k < argv_tokens.size(); ++k)
+            input += " '" + argv_tokens[k] + "'";
+        SCOPED_TRACE(input);
+
+        if (!ok) {
+            // The diagnostic quotes an offending token and ends with
+            // the complete valid-flags line.
+            bool names_token = false;
+            for (size_t k = 2; k < argv_tokens.size(); ++k)
+                names_token = names_token ||
+                              err.find("'" + argv_tokens[k] + "'") !=
+                                  std::string::npos;
+            EXPECT_TRUE(names_token) << err;
+            EXPECT_TRUE(err.ends_with(CliArgs::validFlagsLine(spec, common)))
+                << err;
+            continue;
+        }
+        // Every accepted Int value lies inside its range.
+        for (const std::vector<CliFlagSpec>* list : {&spec, &common})
+            for (const CliFlagSpec& f : *list)
+                if (f.kind == FlagKind::Int && args.has(f.name)) {
+                    long long v = args.getInt(f.name, 0);
+                    EXPECT_GE(v, f.min) << f.name;
+                    EXPECT_LE(v, f.max) << f.name;
+                }
+        // Passthrough keeps argv order: it is a subsequence of argv.
+        size_t at = 2;
+        for (const std::string& t : rest) {
+            while (at < argv_tokens.size() && argv_tokens[at] != t)
+                ++at;
+            ASSERT_LT(at, argv_tokens.size()) << "'" << t << "' out of order";
+            ++at;
+        }
+    }
 }
 
 TEST(UtilParse, AcceptsWholeTokensOnly)

@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <random>
@@ -36,6 +37,7 @@
 #include "scenario/scenario.h"
 #include "scenario/text.h"
 #include "util/parse.h"
+#include "workloads/catalog.h"
 
 using namespace bolt;
 using scenario::Scenario;
@@ -72,18 +74,23 @@ compileError(const std::string& source)
     return err;
 }
 
-const char* kShipped[] = {
-    "adversary_sweep", "armsrace_duel",  "cloaked_victims",
-    "closed_loop_soak", "coresidency_hunt", "diurnal",
-    "dos_blitz",       "dropout_heavy",  "flash_crowd",
-    "grand_tour",      "migration_storm", "noisy_neighbor",
-    "quasar_showdown",
-};
-
 std::string
 repoPath(const std::string& rel)
 {
     return std::string(BOLT_REPO_DIR) + "/" + rel;
+}
+
+/** Names of the shipped scenarios (scenarios/<name>.scn), sorted. */
+std::vector<std::string>
+shippedScenarios()
+{
+    std::vector<std::string> names;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(repoPath("scenarios")))
+        if (entry.path().extension() == ".scn")
+            names.push_back(entry.path().stem().string());
+    std::sort(names.begin(), names.end());
+    return names;
 }
 
 // ---------------------------------------------------------------- text
@@ -202,17 +209,25 @@ TEST(ScenarioCompile, ErrorGoldens)
                            "stages:\n"
                            "  - stage: warmup\n"),
               "bad.scn:3: value 'warmup' for 'stage' must be one of "
-              "experiment, serve, attack, include, fleet, armsrace");
+              "experiment, serve, attack, include, fleet, armsrace, detect");
     EXPECT_EQ(compileError("scenario: x\n"
                            "stages:\n"
                            "  - name: no-discriminator\n"),
               "bad.scn:3: each stages[] item must begin with "
               "'- stage: experiment|serve|attack|include|fleet"
-              "|armsrace'");
+              "|armsrace|detect'");
     EXPECT_EQ(compileError("scenario: x\n"
                            "stages:\n"
                            "  - stage: attack\n"),
               "bad.scn:3: missing required key 'kind' in attack stage");
+    EXPECT_EQ(compileError("scenario: x\n"
+                           "stages:\n"
+                           "  - stage: detect\n"
+                           "    family: nope\n")
+                  .rfind("bad.scn:4: unknown family 'nope' for 'family' "
+                         "(valid: hadoop, spark, memcached, ",
+                         0),
+              0u);
     // A dos attack must not take coresidency keys (and vice versa).
     EXPECT_EQ(compileError("scenario: x\n"
                            "stages:\n"
@@ -519,9 +534,10 @@ TEST(ScenarioRoundTrip, SloWindowWithoutRules)
 
 TEST(ScenarioRoundTrip, EveryShippedScenario)
 {
-    for (const char* name : kShipped) {
-        std::string path =
-            repoPath("scenarios/" + std::string(name) + ".scn");
+    const std::vector<std::string> shipped = shippedScenarios();
+    ASSERT_FALSE(shipped.empty());
+    for (const std::string& name : shipped) {
+        std::string path = repoPath("scenarios/" + name + ".scn");
         Scenario first;
         std::string err;
         ASSERT_TRUE(scenario::compileFile(path, &first, &err)) << err;
@@ -639,6 +655,7 @@ TEST(ScenarioSchema, DumpEmitsEveryLeafKey)
                                "    kind: coresidency\n"
                                "  - stage: fleet\n"
                                "  - stage: armsrace\n"
+                               "  - stage: detect\n"
                                "  - stage: include\n"
                                "    path: leaf_child.scn\n";
     Scenario s;
@@ -717,6 +734,7 @@ TEST(ScenarioFlags, EveryStageKindDumpsRecompilesAndRunsIdentically)
           "2"}},
         {"armsrace",
          {"--servers", "8", "--reps", "1", "--probes", "2", "--waves", "1"}},
+        {"detect", {"--family", "cassandra", "--seed", "7"}},
         {"include", {"--path", child}},
     };
     for (const auto& [kind, flags] : kCommands) {
@@ -1024,7 +1042,7 @@ TEST(NameTables, StageKind)
     }
     EXPECT_EQ(flagsError("bogus", {}),
               "bogus: value 'bogus' for 'stage' must be one of "
-              "experiment, serve, attack, include, fleet, armsrace");
+              "experiment, serve, attack, include, fleet, armsrace, detect");
 }
 
 // ---------------------------------------------------------------- fuzz
@@ -1093,6 +1111,8 @@ class ScenarioGen
         for (size_t i = 0; i < obs::kNumSeries; ++i)
             series_.push_back(
                 obs::seriesInfo(static_cast<obs::SeriesId>(i)).name);
+        for (const workloads::FamilyDef& f : workloads::catalog())
+            families_.push_back(f.name);
     }
 
     std::string
@@ -1264,6 +1284,10 @@ class ScenarioGen
             head += "    path: " + child_ + "\n";
             fixed.push_back("path");
         }
+        if (kind == "detect") {
+            head += "    family: " + rng_.pick(families_) + "\n";
+            fixed.push_back("family");
+        }
         std::string probe = "scenario: x\nstages:\n" + head;
         const std::vector<std::string>& accepted =
             keys(probe + "    zzz-probe: 1\n");
@@ -1291,7 +1315,7 @@ class ScenarioGen
 
     FuzzRng rng_;
     std::string child_;
-    std::vector<std::string> counters_, series_, rules_;
+    std::vector<std::string> counters_, series_, rules_, families_;
     std::map<std::string, std::vector<std::string>> accepted_;
 };
 
@@ -1348,11 +1372,10 @@ TEST(ScenarioFuzz, MutatedShippedScenariosNeverCrash)
     FuzzRng rng;
     rng.gen.seed(42);
     const std::string chars = "ab0-_.: #\t\n\\|\"'9ez";
+    const std::vector<std::string> shipped = shippedScenarios();
     for (int i = 0; i < 3000; ++i) {
-        std::string text = readFile(
-            repoPath("scenarios/" +
-                     std::string(kShipped[rng.below(std::size(kShipped))]) +
-                     ".scn"));
+        std::string text =
+            readFile(repoPath("scenarios/" + rng.pick(shipped) + ".scn"));
         for (size_t n = 1 + rng.below(4); n--;) {
             char c = chars[rng.below(chars.size())];
             size_t op = text.empty() ? 2 : rng.below(6);

@@ -4,11 +4,15 @@
  * scenarios/ twice): for each file, the full runner output and the run
  * digest must be byte-identical at 1 and 8 threads, and must match the
  * committed golden in scenarios/golden/ (the same gate
- * scripts/check.sh --scenario applies through the CLI).
+ * scripts/check.sh --scenario applies through the CLI). The scenario
+ * list is read from disk, so every .scn file needs a golden and every
+ * golden a .scn file.
  */
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -20,18 +24,22 @@ using namespace bolt;
 
 namespace {
 
-const char* kShipped[] = {
-    "adversary_sweep", "armsrace_duel",  "cloaked_victims",
-    "closed_loop_soak", "coresidency_hunt", "diurnal",
-    "dos_blitz",       "dropout_heavy",  "flash_crowd",
-    "grand_tour",      "migration_storm", "noisy_neighbor",
-    "quasar_showdown",
-};
-
 std::string
 repoPath(const std::string& rel)
 {
     return std::string(BOLT_REPO_DIR) + "/" + rel;
+}
+
+/** Stems of the files in `dir` (relative to the repo) ending in `ext`. */
+std::set<std::string>
+stems(const std::string& dir, const std::string& ext)
+{
+    std::set<std::string> names;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(repoPath(dir)))
+        if (entry.path().extension() == ext)
+            names.insert(entry.path().stem().string());
+    return names;
 }
 
 std::string
@@ -63,13 +71,17 @@ runAt(const scenario::Scenario& s, unsigned threads)
 
 TEST(ScenarioLibrary, ThreadCountInvariantAndGoldenStable)
 {
-    for (const char* name : kShipped) {
+    const std::set<std::string> shipped = stems("scenarios", ".scn");
+    ASSERT_FALSE(shipped.empty());
+    EXPECT_EQ(shipped, stems("scenarios/golden", ".golden"))
+        << "every scenarios/*.scn needs a scenarios/golden/*.golden and "
+           "every golden a scenario";
+    for (const std::string& name : shipped) {
         SCOPED_TRACE(name);
         scenario::Scenario s;
         std::string err;
         ASSERT_TRUE(scenario::compileFile(
-            repoPath("scenarios/" + std::string(name) + ".scn"), &s,
-            &err))
+            repoPath("scenarios/" + name + ".scn"), &s, &err))
             << err;
 
         RunCapture one = runAt(s, 1);
@@ -78,9 +90,8 @@ TEST(ScenarioLibrary, ThreadCountInvariantAndGoldenStable)
         EXPECT_EQ(one.output, eight.output);
         EXPECT_GT(one.result.stagesRun, 0);
 
-        std::string golden = readFile(
-            repoPath("scenarios/golden/" + std::string(name) +
-                     ".golden"));
+        std::string golden =
+            readFile(repoPath("scenarios/golden/" + name + ".golden"));
         EXPECT_EQ(one.output, golden)
             << "scenario output drifted from scenarios/golden/" << name
             << ".golden — if the change is intentional, regenerate "
