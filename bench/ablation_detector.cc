@@ -12,11 +12,10 @@
  */
 #include <iostream>
 
-#include "obs/report.h"
+#include "driver_flags.h"
 #include "core/experiment.h"
 #include "util/table.h"
 #include "workloads/app.h"
-#include "util/thread_pool.h"
 
 using namespace bolt;
 
@@ -39,9 +38,8 @@ accuracyWith(const std::function<void(core::ExperimentConfig&)>& tweak,
 int
 main(int argc, char** argv)
 {
-    if (!obs::applyObsFlags(argc, argv))
+    if (!bench::parseDriverFlags(argc, argv))
         return 2;
-    util::applyThreadsFlag(argc, argv);
 
     std::cout << "== Detector design ablations (20 hosts, 52 victims) "
                  "==\n";

@@ -6,9 +6,9 @@
  *
  * Everything on stdout is Sim-class — a pure function of the configs
  * and kSeed — so the output is byte-identical at any --threads and is
- * committed as bench/BENCH_coloc_arms_race.golden; scripts/check.sh
- * --armsrace diffs a fresh run (at 1 and 8 threads) against it. Wall
- * timing goes to stderr.
+ * committed as bench/BENCH_coloc_arms_race.golden, a line of the golden
+ * manifest bench/goldens.txt whose ctest entry diffs fresh runs at 1
+ * and 8 threads against it. Wall timing goes to stderr.
  *
  * The binary also self-checks the arms-race acceptance gates and exits
  * 1 if any regresses:
@@ -21,17 +21,17 @@
  *    byte for byte (placement policies live on the sequential decision
  *    plane, so sharding must never move an outcome).
  *
- * Regenerate the golden after an intentional model change with:
- *   ./build-release/bench/coloc_arms_race > bench/BENCH_coloc_arms_race.golden
+ * Regenerate the golden after an intentional model change with
+ * scripts/check.sh --goldens --update.
  */
 #include <chrono>
 #include <iostream>
 #include <string>
 
+#include "driver_flags.h"
 #include "colo/tournament.h"
 #include "util/digest.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 using namespace bolt;
 using util::hex64;
@@ -71,7 +71,8 @@ fleetSelfCheck(const colo::FleetDuelConfig& base_cfg,
 int
 main(int argc, char** argv)
 {
-    util::applyThreadsFlag(argc, argv);
+    if (!bench::parseDriverFlags(argc, argv))
+        return 2;
 
     colo::TournamentConfig tcfg;
     tcfg.seed = kSeed;

@@ -11,7 +11,7 @@
  */
 #include <iostream>
 
-#include "obs/report.h"
+#include "driver_flags.h"
 #include "attacks/coresidency.h"
 #include "util/table.h"
 
@@ -20,7 +20,7 @@ using namespace bolt;
 int
 main(int argc, char** argv)
 {
-    if (!obs::applyObsFlags(argc, argv))
+    if (!bench::parseDriverFlags(argc, argv))
         return 2;
     std::cout << "== Section 5.3: VM co-residency detection ==\n";
     util::AsciiTable table({"Seed", "P(land)", "Waves", "VMs",

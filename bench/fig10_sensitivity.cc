@@ -10,7 +10,7 @@
  */
 #include <iostream>
 
-#include "obs/report.h"
+#include "driver_flags.h"
 #include "core/detector.h"
 #include "core/experiment.h"
 #include "sim/cluster.h"
@@ -137,9 +137,8 @@ experimentAccuracy(int adversary_vcpus, int benchmarks, uint64_t seed)
 int
 main(int argc, char** argv)
 {
-    if (!obs::applyObsFlags(argc, argv))
+    if (!bench::parseDriverFlags(argc, argv))
         return 2;
-    util::applyThreadsFlag(argc, argv);
 
     std::cout << "== Figure 10a: accuracy vs profiling interval "
                  "(paper: rapid drop past 30 s) ==\n";

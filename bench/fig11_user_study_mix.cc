@@ -9,7 +9,7 @@
 #include <iostream>
 #include <map>
 
-#include "obs/report.h"
+#include "driver_flags.h"
 #include "util/table.h"
 #include "workloads/generators.h"
 
@@ -18,7 +18,7 @@ using namespace bolt;
 int
 main(int argc, char** argv)
 {
-    if (!obs::applyObsFlags(argc, argv))
+    if (!bench::parseDriverFlags(argc, argv))
         return 2;
     util::Rng rng(2017);
     auto jobs = workloads::userStudy(rng);

@@ -13,7 +13,7 @@
 #include <iostream>
 #include <map>
 
-#include "obs/report.h"
+#include "driver_flags.h"
 #include "core/detector.h"
 #include "core/experiment.h"
 #include "sim/cluster.h"
@@ -26,7 +26,7 @@ using namespace bolt;
 int
 main(int argc, char** argv)
 {
-    if (!obs::applyObsFlags(argc, argv))
+    if (!bench::parseDriverFlags(argc, argv))
         return 2;
     util::Rng rng(2017);
 

@@ -12,7 +12,7 @@
  */
 #include <iostream>
 
-#include "obs/report.h"
+#include "driver_flags.h"
 #include "attacks/dos.h"
 #include "util/table.h"
 
@@ -21,7 +21,7 @@ using namespace bolt;
 int
 main(int argc, char** argv)
 {
-    if (!obs::applyObsFlags(argc, argv))
+    if (!bench::parseDriverFlags(argc, argv))
         return 2;
     attacks::DosTimelineExperiment experiment;
     auto bolt_run = experiment.run(true);

@@ -12,19 +12,17 @@
  */
 #include <iostream>
 
-#include "obs/report.h"
+#include "driver_flags.h"
 #include "core/experiment.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 using namespace bolt;
 
 int
 main(int argc, char** argv)
 {
-    if (!obs::applyObsFlags(argc, argv))
+    if (!bench::parseDriverFlags(argc, argv))
         return 2;
-    util::applyThreadsFlag(argc, argv);
 
     struct Step
     {

@@ -13,26 +13,26 @@
  * the unfaulted experiment exactly (the fault layer is inert when
  * disabled).
  *
- * Output is deterministic for a given seed at any --threads value;
- * scripts/check.sh --fault diffs it against bench/BENCH_fig15_churn.golden.
+ * Output is deterministic for a given seed at any --threads value; its
+ * line in bench/goldens.txt diffs it against
+ * bench/BENCH_fig15_churn.golden at 1 and 8 threads.
  */
 #include <iostream>
 #include <sstream>
 
+#include "driver_flags.h"
 #include "core/experiment.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 using namespace bolt;
 
 int
 main(int argc, char** argv)
 {
-    if (!obs::applyObsFlags(argc, argv))
+    if (!bench::parseDriverFlags(argc, argv))
         return 2;
-    util::applyThreadsFlag(argc, argv);
     // Metrics feed the abstention column; observability is inert by
     // contract (check.sh --obs), so this cannot change the results.
     obs::MetricsRegistry::global().setEnabled(true);

@@ -11,7 +11,7 @@
 #include <algorithm>
 #include <iostream>
 
-#include "obs/report.h"
+#include "driver_flags.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "workloads/generators.h"
@@ -21,7 +21,7 @@ using namespace bolt;
 int
 main(int argc, char** argv)
 {
-    if (!obs::applyObsFlags(argc, argv))
+    if (!bench::parseDriverFlags(argc, argv))
         return 2;
     util::Rng rng(2);
     // Sample a large mixed population of instances at their natural

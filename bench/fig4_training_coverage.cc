@@ -7,7 +7,7 @@
  */
 #include <iostream>
 
-#include "obs/report.h"
+#include "driver_flags.h"
 #include "core/training.h"
 #include "util/table.h"
 #include "workloads/generators.h"
@@ -44,7 +44,7 @@ scatter(const char* title, const std::vector<std::pair<double, double>>& pts)
 int
 main(int argc, char** argv)
 {
-    if (!obs::applyObsFlags(argc, argv))
+    if (!bench::parseDriverFlags(argc, argv))
         return 2;
     util::Rng rng(2017);
     auto specs = workloads::trainingSet(rng);

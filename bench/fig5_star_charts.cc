@@ -8,7 +8,7 @@
 #include <iomanip>
 #include <iostream>
 
-#include "obs/report.h"
+#include "driver_flags.h"
 #include "core/recommender.h"
 #include "util/table.h"
 #include "workloads/generators.h"
@@ -36,7 +36,7 @@ starChart(const char* title, const sim::ResourceVector& profile)
 int
 main(int argc, char** argv)
 {
-    if (!obs::applyObsFlags(argc, argv))
+    if (!bench::parseDriverFlags(argc, argv))
         return 2;
     util::Rng rng(55);
     util::Rng tr = rng.substream("train");

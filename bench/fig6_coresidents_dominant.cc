@@ -9,20 +9,18 @@
  */
 #include <iostream>
 
-#include "obs/report.h"
+#include "driver_flags.h"
 #include "core/experiment.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 using namespace bolt;
 
 int
 main(int argc, char** argv)
 {
-    if (!obs::applyObsFlags(argc, argv))
+    if (!bench::parseDriverFlags(argc, argv))
         return 2;
-    util::applyThreadsFlag(argc, argv);
 
     // A denser victim mix exercises the full 1..5 co-residency range.
     std::map<int, util::Summary> by_co;

@@ -7,7 +7,7 @@
  */
 #include <iostream>
 
-#include "obs/report.h"
+#include "driver_flags.h"
 #include "core/detector.h"
 #include "core/experiment.h"
 #include "sim/cluster.h"
@@ -19,7 +19,7 @@ using namespace bolt;
 int
 main(int argc, char** argv)
 {
-    if (!obs::applyObsFlags(argc, argv))
+    if (!bench::parseDriverFlags(argc, argv))
         return 2;
     util::Rng rng(88);
     util::Rng tr = rng.substream("train");

@@ -8,19 +8,17 @@
  */
 #include <iostream>
 
-#include "obs/report.h"
+#include "driver_flags.h"
 #include "core/experiment.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 using namespace bolt;
 
 int
 main(int argc, char** argv)
 {
-    if (!obs::applyObsFlags(argc, argv))
+    if (!bench::parseDriverFlags(argc, argv))
         return 2;
-    util::applyThreadsFlag(argc, argv);
 
     std::map<sim::Resource,
              std::map<int, std::pair<size_t, size_t>>>

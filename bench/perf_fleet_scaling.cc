@@ -8,18 +8,19 @@
  * Everything on stdout is Sim-class — a pure function of the per-row
  * (hosts, tenants, shards, epochs, seed) config — so the full output
  * is byte-identical at any --threads and is committed as
- * bench/BENCH_fleet_scaling.golden; scripts/check.sh --fleet diffs a
- * fresh run (at 1 and 8 threads) against it. The hosts-vs-wall-seconds
- * curve (the thing this bench exists to measure) goes to stderr:
- * wall-clock is Wall-class, not part of the golden.
+ * bench/BENCH_fleet_scaling.golden, a line of the golden manifest
+ * bench/goldens.txt whose ctest entry diffs fresh runs at 1 and 8
+ * threads against it. The hosts-vs-wall-seconds curve (the thing this
+ * bench exists to measure) goes to stderr: wall-clock is Wall-class,
+ * not part of the golden.
  *
  * The binary also self-checks the tentpole determinism property and
  * exits 1 if it regresses: at the 4k-host scale, a 16-shard run on an
  * 8-thread pool must reproduce the 1-shard/1-thread digest byte for
  * byte (shards and threads partition work, never outcomes).
  *
- * Regenerate the golden after an intentional fleet-model change with:
- *   ./build-release/bench/perf_fleet_scaling > bench/BENCH_fleet_scaling.golden
+ * Regenerate the golden after an intentional fleet-model change with
+ * scripts/check.sh --goldens --update.
  */
 #include <algorithm>
 #include <chrono>
@@ -27,6 +28,7 @@
 #include <iostream>
 #include <string>
 
+#include "driver_flags.h"
 #include "sim/shard.h"
 #include "util/digest.h"
 #include "util/table.h"
@@ -91,7 +93,8 @@ selfCheck()
 int
 main(int argc, char** argv)
 {
-    util::applyThreadsFlag(argc, argv);
+    if (!bench::parseDriverFlags(argc, argv))
+        return 2;
 
     util::AsciiTable table({"Hosts", "Shards", "Booted", "Alive",
                             "Arrive", "Depart", "Migrate", "Faults",

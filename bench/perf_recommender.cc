@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "driver_flags.h"
 #include "core/recommender.h"
 #include "obs/report.h"
 #include "util/cli_flags.h"
@@ -455,27 +456,17 @@ runBench(const std::string& json_path, const std::string& golden_path,
 int
 main(int argc, char** argv)
 {
-    if (!obs::applyObsFlags(argc, argv))
-        return 2;
     const std::vector<util::CliFlagSpec> spec = {
         {"json", util::FlagKind::String},
         {"golden", util::FlagKind::String},
         {"reps", util::FlagKind::Int, 1, 1e6},
         {"dump-golden", util::FlagKind::Flag},
     };
-    const std::vector<util::CliFlagSpec> common = {
-        {"threads", util::FlagKind::Int, 0, util::kMaxThreadsFlag},
-    };
-    util::CliArgs args;
-    std::string err;
-    if (!args.parse(argc, argv, 1, spec, common, &err)) {
-        std::cerr << "perf_recommender: " << err;
+    auto args = bench::parseDriverFlags(argc, argv, spec);
+    if (!args)
         return 2;
-    }
-    util::ThreadPool::setGlobalThreads(
-        static_cast<unsigned>(args.getInt("threads", 0)));
-    return runBench(args.get("json", ""),
-                    args.get("golden", "bench/BENCH_recommender.golden"),
-                    static_cast<size_t>(args.getInt("reps", 5)),
-                    args.has("dump-golden"));
+    return runBench(args->get("json", ""),
+                    args->get("golden", "bench/BENCH_recommender.golden"),
+                    static_cast<size_t>(args->getInt("reps", 5)),
+                    args->has("dump-golden"));
 }

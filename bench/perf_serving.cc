@@ -9,9 +9,9 @@
  *
  * Everything on stdout is Sim-class — a pure function of (config,
  * seed) — so the full output is byte-identical at any --threads and is
- * committed as bench/BENCH_serving.golden; scripts/check.sh --serve
- * diffs a fresh run (at 1 and 8 threads) against it. Wall-clock info
- * goes to stderr.
+ * committed as bench/BENCH_serving.golden, a line of the golden
+ * manifest bench/goldens.txt whose ctest entry diffs fresh runs at 1
+ * and 8 threads against it. Wall-clock info goes to stderr.
  *
  * The binary also self-checks the two properties the curves exist to
  * demonstrate, and exits 1 if either regresses:
@@ -21,8 +21,8 @@
  *  2. at saturation, adaptive batching achieves strictly higher QPS
  *     than batch-size-1 (amortized batch setup is the point).
  *
- * Regenerate the golden after an intentional serving change with:
- *   ./build-release/bench/perf_serving > bench/BENCH_serving.golden
+ * Regenerate the golden after an intentional serving change with
+ * scripts/check.sh --goldens --update.
  *
  * `--json` runs the telemetry-overhead probe instead of the sweep:
  * the saturation config is timed with the windowed telemetry recorder
@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "driver_flags.h"
 #include "core/recommender.h"
 #include "obs/timeseries.h"
 #include "serve/engine.h"
@@ -159,11 +160,10 @@ runJsonProbe(const core::HybridRecommender& recommender)
 int
 main(int argc, char** argv)
 {
-    util::applyThreadsFlag(argc, argv);
-    bool json_mode = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--json")
-            json_mode = true;
+    auto args =
+        bench::parseDriverFlags(argc, argv, {{"json", util::FlagKind::Flag}});
+    if (!args)
+        return 2;
 
     // Same corpus construction as a serve scenario stage with seed 1.
     util::Rng rng(1);
@@ -172,7 +172,7 @@ main(int argc, char** argv)
     auto training = core::TrainingSet::fromSpecs(specs, tr);
     core::HybridRecommender recommender(training);
 
-    if (json_mode)
+    if (args->has("json"))
         return runJsonProbe(recommender);
 
     util::AsciiTable table({"Offered", "Mode", "Achieved", "Goodput",

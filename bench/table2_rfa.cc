@@ -9,7 +9,7 @@
  */
 #include <iostream>
 
-#include "obs/report.h"
+#include "driver_flags.h"
 #include "attacks/rfa.h"
 #include "util/table.h"
 #include "workloads/catalog.h"
@@ -37,7 +37,7 @@ steady(const char* family, const char* variant, double level,
 int
 main(int argc, char** argv)
 {
-    if (!obs::applyObsFlags(argc, argv))
+    if (!bench::parseDriverFlags(argc, argv))
         return 2;
     util::Rng rng(77);
     sim::ContentionModel contention{

@@ -24,22 +24,18 @@
 #
 # The --fault stage asserts the fault-injection determinism contract:
 # a faulted experiment (tenant churn + measurement faults) must produce
-# byte-identical stdout at 1 and 8 threads, and the churn-robustness
-# figure must reproduce bench/BENCH_fig15_churn.golden bit-for-bit.
+# byte-identical stdout at 1 and 8 threads, and fault modifiers without
+# a fault rate must be rejected with exit 2.
 #
 # The --serve stage asserts the serving-layer determinism contract:
 # `bolt_cli serve` stdout must be byte-identical at 1 and 8
-# worker threads (open and closed loop), the perf_serving
-# throughput-latency sweep must reproduce bench/BENCH_serving.golden
-# bit-for-bit at both thread counts, and malformed numeric flags must
-# be rejected with exit 2.
+# worker threads (open and closed loop), and malformed numeric flags
+# must be rejected with exit 2.
 #
-# The --scenario stage asserts the scenario-compiler contract: every
-# scenarios/*.scn runs to byte-identical stdout at 1 and 8 threads and
-# matches its committed golden in scenarios/golden/, the canonical dump
-# round-trips through the compiler, and malformed scenario files are
-# rejected with a line-numbered diagnostic and exit 2. Pass --update
-# after --scenario to regenerate the goldens instead of diffing them.
+# The --scenario stage asserts the scenario-compiler contract: the
+# canonical dump of every scenarios/*.scn round-trips through the
+# compiler, and malformed scenario files are rejected with a
+# line-numbered diagnostic and exit 2.
 #
 # The --telemetry stage asserts the telemetry-pipeline contract:
 # enabling --telemetry-out must not change run stdout (telemetry
@@ -51,33 +47,21 @@
 # The --fleet stage asserts the fleet-sharding determinism contract:
 # `bolt_cli fleet` stdout must be byte-identical at 1 and 8 threads,
 # the run digest must be identical at 1 and 16 shards (only the
-# cross-shard migration statistic may move), the perf_fleet_scaling
-# sweep must reproduce bench/BENCH_fleet_scaling.golden bit-for-bit at
-# both thread counts (the binary self-checks 16-shard/8-thread vs
-# 1-shard/1-thread digests and exits 1 on mismatch), and malformed
-# flags must be rejected with exit 2. Pass --update after --fleet to
-# regenerate the golden instead of diffing it.
+# cross-shard migration statistic may move), and malformed flags must
+# be rejected with exit 2.
 #
 # The --armsrace stage asserts the placement-arms-race contract:
 # `bolt_cli armsrace` (one arms-race cell) stdout must be byte-identical
-# at 1 and 8 threads, malformed flags must be rejected with exit 2, and
-# the coloc_arms_race bench — the
-# full tournament plus the fleet duel, self-checked for defense
-# effectiveness and 16-shard digest invariance — must reproduce
-# bench/BENCH_coloc_arms_race.golden bit-for-bit at both thread
-# counts. Pass --update after --armsrace to regenerate the golden
-# instead of diffing it.
+# at 1 and 8 threads, and malformed flags must be rejected with exit 2.
 #
-# The --paper stage asserts the paper-artifact contract: every paper
-# driver without a gate of its own (Table 1, Table 2, Figs. 2-14, the
-# co-residency attack, calibration and the detector ablations) prints
-# byte-identical stdout at 1 and 4 threads that matches its committed
-# golden, bench/BENCH_<name>.golden with <name> the driver's name up to
-# its first underscore (table1_detection_accuracy -> BENCH_table1), so
-# no number EXPERIMENTS.md quotes from them can drift silently. Pass
-# --update after --paper to regenerate the goldens instead of diffing.
+# The --goldens stage checks every stdout golden listed in
+# bench/goldens.txt: bench/goldens.cmake runs each line's command at 1
+# and 8 threads, requires the same bytes from both, and diffs them
+# against the golden. Every line is also a ctest entry (label slow), so
+# the plain and sanitizer legs above run the same check. Pass --update
+# after --goldens to rewrite the goldens instead of diffing them.
 #
-# Usage: scripts/check.sh [--plain-only|--tsan-only|--asan-only|--ubsan-only|--obs|--fault|--serve|--scenario [--update]|--telemetry|--fleet [--update]|--armsrace [--update]|--paper [--update]|--bench-only]
+# Usage: scripts/check.sh [--plain-only|--tsan-only|--asan-only|--ubsan-only|--obs|--fault|--serve|--scenario|--telemetry|--fleet|--armsrace|--goldens [--update]|--bench-only]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -94,6 +78,8 @@ run_config() {
 }
 
 mode="${1:-all}"
+tmp="$(mktemp -d)"
+trap 'rm -rf "${tmp}" "${rt:-}"' EXIT
 
 if [[ "${mode}" == "--plain-only" || "${mode}" == "all" ]]; then
     run_config build
@@ -120,29 +106,27 @@ if [[ "${mode}" == "--obs" || "${mode}" == "all" ]]; then
     echo "== Observability inertness gate =="
     cmake -B build -S . >/dev/null
     cmake --build build -j "$(nproc)" --target bolt_cli
-    obs_dir="$(mktemp -d)"
-    trap 'rm -rf "${obs_dir}"' EXIT
     cli=./build/examples/bolt_cli
     exp_flags=(experiment --servers 8 --victims 20 --seed 7)
 
     for threads in 1 8; do
         echo "-- threads=${threads}: obs off vs on --"
         "${cli}" "${exp_flags[@]}" --threads "${threads}" \
-            > "${obs_dir}/off_${threads}.txt"
+            > "${tmp}/off_${threads}.txt"
         "${cli}" "${exp_flags[@]}" --threads "${threads}" \
-            --metrics-out "${obs_dir}/m_${threads}.json" \
-            --trace-out "${obs_dir}/t_${threads}.json" \
+            --metrics-out "${tmp}/m_${threads}.json" \
+            --trace-out "${tmp}/t_${threads}.json" \
             --log-level error \
-            > "${obs_dir}/on_${threads}.txt"
-        if ! diff -u "${obs_dir}/off_${threads}.txt" \
-                     "${obs_dir}/on_${threads}.txt"; then
+            > "${tmp}/on_${threads}.txt"
+        if ! diff -u "${tmp}/off_${threads}.txt" \
+                     "${tmp}/on_${threads}.txt"; then
             echo "FAIL: enabling observability changed experiment output" \
                  "at threads=${threads}" >&2
             exit 1
         fi
         # The emitted files must be valid JSON with the expected roots.
-        python3 - "${obs_dir}/m_${threads}.json" \
-                  "${obs_dir}/t_${threads}.json" <<'EOF'
+        python3 - "${tmp}/m_${threads}.json" \
+                  "${tmp}/t_${threads}.json" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 assert report["bolt_run_report"] == 1, "missing RunReport marker"
@@ -155,12 +139,12 @@ EOF
     done
 
     # The run itself is thread-count invariant (digest printed in stdout).
-    if ! diff -u "${obs_dir}/off_1.txt" "${obs_dir}/off_8.txt"; then
+    if ! diff -u "${tmp}/off_1.txt" "${tmp}/off_8.txt"; then
         echo "FAIL: experiment output differs between 1 and 8 threads" >&2
         exit 1
     fi
     # The trace export must also be byte-identical across thread counts.
-    if ! diff -u "${obs_dir}/t_1.json" "${obs_dir}/t_8.json"; then
+    if ! diff -u "${tmp}/t_1.json" "${tmp}/t_8.json"; then
         echo "FAIL: trace export differs between 1 and 8 threads" >&2
         exit 1
     fi
@@ -175,9 +159,7 @@ fi
 if [[ "${mode}" == "--fault" || "${mode}" == "all" ]]; then
     echo "== Fault-injection determinism gate =="
     cmake -B build -S . >/dev/null
-    cmake --build build -j "$(nproc)" --target bolt_cli fig15_churn_robustness
-    fault_dir="$(mktemp -d)"
-    trap 'rm -rf "${obs_dir:-}" "${fault_dir:-}"' EXIT
+    cmake --build build -j "$(nproc)" --target bolt_cli
     cli=./build/examples/bolt_cli
     fault_flags=(experiment --servers 12 --victims 30 --seed 42
                  --faults.arrivals 0.1 --faults.departures 0.08
@@ -188,9 +170,9 @@ if [[ "${mode}" == "--fault" || "${mode}" == "all" ]]; then
     # A nontrivial fault plan must be thread-count invariant: churn,
     # dropouts and retries all draw from counter-based streams keyed by
     # (server, round), never from execution order.
-    "${cli}" "${fault_flags[@]}" --threads 1 > "${fault_dir}/f_1.txt"
-    "${cli}" "${fault_flags[@]}" --threads 8 > "${fault_dir}/f_8.txt"
-    if ! diff -u "${fault_dir}/f_1.txt" "${fault_dir}/f_8.txt"; then
+    "${cli}" "${fault_flags[@]}" --threads 1 > "${tmp}/f_1.txt"
+    "${cli}" "${fault_flags[@]}" --threads 8 > "${tmp}/f_8.txt"
+    if ! diff -u "${tmp}/f_1.txt" "${tmp}/f_8.txt"; then
         echo "FAIL: faulted experiment output differs between 1 and 8" \
              "threads" >&2
         exit 1
@@ -202,19 +184,6 @@ if [[ "${mode}" == "--fault" || "${mode}" == "all" ]]; then
         echo "FAIL: bolt_cli accepted --faults.seed with no fault enabled" >&2
         exit 1
     fi
-
-    # The churn-robustness figure must reproduce the committed golden
-    # bit-for-bit, at both thread counts.
-    for threads in 1 8; do
-        ./build/bench/fig15_churn_robustness --threads "${threads}" \
-            > "${fault_dir}/fig15_${threads}.txt"
-        if ! diff -u bench/BENCH_fig15_churn.golden \
-                     "${fault_dir}/fig15_${threads}.txt"; then
-            echo "FAIL: fig15 output diverged from golden at" \
-                 "threads=${threads}" >&2
-            exit 1
-        fi
-    done
     echo "Fault-injection gate passed."
 fi
 
@@ -222,10 +191,6 @@ if [[ "${mode}" == "--serve" || "${mode}" == "all" ]]; then
     echo "== Serving determinism gate =="
     cmake -B build -S . >/dev/null
     cmake --build build -j "$(nproc)" --target bolt_cli
-    cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-    cmake --build build-release -j "$(nproc)" --target perf_serving
-    serve_dir="$(mktemp -d)"
-    trap 'rm -rf "${obs_dir:-}" "${fault_dir:-}" "${serve_dir:-}"' EXIT
     cli=./build/examples/bolt_cli
 
     # The Sim-plane serving stats (admissions, sheds, batches, latency
@@ -240,10 +205,10 @@ if [[ "${mode}" == "--serve" || "${mode}" == "all" ]]; then
         flags_var="${loop}_flags[@]"
         for threads in 1 8; do
             "${cli}" "${!flags_var}" --threads "${threads}" \
-                > "${serve_dir}/${loop}_${threads}.txt"
+                > "${tmp}/${loop}_${threads}.txt"
         done
-        if ! diff -u "${serve_dir}/${loop}_1.txt" \
-                     "${serve_dir}/${loop}_8.txt"; then
+        if ! diff -u "${tmp}/${loop}_1.txt" \
+                     "${tmp}/${loop}_8.txt"; then
             echo "FAIL: ${loop}-loop serve output differs between" \
                  "1 and 8 threads" >&2
             exit 1
@@ -261,20 +226,6 @@ if [[ "${mode}" == "--serve" || "${mode}" == "all" ]]; then
             exit 1
         fi
     done
-
-    # The throughput-latency sweep must reproduce the committed golden
-    # bit-for-bit at both thread counts (Release build, same as the
-    # golden was generated from).
-    for threads in 1 8; do
-        ./build-release/bench/perf_serving --threads "${threads}" \
-            > "${serve_dir}/sweep_${threads}.txt"
-        if ! diff -u bench/BENCH_serving.golden \
-                     "${serve_dir}/sweep_${threads}.txt"; then
-            echo "FAIL: perf_serving output diverged from golden at" \
-                 "threads=${threads}" >&2
-            exit 1
-        fi
-    done
     echo "Serving gate passed."
 fi
 
@@ -282,37 +233,13 @@ if [[ "${mode}" == "--scenario" || "${mode}" == "all" ]]; then
     echo "== Scenario library gate =="
     cmake -B build -S . >/dev/null
     cmake --build build -j "$(nproc)" --target bolt_cli
-    scn_dir="$(mktemp -d)"
-    trap 'rm -rf "${obs_dir:-}" "${fault_dir:-}" "${serve_dir:-}" "${scn_dir:-}" "${rt:-}"' EXIT
     cli=./build/examples/bolt_cli
     # A killed run can leave a round-trip dump behind; it is no scenario.
     rm -f scenarios/*.roundtrip.scn
-    update_goldens=0
-    [[ "${2:-}" == "--update" ]] && update_goldens=1
 
     for scn in scenarios/*.scn; do
         name="$(basename "${scn}" .scn)"
-        golden="scenarios/golden/${name}.golden"
         echo "-- ${name} --"
-        # Thread-count invariance: the whole stdout, not just the digest.
-        "${cli}" run --scenario "${scn}" --threads 1 \
-            > "${scn_dir}/${name}_1.txt"
-        "${cli}" run --scenario "${scn}" --threads 8 \
-            > "${scn_dir}/${name}_8.txt"
-        if ! diff -u "${scn_dir}/${name}_1.txt" \
-                     "${scn_dir}/${name}_8.txt"; then
-            echo "FAIL: ${name} output differs between 1 and 8 threads" >&2
-            exit 1
-        fi
-        if [[ "${update_goldens}" == 1 ]]; then
-            cp "${scn_dir}/${name}_1.txt" "${golden}"
-            continue
-        fi
-        if ! diff -u "${golden}" "${scn_dir}/${name}_1.txt"; then
-            echo "FAIL: ${name} output diverged from ${golden}" \
-                 "(regenerate intentionally with --scenario --update)" >&2
-            exit 1
-        fi
         # The canonical dump must recompile to an identical dump. Dump
         # into the scenarios/ dir namespace so includes resolve; the
         # EXIT trap removes the file if anything below fails.
@@ -321,10 +248,10 @@ if [[ "${mode}" == "--scenario" || "${mode}" == "all" ]]; then
         "${cli}" run --scenario "${scn}" --dump > "${rt}" || rt_ok=$?
         if [[ "${rt_ok}" == 0 ]]; then
             "${cli}" run --scenario "${rt}" --dump \
-                > "${scn_dir}/${name}_dump2.txt" || rt_ok=$?
+                > "${tmp}/${name}_dump2.txt" || rt_ok=$?
         fi
         if [[ "${rt_ok}" == 0 ]]; then
-            diff -u "${rt}" "${scn_dir}/${name}_dump2.txt" || rt_ok=$?
+            diff -u "${rt}" "${tmp}/${name}_dump2.txt" || rt_ok=$?
         fi
         rm -f "${rt}"
         if [[ "${rt_ok}" != 0 ]]; then
@@ -335,13 +262,13 @@ if [[ "${mode}" == "--scenario" || "${mode}" == "all" ]]; then
 
     # Malformed scenarios must exit 2 with a line-numbered diagnostic.
     printf 'scenario: bad\nstages:\n  - stage: experiment\n    serveurs: 9\n' \
-        > "${scn_dir}/bad.scn"
+        > "${tmp}/bad.scn"
     for bad in "" \
-               "--scenario ${scn_dir}/does_not_exist.scn" \
-               "--scenario ${scn_dir}/bad.scn"; do
+               "--scenario ${tmp}/does_not_exist.scn" \
+               "--scenario ${tmp}/bad.scn"; do
         rc=0
         # shellcheck disable=SC2086  # word splitting is intentional
-        "${cli}" run ${bad} >/dev/null 2>"${scn_dir}/bad_err.txt" || rc=$?
+        "${cli}" run ${bad} >/dev/null 2>"${tmp}/bad_err.txt" || rc=$?
         if [[ "${rc}" != 2 ]]; then
             echo "FAIL: 'run ${bad}' exited ${rc}, expected 2" >&2
             exit 1
@@ -349,7 +276,7 @@ if [[ "${mode}" == "--scenario" || "${mode}" == "all" ]]; then
     done
     # (the last loop iteration left the diagnostic in bad_err.txt)
     if ! grep -q "bad.scn:4: unknown key 'serveurs'" \
-            "${scn_dir}/bad_err.txt"; then
+            "${tmp}/bad_err.txt"; then
         echo "FAIL: malformed scenario diagnostic lost its file:line" >&2
         exit 1
     fi
@@ -362,23 +289,21 @@ if [[ "${mode}" == "--telemetry" || "${mode}" == "all" ]]; then
     cmake --build build -j "$(nproc)" --target bolt_cli
     cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
     cmake --build build-release -j "$(nproc)" --target perf_serving
-    tel_dir="$(mktemp -d)"
-    trap 'rm -rf "${obs_dir:-}" "${fault_dir:-}" "${serve_dir:-}" "${scn_dir:-}" "${tel_dir:-}"' EXIT
     cli=./build/examples/bolt_cli
 
     # Telemetry inertness: the same scenario run with and without a
     # telemetry dump must produce byte-identical stdout (the recorder
     # observes the decision plane, it never perturbs it).
     scn=scenarios/flash_crowd.scn
-    "${cli}" run --scenario "${scn}" > "${tel_dir}/plain.txt"
+    "${cli}" run --scenario "${scn}" > "${tmp}/plain.txt"
     "${cli}" run --scenario "${scn}" \
-        --telemetry-out "${tel_dir}/t_1.jsonl" --threads 1 \
-        > "${tel_dir}/tel_1.txt"
+        --telemetry-out "${tmp}/t_1.jsonl" --threads 1 \
+        > "${tmp}/tel_1.txt"
     "${cli}" run --scenario "${scn}" \
-        --telemetry-out "${tel_dir}/t_8.jsonl" --threads 8 \
-        > "${tel_dir}/tel_8.txt"
+        --telemetry-out "${tmp}/t_8.jsonl" --threads 8 \
+        > "${tmp}/tel_8.txt"
     for variant in tel_1 tel_8; do
-        if ! diff -u "${tel_dir}/plain.txt" "${tel_dir}/${variant}.txt"; then
+        if ! diff -u "${tmp}/plain.txt" "${tmp}/${variant}.txt"; then
             echo "FAIL: --telemetry-out changed scenario stdout" \
                  "(${variant})" >&2
             exit 1
@@ -387,25 +312,25 @@ if [[ "${mode}" == "--telemetry" || "${mode}" == "all" ]]; then
 
     # The windowed JSONL export is Sim-class: per-thread shards merge in
     # shard order, so the dump is byte-identical at any thread count.
-    if ! diff -u "${tel_dir}/t_1.jsonl" "${tel_dir}/t_8.jsonl"; then
+    if ! diff -u "${tmp}/t_1.jsonl" "${tmp}/t_8.jsonl"; then
         echo "FAIL: telemetry JSONL differs between 1 and 8 threads" >&2
         exit 1
     fi
-    if ! grep -q '"bolt_telemetry":1' "${tel_dir}/t_1.jsonl"; then
+    if ! grep -q '"bolt_telemetry":1' "${tmp}/t_1.jsonl"; then
         echo "FAIL: telemetry dump is missing its header line" >&2
         exit 1
     fi
 
     # The post-run analyzer must render the dump (exit 0) and reject a
     # non-telemetry file with a usage error (exit 2).
-    "${cli}" report --telemetry "${tel_dir}/t_1.jsonl" --top 3 \
-        > "${tel_dir}/report.txt"
-    if ! grep -q "serve.latency_ms" "${tel_dir}/report.txt"; then
+    "${cli}" report --telemetry "${tmp}/t_1.jsonl" --top 3 \
+        > "${tmp}/report.txt"
+    if ! grep -q "serve.latency_ms" "${tmp}/report.txt"; then
         echo "FAIL: report output lost the serve.latency_ms series" >&2
         exit 1
     fi
     rc=0
-    "${cli}" report --telemetry "${tel_dir}/plain.txt" \
+    "${cli}" report --telemetry "${tmp}/plain.txt" \
         >/dev/null 2>&1 || rc=$?
     if [[ "${rc}" != 2 ]]; then
         echo "FAIL: report on a non-telemetry file exited ${rc}," \
@@ -415,7 +340,7 @@ if [[ "${mode}" == "--telemetry" || "${mode}" == "all" ]]; then
 
     # Failed `expect:` blocks are their own exit code (3) with a
     # file:line diagnostic, distinct from usage errors (2).
-    cat > "${tel_dir}/failing.scn" <<'EOF'
+    cat > "${tmp}/failing.scn" <<'EOF'
 scenario: telemetry-gate-failing-expect
 seed: 5
 stages:
@@ -427,14 +352,14 @@ expect:
     min: 1000000
 EOF
     rc=0
-    "${cli}" run --scenario "${tel_dir}/failing.scn" \
-        >/dev/null 2>"${tel_dir}/expect_err.txt" || rc=$?
+    "${cli}" run --scenario "${tmp}/failing.scn" \
+        >/dev/null 2>"${tmp}/expect_err.txt" || rc=$?
     if [[ "${rc}" != 3 ]]; then
         echo "FAIL: failing expect exited ${rc}, expected 3" >&2
         exit 1
     fi
-    if ! grep -q "failing.scn:" "${tel_dir}/expect_err.txt" ||
-       ! grep -q "expectation failed" "${tel_dir}/expect_err.txt"; then
+    if ! grep -q "failing.scn:" "${tmp}/expect_err.txt" ||
+       ! grep -q "expectation failed" "${tmp}/expect_err.txt"; then
         echo "FAIL: expect failure diagnostic lost its file:line" >&2
         exit 1
     fi
@@ -443,9 +368,9 @@ EOF
     # saturation load must cost <5% wall-QPS and leave the sim digest
     # untouched (perf_serving --json exits 1 otherwise).
     ./build-release/bench/perf_serving --json \
-        > "${tel_dir}/overhead.json"
+        > "${tmp}/overhead.json"
     echo "-- perf_serving telemetry-overhead probe --"
-    cat "${tel_dir}/overhead.json"
+    cat "${tmp}/overhead.json"
     echo "Telemetry gate passed."
 fi
 
@@ -453,13 +378,7 @@ if [[ "${mode}" == "--fleet" || "${mode}" == "all" ]]; then
     echo "== Fleet determinism gate =="
     cmake -B build -S . >/dev/null
     cmake --build build -j "$(nproc)" --target bolt_cli
-    cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-    cmake --build build-release -j "$(nproc)" --target perf_fleet_scaling
-    fleet_dir="$(mktemp -d)"
-    trap 'rm -rf "${obs_dir:-}" "${fault_dir:-}" "${serve_dir:-}" "${scn_dir:-}" "${tel_dir:-}" "${fleet_dir:-}"' EXIT
     cli=./build/examples/bolt_cli
-    update_goldens=0
-    [[ "${2:-}" == "--update" ]] && update_goldens=1
     fleet_flags=(fleet --hosts 800 --tenants 4000 --epochs 5
                  --host-faults 0.02 --seed 2017 --log-level error)
 
@@ -468,9 +387,9 @@ if [[ "${mode}" == "--fleet" || "${mode}" == "all" ]]; then
     # byte-identical at any thread count.
     for threads in 1 8; do
         "${cli}" "${fleet_flags[@]}" --shards 8 --threads "${threads}" \
-            > "${fleet_dir}/t_${threads}.txt"
+            > "${tmp}/t_${threads}.txt"
     done
-    if ! diff -u "${fleet_dir}/t_1.txt" "${fleet_dir}/t_8.txt"; then
+    if ! diff -u "${tmp}/t_1.txt" "${tmp}/t_8.txt"; then
         echo "FAIL: fleet output differs between 1 and 8 threads" >&2
         exit 1
     fi
@@ -479,11 +398,11 @@ if [[ "${mode}" == "--fleet" || "${mode}" == "all" ]]; then
     # shards must match (only the cross-shard migration statistic may
     # differ, so the comparison is digest lines, not the full stdout).
     "${cli}" "${fleet_flags[@]}" --shards 1 --threads 8 \
-        > "${fleet_dir}/s_1.txt"
+        > "${tmp}/s_1.txt"
     "${cli}" "${fleet_flags[@]}" --shards 16 --threads 8 \
-        > "${fleet_dir}/s_16.txt"
-    if ! diff <(grep "run digest" "${fleet_dir}/s_1.txt") \
-              <(grep "run digest" "${fleet_dir}/s_16.txt"); then
+        > "${tmp}/s_16.txt"
+    if ! diff <(grep "run digest" "${tmp}/s_1.txt") \
+              <(grep "run digest" "${tmp}/s_16.txt"); then
         echo "FAIL: fleet digest differs between 1 and 16 shards" >&2
         exit 1
     fi
@@ -499,25 +418,6 @@ if [[ "${mode}" == "--fleet" || "${mode}" == "all" ]]; then
             exit 1
         fi
     done
-
-    # The 1k -> 128k host scaling sweep must reproduce the committed
-    # golden bit-for-bit at both thread counts; the binary itself exits
-    # 1 if the sharded run stops reproducing the 1-shard digest.
-    if [[ "${update_goldens}" == 1 ]]; then
-        ./build-release/bench/perf_fleet_scaling \
-            > bench/BENCH_fleet_scaling.golden
-    fi
-    for threads in 1 8; do
-        ./build-release/bench/perf_fleet_scaling --threads "${threads}" \
-            > "${fleet_dir}/sweep_${threads}.txt"
-        if ! diff -u bench/BENCH_fleet_scaling.golden \
-                     "${fleet_dir}/sweep_${threads}.txt"; then
-            echo "FAIL: perf_fleet_scaling output diverged from golden at" \
-                 "threads=${threads} (regenerate intentionally with" \
-                 "--fleet --update)" >&2
-            exit 1
-        fi
-    done
     echo "Fleet gate passed."
 fi
 
@@ -525,13 +425,7 @@ if [[ "${mode}" == "--armsrace" || "${mode}" == "all" ]]; then
     echo "== Placement arms-race gate =="
     cmake -B build -S . >/dev/null
     cmake --build build -j "$(nproc)" --target bolt_cli
-    cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-    cmake --build build-release -j "$(nproc)" --target coloc_arms_race
-    ar_dir="$(mktemp -d)"
-    trap 'rm -rf "${obs_dir:-}" "${fault_dir:-}" "${serve_dir:-}" "${scn_dir:-}" "${tel_dir:-}" "${fleet_dir:-}" "${ar_dir:-}"' EXIT
     cli=./build/examples/bolt_cli
-    update_goldens=0
-    [[ "${2:-}" == "--update" ]] && update_goldens=1
     ar_flags=(armsrace --servers 16 --probes 3 --waves 2 --reps 4
               --utilization 40 --allocator mab --seed 7 --log-level error)
 
@@ -541,9 +435,9 @@ if [[ "${mode}" == "--armsrace" || "${mode}" == "all" ]]; then
     # gates over the full tournament run in coloc_arms_race below.
     for threads in 1 8; do
         "${cli}" "${ar_flags[@]}" --threads "${threads}" \
-            > "${ar_dir}/t_${threads}.txt"
+            > "${tmp}/t_${threads}.txt"
     done
-    if ! diff -u "${ar_dir}/t_1.txt" "${ar_dir}/t_8.txt"; then
+    if ! diff -u "${tmp}/t_1.txt" "${tmp}/t_8.txt"; then
         echo "FAIL: armsrace output differs between 1 and 8 threads" >&2
         exit 1
     fi
@@ -560,68 +454,19 @@ if [[ "${mode}" == "--armsrace" || "${mode}" == "all" ]]; then
             exit 1
         fi
     done
-
-    # The full tournament + fleet duel must reproduce the committed
-    # golden bit-for-bit at both thread counts; the binary itself exits
-    # 1 if a defense gate fails or the 16-shard duel re-run stops
-    # reproducing the 1-shard row digests.
-    if [[ "${update_goldens}" == 1 ]]; then
-        ./build-release/bench/coloc_arms_race \
-            > bench/BENCH_coloc_arms_race.golden
-    fi
-    for threads in 1 8; do
-        ./build-release/bench/coloc_arms_race --threads "${threads}" \
-            > "${ar_dir}/bench_${threads}.txt"
-        if ! diff -u bench/BENCH_coloc_arms_race.golden \
-                     "${ar_dir}/bench_${threads}.txt"; then
-            echo "FAIL: coloc_arms_race output diverged from golden at" \
-                 "threads=${threads} (regenerate intentionally with" \
-                 "--armsrace --update)" >&2
-            exit 1
-        fi
-    done
     echo "Arms-race gate passed."
 fi
 
-if [[ "${mode}" == "--paper" || "${mode}" == "all" ]]; then
-    echo "== Paper artifact gate =="
-    paper_drivers=(table1_detection_accuracy table2_rfa
-                   fig2_memcached_heatmaps fig4_training_coverage
-                   fig5_star_charts fig6_coresidents_dominant
-                   fig7_iterations_pdf fig8_phase_detection
-                   fig9_accuracy_vs_pressure fig10_sensitivity
-                   fig11_user_study_mix fig12_user_study_detection
-                   fig13_dos_attack fig14_isolation coresidency_attack
-                   calibration ablation_detector)
-    cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-    cmake --build build-release -j "$(nproc)" --target "${paper_drivers[@]}"
-    paper_dir="$(mktemp -d)"
-    trap 'rm -rf "${obs_dir:-}" "${fault_dir:-}" "${serve_dir:-}" "${scn_dir:-}" "${tel_dir:-}" "${fleet_dir:-}" "${ar_dir:-}" "${paper_dir:-}"' EXIT
-
-    # Paper drivers print Sim-class stdout: byte-identical at any thread
-    # count.
-    for driver in "${paper_drivers[@]}"; do
-        golden="bench/BENCH_${driver%%_*}.golden"
-        echo "-- ${driver} --"
-        for threads in 1 4; do
-            ./build-release/bench/"${driver}" \
-                --threads "${threads}" --log-level error \
-                > "${paper_dir}/${driver}_${threads}.txt"
-        done
-        if ! diff -u "${paper_dir}/${driver}_1.txt" \
-                     "${paper_dir}/${driver}_4.txt"; then
-            echo "FAIL: ${driver} output differs between 1 and 4 threads" >&2
-            exit 1
-        fi
-        if [[ "${2:-}" == "--update" ]]; then
-            cp "${paper_dir}/${driver}_1.txt" "${golden}"
-        elif ! diff -u "${golden}" "${paper_dir}/${driver}_1.txt"; then
-            echo "FAIL: ${driver} output diverged from ${golden}" \
-                 "(regenerate intentionally with --paper --update)" >&2
-            exit 1
-        fi
-    done
-    echo "Paper artifact gate passed."
+# Plain ctest above already runs every golden; this stage runs the
+# same runner alone, or rewrites the goldens with --update.
+if [[ "${mode}" == "--goldens" ]]; then
+    echo "== Golden manifest gate =="
+    cmake -B build -S . >/dev/null
+    cmake --build build -j "$(nproc)"
+    update=()
+    [[ "${2:-}" == "--update" ]] && update=(-DUPDATE=ON)
+    cmake -DBUILD_DIR=build "${update[@]}" -P bench/goldens.cmake
+    echo "Golden manifest gate passed."
 fi
 
 if [[ "${mode}" == "--bench-only" || "${mode}" == "all" ]]; then

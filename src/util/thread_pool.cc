@@ -1,14 +1,10 @@
 #include "thread_pool.h"
 
 #include "obs/metrics.h"
-#include "util/parse.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
-#include <string_view>
 
 namespace bolt {
 namespace util {
@@ -242,25 +238,6 @@ parallelFor(size_t begin, size_t end,
             const std::function<void(size_t)>& body, size_t grain)
 {
     ThreadPool::global().parallelFor(begin, end, body, grain);
-}
-
-void
-applyThreadsFlag(int argc, char** argv)
-{
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string_view(argv[i]) == "--threads") {
-            long long n = -1;
-            if (!parseInt(argv[i + 1], &n) || n < 0 || n > kMaxThreadsFlag) {
-                std::fprintf(stderr,
-                             "%s: --threads expects an integer in [0, %d], "
-                             "got '%s'\n",
-                             argv[0], kMaxThreadsFlag, argv[i + 1]);
-                std::exit(2);
-            }
-            ThreadPool::setGlobalThreads(static_cast<unsigned>(n));
-            return;
-        }
-    }
 }
 
 } // namespace util

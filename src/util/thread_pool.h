@@ -147,16 +147,6 @@ void parallelFor(size_t begin, size_t end,
  *  above this is a typo, not a machine. */
 constexpr int kMaxThreadsFlag = 512;
 
-/**
- * Scan argv for "--threads N" and apply it to the global pool — the
- * shared flag of every bench binary. Call once at the top of main(),
- * before any parallel work. Unrecognized arguments are left alone; a
- * value that is not an integer in [0, kMaxThreadsFlag] ("2x", "abc")
- * prints a diagnostic and exits 2. Thread count never changes results,
- * only wall-clock time.
- */
-void applyThreadsFlag(int argc, char** argv);
-
 } // namespace util
 } // namespace bolt
 

@@ -14,7 +14,6 @@
 #include "util/cli_flags.h"
 #include "util/digest.h"
 #include "util/parse.h"
-#include "util/thread_pool.h"
 
 using namespace bolt;
 using util::CliArgs;
@@ -263,22 +262,6 @@ TEST(UtilParse, Hex64PadsToSixteenDigits)
     EXPECT_EQ(util::hex64(0), "0000000000000000");
     EXPECT_EQ(util::hex64(0xc21a1cdb71312d5full), "c21a1cdb71312d5f");
     EXPECT_EQ(util::hex64(0xabcull), "0000000000000abc");
-}
-
-TEST(ThreadsFlag, MalformedValueExitsTwo)
-{
-    auto apply = [](const char* value) {
-        const char* raw[] = {"bench", "--threads", value, nullptr};
-        util::applyThreadsFlag(3, const_cast<char**>(raw));
-    };
-    for (const char* bad : {"2x", "abc", "-1", "99999", ""})
-        EXPECT_EXIT(apply(bad), ::testing::ExitedWithCode(2),
-                    "--threads expects an integer in \\[0, 512\\]")
-            << bad;
-    unsigned before = util::ThreadPool::globalThreads();
-    apply("1");
-    EXPECT_EQ(util::ThreadPool::globalThreads(), 1u);
-    util::ThreadPool::setGlobalThreads(before);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <latch>
 #include <thread>
 
 #include "core/detector.h"
@@ -748,20 +749,31 @@ TEST_F(TrainedFixture, QueryScratchSpareHandoffUnderPoolContention)
     constexpr size_t kQueries = 64;
     auto queries = scratchQueryMix(*training_, kQueries);
 
+    // Built after the resize, so its worker slots belong to the pool
+    // the queries below run on.
+    util::ThreadPool::setGlobalThreads(4);
+    HybridRecommender recommender(*training_);
+
     // Serial baseline digests.
     std::vector<uint64_t> serial(kQueries);
     for (size_t i = 0; i < kQueries; ++i)
-        serial[i] = analyzeDigest(recommender_->analyze(queries[i]));
+        serial[i] = analyzeDigest(recommender.analyze(queries[i]));
 
     // Contended run: pool workers (fixed worker slots) and plain
-    // std::threads (spare-list leases) query concurrently. Metrics on,
-    // to prove both scratch paths were actually exercised.
+    // std::threads (spare-list leases) query concurrently. submit()
+    // never runs a task inline, so every pooled query runs on a
+    // worker. Metrics on, to prove both scratch paths were exercised.
     auto& metrics = obs::MetricsRegistry::global();
     metrics.reset();
     metrics.setEnabled(true);
 
-    util::ThreadPool::setGlobalThreads(4);
     std::vector<uint64_t> pooled(kQueries);
+    std::latch pooledDone(kQueries);
+    for (size_t i = 0; i < kQueries; ++i)
+        util::ThreadPool::global().submit([&, i] {
+            pooled[i] = analyzeDigest(recommender.analyze(queries[i]));
+            pooledDone.count_down();
+        });
     std::vector<std::vector<uint64_t>> external(
         3, std::vector<uint64_t>(kQueries));
     std::vector<std::thread> outsiders;
@@ -769,12 +781,10 @@ TEST_F(TrainedFixture, QueryScratchSpareHandoffUnderPoolContention)
         outsiders.emplace_back([&, t] {
             for (size_t i = 0; i < kQueries; ++i)
                 external[t][i] =
-                    analyzeDigest(recommender_->analyze(queries[i]));
+                    analyzeDigest(recommender.analyze(queries[i]));
         });
     }
-    util::parallelFor(0, kQueries, [&](size_t i) {
-        pooled[i] = analyzeDigest(recommender_->analyze(queries[i]));
-    });
+    pooledDone.wait();
     for (auto& t : outsiders)
         t.join();
 
