@@ -9,6 +9,25 @@
 namespace bolt {
 namespace core {
 
+namespace {
+
+/**
+ * Fault-aware graceful degradation (active only when the host
+ * environment carries a fault oracle): when dropouts leave a round with
+ * fewer than minObservedForMatch samples, re-probe the missing
+ * resources for up to this many re-measurement rounds before giving up.
+ */
+constexpr int kMaxRetryRounds = 2;
+/**
+ * Sim-time wait before the first re-measurement round; each further
+ * round multiplies it by kRetryBackoffMult (exponential backoff —
+ * transient measurement faults decorrelate with distance in time).
+ */
+constexpr double kRetryBackoffSec = 2.0;
+constexpr double kRetryBackoffMult = 2.0;
+
+} // namespace
+
 bool
 DetectionRound::detected(const std::string& class_label) const
 {
@@ -143,8 +162,8 @@ Detector::detectOnce(const HostEnvironment& env, double t, util::Rng& rng,
     // explicit "don't know" beats a guess the caller cannot audit.
     if (env.faults && prof.observation.observedCount() <
                           static_cast<size_t>(config_.minObservedForMatch)) {
-        double backoff = config_.retryBackoffSec;
-        while (round.retryRounds < config_.maxRetryRounds &&
+        double backoff = kRetryBackoffSec;
+        while (round.retryRounds < kMaxRetryRounds &&
                prof.observation.observedCount() <
                    static_cast<size_t>(config_.minObservedForMatch)) {
             ++round.retryRounds;
@@ -153,7 +172,7 @@ Detector::detectOnce(const HostEnvironment& env, double t, util::Rng& rng,
                 telemetry.count(obs::SeriesId::kDetectorRetryEvents,
                                 "r" + std::to_string(round_index), now);
             now += backoff;
-            backoff *= config_.retryBackoffMult;
+            backoff *= kRetryBackoffMult;
             for (sim::Resource r : sim::kAllResources) {
                 if (prof.observation.observedCount() >=
                     static_cast<size_t>(config_.minObservedForMatch))
@@ -294,7 +313,7 @@ Detector::detectIteratively(
         rounds.push_back(std::move(round));
         if (done)
             break;
-        t += config_.profilingIntervalSec;
+        t += kProfilingIntervalSec;
     }
     return rounds;
 }

@@ -10,18 +10,17 @@
 namespace bolt {
 namespace core {
 
+/** Re-detection period in seconds (the paper's 20 s). */
+constexpr double kProfilingIntervalSec = 20.0;
+
 /** Detection policy knobs (Sections 3.2-3.4). */
 struct DetectorConfig
 {
     ProfilerConfig profiler;
-    /** Re-detection period in seconds (paper default: 20 s). */
-    double profilingIntervalSec = 20.0;
     /** Iteration cap; jobs not identified by then never are (Fig. 7). */
     int maxIterations = 6;
     /** Maximum co-residents the disentangler decomposes per round. */
     int maxCoResidents = 5;
-    /** Residual pressure (points) worth attributing to another tenant. */
-    double residualThreshold = 18.0;
     /**
      * Minimum probed resources before a match is accepted; rounds with
      * thinner coverage keep probing even when a match looks confident.
@@ -40,21 +39,6 @@ struct DetectorConfig
      * a temporally-coherent snapshot.
      */
     bool carryObservations = false;
-    /**
-     * Fault-aware graceful degradation (active only when the host
-     * environment carries a fault oracle): when dropouts leave a round
-     * with fewer than minObservedForMatch samples, re-probe the missing
-     * resources for up to this many re-measurement rounds before giving
-     * up. 0 disables retries (thin rounds go straight to abstention).
-     */
-    int maxRetryRounds = 2;
-    /**
-     * Sim-time wait before the first re-measurement round; each further
-     * round multiplies it by retryBackoffMult (exponential backoff —
-     * transient measurement faults decorrelate with distance in time).
-     */
-    double retryBackoffSec = 2.0;
-    double retryBackoffMult = 2.0;
     /**
      * The measurement channel Bolt assumes when reporting profiles: the
      * platform's baseline visibility is inverted so reported profiles
@@ -152,7 +136,7 @@ class Detector
 
     /**
      * Periodic detection: runs up to config().maxIterations rounds,
-     * spaced profilingIntervalSec apart, stopping early when `stop`
+     * spaced kProfilingIntervalSec apart, stopping early when `stop`
      * returns true for a round (e.g. the controlled experiment stops on
      * correct identification). @return all rounds executed.
      */

@@ -408,8 +408,7 @@ ControlledExperiment::run()
         SparseObservation carry;
         for (int iter = 1; iter <= config_.detector.maxIterations;
              ++iter) {
-            double t = t0 + (iter - 1) *
-                                config_.detector.profilingIntervalSec;
+            double t = t0 + (iter - 1) * kProfilingIntervalSec;
             if (host_faults) {
                 // Churn lands between rounds, before the adversary
                 // probes: departures first (departedRound is the first

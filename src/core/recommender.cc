@@ -4,11 +4,11 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "linalg/fold_in.h"
 #include "obs/metrics.h"
-#include "util/thread_pool.h"
 
 namespace bolt {
 namespace core {
@@ -58,11 +58,11 @@ constexpr size_t kCells = ScaledProfileTable::kLevelCells;
 } // namespace
 
 /**
- * Reusable working memory for one analyze()/decompose() call. Handed
- * out per thread-pool worker (or from the spare list) by the
- * recommender, so after a thread's first query every buffer here is a
- * capacity-warm vector or a fixed-size lane array: the query hot loops
- * allocate nothing.
+ * Reusable working memory for one analyze()/decompose() call. Each
+ * thread has one (threadScratch()), so after a thread's first query
+ * every buffer here is a capacity-warm vector or a fixed-size lane
+ * array: the query hot loops allocate nothing. Every query rebuilds
+ * what it reads, so one scratch serves recommenders of any size.
  */
 struct QueryScratch
 {
@@ -138,23 +138,6 @@ struct QueryScratch
     alignas(linalg::kKernelAlign) double
         widenLevels[linalg::kKernelBlock * linalg::kMaxWidenParts];
     const double* candPtrs[linalg::kMaxFitCoords] = {};
-};
-
-/** RAII lease of a QueryScratch from a recommender's per-thread pool. */
-struct ScratchLease
-{
-    const HybridRecommender& rec;
-    HybridRecommender::ScratchHandle handle;
-
-    explicit ScratchLease(const HybridRecommender& r)
-        : rec(r), handle(r.acquireScratch())
-    {
-    }
-    ~ScratchLease() { rec.releaseScratch(handle); }
-    ScratchLease(const ScratchLease&) = delete;
-    ScratchLease& operator=(const ScratchLease&) = delete;
-
-    QueryScratch& operator*() const { return *handle.scratch; }
 };
 
 namespace {
@@ -293,50 +276,30 @@ HybridRecommender::HybridRecommender(const TrainingSet& training,
     // hoisted out of the per-query sweep.
     pearson_ = linalg::buildPearsonTable(training_.columns(),
                                          resourceWeights_);
-
-    scratchPool_ = &util::ThreadPool::global();
-    workerScratch_.resize(scratchPool_->threadCount());
-}
-
-HybridRecommender::~HybridRecommender() = default;
-
-HybridRecommender::ScratchHandle
-HybridRecommender::acquireScratch() const
-{
-    util::ThreadPool::WorkerRef worker = util::ThreadPool::currentWorker();
-    if (worker.pool != nullptr && worker.pool == scratchPool_ &&
-        worker.index < workerScratch_.size()) {
-        // A worker index is exclusive to its thread, so its slot needs
-        // no lock; queries never fan out to the pool, so the slot can't
-        // be re-entered either.
-        auto& slot = workerScratch_[worker.index];
-        if (!slot)
-            slot = std::make_unique<QueryScratch>();
-        obs::MetricsRegistry::global().add(
-            obs::MetricId::kRecommenderScratchWorkerHits);
-        return {slot.get(), false};
-    }
-    obs::MetricsRegistry::global().add(
-        obs::MetricId::kRecommenderScratchSpareAcquisitions);
-    std::lock_guard<std::mutex> lock(spareMutex_);
-    if (!spare_.empty()) {
-        QueryScratch* s = spare_.back().release();
-        spare_.pop_back();
-        return {s, true};
-    }
-    return {new QueryScratch, true};
-}
-
-void
-HybridRecommender::releaseScratch(ScratchHandle h) const
-{
-    if (!h.pooled)
-        return;
-    std::lock_guard<std::mutex> lock(spareMutex_);
-    spare_.emplace_back(h.scratch);
 }
 
 namespace {
+
+/**
+ * The calling thread's query scratch, created on its first query and
+ * freed when the thread exits. One slot per thread serves every
+ * recommender: a query never runs pool work while it holds the slot,
+ * so no other query can reach it mid-use. Hits and creations feed
+ * recommender.scratch_worker_hits and .scratch_spare_acquisitions.
+ */
+QueryScratch&
+threadScratch()
+{
+    thread_local std::unique_ptr<QueryScratch> slot;
+    auto& metrics = obs::MetricsRegistry::global();
+    if (slot) {
+        metrics.add(obs::MetricId::kRecommenderScratchWorkerHits);
+    } else {
+        slot = std::make_unique<QueryScratch>();
+        metrics.add(obs::MetricId::kRecommenderScratchSpareAcquisitions);
+    }
+    return *slot;
+}
 
 /**
  * Counts one call and, when metrics are on, records its wall-clock
@@ -575,8 +538,7 @@ HybridRecommender::analyze(const SparseObservation& observation) const
                      obs::MetricId::kRecommenderAnalyzeWallUs);
     SimilarityResult result;
 
-    ScratchLease lease(*this);
-    QueryScratch& s = *lease;
+    QueryScratch& s = threadScratch();
     unpackObservation(observation, resourceWeights_, s);
     completeRow(observation, s);
     finishAnalyze(observation, s, result);
@@ -596,8 +558,7 @@ HybridRecommender::decompose(const SparseObservation& observation,
 
     size_t m = training_.size();
 
-    ScratchLease lease(*this);
-    QueryScratch& s = *lease;
+    QueryScratch& s = threadScratch();
     unpackObservation(observation, resourceWeights_, s);
 
     s.shortlist.clear();

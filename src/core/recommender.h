@@ -1,8 +1,6 @@
 #ifndef BOLT_CORE_RECOMMENDER_H
 #define BOLT_CORE_RECOMMENDER_H
 
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,10 +12,6 @@
 #include "linalg/svd.h"
 
 namespace bolt {
-
-namespace util {
-class ThreadPool;
-} // namespace util
 
 namespace core {
 
@@ -118,8 +112,8 @@ struct Decomposition
  * Everything query-invariant is hoisted into the constructor: the
  * column factors and the centroid row the fold-in is centred on, and a
  * flat table of load-scaled training profiles (ScaledProfileTable).
- * Per-query working memory lives in reusable QueryScratch buffers handed
- * out per thread-pool worker, so after each thread's first query the hot
+ * Per-query working memory lives in one reusable QueryScratch per thread,
+ * shared by every recommender, so after each thread's first query the hot
  * loops of analyze() and decompose() perform no heap allocation (only
  * the returned result vectors are freshly built). All caching is
  * invisible in the outputs: results are bit-identical to the uncached
@@ -130,8 +124,8 @@ struct Decomposition
  * other const members may be called concurrently from any number of
  * threads (the parallel experiment engine shares one instance across
  * all per-server detection tasks). Internally each concurrent caller
- * uses a distinct QueryScratch: thread-pool workers get a fixed slot by
- * worker index, other threads borrow from a mutex-guarded spare list.
+ * uses its own thread's QueryScratch; a query never runs pool work
+ * while it holds it, so no other query can reach it mid-use.
  * The referenced TrainingSet must outlive the recommender and must not
  * be mutated during queries.
  *
@@ -144,7 +138,6 @@ class HybridRecommender
   public:
     HybridRecommender(const TrainingSet& training,
                       RecommenderConfig config = {});
-    ~HybridRecommender();
 
     HybridRecommender(const HybridRecommender&) = delete;
     HybridRecommender& operator=(const HybridRecommender&) = delete;
@@ -193,20 +186,6 @@ class HybridRecommender
 
   private:
     /**
-     * One leased QueryScratch plus where to return it. Worker-slot
-     * scratch (pooled == false) needs no return; spare-list scratch is
-     * handed back under spareMutex_.
-     */
-    struct ScratchHandle
-    {
-        QueryScratch* scratch = nullptr;
-        bool pooled = false;
-    };
-    ScratchHandle acquireScratch() const;
-    void releaseScratch(ScratchHandle h) const;
-    friend struct ScratchLease;
-
-    /**
      * Stage 1 of analyze(): unpack + CF completion of the victim row
      * into s.fullRow (pressure points, overrides applied).
      */
@@ -235,16 +214,6 @@ class HybridRecommender
     ScaledProfileTable table_; ///< Load-scaled training profiles.
     /** Entry-side half of the ranking's weighted Pearson, hoisted. */
     linalg::PearsonTable pearson_;
-
-    // Per-thread query scratch. Workers of scratchPool_ use their slot
-    // in workerScratch_; everyone else borrows from spare_. The pool
-    // pointer is only ever *compared*, never dereferenced, so a stale
-    // pointer after ThreadPool::setGlobalThreads merely demotes lookups
-    // to the spare list.
-    const util::ThreadPool* scratchPool_ = nullptr;
-    mutable std::vector<std::unique_ptr<QueryScratch>> workerScratch_;
-    mutable std::mutex spareMutex_;
-    mutable std::vector<std::unique_ptr<QueryScratch>> spare_;
 };
 
 } // namespace core

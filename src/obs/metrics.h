@@ -111,10 +111,10 @@ enum class MetricKind { Counter, Gauge, Histogram };
     X(RecommenderDecomposeCalls, "recommender.decompose_calls",              \
       Sim, false, "HybridRecommender::decompose invocations")                \
     X(RecommenderScratchWorkerHits, "recommender.scratch_worker_hits",       \
-      Wall, false, "Query scratch served from a worker's fixed slot")        \
+      Wall, false, "Queries served by their thread's existing scratch slot") \
     X(RecommenderScratchSpareAcquisitions,                                   \
       "recommender.scratch_spare_acquisitions",                              \
-      Wall, false, "Query scratch leased from the mutex-guarded spares")     \
+      Wall, false, "Per-thread query scratch slots created (first query)")   \
     X(RecommenderPruneSkipped, "recommender.prune_skipped",                  \
       Sim, false,                                                            \
       "decompose() candidates skipped by the lower-bound prune")             \
@@ -327,10 +327,10 @@ struct Snapshot
  * Lock-free metrics registry: counters, max-gauges and fixed-bucket
  * histograms accumulated into per-thread shards, merged on snapshot().
  *
- * Recording discipline mirrors the recommender's QueryScratch worker
- * slots: each thread owns a shard that only it writes (shard cells are
- * relaxed atomics so snapshot() may read them concurrently), so the
- * record path after a thread's first touch is
+ * Recording discipline mirrors the recommender's per-thread
+ * QueryScratch: each thread owns a shard that only it writes (shard
+ * cells are relaxed atomics so snapshot() may read them concurrently),
+ * so the record path after a thread's first touch is
  *
  *     relaxed enabled? load -> thread-local shard -> relaxed load+store
  *

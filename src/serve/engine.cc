@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <queue>
 #include <set>
 
@@ -11,7 +9,6 @@
 #include "obs/monitor.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "serve/queue.h"
 #include "util/digest.h"
 #include "util/thread_pool.h"
 
@@ -343,27 +340,16 @@ ServeEngine::run() const
     }
 
     // ---------------------------------------------------------------
-    // Execution plane: run every batch's queries for real, fanned out
-    // over the thread pool through the bounded MPMC dispatch queue.
-    // Each request's recommender output lands in its own outcome slot,
-    // so results are bit-identical at any thread count.
+    // Execution plane: run every batch's queries for real, one batch
+    // per parallelFor index; the calling thread runs batches too. Each
+    // request's recommender output lands in its own outcome slot, so
+    // results are bit-identical at any thread count.
     // ---------------------------------------------------------------
     auto& metrics = obs::MetricsRegistry::global();
-    if (!batches.empty()) {
-        unsigned consumers = util::ThreadPool::global().threadCount();
-        BoundedQueue<size_t> dispatch(
-            std::max<size_t>(8, 2 * consumers));
-        struct ExecSync
-        {
-            std::mutex mutex;
-            std::condition_variable cv;
-            unsigned exited = 0;
-        } sync;
-
-        auto execBatch = [&](size_t b) {
+    util::parallelFor(
+        0, batches.size(),
+        [&](size_t b) {
             auto t0 = std::chrono::steady_clock::now();
-            // Every request runs on its own; its digest lands in its
-            // own outcome slot.
             for (uint64_t id : batches[b]) {
                 const Request& req = requests[id];
                 util::Fnv1a dig;
@@ -379,30 +365,8 @@ ServeEngine::run() const
                 std::chrono::duration<double, std::micro>(
                     std::chrono::steady_clock::now() - t0)
                     .count());
-        };
-        auto consume = [&] {
-            size_t b;
-            while (dispatch.pop(&b))
-                execBatch(b);
-            std::lock_guard<std::mutex> lock(sync.mutex);
-            ++sync.exited;
-            sync.cv.notify_all();
-        };
-        for (unsigned c = 0; c < consumers; ++c)
-            util::ThreadPool::global().submit(consume);
-        for (size_t b = 0; b < batches.size(); ++b)
-            dispatch.push(b); // blocks when workers fall behind
-        dispatch.close();
-        // Help drain, then wait for every consumer to let go of the
-        // queue before it leaves this frame.
-        {
-            size_t b;
-            while (dispatch.tryPop(&b))
-                execBatch(b);
-        }
-        std::unique_lock<std::mutex> lock(sync.mutex);
-        sync.cv.wait(lock, [&] { return sync.exited == consumers; });
-    }
+        },
+        1);
 
     // ---------------------------------------------------------------
     // Sim-class metrics, recorded once from the deterministic totals.

@@ -111,11 +111,10 @@ struct ServeResult
  *    schedule — which requests were admitted, how batches formed, what
  *    was shed — is a pure function of (config, seed).
  *  - **Execution plane (wall time, parallel).** The batches the
- *    decision plane formed are pushed through a bounded MPMC
- *    `BoundedQueue` and drained by thread-pool workers (the submitting
- *    thread helps), each batch running its queries against the shared
- *    recommender via the per-worker `QueryScratch` path and folding
- *    results into its requests' private outcome slots. Execution order
+ *    decision plane formed run as one `util::parallelFor` over batch
+ *    indices (the calling thread runs batches too), each batch running
+ *    its queries against the shared recommender and folding results
+ *    into its requests' private outcome slots. Execution order
  *    is unspecified; outputs are slot-addressed, so results stay
  *    bit-identical at any thread count while wall-clock metrics
  *    (Wall-class) reflect real parallel throughput.

@@ -73,8 +73,11 @@ Rng::uniformInt(int64_t lo, int64_t hi)
 double
 Rng::gaussian(double mean, double stddev)
 {
-    std::normal_distribution<double> dist(mean, stddev);
-    return dist(engine_);
+    // A standard draw scaled by hand is what libstdc++ computes for
+    // (mean, stddev), bit for bit, but it also admits stddev 0, which
+    // the (mean, stddev) constructor rejects.
+    std::normal_distribution<double> dist(0.0, 1.0);
+    return dist(engine_) * stddev + mean;
 }
 
 double

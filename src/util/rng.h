@@ -57,7 +57,11 @@ class Rng
     /** Uniform integer in [lo, hi] (inclusive). */
     int64_t uniformInt(int64_t lo, int64_t hi);
 
-    /** Gaussian with the given mean and standard deviation. */
+    /**
+     * Gaussian with the given mean and standard deviation. stddev 0
+     * returns `mean` and consumes the same engine draws as any other
+     * stddev.
+     */
     double gaussian(double mean = 0.0, double stddev = 1.0);
 
     /**

@@ -84,20 +84,9 @@ ThreadPool::acquire(size_t home, std::function<void()>& out)
     return false;
 }
 
-namespace {
-thread_local ThreadPool::WorkerRef t_worker;
-} // namespace
-
-ThreadPool::WorkerRef
-ThreadPool::currentWorker()
-{
-    return t_worker;
-}
-
 void
 ThreadPool::workerLoop(size_t idx)
 {
-    t_worker = WorkerRef{this, idx};
     std::function<void()> task;
     for (;;) {
         if (acquire(idx, task)) {

@@ -21,14 +21,14 @@ namespace util {
  * Structure: one task deque per worker. A worker pops from the back of
  * its own deque (LIFO, cache-friendly) and, when empty, steals from the
  * front of a sibling's deque (FIFO, oldest-first — the classic
- * work-stealing discipline). External submitters distribute tasks
- * round-robin across the deques.
+ * work-stealing discipline). parallelFor() is the only way in: it
+ * distributes its chunks round-robin across the deques and the calling
+ * thread runs chunks too.
  *
- * Thread-safety: submit() and parallelFor() may be called from any
- * thread, including from inside a pool task (nested parallelFor is
- * supported — the inner caller helps execute outstanding work instead of
- * blocking a worker). Construction and destruction must not race with
- * use.
+ * Thread-safety: parallelFor() may be called from any thread, including
+ * from inside a pool task (nested parallelFor is supported — the inner
+ * caller helps execute outstanding work instead of blocking a worker).
+ * Construction and destruction must not race with use.
  *
  * Determinism contract: the pool schedules tasks in an unspecified
  * order. Callers that need thread-count-invariant results must make
@@ -43,7 +43,7 @@ class ThreadPool
     /**
      * @param threads Worker count; 0 means std::thread::hardware_concurrency
      *                (at least 1). A pool of size 1 still spawns one
-     *                worker so submit() never runs inline.
+     *                worker, though its parallelFor() runs inline.
      */
     explicit ThreadPool(unsigned threads = 0);
 
@@ -58,9 +58,6 @@ class ThreadPool
     {
         return static_cast<unsigned>(workers_.size());
     }
-
-    /** Enqueue one fire-and-forget task. */
-    void submit(std::function<void()> task);
 
     /**
      * Run body(i) for every i in [begin, end), distributing contiguous
@@ -98,24 +95,6 @@ class ThreadPool
     /** Worker count the global pool has (or would be created with). */
     static unsigned globalThreads();
 
-    /**
-     * Identity of the calling thread within its pool: which pool it
-     * belongs to (nullptr for threads that are not pool workers, e.g.
-     * main) and its worker index in [0, threadCount()).
-     *
-     * Lets callers hand out per-worker scratch slots without locking:
-     * a worker index is exclusive to its thread for the pool's
-     * lifetime. Compare `pool` against a pool pointer you hold — do
-     * not dereference it, since the worker may outlive callers'
-     * assumptions (setGlobalThreads replaces the global pool).
-     */
-    struct WorkerRef
-    {
-        const ThreadPool* pool = nullptr;
-        size_t index = 0;
-    };
-    static WorkerRef currentWorker();
-
   private:
     struct Worker
     {
@@ -123,6 +102,8 @@ class ThreadPool
         std::mutex mutex;
     };
 
+    /** Enqueue one task of a parallelFor() call. */
+    void submit(std::function<void()> task);
     void workerLoop(size_t idx);
     /** Pop from own back, else steal from siblings' fronts. */
     bool acquire(size_t home, std::function<void()>& out);

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <latch>
 #include <thread>
 
 #include "core/detector.h"
@@ -695,10 +694,9 @@ TEST_F(TrainedFixture, CarriedCoverageRunsAndReadsFirstAnalysis)
 }
 
 // ------------------------------------------------------------------
-// QueryScratch slot handoff. The recommender's allocation-free query
-// path hands pool workers fixed scratch slots and everyone else a
-// mutex-guarded spare; both paths must coexist under contention
-// without perturbing results.
+// Per-thread QueryScratch. The recommender's allocation-free query
+// path gives every querying thread one scratch slot, pool worker or
+// not; concurrent threads must not perturb each other's results.
 // ------------------------------------------------------------------
 
 namespace {
@@ -744,70 +742,66 @@ scratchQueryMix(const core::TrainingSet& training, size_t count)
 
 } // namespace
 
-TEST_F(TrainedFixture, QueryScratchSpareHandoffUnderPoolContention)
+TEST_F(TrainedFixture, QueryScratchIsPerThreadUnderPoolContention)
 {
     constexpr size_t kQueries = 64;
+    constexpr size_t kWorkers = 4;
+    constexpr size_t kOutsiders = 3;
     auto queries = scratchQueryMix(*training_, kQueries);
-
-    // Built after the resize, so its worker slots belong to the pool
-    // the queries below run on.
-    util::ThreadPool::setGlobalThreads(4);
-    HybridRecommender recommender(*training_);
 
     // Serial baseline digests.
     std::vector<uint64_t> serial(kQueries);
     for (size_t i = 0; i < kQueries; ++i)
-        serial[i] = analyzeDigest(recommender.analyze(queries[i]));
+        serial[i] = analyzeDigest(recommender_->analyze(queries[i]));
 
-    // Contended run: pool workers (fixed worker slots) and plain
-    // std::threads (spare-list leases) query concurrently. submit()
-    // never runs a task inline, so every pooled query runs on a
-    // worker. Metrics on, to prove both scratch paths were exercised.
+    // Contended run: a parallelFor over pool workers, the main thread
+    // helping, while plain std::threads run the same queries. Metrics
+    // on, to count slot hits and creations.
+    util::ThreadPool::setGlobalThreads(kWorkers);
     auto& metrics = obs::MetricsRegistry::global();
     metrics.reset();
     metrics.setEnabled(true);
 
-    std::vector<uint64_t> pooled(kQueries);
-    std::latch pooledDone(kQueries);
-    for (size_t i = 0; i < kQueries; ++i)
-        util::ThreadPool::global().submit([&, i] {
-            pooled[i] = analyzeDigest(recommender.analyze(queries[i]));
-            pooledDone.count_down();
-        });
     std::vector<std::vector<uint64_t>> external(
-        3, std::vector<uint64_t>(kQueries));
+        kOutsiders, std::vector<uint64_t>(kQueries));
     std::vector<std::thread> outsiders;
-    for (size_t t = 0; t < external.size(); ++t) {
+    for (size_t t = 0; t < kOutsiders; ++t) {
         outsiders.emplace_back([&, t] {
             for (size_t i = 0; i < kQueries; ++i)
                 external[t][i] =
-                    analyzeDigest(recommender.analyze(queries[i]));
+                    analyzeDigest(recommender_->analyze(queries[i]));
         });
     }
-    pooledDone.wait();
+    std::vector<uint64_t> pooled(kQueries);
+    util::parallelFor(
+        0, kQueries,
+        [&](size_t i) {
+            pooled[i] = analyzeDigest(recommender_->analyze(queries[i]));
+        },
+        1);
     for (auto& t : outsiders)
         t.join();
 
     metrics.setEnabled(false);
     auto snap = metrics.snapshot();
+    metrics.reset();
     util::ThreadPool::setGlobalThreads(0);
 
-    // Bit-identical results on every path, under full contention.
+    // Bit-identical results on every thread, under full contention.
     for (size_t i = 0; i < kQueries; ++i) {
         EXPECT_EQ(pooled[i], serial[i]) << "pool query " << i;
-        for (size_t t = 0; t < external.size(); ++t)
+        for (size_t t = 0; t < kOutsiders; ++t)
             EXPECT_EQ(external[t][i], serial[i])
                 << "external thread " << t << " query " << i;
     }
 
-    // Both scratch paths were taken: pool workers hit their slots,
-    // outsider threads leased spares.
-    EXPECT_GT(snap.counter(obs::MetricId::kRecommenderScratchWorkerHits)
-                  .value,
-              0u);
-    EXPECT_GT(snap.counter(
-                      obs::MetricId::kRecommenderScratchSpareAcquisitions)
-                  .value,
-              0u);
-    metrics.reset();
+    // Every query used its thread's slot, existing or new, and no
+    // thread created more than one: the workers, main, the outsiders.
+    uint64_t hits =
+        snap.counter(obs::MetricId::kRecommenderScratchWorkerHits).value;
+    uint64_t created =
+        snap.counter(obs::MetricId::kRecommenderScratchSpareAcquisitions)
+            .value;
+    EXPECT_EQ(hits + created, kQueries * (1 + kOutsiders));
+    EXPECT_LE(created, kWorkers + 1 + kOutsiders);
 }

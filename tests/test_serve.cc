@@ -1,104 +1,21 @@
-/** Tests for the deterministic query-serving layer (src/serve/):
- *  bounded MPMC queue, load generator, and the two-plane engine
- *  (admission control, micro-batching, SLO shedding, determinism). */
+/** Tests for the deterministic query-serving layer (src/serve/): load
+ *  generator and the two-plane engine (admission control,
+ *  micro-batching, SLO shedding, determinism). */
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "core/recommender.h"
 #include "serve/engine.h"
 #include "serve/loadgen.h"
-#include "serve/queue.h"
 #include "util/thread_pool.h"
 #include "workloads/generators.h"
 
 using namespace bolt;
 
 namespace {
-
-// ------------------------------------------------------------------
-// BoundedQueue
-// ------------------------------------------------------------------
-
-TEST(BoundedQueue, TryPushRejectsWhenFullNeverDrops)
-{
-    serve::BoundedQueue<int> q(2);
-    EXPECT_EQ(q.tryPush(1), serve::Admit::Ok);
-    EXPECT_EQ(q.tryPush(2), serve::Admit::Ok);
-    EXPECT_EQ(q.tryPush(3), serve::Admit::QueueFull);
-    EXPECT_EQ(q.size(), 2u);
-
-    int v = 0;
-    EXPECT_TRUE(q.tryPop(&v));
-    EXPECT_EQ(v, 1); // FIFO
-    EXPECT_EQ(q.tryPush(3), serve::Admit::Ok);
-}
-
-TEST(BoundedQueue, CloseWakesConsumersAndReportsClosed)
-{
-    serve::BoundedQueue<int> q(4);
-    EXPECT_EQ(q.tryPush(7), serve::Admit::Ok);
-    q.close();
-    EXPECT_EQ(q.tryPush(8), serve::Admit::Closed);
-    EXPECT_FALSE(q.push(9));
-
-    int v = 0;
-    EXPECT_TRUE(q.pop(&v)); // drains the remaining item first
-    EXPECT_EQ(v, 7);
-    EXPECT_FALSE(q.pop(&v)); // closed and drained
-}
-
-TEST(BoundedQueue, PopBatchTakesUpToMaxInOrder)
-{
-    serve::BoundedQueue<int> q(8);
-    for (int i = 0; i < 5; ++i)
-        ASSERT_EQ(q.tryPush(i), serve::Admit::Ok);
-
-    std::vector<int> batch;
-    EXPECT_EQ(q.popBatch(&batch, 3), 3u);
-    EXPECT_EQ(batch, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(q.popBatch(&batch, 8), 2u);
-    EXPECT_EQ(batch, (std::vector<int>{3, 4}));
-}
-
-TEST(BoundedQueue, MpmcStressDeliversEveryItemExactlyOnce)
-{
-    constexpr int kProducers = 4;
-    constexpr int kPerProducer = 500;
-    serve::BoundedQueue<int> q(16); // small: forces backpressure
-
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&q, p] {
-            for (int i = 0; i < kPerProducer; ++i)
-                ASSERT_TRUE(q.push(p * kPerProducer + i));
-        });
-    }
-
-    std::mutex seen_mutex;
-    std::set<int> seen;
-    std::vector<std::thread> consumers;
-    for (int c = 0; c < 3; ++c) {
-        consumers.emplace_back([&] {
-            int v;
-            while (q.pop(&v)) {
-                std::lock_guard<std::mutex> lock(seen_mutex);
-                EXPECT_TRUE(seen.insert(v).second) << "duplicate " << v;
-            }
-        });
-    }
-    for (auto& t : producers)
-        t.join();
-    q.close();
-    for (auto& t : consumers)
-        t.join();
-    EXPECT_EQ(seen.size(),
-              static_cast<size_t>(kProducers * kPerProducer));
-}
 
 // ------------------------------------------------------------------
 // LoadGen
