@@ -9,6 +9,7 @@
  * memory-bound neighbors like Spark.
  */
 #include <algorithm>
+#include <cmath>
 #include <iostream>
 
 #include "driver_flags.h"

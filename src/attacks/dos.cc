@@ -1,6 +1,7 @@
 #include "dos.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "obs/monitor.h"
 #include "obs/timeseries.h"

@@ -224,7 +224,15 @@ enum class MetricKind { Counter, Gauge, Histogram };
       "Virtual seconds one scenario stage consumed")                         \
     X(FleetEpochUtilPct, "fleet.epoch_util_pct",                             \
       Sim, 0.0, 100.0, 50,                                                   \
-      "Mean host utilization per fleet epoch, percent")
+      "Mean host utilization per fleet epoch, percent")                      \
+    X(FleetBootWallMs, "fleet.boot_wall_ms",                                 \
+      Wall, 0.0, 10000.0, 200, "Wall-clock time of the fleet boot, msec")    \
+    X(FleetDecideWallMs, "fleet.decide_wall_ms",                             \
+      Wall, 0.0, 1000.0, 200,                                                \
+      "Wall-clock time of one epoch's decision plane (decideEpoch), msec")   \
+    X(FleetProfileWallMs, "fleet.profile_wall_ms",                           \
+      Wall, 0.0, 1000.0, 200,                                                \
+      "Wall-clock time of one epoch's execution plane (profileEpoch), msec")
 
 /**
  * Stable metric identifiers. Counters first, then gauges, then

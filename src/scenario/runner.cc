@@ -1,6 +1,7 @@
 #include "scenario/runner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <ostream>
 #include <string>

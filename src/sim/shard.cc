@@ -1,6 +1,7 @@
 #include "sim/shard.h"
 
 #include <algorithm>
+#include <chrono>
 #include <string>
 
 #include "obs/metrics.h"
@@ -25,6 +26,27 @@ constexpr double kAnomalyThreshold = 75.0;
 using util::seeds::kFleetBoot;
 using util::seeds::kFleetChurn;
 using util::seeds::kFleetProfile;
+
+/**
+ * Run one fleet stage and record its wall time, in msec, into the
+ * Wall-class histogram `wall_ms`. The clock is read only when metrics
+ * are on.
+ */
+template <typename Stage>
+void
+timeStage(obs::MetricsRegistry& metrics, obs::MetricId wall_ms,
+          Stage&& stage)
+{
+    if (!metrics.enabled()) {
+        stage();
+        return;
+    }
+    auto start = std::chrono::steady_clock::now();
+    stage();
+    metrics.observe(wall_ms, std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count());
+}
 
 } // namespace
 
@@ -334,7 +356,8 @@ FleetCluster::run()
     d.u64(static_cast<uint64_t>(cfg_.epochs));
     d.u64(cfg_.seed);
 
-    bootFleet(&out);
+    timeStage(metrics, obs::MetricId::kFleetBootWallMs,
+              [&] { bootFleet(&out); });
     d.u64(out.vmsBooted);
     for (const Host& host : hosts_) {
         d.u64(host.used);
@@ -352,8 +375,10 @@ FleetCluster::run()
     out.epochs.reserve(static_cast<size_t>(cfg_.epochs));
     for (int e = 0; e < cfg_.epochs; ++e) {
         FleetEpoch ep;
-        decideEpoch(e, &ep);
-        profileEpoch(e);
+        timeStage(metrics, obs::MetricId::kFleetDecideWallMs,
+                  [&] { decideEpoch(e, &ep); });
+        timeStage(metrics, obs::MetricId::kFleetProfileWallMs,
+                  [&] { profileEpoch(e); });
 
         t += cfg_.epochSec;
         ep.t = t;

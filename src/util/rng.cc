@@ -3,10 +3,90 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 
 namespace bolt {
 namespace util {
+
+namespace detail {
+
+namespace {
+
+constexpr uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
+constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;
+constexpr uint64_t kSeedMult = 6364136223846793005ULL;
+
+/** Seeding recurrence: word i from word i - 1. */
+inline uint64_t
+seedStep(uint64_t prev, uint64_t i)
+{
+    return kSeedMult * (prev ^ (prev >> 62)) + i;
+}
+
+/** The twist of words k (lo) and k + 1 (hi) into the word `far`. */
+inline uint64_t
+twist(uint64_t lo, uint64_t hi, uint64_t far)
+{
+    uint64_t y = (lo & kUpperMask) | (hi & ~kUpperMask);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
+}
+
+} // namespace
+
+size_t
+Mt19937_64::defined() const
+{
+    return ready_ == 0 ? 1 : std::min(ready_ + kM, kN);
+}
+
+Mt19937_64&
+Mt19937_64::operator=(const Mt19937_64& other)
+{
+    if (this != &other) {
+        std::copy_n(other.x_, other.defined(), x_);
+        p_ = other.p_;
+        ready_ = other.ready_;
+    }
+    return *this;
+}
+
+void
+Mt19937_64::refill()
+{
+    size_t k = 0;
+    if (ready_ < kN) {
+        // First block. Word k needs seed words k, k + 1 and k + kM, so
+        // a chunk seeds up to kM words past its end, twisting as it
+        // goes. Chunks double from 16 words; past word kN - kM the
+        // seeding is done and the rest of the block is twisted in one
+        // pass.
+        size_t end = ready_ == 0 ? 16 : 2 * ready_;
+        if (end > kN - kM)
+            end = kN;
+        size_t seeded = defined();
+        uint64_t s = x_[seeded - 1];
+        for (size_t i = seeded; i < kM; ++i) // the first chunk's lead-in
+            x_[i] = s = seedStep(s, i);
+        for (k = ready_; k < std::min(end, kN - kM); ++k) {
+            x_[k + kM] = s = seedStep(s, k + kM);
+            x_[k] = twist(x_[k], x_[k + 1], s);
+        }
+        ready_ = end;
+        if (end < kN)
+            return;
+    } else {
+        // A later block: the standard engine's bulk twist.
+        for (; k < kN - kM; ++k)
+            x_[k] = twist(x_[k], x_[k + 1], x_[k + kM]);
+        p_ = 0;
+    }
+    for (; k < kN - 1; ++k)
+        x_[k] = twist(x_[k], x_[k + 1], x_[k - (kN - kM)]);
+    x_[kN - 1] = twist(x_[kN - 1], x_[0], x_[kM - 1]);
+}
+
+} // namespace detail
 
 namespace {
 

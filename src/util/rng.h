@@ -1,14 +1,74 @@
 #ifndef BOLT_UTIL_RNG_H
 #define BOLT_UTIL_RNG_H
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <random>
 #include <string_view>
 #include <vector>
 
 namespace bolt {
 namespace util {
+
+namespace detail {
+
+/**
+ * MT19937-64, seeded lazily: the output sequence of every seed is
+ * std::mt19937_64's, but construction stores only the seed.
+ *
+ * Word k of the first block needs the seeding recurrence only up to
+ * word k + 156, so the first block is produced on demand in doubling
+ * chunks (16, 32, 64, 128 words, then the rest of the block), each
+ * chunk seeding and twisting in one pass. Once the block is finished
+ * every later block is twisted in bulk, exactly as the standard engine
+ * does. A stream's first n draws thus cost about 156 + n seeding steps
+ * instead of the standard engine's 312 seeding steps plus a 312-word
+ * twist, and a long stream costs what the standard engine does.
+ *
+ * Rng's engine; only util/rng and its tests name it.
+ */
+class Mt19937_64
+{
+  public:
+    using result_type = uint64_t;
+
+    explicit Mt19937_64(uint64_t seed) { x_[0] = seed; }
+
+    /** Copies only the words the source has defined so far. */
+    Mt19937_64(const Mt19937_64& other) { *this = other; }
+    Mt19937_64& operator=(const Mt19937_64& other);
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    result_type
+    operator()()
+    {
+        if (p_ == ready_)
+            refill();
+        uint64_t z = x_[p_++];
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+        z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+        return z ^ (z >> 43);
+    }
+
+  private:
+    static constexpr size_t kN = 312; ///< State words (one block).
+    static constexpr size_t kM = 156; ///< Twist offset.
+
+    /** Twist the next chunk of the first block, or the next block. */
+    void refill();
+
+    /** Words of x_ set so far: the twisted ones, then seeded ones. */
+    size_t defined() const;
+
+    uint64_t x_[kN];   ///< Only [0, defined()) is ever read.
+    size_t p_ = 0;     ///< Next word of the current block to temper.
+    size_t ready_ = 0; ///< Words of the current block twisted so far.
+};
+
+} // namespace detail
 
 /**
  * Deterministic random number generator used by every stochastic component
@@ -103,11 +163,8 @@ class Rng
         return items[index(items.size())];
     }
 
-    /** Access the underlying engine (for std:: distributions in tests). */
-    std::mt19937_64& engine() { return engine_; }
-
   private:
-    std::mt19937_64 engine_;
+    detail::Mt19937_64 engine_;
     uint64_t seed_;
 };
 

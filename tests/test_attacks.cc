@@ -4,6 +4,8 @@
  * the migration-defense timeline), resource-freeing attacks, and the VM
  * co-residency detection attack.
  */
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "attacks/coresidency.h"

@@ -10,6 +10,8 @@
  *    alive_e = alive_{e-1} + arrivals_e - departures_e and the
  *    residency audit passes after every epoch, under fault churn too
  *  - epoch-clock monotonicity under fault churn
+ *  - the Wall-class stage timers: one sample per boot, decideEpoch and
+ *    profileEpoch call when metrics are on, none when they are off
  *
  * The 100k-host scale lives in test_fleet_sweep (SLOW) and
  * bench/perf_fleet_scaling; nothing here should take more than a few
@@ -21,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/shard.h"
 #include "util/seeds.h"
 #include "util/thread_pool.h"
@@ -269,6 +272,26 @@ TEST(FleetClock, EpochClockIsMonotoneUnderFaultChurn)
     EXPECT_EQ(r.simSeconds, prev);
     EXPECT_GT(faults, 0u) << "fault churn should actually fire at 25%";
     EXPECT_EQ(r.hostFaults, faults);
+}
+
+TEST(FleetObs, StageTimersSampleEveryCallOnlyWhenEnabled)
+{
+    FleetConfig cfg = smallFleet(5);
+    auto& metrics = obs::MetricsRegistry::global();
+    auto count = [&](obs::MetricId id) {
+        return metrics.snapshot().histogram(id).count;
+    };
+    metrics.reset();
+    uint64_t digest = FleetCluster(cfg).run().digest;
+    EXPECT_EQ(count(obs::MetricId::kFleetBootWallMs), 0u);
+
+    metrics.setEnabled(true);
+    EXPECT_EQ(FleetCluster(cfg).run().digest, digest);
+    metrics.setEnabled(false);
+    EXPECT_EQ(count(obs::MetricId::kFleetBootWallMs), 1u);
+    EXPECT_EQ(count(obs::MetricId::kFleetDecideWallMs), 4u);
+    EXPECT_EQ(count(obs::MetricId::kFleetProfileWallMs), 4u);
+    metrics.reset();
 }
 
 TEST(FleetEdge, ZeroTenantsAndSingleHost)

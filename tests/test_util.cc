@@ -1,11 +1,15 @@
 /**
  * @file
  * Unit tests for the util library: RNG determinism and substreams,
- * summary statistics, histograms, online stats, 2-D heatmaps, the
- * ASCII table/series renderers, and the work-stealing thread pool.
+ * the lazily seeded engine against std::mt19937_64, summary
+ * statistics, histograms, online stats, 2-D heatmaps, the ASCII
+ * table/series renderers, and the work-stealing thread pool.
  */
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <numeric>
+#include <random>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -142,6 +146,219 @@ TEST(Rng, IndexThrowsOnEmpty)
 {
     Rng rng(1);
     EXPECT_THROW(rng.index(0), std::invalid_argument);
+}
+
+// ------------------------------------------- engine vs std::mt19937_64
+
+namespace {
+
+/** 0, 1, 2^64 - 1 and Rng's default seed, then 1000 random seeds. */
+std::vector<uint64_t>
+engineSeeds()
+{
+    std::vector<uint64_t> seeds = {0, 1, ~uint64_t{0}, 0x5DEECE66DULL};
+    std::mt19937_64 pick(20170408);
+    for (int i = 0; i < 1000; ++i)
+        seeds.push_back(pick());
+    return seeds;
+}
+
+/**
+ * Draw counts on every side of every boundary of the lazy engine: its
+ * first-block chunk edges (16, 32, 64, 128), word 156 (where the
+ * seeding ends), and the first two block ends.
+ */
+const size_t kBoundaryDraws[] = {1,   15,  16,  17,  31,  32,  33,  63,
+                                 64,  65,  127, 128, 129, 155, 156, 157,
+                                 311, 312, 313, 623, 624, 625};
+
+/** Rng's methods as Rng writes them, over std::mt19937_64. */
+struct StdRng
+{
+    explicit StdRng(uint64_t seed) : engine(seed) {}
+
+    double
+    uniform(double lo, double hi)
+    {
+        return std::uniform_real_distribution<double>(lo, hi)(engine);
+    }
+    int64_t
+    uniformInt(int64_t lo, int64_t hi)
+    {
+        return std::uniform_int_distribution<int64_t>(lo, hi)(engine);
+    }
+    double
+    gaussian(double mean, double stddev)
+    {
+        return std::normal_distribution<double>(0.0, 1.0)(engine) * stddev +
+               mean;
+    }
+    bool
+    bernoulli(double p)
+    {
+        return std::bernoulli_distribution(std::clamp(p, 0.0, 1.0))(engine);
+    }
+    double
+    exponential(double mean)
+    {
+        return std::exponential_distribution<double>(1.0 / mean)(engine);
+    }
+    double
+    lognormal(double median, double sigma)
+    {
+        return std::lognormal_distribution<double>(std::log(median),
+                                                   sigma)(engine);
+    }
+    size_t
+    index(size_t size)
+    {
+        return static_cast<size_t>(
+            uniformInt(0, static_cast<int64_t>(size) - 1));
+    }
+    size_t
+    weightedIndex(const std::vector<double>& weights)
+    {
+        double u = uniform(0.0,
+                           std::accumulate(weights.begin(), weights.end(),
+                                           0.0));
+        double acc = 0.0;
+        for (size_t i = 0; i < weights.size(); ++i) {
+            acc += weights[i];
+            if (u < acc)
+                return i;
+        }
+        return weights.size() - 1;
+    }
+    std::vector<size_t>
+    permutation(size_t n)
+    {
+        std::vector<size_t> perm(n);
+        std::iota(perm.begin(), perm.end(), size_t{0});
+        for (size_t i = n; i > 1; --i)
+            std::swap(perm[i - 1], perm[index(i)]);
+        return perm;
+    }
+
+    std::mt19937_64 engine;
+};
+
+} // namespace
+
+TEST(Mt19937_64, MatchesStdEngineAtEveryBoundaryForEverySeed)
+{
+    for (uint64_t seed : engineSeeds()) {
+        for (size_t n : kBoundaryDraws) {
+            detail::Mt19937_64 lazy(seed);
+            std::mt19937_64 ref(seed);
+            for (size_t d = 0; d < n; ++d)
+                ASSERT_EQ(lazy(), ref())
+                    << "seed " << seed << ", draw " << d << " of " << n;
+        }
+    }
+}
+
+TEST(Mt19937_64, TenThousandthOutputIsTheStandardsValue)
+{
+    // [rand.predef]: the 10000th consecutive invocation of a
+    // default-constructed mt19937_64 (seed 5489) produces this value.
+    detail::Mt19937_64 engine(5489);
+    for (int i = 1; i < 10000; ++i)
+        engine();
+    EXPECT_EQ(engine(), 9981545732273789042ULL);
+}
+
+TEST(Mt19937_64, CopyContinuesLikeTheOriginalFromEveryBoundary)
+{
+    std::vector<size_t> stops = {0};
+    stops.insert(stops.end(), std::begin(kBoundaryDraws),
+                 std::end(kBoundaryDraws));
+    for (uint64_t seed : {uint64_t{0}, uint64_t{0x5DEECE66DULL}}) {
+        for (size_t n : stops) {
+            detail::Mt19937_64 original(seed);
+            std::mt19937_64 ref(seed);
+            for (size_t d = 0; d < n; ++d)
+                ASSERT_EQ(original(), ref());
+            detail::Mt19937_64 copy(original);
+            // Assignment over an engine already deep in its own stream.
+            detail::Mt19937_64 assigned(~seed);
+            for (int d = 0; d < 700; ++d)
+                assigned();
+            assigned = copy;
+            for (int d = 0; d < 700; ++d) {
+                uint64_t want = ref();
+                ASSERT_EQ(original(), want) << "stop " << n << ", +" << d;
+                ASSERT_EQ(copy(), want) << "stop " << n << ", +" << d;
+                ASSERT_EQ(assigned(), want) << "stop " << n << ", +" << d;
+            }
+        }
+    }
+}
+
+TEST(Rng, CopyMidFirstBlockContinuesLikeTheOriginal)
+{
+    Rng original = Rng::stream(21, {1, 2});
+    for (int i = 0; i < 20; ++i) // 20 draws: inside the second chunk
+        original.uniform();
+    Rng copy = original;
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(copy.uniform(), original.uniform()) << i;
+}
+
+TEST(Rng, EveryMethodMatchesAStdEngineReplica)
+{
+    // Interleaved calls start each method at many engine offsets, the
+    // chunk and block boundaries among them (a seed's 400 calls draw
+    // about 800 words).
+    const std::vector<double> weights = {0.5, 0.0, 2.0, 1.25};
+    std::vector<uint64_t> seeds = engineSeeds();
+    seeds.resize(64);
+    seeds.push_back(Rng::stream(7, {3, 4}).seed());
+    seeds.push_back(Rng(7).substream("alpha", 2).seed());
+    std::mt19937_64 script(99);
+    for (uint64_t seed : seeds) {
+        Rng rng(seed);
+        StdRng ref(seed);
+        for (int call = 0; call < 400; ++call) {
+            switch (script() % 11) {
+            case 0:
+                ASSERT_EQ(rng.uniform(), ref.uniform(0.0, 1.0));
+                break;
+            case 1:
+                ASSERT_EQ(rng.uniform(-3.0, 7.5), ref.uniform(-3.0, 7.5));
+                break;
+            case 2:
+                ASSERT_EQ(rng.uniformInt(-5, 1000000007),
+                          ref.uniformInt(-5, 1000000007));
+                break;
+            case 3:
+                ASSERT_EQ(rng.gaussian(2.0, 3.0), ref.gaussian(2.0, 3.0));
+                break;
+            case 4:
+                ASSERT_EQ(rng.clampedGaussian(50.0, 30.0, 0.0, 100.0),
+                          std::clamp(ref.gaussian(50.0, 30.0), 0.0, 100.0));
+                break;
+            case 5:
+                ASSERT_EQ(rng.bernoulli(0.3), ref.bernoulli(0.3));
+                break;
+            case 6:
+                ASSERT_EQ(rng.exponential(4.0), ref.exponential(4.0));
+                break;
+            case 7:
+                ASSERT_EQ(rng.lognormal(2.0, 0.5), ref.lognormal(2.0, 0.5));
+                break;
+            case 8:
+                ASSERT_EQ(rng.index(17), ref.index(17));
+                break;
+            case 9:
+                ASSERT_EQ(rng.weightedIndex(weights),
+                          ref.weightedIndex(weights));
+                break;
+            default:
+                ASSERT_EQ(rng.permutation(9), ref.permutation(9));
+                break;
+            }
+        }
+    }
 }
 
 TEST(Summary, BasicMoments)
