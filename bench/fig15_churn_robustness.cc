@@ -34,7 +34,8 @@ main(int argc, char** argv)
     if (!bench::parseDriverFlags(argc, argv))
         return 2;
     // Metrics feed the abstention column; observability is inert by
-    // contract (check.sh --obs), so this cannot change the results.
+    // contract (tests/test_determinism.cc, tests/test_cli.cc), so this
+    // cannot change the results.
     obs::MetricsRegistry::global().setEnabled(true);
 
     // Churn sweep: arrival and departure share the rate; the

@@ -12,7 +12,7 @@
  * on what `bolt_cli <kind> FLAGS --dump` prints emit the same bytes.
  *
  * --threads and the observability flags never change stdout
- * (scripts/check.sh --obs enforces it). Invalid input — an unknown
+ * (tests/test_cli.cc checks it). Invalid input — an unknown
  * command, key or name, a malformed number, an out-of-range value —
  * exits 2 with the valid names or range; a failed `expect:` item or
  * layer self-check exits 3.

@@ -37,13 +37,6 @@ inline constexpr util::EnumKey<PolicyKind> kPolicyKindKeys[] = {
 /** Display name of a tournament policy. */
 const char* policyName(PolicyKind kind);
 
-/** Whether a policy is one of the two arms-race defenses. */
-inline bool
-isSecurePolicy(PolicyKind kind)
-{
-    return kind == PolicyKind::Mab || kind == PolicyKind::Secure;
-}
-
 /**
  * Round-robin configuration: every attacker x policy x utilization
  * cell plays `reps` independent campaigns. All randomness derives from

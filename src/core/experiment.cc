@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "util/digest.h"
 #include "util/thread_pool.h"
 
 namespace bolt {
@@ -141,29 +142,20 @@ ExperimentResult::iterationsPdf(int co_residents) const
 uint64_t
 ExperimentResult::digest() const
 {
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (v >> (byte * 8)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
-    mix(outcomes.size());
+    util::Fnv1a d;
+    d.u64(outcomes.size());
     for (const auto& o : outcomes) {
-        for (char c : o.spec.classLabel()) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 1099511628211ull;
-        }
-        mix(o.server);
-        mix(static_cast<uint64_t>(o.coResidents));
-        mix(static_cast<uint64_t>(o.dominant));
-        mix(o.classCorrect ? 1 : 0);
-        mix(o.charCorrect ? 1 : 0);
-        mix(static_cast<uint64_t>(o.iterations));
-        mix(o.departed ? 1 : 0);
-        mix(static_cast<uint64_t>(o.departedRound));
+        d.str(o.spec.classLabel());
+        d.u64(o.server);
+        d.u64(static_cast<uint64_t>(o.coResidents));
+        d.u64(static_cast<uint64_t>(o.dominant));
+        d.u64(o.classCorrect ? 1 : 0);
+        d.u64(o.charCorrect ? 1 : 0);
+        d.u64(static_cast<uint64_t>(o.iterations));
+        d.u64(o.departed ? 1 : 0);
+        d.u64(static_cast<uint64_t>(o.departedRound));
     }
-    return h;
+    return d.h;
 }
 
 size_t
@@ -278,7 +270,7 @@ ControlledExperiment::run()
     for (auto& spec : victims_)
         spec.obfuscation = config_.victimObfuscation;
 
-    std::unique_ptr<sched::Scheduler> scheduler;
+    std::unique_ptr<sched::PlacementPolicy> scheduler;
     if (config_.policy == ExperimentConfig::Policy::Quasar)
         scheduler = std::make_unique<sched::QuasarScheduler>();
     else

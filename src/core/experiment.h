@@ -122,8 +122,8 @@ struct ExperimentResult
      * FNV-1a fingerprint of every outcome (victim class label, server,
      * co-residents, dominant resource, correctness flags, iteration
      * count, churn fate) in order. Bit-identical across thread counts
-     * and across observability on/off — scripts/check.sh --obs and
-     * --fault compare exactly this value.
+     * and across observability on/off, which the Determinism suite and
+     * the BoltCli observability case check.
      */
     uint64_t digest() const;
 };

@@ -125,8 +125,6 @@ dcellAdd(std::atomic<double>& c, double v)
             std::memory_order_relaxed);
 }
 
-std::atomic<uint64_t> g_next_registry_id{1};
-
 } // namespace
 
 const MetricInfo&
@@ -231,7 +229,6 @@ struct MetricsRegistry::Shard
 };
 
 MetricsRegistry::MetricsRegistry()
-    : id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed))
 {
     for (size_t g = 0; g < kNumGauges; ++g) {
         gauges_[g].store(0.0, std::memory_order_relaxed);
@@ -252,41 +249,11 @@ MetricsRegistry::global()
     return *instance;
 }
 
-/**
- * Find-or-create the calling thread's shard. A thread-local cache
- * keyed on the registry's unique id makes every call after the first
- * lock-free; the cache survives across registries (tests create their
- * own) because a mismatched id falls back to the locked map, which
- * also re-finds a shard when a thread id is reused after join.
- */
-MetricsRegistry::Shard&
-MetricsRegistry::localShard()
-{
-    struct Cache
-    {
-        uint64_t registryId = 0;
-        Shard* shard = nullptr;
-    };
-    thread_local Cache cache;
-    if (cache.registryId == id_ && cache.shard)
-        return *cache.shard;
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    Shard*& slot = shardOf_[std::this_thread::get_id()];
-    if (!slot) {
-        shards_.push_back(std::make_unique<Shard>());
-        slot = shards_.back().get();
-    }
-    cache.registryId = id_;
-    cache.shard = slot;
-    return *slot;
-}
-
 void
 MetricsRegistry::addSlow(MetricId id, uint64_t n)
 {
     assert(metricInfo(id).kind == MetricKind::Counter);
-    cellAdd(localShard().counters[counterIndex(id)], n);
+    cellAdd(shards_.local().counters[counterIndex(id)], n);
 }
 
 void
@@ -295,7 +262,7 @@ MetricsRegistry::observeSlow(MetricId id, double value)
     const MetricInfo& info = metricInfo(id);
     assert(info.kind == MetricKind::Histogram);
     size_t h = histogramIndex(id);
-    Shard& shard = localShard();
+    Shard& shard = shards_.local();
     cellAdd(shard.buckets[layout().bucketOffset[h] + bucketFor(info, value)],
             1);
     cellAdd(shard.histCounts[h], 1);
@@ -318,7 +285,7 @@ MetricsRegistry::gaugeMaxSlow(MetricId id, double value)
 Snapshot
 MetricsRegistry::snapshot() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    auto lock = shards_.lock();
     Snapshot snap;
     snap.shards = shards_.size();
 
@@ -366,20 +333,13 @@ MetricsRegistry::snapshot() const
 void
 MetricsRegistry::reset()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    auto lock = shards_.lock();
     for (auto& shard : shards_)
         shard->zero();
     for (size_t g = 0; g < kNumGauges; ++g) {
         gauges_[g].store(0.0, std::memory_order_relaxed);
         gaugeSet_[g].store(false, std::memory_order_relaxed);
     }
-}
-
-size_t
-MetricsRegistry::shardCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return shards_.size();
 }
 
 } // namespace obs

@@ -3,11 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
+
+#include "shards.h"
 
 namespace bolt {
 namespace obs {
@@ -349,8 +347,8 @@ struct Snapshot
  * Disabled (the default), every record call is one relaxed load and a
  * branch; nothing else runs. Enabling/disabling never changes any
  * computation in the library — observability observes, it does not
- * perturb — which scripts/check.sh --obs and the determinism tests
- * enforce end to end.
+ * perturb — which the determinism tests and, end to end through
+ * bolt_cli, BoltCli.ObservabilityFlagsNeverChangeStdout enforce.
  *
  * Thread-safety: all record calls, snapshot() and enabled() may be
  * used concurrently. reset() and setEnabled() must not race with
@@ -407,23 +405,15 @@ class MetricsRegistry
     /** Zero all shards and gauges. Not safe against in-flight records. */
     void reset();
 
-    /** Number of shards created so far (== threads that recorded). */
-    size_t shardCount() const;
-
   private:
     struct Shard;
 
     void addSlow(MetricId id, uint64_t n);
     void observeSlow(MetricId id, double value);
     void gaugeMaxSlow(MetricId id, double value);
-    Shard& localShard();
 
-    const uint64_t id_; ///< Process-unique, validates thread-local caches.
     std::atomic<bool> enabled_{false};
-
-    mutable std::mutex mutex_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::map<std::thread::id, Shard*> shardOf_;
+    ThreadShards<Shard> shards_;
 
     std::atomic<double> gauges_[kNumGauges == 0 ? 1 : kNumGauges];
     std::atomic<bool> gaugeSet_[kNumGauges == 0 ? 1 : kNumGauges];

@@ -339,18 +339,6 @@ setTelemetryOutPath(std::string path)
 }
 
 const std::string&
-metricsOutPath()
-{
-    return g_metrics_out;
-}
-
-const std::string&
-traceOutPath()
-{
-    return g_trace_out;
-}
-
-const std::string&
 telemetryOutPath()
 {
     return g_telemetry_out;

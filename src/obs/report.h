@@ -87,8 +87,6 @@ class RunReport
 void setMetricsOutPath(std::string path);
 void setTraceOutPath(std::string path);
 void setTelemetryOutPath(std::string path);
-const std::string& metricsOutPath();
-const std::string& traceOutPath();
 const std::string& telemetryOutPath();
 
 /**

@@ -23,8 +23,6 @@ const SeriesInfo kSeriesTable[kNumSeries] = {
 #undef BOLT_OBS_SERIES_INFO
 };
 
-std::atomic<uint64_t> g_next_recorder_id{1};
-
 /** Format a double the way JSON expects (NaN -> null, round-trip). */
 std::string
 jsonNum(double v)
@@ -227,8 +225,7 @@ TimeSeriesRecorder::TimeSeriesRecorder() : TimeSeriesRecorder(TelemetryConfig{})
 }
 
 TimeSeriesRecorder::TimeSeriesRecorder(const TelemetryConfig& cfg)
-    : id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)),
-      cfg_(cfg)
+    : cfg_(cfg)
 {
     assert(cfg_.windowSec > 0.0 && cfg_.retention > 0);
 }
@@ -248,36 +245,11 @@ void
 TimeSeriesRecorder::configure(const TelemetryConfig& cfg)
 {
     assert(cfg.windowSec > 0.0 && cfg.retention > 0);
-    std::lock_guard<std::mutex> lock(mutex_);
+    auto lock = shards_.lock();
     cfg_ = cfg;
-    // Shards are sized by the config: drop them and invalidate every
-    // thread-local cache by taking a fresh recorder id.
+    // Shards are sized by the config: drop them, which also invalidates
+    // every thread-local cache.
     shards_.clear();
-    shardOf_.clear();
-    id_ = g_next_recorder_id.fetch_add(1, std::memory_order_relaxed);
-}
-
-TimeSeriesRecorder::Shard&
-TimeSeriesRecorder::localShard()
-{
-    struct Cache
-    {
-        uint64_t recorderId = 0;
-        Shard* shard = nullptr;
-    };
-    thread_local Cache cache;
-    if (cache.recorderId == id_ && cache.shard)
-        return *cache.shard;
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    Shard*& slot = shardOf_[std::this_thread::get_id()];
-    if (!slot) {
-        shards_.push_back(std::make_unique<Shard>(cfg_));
-        slot = shards_.back().get();
-    }
-    cache.recorderId = id_;
-    cache.shard = slot;
-    return *slot;
 }
 
 void
@@ -287,7 +259,7 @@ TimeSeriesRecorder::record(SeriesId id, std::string_view label, double t,
     const SeriesInfo& info = seriesInfo(id);
     assert(info.keyed || label.empty());
     size_t s = static_cast<size_t>(id);
-    Shard& shard = localShard();
+    Shard& shard = shards_.local(cfg_);
     bool withSketch = info.kind == SeriesKind::Sample;
     Shard::LabelSlot& slot =
         info.keyed ? shard.slotFor(s, label, cfg_, withSketch)
@@ -312,7 +284,7 @@ TimeSeriesRecorder::record(SeriesId id, std::string_view label, double t,
 TelemetrySnapshot
 TimeSeriesRecorder::snapshot() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    auto lock = shards_.lock();
     TelemetrySnapshot snap;
     snap.windowSec = cfg_.windowSec;
 
@@ -366,7 +338,7 @@ bool
 TimeSeriesRecorder::windowPoint(SeriesId id, std::string_view label,
                                 int64_t window, SeriesPoint* out) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    auto lock = shards_.lock();
     size_t s = static_cast<size_t>(id);
     size_t r = window < 0
                    ? 0
@@ -401,7 +373,7 @@ TimeSeriesRecorder::windowPoint(SeriesId id, std::string_view label,
 uint64_t
 TimeSeriesRecorder::seriesDropped() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    auto lock = shards_.lock();
     uint64_t total = 0;
     for (const auto& shard : shards_)
         total += shard->dropped;
@@ -411,7 +383,7 @@ TimeSeriesRecorder::seriesDropped() const
 void
 TimeSeriesRecorder::reset()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    auto lock = shards_.lock();
     for (auto& shard : shards_)
         shard->zero();
 }

@@ -2,16 +2,13 @@
 #define BOLT_OBS_TIMESERIES_H
 
 #include "metrics.h"
+#include "shards.h"
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 namespace bolt {
@@ -298,16 +295,10 @@ class TimeSeriesRecorder
 
     void record(SeriesId id, std::string_view label, double t,
                 double value, uint64_t n, bool isSample);
-    Shard& localShard();
 
-    uint64_t id_; ///< Process-unique, validates thread-local caches;
-                  ///< bumped by configure() to invalidate them.
     std::atomic<bool> enabled_{false};
-    TelemetryConfig cfg_;
-
-    mutable std::mutex mutex_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::map<std::thread::id, Shard*> shardOf_;
+    TelemetryConfig cfg_; ///< configure() writes it under shards_.lock().
+    ThreadShards<Shard> shards_;
 };
 
 /**

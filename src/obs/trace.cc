@@ -66,20 +66,13 @@ writeEventJson(std::ostream& os, const TraceEvent& e)
 
 } // namespace
 
-namespace {
-std::atomic<uint64_t> g_next_tracer_id{1};
-} // namespace
-
 /** One thread's private event buffer (only the owner appends). */
 struct Tracer::Shard
 {
     std::vector<TraceEvent> events;
 };
 
-Tracer::Tracer()
-    : id_(g_next_tracer_id.fetch_add(1, std::memory_order_relaxed))
-{
-}
+Tracer::Tracer() = default;
 
 Tracer::~Tracer() = default;
 
@@ -90,29 +83,6 @@ Tracer::global()
     // MetricsRegistry::global().
     static Tracer* instance = new Tracer();
     return *instance;
-}
-
-Tracer::Shard&
-Tracer::localShard()
-{
-    struct Cache
-    {
-        uint64_t tracerId = 0;
-        Shard* shard = nullptr;
-    };
-    thread_local Cache cache;
-    if (cache.tracerId == id_ && cache.shard)
-        return *cache.shard;
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    Shard*& slot = shardOf_[std::this_thread::get_id()];
-    if (!slot) {
-        shards_.push_back(std::make_unique<Shard>());
-        slot = shards_.back().get();
-    }
-    cache.tracerId = id_;
-    cache.shard = slot;
-    return *slot;
 }
 
 void
@@ -131,7 +101,7 @@ Tracer::record(std::string name, std::string category, char phase,
     e.track = track;
     e.round = round;
     e.args = std::move(args);
-    localShard().events.push_back(std::move(e));
+    shards_.local().events.push_back(std::move(e));
 }
 
 std::vector<TraceEvent>
@@ -139,7 +109,7 @@ Tracer::sortedEvents() const
 {
     std::vector<TraceEvent> all;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        auto lock = shards_.lock();
         size_t total = 0;
         for (const auto& shard : shards_)
             total += shard->events.size();
@@ -155,7 +125,7 @@ Tracer::sortedEvents() const
 size_t
 Tracer::eventCount() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    auto lock = shards_.lock();
     size_t total = 0;
     for (const auto& shard : shards_)
         total += shard->events.size();
@@ -188,7 +158,7 @@ Tracer::writeJsonl(std::ostream& os) const
 void
 Tracer::clear()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    auto lock = shards_.lock();
     for (auto& shard : shards_)
         shard->events.clear();
 }

@@ -3,14 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
+
+#include "shards.h"
 
 namespace bolt {
 namespace obs {
@@ -110,14 +108,9 @@ class Tracer
     void record(std::string name, std::string category, char phase,
                 double t0Sec, double t1Sec, int64_t track, int64_t round,
                 std::vector<std::pair<std::string, std::string>> args);
-    Shard& localShard();
 
-    const uint64_t id_;
     std::atomic<bool> enabled_{false};
-
-    mutable std::mutex mutex_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::map<std::thread::id, Shard*> shardOf_;
+    ThreadShards<Shard> shards_;
 };
 
 } // namespace obs

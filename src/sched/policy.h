@@ -124,9 +124,6 @@ class PlacementPolicy
     std::map<sim::TenantId, Placement> placements_;
 };
 
-/** Legacy name: every scheduler is a placement policy. */
-using Scheduler = PlacementPolicy;
-
 /**
  * Place req.constraints.replicas copies of `req` through `policy`,
  * committing each landing via `commit` (which performs the actual

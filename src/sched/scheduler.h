@@ -122,7 +122,6 @@ class MigrationController
     bool migrated(double t) const;
 
     double threshold() const { return threshold_; }
-    double overheadSec() const { return overheadSec_; }
 
   private:
     double threshold_;

@@ -35,7 +35,6 @@ class Cluster
     const Server& server(size_t i) const { return servers_.at(i); }
 
     const IsolationConfig& isolation() const { return iso_; }
-    void setIsolation(const IsolationConfig& iso) { iso_ = iso; }
 
     /** Allocate a fresh tenant id (never reused). */
     TenantId nextTenantId() { return next_id_++; }

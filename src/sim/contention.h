@@ -37,7 +37,6 @@ class ContentionModel
     explicit ContentionModel(IsolationConfig iso = {}) : iso_(iso) {}
 
     const IsolationConfig& isolation() const { return iso_; }
-    void setIsolation(const IsolationConfig& iso) { iso_ = iso; }
 
     /**
      * External pressure tenant `observer` experiences on `server`, given

@@ -111,9 +111,6 @@ class AppInstance
     /** Deterministic mean pressure at time t (no jitter). */
     sim::ResourceVector meanPressureAt(double t) const;
 
-    /** Load multiplier at time t. */
-    double loadAt(double t) const { return spec_.pattern.factor(t); }
-
     /**
      * Fault-injection hook (src/fault): shift the load pattern to a new
      * phase offset mid-run, modeling a workload that abruptly jumps to a

@@ -167,8 +167,9 @@ TEST(Determinism, ParallelForCoversEveryIndexOnce)
 TEST(Determinism, ObservabilityIsInert)
 {
     // Turning metrics + tracing on must not change any result bit:
-    // observability observes, it does not perturb. (scripts/check.sh
-    // --obs enforces the same property end to end through bolt_cli.)
+    // observability observes, it does not perturb.
+    // (BoltCli.ObservabilityFlagsNeverChangeStdout checks the same
+    // property end to end through bolt_cli.)
     auto& metrics = obs::MetricsRegistry::global();
     auto& tracer = obs::Tracer::global();
     metrics.setEnabled(false);

@@ -114,8 +114,6 @@ TEST(GoldenManifest, ListsEveryGoldenAndScenario)
             << "bench/goldens.txt names a missing file: " << path;
 
     std::set<std::string> wanted = filesIn("bench", ".golden");
-    // perf_recommender reads this digest file; it prints Wall timings.
-    wanted.erase("bench/BENCH_recommender.golden");
     wanted.merge(filesIn("scenarios/golden", ".golden"));
     wanted.merge(filesIn("scenarios", ".scn"));
     for (const std::string& path : wanted)

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -14,170 +13,12 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "json_validator.h"
 
 using namespace bolt;
+using bolt::test::JsonValidator;
 
 namespace {
-
-/**
- * Minimal recursive-descent JSON validator — enough to prove the
- * exporters emit syntactically valid JSON without a JSON dependency.
- */
-class JsonValidator
-{
-  public:
-    explicit JsonValidator(const std::string& text) : s_(text) {}
-
-    bool
-    valid()
-    {
-        skipWs();
-        if (!value())
-            return false;
-        skipWs();
-        return pos_ == s_.size();
-    }
-
-  private:
-    bool
-    value()
-    {
-        if (pos_ >= s_.size())
-            return false;
-        char c = s_[pos_];
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
-        if (c == '"')
-            return string();
-        if (c == 't')
-            return literal("true");
-        if (c == 'f')
-            return literal("false");
-        if (c == 'n')
-            return literal("null");
-        return number();
-    }
-
-    bool
-    object()
-    {
-        ++pos_; // '{'
-        skipWs();
-        if (peek() == '}') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (!string())
-                return false;
-            skipWs();
-            if (peek() != ':')
-                return false;
-            ++pos_;
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    array()
-    {
-        ++pos_; // '['
-        skipWs();
-        if (peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == ']') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    string()
-    {
-        if (peek() != '"')
-            return false;
-        ++pos_;
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            if (s_[pos_] == '\\')
-                ++pos_;
-            ++pos_;
-        }
-        if (pos_ >= s_.size())
-            return false;
-        ++pos_; // closing quote
-        return true;
-    }
-
-    bool
-    number()
-    {
-        size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        while (pos_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-                s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-                s_[pos_] == '+' || s_[pos_] == '-')) {
-            ++pos_;
-        }
-        return pos_ > start;
-    }
-
-    bool
-    literal(const char* word)
-    {
-        size_t len = std::string(word).size();
-        if (s_.compare(pos_, len, word) != 0)
-            return false;
-        pos_ += len;
-        return true;
-    }
-
-    char
-    peek() const
-    {
-        return pos_ < s_.size() ? s_[pos_] : '\0';
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < s_.size() &&
-               std::isspace(static_cast<unsigned char>(s_[pos_])))
-            ++pos_;
-    }
-
-    const std::string& s_;
-    size_t pos_ = 0;
-};
 
 TEST(ObsMetrics, DisabledByDefaultRecordsNothing)
 {

@@ -825,6 +825,17 @@ TEST(ScenarioFlags, RejectsWhatTheOldFrontEndSilentlyRan)
     EXPECT_EQ(flagsError("armsrace", {"--utilization", "200"}),
               "--utilization: value 200 for 'utilization' out of range "
               "[5, 90]");
+    EXPECT_EQ(flagsError("armsrace", {"--utilization", "40,x"}),
+              "--utilization: value '40,x' for 'utilization' is not a "
+              "number");
+    EXPECT_EQ(flagsError("armsrace", {"--servers", "10x"}),
+              "--servers: value '10x' for 'servers' is not an integer");
+    EXPECT_EQ(flagsError("armsrace", {"--reps", "99999"}),
+              "--reps: value 99999 for 'reps' out of range [1, 64]");
+    EXPECT_EQ(flagsError("fleet", {"--hosts", "10x"}),
+              "--hosts: value '10x' for 'hosts' is not an integer");
+    EXPECT_EQ(flagsError("fleet", {"--shards", "99999"}),
+              "--shards: value 99999 for 'shards' out of range [1, 4096]");
     EXPECT_EQ(flagsError("attack", {}),
               "attack: missing required key 'kind' in attack stage");
     // Flag-shape errors name the offending flag.

@@ -191,7 +191,7 @@ namespace {
  * @return the pick sequence (-1 marks a no-fit).
  */
 std::vector<int>
-pickSequence(Scheduler& sched, uint64_t seed)
+pickSequence(PlacementPolicy& sched, uint64_t seed)
 {
     sim::Cluster cluster(6, 4, 2); // 8 threads per host
     util::Rng rng(seed);
