@@ -60,7 +60,7 @@ CoResidencyAttack::run() const
     victim_spec.pattern = workloads::LoadPattern::constant(0.85);
     place_app(victim_spec, true);
     // Seven other tenants run SQL servers too (the confusion set).
-    for (size_t i = 0; i < config_.decoySqlVms; ++i) {
+    for (size_t i = 0; i < kDecoySqlVms; ++i) {
         auto decoy =
             workloads::instantiate(*sql, sql->variants[0],
                                    place_rng.bernoulli(0.5) ? "S" : "L",
@@ -197,7 +197,7 @@ CoResidencyAttack::run() const
         }
         elapsed += 1.5; // sender burst + receiver sampling window
         if (latency >
-            result.baselineLatencyMs * config_.latencyRatioThreshold) {
+            result.baselineLatencyMs * kLatencyRatioThreshold) {
             result.attackLatencyMs = latency;
             result.victimPinpointed = true;
             break;

@@ -10,16 +10,24 @@
 namespace bolt {
 namespace attacks {
 
+/// Other tenants running the same service as the §5.3 victim.
+inline constexpr size_t kDecoySqlVms = 7;
+
+/**
+ * The receiver's decision rule: a timed latency above baseline x this
+ * ratio confirms co-residency. The §5.3 attack and the arms race's
+ * colo::CoResidencyOracle confirm by the same rule.
+ */
+inline constexpr double kLatencyRatioThreshold = 2.0;
+
 /** Configuration of the §5.3 VM co-residency detection attack. */
 struct CoResidencyConfig
 {
     size_t servers = 40;      ///< Cluster size N.
     size_t victimVms = 1;     ///< k: VMs the target user launches.
-    size_t decoySqlVms = 7;   ///< Other tenants running the same service.
     size_t backgroundVms = 24; ///< Key-value stores, Hadoop, Spark, ...
     size_t probeVms = 10;     ///< n: adversarial VMs launched per wave.
     size_t maxWaves = 6;      ///< Probe waves before giving up.
-    double latencyRatioThreshold = 2.0; ///< Receiver's decision rule.
     uint64_t seed = 31;
 };
 

@@ -71,13 +71,13 @@ DosTimelineExperiment::run(bool use_bolt) const
     // The defense samples the utilization of the allocated cores every
     // second and migrates after a sustained overload (transient spikes
     // are tolerated).
-    sched::MigrationController defense(config_.migrationThreshold,
-                                       config_.migrationOverheadSec,
-                                       config_.triggerSustainSec);
+    sched::MigrationController defense(kDosMigrationThreshold,
+                                       kDosMigrationOverheadSec,
+                                       kDosTriggerSustainSec);
 
     // The attack payload: Bolt injects contention tailored to the
     // victim's two most critical resources (known from detection by
-    // detectionAtSec); the naive attack saturates compute.
+    // kDosDetectionAtSec); the naive attack saturates compute.
     sim::ResourceVector payload =
         use_bolt
             ? DosAttack::craftContention(
@@ -98,7 +98,7 @@ DosTimelineExperiment::run(bool use_bolt) const
         monitor.advanceTo(t);
         DosTimelineSample s;
         s.t = t;
-        bool attacking = t >= config_.detectionAtSec;
+        bool attacking = t >= kDosDetectionAtSec;
         bool on_old_host = !defense.migrated(t);
 
         sim::PressureMap pm;

@@ -47,15 +47,19 @@ struct DosTimelineSample
     bool migrated = false;  ///< Victim now on a fresh host.
 };
 
+/// Sim second the Figure 13 attack starts: Bolt has detected the victim.
+inline constexpr double kDosDetectionAtSec = 20.0;
+/// Host CPU-utilization percent above which the migration defense fires.
+inline constexpr double kDosMigrationThreshold = 70.0;
+/// Sim seconds a live migration of the victim takes.
+inline constexpr double kDosMigrationOverheadSec = 8.0;
+/// Sustained overload, in sim seconds, before migration triggers.
+inline constexpr double kDosTriggerSustainSec = 59.0;
+
 /** Configuration of the single-victim DoS timeline experiment. */
 struct DosTimelineConfig
 {
     double durationSec = 120.0;
-    double detectionAtSec = 20.0;  ///< Attack starts after detection.
-    double migrationThreshold = 70.0;
-    double migrationOverheadSec = 8.0;
-    /** Sustained overload required before migration triggers. */
-    double triggerSustainSec = 59.0;
     int topResources = 2;
     double margin = 1.15;
     uint64_t seed = 99;

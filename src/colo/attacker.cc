@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "attacks/coresidency.h"
 #include "attacks/dos.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
@@ -22,11 +23,9 @@ contains(const std::vector<size_t>& v, size_t x)
 
 CoResidencyOracle::CoResidencyOracle(const sim::Cluster& cluster,
                                      const workloads::AppSpec& victimSpec,
-                                     sim::TenantId victimId, uint64_t seed,
-                                     double latencyRatioThreshold)
+                                     sim::TenantId victimId, uint64_t seed)
     : cluster_(cluster), victimSpec_(victimSpec), victimId_(victimId),
-      seed_(seed), threshold_(latencyRatioThreshold),
-      contention_(cluster.isolation()),
+      seed_(seed), contention_(cluster.isolation()),
       victimInstance_(victimSpec,
                       util::Rng(util::seeds::derivedSeed(
                           seed, util::seeds::kColoOracle, 0))),
@@ -61,7 +60,7 @@ CoResidencyOracle::confirm(size_t probeHost)
         latency =
             victimInstance_.meanLatencyMs(1.0) * rng.lognormal(1.0, 0.04);
     }
-    return latency > baseline_ * threshold_;
+    return latency > baseline_ * attacks::kLatencyRatioThreshold;
 }
 
 CampaignResult

@@ -90,13 +90,13 @@ class CoResidencyOracle
   public:
     CoResidencyOracle(const sim::Cluster& cluster,
                       const workloads::AppSpec& victimSpec,
-                      sim::TenantId victimId, uint64_t seed,
-                      double latencyRatioThreshold = 2.0);
+                      sim::TenantId victimId, uint64_t seed);
 
     /**
      * Sender/receiver confirmation against `probeHost`. @return true
-     * when the timed latency exceeds baseline x threshold, i.e. the
-     * probe host currently holds the victim.
+     * when the timed latency exceeds baseline x
+     * attacks::kLatencyRatioThreshold, i.e. the probe host currently
+     * holds the victim.
      */
     bool confirm(size_t probeHost);
 
@@ -114,7 +114,6 @@ class CoResidencyOracle
     workloads::AppSpec victimSpec_;
     sim::TenantId victimId_;
     uint64_t seed_;
-    double threshold_;
     sim::ContentionModel contention_;
     workloads::AppInstance victimInstance_;
     sim::ResourceVector victimOwn_;

@@ -11,22 +11,6 @@
 namespace bolt {
 namespace colo {
 
-namespace {
-
-/**
- * Efficiency-vs-exposure reward shared by the MAB policies: the
- * utilization term 4u(1-u) peaks at half-full hosts (good consolidation
- * without hot-spotting), the crowd term penalizes adding to hosts that
- * already concentrate many tenants (co-residency exposure).
- */
-double
-mabReward(double util_after, double crowd, double w_util, double w_sec)
-{
-    return w_util * 4.0 * util_after * (1.0 - util_after) - w_sec * crowd;
-}
-
-} // namespace
-
 std::optional<size_t>
 MabScheduler::pickFrom(const sim::Cluster& cluster,
                        const sched::PlacementRequest& req,
@@ -39,7 +23,7 @@ MabScheduler::pickFrom(const sim::Cluster& cluster,
     ++decisions_;
 
     size_t chosen;
-    if (rng.bernoulli(explore_)) {
+    if (rng.bernoulli(kExplore)) {
         chosen = candidates[rng.index(candidates.size())];
     } else {
         // UCB1 over the feasible arms, first-wins in ascending order.
@@ -59,12 +43,16 @@ MabScheduler::pickFrom(const sim::Cluster& cluster,
         chosen = best;
     }
 
+    // Efficiency-vs-exposure reward: the utilization term 4u(1-u)
+    // peaks at half-full hosts (good consolidation without
+    // hot-spotting), the crowd term penalizes adding to hosts that
+    // already concentrate many tenants (co-residency exposure).
     const sim::Server& s = cluster.server(chosen);
     double total = static_cast<double>(s.totalSlots());
     double u = (total - s.freeSlots() + req.vcpus) / total;
     double crowd = static_cast<double>(residentsOn(chosen)) /
                    static_cast<double>(s.cores());
-    double reward = mabReward(u, crowd, wUtil_, wSec_);
+    double reward = kWUtil * 4.0 * u * (1.0 - u) - kWSec * crowd;
     Arm& arm = arms_[chosen];
     ++arm.pulls;
     arm.value += (reward - arm.value) / static_cast<double>(arm.pulls);
@@ -85,7 +73,7 @@ SecureAllocator::score(const sim::Cluster& cluster,
     // penalize tenant-dense hosts; the small free-slot term steers
     // equally-scored hosts away from the fullest one.
     (void)req;
-    return wEnergy_ * powered - wRisk_ * risk +
+    return kWEnergy * powered - kWRisk * risk +
            1e-4 * s.freeSlots() / total;
 }
 
@@ -103,7 +91,7 @@ SecureAllocator::pickFrom(const sim::Cluster& cluster,
                          return score(cluster, req, a) >
                                 score(cluster, req, b);
                      });
-    size_t k = std::min<size_t>(static_cast<size_t>(topK_), ranked.size());
+    size_t k = std::min(kTopK, ranked.size());
     util::Rng rng =
         util::Rng::stream(seed_, {util::seeds::kColoSecure, decisions_});
     ++decisions_;
@@ -117,7 +105,8 @@ SecureAllocator::reactiveStep(sim::Cluster& cluster, double t)
     // trigger, so a persistently loaded host keeps nominating
     // candidates wave after wave (while the budget lasts).
     controllers_.assign(cluster.size(),
-                        sched::MigrationController(threshold_, 8.0, 0.0));
+                        sched::MigrationController(kMigrateThreshold, 8.0,
+                                                   0.0));
 
     std::vector<size_t> triggered;
     for (size_t h = 0; h < cluster.size(); ++h) {
@@ -127,7 +116,7 @@ SecureAllocator::reactiveStep(sim::Cluster& cluster, double t)
         if (controllers_[h].sample(t, util))
             triggered.push_back(h);
     }
-    if (triggered.empty() || migrationsUsed_ >= budget_)
+    if (triggered.empty() || migrationsUsed_ >= kMigrationBudget)
         return 0;
 
     // Migrate the NEWEST recorded tenant on any triggered host (ids
@@ -170,126 +159,6 @@ SecureAllocator::reactiveStep(sim::Cluster& cluster, double t)
         return 1;
     }
     return 0;
-}
-
-size_t
-FleetLeastUsedPlacement::pickHost(const sim::FleetCluster& fleet,
-                                  uint8_t vcpus, size_t start,
-                                  size_t exclude)
-{
-    const size_t H = fleet.hosts();
-    const uint32_t slots = static_cast<uint32_t>(fleet.slotsPerHost());
-    size_t best = kNoHost;
-    uint32_t best_used = 0;
-    for (size_t k = 0; k < H; ++k) {
-        size_t h = start + k;
-        if (h >= H)
-            h -= H;
-        if (h == exclude || fleet.hostDown(h))
-            continue;
-        if (fleet.hostUsed(h) + vcpus > slots)
-            continue;
-        if (best == kNoHost || fleet.hostUsed(h) < best_used) {
-            best = h;
-            best_used = fleet.hostUsed(h);
-        }
-    }
-    return best;
-}
-
-size_t
-FleetMabPlacement::pickHost(const sim::FleetCluster& fleet, uint8_t vcpus,
-                            size_t start, size_t exclude)
-{
-    (void)start; // Entropy comes from the policy's own stream.
-    const size_t H = fleet.hosts();
-    const uint32_t slots = static_cast<uint32_t>(fleet.slotsPerHost());
-    if (arms_.size() < H)
-        arms_.resize(H);
-
-    std::vector<size_t> feasible;
-    feasible.reserve(H);
-    for (size_t h = 0; h < H; ++h) {
-        if (h == exclude || fleet.hostDown(h))
-            continue;
-        if (fleet.hostUsed(h) + vcpus > slots)
-            continue;
-        feasible.push_back(h);
-    }
-    util::Rng rng =
-        util::Rng::stream(seed_, {util::seeds::kColoMab, decisions_});
-    ++decisions_;
-    if (feasible.empty())
-        return kNoHost;
-
-    size_t chosen;
-    if (rng.bernoulli(explore_)) {
-        chosen = feasible[rng.index(feasible.size())];
-    } else {
-        size_t best = feasible.front();
-        double best_v = -std::numeric_limits<double>::infinity();
-        for (size_t h : feasible) {
-            const Arm& a = arms_[h];
-            double bonus = std::sqrt(
-                2.0 * std::log(static_cast<double>(decisions_ + 1)) /
-                static_cast<double>(a.pulls + 1));
-            double v = a.value + bonus;
-            if (v > best_v) {
-                best_v = v;
-                best = h;
-            }
-        }
-        chosen = best;
-    }
-
-    double total = static_cast<double>(slots);
-    double u = (fleet.hostUsed(chosen) + vcpus) / total;
-    double crowd =
-        static_cast<double>(fleet.hostResidents(chosen)) / total;
-    double reward = mabReward(u, crowd, 0.5, 0.5);
-    Arm& arm = arms_[chosen];
-    ++arm.pulls;
-    arm.value += (reward - arm.value) / static_cast<double>(arm.pulls);
-    return chosen;
-}
-
-size_t
-FleetSecurePlacement::pickHost(const sim::FleetCluster& fleet,
-                               uint8_t vcpus, size_t start,
-                               size_t exclude)
-{
-    (void)start;
-    const size_t H = fleet.hosts();
-    const uint32_t slots = static_cast<uint32_t>(fleet.slotsPerHost());
-
-    std::vector<size_t> feasible;
-    feasible.reserve(H);
-    for (size_t h = 0; h < H; ++h) {
-        if (h == exclude || fleet.hostDown(h))
-            continue;
-        if (fleet.hostUsed(h) + vcpus > slots)
-            continue;
-        feasible.push_back(h);
-    }
-    util::Rng rng =
-        util::Rng::stream(seed_, {util::seeds::kColoSecure, decisions_});
-    ++decisions_;
-    if (feasible.empty())
-        return kNoHost;
-
-    auto hostScore = [&](size_t h) {
-        double total = static_cast<double>(slots);
-        double powered = fleet.hostUsed(h) > 0 ? 1.0 : 0.0;
-        double risk =
-            static_cast<double>(fleet.hostResidents(h)) / total;
-        return wEnergy_ * powered - wRisk_ * risk;
-    };
-    std::stable_sort(feasible.begin(), feasible.end(),
-                     [&](size_t a, size_t b) {
-                         return hostScore(a) > hostScore(b);
-                     });
-    size_t k = std::min(topK_, feasible.size());
-    return feasible[rng.index(k)];
 }
 
 } // namespace colo

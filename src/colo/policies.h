@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "sched/scheduler.h"
-#include "sim/shard.h"
 
 namespace bolt {
 namespace colo {
@@ -25,17 +24,15 @@ namespace colo {
 class MabScheduler : public sched::PlacementPolicy
 {
   public:
-    /**
-     * @param seed    Root of the policy's private draw streams.
-     * @param explore Exploration probability per decision.
-     * @param wUtil   Weight of the utilization-efficiency reward term.
-     * @param wSec    Weight of the co-residency-exposure penalty term.
-     */
-    explicit MabScheduler(uint64_t seed, double explore = 0.15,
-                          double wUtil = 0.5, double wSec = 0.5)
-        : seed_(seed), explore_(explore), wUtil_(wUtil), wSec_(wSec)
-    {
-    }
+    /// Exploration probability per decision.
+    static constexpr double kExplore = 0.15;
+    /// Weight of the utilization-efficiency reward term.
+    static constexpr double kWUtil = 0.5;
+    /// Weight of the co-residency-exposure penalty term.
+    static constexpr double kWSec = 0.5;
+
+    /** @param seed Root of the policy's private draw streams. */
+    explicit MabScheduler(uint64_t seed) : seed_(seed) {}
 
     const char* name() const override { return "mab"; }
     bool honorsAffinity() const override { return false; }
@@ -59,9 +56,6 @@ class MabScheduler : public sched::PlacementPolicy
     std::vector<Arm> arms_;
     uint64_t seed_;
     uint64_t decisions_ = 0;
-    double explore_;
-    double wUtil_;
-    double wSec_;
 };
 
 /**
@@ -75,29 +69,22 @@ class MabScheduler : public sched::PlacementPolicy
 class SecureAllocator : public sched::PlacementPolicy
 {
   public:
-    /**
-     * @param seed             Root of the tie-break draw streams.
-     * @param migrationBudget  Max reactive migrations over the
-     *                         allocator's lifetime.
-     * @param topK             Randomization width among top scorers.
-     * @param wEnergy          Reward for reusing already-powered hosts
-     *                         (consolidation = energy saving).
-     * @param wRisk            Penalty per unit of co-residency
-     *                         exposure (residents per slot).
-     * @param migrateThreshold Host CPU-utilization percent above which
-     *                         the reactive pass may rotate a tenant
-     *                         away (aggressively low by default: the
-     *                         defense rotates fresh placements on any
-     *                         host carrying real load).
-     */
-    explicit SecureAllocator(uint64_t seed, int migrationBudget = 4,
-                             int topK = 4, double wEnergy = 0.1,
-                             double wRisk = 2.0,
-                             double migrateThreshold = 20.0)
-        : seed_(seed), budget_(migrationBudget), topK_(topK),
-          wEnergy_(wEnergy), wRisk_(wRisk), threshold_(migrateThreshold)
-    {
-    }
+    /// Max reactive migrations over the allocator's lifetime.
+    static constexpr int kMigrationBudget = 4;
+    /// Randomization width among top scorers.
+    static constexpr size_t kTopK = 4;
+    /// Reward for reusing already-powered hosts (consolidation =
+    /// energy saving).
+    static constexpr double kWEnergy = 0.1;
+    /// Penalty per unit of co-residency exposure (residents per slot).
+    static constexpr double kWRisk = 2.0;
+    /// Host CPU-utilization percent above which the reactive pass may
+    /// rotate a tenant away (aggressively low: the defense rotates
+    /// fresh placements on any host carrying real load).
+    static constexpr double kMigrateThreshold = 20.0;
+
+    /** @param seed Root of the tie-break draw streams. */
+    explicit SecureAllocator(uint64_t seed) : seed_(seed) {}
 
     const char* name() const override { return "secure-opt"; }
     bool honorsAffinity() const override { return false; }
@@ -114,7 +101,6 @@ class SecureAllocator : public sched::PlacementPolicy
     size_t reactiveStep(sim::Cluster& cluster, double t);
 
     int migrationsUsed() const { return migrationsUsed_; }
-    int migrationBudget() const { return budget_; }
 
   protected:
     double score(const sim::Cluster& cluster, const sched::PlacementRequest& req,
@@ -127,80 +113,7 @@ class SecureAllocator : public sched::PlacementPolicy
     std::vector<sched::MigrationController> controllers_;
     uint64_t seed_;
     uint64_t decisions_ = 0;
-    int budget_;
-    int topK_;
-    double wEnergy_;
-    double wRisk_;
-    double threshold_;
     int migrationsUsed_ = 0;
-};
-
-/**
- * Fleet-scale counterpart of LeastLoaded: deterministic least-used
- * host with a ring tie-break from `start`. The predictable baseline
- * the fleet arms-race duels attack.
- */
-class FleetLeastUsedPlacement : public sim::FleetPlacementPolicy
-{
-  public:
-    size_t pickHost(const sim::FleetCluster& fleet, uint8_t vcpus,
-                    size_t start, size_t exclude) override;
-    const char* name() const override { return "fleet-least-used"; }
-};
-
-/**
- * Fleet-scale MAB allocation: per-host arms with the same
- * efficiency-vs-exposure reward as MabScheduler, drawing from
- * Rng::stream(seed, {kColoMab, decision}). pickHost is only called
- * from the sequential decision plane, so the arm state evolves
- * identically at any shard count.
- */
-class FleetMabPlacement : public sim::FleetPlacementPolicy
-{
-  public:
-    explicit FleetMabPlacement(uint64_t seed, double explore = 0.3)
-        : seed_(seed), explore_(explore)
-    {
-    }
-    size_t pickHost(const sim::FleetCluster& fleet, uint8_t vcpus,
-                    size_t start, size_t exclude) override;
-    const char* name() const override { return "fleet-mab"; }
-
-  private:
-    struct Arm
-    {
-        double value = 0.0;
-        uint64_t pulls = 0;
-    };
-    std::vector<Arm> arms_;
-    uint64_t seed_;
-    uint64_t decisions_ = 0;
-    double explore_;
-};
-
-/**
- * Fleet-scale secure allocator: energy/risk objective over feasible
- * hosts, stream-keyed randomization among the top-K.
- */
-class FleetSecurePlacement : public sim::FleetPlacementPolicy
-{
-  public:
-    explicit FleetSecurePlacement(uint64_t seed, size_t topK = 8,
-                                  double wEnergy = 0.1,
-                                  double wRisk = 2.0)
-        : seed_(seed), topK_(topK), wEnergy_(wEnergy), wRisk_(wRisk)
-    {
-    }
-    size_t pickHost(const sim::FleetCluster& fleet, uint8_t vcpus,
-                    size_t start, size_t exclude) override;
-    const char* name() const override { return "fleet-secure"; }
-
-  private:
-    uint64_t seed_;
-    uint64_t decisions_ = 0;
-    size_t topK_;
-    double wEnergy_;
-    double wRisk_;
 };
 
 } // namespace colo

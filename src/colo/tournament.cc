@@ -1,7 +1,7 @@
 #include "tournament.h"
 
 #include <algorithm>
-#include <iomanip>
+#include <cmath>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -39,7 +39,7 @@ struct RepOutcome
 };
 
 std::unique_ptr<sched::PlacementPolicy>
-makePolicy(PolicyKind kind, uint64_t cellSeed, int migrationBudget)
+makePolicy(PolicyKind kind, uint64_t cellSeed)
 {
     using util::seeds::kColoMab;
     using util::seeds::kColoSecure;
@@ -57,7 +57,7 @@ makePolicy(PolicyKind kind, uint64_t cellSeed, int migrationBudget)
             derivedSeed(cellSeed, kColoMab, 0));
     case PolicyKind::Secure:
         return std::make_unique<SecureAllocator>(
-            derivedSeed(cellSeed, kColoSecure, 0), migrationBudget);
+            derivedSeed(cellSeed, kColoSecure, 0));
     }
     return nullptr;
 }
@@ -84,15 +84,16 @@ runRep(const TournamentConfig& cfg, AttackerKind attacker,
     using util::seeds::kColoProbe;
 
     RepOutcome out;
-    sim::Cluster cluster(cfg.servers, cfg.cores, cfg.threadsPerCore);
+    sim::Cluster cluster(cfg.servers);
     std::unique_ptr<sched::PlacementPolicy> policy =
-        makePolicy(policyKind, cellSeed, cfg.migrationBudget);
+        makePolicy(policyKind, cellSeed);
 
     // Prefill with background tenants until the target utilization.
     util::Rng prefill_rng(derivedSeed(cellSeed, kColoPrefill, 0));
     auto specs = workloads::controlledTestSet(prefill_rng);
-    const size_t capacity = static_cast<size_t>(
-        cfg.servers * cfg.cores * cfg.threadsPerCore);
+    size_t capacity = 0;
+    for (size_t i = 0; i < cluster.size(); ++i)
+        capacity += static_cast<size_t>(cluster.server(i).totalSlots());
     const size_t target = static_cast<size_t>(
         utilLevel / 100.0 * static_cast<double>(capacity));
     size_t used = 0, idx = 0;
@@ -351,7 +352,8 @@ tournamentSelfCheck(const TournamentConfig& cfg,
                     return why.str();
                 }
                 uint64_t budget =
-                    static_cast<uint64_t>(cfg.migrationBudget) *
+                    static_cast<uint64_t>(
+                        SecureAllocator::kMigrationBudget) *
                     static_cast<uint64_t>(def->reps);
                 if (def->migrations > budget) {
                     why << policyName(p) << " under " << attackerName(a)
@@ -371,126 +373,6 @@ tournamentSelfCheck(const TournamentConfig& cfg,
         }
     }
     return "";
-}
-
-const char*
-fleetPolicyName(FleetPolicyKind kind)
-{
-    switch (kind) {
-    case FleetPolicyKind::RingFirstFit:
-        return "ring-first-fit";
-    case FleetPolicyKind::LeastUsed:
-        return "fleet-least-used";
-    case FleetPolicyKind::Mab:
-        return "fleet-mab";
-    case FleetPolicyKind::Secure:
-        return "fleet-secure";
-    }
-    return "?";
-}
-
-FleetDuelResult
-runFleetDuel(const FleetDuelConfig& cfg)
-{
-    using util::seeds::kColoCell;
-    using util::seeds::kColoProbe;
-
-    FleetDuelResult result;
-    util::Fnv1a fold;
-    size_t row_idx = 0;
-    for (FleetPolicyKind pk : cfg.policies) {
-        for (double util : cfg.utilLevels) {
-            uint64_t rowSeed = derivedSeed(cfg.seed, kColoCell, row_idx);
-
-            std::unique_ptr<sim::FleetPlacementPolicy> policy;
-            switch (pk) {
-            case FleetPolicyKind::RingFirstFit:
-                policy = std::make_unique<sim::RingFirstFitPlacement>();
-                break;
-            case FleetPolicyKind::LeastUsed:
-                policy = std::make_unique<FleetLeastUsedPlacement>();
-                break;
-            case FleetPolicyKind::Mab:
-                policy = std::make_unique<FleetMabPlacement>(
-                    derivedSeed(rowSeed, util::seeds::kColoMab, 0));
-                break;
-            case FleetPolicyKind::Secure:
-                policy = std::make_unique<FleetSecurePlacement>(
-                    derivedSeed(rowSeed, util::seeds::kColoSecure, 0));
-                break;
-            }
-
-            sim::FleetConfig fc;
-            fc.hosts = cfg.hosts;
-            fc.shards = cfg.shards;
-            fc.epochs = cfg.epochs;
-            // Mean VM size is (1 + maxVcpus) / 2 = 1.5 slots; pick the
-            // boot tenant count that lands near the target utilization.
-            fc.tenants = static_cast<size_t>(
-                util / 100.0 *
-                static_cast<double>(cfg.hosts * 32) / 1.5);
-            fc.seed = rowSeed;
-            fc.placement = policy.get();
-
-            sim::FleetCluster fleet(fc);
-            sim::FleetResult fr = fleet.run();
-
-            // Victim: the first VM still alive. What-if probes ask the
-            // evolved policy where a fresh 2-vCPU probe would land.
-            size_t victim_host = sim::FleetPlacementPolicy::kNoHost;
-            for (size_t vm = 0; vm < fleet.vmCount(); ++vm) {
-                if (fleet.vmAlive(vm)) {
-                    victim_host = fleet.vmHost(vm);
-                    break;
-                }
-            }
-            uint64_t hits = 0;
-            for (size_t k = 0; k < cfg.probes; ++k) {
-                size_t start =
-                    util::Rng::stream(rowSeed, {kColoProbe, k})
-                        .index(fleet.hosts());
-                size_t h = policy->pickHost(
-                    fleet, 2, start, sim::FleetPlacementPolicy::kNoHost);
-                if (h != sim::FleetPlacementPolicy::kNoHost &&
-                    h == victim_host)
-                    ++hits;
-            }
-
-            FleetDuelRow row;
-            row.policy = pk;
-            row.utilLevel = util;
-            row.hits = hits;
-            row.migrations = fr.migrations;
-            row.meanUtilPct =
-                fr.epochs.empty() ? 0.0 : fr.epochs.back().meanUtil;
-            util::Fnv1a rd;
-            rd.u64(fr.digest);
-            rd.u64(hits);
-            row.digest = rd.h;
-            fold.u64(row.digest);
-            result.rows.push_back(row);
-            ++row_idx;
-        }
-    }
-    result.digest = fold.h;
-    return result;
-}
-
-void
-printFleetDuel(const FleetDuelResult& result, std::ostream& os)
-{
-    util::AsciiTable table(
-        {"policy", "util%", "hits", "migr", "endutil%", "digest"});
-    for (const FleetDuelRow& r : result.rows) {
-        std::ostringstream d;
-        d << std::hex << std::setw(16) << std::setfill('0') << r.digest;
-        table.addRow({fleetPolicyName(r.policy),
-                      util::AsciiTable::num(r.utilLevel, 0),
-                      std::to_string(r.hits),
-                      std::to_string(r.migrations),
-                      util::AsciiTable::num(r.meanUtilPct, 1), d.str()});
-    }
-    table.print(os);
 }
 
 } // namespace colo

@@ -45,9 +45,7 @@ const char* policyName(PolicyKind kind);
  */
 struct TournamentConfig
 {
-    size_t servers = 24;
-    int cores = 8;
-    int threadsPerCore = 2;
+    size_t servers = 24; ///< Hosts, each of sim::Cluster's default size.
     std::vector<double> utilLevels = {30.0, 50.0, 70.0};
     std::vector<AttackerKind> attackers = {AttackerKind::Replication,
                                            AttackerKind::Affinity,
@@ -59,7 +57,6 @@ struct TournamentConfig
     int probesPerWave = 4;
     int waves = 3;
     int probeVcpus = 2;
-    int migrationBudget = 4;
     uint64_t seed = 42;
 };
 
@@ -107,7 +104,8 @@ void printTournament(const TournamentResult& result, std::ostream& os);
  *    LeastLoaded, summed across the attacker strategies;
  *  - per cell, the secure policies' mean utilization stays within
  *    `utilCostBoundPct` of LeastLoaded's (bounded efficiency cost);
- *  - per cell, reactive migrations stay within budget x reps.
+ *  - per cell, reactive migrations stay within
+ *    SecureAllocator::kMigrationBudget x reps.
  *
  * @return "" when all gates hold, else a description of the first
  * violation. Gates requiring absent policies are skipped.
@@ -115,55 +113,6 @@ void printTournament(const TournamentResult& result, std::ostream& os);
 std::string tournamentSelfCheck(const TournamentConfig& cfg,
                                 const TournamentResult& result,
                                 double utilCostBoundPct = 12.0);
-
-/** Fleet-scale policies entered in the duel. */
-enum class FleetPolicyKind : uint8_t { RingFirstFit, LeastUsed, Mab, Secure };
-
-/** Display name of a fleet duel policy. */
-const char* fleetPolicyName(FleetPolicyKind kind);
-
-/**
- * Fleet-scale duel: run a churny FleetCluster under each policy x
- * utilization row, then fire `probes` what-if placement queries at the
- * evolved policy and count how many would land on the (first alive)
- * victim VM's host. Deterministic at any shard x thread count.
- */
-struct FleetDuelConfig
-{
-    size_t hosts = 96;
-    size_t shards = 1;
-    int epochs = 3;
-    std::vector<double> utilLevels = {30.0, 50.0, 70.0};
-    std::vector<FleetPolicyKind> policies = {
-        FleetPolicyKind::RingFirstFit, FleetPolicyKind::LeastUsed,
-        FleetPolicyKind::Mab, FleetPolicyKind::Secure};
-    size_t probes = 64;
-    uint64_t seed = 42;
-};
-
-/** One fleet duel row. */
-struct FleetDuelRow
-{
-    FleetPolicyKind policy = FleetPolicyKind::RingFirstFit;
-    double utilLevel = 0.0;
-    uint64_t hits = 0; ///< What-if probes landing on the victim host.
-    uint64_t migrations = 0;
-    double meanUtilPct = 0.0; ///< Final-epoch mean host utilization.
-    uint64_t digest = 0; ///< Shard-invariant fold of run digest + hits.
-};
-
-/** Fleet duel outcome. */
-struct FleetDuelResult
-{
-    std::vector<FleetDuelRow> rows;
-    uint64_t digest = 0;
-};
-
-/** Run the fleet duel (rows sequential; epochs shard internally). */
-FleetDuelResult runFleetDuel(const FleetDuelConfig& cfg);
-
-/** Render the duel table (Sim-class output: golden-safe). */
-void printFleetDuel(const FleetDuelResult& result, std::ostream& os);
 
 } // namespace colo
 } // namespace bolt

@@ -338,11 +338,12 @@ ControlledExperiment::run()
     // shared read-only, each host's AppInstances belong to it alone,
     // and every host draws from its own counter-based RNG stream — so
     // the per-server loop fans out on the global thread pool. Each
-    // server writes only its own slot of `per_server`, which is then
-    // concatenated in server order: output is byte-identical to the
-    // sequential loop at any thread count.
+    // server writes only its own slots of `per_server` and
+    // `host_end_sec`, which are then folded in server order: output is
+    // byte-identical to the sequential loop at any thread count.
     sim::ContentionModel contention(config_.isolation);
     std::vector<std::vector<VictimOutcome>> per_server(cluster.size());
+    std::vector<double> host_end_sec(cluster.size(), 0.0);
 
     cluster.forEachServer([&](size_t s, const sim::Server& server) {
         std::vector<const PlacedVictim*> here;
@@ -509,6 +510,7 @@ ControlledExperiment::run()
                     obs::MetricId::kExperimentVictimsCharacterized);
             per_server[s].push_back(std::move(o));
         }
+        host_end_sec[s] = host_end;
         metrics.observe(obs::MetricId::kExperimentHostSimSec,
                         host_end - t0);
         BOLT_TRACE_SPAN("experiment.host", "experiment",
@@ -521,6 +523,8 @@ ControlledExperiment::run()
     for (auto& bucket : per_server)
         for (auto& o : bucket)
             result.outcomes.push_back(std::move(o));
+    for (double end : host_end_sec)
+        result.simSeconds = std::max(result.simSeconds, end);
     return result;
 }
 

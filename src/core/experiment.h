@@ -94,6 +94,11 @@ struct VictimOutcome
 struct ExperimentResult
 {
     std::vector<VictimOutcome> outcomes;
+    /**
+     * Sim seconds the detection phase spans: the latest end of any
+     * host's last profiling round. Not part of digest().
+     */
+    double simSeconds = 0.0;
 
     /** Class-level detection accuracy over all victims (Table 1). */
     double aggregateAccuracy() const;

@@ -35,15 +35,6 @@ SparseObservation::observedTotal() const
     return total;
 }
 
-bool
-SparseObservation::corePressureSeen() const
-{
-    for (sim::Resource r : sim::kCoreResources)
-        if (has(r) && get(r) > 0.0)
-            return true;
-    return false;
-}
-
 SparseObservation
 SparseObservation::minus(const sim::ResourceVector& profile) const
 {

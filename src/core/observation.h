@@ -66,9 +66,6 @@ class SparseObservation
     /** Sum of measured pressure (the total contention signal). */
     double observedTotal() const;
 
-    /** Whether any *core* resource was measured with non-zero pressure. */
-    bool corePressureSeen() const;
-
     /**
      * Subtract a known profile from the measured entries (clamping at
      * zero) — used to peel off an identified co-resident and analyze the

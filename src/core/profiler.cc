@@ -134,8 +134,7 @@ Profiler::profile(const HostEnvironment& env, double t, util::Rng& rng,
     // No core sharing detected on the focus core: the core signal
     // carries no information, so spend one more probe on an uncore
     // resource (Section 3.2).
-    if (!round.coreShared && config_.extraUncoreOnZeroCore &&
-        uncore_next < uncore_order.size()) {
+    if (!round.coreShared && uncore_next < uncore_order.size()) {
         run_probe(sim::kUncoreResources[uncore_order[uncore_next++]]);
     }
 
@@ -163,7 +162,7 @@ Profiler::shutterProfile(const HostEnvironment& env, double t,
     // catches the other co-residents idle.
     double best_total = std::numeric_limits<double>::infinity();
     SparseObservation best;
-    for (int w = 0; w < config_.shutterWindows; ++w) {
+    for (int w = 0; w < kShutterWindows; ++w) {
         SparseObservation obs;
         sim::ResourceVector ext = env.visibleExternal(now);
         // Capacity jitter skews whole windows; per-sample dropout and
@@ -190,8 +189,7 @@ Profiler::shutterProfile(const HostEnvironment& env, double t,
             best_total = total;
             best = obs;
         }
-        now += config_.shutterWindowSec +
-               0.02; // window plus inter-window gap
+        now += kShutterWindowSec + 0.02; // window plus inter-window gap
         ++round.benchmarksRun;
     }
 
@@ -199,10 +197,10 @@ Profiler::shutterProfile(const HostEnvironment& env, double t,
     round.durationSec = now - t;
     obs::MetricsRegistry::global().add(
         obs::MetricId::kProfilerShutterWindows,
-        static_cast<uint64_t>(config_.shutterWindows));
+        static_cast<uint64_t>(kShutterWindows));
     BOLT_TRACE_SPAN("profiler.shutter", "profiler",
                     static_cast<int64_t>(env.server->id()), t, now, -1,
-                    {{"windows", std::to_string(config_.shutterWindows)}});
+                    {{"windows", std::to_string(kShutterWindows)}});
     return round;
 }
 

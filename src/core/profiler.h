@@ -45,17 +45,19 @@ struct HostEnvironment
     size_t coResidentCount() const;
 };
 
-/** Profiling strategy knobs (Section 3.2/3.3). */
+/// Shutter mode: number of brief uncore sampling windows.
+inline constexpr int kShutterWindows = 12;
+/// Shutter window length in seconds (paper: 10-50 msec).
+inline constexpr double kShutterWindowSec = 0.03;
+
+/**
+ * Profiling strategy knobs (Section 3.2/3.3). A round whose core probe
+ * reads zero always spends one extra uncore benchmark.
+ */
 struct ProfilerConfig
 {
     /** Benchmarks per round: 1 core + 1 uncore by default. */
     int benchmarks = 2;
-    /** Extra uncore benchmark when the core probe reads zero. */
-    bool extraUncoreOnZeroCore = true;
-    /** Shutter mode: number of brief uncore sampling windows. */
-    int shutterWindows = 12;
-    /** Shutter window length (paper: 10-50 msec). */
-    double shutterWindowSec = 0.03;
     /**
      * Intensity scale of the probes: an adversarial VM smaller than 4
      * vCPUs cannot generate full contention (Fig. 10b); 1.0 means a

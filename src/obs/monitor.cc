@@ -91,18 +91,6 @@ SloMonitor::advanceSlow(double t)
 }
 
 void
-SloMonitor::finalize(double endT)
-{
-    if (!active())
-        return;
-    double windowSec = recorder_.config().windowSec;
-    int64_t wLast =
-        endT <= 0.0 ? 0 : static_cast<int64_t>(endT / windowSec);
-    while (cursor_ <= wLast)
-        evaluateWindow(cursor_++);
-}
-
-void
 SloMonitor::evaluateWindow(int64_t w)
 {
     MetricsRegistry::global().add(MetricId::kMonitorWindowsEvaluated);

@@ -129,9 +129,6 @@ class SloMonitor
             advanceSlow(t);
     }
 
-    /** Evaluate through the window containing `endT` (end of run). */
-    void finalize(double endT);
-
     /** All state transitions so far, in evaluation order. */
     const std::vector<AlertEvent>& events() const
     {

@@ -130,7 +130,7 @@ QuantileSketch::percentile(double p) const
 
 /**
  * One thread's private accumulator: per series, a table of label
- * slots, each owning a preallocated ring of `retention` window cells
+ * slots, each owning a preallocated ring of kTelemetryRetention cells
  * (plus a parallel sketch ring for Sample-kind series). Only the
  * owning thread writes; merges happen under the recorder mutex after
  * the recording phase.
@@ -150,11 +150,11 @@ struct TimeSeriesRecorder::Shard
         std::vector<Cell> ring;
         std::vector<QuantileSketch> sketches; ///< Empty for Counter kind.
 
-        LabelSlot(std::string lbl, size_t retention, bool withSketch)
-            : label(std::move(lbl)), ring(retention)
+        LabelSlot(std::string lbl, bool withSketch)
+            : label(std::move(lbl)), ring(kTelemetryRetention)
         {
             if (withSketch)
-                sketches.resize(retention);
+                sketches.resize(kTelemetryRetention);
         }
     };
 
@@ -167,7 +167,7 @@ struct TimeSeriesRecorder::Shard
     std::vector<SeriesShard> series;
     uint64_t dropped = 0;
 
-    explicit Shard(const TelemetryConfig& cfg) : series(kNumSeries)
+    Shard() : series(kNumSeries)
     {
         // Unkeyed series get their single slot up front so the record
         // path never allocates for them.
@@ -175,8 +175,7 @@ struct TimeSeriesRecorder::Shard
             const SeriesInfo& info = seriesInfo(static_cast<SeriesId>(s));
             if (!info.keyed) {
                 series[s].slots.emplace_back(
-                    std::string(), cfg.retention,
-                    info.kind == SeriesKind::Sample);
+                    std::string(), info.kind == SeriesKind::Sample);
                 series[s].index.emplace(std::string(), 0);
             }
         }
@@ -199,8 +198,7 @@ struct TimeSeriesRecorder::Shard
                 MetricId::kTelemetrySeriesDropped);
             return slotFor(s, kOverflowLabel, cfg, withSketch);
         }
-        ss.slots.emplace_back(std::string(label), cfg.retention,
-                              withSketch);
+        ss.slots.emplace_back(std::string(label), withSketch);
         ss.index.emplace(std::string(label), ss.slots.size() - 1);
         return ss.slots.back();
     }
@@ -227,7 +225,7 @@ TimeSeriesRecorder::TimeSeriesRecorder() : TimeSeriesRecorder(TelemetryConfig{})
 TimeSeriesRecorder::TimeSeriesRecorder(const TelemetryConfig& cfg)
     : cfg_(cfg)
 {
-    assert(cfg_.windowSec > 0.0 && cfg_.retention > 0);
+    assert(cfg_.windowSec > 0.0);
 }
 
 TimeSeriesRecorder::~TimeSeriesRecorder() = default;
@@ -244,11 +242,11 @@ TimeSeriesRecorder::global()
 void
 TimeSeriesRecorder::configure(const TelemetryConfig& cfg)
 {
-    assert(cfg.windowSec > 0.0 && cfg.retention > 0);
+    assert(cfg.windowSec > 0.0);
     auto lock = shards_.lock();
     cfg_ = cfg;
-    // Shards are sized by the config: drop them, which also invalidates
-    // every thread-local cache.
+    // Recorded cells belong to the old window width and label cap:
+    // drop the shards, which also invalidates every thread-local cache.
     shards_.clear();
 }
 
@@ -259,7 +257,7 @@ TimeSeriesRecorder::record(SeriesId id, std::string_view label, double t,
     const SeriesInfo& info = seriesInfo(id);
     assert(info.keyed || label.empty());
     size_t s = static_cast<size_t>(id);
-    Shard& shard = shards_.local(cfg_);
+    Shard& shard = shards_.local();
     bool withSketch = info.kind == SeriesKind::Sample;
     Shard::LabelSlot& slot =
         info.keyed ? shard.slotFor(s, label, cfg_, withSketch)
@@ -267,7 +265,7 @@ TimeSeriesRecorder::record(SeriesId id, std::string_view label, double t,
 
     int64_t w = t <= 0.0 ? 0
                          : static_cast<int64_t>(t / cfg_.windowSec);
-    size_t r = static_cast<size_t>(w) % cfg_.retention;
+    size_t r = static_cast<size_t>(w) % kTelemetryRetention;
     Shard::Cell& cell = slot.ring[r];
     if (cell.window != w) {
         cell = Shard::Cell{};
@@ -342,7 +340,7 @@ TimeSeriesRecorder::windowPoint(SeriesId id, std::string_view label,
     size_t s = static_cast<size_t>(id);
     size_t r = window < 0
                    ? 0
-                   : static_cast<size_t>(window) % cfg_.retention;
+                   : static_cast<size_t>(window) % kTelemetryRetention;
     bool found = false;
     SeriesPoint p;
     p.id = id;

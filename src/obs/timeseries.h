@@ -144,13 +144,14 @@ class QuantileSketch
     static double bucketHi(size_t b);
 };
 
+/// Ring length: retained windows per (series, label).
+inline constexpr size_t kTelemetryRetention = 256;
+
 /** Sizing knobs of a TimeSeriesRecorder (fixed while enabled). */
 struct TelemetryConfig
 {
     /** Sim-time window width in seconds (--telemetry-window). */
     double windowSec = 1.0;
-    /** Ring length: retained windows per (series, label). */
-    size_t retention = 256;
     /**
      * Max distinct labels per keyed series per shard. Creation of a
      * label past the cap routes records into the kOverflowLabel slot
@@ -191,10 +192,10 @@ struct TelemetrySnapshot
 /**
  * Windowed sim-time telemetry recorder. Fixed-width windows
  * (floor(t / windowSec)) index preallocated per-(series,label) ring
- * buffers of `retention` windows; a cell whose stored window id no
- * longer matches is zeroed and reused, so memory is bounded for runs
- * of any length and the export covers the trailing `retention`
- * windows of each label.
+ * buffers of kTelemetryRetention windows; a cell whose stored window
+ * id no longer matches is zeroed and reused, so memory is bounded for
+ * runs of any length and the export covers the trailing
+ * kTelemetryRetention windows of each label.
  *
  * Sharding mirrors MetricsRegistry: each thread owns a shard only it
  * writes, found through a thread-local cache after one locked lookup.

@@ -99,6 +99,7 @@ runExperimentStage(const Stage& stage, uint64_t seed, std::ostream& os,
 
     StageOutcome out;
     out.digest = result.digest();
+    out.simSeconds = result.simSeconds;
     os << indent << "    accuracy="
        << util::AsciiTable::percent(result.aggregateAccuracy(), 1)
        << " characteristics="

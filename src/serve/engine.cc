@@ -166,8 +166,7 @@ ServeEngine::run() const
         double batches_ahead = static_cast<double>(
             (pendingQ.size() + max_batch) / max_batch);
         double batch_ms = config_.batchSetupMs +
-                          static_cast<double>(max_batch) *
-                              load.serviceMedianMs;
+                          static_cast<double>(max_batch) * kServiceMedianMs;
         return batches_ahead * batch_ms / static_cast<double>(workers);
     };
 

@@ -99,9 +99,9 @@ LoadGen::makeRequest(uint64_t id, size_t client, double arrivalMs) const
     }
 
     util::Rng c = util::Rng::stream(config_.seed, {kServeCost, id});
-    req.costMs = c.lognormal(config_.serviceMedianMs, config_.serviceSigma);
+    req.costMs = c.lognormal(kServiceMedianMs, kServiceSigma);
     if (req.isDecompose)
-        req.costMs *= config_.decomposeCostFactor;
+        req.costMs *= kDecomposeCostFactor;
     return req;
 }
 

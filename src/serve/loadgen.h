@@ -10,9 +10,16 @@
 namespace bolt {
 namespace serve {
 
+/// Lognormal sim service-cost model: median and shape per query.
+inline constexpr double kServiceMedianMs = 0.8;
+inline constexpr double kServiceSigma = 0.35;
+/// Cost multiplier for decompose queries (pricier search).
+inline constexpr double kDecomposeCostFactor = 3.0;
+
 /**
  * Load-generator configuration: the traffic the serving layer is asked
- * to survive, plus the deterministic per-request service-cost model.
+ * to survive. Each request's sim service cost is drawn from the
+ * constant cost model above.
  */
 struct LoadGenConfig
 {
@@ -35,11 +42,6 @@ struct LoadGenConfig
 
     /** Fraction of requests that are aggregate decompose queries. */
     double decomposeFraction = 0.0;
-    /** Lognormal sim service-cost model: median and shape per query. */
-    double serviceMedianMs = 0.8;
-    double serviceSigma = 0.35;
-    /** Cost multiplier for decompose queries (pricier search). */
-    double decomposeCostFactor = 3.0;
 
     uint64_t seed = 1;
 };

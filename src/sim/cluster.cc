@@ -38,15 +38,6 @@ Cluster::locate(TenantId id) const
     return std::nullopt;
 }
 
-int
-Cluster::totalFreeSlots() const
-{
-    int total = 0;
-    for (const auto& s : servers_)
-        total += s.freeSlots();
-    return total;
-}
-
 std::vector<size_t>
 Cluster::serversWithCapacity(int slots) const
 {

@@ -51,9 +51,6 @@ class Cluster
     /** Server index hosting a tenant, if placed. */
     std::optional<size_t> locate(TenantId id) const;
 
-    /** Total free hardware-thread slots across the cluster. */
-    int totalFreeSlots() const;
-
     /** Indices of servers with at least `slots` placeable slots. */
     std::vector<size_t> serversWithCapacity(int slots) const;
 

@@ -19,15 +19,6 @@ resourceName(Resource r)
     return names.at(index(r));
 }
 
-Resource
-resourceFromName(const std::string& name)
-{
-    for (Resource r : kAllResources)
-        if (resourceName(r) == name)
-            return r;
-    throw std::invalid_argument("unknown resource name: " + name);
-}
-
 ResourceVector
 ResourceVector::operator+(const ResourceVector& o) const
 {

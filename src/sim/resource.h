@@ -196,9 +196,6 @@ struct alignas(kResourceVectorAlign) LaneArray
 /** Short display name ("L1-i", "LLC", "MemBw", ...). */
 const std::string& resourceName(Resource r);
 
-/** Parse a short display name back to a Resource; throws on unknown. */
-Resource resourceFromName(const std::string& name);
-
 /**
  * Pressure (or sensitivity) across the ten resources, each entry in
  * [0, 100] as in the paper's c_i convention: 100 means the tenant takes

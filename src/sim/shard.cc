@@ -52,7 +52,6 @@ timeStage(obs::MetricsRegistry& metrics, obs::MetricId wall_ms,
 
 FleetCluster::FleetCluster(const FleetConfig& cfg) : cfg_(cfg)
 {
-    placement_ = cfg_.placement ? cfg_.placement : &ringPlacement_;
     if (cfg_.hosts == 0)
         cfg_.hosts = 1;
     if (cfg_.epochs < 0)
@@ -137,38 +136,29 @@ FleetCluster::validate(std::string* why) const
     return true;
 }
 
-size_t
-RingFirstFitPlacement::pickHost(const FleetCluster& fleet, uint8_t vcpus,
-                                size_t start, size_t exclude)
-{
-    const size_t H = fleet.hosts();
-    for (size_t k = 0; k < H; ++k) {
-        size_t h = start + k;
-        if (h >= H)
-            h -= H;
-        if (h == exclude)
-            continue;
-        if (fleet.hostDown(h) ||
-            fleet.hostUsed(h) + vcpus >
-                static_cast<uint32_t>(fleet.slotsPerHost()))
-            continue;
-        return h;
-    }
-    return kNoHost;
-}
-
 bool
 FleetCluster::place(uint32_t vm, size_t start, size_t exclude,
                     bool migration, FleetEpoch* ep)
 {
-    // Host *selection* is delegated to the pluggable policy; slot
-    // accounting and migration bookkeeping stay here so every policy
-    // shares one correct mutation path.
-    size_t h = placement_->pickHost(*this, vms_[vm].vcpus, start, exclude);
-    if (h == FleetPlacementPolicy::kNoHost)
+    // Ring first fit: the first host from `start` onward, wrapping,
+    // that is up, is not `exclude` and has room for the VM.
+    const size_t H = hosts_.size();
+    const uint32_t need = vms_[vm].vcpus;
+    size_t h = kNone;
+    for (size_t k = 0; k < H; ++k) {
+        size_t c = start + k;
+        if (c >= H)
+            c -= H;
+        if (c != exclude && !hosts_[c].down &&
+            hosts_[c].used + need <= slots_per_host_) {
+            h = c;
+            break;
+        }
+    }
+    if (h == kNone)
         return false;
     Host& host = hosts_[h];
-    host.used += vms_[vm].vcpus;
+    host.used += need;
     host.residents.push_back(vm);
     vms_[vm].host = static_cast<uint32_t>(h);
     if (migration && ep) {
@@ -380,7 +370,7 @@ FleetCluster::run()
         timeStage(metrics, obs::MetricId::kFleetProfileWallMs,
                   [&] { profileEpoch(e); });
 
-        t += cfg_.epochSec;
+        t += kFleetEpochSec;
         ep.t = t;
         uint64_t used = 0, anomalies = 0;
         for (size_t h = 0; h < hosts_.size(); ++h) {

@@ -10,65 +10,8 @@
 namespace bolt {
 namespace sim {
 
-class FleetCluster;
-
-/**
- * Pluggable host-selection policy for fleet VM placement.
- *
- * FleetCluster keeps all placement *bookkeeping* (slot accounting,
- * resident lists, migration counters); the policy only answers "which
- * host?". pickHost is called exclusively from the sequential decision
- * plane, so implementations may keep internal state (bandit arms,
- * decision counters) and still stay shard- and thread-invariant — any
- * randomness must come from counter-based Rng::stream draws, never
- * from wall clock or address-dependent sources.
- *
- * This interface lives in src/sim (not src/sched) because bolt_sim
- * cannot depend on the sched library; the richer cluster-level
- * PlacementPolicy and the arms-race fleet policies build on top of it
- * from src/colo.
- */
-class FleetPlacementPolicy
-{
-  public:
-    virtual ~FleetPlacementPolicy() = default;
-
-    /** Sentinel for "no feasible host". */
-    static constexpr size_t kNoHost = static_cast<size_t>(-1);
-
-    /**
-     * Pick a host for a VM needing `vcpus` slots.
-     *
-     * @param fleet   Read-only fleet state (hostUsed/hostDown/...).
-     * @param vcpus   Slots the VM occupies.
-     * @param start   The decision-plane placement draw in [0, hosts) —
-     *                the historical ring scan's start offset; policies
-     *                are free to use it as an entropy source or ignore
-     *                it.
-     * @param exclude Host that must not be chosen (migration source or
-     *                faulted host), or kNoHost.
-     * @return chosen host index, or kNoHost when nothing fits.
-     */
-    virtual size_t pickHost(const FleetCluster& fleet, uint8_t vcpus,
-                            size_t start, size_t exclude) = 0;
-
-    /** Policy display name. */
-    virtual const char* name() const = 0;
-};
-
-/**
- * The historical default: first fit on a ring scan from `start`.
- * Byte-for-byte identical to the placement FleetCluster used before
- * the policy hook existed — every committed fleet digest reproduces
- * under this policy.
- */
-class RingFirstFitPlacement : public FleetPlacementPolicy
-{
-  public:
-    size_t pickHost(const FleetCluster& fleet, uint8_t vcpus,
-                    size_t start, size_t exclude) override;
-    const char* name() const override { return "ring-first-fit"; }
-};
+/// Sim seconds the global fleet clock advances per epoch.
+inline constexpr double kFleetEpochSec = 60.0;
 
 /**
  * Configuration of a sharded fleet simulation.
@@ -76,7 +19,9 @@ class RingFirstFitPlacement : public FleetPlacementPolicy
  * Everything except `shards` is part of the simulated world and folds
  * into the outcome digest; `shards` (and the global thread count) only
  * choose how the work is partitioned, and FleetCluster guarantees the
- * digest is byte-identical at any shard count x thread count.
+ * digest is byte-identical at any shard count x thread count. Every
+ * boot, arrival, migration and fault-evacuation placement is a ring
+ * first-fit scan from a drawn start host.
  */
 struct FleetConfig
 {
@@ -87,7 +32,6 @@ struct FleetConfig
     int cores = 16;       ///< Physical cores per host.
     int threadsPerCore = 2; ///< Hardware threads per core.
     int maxVcpus = 2;     ///< VM sizes drawn uniformly from [1, maxVcpus].
-    double epochSec = 60.0; ///< Sim seconds the global clock advances per epoch.
 
     /// Mean VM arrivals per host per epoch (fractional part is a
     /// Bernoulli draw, so 0.2 means one arrival on ~20% of host-epochs).
@@ -101,12 +45,6 @@ struct FleetConfig
     /// Run the residency-consistency audit after every epoch (tests;
     /// costs one full pass over the VM table per epoch).
     bool validateEpochs = false;
-
-    /// Host-selection policy for boot, arrival, migration and fault
-    /// evacuation placements. Non-owning; must outlive the cluster.
-    /// nullptr selects the built-in ring first-fit, which preserves the
-    /// historical digests bit-for-bit.
-    FleetPlacementPolicy* placement = nullptr;
 };
 
 /** Per-epoch summary row (the CLI's epoch table and the test probes). */
@@ -176,7 +114,6 @@ class FleetCluster
 
     size_t hosts() const { return hosts_.size(); }
     size_t shards() const { return shards_; }
-    size_t slotsPerHost() const { return slots_per_host_; }
 
     /** Shard owning host `h` (contiguous ranges, remainder up front). */
     size_t shardOf(size_t h) const;
@@ -185,24 +122,8 @@ class FleetCluster
 
     /** VMs currently resident (alive) across the fleet. */
     uint64_t aliveVms() const { return alive_; }
-
-    /** Occupied hardware-thread slots on host `h`. */
-    uint32_t hostUsed(size_t h) const { return hosts_[h].used; }
-    /** Whether host `h` is faulted (down) this epoch. */
-    bool hostDown(size_t h) const { return hosts_[h].down; }
-    /** Resident VM count on host `h`. */
-    size_t hostResidents(size_t h) const
-    {
-        return hosts_[h].residents.size();
-    }
-    /** Host currently running VM `vm` (valid while the VM is alive). */
-    size_t vmHost(size_t vm) const { return vms_[vm].host; }
-    /** Whether VM `vm` is currently alive. */
-    bool vmAlive(size_t vm) const { return vms_[vm].alive; }
     /** Total VM table size (boot tenants + arrivals so far). */
     size_t vmCount() const { return vms_.size(); }
-    /** The placement policy in effect. */
-    const FleetPlacementPolicy& placement() const { return *placement_; }
 
     /**
      * Audit the placement state: every alive VM appears on exactly the
@@ -242,8 +163,6 @@ class FleetCluster
     uint64_t epochDigest(int epoch, const FleetEpoch& ep) const;
 
     FleetConfig cfg_;
-    RingFirstFitPlacement ringPlacement_; ///< Default when none supplied.
-    FleetPlacementPolicy* placement_ = nullptr;
     size_t shards_ = 1;
     size_t slots_per_host_ = 32;
     std::vector<Host> hosts_;

@@ -14,13 +14,6 @@ Summary::add(double x)
     dirty_ = true;
 }
 
-void
-Summary::addAll(const std::vector<double>& xs)
-{
-    samples_.insert(samples_.end(), xs.begin(), xs.end());
-    dirty_ = true;
-}
-
 double
 Summary::mean() const
 {

@@ -23,9 +23,6 @@ class Summary
     /** Add one sample. */
     void add(double x);
 
-    /** Add many samples. */
-    void addAll(const std::vector<double>& xs);
-
     /** Number of samples so far. */
     size_t count() const { return samples_.size(); }
 

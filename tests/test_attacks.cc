@@ -188,7 +188,7 @@ TEST(CoResidency, PinpointsVictimAcrossWaves)
     EXPECT_TRUE(result.victimPinpointed);
     // Confirmation requires a clear latency jump over the public channel.
     EXPECT_GT(result.attackLatencyMs,
-              result.baselineLatencyMs * cfg.latencyRatioThreshold);
+              result.baselineLatencyMs * kLatencyRatioThreshold);
     EXPECT_GE(result.wavesUsed, 1u);
     EXPECT_GT(result.adversaryVmsUsed, 1u);
     EXPECT_GT(result.detectionTimeSec, 0.0);

@@ -6,7 +6,8 @@
  * failed `expect:` exits 3; a stage subcommand and `run` on its
  * `--dump` print the same bytes; the observability and telemetry flags
  * never change stdout, and what they write is the same at any
- * --threads; the fleet digest is the same at any shard count.
+ * --threads; an experiment reports its simulated seconds; the fleet
+ * digest is the same at any shard count.
  */
 #include <gtest/gtest.h>
 
@@ -211,6 +212,24 @@ TEST(BoltCli, ObservabilityFlagsNeverChangeStdout)
     }
     EXPECT_EQ(off[0], off[1]);
     EXPECT_EQ(trace[0], trace[1]);
+}
+
+TEST(BoltCli, ExperimentReportsItsSimSecondsAtAnyThreadCount)
+{
+    // The run report's sim_seconds is the detection phase's simulated
+    // span: positive, and the same whatever the pool width.
+    double sim[2];
+    for (int i = 0; i < 2; ++i) {
+        std::string threads = i ? "8" : "1";
+        std::string metrics = tempPath("m" + threads + ".json");
+        CliRun run = runCli("experiment --servers 8 --victims 20 --seed 7 "
+                            "--log-level error --threads " +
+                            threads + " --metrics-out " + metrics);
+        ASSERT_EQ(run.exitCode, 0) << run.err;
+        sim[i] = jsonNumber(slurp(metrics), "sim_seconds");
+    }
+    EXPECT_GT(sim[0], 0.0);
+    EXPECT_EQ(sim[0], sim[1]);
 }
 
 TEST(BoltCli, TelemetryOutNeverChangesStdoutAndIsThreadInvariant)

@@ -173,15 +173,6 @@ TEST(Observation, BasicOps)
     EXPECT_FALSE(obs.has(sim::Resource::LLC));
 }
 
-TEST(Observation, CorePressureSeen)
-{
-    SparseObservation obs;
-    obs.set(sim::Resource::L1I, 0.0);
-    EXPECT_FALSE(obs.corePressureSeen());
-    obs.set(sim::Resource::L1D, 12.0);
-    EXPECT_TRUE(obs.corePressureSeen());
-}
-
 TEST(Observation, MinusAndMerge)
 {
     SparseObservation obs;

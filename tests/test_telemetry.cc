@@ -379,7 +379,7 @@ TEST(SloMonitorRules, AbsenceFiresAfterGapOnceSeen)
 
     rec.count(SeriesId::kSchedMigrations, 2.5); // window 2
     rec.count(SeriesId::kSchedMigrations, 6.5); // window 6
-    mon.finalize(6.0); // Evaluates through window 6 inclusive.
+    mon.advanceTo(7.0); // Evaluates through window 6 inclusive.
 
     // Seen at w2; gap w3, w4 -> fires at w4; data at w6 resolves.
     ASSERT_EQ(mon.events().size(), 2u);

@@ -364,7 +364,8 @@ TEST(Rng, EveryMethodMatchesAStdEngineReplica)
 TEST(Summary, BasicMoments)
 {
     Summary s;
-    s.addAll({1.0, 2.0, 3.0, 4.0});
+    for (double x : {1.0, 2.0, 3.0, 4.0})
+        s.add(x);
     EXPECT_EQ(s.count(), 4u);
     EXPECT_DOUBLE_EQ(s.mean(), 2.5);
     EXPECT_DOUBLE_EQ(s.min(), 1.0);
@@ -375,7 +376,8 @@ TEST(Summary, BasicMoments)
 TEST(Summary, PercentileInterpolates)
 {
     Summary s;
-    s.addAll({10.0, 20.0, 30.0, 40.0, 50.0});
+    for (double x : {10.0, 20.0, 30.0, 40.0, 50.0})
+        s.add(x);
     EXPECT_DOUBLE_EQ(s.percentile(0), 10.0);
     EXPECT_DOUBLE_EQ(s.percentile(50), 30.0);
     EXPECT_DOUBLE_EQ(s.percentile(100), 50.0);
@@ -418,7 +420,8 @@ TEST(Summary, SingleSampleStatistics)
 TEST(Summary, AllEqualSamples)
 {
     Summary s;
-    s.addAll({4.0, 4.0, 4.0, 4.0, 4.0});
+    for (double x : {4.0, 4.0, 4.0, 4.0, 4.0})
+        s.add(x);
     EXPECT_DOUBLE_EQ(s.mean(), 4.0);
     EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
     EXPECT_DOUBLE_EQ(s.min(), s.max());
@@ -430,7 +433,8 @@ TEST(Summary, AllEqualSamples)
 TEST(Summary, PercentileBoundsChecked)
 {
     Summary s;
-    s.addAll({1.0, 2.0});
+    for (double x : {1.0, 2.0})
+        s.add(x);
     EXPECT_THROW(s.percentile(-0.001), std::invalid_argument);
     EXPECT_THROW(s.percentile(100.001), std::invalid_argument);
     EXPECT_DOUBLE_EQ(s.percentile(0.0), 1.0);
@@ -440,7 +444,8 @@ TEST(Summary, PercentileBoundsChecked)
 TEST(Summary, ClearResetsToEmpty)
 {
     Summary s;
-    s.addAll({1.0, 2.0, 3.0});
+    for (double x : {1.0, 2.0, 3.0})
+        s.add(x);
     EXPECT_DOUBLE_EQ(s.percentile(50), 2.0);
     s.clear();
     EXPECT_TRUE(s.empty());
