@@ -27,9 +27,9 @@
 #
 # --release-only builds the Release configuration, runs the golden
 # manifest against it, then perf_serving --json: the telemetry-overhead
-# probe, which fails when recording telemetry costs more than 5% of
-# saturation wall-QPS. It times wall clock, so it lives here and not in
-# ctest.
+# probe, which fails when recording telemetry costs 5% or more of
+# saturation wall-QPS (the median of 101 interleaved off/on pairs,
+# about 30 s). It times wall clock, so it lives here and not in ctest.
 #
 # Usage: scripts/check.sh [--plain-only|--tsan-only|--asan-only|--ubsan-only|--release-only|--goldens [--update]]
 set -euo pipefail

@@ -64,7 +64,7 @@ Detector::detectOnce(const HostEnvironment& env, double t, util::Rng& rng,
     auto& telemetry = obs::TimeSeriesRecorder::global();
     if (telemetry.enabled())
         telemetry.count(obs::SeriesId::kDetectorRoundEvents,
-                        "r" + std::to_string(round_index), t);
+                        obs::indexedLabel('r', round_index), t);
 
     ProfileRound prof = profiler_.profile(env, now, rng, round_index);
     now += prof.durationSec;
@@ -170,7 +170,7 @@ Detector::detectOnce(const HostEnvironment& env, double t, util::Rng& rng,
             metrics.add(obs::MetricId::kDetectorRetryRounds);
             if (telemetry.enabled())
                 telemetry.count(obs::SeriesId::kDetectorRetryEvents,
-                                "r" + std::to_string(round_index), now);
+                                obs::indexedLabel('r', round_index), now);
             now += backoff;
             backoff *= kRetryBackoffMult;
             for (sim::Resource r : sim::kAllResources) {
@@ -203,7 +203,7 @@ Detector::detectOnce(const HostEnvironment& env, double t, util::Rng& rng,
             metrics.add(obs::MetricId::kDetectorGatedAbstentions);
             if (telemetry.enabled())
                 telemetry.count(obs::SeriesId::kDetectorAbstentions,
-                                "r" + std::to_string(round_index), now);
+                                obs::indexedLabel('r', round_index), now);
             metrics.add(obs::MetricId::kDetectorInconclusiveRounds);
             round.profilingSec = now - t;
             metrics.observe(obs::MetricId::kDetectorRoundSimSec,

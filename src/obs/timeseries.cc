@@ -56,6 +56,14 @@ seriesByName(std::string_view name, SeriesId* out)
     return false;
 }
 
+std::string
+indexedLabel(char prefix, int64_t index)
+{
+    std::string label(1, prefix);
+    label += std::to_string(index);
+    return label;
+}
+
 size_t
 QuantileSketch::bucketFor(double v)
 {

@@ -91,6 +91,13 @@ const SeriesInfo& seriesInfo(SeriesId id);
 bool seriesByName(std::string_view name, SeriesId* out);
 
 /**
+ * A record label of a one-letter prefix and an index: "r3" (detector
+ * round; "r-1" for a random focus), "c7" (serve client), "s12" (fleet
+ * shard).
+ */
+std::string indexedLabel(char prefix, int64_t index);
+
+/**
  * Deterministic mergeable streaming quantile sketch: a fixed-bucket
  * log-linear histogram. Buckets cover [2^kMinExp, 2^kMaxExp) in
  * octaves, each split into kSub equal linear steps (DDSketch-style

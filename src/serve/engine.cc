@@ -200,7 +200,7 @@ ServeEngine::run() const
             ++st.offered;
             if (telemetry.enabled())
                 telemetry.count(obs::SeriesId::kServeTenantRequests,
-                                "c" + std::to_string(requests[id].client),
+                                obs::indexedLabel('c', requests[id].client),
                                 ev.t / 1000.0);
             // Open loop: the arrival process is external — chain the
             // next arrival regardless of this one's verdict.

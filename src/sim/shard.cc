@@ -1,6 +1,7 @@
 #include "sim/shard.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <string>
 
@@ -23,9 +24,37 @@ constexpr int kProfileProbes = 4;
 /// Profile score above which a host is flagged anomalous.
 constexpr double kAnomalyThreshold = 75.0;
 
+/// Boot tenants whose draws are taken on the pool before placing them
+/// (256 KB of slots). Every block ends in a pool barrier, so a block
+/// holds several msec of draws: a worker the host wakes late then
+/// delays a block by a small share of its time.
+constexpr size_t kBootBlock = 32768;
+/// Boot tenants one pool task draws for: 16 tasks per block.
+constexpr size_t kBootTask = 2048;
+
 using util::seeds::kFleetBoot;
 using util::seeds::kFleetChurn;
 using util::seeds::kFleetProfile;
+
+/**
+ * Call body(i, rng) for every i in [begin, end), in order, where rng is
+ * stream(i). The streams start util::Rng::kPrimeLanes at a time through
+ * Rng::prime, which overlaps their seeding.
+ */
+template <typename Stream, typename Body>
+void
+forEachStream(size_t begin, size_t end, Stream&& stream, Body&& body)
+{
+    std::array<util::Rng, util::Rng::kPrimeLanes> rngs;
+    for (size_t b = begin; b < end; b += rngs.size()) {
+        size_t n = std::min(rngs.size(), end - b);
+        for (size_t j = 0; j < n; ++j)
+            rngs[j] = stream(b + j);
+        util::Rng::prime({rngs.data(), n});
+        for (size_t j = 0; j < n; ++j)
+            body(b + j, rngs[j]);
+    }
+}
 
 /**
  * Run one fleet stage and record its wall time, in msec, into the
@@ -64,7 +93,13 @@ FleetCluster::FleetCluster(const FleetConfig& cfg) : cfg_(cfg)
     hosts_.resize(cfg_.hosts);
     scores_.assign(cfg_.hosts, 0.0);
     anomaly_.assign(cfg_.hosts, 0);
-    vms_.reserve(cfg_.tenants);
+    // Boot fills `tenants` slots, and within an epoch arrivals on early
+    // hosts come before departures on later ones, so a fleet that does
+    // not grow briefly holds up to one epoch's arrivals more: at most
+    // one per host at arrival rates up to 1. Reserving both keeps the
+    // table from reallocating, and doubling, on the seeds where that
+    // happens.
+    vms_.reserve(cfg_.tenants + cfg_.hosts);
 }
 
 size_t
@@ -133,7 +168,39 @@ FleetCluster::validate(std::string* why) const
     if (alive != alive_)
         return fail("alive count " + std::to_string(alive_) +
                     " != resident total " + std::to_string(alive));
+    for (uint32_t vm : free_) {
+        if (vm >= vms_.size() || vms_[vm].alive || seen[vm])
+            return fail("free slot " + std::to_string(vm) + " in use");
+        seen[vm] = 1;
+    }
+    if (alive + free_.size() != vms_.size())
+        return fail("vm table " + std::to_string(vms_.size()) +
+                    " != alive + free " +
+                    std::to_string(alive + free_.size()));
     return true;
+}
+
+uint32_t
+FleetCluster::newVm(uint8_t vcpus)
+{
+    Vm vm;
+    vm.vcpus = vcpus;
+    vm.alive = true;
+    if (free_.empty()) {
+        vms_.push_back(vm);
+        return static_cast<uint32_t>(vms_.size() - 1);
+    }
+    uint32_t id = free_.back();
+    free_.pop_back();
+    vms_[id] = vm;
+    return id;
+}
+
+void
+FleetCluster::freeVm(uint32_t vm)
+{
+    vms_[vm].alive = false;
+    free_.push_back(vm);
 }
 
 bool
@@ -173,20 +240,45 @@ void
 FleetCluster::bootFleet(FleetResult* out)
 {
     // Boot placement is decision-plane work: one stream per tenant,
-    // ring first-fit from a drawn start host.
-    for (size_t i = 0; i < cfg_.tenants; ++i) {
-        util::Rng rng = util::Rng::stream(cfg_.seed, {kFleetBoot, i});
-        Vm vm;
-        vm.vcpus = static_cast<uint8_t>(rng.uniformInt(1, cfg_.maxVcpus));
-        vm.alive = true;
-        uint32_t id = static_cast<uint32_t>(vms_.size());
-        vms_.push_back(vm);
-        if (place(id, rng.index(hosts_.size()), kNone, false, nullptr)) {
-            ++alive_;
-            ++out->vmsBooted;
-        } else {
-            vms_[id].alive = false;
-            ++out->placementFailures;
+    // ring first-fit from a drawn start host. A tenant's draws do not
+    // depend on placement state, so each block of tenants draws on the
+    // pool, every task writing only its own tenants' slots, and is then
+    // placed in tenant order on this thread.
+    struct BootDraw
+    {
+        uint32_t start = 0;
+        uint8_t vcpus = 0;
+    };
+    std::vector<BootDraw> draws(kBootBlock);
+    for (size_t b = 0; b < cfg_.tenants; b += kBootBlock) {
+        size_t n = std::min(kBootBlock, cfg_.tenants - b);
+        util::parallelFor(
+            0, (n + kBootTask - 1) / kBootTask,
+            [&](size_t task) {
+                size_t lo = task * kBootTask;
+                forEachStream(
+                    lo, std::min(n, lo + kBootTask),
+                    [&](size_t i) {
+                        return util::Rng::stream(cfg_.seed,
+                                                 {kFleetBoot, b + i});
+                    },
+                    [&](size_t i, util::Rng& rng) {
+                        draws[i].vcpus = static_cast<uint8_t>(
+                            rng.uniformInt(1, cfg_.maxVcpus));
+                        draws[i].start =
+                            static_cast<uint32_t>(rng.index(hosts_.size()));
+                    });
+            },
+            1);
+        for (size_t i = 0; i < n; ++i) {
+            uint32_t id = newVm(draws[i].vcpus);
+            if (place(id, draws[i].start, kNone, false, nullptr)) {
+                ++alive_;
+                ++out->vmsBooted;
+            } else {
+                freeVm(id);
+                ++out->placementFailures;
+            }
         }
     }
     out->vmsAlive = alive_;
@@ -195,82 +287,85 @@ FleetCluster::bootFleet(FleetResult* out)
 void
 FleetCluster::decideEpoch(int epoch, FleetEpoch* ep)
 {
-    const size_t H = hosts_.size();
     const uint64_t e = static_cast<uint64_t>(epoch);
-    for (size_t h = 0; h < H; ++h)
-        hosts_[h].down = false;
+    for (Host& host : hosts_)
+        host.down = false;
+    forEachStream(
+        0, hosts_.size(),
+        [&](size_t h) {
+            return util::Rng::stream(cfg_.seed, {kFleetChurn, h, e});
+        },
+        [&](size_t h, util::Rng& rng) { decideHost(h, rng, ep); });
+    ep->alive = alive_;
+}
 
-    for (size_t h = 0; h < H; ++h) {
-        util::Rng rng = util::Rng::stream(cfg_.seed, {kFleetChurn, h, e});
-        Host& host = hosts_[h];
+void
+FleetCluster::decideHost(size_t h, util::Rng& rng, FleetEpoch* ep)
+{
+    const size_t H = hosts_.size();
+    Host& host = hosts_[h];
 
-        // Host fault: the host drops for this epoch and the master
-        // evacuates every resident VM (a migration when a home is
-        // found, a departure when the fleet has no room).
-        if (cfg_.hostFaultProb > 0.0 && rng.bernoulli(cfg_.hostFaultProb)) {
-            host.down = true;
-            ++ep->hostFaults;
-            while (!host.residents.empty()) {
-                uint32_t vm = host.residents.back();
-                host.residents.pop_back();
-                host.used -= vms_[vm].vcpus;
-                if (!place(vm, rng.index(H), h, true, ep)) {
-                    vms_[vm].alive = false;
-                    --alive_;
-                    ++ep->departures;
-                }
+    // Host fault: the host drops for this epoch and the master
+    // evacuates every resident VM (a migration when a home is found, a
+    // departure when the fleet has no room).
+    if (cfg_.hostFaultProb > 0.0 && rng.bernoulli(cfg_.hostFaultProb)) {
+        host.down = true;
+        ++ep->hostFaults;
+        while (!host.residents.empty()) {
+            uint32_t vm = host.residents.back();
+            host.residents.pop_back();
+            host.used -= vms_[vm].vcpus;
+            if (!place(vm, rng.index(H), h, true, ep)) {
+                freeVm(vm);
+                --alive_;
+                ++ep->departures;
             }
-            continue; // no churn draws or arrivals on a down host
         }
+        return; // no churn draws or arrivals on a down host
+    }
 
-        // Per-VM churn: one uniform draw decides depart / migrate /
-        // stay. Swap-removal keeps the pass O(residents); the
-        // swapped-in VM gets its own draw at the same index.
-        for (size_t i = 0; i < host.residents.size();) {
-            uint32_t vm = host.residents[i];
-            double u = rng.uniform();
-            if (u < cfg_.departureProb) {
+    // Per-VM churn: one uniform draw decides depart / migrate / stay.
+    // Swap-removal keeps the pass O(residents); the swapped-in VM gets
+    // its own draw at the same index.
+    for (size_t i = 0; i < host.residents.size();) {
+        uint32_t vm = host.residents[i];
+        double u = rng.uniform();
+        if (u < cfg_.departureProb) {
+            host.residents[i] = host.residents.back();
+            host.residents.pop_back();
+            host.used -= vms_[vm].vcpus;
+            freeVm(vm);
+            --alive_;
+            ++ep->departures;
+            continue;
+        }
+        if (u < cfg_.departureProb + cfg_.migrationProb) {
+            if (place(vm, rng.index(H), h, true, ep)) {
                 host.residents[i] = host.residents.back();
                 host.residents.pop_back();
                 host.used -= vms_[vm].vcpus;
-                vms_[vm].alive = false;
-                --alive_;
-                ++ep->departures;
                 continue;
             }
-            if (u < cfg_.departureProb + cfg_.migrationProb) {
-                if (place(vm, rng.index(H), h, true, ep)) {
-                    host.residents[i] = host.residents.back();
-                    host.residents.pop_back();
-                    host.used -= vms_[vm].vcpus;
-                    continue;
-                }
-            }
-            ++i;
         }
+        ++i;
+    }
 
-        // Arrivals: floor(rate) guaranteed, fractional part Bernoulli.
-        int n = static_cast<int>(cfg_.arrivalsPerHostEpoch);
-        double frac = cfg_.arrivalsPerHostEpoch - n;
-        if (frac > 0.0 && rng.bernoulli(frac))
-            ++n;
-        for (int a = 0; a < n; ++a) {
-            Vm vm;
-            vm.vcpus =
-                static_cast<uint8_t>(rng.uniformInt(1, cfg_.maxVcpus));
-            vm.alive = true;
-            uint32_t id = static_cast<uint32_t>(vms_.size());
-            vms_.push_back(vm);
-            if (place(id, rng.index(H), kNone, false, nullptr)) {
-                ++alive_;
-                ++ep->arrivals;
-            } else {
-                vms_[id].alive = false;
-                ++ep->placementFailures;
-            }
+    // Arrivals: floor(rate) guaranteed, fractional part Bernoulli.
+    int n = static_cast<int>(cfg_.arrivalsPerHostEpoch);
+    double frac = cfg_.arrivalsPerHostEpoch - n;
+    if (frac > 0.0 && rng.bernoulli(frac))
+        ++n;
+    for (int a = 0; a < n; ++a) {
+        uint32_t id = newVm(
+            static_cast<uint8_t>(rng.uniformInt(1, cfg_.maxVcpus)));
+        if (place(id, rng.index(H), kNone, false, nullptr)) {
+            ++alive_;
+            ++ep->arrivals;
+        } else {
+            freeVm(id);
+            ++ep->placementFailures;
         }
     }
-    ep->alive = alive_;
 }
 
 void
@@ -284,25 +379,28 @@ FleetCluster::profileEpoch(int epoch)
         0, shards_,
         [&](size_t s) {
             auto [begin, end] = shardRange(s);
-            for (size_t h = begin; h < end; ++h) {
-                const Host& host = hosts_[h];
-                if (host.down) {
-                    scores_[h] = 0.0;
-                    anomaly_[h] = 0;
-                    continue;
-                }
-                util::Rng rng =
-                    util::Rng::stream(cfg_.seed, {kFleetProfile, h, e});
-                double load = 100.0 *
-                              static_cast<double>(host.used) /
-                              static_cast<double>(slots_per_host_);
-                double score = 0.0;
-                for (int k = 0; k < kProfileProbes; ++k)
-                    score += rng.clampedGaussian(load, 6.0, 0.0, 100.0);
-                score /= kProfileProbes;
-                scores_[h] = score;
-                anomaly_[h] = score > kAnomalyThreshold ? 1 : 0;
-            }
+            forEachStream(
+                begin, end,
+                [&](size_t h) {
+                    return util::Rng::stream(cfg_.seed,
+                                             {kFleetProfile, h, e});
+                },
+                [&](size_t h, util::Rng& rng) {
+                    const Host& host = hosts_[h];
+                    if (host.down) {
+                        scores_[h] = 0.0;
+                        anomaly_[h] = 0;
+                        return;
+                    }
+                    double load = 100.0 * static_cast<double>(host.used) /
+                                  static_cast<double>(slots_per_host_);
+                    double score = 0.0;
+                    for (int k = 0; k < kProfileProbes; ++k)
+                        score += rng.clampedGaussian(load, 6.0, 0.0, 100.0);
+                    score /= kProfileProbes;
+                    scores_[h] = score;
+                    anomaly_[h] = score > kAnomalyThreshold ? 1 : 0;
+                });
         },
         1);
 }
@@ -418,7 +516,7 @@ FleetCluster::run()
                               (static_cast<double>(end - begin) *
                                static_cast<double>(slots_per_host_));
                 telemetry.sample(obs::SeriesId::kFleetShardUtil,
-                                 "s" + std::to_string(s), ep.t,
+                                 obs::indexedLabel('s', s), ep.t,
                                  shard_util);
             }
             if (ep.arrivals)

@@ -8,6 +8,9 @@
 #include <vector>
 
 namespace bolt {
+namespace util {
+class Rng;
+}
 namespace sim {
 
 /// Sim seconds the global fleet clock advances per epoch.
@@ -122,13 +125,18 @@ class FleetCluster
 
     /** VMs currently resident (alive) across the fleet. */
     uint64_t aliveVms() const { return alive_; }
-    /** Total VM table size (boot tenants + arrivals so far). */
+    /**
+     * VM table size. Departed and unplaced VMs free their slots and new
+     * VMs reuse them, so this is the most VMs held at once so far (the
+     * alive ones plus one being placed), not the number ever created.
+     */
     size_t vmCount() const { return vms_.size(); }
 
     /**
      * Audit the placement state: every alive VM appears on exactly the
      * host its table entry names, every resident list entry is alive,
-     * and per-host used-slot counts match the resident VM sizes.
+     * per-host used-slot counts match the resident VM sizes, and every
+     * other slot of the VM table is dead and on the free list once.
      * Returns false and fills *why on the first violation.
      */
     bool validate(std::string* why = nullptr) const;
@@ -155,10 +163,16 @@ class FleetCluster
     };
 
     // Decision-plane helpers (sequential only).
+    /** A VM table slot for a new alive VM: a free one, else a new one. */
+    uint32_t newVm(uint8_t vcpus);
+    /** Mark `vm` dead and return its slot to the free list. */
+    void freeVm(uint32_t vm);
     bool place(uint32_t vm, size_t start, size_t exclude, bool migration,
                FleetEpoch* ep);
     void bootFleet(FleetResult* out);
     void decideEpoch(int epoch, FleetEpoch* ep);
+    /** One host's epoch: its fault, churn and arrivals, on its stream. */
+    void decideHost(size_t h, util::Rng& rng, FleetEpoch* ep);
     void profileEpoch(int epoch);
     uint64_t epochDigest(int epoch, const FleetEpoch& ep) const;
 
@@ -167,6 +181,7 @@ class FleetCluster
     size_t slots_per_host_ = 32;
     std::vector<Host> hosts_;
     std::vector<Vm> vms_;
+    std::vector<uint32_t> free_;  ///< Dead slots of vms_, reused LIFO.
     std::vector<double> scores_;  ///< Execution-plane output slots.
     std::vector<uint8_t> anomaly_; ///< Execution-plane flag slots.
     uint64_t alive_ = 0;

@@ -61,7 +61,7 @@ Mt19937_64::refill()
         // goes. Chunks double from 16 words; past word kN - kM the
         // seeding is done and the rest of the block is twisted in one
         // pass.
-        size_t end = ready_ == 0 ? 16 : 2 * ready_;
+        size_t end = ready_ == 0 ? kFirstChunk : 2 * ready_;
         if (end > kN - kM)
             end = kN;
         size_t seeded = defined();
@@ -84,6 +84,39 @@ Mt19937_64::refill()
     for (; k < kN - 1; ++k)
         x_[k] = twist(x_[k], x_[k + 1], x_[k - (kN - kM)]);
     x_[kN - 1] = twist(x_[kN - 1], x_[0], x_[kM - 1]);
+}
+
+void
+Mt19937_64::prime(std::span<Mt19937_64* const> fresh)
+{
+    // refill()'s first chunk, lane by lane: the lead-in seeds words 1
+    // to kM - 1, then each step seeds word k + kM and twists word k.
+    // The lanes' chains are independent, so the unrolled lane loops
+    // overlap their multiply latencies. Lanes past fresh.size() all
+    // run on one spare engine whose words are never read.
+    if (fresh.size() > kLanes)
+        throw std::invalid_argument("Mt19937_64::prime past kLanes");
+    Mt19937_64 spare(0);
+    uint64_t* x[kLanes] = {};
+    uint64_t s[kLanes] = {};
+    for (size_t j = 0; j < kLanes; ++j) {
+        x[j] = j < fresh.size() ? fresh[j]->x_ : spare.x_;
+        s[j] = x[j][0];
+    }
+    for (size_t i = 1; i < kM; ++i) {
+#pragma GCC unroll 8
+        for (size_t j = 0; j < kLanes; ++j)
+            x[j][i] = s[j] = seedStep(s[j], i);
+    }
+    for (size_t k = 0; k < kFirstChunk; ++k) {
+#pragma GCC unroll 8
+        for (size_t j = 0; j < kLanes; ++j) {
+            x[j][k + kM] = s[j] = seedStep(s[j], k + kM);
+            x[j][k] = twist(x[j][k], x[j][k + 1], s[j]);
+        }
+    }
+    for (Mt19937_64* engine : fresh)
+        engine->ready_ = kFirstChunk;
 }
 
 } // namespace detail
@@ -134,6 +167,24 @@ Rng::stream(uint64_t seed, std::initializer_list<uint64_t> path)
         ++pos;
     }
     return Rng(h);
+}
+
+void
+Rng::prime(std::span<Rng> rngs)
+{
+    detail::Mt19937_64* lanes[kPrimeLanes] = {};
+    size_t n = 0;
+    for (Rng& rng : rngs) {
+        if (!rng.engine_.fresh())
+            continue;
+        lanes[n++] = &rng.engine_;
+        if (n == kPrimeLanes) {
+            detail::Mt19937_64::prime(lanes);
+            n = 0;
+        }
+    }
+    if (n > 0)
+        detail::Mt19937_64::prime({lanes, n});
 }
 
 double

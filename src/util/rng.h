@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -25,6 +26,9 @@ namespace detail {
  * instead of the standard engine's 312 seeding steps plus a 312-word
  * twist, and a long stream costs what the standard engine does.
  *
+ * That lead-in is one serial multiply chain per stream, so prime()
+ * starts up to kLanes streams side by side, overlapping their chains.
+ *
  * Rng's engine; only util/rng and its tests name it.
  */
 class Mt19937_64
@@ -41,6 +45,20 @@ class Mt19937_64
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type{0}; }
 
+    /** Engines prime() starts at once. */
+    static constexpr size_t kLanes = 8;
+
+    /** Whether the engine has not drawn yet. */
+    bool fresh() const { return ready_ == 0; }
+
+    /**
+     * Give each of up to kLanes fresh engines the state its first
+     * refill() would: seed words 1 to kM + kFirstChunk - 1, the first
+     * kFirstChunk words twisted. The engines' seeding chains run side
+     * by side. Throws std::invalid_argument past kLanes engines.
+     */
+    static void prime(std::span<Mt19937_64* const> fresh);
+
     result_type
     operator()()
     {
@@ -56,6 +74,7 @@ class Mt19937_64
   private:
     static constexpr size_t kN = 312; ///< State words (one block).
     static constexpr size_t kM = 156; ///< Twist offset.
+    static constexpr size_t kFirstChunk = 16; ///< First refill's words.
 
     /** Twist the next chunk of the first block, or the next block. */
     void refill();
@@ -110,6 +129,18 @@ class Rng
      */
     static Rng stream(uint64_t seed,
                       std::initializer_list<uint64_t> path);
+
+    /** Streams prime() starts side by side. */
+    static constexpr size_t kPrimeLanes = detail::Mt19937_64::kLanes;
+
+    /**
+     * Start every stream of `rngs` that has not drawn yet, kPrimeLanes
+     * at a time side by side: the way to start many streams, since a
+     * stream's start is one serial multiply chain and the chains of a
+     * batch overlap. Each stream then yields exactly the words it
+     * would have; streams that have drawn are left as they are.
+     */
+    static void prime(std::span<Rng> rngs);
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo = 0.0, double hi = 1.0);

@@ -10,6 +10,11 @@
  *    alive_e = alive_{e-1} + arrivals_e - departures_e and the
  *    residency audit passes after every epoch, under fault churn too
  *  - epoch-clock monotonicity under fault churn
+ *  - VM slot recycling: dead slots are reused, so the VM table stays
+ *    within one epoch's growth of the boot tenants while the fleet
+ *    shrinks
+ *  - boot drawn in blocks on the pool: a boot of several blocks and a
+ *    ragged tail keeps its historical digest at 1 and 4 threads
  *  - the Wall-class stage timers: one sample per boot, decideEpoch and
  *    profileEpoch call when metrics are on, none when they are off
  *
@@ -19,6 +24,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -149,6 +155,33 @@ TEST(FleetPlacement, DefaultPolicyPreservesHistoricalDigest)
     EXPECT_EQ(r.digest, 0x733ff1b2f17e6d09ull);
 }
 
+TEST(FleetInvariance, PooledBootKeepsItsDigestAtAnyThreadCount)
+{
+    // 9000 tenants fill part of one boot block; 67,587 fill two
+    // blocks and a tail whose last task ends three streams into a
+    // stream batch. The digests were captured from the sequential boot
+    // that drew each tenant's size and start host while placing it.
+    struct Case
+    {
+        size_t hosts, tenants;
+        uint64_t digest;
+    };
+    for (const Case& c : {Case{1500, 9000, 0x27adc500bf72c367ull},
+                          Case{4000, 67587, 0x5b99a546dc8ee5f2ull}}) {
+        FleetConfig cfg;
+        cfg.hosts = c.hosts;
+        cfg.tenants = c.tenants;
+        cfg.epochs = 1;
+        cfg.seed = 2024;
+        for (unsigned threads : {1u, 4u}) {
+            FleetResult r = runWith(cfg, 3, threads);
+            EXPECT_EQ(r.digest, c.digest)
+                << c.tenants << " tenants, " << threads << " threads";
+            EXPECT_EQ(r.vmsBooted, c.tenants);
+        }
+    }
+}
+
 TEST(FleetInvariance, DifferentSeedsProduceDifferentDigests)
 {
     FleetResult a = runWith(smallFleet(1), 1, 1);
@@ -182,6 +215,36 @@ TEST(FleetConservation, AliveCountsBalanceEveryEpoch)
         EXPECT_EQ(r.vmsAlive,
                   r.vmsBooted + r.arrivals - r.departures);
     }
+}
+
+TEST(FleetConservation, DeadVmSlotsAreReused)
+{
+    // Departures outpace arrivals, with migrations and host faults, so
+    // VMs die every epoch. The table may outgrow the boot tenants only
+    // by what one epoch adds (its arrivals, plus a slot a failed
+    // placement took); a table that reused no slot would grow by every
+    // arrival.
+    FleetConfig cfg;
+    cfg.hosts = 64;
+    cfg.tenants = 400;
+    cfg.epochs = 6;
+    cfg.arrivalsPerHostEpoch = 0.4;
+    cfg.departureProb = 0.2;
+    cfg.migrationProb = 0.05;
+    cfg.hostFaultProb = 0.03;
+    cfg.seed = 11;
+    cfg.validateEpochs = true;
+    FleetCluster fleet(cfg);
+    FleetResult r = fleet.run();
+    ASSERT_TRUE(r.consistent) << r.inconsistency;
+    uint64_t prev = r.vmsBooted, one_epoch = 0;
+    for (const sim::FleetEpoch& ep : r.epochs) {
+        ASSERT_LE(ep.alive, prev) << "the fleet must shrink every epoch";
+        prev = ep.alive;
+        one_epoch = std::max(one_epoch, ep.arrivals + ep.placementFailures);
+    }
+    ASSERT_GT(r.arrivals, one_epoch) << "arrivals in one epoch only";
+    EXPECT_LE(fleet.vmCount(), cfg.tenants + one_epoch);
 }
 
 TEST(FleetConservation, EndStateAuditPasses)

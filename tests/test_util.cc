@@ -1,12 +1,14 @@
 /**
  * @file
  * Unit tests for the util library: RNG determinism and substreams,
- * the lazily seeded engine against std::mt19937_64, summary
+ * the lazily seeded engine and its batch priming against
+ * std::mt19937_64, summary
  * statistics, histograms, online stats, 2-D heatmaps, the ASCII
  * table/series renderers, and the work-stealing thread pool.
  */
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <numeric>
 #include <random>
@@ -193,6 +195,11 @@ struct StdRng
         return std::normal_distribution<double>(0.0, 1.0)(engine) * stddev +
                mean;
     }
+    double
+    clampedGaussian(double mean, double stddev, double lo, double hi)
+    {
+        return std::clamp(gaussian(mean, stddev), lo, hi);
+    }
     bool
     bernoulli(double p)
     {
@@ -241,6 +248,63 @@ struct StdRng
 
     std::mt19937_64 engine;
 };
+
+/** The next engine word: the full int64 range maps words one to one. */
+template <typename R>
+uint64_t
+word(R& rng)
+{
+    return static_cast<uint64_t>(rng.uniformInt(INT64_MIN, INT64_MAX));
+}
+
+/** Rngs on seeds [first, first + n) of engineSeeds(), primed. */
+std::vector<Rng>
+primedRngs(size_t first, size_t n)
+{
+    std::vector<uint64_t> seeds = engineSeeds();
+    std::vector<Rng> rngs;
+    for (size_t i = 0; i < n; ++i)
+        rngs.emplace_back(seeds[first + i]);
+    Rng::prime(rngs);
+    return rngs;
+}
+
+/**
+ * One call of Rng's method `op` (0-10) on `rng`, as doubles, so a
+ * script can run the same calls on Rng and on StdRng.
+ */
+template <typename R>
+std::vector<double>
+callMethod(R& rng, unsigned op)
+{
+    static const std::vector<double> weights = {0.5, 0.0, 2.0, 1.25};
+    switch (op) {
+    case 0:
+        return {rng.uniform(0.0, 1.0)};
+    case 1:
+        return {rng.uniform(-3.0, 7.5)};
+    case 2:
+        return {static_cast<double>(rng.uniformInt(-5, 1000000007))};
+    case 3:
+        return {rng.gaussian(2.0, 3.0)};
+    case 4:
+        return {rng.clampedGaussian(50.0, 30.0, 0.0, 100.0)};
+    case 5:
+        return {rng.bernoulli(0.3) ? 1.0 : 0.0};
+    case 6:
+        return {rng.exponential(4.0)};
+    case 7:
+        return {rng.lognormal(2.0, 0.5)};
+    case 8:
+        return {static_cast<double>(rng.index(17))};
+    case 9:
+        return {static_cast<double>(rng.weightedIndex(weights))};
+    default: {
+        std::vector<size_t> perm = rng.permutation(9);
+        return {perm.begin(), perm.end()};
+    }
+    }
+}
 
 } // namespace
 
@@ -308,57 +372,87 @@ TEST(Rng, EveryMethodMatchesAStdEngineReplica)
 {
     // Interleaved calls start each method at many engine offsets, the
     // chunk and block boundaries among them (a seed's 400 calls draw
-    // about 800 words).
-    const std::vector<double> weights = {0.5, 0.0, 2.0, 1.25};
+    // about 800 words), on an unprimed and a primed replica.
     std::vector<uint64_t> seeds = engineSeeds();
     seeds.resize(64);
     seeds.push_back(Rng::stream(7, {3, 4}).seed());
     seeds.push_back(Rng(7).substream("alpha", 2).seed());
+    std::vector<Rng> primed(seeds.begin(), seeds.end());
+    Rng::prime(primed); // eight full batches and a tail of two
     std::mt19937_64 script(99);
-    for (uint64_t seed : seeds) {
-        Rng rng(seed);
-        StdRng ref(seed);
+    for (size_t i = 0; i < seeds.size(); ++i) {
+        Rng rng(seeds[i]);
+        StdRng ref(seeds[i]);
         for (int call = 0; call < 400; ++call) {
-            switch (script() % 11) {
-            case 0:
-                ASSERT_EQ(rng.uniform(), ref.uniform(0.0, 1.0));
-                break;
-            case 1:
-                ASSERT_EQ(rng.uniform(-3.0, 7.5), ref.uniform(-3.0, 7.5));
-                break;
-            case 2:
-                ASSERT_EQ(rng.uniformInt(-5, 1000000007),
-                          ref.uniformInt(-5, 1000000007));
-                break;
-            case 3:
-                ASSERT_EQ(rng.gaussian(2.0, 3.0), ref.gaussian(2.0, 3.0));
-                break;
-            case 4:
-                ASSERT_EQ(rng.clampedGaussian(50.0, 30.0, 0.0, 100.0),
-                          std::clamp(ref.gaussian(50.0, 30.0), 0.0, 100.0));
-                break;
-            case 5:
-                ASSERT_EQ(rng.bernoulli(0.3), ref.bernoulli(0.3));
-                break;
-            case 6:
-                ASSERT_EQ(rng.exponential(4.0), ref.exponential(4.0));
-                break;
-            case 7:
-                ASSERT_EQ(rng.lognormal(2.0, 0.5), ref.lognormal(2.0, 0.5));
-                break;
-            case 8:
-                ASSERT_EQ(rng.index(17), ref.index(17));
-                break;
-            case 9:
-                ASSERT_EQ(rng.weightedIndex(weights),
-                          ref.weightedIndex(weights));
-                break;
-            default:
-                ASSERT_EQ(rng.permutation(9), ref.permutation(9));
-                break;
+            unsigned op = static_cast<unsigned>(script() % 11);
+            std::vector<double> want = callMethod(ref, op);
+            ASSERT_EQ(callMethod(rng, op), want) << "op " << op;
+            ASSERT_EQ(callMethod(primed[i], op), want) << "op " << op;
+        }
+    }
+}
+
+TEST(Rng, PrimedBatchesMatchTheStdEngine)
+{
+    // Empty, short and full batches, and full ones with a short tail;
+    // each stream then draws to either side of the first chunk's end,
+    // the second chunk's, the seeding's, and into the second block.
+    const size_t kDraws[] = {1, 15, 16, 17, 31, 32, 33, 156, 157, 400};
+    std::vector<uint64_t> seeds = engineSeeds();
+    for (size_t n = 0; n <= 17; ++n) {
+        for (size_t draws : kDraws) {
+            std::vector<Rng> rngs = primedRngs(n, n);
+            for (size_t i = 0; i < n; ++i) {
+                StdRng ref(seeds[n + i]);
+                for (size_t d = 0; d < draws; ++d)
+                    ASSERT_EQ(word(rngs[i]), word(ref))
+                        << "batch of " << n << ", stream " << i
+                        << ", draw " << d;
             }
         }
     }
+}
+
+TEST(Rng, CopyRightAfterPrimingContinuesLikeTheOriginal)
+{
+    std::vector<uint64_t> seeds = engineSeeds();
+    std::vector<Rng> rngs = primedRngs(0, 11);
+    for (size_t i = 0; i < rngs.size(); ++i) {
+        Rng copy = rngs[i];
+        // Assignment over a stream already deep in its own words.
+        Rng assigned(~seeds[i]);
+        for (int d = 0; d < 700; ++d)
+            word(assigned);
+        assigned = rngs[i];
+        StdRng ref(seeds[i]);
+        for (int d = 0; d < 400; ++d) {
+            uint64_t want = word(ref);
+            ASSERT_EQ(word(rngs[i]), want) << "stream " << i << ", " << d;
+            ASSERT_EQ(word(copy), want) << "stream " << i << ", " << d;
+            ASSERT_EQ(word(assigned), want) << "stream " << i << ", " << d;
+        }
+    }
+}
+
+TEST(Rng, PrimeLeavesStreamsThatDrewAsTheyAre)
+{
+    // Streams that drew inside and at the end of the first chunk, past
+    // the seeding and in the second block, between fresh ones.
+    const size_t kDrawn[] = {0, 1, 0, 15, 16, 0, 17, 200, 0, 400, 0, 0};
+    std::vector<uint64_t> seeds = engineSeeds();
+    std::vector<Rng> rngs;
+    std::vector<StdRng> refs;
+    for (size_t i = 0; i < std::size(kDrawn); ++i) {
+        rngs.emplace_back(seeds[i]);
+        refs.emplace_back(seeds[i]);
+        for (size_t d = 0; d < kDrawn[i]; ++d)
+            ASSERT_EQ(word(rngs[i]), word(refs[i]));
+    }
+    Rng::prime(rngs);
+    for (size_t i = 0; i < rngs.size(); ++i)
+        for (int d = 0; d < 400; ++d)
+            ASSERT_EQ(word(rngs[i]), word(refs[i]))
+                << "stream " << i << " after " << kDrawn[i] << ", " << d;
 }
 
 TEST(Summary, BasicMoments)
