@@ -8,6 +8,7 @@
  * Spark -52% exec / mcf +38%.
  */
 #include <iostream>
+#include <string>
 
 #include "driver_flags.h"
 #include "attacks/rfa.h"
@@ -75,13 +76,14 @@ main(int argc, char** argv)
         auto victim = steady(row.family, row.variant, 0.95, rng);
         auto outcome =
             attacks::runRfa(victim, mcf, row.target, contention);
+        std::string gain = "+";
+        gain += util::AsciiTable::percent(outcome.beneficiaryGain, 0);
         table.addRow(
             {row.name,
              util::AsciiTable::percent(outcome.victimChange, 0) + " (" +
                  outcome.victimMetric + ")",
-             row.paper_victim,
-             "+" + util::AsciiTable::percent(outcome.beneficiaryGain, 0),
-             row.paper_mcf, sim::resourceName(outcome.targetResource)});
+             row.paper_victim, gain, row.paper_mcf,
+             sim::resourceName(outcome.targetResource)});
     }
     table.print(std::cout);
     std::cout << "\n(The victim's dominant resource comes from Bolt's "

@@ -55,6 +55,20 @@ static_assert(kPruneChunk % linalg::kKernelBlock == 0);
 /** Level cells per part of the grid bound (the table's grid). */
 constexpr size_t kCells = ScaledProfileTable::kLevelCells;
 
+/**
+ * Refit queue length: decompose() hands linalg::widenFit three kernel
+ * blocks at a time, which it refits side by side.
+ */
+constexpr size_t kRefitLanes = 3 * linalg::kKernelBlock;
+
+/**
+ * Occam margin of decompose()'s widening: a depth's best explanation
+ * replaces the incumbent only when its distance is at most
+ * kOccamRatio times the incumbent's and at least kOccamGain below it.
+ */
+constexpr double kOccamRatio = 0.88;
+constexpr double kOccamGain = 0.7;
+
 } // namespace
 
 /**
@@ -128,15 +142,15 @@ struct QueryScratch
     {
         return gridPack + (i * (kCells + 1) + k) * kPruneChunk;
     }
-    // The survivor queue: one kernel block of candidate ids, their
+    // The survivor queue: three kernel blocks of candidate ids, their
     // packed base columns (one aligned column per coordinate), and the
     // refit outputs.
-    size_t queued[linalg::kKernelBlock] = {};
+    size_t queued[kRefitLanes] = {};
     alignas(linalg::kKernelAlign) double
-        widenPack[linalg::kMaxFitCoords * linalg::kKernelBlock];
-    alignas(linalg::kKernelAlign) double widenDist[linalg::kKernelBlock];
+        widenPack[linalg::kMaxFitCoords * kRefitLanes];
+    alignas(linalg::kKernelAlign) double widenDist[kRefitLanes];
     alignas(linalg::kKernelAlign) double
-        widenLevels[linalg::kKernelBlock * linalg::kMaxWidenParts];
+        widenLevels[kRefitLanes * linalg::kMaxWidenParts];
     const double* candPtrs[linalg::kMaxFitCoords] = {};
 };
 
@@ -655,12 +669,17 @@ HybridRecommender::decompose(const SparseObservation& observation,
     // meaningfully (Occam margin), re-fitting levels by coordinate
     // descent. The candidate pool for the added part is the full
     // training set, walked in chunks: each chunk is bounded against the
-    // incumbent, and the survivors queue up until they fill a kernel
-    // block, which linalg::widenFit refits together (lanes independent,
-    // so the fold below reproduces the one-candidate-at-a-time search
-    // bit for bit). Part 0 stays within the anchored shortlist.
+    // incumbent, capped at the Occam threshold, and the survivors queue
+    // up until they fill three kernel blocks, which linalg::widenFit
+    // refits together (lanes independent, so the fold below reproduces
+    // the one-candidate-at-a-time search bit for bit). Part 0 stays
+    // within the anchored shortlist.
     for (size_t depth = 2; depth <= max_parts; ++depth) {
         double improved_distance = best_distance;
+        // The largest distance the Occam test below accepts at this
+        // depth, up to the rounding of best_distance - kOccamGain.
+        const double occam_cap = std::min(best_distance * kOccamRatio,
+                                          best_distance - kOccamGain);
         s.improvedParts = s.bestParts;
         bool found = false;
         for (size_t s0 = 0; s0 < k0; ++s0) {
@@ -769,8 +788,8 @@ HybridRecommender::decompose(const SparseObservation& observation,
             auto refit_queued = [&]() {
                 for (size_t i = 0; i < s.obsCount; ++i) {
                     const double* src = table_.baseCol(s.obsIdx[i]);
-                    double* dst = s.widenPack + i * linalg::kKernelBlock;
-                    for (size_t q = 0; q < linalg::kKernelBlock; ++q)
+                    double* dst = s.widenPack + i * kRefitLanes;
+                    for (size_t q = 0; q < linalg::paddedCount(n_queued); ++q)
                         dst[q] = q < n_queued ? src[s.queued[q]] : 0.0;
                     s.candPtrs[i] = dst;
                 }
@@ -803,10 +822,18 @@ HybridRecommender::decompose(const SparseObservation& observation,
             // exact evaluation's, and the descent's final levels lie
             // inside the grid, so pruning never changes the search's
             // outcome. Candidates gated while others wait in the queue
-            // see the incumbent from before that block's refit; a stale
+            // see the incumbent from before that queue's refit; a stale
             // incumbent only admits candidates the fold then rejects.
+            //
+            // The incumbent is capped at occam_cap: a candidate whose
+            // bound lies above it refits to a distance the Occam test
+            // rejects, so it cannot be this depth's best when some
+            // candidate passes the test, and when none does the depth
+            // is rejected either way. The test is monotone in the
+            // distance, and kPruneSlack covers the cap's rounding.
             auto uncompetitive = [&](double bound) {
-                return bound / s.wsumAll > improved_distance + kPruneSlack;
+                return bound / s.wsumAll >
+                       std::min(improved_distance, occam_cap) + kPruneSlack;
             };
             for (size_t j0 = 0; j0 < m; j0 += kPruneChunk) {
                 size_t count = std::min(kPruneChunk, m - j0);
@@ -857,7 +884,7 @@ HybridRecommender::decompose(const SparseObservation& observation,
                         continue;
                     }
                     s.queued[n_queued++] = s.gated[g];
-                    if (n_queued == linalg::kKernelBlock)
+                    if (n_queued == kRefitLanes)
                         refit_queued();
                 }
             }
@@ -866,8 +893,8 @@ HybridRecommender::decompose(const SparseObservation& observation,
         }
         // Occam margin: an extra tenant must reduce the unexplained
         // signal meaningfully, or the simpler explanation stands.
-        if (!found || improved_distance > best_distance * 0.88 ||
-            best_distance - improved_distance < 0.7) {
+        if (!found || improved_distance > best_distance * kOccamRatio ||
+            best_distance - improved_distance < kOccamGain) {
             break;
         }
         best_distance = improved_distance;

@@ -248,15 +248,40 @@ pruneBounds(const PruneCoord* coords, size_t coord_count, size_t cells,
 
 namespace {
 
-struct WidenState
+/**
+ * Candidate blocks widenFit refits side by side. A block's ternary
+ * search is one long dependency chain per probe; stepping three blocks
+ * together overlaps their chains.
+ */
+constexpr size_t kWidenBlocks = 3;
+
+/**
+ * The refit state of B 4-candidate blocks: vals[i][p][b] is block b's
+ * prediction of part p on coordinate i, lvl[p][b] its level of part p,
+ * and base[i][b] its bases of the part being refit. Blocks are the
+ * innermost index, so the rows a call uses are contiguous and the
+ * three blocks touch little more stack than one block's state did.
+ */
+template <size_t B>
+struct WidenBlocks
 {
-    __m256d base[kMaxFitCoords][kMaxWidenParts];
-    __m256d vals[kMaxFitCoords][kMaxWidenParts];
-    __m256d lvl[kMaxWidenParts];
+    __m256d vals[kMaxFitCoords][kMaxWidenParts][B];
+    __m256d lvl[kMaxWidenParts][B];
+    __m256d base[kMaxFitCoords][B];
 };
 
+/** Part p's base on coordinate i for the block at candidate e. */
 BOLT_AVX2 inline __m256d
-widenDeviationVec(const WidenSpec& spec, const WidenState& st)
+widenBase(const WidenSpec& spec, size_t p, size_t i, size_t e)
+{
+    return p + 1 < spec.partCount
+               ? _mm256_set1_pd(spec.fixedBase[p * spec.coordCount + i])
+               : _mm256_load_pd(spec.candBase[i] + e);
+}
+
+template <size_t B>
+BOLT_AVX2 inline __m256d
+widenDeviationVec(const WidenSpec& spec, const WidenBlocks<B>& st, size_t b)
 {
     const __m256d zero = _mm256_setzero_pd();
     const __m256d hundred = _mm256_set1_pd(100.0);
@@ -265,11 +290,11 @@ widenDeviationVec(const WidenSpec& spec, const WidenState& st)
         const WidenCoord& c = spec.coords[i];
         __m256d pred;
         if (c.core) {
-            pred = spec.coreShared ? st.vals[i][0] : zero;
+            pred = spec.coreShared ? st.vals[i][0][b] : zero;
         } else {
             pred = zero;
             for (size_t p = 0; p < spec.partCount; ++p)
-                pred = _mm256_add_pd(pred, st.vals[i][p]);
+                pred = _mm256_add_pd(pred, st.vals[i][p][b]);
             pred = _mm256_min_pd(pred, hundred);
         }
         __m256d t = _mm256_set1_pd(c.target);
@@ -282,74 +307,194 @@ widenDeviationVec(const WidenSpec& spec, const WidenState& st)
     return _mm256_set1_pd(1e9);
 }
 
+/** Refresh part p's predictions of every block at its level. */
+template <size_t B>
 BOLT_AVX2 inline void
-widenRefresh(const WidenSpec& spec, WidenState& st, size_t p,
-             __m256d level)
+widenRefresh(const WidenSpec& spec, WidenBlocks<B>& st, size_t p, size_t cand)
 {
     const __m256d floor_ = _mm256_set1_pd(spec.capacityFloor);
     for (size_t i = 0; i < spec.coordCount; ++i)
-        st.vals[i][p] = vpredict(st.base[i][p], spec.coords[i].capacity,
-                                 floor_, level);
+        for (size_t b = 0; b < B; ++b)
+            st.vals[i][p][b] = vpredict(
+                widenBase(spec, p, i, cand + b * kKernelBlock),
+                spec.coords[i].capacity, floor_, st.lvl[p][b]);
 }
 
 /**
- * Both probes of one ternary step on part p in one coordinate pass: d1
- * is the deviation with part p at level m1, d2 at m2, the other parts
- * at their cached values. Each accumulator runs the reference's
- * refresh-then-deviate operation sequence (the shared part prefix sum
- * is the same operations, done once); the two independent add chains
- * overlap each other's latency. st.vals is left untouched: the
- * reference's probe values are overwritten by the refresh at the
- * fitted level before anything reads them.
+ * The loop invariants of part p's refit, computed once instead of per
+ * probe. st.base gets part p's bases. Each non-core coordinate's sum of
+ * the parts before p goes into vals[i][p][b], which no probe reads as a
+ * prediction: the refresh at the fitted level overwrites it. dist0[b]
+ * gets block b's partial deviation of the leading `lead` coordinates,
+ * core ones that part p cannot move. The sums are the operations the
+ * reference performs on the same values in the same order, so a probe
+ * that starts from them keeps every lane bit-identical.
  */
+template <size_t B>
 BOLT_AVX2 inline void
-widenProbePair(const WidenSpec& spec, const WidenState& st, size_t p,
-               __m256d m1, __m256d m2, __m256d& d1, __m256d& d2)
+widenHoist(const WidenSpec& spec, WidenBlocks<B>& st, size_t p, size_t lead,
+           size_t cand, __m256d (&dist0)[B])
+{
+    const __m256d zero = _mm256_setzero_pd();
+    for (size_t b = 0; b < B; ++b)
+        dist0[b] = zero;
+    for (size_t i = 0; i < lead; ++i) {
+        const WidenCoord& c = spec.coords[i];
+        const __m256d t = _mm256_set1_pd(c.target);
+        const __m256d w = _mm256_set1_pd(c.weight);
+        for (size_t b = 0; b < B; ++b) {
+            __m256d pred = spec.coreShared ? st.vals[i][0][b] : zero;
+            dist0[b] = _mm256_add_pd(
+                dist0[b], _mm256_mul_pd(w, vabs(_mm256_sub_pd(t, pred))));
+        }
+    }
+    for (size_t i = 0; i < spec.coordCount; ++i)
+        for (size_t b = 0; b < B; ++b)
+            st.base[i][b] = widenBase(spec, p, i, cand + b * kKernelBlock);
+    for (size_t i = lead; i < spec.coordCount; ++i) {
+        if (spec.coords[i].core)
+            continue;
+        for (size_t b = 0; b < B; ++b) {
+            __m256d prefix = zero;
+            for (size_t q = 0; q < p; ++q)
+                prefix = _mm256_add_pd(prefix, st.vals[i][q][b]);
+            st.vals[i][p][b] = prefix;
+        }
+    }
+}
+
+/**
+ * Both probes of one ternary step on part p, for every block, in one
+ * coordinate pass: d1[b] is block b's deviation with part p at level
+ * m1[b], d2[b] at m2[b], the other parts at their cached values. Each
+ * accumulator starts from its block's hoisted leading deviation and
+ * runs the reference's refresh-then-deviate operation sequence over the
+ * remaining coordinates; the 2 * B independent add chains overlap each
+ * other's latency. The reference's probe values are overwritten by the
+ * refresh at the fitted level before anything reads them, so the
+ * probes store nothing.
+ */
+template <size_t B>
+BOLT_AVX2 inline void
+widenProbePairs(const WidenSpec& spec, const WidenBlocks<B>& st, size_t p,
+                size_t lead, const __m256d (&dist0)[B],
+                const __m256d (&m1)[B], const __m256d (&m2)[B],
+                __m256d (&d1)[B], __m256d (&d2)[B])
 {
     const __m256d zero = _mm256_setzero_pd();
     const __m256d hundred = _mm256_set1_pd(100.0);
     const __m256d floor_ = _mm256_set1_pd(spec.capacityFloor);
-    __m256d dist1 = zero, dist2 = zero;
-    for (size_t i = 0; i < spec.coordCount; ++i) {
+    __m256d dist1[B], dist2[B];
+    for (size_t b = 0; b < B; ++b)
+        dist1[b] = dist2[b] = dist0[b];
+    for (size_t i = lead; i < spec.coordCount; ++i) {
         const WidenCoord& c = spec.coords[i];
-        __m256d pred1, pred2;
-        if (c.core) {
-            if (!spec.coreShared) {
-                pred1 = pred2 = zero;
-            } else if (p == 0) {
-                pred1 = vpredict(st.base[i][0], c.capacity, floor_, m1);
-                pred2 = vpredict(st.base[i][0], c.capacity, floor_, m2);
+        const __m256d t = _mm256_set1_pd(c.target);
+        const __m256d w = _mm256_set1_pd(c.weight);
+        for (size_t b = 0; b < B; ++b) {
+            __m256d pred1, pred2;
+            if (c.core) {
+                if (!spec.coreShared) {
+                    pred1 = pred2 = zero;
+                } else if (p == 0) {
+                    pred1 = vpredict(st.base[i][b], c.capacity, floor_, m1[b]);
+                    pred2 = vpredict(st.base[i][b], c.capacity, floor_, m2[b]);
+                } else {
+                    pred1 = pred2 = st.vals[i][0][b];
+                }
             } else {
-                pred1 = pred2 = st.vals[i][0];
+                const __m256d prefix = st.vals[i][p][b];
+                const __m256d base = st.base[i][b];
+                pred1 = _mm256_add_pd(
+                    prefix, vpredict(base, c.capacity, floor_, m1[b]));
+                pred2 = _mm256_add_pd(
+                    prefix, vpredict(base, c.capacity, floor_, m2[b]));
+                for (size_t q = p + 1; q < spec.partCount; ++q) {
+                    pred1 = _mm256_add_pd(pred1, st.vals[i][q][b]);
+                    pred2 = _mm256_add_pd(pred2, st.vals[i][q][b]);
+                }
+                pred1 = _mm256_min_pd(pred1, hundred);
+                pred2 = _mm256_min_pd(pred2, hundred);
             }
-        } else {
-            __m256d prefix = zero;
-            for (size_t q = 0; q < p; ++q)
-                prefix = _mm256_add_pd(prefix, st.vals[i][q]);
-            pred1 = _mm256_add_pd(
-                prefix, vpredict(st.base[i][p], c.capacity, floor_, m1));
-            pred2 = _mm256_add_pd(
-                prefix, vpredict(st.base[i][p], c.capacity, floor_, m2));
-            for (size_t q = p + 1; q < spec.partCount; ++q) {
-                pred1 = _mm256_add_pd(pred1, st.vals[i][q]);
-                pred2 = _mm256_add_pd(pred2, st.vals[i][q]);
-            }
-            pred1 = _mm256_min_pd(pred1, hundred);
-            pred2 = _mm256_min_pd(pred2, hundred);
+            dist1[b] = _mm256_add_pd(
+                dist1[b], _mm256_mul_pd(w, vabs(_mm256_sub_pd(t, pred1))));
+            dist2[b] = _mm256_add_pd(
+                dist2[b], _mm256_mul_pd(w, vabs(_mm256_sub_pd(t, pred2))));
         }
-        __m256d t = _mm256_set1_pd(c.target);
-        __m256d w = _mm256_set1_pd(c.weight);
-        dist1 = _mm256_add_pd(
-            dist1, _mm256_mul_pd(w, vabs(_mm256_sub_pd(t, pred1))));
-        dist2 = _mm256_add_pd(
-            dist2, _mm256_mul_pd(w, vabs(_mm256_sub_pd(t, pred2))));
     }
     if (spec.wsum > 0.0) {
         const __m256d wsum = _mm256_set1_pd(spec.wsum);
-        d1 = _mm256_div_pd(dist1, wsum);
-        d2 = _mm256_div_pd(dist2, wsum);
+        for (size_t b = 0; b < B; ++b) {
+            d1[b] = _mm256_div_pd(dist1[b], wsum);
+            d2[b] = _mm256_div_pd(dist2[b], wsum);
+        }
     } else {
-        d1 = d2 = _mm256_set1_pd(1e9);
+        for (size_t b = 0; b < B; ++b)
+            d1[b] = d2[b] = _mm256_set1_pd(1e9);
+    }
+}
+
+/**
+ * Refit the B candidate blocks starting at candidate `cand`, side by
+ * side. `lead_core` is the number of leading core coordinates.
+ */
+template <size_t B>
+BOLT_AVX2 inline void
+widenFitBlocks(const WidenSpec& spec, size_t lead_core, size_t cand,
+               double* dist, double* levels)
+{
+    const size_t P = spec.partCount;
+    const __m256d third = _mm256_set1_pd(3.0);
+    const __m256d half = _mm256_set1_pd(0.5);
+    WidenBlocks<B> st;
+    for (size_t b = 0; b < B; ++b) {
+        for (size_t p = 0; p + 1 < P; ++p)
+            st.lvl[p][b] = _mm256_set1_pd(spec.fixedInitLevels[p]);
+        st.lvl[P - 1][b] = _mm256_set1_pd(spec.candInitLevel);
+    }
+    for (size_t p = 0; p < P; ++p)
+        widenRefresh(spec, st, p, cand);
+
+    for (int round = 0; round < spec.rounds; ++round) {
+        for (size_t p = 0; p < P; ++p) {
+            // Core coordinates follow part 0 alone when a core is shared.
+            const size_t lead = !spec.coreShared || p != 0 ? lead_core : 0;
+            __m256d dist0[B], lo[B], hi[B];
+            widenHoist(spec, st, p, lead, cand, dist0);
+            for (size_t b = 0; b < B; ++b) {
+                lo[b] = _mm256_set1_pd(spec.lo);
+                hi[b] = _mm256_set1_pd(spec.hi);
+            }
+            for (int it = 0; it < spec.iters; ++it) {
+                __m256d m1[B], m2[B], d1[B], d2[B];
+                for (size_t b = 0; b < B; ++b) {
+                    __m256d step =
+                        _mm256_div_pd(_mm256_sub_pd(hi[b], lo[b]), third);
+                    m1[b] = _mm256_add_pd(lo[b], step);
+                    m2[b] = _mm256_sub_pd(hi[b], step);
+                }
+                widenProbePairs(spec, st, p, lead, dist0, m1, m2, d1, d2);
+                for (size_t b = 0; b < B; ++b) {
+                    __m256d take = _mm256_cmp_pd(d1[b], d2[b], _CMP_LT_OQ);
+                    hi[b] = _mm256_blendv_pd(hi[b], m2[b], take);
+                    lo[b] = _mm256_blendv_pd(m1[b], lo[b], take);
+                }
+            }
+            for (size_t b = 0; b < B; ++b)
+                st.lvl[p][b] =
+                    _mm256_mul_pd(half, _mm256_add_pd(lo[b], hi[b]));
+            widenRefresh(spec, st, p, cand);
+        }
+    }
+    for (size_t b = 0; b < B; ++b) {
+        const size_t e = cand + b * kKernelBlock;
+        _mm256_store_pd(dist + e, widenDeviationVec(spec, st, b));
+        alignas(32) double lane_levels[kKernelBlock];
+        for (size_t p = 0; p < P; ++p) {
+            _mm256_store_pd(lane_levels, st.lvl[p][b]);
+            for (size_t l = 0; l < kKernelBlock; ++l)
+                levels[(e + l) * P + p] = lane_levels[l];
+        }
     }
 }
 
@@ -359,54 +504,20 @@ BOLT_AVX2 void
 widenFit(const WidenSpec& spec, size_t cand_count, double* dist,
          double* levels)
 {
-    const size_t P = spec.partCount;
-    const size_t N = spec.coordCount;
-    const size_t padded = paddedCount(cand_count);
-    const __m256d third = _mm256_set1_pd(3.0);
-    const __m256d half = _mm256_set1_pd(0.5);
-    WidenState st;
-    for (size_t cand = 0; cand < padded; cand += kKernelBlock) {
-        for (size_t i = 0; i < N; ++i) {
-            for (size_t p = 0; p + 1 < P; ++p)
-                st.base[i][p] =
-                    _mm256_set1_pd(spec.fixedBase[p * N + i]);
-            st.base[i][P - 1] =
-                _mm256_load_pd(spec.candBase[i] + cand);
-        }
-        for (size_t p = 0; p + 1 < P; ++p)
-            st.lvl[p] = _mm256_set1_pd(spec.fixedInitLevels[p]);
-        st.lvl[P - 1] = _mm256_set1_pd(spec.candInitLevel);
-        for (size_t p = 0; p < P; ++p)
-            widenRefresh(spec, st, p, st.lvl[p]);
-
-        for (int round = 0; round < spec.rounds; ++round) {
-            for (size_t p = 0; p < P; ++p) {
-                __m256d lo = _mm256_set1_pd(spec.lo);
-                __m256d hi = _mm256_set1_pd(spec.hi);
-                for (int it = 0; it < spec.iters; ++it) {
-                    __m256d step =
-                        _mm256_div_pd(_mm256_sub_pd(hi, lo), third);
-                    __m256d m1 = _mm256_add_pd(lo, step);
-                    __m256d m2 = _mm256_sub_pd(hi, step);
-                    __m256d d1, d2;
-                    widenProbePair(spec, st, p, m1, m2, d1, d2);
-                    __m256d take = _mm256_cmp_pd(d1, d2, _CMP_LT_OQ);
-                    hi = _mm256_blendv_pd(hi, m2, take);
-                    lo = _mm256_blendv_pd(m1, lo, take);
-                }
-                st.lvl[p] =
-                    _mm256_mul_pd(half, _mm256_add_pd(lo, hi));
-                widenRefresh(spec, st, p, st.lvl[p]);
-            }
-        }
-        _mm256_store_pd(dist + cand, widenDeviationVec(spec, st));
-        alignas(32) double lane_levels[kKernelBlock];
-        for (size_t p = 0; p < P; ++p) {
-            _mm256_store_pd(lane_levels, st.lvl[p]);
-            for (size_t l = 0; l < kKernelBlock; ++l)
-                levels[(cand + l) * P + p] = lane_levels[l];
-        }
-    }
+    size_t lead_core = 0;
+    while (lead_core < spec.coordCount && spec.coords[lead_core].core)
+        ++lead_core;
+    // kWidenBlocks blocks at a time, then the 2- or 1-block tail.
+    static_assert(kWidenBlocks == 3);
+    const size_t blocks = paddedCount(cand_count) / kKernelBlock;
+    size_t b = 0;
+    for (; b + kWidenBlocks <= blocks; b += kWidenBlocks)
+        widenFitBlocks<kWidenBlocks>(spec, lead_core, b * kKernelBlock, dist,
+                                     levels);
+    if (blocks - b == 2)
+        widenFitBlocks<2>(spec, lead_core, b * kKernelBlock, dist, levels);
+    else if (blocks - b == 1)
+        widenFitBlocks<1>(spec, lead_core, b * kKernelBlock, dist, levels);
 }
 
 } // namespace avx2_kernels

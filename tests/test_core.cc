@@ -193,9 +193,11 @@ TEST(Observation, MinusAndMerge)
     EXPECT_DOUBLE_EQ(obs.get(sim::Resource::LLC), 50.0);
 
     auto exact = obs.allExact();
-    for (sim::Resource r : sim::kAllResources)
-        if (exact.has(r))
+    for (sim::Resource r : sim::kAllResources) {
+        if (exact.has(r)) {
             EXPECT_TRUE(exact.isExact(r));
+        }
+    }
 }
 
 TEST_F(TrainedFixture, TrainingSetWellFormed)

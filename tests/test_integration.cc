@@ -132,8 +132,9 @@ TEST(Integration, ResultQueriesConsistent)
         EXPECT_GE(iters, 1);
         total += frac;
     }
-    if (!pdf.empty())
+    if (!pdf.empty()) {
         EXPECT_NEAR(total, 1.0, 1e-9);
+    }
     auto by_dom = result.accuracyByDominantResource();
     int count = 0;
     for (const auto& [r, acc_n] : by_dom)

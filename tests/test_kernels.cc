@@ -381,52 +381,76 @@ TEST(BackendEquality, WidenFitRandomizedShapes)
     std::uniform_real_distribution<double> wdist(0.05, 1.0);
     std::uniform_real_distribution<double> tdist(0.0, 100.0);
     std::uniform_int_distribution<int> bdist(0, 1);
-    for (size_t cands : kEntryCounts) {
-        for (size_t parts : {size_t(2), size_t(3), kMaxWidenParts}) {
-            const size_t coords = 10;
-            std::vector<WidenCoord> wc(coords);
-            std::vector<AlignedVector> cand_cols;
-            std::vector<const double*> cand_ptrs(coords);
-            std::vector<double> fixed_base((parts - 1) * coords);
-            std::vector<double> fixed_levels(parts - 1, 0.7);
-            double wsum = 0.0;
-            for (size_t i = 0; i < coords; ++i) {
-                wc[i].weight = wdist(rng);
-                wc[i].target = tdist(rng);
-                wc[i].core = bdist(rng) == 1;
-                wc[i].capacity = bdist(rng) == 1;
-                wsum += wc[i].weight;
-                cand_cols.push_back(
-                    randomColumn(rng, cands, 0.0, 100.0));
-                cand_ptrs[i] = cand_cols.back().data();
-                for (size_t p = 0; p + 1 < parts; ++p)
-                    fixed_base[p * coords + i] = tdist(rng);
-            }
-            WidenSpec spec;
-            spec.coords = wc.data();
-            spec.coordCount = coords;
-            spec.partCount = parts;
-            spec.fixedBase = fixed_base.data();
-            spec.candBase = cand_ptrs.data();
-            spec.fixedInitLevels = fixed_levels.data();
-            spec.coreShared = bdist(rng) == 1;
-            spec.wsum = wsum;
+    std::uniform_int_distribution<size_t> ldist(0, 4);
+    // The AVX2 kernel refits three 4-lane blocks side by side, then a
+    // two- or one-block tail: the counts cover 1, 2 and 3 blocks, both
+    // tails after whole groups, and every ragged lane tail.
+    const size_t kWidenCounts[] = {1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 16, 20, 33};
+    for (size_t cands : kWidenCounts) {
+        for (size_t parts = 2; parts <= kMaxWidenParts; ++parts) {
+            for (bool core_shared : {false, true}) {
+                for (int variant = 0; variant < 3; ++variant) {
+                    // Variant 1 has no weight; variant 2 shrinks the
+                    // bases and the uncore targets to 1e-12, so two
+                    // probes differ by less than the rounding of the
+                    // core deviation and tie only once it is added.
+                    const bool weightless = variant == 1;
+                    const double scale = variant == 2 ? 1e-12 : 1.0;
+                    // A leading run of core coordinates (the part-
+                    // independent deviation the kernel hoists), then
+                    // core flags at random.
+                    const size_t coords = 10;
+                    const size_t leading = ldist(rng);
+                    std::vector<WidenCoord> wc(coords);
+                    std::vector<AlignedVector> cand_cols;
+                    std::vector<const double*> cand_ptrs(coords);
+                    std::vector<double> fixed_base((parts - 1) * coords);
+                    std::vector<double> fixed_levels(parts - 1, 0.7);
+                    double wsum = 0.0;
+                    for (size_t i = 0; i < coords; ++i) {
+                        wc[i].weight = wdist(rng);
+                        wc[i].core = i < leading || bdist(rng) == 1;
+                        wc[i].target =
+                            tdist(rng) * (wc[i].core ? 1.0 : scale);
+                        wc[i].capacity = bdist(rng) == 1;
+                        wsum += wc[i].weight;
+                        cand_cols.push_back(
+                            randomColumn(rng, cands, 0.0, 100.0 * scale));
+                        cand_ptrs[i] = cand_cols.back().data();
+                        for (size_t p = 0; p + 1 < parts; ++p)
+                            fixed_base[p * coords + i] = tdist(rng) * scale;
+                    }
+                    WidenSpec spec;
+                    spec.coords = wc.data();
+                    spec.coordCount = coords;
+                    spec.partCount = parts;
+                    spec.fixedBase = fixed_base.data();
+                    spec.candBase = cand_ptrs.data();
+                    spec.fixedInitLevels = fixed_levels.data();
+                    spec.coreShared = core_shared;
+                    spec.wsum = weightless ? 0.0 : wsum;
 
-            size_t padded = paddedCount(cands);
-            AlignedVector d1(padded), d2(padded);
-            AlignedVector lv1(padded * parts), lv2(padded * parts);
-            ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
-            widenFit(spec, cands, d1.data(), lv1.data());
-            ASSERT_TRUE(setKernelBackend(KernelBackend::Avx2));
-            widenFit(spec, cands, d2.data(), lv2.data());
-            expectLanesEqual(d1, d2, cands, "widen distance");
-            for (size_t e = 0; e < cands; ++e)
-                for (size_t p = 0; p < parts; ++p) {
-                    size_t i = e * parts + p;
-                    EXPECT_EQ(bits(lv1[i]), bits(lv2[i]))
-                        << "cands=" << cands << " parts=" << parts
-                        << " widen level e=" << e << " p=" << p;
+                    size_t padded = paddedCount(cands);
+                    AlignedVector d1(padded), d2(padded);
+                    AlignedVector lv1(padded * parts), lv2(padded * parts);
+                    ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
+                    widenFit(spec, cands, d1.data(), lv1.data());
+                    ASSERT_TRUE(setKernelBackend(KernelBackend::Avx2));
+                    widenFit(spec, cands, d2.data(), lv2.data());
+                    SCOPED_TRACE("cands=" + std::to_string(cands) +
+                                 " parts=" + std::to_string(parts) +
+                                 " core_shared=" +
+                                 std::to_string(core_shared) +
+                                 " variant=" + std::to_string(variant));
+                    expectLanesEqual(d1, d2, cands, "widen distance");
+                    for (size_t e = 0; e < cands; ++e)
+                        for (size_t p = 0; p < parts; ++p) {
+                            size_t i = e * parts + p;
+                            EXPECT_EQ(bits(lv1[i]), bits(lv2[i]))
+                                << "widen level e=" << e << " p=" << p;
+                        }
                 }
+            }
         }
     }
 }
@@ -480,8 +504,9 @@ struct MixQuery
  * The fixed mix: analyze probes with 2-10 observed resources, Exact and
  * Upper bounds and varying victim load, then decompose aggregates of two
  * blended entries over every (core_shared, max_parts 1-3) pair, also
- * with 2-10 observed resources, and one three-entry blend without a
- * shared core.
+ * with 2-10 observed resources, one three-entry blend without a shared
+ * core, and four-entry blends at max_parts 4 and 5 (the detector's cap)
+ * with and without a shared core.
  */
 std::vector<MixQuery>
 buildMix(const core::TrainingSet& tr)
@@ -542,6 +567,30 @@ buildMix(const core::TrainingSet& tr)
             sum += workloads::scaledPressure(tr.entry(idx).fullLoadBase, 0.7);
         for (sim::Resource r : sim::kAllResources) {
             double v = sim::isCoreResource(r) ? 0.0 : std::min(sum[r], 100.0);
+            query.obs.set(r,
+                          std::clamp(v + rng.gaussian(0.0, 1.0), 0.0, 100.0));
+        }
+        mix.push_back(std::move(query));
+    }
+    for (size_t q = 0; q < 4; ++q) {
+        // Four-tenant blends, searched up to depth 4 or 5.
+        MixQuery query;
+        query.isDecompose = true;
+        query.coreShared = q % 2 == 0;
+        query.maxParts = 4 + q / 2;
+        sim::ResourceVector core, sum;
+        for (size_t k = 0; k < 4; ++k) {
+            const auto& entry = tr.entry((q * 23 + k * 31 + 3) % tr.size());
+            sim::ResourceVector p = workloads::scaledPressure(
+                entry.fullLoadBase, 0.5 + 0.1 * static_cast<double>(k));
+            if (k == 0)
+                core = p;
+            sum += p;
+        }
+        for (sim::Resource r : sim::kAllResources) {
+            double v = !sim::isCoreResource(r) ? std::min(sum[r], 100.0)
+                       : query.coreShared      ? core[r]
+                                               : 0.0;
             query.obs.set(r,
                           std::clamp(v + rng.gaussian(0.0, 1.0), 0.0, 100.0));
         }
@@ -626,10 +675,15 @@ TEST_F(BackendEndToEnd, AnalyzeAndDecomposeBitIdentical)
         SCOPED_TRACE("analyze query " + std::to_string(q));
         expectResultsBitEqual(scalar.analyzed[q], simd.analyzed[q]);
     }
-    ASSERT_EQ(scalar.decomposed.size(), 13u);
-    // The no-shared-core blend took a second part, so its search went
-    // on to depth 3.
-    EXPECT_GE(scalar.decomposed.back().parts.size(), 2u);
+    ASSERT_EQ(scalar.decomposed.size(), 17u);
+    // The three-tenant no-shared-core blend took a second part, so its
+    // search went on to depth 3; a four-tenant blend took a third, so
+    // its search went on to depth 4.
+    EXPECT_GE(scalar.decomposed[12].parts.size(), 2u);
+    size_t deepest = 0;
+    for (size_t q = 13; q < scalar.decomposed.size(); ++q)
+        deepest = std::max(deepest, scalar.decomposed[q].parts.size());
+    EXPECT_GE(deepest, 3u);
     ASSERT_EQ(simd.decomposed.size(), scalar.decomposed.size());
     for (size_t q = 0; q < scalar.decomposed.size(); ++q) {
         SCOPED_TRACE("decompose query " + std::to_string(q));

@@ -13,6 +13,7 @@
  * message's rep index identifies the exact instance.
  */
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <optional>
 #include <vector>
@@ -21,6 +22,8 @@
 
 #include "core/profile_table.h"
 #include "core/profiler.h"
+#include "core/recommender.h"
+#include "core/training.h"
 #include "fault/fault.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
@@ -28,6 +31,7 @@
 #include "linalg/svd.h"
 #include "util/rng.h"
 #include "workloads/app.h"
+#include "workloads/generators.h"
 
 using namespace bolt;
 
@@ -255,8 +259,9 @@ TEST(Properties, FaultOracleIsPureAndWindowed)
                 bool fa = a.phaseFlipAt(round, v, 60.0, &pa);
                 bool fb = b.phaseFlipAt(round, v, 60.0, &pb);
                 EXPECT_EQ(fa, fb) << "rep " << rep;
-                if (fa)
+                if (fa) {
                     EXPECT_EQ(pa, pb) << "rep " << rep;
+                }
             }
         }
 
@@ -424,4 +429,250 @@ TEST(Properties, PruneBoundsNeverExceedWidenFitDeviation)
     }
     EXPECT_GT(clamped, 0u);
     EXPECT_GT(below_floor, 0u);
+}
+
+// ---------------------------------------------------------------------
+// decompose()'s pruned, queued search returns exactly what a greedy
+// search without any pruning returns. The reference below keeps
+// decompose()'s shortlist, anchors, fold order and Occam rule, but
+// refits every candidate of every anchor through linalg::widenFit.
+// Parts, levels and distance must match bit for bit under each backend
+// the CPU runs: the one-cell and grid bounds, the Occam cap on the
+// incumbent and the three-block refit queue may only skip work.
+
+namespace {
+
+/** decompose() with every candidate refit and folded in order. */
+core::Decomposition
+unprunedDecompose(const core::TrainingSet& training,
+                  const core::ScaledProfileTable& table,
+                  const sim::ResourceVector& weights,
+                  const core::SparseObservation& obs, bool core_shared,
+                  size_t max_parts, size_t prune)
+{
+    using Table = core::ScaledProfileTable;
+    const size_t m = training.size();
+    const size_t padded = linalg::paddedCount(m);
+
+    // The observed coordinates in resource order, with the weight sums
+    // accumulated in that order.
+    std::vector<size_t> idx;
+    std::vector<double> val, w;
+    double wsum = 0.0, core_wsum = 0.0;
+    for (size_t c = 0; c < sim::kNumResources; ++c) {
+        auto r = static_cast<sim::Resource>(c);
+        if (!obs.has(r))
+            continue;
+        idx.push_back(c);
+        val.push_back(obs.get(r));
+        w.push_back(weights.at(c));
+        wsum += weights.at(c);
+        if (sim::isCoreResource(r))
+            core_wsum += weights.at(c);
+    }
+    const size_t n = idx.size();
+    auto is_core = [&](size_t i) {
+        return sim::isCoreResource(static_cast<sim::Resource>(idx[i]));
+    };
+    auto is_capacity = [&](size_t i) {
+        return sim::isCapacityResource(static_cast<sim::Resource>(idx[i]));
+    };
+
+    // Shortlist and solo fit: on the core coordinates alone when a core
+    // is shared, else on the solo fit's scores.
+    linalg::AlignedVector levels(padded), scores(padded);
+    auto fit = [&](const std::vector<linalg::FitCoord>& fc, double fwsum) {
+        linalg::FitSpec spec;
+        spec.coords = fc.data();
+        spec.coordCount = fc.size();
+        spec.iters = 12;
+        spec.lo = Table::kLevelMin;
+        spec.hi = Table::kLevelMax;
+        spec.capacityFloor = workloads::kCapacityLoadFloor;
+        spec.fitWsum = fwsum;
+        spec.scoreWsum = fwsum;
+        linalg::fitLevelsAndScore(spec, m, levels.data(), scores.data());
+    };
+    std::vector<std::pair<double, size_t>> shortlist;
+    if (core_shared) {
+        std::vector<linalg::FitCoord> fc;
+        for (size_t i = 0; i < n; ++i)
+            if (is_core(i))
+                fc.push_back({table.baseCol(idx[i]), w[i], val[i],
+                              linalg::DevMode::Abs, is_capacity(i)});
+        fit(fc, core_wsum);
+        for (size_t e = 0; e < m; ++e)
+            shortlist.emplace_back(scores[e], e);
+    }
+    std::vector<linalg::FitCoord> solo;
+    for (size_t i = 0; i < n; ++i)
+        solo.push_back({table.baseCol(idx[i]), w[i], val[i],
+                        is_core(i) && !core_shared ? linalg::DevMode::Zero
+                                                   : linalg::DevMode::Abs,
+                        is_capacity(i)});
+    fit(solo, wsum);
+    if (!core_shared)
+        for (size_t e = 0; e < m; ++e)
+            shortlist.emplace_back(scores[e], e);
+    std::sort(shortlist.begin(), shortlist.end());
+    const size_t k0 = std::min(prune, m);
+
+    core::Decomposition best;
+    best.distance = 1e9;
+    for (size_t e = 0; e < m; ++e) {
+        if (scores[e] < best.distance) {
+            best.distance = scores[e];
+            best.parts = {{e, levels[e]}};
+        }
+    }
+
+    std::vector<linalg::WidenCoord> wc(n);
+    std::vector<const double*> cand(n);
+    for (size_t i = 0; i < n; ++i) {
+        wc[i] = {w[i], val[i], is_core(i), is_capacity(i)};
+        cand[i] = table.baseCol(idx[i]);
+    }
+    linalg::AlignedVector dist(padded), fitted(padded * max_parts);
+    for (size_t depth = 2; depth <= max_parts; ++depth) {
+        double improved = best.distance;
+        std::vector<core::DecompositionPart> improved_parts = best.parts;
+        bool found = false;
+        for (size_t s0 = 0; s0 < k0; ++s0) {
+            std::vector<core::DecompositionPart> base;
+            if (depth == 2) {
+                base = {{shortlist[s0].second, 0.8}};
+            } else {
+                if (s0 >= 4 || (s0 > 0 && !core_shared))
+                    break;
+                base = best.parts;
+                if (s0 > 0)
+                    base[0] = {shortlist[s0].second, 0.8};
+            }
+            if (!(wsum > 0.0))
+                continue;
+            const size_t parts = base.size() + 1;
+            std::vector<double> fixed_base, fixed_levels;
+            for (const auto& part : base) {
+                fixed_levels.push_back(part.level);
+                for (size_t i = 0; i < n; ++i)
+                    fixed_base.push_back(table.baseCol(idx[i])[part.index]);
+            }
+            linalg::WidenSpec spec;
+            spec.coords = wc.data();
+            spec.coordCount = n;
+            spec.partCount = parts;
+            spec.fixedBase = fixed_base.data();
+            spec.candBase = cand.data();
+            spec.fixedInitLevels = fixed_levels.data();
+            spec.candInitLevel = 0.8;
+            spec.coreShared = core_shared;
+            spec.wsum = wsum;
+            spec.rounds = 2;
+            spec.iters = 12;
+            spec.lo = Table::kLevelMin;
+            spec.hi = Table::kLevelMax;
+            spec.capacityFloor = workloads::kCapacityLoadFloor;
+            linalg::widenFit(spec, m, dist.data(), fitted.data());
+            for (size_t e = 0; e < m; ++e) {
+                if (dist[e] < improved) {
+                    improved = dist[e];
+                    found = true;
+                    improved_parts.clear();
+                    for (size_t p = 0; p + 1 < parts; ++p)
+                        improved_parts.push_back(
+                            {base[p].index, fitted[e * parts + p]});
+                    improved_parts.push_back(
+                        {e, fitted[e * parts + parts - 1]});
+                }
+            }
+        }
+        if (!found || improved > best.distance * 0.88 ||
+            best.distance - improved < 0.7)
+            break;
+        best.distance = improved;
+        best.parts = improved_parts;
+    }
+    return best;
+}
+
+} // namespace
+
+TEST(Properties, DecomposeMatchesUnprunedSearch)
+{
+    util::Rng root(4242);
+    util::Rng tr = root.substream("train");
+    auto specs = workloads::trainingSet(tr);
+    const core::TrainingSet training =
+        core::TrainingSet::fromSpecs(specs, tr);
+    const core::HybridRecommender rec(training);
+    const core::ScaledProfileTable table(training);
+    const sim::ResourceVector weights = rec.resourceImportance();
+    const size_t m = training.size();
+
+    size_t widened = 0, deep = 0;
+    for (uint64_t rep = 0; rep < kReps; ++rep) {
+        util::Rng rng = util::Rng::stream(kSweepSeed, {7, rep});
+        // A 2-5-tenant aggregate at random loads plus noise: uncore
+        // coordinates sum the tenants (clamped at 100), core ones carry
+        // the first tenant's pressure when a core is shared. Unshared
+        // cores carry a reading no part explains, which adds the same
+        // constant to every candidate's bound and distance; that is
+        // where capping the incumbent at the Occam threshold prunes
+        // most. About one coordinate in five goes unobserved.
+        const bool core_shared = rep % 2 == 0;
+        const size_t max_parts = 2 + (rep / 2) % 4;
+        const size_t tenants = 2 + rng.index(4);
+        sim::ResourceVector core_part, sum;
+        for (size_t t = 0; t < tenants; ++t) {
+            sim::ResourceVector p = workloads::scaledPressure(
+                training.entry(rng.index(m)).fullLoadBase,
+                rng.uniform(0.3, 1.0));
+            if (t == 0)
+                core_part = p;
+            sum += p;
+        }
+        const double noise = rng.uniform(0.3, 2.0);
+        core::SparseObservation obs;
+        for (sim::Resource r : sim::kAllResources) {
+            if (rng.uniform() < 0.2)
+                continue;
+            double v = !sim::isCoreResource(r) ? std::min(sum[r], 100.0)
+                       : core_shared           ? core_part[r]
+                                               : rng.uniform(0.0, 100.0);
+            obs.set(r, std::clamp(v + rng.gaussian(0.0, noise), 0.0, 100.0));
+        }
+
+        for (linalg::KernelBackend backend :
+             {linalg::KernelBackend::Scalar, linalg::KernelBackend::Avx2}) {
+            if (!linalg::kernelBackendAvailable(backend))
+                continue;
+            linalg::KernelBackend saved = linalg::activeKernelBackend();
+            linalg::setKernelBackend(backend);
+            core::Decomposition got =
+                rec.decompose(obs, core_shared, max_parts);
+            core::Decomposition want = unprunedDecompose(
+                training, table, weights, obs, core_shared, max_parts, 24);
+            linalg::setKernelBackend(saved);
+
+            SCOPED_TRACE(::testing::Message()
+                         << "rep " << rep << " backend "
+                         << static_cast<int>(backend) << " core_shared "
+                         << core_shared << " max_parts " << max_parts
+                         << " tenants " << tenants);
+            ASSERT_EQ(got.parts.size(), want.parts.size());
+            for (size_t k = 0; k < got.parts.size(); ++k) {
+                EXPECT_EQ(got.parts[k].index, want.parts[k].index);
+                EXPECT_EQ(std::bit_cast<uint64_t>(got.parts[k].level),
+                          std::bit_cast<uint64_t>(want.parts[k].level));
+            }
+            EXPECT_EQ(std::bit_cast<uint64_t>(got.distance),
+                      std::bit_cast<uint64_t>(want.distance));
+            widened += got.parts.size() >= 2;
+            deep += got.parts.size() >= 3;
+        }
+    }
+    // Coverage: searches that took a second part, and ones that took a
+    // third.
+    EXPECT_GT(widened, 0u);
+    EXPECT_GT(deep, 0u);
 }

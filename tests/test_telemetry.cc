@@ -247,7 +247,7 @@ TEST(Telemetry, CardinalityCapRoutesOverflowAndConservesCounts)
     for (int tenant = 0; tenant < 10; ++tenant)
         for (int e = 0; e < 3; ++e)
             rec.count(SeriesId::kServeTenantRequests,
-                      "c" + std::to_string(tenant), 0.1, 1);
+                      obs::indexedLabel('c', tenant), 0.1, 1);
 
     EXPECT_EQ(rec.seriesDropped(), 18u);
     auto snap = rec.snapshot();

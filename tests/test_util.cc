@@ -701,7 +701,7 @@ TEST(ThreadPool, UnevenTasksAreStolenAcrossWorkers)
             volatile long acc = 0;
             long spins = i == 0 ? 2000000 : 2000;
             for (long k = 0; k < spins; ++k)
-                acc += k;
+                acc = acc + k;
             total.fetch_add(1);
         },
         1);

@@ -76,8 +76,9 @@ TEST(Catalog, FamiliesAreWellFormed)
                 EXPECT_GE(v.base[r], 0.0) << f.name;
                 EXPECT_LE(v.base[r], 100.0) << f.name;
             }
-        if (f.interactive)
+        if (f.interactive) {
             EXPECT_GT(f.nominalP99Ms, 0.0) << f.name;
+        }
     }
 }
 
