@@ -71,19 +71,21 @@ struct Query
 /**
  * The fixed query mix: a deterministic blend of single-tenant analyze
  * probes (2-10 observed resources, Exact and Upper bounds, varying
- * victim load) and multi-tenant decompose aggregates (two blended
- * training entries). Generation touches only frozen APIs
+ * victim load), two-tenant decompose aggregates searched to 2 or 3
+ * parts, and three-tenant aggregates searched to 4 or 5 parts, the
+ * detector's depth. Generation touches only frozen APIs
  * (Rng, scaledPressure, SparseObservation), so the mix is byte-stable
  * across the query-path rewrite this digest gates.
  */
 std::vector<Query>
-buildQueryMix(size_t analyze_queries, size_t decompose_queries)
+buildQueryMix(size_t analyze_queries, size_t decompose_queries,
+              size_t deep_queries)
 {
     const auto& tr = trained().training;
     size_t m = tr.size();
     util::Rng rng(20260806);
     std::vector<Query> queries;
-    queries.reserve(analyze_queries + decompose_queries);
+    queries.reserve(analyze_queries + decompose_queries + deep_queries);
 
     const size_t observed_counts[] = {2, 3, 5, 6, 10};
     for (size_t q = 0; q < analyze_queries; ++q) {
@@ -126,6 +128,33 @@ buildQueryMix(size_t analyze_queries, size_t decompose_queries)
             double v = sim::isCoreResource(r)
                            ? pa[r]
                            : std::min(pa[r] + pb[r], 100.0);
+            v = std::clamp(v + rng.gaussian(0.0, 1.0), 0.0, 100.0);
+            query.obs.set(r, v);
+        }
+        queries.push_back(std::move(query));
+    }
+
+    // Three tenants at distinct loads: a third part improves on two
+    // often enough that depth 4 is searched.
+    for (size_t q = 0; q < deep_queries; ++q) {
+        const size_t ids[] = {(q * 13 + 7) % m, (q * 19 + 41) % m,
+                              (q * 23 + 67) % m};
+        const double loads[] = {0.6 + 0.1 * static_cast<double>(q % 4),
+                                0.5 + 0.1 * static_cast<double>(q % 3),
+                                0.4 + 0.1 * static_cast<double>(q % 5)};
+        sim::ResourceVector parts[3];
+        for (size_t t = 0; t < 3; ++t)
+            parts[t] = workloads::scaledPressure(tr.entry(ids[t]).fullLoadBase,
+                                                 loads[t]);
+        Query query;
+        query.isDecompose = true;
+        query.coreShared = (q / 2) % 2 == 0;
+        query.maxParts = 4 + (q % 2);
+        for (sim::Resource r : sim::kAllResources) {
+            double v = sim::isCoreResource(r)
+                           ? parts[0][r]
+                           : std::min(parts[0][r] + parts[1][r] + parts[2][r],
+                                      100.0);
             v = std::clamp(v + rng.gaussian(0.0, 1.0), 0.0, 100.0);
             query.obs.set(r, v);
         }
@@ -213,7 +242,7 @@ struct HarnessResult
 HarnessResult
 runHarness(size_t reps)
 {
-    auto queries = buildQueryMix(64, 10);
+    auto queries = buildQueryMix(64, 10, 8);
     (void)trained(); // construct outside the timed region
 
     HarnessResult res;

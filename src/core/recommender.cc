@@ -42,24 +42,14 @@ constexpr double kFoldInLambda = 0.3;
  */
 constexpr double kPruneSlack = 1e-6;
 
-/**
- * Candidates per prune chunk: linalg::pruneBounds bounds a whole chunk
- * at once, and the level-cell grid bound then runs on the chunk's
- * candidates that pass the one-cell bound. A multiple of the kernel
- * block keeps the table columns it streams (offset by the chunk start)
- * and the packed grid columns aligned.
- */
-constexpr size_t kPruneChunk = 16;
-static_assert(kPruneChunk % linalg::kKernelBlock == 0);
-
 /** Level cells per part of the grid bound (the table's grid). */
 constexpr size_t kCells = ScaledProfileTable::kLevelCells;
 
 /**
- * Refit queue length: decompose() hands linalg::widenFit three kernel
- * blocks at a time, which it refits side by side.
+ * Refit queue length: decompose() hands linalg::widenFit the blocks it
+ * refits side by side.
  */
-constexpr size_t kRefitLanes = 3 * linalg::kKernelBlock;
+constexpr size_t kRefitLanes = linalg::kWidenBlocks * linalg::kKernelBlock;
 
 /**
  * Occam margin of decompose()'s widening: a depth's best explanation
@@ -123,34 +113,33 @@ struct QueryScratch
     std::vector<DecompositionPart> baseParts;
     /** One-cell prune bound: each coordinate over the whole range. */
     std::array<linalg::PruneCoord, linalg::kMaxFitCoords> pruneCoords;
-    /** Level-cell grid bound (depth 2), over packed candidate edges. */
+    /** Level-cell grid bound (depth 2), over the table's edge columns. */
     std::array<linalg::PruneCoord, linalg::kMaxFitCoords> gridCoords;
     std::array<linalg::WidenCoord, linalg::kMaxFitCoords> widenCoords;
-    /** Base parts' full-load bases, row-major (partCount-1) x coords. */
-    alignas(linalg::kKernelAlign) double
-        fixedBase[(linalg::kMaxWidenParts - 1) * linalg::kMaxFitCoords];
-    double fixedLevels[linalg::kMaxWidenParts - 1];
-    // One prune chunk: bounds, the candidate ids they belong to, and
-    // the grid-bound candidates' packed edge columns (coordinate-major,
-    // then edge, one aligned column each).
-    alignas(linalg::kKernelAlign) double pruneBuf[kPruneChunk];
-    size_t gated[kPruneChunk] = {};
-    alignas(linalg::kKernelAlign) double
-        gridPack[linalg::kMaxFitCoords * (kCells + 1) * kPruneChunk];
-    /** Packed column of coordinate i's edge k in gridPack. */
-    double* gridCol(size_t i, size_t k)
-    {
-        return gridPack + (i * (kCells + 1) + k) * kPruneChunk;
-    }
-    // The survivor queue: three kernel blocks of candidate ids, their
-    // packed base columns (one aligned column per coordinate), and the
-    // refit outputs.
+    // One anchor's prune bounds: every candidate's one-cell bound, the
+    // ids of the candidates that pass it (padded to a whole block with
+    // row 0), and their grid bounds, which the grid kernel reads through
+    // that id list. Sized to the table's padded entry count.
+    linalg::AlignedVector oneCellBounds;
+    std::vector<uint32_t> gated;
+    linalg::AlignedVector gridBounds;
+    // The survivor queue, filled across a depth's anchors: per lane the
+    // candidate id and its anchor's base parts, then the packed columns
+    // widenFit reads (one aligned column per part and coordinate, and
+    // per base part's starting level) and the refit outputs.
     size_t queued[kRefitLanes] = {};
+    DecompositionPart queuedBase[kRefitLanes][linalg::kMaxWidenParts - 1];
     alignas(linalg::kKernelAlign) double
-        widenPack[linalg::kMaxFitCoords * kRefitLanes];
+        widenPack[linalg::kMaxWidenParts * linalg::kMaxFitCoords *
+                  kRefitLanes];
+    alignas(linalg::kKernelAlign) double
+        levelPack[(linalg::kMaxWidenParts - 1) * kRefitLanes];
     alignas(linalg::kKernelAlign) double widenDist[kRefitLanes];
     alignas(linalg::kKernelAlign) double
         widenLevels[kRefitLanes * linalg::kMaxWidenParts];
+    const double* fixedPtrs[(linalg::kMaxWidenParts - 1) *
+                            linalg::kMaxFitCoords] = {};
+    const double* levelPtrs[linalg::kMaxWidenParts - 1] = {};
     const double* candPtrs[linalg::kMaxFitCoords] = {};
 };
 
@@ -462,10 +451,14 @@ HybridRecommender::finishAnalyze(const SparseObservation& observation,
         result.ranking.emplace_back(
             r, direct_weight * direct + (1.0 - direct_weight) * pearson);
     }
-    std::stable_sort(result.ranking.begin(), result.ranking.end(),
-                     [](const auto& x, const auto& y) {
-                         return x.second > y.second;
-                     });
+    // Best score first, ties in entry order: the ranking is built in
+    // entry order, so this is the stable order, without the merge
+    // buffer std::stable_sort would allocate per call.
+    std::sort(result.ranking.begin(), result.ranking.end(),
+              [](const auto& x, const auto& y) {
+                  return x.second > y.second ||
+                         (x.second == y.second && x.first < y.first);
+              });
 
     if (!result.ranking.empty()) {
         result.topFittedLevel = s.levels[result.ranking.front().first];
@@ -582,6 +575,9 @@ HybridRecommender::decompose(const SparseObservation& observation,
     s.baseParts.reserve(max_parts + 1);
     s.levels.resize(table_.paddedEntries());
     s.scores.resize(table_.paddedEntries());
+    s.oneCellBounds.resize(table_.paddedEntries());
+    s.gated.resize(table_.paddedEntries());
+    s.gridBounds.resize(table_.paddedEntries());
 
     // Shortlist part-0 candidates. With a shared core, the core signal
     // is single-tenant, so the shortlist ranks candidates on the core
@@ -668,12 +664,20 @@ HybridRecommender::decompose(const SparseObservation& observation,
     // Greedy widening: add a part while it improves the explanation
     // meaningfully (Occam margin), re-fitting levels by coordinate
     // descent. The candidate pool for the added part is the full
-    // training set, walked in chunks: each chunk is bounded against the
-    // incumbent, capped at the Occam threshold, and the survivors queue
-    // up until they fill three kernel blocks, which linalg::widenFit
-    // refits together (lanes independent, so the fold below reproduces
-    // the one-candidate-at-a-time search bit for bit). Part 0 stays
-    // within the anchored shortlist.
+    // training set, walked in order: each candidate's bound is checked
+    // against the incumbent, capped at the Occam threshold, and the
+    // survivors queue up, across the depth's anchors, until they fill
+    // the blocks linalg::widenFit refits together (lanes independent,
+    // so the fold below reproduces the one-candidate-at-a-time search
+    // bit for bit). Part 0 stays within the anchored shortlist.
+    for (size_t i = 0; i < s.obsCount; ++i) {
+        size_t c = s.obsIdx[i];
+        linalg::WidenCoord& wc = s.widenCoords[i];
+        wc.weight = s.obsWeight[i];
+        wc.target = s.obsVal[i];
+        wc.core = sim::isCoreResource(static_cast<sim::Resource>(c));
+        wc.capacity = sim::isCapacityResource(static_cast<sim::Resource>(c));
+    }
     for (size_t depth = 2; depth <= max_parts; ++depth) {
         double improved_distance = best_distance;
         // The largest distance the Occam test below accepts at this
@@ -682,6 +686,83 @@ HybridRecommender::decompose(const SparseObservation& observation,
                                           best_distance - kOccamGain);
         s.improvedParts = s.bestParts;
         bool found = false;
+
+        // Every anchor at this depth extends depth - 1 base parts: the
+        // shortlist anchor at depth 2, the incumbent's parts beyond.
+        const size_t num_parts = depth;
+        const size_t n = s.obsCount;
+        for (size_t p = 0; p < num_parts; ++p)
+            for (size_t i = 0; i < n; ++i) {
+                const double* col =
+                    s.widenPack + (p * n + i) * kRefitLanes;
+                if (p + 1 < num_parts)
+                    s.fixedPtrs[p * n + i] = col;
+                else
+                    s.candPtrs[i] = col;
+            }
+        for (size_t p = 0; p + 1 < num_parts; ++p)
+            s.levelPtrs[p] = s.levelPack + p * kRefitLanes;
+        linalg::WidenSpec wspec;
+        wspec.coords = s.widenCoords.data();
+        wspec.coordCount = n;
+        wspec.partCount = num_parts;
+        wspec.fixedBase = s.fixedPtrs;
+        wspec.candBase = s.candPtrs;
+        wspec.fixedInitLevels = s.levelPtrs;
+        wspec.candInitLevel = 0.8;
+        wspec.coreShared = core_shared;
+        wspec.wsum = s.wsumAll;
+        wspec.rounds = 2;
+        wspec.iters = 12;
+        wspec.lo = ScaledProfileTable::kLevelMin;
+        wspec.hi = ScaledProfileTable::kLevelMax;
+        wspec.capacityFloor = workloads::kCapacityLoadFloor;
+
+        // Refit the queued candidates together and fold them in queue
+        // order, which is (anchor, candidate) order: a lane's deviation
+        // does not depend on the incumbent, so this reproduces the
+        // sequential search's improvement trajectory exactly. Tail lanes
+        // get zero bases and levels, which keep them finite.
+        size_t n_queued = 0;
+        auto refit_queued = [&]() {
+            const size_t lanes = linalg::paddedCount(n_queued);
+            for (size_t i = 0; i < n; ++i) {
+                const double* src = table_.baseCol(s.obsIdx[i]);
+                for (size_t p = 0; p < num_parts; ++p) {
+                    double* dst = s.widenPack + (p * n + i) * kRefitLanes;
+                    for (size_t q = 0; q < n_queued; ++q)
+                        dst[q] = src[p + 1 < num_parts
+                                         ? s.queuedBase[q][p].index
+                                         : s.queued[q]];
+                    std::fill(dst + n_queued, dst + lanes, 0.0);
+                }
+            }
+            for (size_t p = 0; p + 1 < num_parts; ++p) {
+                double* dst = s.levelPack + p * kRefitLanes;
+                for (size_t q = 0; q < n_queued; ++q)
+                    dst[q] = s.queuedBase[q][p].level;
+                std::fill(dst + n_queued, dst + lanes, 0.0);
+            }
+            linalg::widenFit(wspec, n_queued, s.widenDist, s.widenLevels);
+            for (size_t q = 0; q < n_queued; ++q) {
+                ++prune_evaluated;
+                double d = s.widenDist[q];
+                if (d < improved_distance) {
+                    improved_distance = d;
+                    found = true;
+                    s.improvedParts.clear();
+                    for (size_t p = 0; p + 1 < num_parts; ++p)
+                        s.improvedParts.push_back(
+                            {s.queuedBase[q][p].index,
+                             s.widenLevels[q * num_parts + p]});
+                    s.improvedParts.push_back(
+                        {s.queued[q],
+                         s.widenLevels[q * num_parts + (num_parts - 1)]});
+                }
+            }
+            n_queued = 0;
+        };
+
         for (size_t s0 = 0; s0 < k0; ++s0) {
             // Re-anchoring part 0 per candidate only matters at depth 2;
             // beyond that the incumbent parts are kept.
@@ -711,26 +792,17 @@ HybridRecommender::decompose(const SparseObservation& observation,
                 continue;
             }
 
-            // Candidate-independent halves of the prune bounds and the
-            // widening refit problem. The one-cell bound lets every
-            // coordinate take its own level anywhere in the range. At
-            // depth 2 the anchor is the only base part, so the grid
-            // bound then ties all coordinates to one level cell per
-            // part. Base sums run in part order, like the exact
-            // evaluation.
+            // Candidate-independent halves of the prune bounds. The
+            // one-cell bound lets every coordinate take its own level
+            // anywhere in the range. At depth 2 the anchor is the only
+            // base part, so the grid bound then ties all coordinates to
+            // one level cell per part. Base sums run in part order, like
+            // the exact evaluation.
             const bool grid = depth == 2;
             const size_t anchor = s.baseParts[0].index;
-            const size_t num_parts = s.baseParts.size() + 1;
-            for (size_t p = 0; p + 1 < num_parts; ++p) {
-                s.fixedLevels[p] = s.baseParts[p].level;
-                for (size_t i = 0; i < s.obsCount; ++i)
-                    s.fixedBase[p * s.obsCount + i] =
-                        table_.baseCol(s.obsIdx[i])[s.baseParts[p].index];
-            }
-            for (size_t i = 0; i < s.obsCount; ++i) {
+            for (size_t i = 0; i < n; ++i) {
                 size_t c = s.obsIdx[i];
-                bool core =
-                    sim::isCoreResource(static_cast<sim::Resource>(c));
+                bool core = s.widenCoords[i].core;
                 double lo_sum = 0.0, hi_sum = 0.0;
                 if (!core) {
                     for (const auto& p : s.baseParts) {
@@ -747,6 +819,8 @@ HybridRecommender::decompose(const SparseObservation& observation,
                 pc.target = s.obsVal[i];
                 pc.base[0] = lo_sum;
                 pc.base[1] = hi_sum;
+                pc.cand[0] = table_.edgeCol(c, 0);
+                pc.cand[1] = table_.edgeCol(c, kCells);
                 if (grid) {
                     linalg::PruneCoord& gc = s.gridCoords[i];
                     gc = pc;
@@ -754,66 +828,10 @@ HybridRecommender::decompose(const SparseObservation& observation,
                         gc.base[k] = core && !core_shared
                                          ? 0.0
                                          : table_.edge(anchor, c, k);
-                        gc.cand[k] = s.gridCol(i, k);
+                        gc.cand[k] = table_.edgeCol(c, k);
                     }
                 }
-                linalg::WidenCoord& wc = s.widenCoords[i];
-                wc.weight = s.obsWeight[i];
-                wc.target = s.obsVal[i];
-                wc.core = core;
-                wc.capacity = sim::isCapacityResource(
-                    static_cast<sim::Resource>(c));
             }
-            linalg::WidenSpec wspec;
-            wspec.coords = s.widenCoords.data();
-            wspec.coordCount = s.obsCount;
-            wspec.partCount = num_parts;
-            wspec.fixedBase = s.fixedBase;
-            wspec.candBase = s.candPtrs;
-            wspec.fixedInitLevels = s.fixedLevels;
-            wspec.candInitLevel = 0.8;
-            wspec.coreShared = core_shared;
-            wspec.wsum = s.wsumAll;
-            wspec.rounds = 2;
-            wspec.iters = 12;
-            wspec.lo = ScaledProfileTable::kLevelMin;
-            wspec.hi = ScaledProfileTable::kLevelMax;
-            wspec.capacityFloor = workloads::kCapacityLoadFloor;
-
-            // Refit the queued candidates as one block and fold them in
-            // candidate order: a lane's deviation does not depend on the
-            // incumbent, so this reproduces the sequential search's
-            // improvement trajectory exactly.
-            size_t n_queued = 0;
-            auto refit_queued = [&]() {
-                for (size_t i = 0; i < s.obsCount; ++i) {
-                    const double* src = table_.baseCol(s.obsIdx[i]);
-                    double* dst = s.widenPack + i * kRefitLanes;
-                    for (size_t q = 0; q < linalg::paddedCount(n_queued); ++q)
-                        dst[q] = q < n_queued ? src[s.queued[q]] : 0.0;
-                    s.candPtrs[i] = dst;
-                }
-                linalg::widenFit(wspec, n_queued, s.widenDist,
-                                 s.widenLevels);
-                for (size_t q = 0; q < n_queued; ++q) {
-                    ++prune_evaluated;
-                    double d = s.widenDist[q];
-                    if (d < improved_distance) {
-                        improved_distance = d;
-                        found = true;
-                        s.improvedParts.clear();
-                        for (size_t p = 0; p + 1 < num_parts; ++p)
-                            s.improvedParts.push_back(
-                                {s.baseParts[p].index,
-                                 s.widenLevels[q * num_parts + p]});
-                        s.improvedParts.push_back(
-                            {s.queued[q],
-                             s.widenLevels[q * num_parts +
-                                           (num_parts - 1)]});
-                    }
-                }
-                n_queued = 0;
-            };
 
             // Lower-bound every candidate's best reachable deviation; a
             // candidate whose bound cannot beat the incumbent skips the
@@ -821,9 +839,16 @@ HybridRecommender::decompose(const SparseObservation& observation,
             // floating-point operation on quantities that bound the
             // exact evaluation's, and the descent's final levels lie
             // inside the grid, so pruning never changes the search's
-            // outcome. Candidates gated while others wait in the queue
-            // see the incumbent from before that queue's refit; a stale
-            // incumbent only admits candidates the fold then rejects.
+            // outcome. Candidates gated while others wait in the queue,
+            // this anchor's or an earlier one's, see the incumbent from
+            // before that queue's refit; a stale incumbent only admits
+            // candidates the fold then rejects. So the bounds are
+            // computed once per anchor, and each is compared against
+            // the incumbent when the walk reaches its candidate: every
+            // candidate's one-cell bound in one call, then at depth 2
+            // the grid bounds of the candidates that pass it under the
+            // anchor's starting incumbent in a second (the incumbent
+            // only falls, so no other candidate can pass later).
             //
             // The incumbent is capped at occam_cap: a candidate whose
             // bound lies above it refits to a distance the Occam test
@@ -835,62 +860,39 @@ HybridRecommender::decompose(const SparseObservation& observation,
                 return bound / s.wsumAll >
                        std::min(improved_distance, occam_cap) + kPruneSlack;
             };
-            for (size_t j0 = 0; j0 < m; j0 += kPruneChunk) {
-                size_t count = std::min(kPruneChunk, m - j0);
-                for (size_t i = 0; i < s.obsCount; ++i) {
-                    if (s.pruneCoords[i].additive) {
-                        size_t c = s.obsIdx[i];
-                        s.pruneCoords[i].cand[0] = table_.edgeCol(c, 0) + j0;
-                        s.pruneCoords[i].cand[1] =
-                            table_.edgeCol(c, kCells) + j0;
-                    }
-                }
-                linalg::pruneBounds(s.pruneCoords.data(), s.obsCount, 1,
-                                    count, s.pruneBuf);
-                size_t n_gated = 0;
-                if (grid) {
-                    // Pack the one-cell survivors' edge columns and
-                    // bound them again on the grid.
-                    for (size_t jl = 0; jl < count; ++jl) {
-                        if (uncompetitive(s.pruneBuf[jl]))
-                            ++prune_skipped;
-                        else
-                            s.gated[n_gated++] = j0 + jl;
-                    }
-                    if (n_gated == 0)
-                        continue;
-                    for (size_t i = 0; i < s.obsCount; ++i) {
-                        if (!s.gridCoords[i].additive)
-                            continue;
-                        for (size_t k = 0; k <= kCells; ++k) {
-                            const double* src =
-                                table_.edgeCol(s.obsIdx[i], k);
-                            double* dst = s.gridCol(i, k);
-                            for (size_t g = 0;
-                                 g < linalg::paddedCount(n_gated); ++g)
-                                dst[g] = g < n_gated ? src[s.gated[g]]
-                                                     : 0.0;
-                        }
-                    }
-                    linalg::pruneBounds(s.gridCoords.data(), s.obsCount,
-                                        kCells, n_gated, s.pruneBuf);
-                } else {
-                    for (size_t jl = 0; jl < count; ++jl)
-                        s.gated[n_gated++] = j0 + jl;
-                }
-                for (size_t g = 0; g < n_gated; ++g) {
-                    if (uncompetitive(s.pruneBuf[g])) {
-                        ++prune_skipped;
-                        continue;
-                    }
-                    s.queued[n_queued++] = s.gated[g];
-                    if (n_queued == kRefitLanes)
-                        refit_queued();
-                }
+            linalg::pruneBounds(s.pruneCoords.data(), n, 1, m,
+                                s.oneCellBounds.data());
+            size_t n_gated = 0;
+            for (size_t j = 0; j < m; ++j) {
+                if (uncompetitive(s.oneCellBounds[j]))
+                    ++prune_skipped;
+                else
+                    s.gated[n_gated++] = static_cast<uint32_t>(j);
             }
-            if (n_queued > 0)
-                refit_queued();
+            if (grid && n_gated > 0) {
+                std::fill(s.gated.begin() + static_cast<long>(n_gated),
+                          s.gated.begin() +
+                              static_cast<long>(linalg::paddedCount(n_gated)),
+                          0u);
+                linalg::pruneBounds(s.gridCoords.data(), n, kCells, n_gated,
+                                    s.gridBounds.data(), s.gated.data());
+            }
+            for (size_t g = 0; g < n_gated; ++g) {
+                const size_t j = s.gated[g];
+                if (uncompetitive(s.oneCellBounds[j]) ||
+                    (grid && uncompetitive(s.gridBounds[g]))) {
+                    ++prune_skipped;
+                    continue;
+                }
+                s.queued[n_queued] = j;
+                std::copy(s.baseParts.begin(), s.baseParts.end(),
+                          s.queuedBase[n_queued]);
+                if (++n_queued == kRefitLanes)
+                    refit_queued();
+            }
         }
+        if (n_queued > 0)
+            refit_queued();
         // Occam margin: an extra tenant must reduce the unexplained
         // signal meaningfully, or the simpler explanation stands.
         if (!found || improved_distance > best_distance * kOccamRatio ||

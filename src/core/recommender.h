@@ -159,7 +159,9 @@ class HybridRecommender
      *                    decomposition treats everything as measured).
      * @param core_shared Whether core entries are attributable to the
      *                    first part (the focus-core sibling).
-     * @param max_parts   Co-resident cap (the paper disentangles 2-3).
+     * @param max_parts   Co-resident cap (the paper disentangles 2-3),
+     *                    at most linalg::kMaxWidenParts, the parts the
+     *                    refit queue holds per lane.
      * @param prune       Sibling candidates shortlisted for part one.
      */
     Decomposition decompose(const SparseObservation& observation,

@@ -139,9 +139,10 @@ fitLevelsAndScore(const FitSpec& spec, size_t entry_count, double* levels,
 
 void
 pruneBounds(const PruneCoord* coords, size_t coord_count, size_t cells,
-            size_t entry_count, double* bounds)
+            size_t entry_count, double* bounds, const uint32_t* index)
 {
     for (size_t e = 0; e < entry_count; ++e) {
+        const size_t row = index ? index[e] : e;
         double best = std::numeric_limits<double>::infinity();
         for (size_t a = 0; a < cells; ++a) {
             for (size_t b = 0; b < cells; ++b) {
@@ -150,8 +151,8 @@ pruneBounds(const PruneCoord* coords, size_t coord_count, size_t cells,
                     const PruneCoord& c = coords[i];
                     double lo_v, hi_v;
                     if (c.additive) {
-                        lo_v = std::min(c.base[a] + c.cand[b][e], 100.0);
-                        hi_v = std::min(c.base[a + 1] + c.cand[b + 1][e],
+                        lo_v = std::min(c.base[a] + c.cand[b][row], 100.0);
+                        hi_v = std::min(c.base[a + 1] + c.cand[b + 1][row],
                                         100.0);
                     } else {
                         lo_v = c.base[a];
@@ -206,11 +207,11 @@ widenFit(const WidenSpec& spec, size_t cand_count, double* dist,
 
     for (size_t cand = 0; cand < cand_count; ++cand) {
         auto base_of = [&](size_t p, size_t i) {
-            return p + 1 < P ? spec.fixedBase[p * N + i]
+            return p + 1 < P ? spec.fixedBase[p * N + i][cand]
                              : spec.candBase[i][cand];
         };
         for (size_t p = 0; p + 1 < P; ++p)
-            lvl[p] = spec.fixedInitLevels[p];
+            lvl[p] = spec.fixedInitLevels[p][cand];
         lvl[P - 1] = spec.candInitLevel;
         auto refresh = [&](size_t p, double level) {
             for (size_t i = 0; i < N; ++i)
@@ -257,7 +258,8 @@ widenFit(const WidenSpec& spec, size_t cand_count, double* dist,
 namespace avx2_kernels {
 void pearsonRow(const PearsonTable&, const double*, double*);
 void fitLevelsAndScore(const FitSpec&, size_t, double*, double*);
-void pruneBounds(const PruneCoord*, size_t, size_t, size_t, double*);
+void pruneBounds(const PruneCoord*, size_t, size_t, size_t, double*,
+                 const uint32_t*);
 void widenFit(const WidenSpec&, size_t, double*, double*);
 } // namespace avx2_kernels
 #endif
@@ -387,7 +389,7 @@ fitLevelsAndScore(const FitSpec& spec, size_t entry_count, double* levels,
 
 void
 pruneBounds(const PruneCoord* coords, size_t coord_count, size_t cells,
-            size_t entry_count, double* bounds)
+            size_t entry_count, double* bounds, const uint32_t* index)
 {
     if (coord_count > kMaxFitCoords || cells == 0 ||
         cells > kMaxPruneCells)
@@ -395,12 +397,12 @@ pruneBounds(const PruneCoord* coords, size_t coord_count, size_t cells,
 #if defined(__x86_64__)
     if (activeKernelBackend() == KernelBackend::Avx2) {
         avx2_kernels::pruneBounds(coords, coord_count, cells, entry_count,
-                                  bounds);
+                                  bounds, index);
         return;
     }
 #endif
     scalar_kernels::pruneBounds(coords, coord_count, cells, entry_count,
-                                bounds);
+                                bounds, index);
 }
 
 void

@@ -300,9 +300,15 @@ struct PruneCoord
  * does too. With cells == 1 every coordinate spans the whole level range
  * independently. bounds needs paddedCount(entry_count) capacity.
  * Bit-identical per candidate to the scalar bound loop.
+ *
+ * Candidate e reads row e of the cand columns, or row index[e] when an
+ * index list is given; the list then needs paddedCount(entry_count)
+ * entries, and the tail's must be rows the columns hold (the AVX2
+ * backend gathers whole blocks).
  */
 void pruneBounds(const PruneCoord* coords, size_t coord_count, size_t cells,
-                 size_t entry_count, double* bounds);
+                 size_t entry_count, double* bounds,
+                 const uint32_t* index = nullptr);
 
 // ---------------------------------------------------------------------
 // Blocked multi-part coordinate-descent refit (decompose widening)
@@ -319,26 +325,29 @@ struct WidenCoord
 
 /**
  * The decompose widening step, candidates as lanes: every candidate
- * extends the same fixed base parts with its own trailing part, then
+ * extends its own fixed base parts with its own trailing part, then
  * runs `rounds` rounds of per-part ternary refits (each `iters`
  * iterations) and reports the final deviation. State per candidate is
  * the parts' level vector; all candidates execute the same operation
  * sequence, so lanes stay independent and bit-identical to evaluating
  * each candidate with the scalar refit loop.
  *
- * fixedBase is row-major (partCount-1) x coordCount: the base parts'
- * full-load base per coordinate. candBase holds the trailing part's
- * bases as one padded SoA column per coordinate (packed by the caller
- * to the surviving candidates).
+ * Every part input is per lane, one padded SoA column each, packed by
+ * the caller to the queued candidates: fixedBase[p * coordCount + i]
+ * holds fixed part p's full-load bases on coordinate i,
+ * fixedInitLevels[p] its starting levels, and candBase[i] the trailing
+ * part's bases. Lanes of one call may so extend different base parts.
  */
 struct WidenSpec
 {
     const WidenCoord* coords = nullptr;
     size_t coordCount = 0;
     size_t partCount = 0; ///< Fixed parts + 1 (the candidate).
-    const double* fixedBase = nullptr;
+    /** (partCount-1) x coordCount padded columns, part-major. */
+    const double* const* fixedBase = nullptr;
     const double* const* candBase = nullptr; ///< Per-coord padded column.
-    const double* fixedInitLevels = nullptr; ///< Length partCount-1.
+    /** partCount-1 padded columns of starting levels. */
+    const double* const* fixedInitLevels = nullptr;
     double candInitLevel = 0.8;
     bool coreShared = false;
     double wsum = 0.0; ///< Caller guarantees > 0 (prune gate).
@@ -348,6 +357,14 @@ struct WidenSpec
     double hi = 1.1;
     double capacityFloor = 0.85;
 };
+
+/**
+ * Candidate blocks the AVX2 widenFit refits side by side (a block's
+ * ternary search is one long dependency chain per probe; three blocks
+ * overlap their chains). A caller that queues this many blocks per call
+ * keeps every call on the full-width path.
+ */
+constexpr size_t kWidenBlocks = 3;
 
 /**
  * Refit every packed candidate in [0, cand_count): dist[e] gets the

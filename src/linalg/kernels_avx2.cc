@@ -31,6 +31,7 @@
 
 #include <immintrin.h>
 
+#include <cmath>
 #include <limits>
 
 /** Enables AVX2 (and nothing else: no fma) for one function. */
@@ -108,41 +109,158 @@ pearsonRow(const PearsonTable& t, const double* query, double* out)
 
 namespace {
 
-/** Vector deviation of one entry block at per-lane levels. */
-BOLT_AVX2 inline __m256d
-fitDeviationVec(const FitSpec& spec, size_t e, __m256d level,
-                bool fit_phase)
+/**
+ * The coordinates one phase of a fit reads, decided once per call: the
+ * fit phase drops Upper coordinates when skipUpperInFit, as the
+ * reference's `continue` does. A leading run of Zero coordinates adds
+ * the same level-independent terms to every lane, so their sum, taken
+ * in the reference's order from 0.0, becomes every accumulator's start.
+ */
+struct FitPhase
 {
-    const __m256d zero = _mm256_setzero_pd();
-    const __m256d floor_ = _mm256_set1_pd(spec.capacityFloor);
-    __m256d dist = zero;
+    const FitCoord* coords[kMaxFitCoords];
+    size_t count = 0;
+    double lead = 0.0;
+    double wsum = 0.0;
+};
+
+FitPhase
+fitPhase(const FitSpec& spec, bool fit_phase)
+{
+    FitPhase ph;
+    ph.wsum = fit_phase ? spec.fitWsum : spec.scoreWsum;
     for (size_t i = 0; i < spec.coordCount; ++i) {
         const FitCoord& c = spec.coords[i];
-        __m256d pred =
-            c.mode == DevMode::Zero
-                ? zero
-                : vpredict(_mm256_load_pd(c.base + e), c.capacity,
-                           floor_, level);
-        __m256d t = _mm256_set1_pd(c.target);
-        __m256d w = _mm256_set1_pd(c.weight);
+        if (fit_phase && spec.skipUpperInFit && c.mode == DevMode::Upper)
+            continue;
+        if (ph.count == 0 && c.mode == DevMode::Zero)
+            ph.lead += c.weight * std::abs(c.target - 0.0);
+        else
+            ph.coords[ph.count++] = &c;
+    }
+    return ph;
+}
+
+/**
+ * The deviations of B entry blocks at K per-lane levels each, in one
+ * coordinate pass: out[k][b] is block b (the block at e + b blocks) at
+ * level lvl[k][b]. Each coordinate's mode and capacity are read once
+ * per pass, not once per probe; each accumulator still adds its terms
+ * in coordinate order, and the K * B add chains overlap.
+ */
+template <size_t K, size_t B>
+BOLT_AVX2 inline void
+fitDeviations(const FitPhase& ph, double capacity_floor, size_t e,
+              const __m256d (&lvl)[K][B], __m256d (&out)[K][B])
+{
+    if (!(ph.wsum > 0.0)) {
+        for (size_t k = 0; k < K; ++k)
+            for (size_t b = 0; b < B; ++b)
+                out[k][b] = _mm256_set1_pd(1e9);
+        return;
+    }
+    const __m256d zero = _mm256_setzero_pd();
+    const __m256d floor_ = _mm256_set1_pd(capacity_floor);
+    __m256d floored[K][B], dist[K][B];
+    for (size_t k = 0; k < K; ++k)
+        for (size_t b = 0; b < B; ++b) {
+            floored[k][b] = _mm256_max_pd(lvl[k][b], floor_);
+            dist[k][b] = _mm256_set1_pd(ph.lead);
+        }
+    for (size_t n = 0; n < ph.count; ++n) {
+        const FitCoord& c = *ph.coords[n];
+        const __m256d t = _mm256_set1_pd(c.target);
+        const __m256d w = _mm256_set1_pd(c.weight);
+        if (c.mode == DevMode::Zero) {
+            const __m256d term =
+                _mm256_mul_pd(w, vabs(_mm256_sub_pd(t, zero)));
+            for (size_t k = 0; k < K; ++k)
+                for (size_t b = 0; b < B; ++b)
+                    dist[k][b] = _mm256_add_pd(dist[k][b], term);
+            continue;
+        }
+        const __m256d* scale = c.capacity ? &floored[0][0] : &lvl[0][0];
         if (c.mode == DevMode::Upper) {
-            if (fit_phase && spec.skipUpperInFit)
-                continue;
-            __m256d over = _mm256_max_pd(zero, _mm256_sub_pd(pred, t));
-            __m256d under = _mm256_max_pd(zero, _mm256_sub_pd(t, pred));
-            __m256d term = _mm256_add_pd(
-                over, _mm256_mul_pd(_mm256_set1_pd(0.05), under));
-            dist = _mm256_add_pd(dist, _mm256_mul_pd(w, term));
+            const __m256d slack = _mm256_set1_pd(0.05);
+            for (size_t b = 0; b < B; ++b) {
+                const __m256d base =
+                    _mm256_load_pd(c.base + e + b * kKernelBlock);
+                for (size_t k = 0; k < K; ++k) {
+                    __m256d pred =
+                        vclamp01h(_mm256_mul_pd(base, scale[k * B + b]));
+                    __m256d over = _mm256_max_pd(zero, _mm256_sub_pd(pred, t));
+                    __m256d under =
+                        _mm256_max_pd(zero, _mm256_sub_pd(t, pred));
+                    __m256d term =
+                        _mm256_add_pd(over, _mm256_mul_pd(slack, under));
+                    dist[k][b] =
+                        _mm256_add_pd(dist[k][b], _mm256_mul_pd(w, term));
+                }
+            }
         } else {
-            dist = _mm256_add_pd(
-                dist, _mm256_mul_pd(w, vabs(_mm256_sub_pd(t, pred))));
+            for (size_t b = 0; b < B; ++b) {
+                const __m256d base =
+                    _mm256_load_pd(c.base + e + b * kKernelBlock);
+                for (size_t k = 0; k < K; ++k) {
+                    __m256d pred =
+                        vclamp01h(_mm256_mul_pd(base, scale[k * B + b]));
+                    dist[k][b] = _mm256_add_pd(
+                        dist[k][b],
+                        _mm256_mul_pd(w, vabs(_mm256_sub_pd(t, pred))));
+                }
+            }
         }
     }
-    double wsum = fit_phase ? spec.fitWsum : spec.scoreWsum;
-    if (wsum > 0.0)
-        return _mm256_div_pd(dist, _mm256_set1_pd(wsum));
-    return _mm256_set1_pd(1e9);
+    const __m256d wsum = _mm256_set1_pd(ph.wsum);
+    for (size_t k = 0; k < K; ++k)
+        for (size_t b = 0; b < B; ++b)
+            out[k][b] = _mm256_div_pd(dist[k][b], wsum);
 }
+
+/**
+ * The ternary searches of the B entry blocks starting at entry e, side
+ * by side, then their scores at the fitted levels. One block's search
+ * is a chain of dependent divisions and deviation sums; B blocks'
+ * chains overlap.
+ */
+template <size_t B>
+BOLT_AVX2 inline void
+fitBlocks(const FitSpec& spec, const FitPhase& fit, const FitPhase& score,
+          size_t e, double* levels, double* scores)
+{
+    const __m256d third = _mm256_set1_pd(3.0);
+    const __m256d half = _mm256_set1_pd(0.5);
+    __m256d lo[B], hi[B];
+    for (size_t b = 0; b < B; ++b) {
+        lo[b] = _mm256_set1_pd(spec.lo);
+        hi[b] = _mm256_set1_pd(spec.hi);
+    }
+    for (int it = 0; it < spec.iters; ++it) {
+        __m256d m[2][B], d[2][B];
+        for (size_t b = 0; b < B; ++b) {
+            __m256d step = _mm256_div_pd(_mm256_sub_pd(hi[b], lo[b]), third);
+            m[0][b] = _mm256_add_pd(lo[b], step);
+            m[1][b] = _mm256_sub_pd(hi[b], step);
+        }
+        fitDeviations(fit, spec.capacityFloor, e, m, d);
+        for (size_t b = 0; b < B; ++b) {
+            __m256d take = _mm256_cmp_pd(d[0][b], d[1][b], _CMP_LT_OQ);
+            hi[b] = _mm256_blendv_pd(hi[b], m[1][b], take);
+            lo[b] = _mm256_blendv_pd(m[0][b], lo[b], take);
+        }
+    }
+    __m256d level[1][B], dist[1][B];
+    for (size_t b = 0; b < B; ++b) {
+        level[0][b] = _mm256_mul_pd(half, _mm256_add_pd(lo[b], hi[b]));
+        _mm256_store_pd(levels + e + b * kKernelBlock, level[0][b]);
+    }
+    fitDeviations(score, spec.capacityFloor, e, level, dist);
+    for (size_t b = 0; b < B; ++b)
+        _mm256_store_pd(scores + e + b * kKernelBlock, dist[0][b]);
+}
+
+/** Entry blocks fitLevelsAndScore searches side by side. */
+constexpr size_t kFitBlocks = 4;
 
 } // namespace
 
@@ -150,110 +268,167 @@ BOLT_AVX2 void
 fitLevelsAndScore(const FitSpec& spec, size_t entry_count, double* levels,
                   double* scores)
 {
-    const size_t padded = paddedCount(entry_count);
-    const __m256d third = _mm256_set1_pd(3.0);
-    const __m256d half = _mm256_set1_pd(0.5);
-    for (size_t e = 0; e < padded; e += kKernelBlock) {
-        __m256d lo = _mm256_set1_pd(spec.lo);
-        __m256d hi = _mm256_set1_pd(spec.hi);
-        for (int it = 0; it < spec.iters; ++it) {
-            __m256d step =
-                _mm256_div_pd(_mm256_sub_pd(hi, lo), third);
-            __m256d m1 = _mm256_add_pd(lo, step);
-            __m256d m2 = _mm256_sub_pd(hi, step);
-            __m256d d1 = fitDeviationVec(spec, e, m1, true);
-            __m256d d2 = fitDeviationVec(spec, e, m2, true);
-            __m256d take = _mm256_cmp_pd(d1, d2, _CMP_LT_OQ);
-            hi = _mm256_blendv_pd(hi, m2, take);
-            lo = _mm256_blendv_pd(m1, lo, take);
-        }
-        __m256d level =
-            _mm256_mul_pd(half, _mm256_add_pd(lo, hi));
-        _mm256_store_pd(levels + e, level);
-        _mm256_store_pd(scores + e,
-                        fitDeviationVec(spec, e, level, false));
+    const FitPhase fit = fitPhase(spec, true);
+    const FitPhase score = fitPhase(spec, false);
+    // kFitBlocks blocks at a time, then a 2-block and a 1-block tail.
+    static_assert(kFitBlocks == 4);
+    const size_t blocks = paddedCount(entry_count) / kKernelBlock;
+    size_t b = 0;
+    for (; b + kFitBlocks <= blocks; b += kFitBlocks)
+        fitBlocks<kFitBlocks>(spec, fit, score, b * kKernelBlock, levels,
+                              scores);
+    if (blocks - b >= 2) {
+        fitBlocks<2>(spec, fit, score, b * kKernelBlock, levels, scores);
+        b += 2;
     }
+    if (blocks - b == 1)
+        fitBlocks<1>(spec, fit, score, b * kKernelBlock, levels, scores);
 }
 
 namespace {
 
-/** Gap from target v to [lo_v, hi_v] per lane (0 inside). */
+/**
+ * Gap from target v to [lo_v, hi_v] per lane (0 inside): lo_v - v below
+ * the interval, else max(v - hi_v, 0), which is v - hi_v above it and
+ * +0 otherwise, like the reference's nested ternary.
+ */
 BOLT_AVX2 inline __m256d
 vgap(__m256d v, __m256d lo_v, __m256d hi_v)
 {
     __m256d below = _mm256_cmp_pd(v, lo_v, _CMP_LT_OQ);
-    __m256d above = _mm256_cmp_pd(v, hi_v, _CMP_GT_OQ);
     return _mm256_blendv_pd(
-        _mm256_blendv_pd(_mm256_setzero_pd(), _mm256_sub_pd(v, hi_v),
-                         above),
+        _mm256_max_pd(_mm256_sub_pd(v, hi_v), _mm256_setzero_pd()),
         _mm256_sub_pd(lo_v, v), below);
+}
+
+/**
+ * The bounds of the B candidate blocks starting at lane e on a C-cell
+ * grid. One accumulator per (base cell, candidate cell, block), walked
+ * coordinate-outer so each candidate edge is loaded (or gathered
+ * through `index`) once; every accumulator still sums its terms in
+ * coordinate order, like the reference's pair-outer loop. fixed[i][a]
+ * is core coordinate i's candidate-independent term in base cell a.
+ */
+template <size_t C, size_t B>
+BOLT_AVX2 inline void
+pruneBlocks(const PruneCoord* coords, size_t coord_count,
+            const double (*fixed)[kMaxPruneCells], size_t e,
+            const uint32_t* index, double* bounds)
+{
+    const __m256d hundred = _mm256_set1_pd(100.0);
+    const __m256d all_lanes = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    __m256d lb[C][C][B];
+    for (size_t a = 0; a < C; ++a)
+        for (size_t b = 0; b < C; ++b)
+            for (size_t l = 0; l < B; ++l)
+                lb[a][b][l] = _mm256_setzero_pd();
+    __m128i rows[B] = {};
+    if (index)
+        for (size_t l = 0; l < B; ++l)
+            rows[l] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                index + e + l * kKernelBlock));
+    for (size_t i = 0; i < coord_count; ++i) {
+        const PruneCoord& c = coords[i];
+        if (!c.additive) {
+            for (size_t a = 0; a < C; ++a) {
+                const __m256d term = _mm256_set1_pd(fixed[i][a]);
+                for (size_t b = 0; b < C; ++b)
+                    for (size_t l = 0; l < B; ++l)
+                        lb[a][b][l] = _mm256_add_pd(lb[a][b][l], term);
+            }
+            continue;
+        }
+        const __m256d v = _mm256_set1_pd(c.target);
+        const __m256d w = _mm256_set1_pd(c.weight);
+        __m256d cand[C + 1][B];
+        for (size_t k = 0; k <= C; ++k)
+            for (size_t l = 0; l < B; ++l)
+                cand[k][l] =
+                    index ? _mm256_mask_i32gather_pd(_mm256_setzero_pd(),
+                                                     c.cand[k], rows[l],
+                                                     all_lanes, 8)
+                          : _mm256_load_pd(c.cand[k] + e + l * kKernelBlock);
+        for (size_t a = 0; a < C; ++a) {
+            const __m256d base_lo = _mm256_set1_pd(c.base[a]);
+            const __m256d base_hi = _mm256_set1_pd(c.base[a + 1]);
+            for (size_t b = 0; b < C; ++b)
+                for (size_t l = 0; l < B; ++l) {
+                    __m256d lo_v = _mm256_min_pd(
+                        _mm256_add_pd(base_lo, cand[b][l]), hundred);
+                    __m256d hi_v = _mm256_min_pd(
+                        _mm256_add_pd(base_hi, cand[b + 1][l]), hundred);
+                    lb[a][b][l] = _mm256_add_pd(
+                        lb[a][b][l], _mm256_mul_pd(w, vgap(v, lo_v, hi_v)));
+                }
+        }
+    }
+    for (size_t l = 0; l < B; ++l) {
+        __m256d best =
+            _mm256_set1_pd(std::numeric_limits<double>::infinity());
+        for (size_t a = 0; a < C; ++a)
+            for (size_t b = 0; b < C; ++b)
+                best = _mm256_min_pd(lb[a][b][l], best);
+        _mm256_store_pd(bounds + e + l * kKernelBlock, best);
+    }
+}
+
+/**
+ * pruneBounds on a C-cell grid, B blocks at a time (then one at a
+ * time): a one-cell bound has one add chain per block, so it steps
+ * several blocks together; a grid bound has C * C chains per block.
+ */
+template <size_t C, size_t B>
+BOLT_AVX2 void
+pruneCells(const PruneCoord* coords, size_t coord_count, size_t entry_count,
+           double* bounds, const uint32_t* index)
+{
+    // Core coordinates' terms do not depend on the candidate; computed
+    // once, exactly as the reference computes them per candidate.
+    double fixed[kMaxFitCoords][kMaxPruneCells] = {};
+    for (size_t i = 0; i < coord_count; ++i) {
+        const PruneCoord& c = coords[i];
+        if (c.additive)
+            continue;
+        for (size_t a = 0; a < C; ++a) {
+            double lo_v = c.base[a], hi_v = c.base[a + 1], v = c.target;
+            double gap = v < lo_v ? lo_v - v : (v > hi_v ? v - hi_v : 0.0);
+            fixed[i][a] = c.weight * gap;
+        }
+    }
+    const size_t blocks = paddedCount(entry_count) / kKernelBlock;
+    size_t b = 0;
+    for (; b + B <= blocks; b += B)
+        pruneBlocks<C, B>(coords, coord_count, fixed, b * kKernelBlock,
+                          index, bounds);
+    for (; b < blocks; ++b)
+        pruneBlocks<C, 1>(coords, coord_count, fixed, b * kKernelBlock,
+                          index, bounds);
 }
 
 } // namespace
 
 BOLT_AVX2 void
 pruneBounds(const PruneCoord* coords, size_t coord_count, size_t cells,
-            size_t entry_count, double* bounds)
+            size_t entry_count, double* bounds, const uint32_t* index)
 {
-    const size_t padded = paddedCount(entry_count);
-    const __m256d zero = _mm256_setzero_pd();
-    const __m256d hundred = _mm256_set1_pd(100.0);
-    for (size_t e = 0; e < padded; e += kKernelBlock) {
-        // One accumulator per (base cell, candidate cell) pair, walked
-        // coordinate-outer so each candidate edge is loaded once. Every
-        // accumulator still sums its terms in coordinate order, like the
-        // reference's pair-outer loop.
-        __m256d lb[kMaxPruneCells * kMaxPruneCells];
-        for (size_t k = 0; k < cells * cells; ++k)
-            lb[k] = zero;
-        for (size_t i = 0; i < coord_count; ++i) {
-            const PruneCoord& c = coords[i];
-            const __m256d v = _mm256_set1_pd(c.target);
-            const __m256d w = _mm256_set1_pd(c.weight);
-            if (!c.additive) {
-                for (size_t a = 0; a < cells; ++a) {
-                    __m256d term = _mm256_mul_pd(
-                        w, vgap(v, _mm256_set1_pd(c.base[a]),
-                                _mm256_set1_pd(c.base[a + 1])));
-                    for (size_t b = 0; b < cells; ++b)
-                        lb[a * cells + b] =
-                            _mm256_add_pd(lb[a * cells + b], term);
-                }
-                continue;
-            }
-            __m256d cand[kMaxPruneCells + 1];
-            for (size_t k = 0; k <= cells; ++k)
-                cand[k] = _mm256_load_pd(c.cand[k] + e);
-            for (size_t a = 0; a < cells; ++a) {
-                const __m256d base_lo = _mm256_set1_pd(c.base[a]);
-                const __m256d base_hi = _mm256_set1_pd(c.base[a + 1]);
-                for (size_t b = 0; b < cells; ++b) {
-                    __m256d lo_v = _mm256_min_pd(
-                        _mm256_add_pd(base_lo, cand[b]), hundred);
-                    __m256d hi_v = _mm256_min_pd(
-                        _mm256_add_pd(base_hi, cand[b + 1]), hundred);
-                    lb[a * cells + b] = _mm256_add_pd(
-                        lb[a * cells + b],
-                        _mm256_mul_pd(w, vgap(v, lo_v, hi_v)));
-                }
-            }
-        }
-        __m256d best = _mm256_set1_pd(
-            std::numeric_limits<double>::infinity());
-        for (size_t k = 0; k < cells * cells; ++k)
-            best = _mm256_min_pd(lb[k], best);
-        _mm256_store_pd(bounds + e, best);
+    static_assert(kMaxPruneCells == 4);
+    switch (cells) {
+    case 1:
+        pruneCells<1, 4>(coords, coord_count, entry_count, bounds, index);
+        break;
+    case 2:
+        pruneCells<2, 1>(coords, coord_count, entry_count, bounds, index);
+        break;
+    case 3:
+        pruneCells<3, 1>(coords, coord_count, entry_count, bounds, index);
+        break;
+    default:
+        pruneCells<4, 1>(coords, coord_count, entry_count, bounds, index);
+        break;
     }
 }
 
 namespace {
-
-/**
- * Candidate blocks widenFit refits side by side. A block's ternary
- * search is one long dependency chain per probe; stepping three blocks
- * together overlaps their chains.
- */
-constexpr size_t kWidenBlocks = 3;
 
 /**
  * The refit state of B 4-candidate blocks: vals[i][p][b] is block b's
@@ -274,9 +449,10 @@ struct WidenBlocks
 BOLT_AVX2 inline __m256d
 widenBase(const WidenSpec& spec, size_t p, size_t i, size_t e)
 {
-    return p + 1 < spec.partCount
-               ? _mm256_set1_pd(spec.fixedBase[p * spec.coordCount + i])
-               : _mm256_load_pd(spec.candBase[i] + e);
+    return _mm256_load_pd(
+        (p + 1 < spec.partCount ? spec.fixedBase[p * spec.coordCount + i]
+                                : spec.candBase[i]) +
+        e);
 }
 
 template <size_t B>
@@ -449,7 +625,8 @@ widenFitBlocks(const WidenSpec& spec, size_t lead_core, size_t cand,
     WidenBlocks<B> st;
     for (size_t b = 0; b < B; ++b) {
         for (size_t p = 0; p + 1 < P; ++p)
-            st.lvl[p][b] = _mm256_set1_pd(spec.fixedInitLevels[p]);
+            st.lvl[p][b] = _mm256_load_pd(spec.fixedInitLevels[p] + cand +
+                                          b * kKernelBlock);
         st.lvl[P - 1][b] = _mm256_set1_pd(spec.candInitLevel);
     }
     for (size_t p = 0; p < P; ++p)

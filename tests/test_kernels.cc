@@ -271,41 +271,87 @@ TEST(BackendEquality, FitLevelsAndScoreRandomizedShapes)
     std::uniform_real_distribution<double> tdist(0.0, 100.0);
     std::uniform_int_distribution<int> mdist(0, 2);
     std::uniform_int_distribution<int> bdist(0, 1);
-    for (size_t entries : kEntryCounts) {
+    // The AVX2 kernel searches four 4-entry blocks side by side, then a
+    // two-block and a one-block tail. 1 to 9 blocks cover every tail
+    // after zero, one and two whole groups, with ragged lane tails; 120
+    // entries is the production table.
+    const size_t kFitCounts[] = {1, 6, 11, 16, 18, 23, 27, 32, 35, 120};
+    // Every coordinate Abs, Upper or Zero; a random mix; and a leading
+    // run of Zero coordinates (the level-independent prefix the kernel
+    // hoists) before a random mix.
+    enum class Mix { Abs, Upper, Zero, Random, ZeroLead };
+    const Mix kMixes[] = {Mix::Abs, Mix::Upper, Mix::Zero, Mix::Random,
+                          Mix::ZeroLead};
+    for (size_t entries : kFitCounts) {
         for (size_t coords : {size_t(1), size_t(5), kMaxFitCoords}) {
-            std::vector<AlignedVector> bases;
-            std::vector<FitCoord> fc(coords);
-            bool any_exact = false;
-            double wsum_all = 0.0, wsum_exact = 0.0;
-            for (size_t i = 0; i < coords; ++i) {
-                bases.push_back(randomColumn(rng, entries, 0.0, 100.0));
-                fc[i].base = bases.back().data();
-                fc[i].weight = wdist(rng);
-                fc[i].target = tdist(rng);
-                fc[i].mode = static_cast<DevMode>(mdist(rng));
-                fc[i].capacity = bdist(rng) == 1;
-                wsum_all += fc[i].weight;
-                if (fc[i].mode != DevMode::Upper) {
-                    any_exact = true;
-                    wsum_exact += fc[i].weight;
+            for (Mix mix : kMixes) {
+                for (bool skip_upper : {false, true}) {
+                    for (int variant = 0; variant < 4; ++variant) {
+                        // Variant 1 has no fit weight, variant 2 a
+                        // negative score weight; variant 3 scales the
+                        // targets and bases to 1e-12, where probes
+                        // differ in the last bits.
+                        const double scale = variant == 3 ? 1e-12 : 1.0;
+                        std::vector<AlignedVector> bases;
+                        std::vector<FitCoord> fc(coords);
+                        double wsum = 0.0;
+                        for (size_t i = 0; i < coords; ++i) {
+                            bases.push_back(randomColumn(rng, entries, 0.0,
+                                                         100.0 * scale));
+                            fc[i].base = bases.back().data();
+                            fc[i].weight = wdist(rng);
+                            fc[i].target = tdist(rng) * scale;
+                            fc[i].capacity = bdist(rng) == 1;
+                            switch (mix) {
+                            case Mix::Abs:
+                                fc[i].mode = DevMode::Abs;
+                                break;
+                            case Mix::Upper:
+                                fc[i].mode = DevMode::Upper;
+                                break;
+                            case Mix::Zero:
+                                fc[i].mode = DevMode::Zero;
+                                break;
+                            case Mix::Random:
+                                fc[i].mode = static_cast<DevMode>(mdist(rng));
+                                break;
+                            case Mix::ZeroLead:
+                                fc[i].mode =
+                                    i < coords / 2
+                                        ? DevMode::Zero
+                                        : static_cast<DevMode>(mdist(rng));
+                                break;
+                            }
+                            wsum += fc[i].weight;
+                        }
+                        FitSpec spec;
+                        spec.coords = fc.data();
+                        spec.coordCount = coords;
+                        spec.iters = 14;
+                        spec.skipUpperInFit = skip_upper;
+                        spec.fitWsum = variant == 1 ? 0.0 : wsum;
+                        spec.scoreWsum = variant == 2 ? -1.0 : wsum;
+
+                        size_t padded = paddedCount(entries);
+                        AlignedVector l1(padded), s1(padded), l2(padded),
+                            s2(padded);
+                        ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
+                        fitLevelsAndScore(spec, entries, l1.data(),
+                                          s1.data());
+                        ASSERT_TRUE(setKernelBackend(KernelBackend::Avx2));
+                        fitLevelsAndScore(spec, entries, l2.data(),
+                                          s2.data());
+                        SCOPED_TRACE(
+                            "entries=" + std::to_string(entries) +
+                            " coords=" + std::to_string(coords) +
+                            " mix=" + std::to_string(static_cast<int>(mix)) +
+                            " skip_upper=" + std::to_string(skip_upper) +
+                            " variant=" + std::to_string(variant));
+                        expectLanesEqual(l1, l2, entries, "fit level");
+                        expectLanesEqual(s1, s2, entries, "fit score");
+                    }
                 }
             }
-            FitSpec spec;
-            spec.coords = fc.data();
-            spec.coordCount = coords;
-            spec.iters = 14;
-            spec.skipUpperInFit = any_exact;
-            spec.fitWsum = any_exact ? wsum_exact : wsum_all;
-            spec.scoreWsum = wsum_all;
-
-            size_t padded = paddedCount(entries);
-            AlignedVector l1(padded), s1(padded), l2(padded), s2(padded);
-            ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
-            fitLevelsAndScore(spec, entries, l1.data(), s1.data());
-            ASSERT_TRUE(setKernelBackend(KernelBackend::Avx2));
-            fitLevelsAndScore(spec, entries, l2.data(), s2.data());
-            expectLanesEqual(l1, l2, entries, "fit level");
-            expectLanesEqual(s1, s2, entries, "fit score");
         }
     }
 }
@@ -326,22 +372,37 @@ TEST(BackendEquality, PruneBoundsRandomizedShapes)
         double scale = capacity ? std::max(level, 0.85) : level;
         return std::clamp(base * scale, 0.0, 100.0);
     };
-    for (size_t entries : kEntryCounts) {
+    // The AVX2 one-cell bound steps four blocks together: the ragged
+    // counts cover its one-block tails, and 120 is the production table.
+    std::vector<size_t> counts(std::begin(kEntryCounts),
+                               std::end(kEntryCounts));
+    counts.push_back(120);
+    for (size_t entries : counts) {
         for (size_t cells = 1; cells <= kMaxPruneCells; ++cells) {
             for (bool core_shared : {false, true}) {
+                // Candidates are rows of a wider table: bounded in place
+                // through a random index list (repeats allowed, the
+                // padded tail naming real rows too), and from columns
+                // packed in that order.
                 const size_t coords = 10;
+                const size_t rows = entries + 5;
+                const size_t padded = paddedCount(entries);
+                std::uniform_int_distribution<uint32_t> rdist(
+                    0, static_cast<uint32_t>(rows - 1));
+                std::vector<uint32_t> index(padded);
+                for (uint32_t& r : index)
+                    r = rdist(rng);
                 std::vector<double> levels(cells + 1);
                 for (size_t k = 0; k <= cells; ++k)
                     levels[k] = 0.05 + 1.05 * static_cast<double>(k) /
                                            static_cast<double>(cells);
-                std::vector<AlignedVector> cols;
-                std::vector<PruneCoord> pc(coords);
+                std::vector<AlignedVector> wide, packed;
+                std::vector<PruneCoord> pc(coords), pc_wide(coords);
                 for (size_t i = 0; i < coords; ++i) {
                     bool core = bdist(rng) == 1;
                     bool capacity = bdist(rng) == 1;
                     double anchor = tdist(rng);
-                    AlignedVector bases =
-                        randomColumn(rng, entries, 0.0, 100.0);
+                    AlignedVector bases = randomColumn(rng, rows, 0.0, 100.0);
                     pc[i].additive = !core;
                     pc[i].weight = wdist(rng);
                     pc[i].target = tdist(rng);
@@ -352,22 +413,38 @@ TEST(BackendEquality, PruneBoundsRandomizedShapes)
                                                       levels[k]);
                         if (core)
                             continue;
-                        AlignedVector col(paddedCount(entries), 0.0);
-                        for (size_t e = 0; e < entries; ++e)
+                        AlignedVector col(paddedCount(rows), 0.0);
+                        for (size_t e = 0; e < rows; ++e)
                             col[e] = predict(bases[e], capacity, levels[k]);
-                        cols.push_back(std::move(col));
-                        pc[i].cand[k] = cols.back().data();
+                        AlignedVector pack(padded, 0.0);
+                        for (size_t e = 0; e < entries; ++e)
+                            pack[e] = col[index[e]];
+                        wide.push_back(std::move(col));
+                        packed.push_back(std::move(pack));
+                        pc[i].cand[k] = packed.back().data();
                     }
+                    pc_wide[i] = pc[i];
+                    if (!core)
+                        for (size_t k = 0; k <= cells; ++k)
+                            pc_wide[i].cand[k] =
+                                wide[wide.size() - (cells + 1) + k].data();
                 }
-                size_t padded = paddedCount(entries);
-                AlignedVector b1(padded), b2(padded);
+                AlignedVector b1(padded), b2(padded), b3(padded),
+                    b4(padded);
                 ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
                 pruneBounds(pc.data(), coords, cells, entries, b1.data());
+                pruneBounds(pc_wide.data(), coords, cells, entries, b3.data(),
+                            index.data());
                 ASSERT_TRUE(setKernelBackend(KernelBackend::Avx2));
                 pruneBounds(pc.data(), coords, cells, entries, b2.data());
-                SCOPED_TRACE("cells=" + std::to_string(cells) +
+                pruneBounds(pc_wide.data(), coords, cells, entries, b4.data(),
+                            index.data());
+                SCOPED_TRACE("entries=" + std::to_string(entries) +
+                             " cells=" + std::to_string(cells) +
                              " core_shared=" + std::to_string(core_shared));
                 expectLanesEqual(b1, b2, entries, "prune bound");
+                expectLanesEqual(b1, b3, entries, "indexed scalar bound");
+                expectLanesEqual(b1, b4, entries, "indexed prune bound");
             }
         }
     }
@@ -382,6 +459,7 @@ TEST(BackendEquality, WidenFitRandomizedShapes)
     std::uniform_real_distribution<double> tdist(0.0, 100.0);
     std::uniform_int_distribution<int> bdist(0, 1);
     std::uniform_int_distribution<size_t> ldist(0, 4);
+    std::uniform_real_distribution<double> lvdist(0.05, 1.1);
     // The AVX2 kernel refits three 4-lane blocks side by side, then a
     // two- or one-block tail: the counts cover 1, 2 and 3 blocks, both
     // tails after whole groups, and every ragged lane tail.
@@ -389,13 +467,17 @@ TEST(BackendEquality, WidenFitRandomizedShapes)
     for (size_t cands : kWidenCounts) {
         for (size_t parts = 2; parts <= kMaxWidenParts; ++parts) {
             for (bool core_shared : {false, true}) {
-                for (int variant = 0; variant < 3; ++variant) {
+                for (int variant = 0; variant < 4; ++variant) {
                     // Variant 1 has no weight; variant 2 shrinks the
                     // bases and the uncore targets to 1e-12, so two
                     // probes differ by less than the rounding of the
                     // core deviation and tie only once it is added.
+                    // Every lane extends its own base parts from its own
+                    // starting levels, except in variant 3, where all
+                    // lanes share one set at level 0.7 (one anchor).
                     const bool weightless = variant == 1;
                     const double scale = variant == 2 ? 1e-12 : 1.0;
+                    const bool shared = variant == 3;
                     // A leading run of core coordinates (the part-
                     // independent deviation the kernel hoists), then
                     // core flags at random.
@@ -404,8 +486,8 @@ TEST(BackendEquality, WidenFitRandomizedShapes)
                     std::vector<WidenCoord> wc(coords);
                     std::vector<AlignedVector> cand_cols;
                     std::vector<const double*> cand_ptrs(coords);
-                    std::vector<double> fixed_base((parts - 1) * coords);
-                    std::vector<double> fixed_levels(parts - 1, 0.7);
+                    std::vector<AlignedVector> fixed_cols((parts - 1) * coords);
+                    std::vector<const double*> fixed_ptrs((parts - 1) * coords);
                     double wsum = 0.0;
                     for (size_t i = 0; i < coords; ++i) {
                         wc[i].weight = wdist(rng);
@@ -417,16 +499,30 @@ TEST(BackendEquality, WidenFitRandomizedShapes)
                         cand_cols.push_back(
                             randomColumn(rng, cands, 0.0, 100.0 * scale));
                         cand_ptrs[i] = cand_cols.back().data();
-                        for (size_t p = 0; p + 1 < parts; ++p)
-                            fixed_base[p * coords + i] = tdist(rng) * scale;
+                        for (size_t p = 0; p + 1 < parts; ++p) {
+                            AlignedVector& col = fixed_cols[p * coords + i];
+                            col = randomColumn(rng, cands, 0.0, 100.0 * scale);
+                            if (shared)
+                                std::fill(col.begin(), col.begin() + cands,
+                                          col[0]);
+                            fixed_ptrs[p * coords + i] = col.data();
+                        }
+                    }
+                    std::vector<AlignedVector> level_cols(parts - 1);
+                    std::vector<const double*> level_ptrs(parts - 1);
+                    for (size_t p = 0; p + 1 < parts; ++p) {
+                        level_cols[p].assign(paddedCount(cands), 0.0);
+                        for (size_t e = 0; e < cands; ++e)
+                            level_cols[p][e] = shared ? 0.7 : lvdist(rng);
+                        level_ptrs[p] = level_cols[p].data();
                     }
                     WidenSpec spec;
                     spec.coords = wc.data();
                     spec.coordCount = coords;
                     spec.partCount = parts;
-                    spec.fixedBase = fixed_base.data();
+                    spec.fixedBase = fixed_ptrs.data();
                     spec.candBase = cand_ptrs.data();
-                    spec.fixedInitLevels = fixed_levels.data();
+                    spec.fixedInitLevels = level_ptrs.data();
                     spec.coreShared = core_shared;
                     spec.wsum = weightless ? 0.0 : wsum;
 

@@ -336,17 +336,24 @@ TEST(Properties, PruneBoundsNeverExceedWidenFitDeviation)
                 std::clamp(sum + rng.gaussian(0.0, 2.0), 0.0, 100.0);
         }
 
-        std::vector<const double*> cand_ptrs(n);
-        for (size_t i = 0; i < n; ++i)
+        // Every lane extends the same anchor from level 0.8.
+        std::vector<linalg::AlignedVector> anchor_cols;
+        std::vector<const double*> cand_ptrs(n), anchor_ptrs(n);
+        for (size_t i = 0; i < n; ++i) {
             cand_ptrs[i] = cand[i].data();
-        const double init_level = 0.8;
+            anchor_cols.emplace_back(padded, anchor[i]);
+        }
+        for (size_t i = 0; i < n; ++i)
+            anchor_ptrs[i] = anchor_cols[i].data();
+        const linalg::AlignedVector init_levels(padded, 0.8);
+        const double* init_ptr = init_levels.data();
         linalg::WidenSpec spec;
         spec.coords = wc.data();
         spec.coordCount = n;
         spec.partCount = 2;
-        spec.fixedBase = anchor.data();
+        spec.fixedBase = anchor_ptrs.data();
         spec.candBase = cand_ptrs.data();
-        spec.fixedInitLevels = &init_level;
+        spec.fixedInitLevels = &init_ptr;
         spec.coreShared = core_shared;
         spec.wsum = wsum;
         spec.lo = Table::kLevelMin;
@@ -438,7 +445,8 @@ TEST(Properties, PruneBoundsNeverExceedWidenFitDeviation)
 // refits every candidate of every anchor through linalg::widenFit.
 // Parts, levels and distance must match bit for bit under each backend
 // the CPU runs: the one-cell and grid bounds, the Occam cap on the
-// incumbent and the three-block refit queue may only skip work.
+// incumbent and the refit queue, which spans a depth's anchors, may
+// only skip work.
 
 namespace {
 
@@ -550,13 +558,20 @@ unprunedDecompose(const core::TrainingSet& training,
             }
             if (!(wsum > 0.0))
                 continue;
+            // Every lane extends this anchor's base parts.
             const size_t parts = base.size() + 1;
-            std::vector<double> fixed_base, fixed_levels;
+            std::vector<linalg::AlignedVector> fixed_cols, level_cols;
             for (const auto& part : base) {
-                fixed_levels.push_back(part.level);
+                level_cols.emplace_back(padded, part.level);
                 for (size_t i = 0; i < n; ++i)
-                    fixed_base.push_back(table.baseCol(idx[i])[part.index]);
+                    fixed_cols.emplace_back(
+                        padded, table.baseCol(idx[i])[part.index]);
             }
+            std::vector<const double*> fixed_base, fixed_levels;
+            for (const auto& col : fixed_cols)
+                fixed_base.push_back(col.data());
+            for (const auto& col : level_cols)
+                fixed_levels.push_back(col.data());
             linalg::WidenSpec spec;
             spec.coords = wc.data();
             spec.coordCount = n;
