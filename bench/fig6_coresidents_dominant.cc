@@ -24,7 +24,8 @@ main(int argc, char** argv)
 
     // A denser victim mix exercises the full 1..5 co-residency range.
     std::map<int, util::Summary> by_co;
-    std::map<sim::Resource, std::pair<size_t, size_t>> by_dom;
+    // Every seed's outcomes, pooled for the per-resource table.
+    core::ExperimentResult pooled;
     // Mixed densities: the sparse run supplies single-victim hosts,
     // the dense runs exercise 3-5 co-residents.
     for (uint64_t seed : {11, 12, 13}) {
@@ -34,11 +35,9 @@ main(int argc, char** argv)
         auto result = core::ControlledExperiment(cfg).run();
         for (const auto& [n, acc] : result.accuracyByCoResidents())
             by_co[n].add(acc);
-        for (const auto& o : result.outcomes) {
-            auto& [c, t] = by_dom[o.dominant];
-            ++t;
-            c += o.classCorrect ? 1 : 0;
-        }
+        pooled.outcomes.insert(pooled.outcomes.end(),
+                               result.outcomes.begin(),
+                               result.outcomes.end());
     }
 
     std::cout << "== Figure 6a: accuracy vs number of co-residents "
@@ -54,14 +53,10 @@ main(int argc, char** argv)
     std::cout << "\n== Figure 6b: accuracy vs dominant resource "
                  "(paper: L1-i/MemBw/NetBw/DiskCap strong, L2 weak) ==\n";
     util::AsciiTable table({"Dominant resource", "Accuracy", "Victims"});
-    for (const auto& [r, ct] : by_dom) {
-        double a = ct.second
-                       ? static_cast<double>(ct.first) /
-                             static_cast<double>(ct.second)
-                       : 0.0;
-        table.addRow({sim::resourceName(r), util::AsciiTable::percent(a),
-                      std::to_string(ct.second)});
-    }
+    for (const auto& [r, acc_n] : pooled.accuracyByDominantResource())
+        table.addRow({sim::resourceName(r),
+                      util::AsciiTable::percent(acc_n.first),
+                      std::to_string(acc_n.second)});
     table.print(std::cout);
     return 0;
 }

@@ -20,27 +20,23 @@ main(int argc, char** argv)
     if (!bench::parseDriverFlags(argc, argv))
         return 2;
 
-    std::map<sim::Resource,
-             std::map<int, std::pair<size_t, size_t>>>
-        bins;
+    // Every seed's outcomes, pooled.
+    core::ExperimentResult pooled;
     for (uint64_t seed : {31, 32, 33}) {
         core::ExperimentConfig cfg;
         cfg.victims = 140;
         cfg.seed = seed;
         auto result = core::ControlledExperiment(cfg).run();
-        for (const auto& o : result.outcomes) {
-            for (sim::Resource r :
-                 {sim::Resource::L1I, sim::Resource::LLC,
-                  sim::Resource::CPU, sim::Resource::MemCap,
-                  sim::Resource::NetBw, sim::Resource::DiskBw}) {
-                int lo = std::min(
-                    80, static_cast<int>(o.spec.base[r] / 20) * 20);
-                auto& [c, t] = bins[r][lo];
-                ++t;
-                c += o.classCorrect ? 1 : 0;
-            }
-        }
+        pooled.outcomes.insert(pooled.outcomes.end(),
+                               result.outcomes.begin(),
+                               result.outcomes.end());
     }
+    const sim::Resource columns[] = {
+        sim::Resource::L1I,    sim::Resource::LLC,   sim::Resource::CPU,
+        sim::Resource::MemCap, sim::Resource::NetBw, sim::Resource::DiskBw};
+    std::map<sim::Resource, std::map<int, std::pair<double, int>>> bins;
+    for (sim::Resource r : columns)
+        bins[r] = pooled.accuracyByPressure(r);
 
     std::cout << "== Figure 9: accuracy vs victim resource pressure "
                  "(paper: extremes detect best) ==\n";
@@ -49,18 +45,11 @@ main(int argc, char** argv)
     for (int lo = 0; lo <= 80; lo += 20) {
         std::vector<std::string> row{
             std::to_string(lo) + "-" + std::to_string(lo + 20) + "%"};
-        for (sim::Resource r :
-             {sim::Resource::L1I, sim::Resource::LLC, sim::Resource::CPU,
-              sim::Resource::MemCap, sim::Resource::NetBw,
-              sim::Resource::DiskBw}) {
+        for (sim::Resource r : columns) {
             auto it = bins[r].find(lo);
-            if (it == bins[r].end() || it->second.second == 0) {
-                row.push_back("-");
-            } else {
-                double acc = static_cast<double>(it->second.first) /
-                             static_cast<double>(it->second.second);
-                row.push_back(util::AsciiTable::percent(acc));
-            }
+            row.push_back(it == bins[r].end()
+                              ? "-"
+                              : util::AsciiTable::percent(it->second.first));
         }
         table.addRow(std::move(row));
     }

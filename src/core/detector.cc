@@ -28,15 +28,6 @@ constexpr double kRetryBackoffMult = 2.0;
 
 } // namespace
 
-bool
-DetectionRound::detected(const std::string& class_label) const
-{
-    for (const auto& g : guesses)
-        if (g.classLabel == class_label)
-            return true;
-    return false;
-}
-
 std::string
 DetectionRound::topClass() const
 {
@@ -294,28 +285,6 @@ Detector::detectOnce(const HostEnvironment& env, double t, util::Rng& rng,
                      {"benchmarks", std::to_string(round.benchmarksRun)},
                      {"shutter", round.usedShutter ? "1" : "0"}});
     return round;
-}
-
-std::vector<DetectionRound>
-Detector::detectIteratively(
-    const HostEnvironment& env, double start_time, util::Rng& rng,
-    const std::function<bool(const DetectionRound&)>& stop) const
-{
-    std::vector<DetectionRound> rounds;
-    double t = start_time;
-    SparseObservation carry;
-    for (int iter = 0; iter < config_.maxIterations; ++iter) {
-        DetectionRound round = detectOnce(
-            env, t, rng, config_.carryObservations ? &carry : nullptr,
-            iter);
-        carry = round.aggregate;
-        bool done = stop && stop(round);
-        rounds.push_back(std::move(round));
-        if (done)
-            break;
-        t += kProfilingIntervalSec;
-    }
-    return rounds;
 }
 
 } // namespace core

@@ -87,30 +87,29 @@ struct DetectionRound
      */
     double confidence = 0.0;
 
-    /** Whether any co-resident matched `class_label`. */
-    bool detected(const std::string& class_label) const;
     /** Top guess class, empty when nothing cleared the floor. */
     std::string topClass() const;
 };
 
 /**
- * Bolt's detection engine: runs profiling rounds on a host environment,
- * feeds the sparse signal to the hybrid recommender, and disentangles
- * multiple co-residents (Section 3.3):
+ * Bolt's detection engine: runs one profiling round on a host
+ * environment, feeds the sparse signal to the hybrid recommender, and
+ * disentangles multiple co-residents (Section 3.3):
  *
- *  - confident match -> peel its profile off the residual and re-analyze
- *    to find further co-residents;
+ *  - the aggregate is decomposed into per-tenant parts with
+ *    HybridRecommender::decompose, one guess per part;
  *  - no confident match with core pressure -> extra core benchmark;
  *  - no confident match without core sharing -> shutter profiling.
+ *
+ * The periodic protocol (a round every kProfilingIntervalSec until the
+ * victim is identified or maxIterations is reached) is
+ * ControlledExperiment::run's loop.
  */
 class Detector
 {
   public:
     Detector(const HybridRecommender& recommender,
              DetectorConfig config = {});
-
-    const DetectorConfig& config() const { return config_; }
-    DetectorConfig& config() { return config_; }
 
     /**
      * One full detection round starting at virtual time t.
@@ -133,18 +132,6 @@ class Detector
                               util::Rng& rng,
                               const SparseObservation* prior = nullptr,
                               int round_index = 0) const;
-
-    /**
-     * Periodic detection: runs up to config().maxIterations rounds,
-     * spaced kProfilingIntervalSec apart, stopping early when `stop`
-     * returns true for a round (e.g. the controlled experiment stops on
-     * correct identification). @return all rounds executed.
-     */
-    std::vector<DetectionRound>
-    detectIteratively(const HostEnvironment& env, double start_time,
-                      util::Rng& rng,
-                      const std::function<bool(const DetectionRound&)>&
-                          stop) const;
 
   private:
     const HybridRecommender& recommender_;

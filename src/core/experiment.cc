@@ -168,12 +168,13 @@ ExperimentResult::departedCount() const
 }
 
 std::map<int, std::pair<double, int>>
-ExperimentResult::accuracyByPressure(sim::Resource r, int bin) const
+ExperimentResult::accuracyByPressure(sim::Resource r) const
 {
+    constexpr int kBin = 20;
     std::map<int, std::pair<size_t, size_t>> buckets;
     for (const auto& o : outcomes) {
-        int lo = static_cast<int>(o.spec.base[r] / bin) * bin;
-        lo = std::min(lo, 100 - bin);
+        int lo = static_cast<int>(o.spec.base[r] / kBin) * kBin;
+        lo = std::min(lo, 100 - kBin);
         auto& [c, t] = buckets[lo];
         ++t;
         c += o.classCorrect ? 1 : 0;

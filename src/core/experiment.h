@@ -116,11 +116,11 @@ struct ExperimentResult
     /** Same, restricted to hosts with `co_residents` victims (Fig. 7b). */
     std::map<int, double> iterationsPdf(int co_residents) const;
     /**
-     * (accuracy, count) per pressure bin of width `bin` on resource `r`,
-     * keyed by bin lower edge (Fig. 9).
+     * (accuracy, count) per 20-point pressure bin on resource `r`, keyed
+     * by bin lower edge; pressure 100 falls in the 80-100 bin (Fig. 9).
      */
     std::map<int, std::pair<double, int>>
-    accuracyByPressure(sim::Resource r, int bin = 20) const;
+    accuracyByPressure(sim::Resource r) const;
     /** Victims that departed mid-detection (0 without fault churn). */
     size_t departedCount() const;
     /**

@@ -1,7 +1,5 @@
 #include "observation.h"
 
-#include <algorithm>
-
 namespace bolt {
 namespace core {
 
@@ -13,37 +11,6 @@ SparseObservation::observedCount() const
         if (v)
             ++n;
     return n;
-}
-
-size_t
-SparseObservation::exactCount() const
-{
-    size_t n = 0;
-    for (sim::Resource r : sim::kAllResources)
-        if (isExact(r))
-            ++n;
-    return n;
-}
-
-double
-SparseObservation::observedTotal() const
-{
-    double total = 0.0;
-    for (const auto& v : values_)
-        if (v)
-            total += *v;
-    return total;
-}
-
-SparseObservation
-SparseObservation::minus(const sim::ResourceVector& profile) const
-{
-    SparseObservation out;
-    for (sim::Resource r : sim::kAllResources) {
-        if (has(r))
-            out.set(r, std::max(0.0, get(r) - profile[r]), Bound::Exact);
-    }
-    return out;
 }
 
 void

@@ -60,20 +60,6 @@ class SparseObservation
     /** Number of measured resources. */
     size_t observedCount() const;
 
-    /** Number of Exact measurements. */
-    size_t exactCount() const;
-
-    /** Sum of measured pressure (the total contention signal). */
-    double observedTotal() const;
-
-    /**
-     * Subtract a known profile from the measured entries (clamping at
-     * zero) — used to peel off an identified co-resident and analyze the
-     * remainder (Section 3.3's linearity assumption). The result's
-     * entries are Exact: the residual is attributed to what remains.
-     */
-    SparseObservation minus(const sim::ResourceVector& profile) const;
-
     /**
      * Fill unmeasured entries from an earlier observation (iterative
      * detection accumulates coverage across profiling rounds; fresh

@@ -22,16 +22,6 @@ HostEnvironment::adversaryCores() const
     return server->coresOf(adversary);
 }
 
-size_t
-HostEnvironment::coResidentCount() const
-{
-    size_t n = 0;
-    for (const auto& tenant : server->tenants())
-        if (tenant.id != adversary)
-            ++n;
-    return n;
-}
-
 double
 Profiler::measureResource(const HostEnvironment& env, sim::Resource r,
                           int focus_core, double t, util::Rng& rng) const

@@ -40,9 +40,6 @@ struct HostEnvironment
 
     /** Physical cores the adversary's vCPUs occupy. */
     std::vector<int> adversaryCores() const;
-
-    /** Number of *other* tenants on the host (ground truth, for tests). */
-    size_t coResidentCount() const;
 };
 
 /// Shutter mode: number of brief uncore sampling windows.

@@ -16,12 +16,11 @@ TrainingSet::add(Entry entry)
                         label);
     if (it == distinctClasses_.end()) {
         classIds_.push_back(distinctClasses_.size());
-        distinctClasses_.push_back(label);
+        distinctClasses_.push_back(std::move(label));
     } else {
         classIds_.push_back(
             static_cast<size_t>(it - distinctClasses_.begin()));
     }
-    classLabels_.push_back(std::move(label));
     entries_.push_back(std::move(entry));
 }
 
@@ -52,12 +51,6 @@ TrainingSet::fromSpecs(const std::vector<workloads::AppSpec>& specs,
         out.add(std::move(e));
     }
     return out;
-}
-
-std::vector<std::string>
-TrainingSet::classLabels() const
-{
-    return distinctClasses_;
 }
 
 } // namespace core

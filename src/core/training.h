@@ -90,18 +90,9 @@ class TrainingSet
     const linalg::SoaMatrix& columns() const { return columns_; }
 
     /**
-     * Cached `entry(i).classLabel()` — the query path compares classes
-     * per candidate, and building the string each time would allocate
-     * inside the recommender's hot ranking loop.
-     */
-    const std::string& classLabelOf(size_t i) const
-    {
-        return classLabels_.at(i);
-    }
-
-    /**
      * Interned class id of entry i: entries share an id iff they share
-     * a class label. Ids index classLabels()'s first-occurrence order.
+     * a class label. Ids number the distinct labels in first-occurrence
+     * order; the ranking loop compares classes by id.
      */
     size_t classIdOf(size_t i) const { return classIds_.at(i); }
 
@@ -111,15 +102,11 @@ class TrainingSet
         return distinctClasses_.at(id);
     }
 
-    /** All distinct class labels present (first-occurrence order). */
-    std::vector<std::string> classLabels() const;
-
   private:
     std::vector<Entry> entries_;
     linalg::Matrix matrix_;             ///< entries_ x kNumResources.
     linalg::SoaMatrix columns_;         ///< Same data, column-major SoA.
-    std::vector<std::string> classLabels_;  ///< Per entry.
-    std::vector<size_t> classIds_;          ///< Per entry, interned.
+    std::vector<size_t> classIds_;      ///< Per entry, interned.
     std::vector<std::string> distinctClasses_;
 };
 

@@ -60,15 +60,6 @@ Matrix::col(size_t c) const
 }
 
 void
-Matrix::setRow(size_t r, const std::vector<double>& values)
-{
-    if (r >= rows_ || values.size() != cols_)
-        throw std::out_of_range("Matrix::setRow");
-    for (size_t c = 0; c < cols_; ++c)
-        data_[r * cols_ + c] = values[c];
-}
-
-void
 Matrix::appendRow(const std::vector<double>& values)
 {
     if (rows_ == 0 && cols_ == 0)

@@ -61,9 +61,6 @@ class Matrix
     /** Copy of column c as a vector. */
     std::vector<double> col(size_t c) const;
 
-    /** Overwrite row r. */
-    void setRow(size_t r, const std::vector<double>& values);
-
     /** Append a row at the bottom; width must match (or set 0x0). */
     void appendRow(const std::vector<double>& values);
 

@@ -1,6 +1,7 @@
 #include "monitor.h"
 
 #include "metrics.h"
+#include "report.h"
 #include "trace.h"
 
 #include <algorithm>
@@ -11,17 +12,6 @@ namespace bolt {
 namespace obs {
 
 namespace {
-
-std::string
-jsonNum(double v)
-{
-    if (!(v == v))
-        return "null";
-    std::ostringstream os;
-    os.precision(17);
-    os << v;
-    return os.str();
-}
 
 /** Short value rendering for trace args (deterministic, default prec). */
 std::string
@@ -262,8 +252,8 @@ writeAlertsJsonl(std::ostream& os, const std::vector<AlertEvent>& events)
         os << "{\"alert\":\"" << ev.rule << "\",\"state\":\""
            << (ev.firing ? "firing" : "resolved")
            << "\",\"window\":" << ev.window
-           << ",\"t\":" << jsonNum(ev.t)
-           << ",\"value\":" << jsonNum(ev.value)
+           << ",\"t\":" << jsonNumber(ev.t)
+           << ",\"value\":" << jsonNumber(ev.value)
            << ",\"epoch\":" << ev.epoch << "}\n";
     }
 }

@@ -21,18 +21,6 @@ namespace obs {
 
 namespace {
 
-/** Format a double the way JSON expects (no trailing garbage, inf-safe). */
-std::string
-jsonNumber(double v)
-{
-    if (!(v == v))
-        return "null"; // NaN has no JSON spelling.
-    std::ostringstream os;
-    os.precision(17);
-    os << v;
-    return os.str();
-}
-
 std::string
 indentStr(int indent)
 {
@@ -108,6 +96,17 @@ splitFlatObject(std::string_view line, std::vector<JsonField>* out)
 }
 
 } // namespace
+
+std::string
+jsonNumber(double v)
+{
+    if (!(v == v))
+        return "null"; // NaN has no JSON spelling.
+    std::ostringstream os;
+    os.precision(17);
+    os << v;
+    return os.str();
+}
 
 std::string
 jsonEscape(std::string_view s)

@@ -17,6 +17,9 @@ namespace obs {
 /** Escape a string for embedding inside a JSON string literal. */
 std::string jsonEscape(std::string_view s);
 
+/** A double as a JSON number: 17 significant digits, NaN as null. */
+std::string jsonNumber(double v);
+
 /**
  * Write a metrics Snapshot as a JSON object:
  *   {"counters":{name:value,...},

@@ -1,5 +1,7 @@
 #include "timeseries.h"
 
+#include "report.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -22,18 +24,6 @@ const SeriesInfo kSeriesTable[kNumSeries] = {
     BOLT_TELEMETRY_SERIES(BOLT_OBS_SERIES_INFO)
 #undef BOLT_OBS_SERIES_INFO
 };
-
-/** Format a double the way JSON expects (NaN -> null, round-trip). */
-std::string
-jsonNum(double v)
-{
-    if (!(v == v))
-        return "null";
-    std::ostringstream os;
-    os.precision(17);
-    os << v;
-    return os.str();
-}
 
 } // namespace
 
@@ -210,20 +200,6 @@ struct TimeSeriesRecorder::Shard
         ss.index.emplace(std::string(label), ss.slots.size() - 1);
         return ss.slots.back();
     }
-
-    void
-    zero()
-    {
-        for (SeriesShard& ss : series) {
-            for (LabelSlot& slot : ss.slots) {
-                for (Cell& c : slot.ring)
-                    c = Cell{};
-                for (QuantileSketch& sk : slot.sketches)
-                    sk = QuantileSketch{};
-            }
-        }
-        dropped = 0;
-    }
 };
 
 TimeSeriesRecorder::TimeSeriesRecorder() : TimeSeriesRecorder(TelemetryConfig{})
@@ -387,18 +363,10 @@ TimeSeriesRecorder::seriesDropped() const
 }
 
 void
-TimeSeriesRecorder::reset()
-{
-    auto lock = shards_.lock();
-    for (auto& shard : shards_)
-        shard->zero();
-}
-
-void
 writeTelemetryJsonl(std::ostream& os, const TelemetrySnapshot& snap)
 {
     os << "{\"bolt_telemetry\":1,\"window_sec\":"
-       << jsonNum(snap.windowSec)
+       << jsonNumber(snap.windowSec)
        << ",\"series_dropped\":" << snap.seriesDropped << "}\n";
     for (const SeriesPoint& p : snap.points) {
         const SeriesInfo& info = seriesInfo(p.id);
@@ -406,14 +374,14 @@ writeTelemetryJsonl(std::ostream& os, const TelemetrySnapshot& snap)
         if (!p.label.empty())
             os << ",\"label\":\"" << p.label << "\"";
         os << ",\"window\":" << p.window << ",\"t\":"
-           << jsonNum(static_cast<double>(p.window) * snap.windowSec)
+           << jsonNumber(static_cast<double>(p.window) * snap.windowSec)
            << ",\"count\":" << p.count;
         if (info.kind == SeriesKind::Sample) {
-            os << ",\"sum\":" << jsonNum(p.sum)
-               << ",\"mean\":" << jsonNum(p.mean())
-               << ",\"p50\":" << jsonNum(p.sketch.percentile(50.0))
-               << ",\"p95\":" << jsonNum(p.sketch.percentile(95.0))
-               << ",\"p99\":" << jsonNum(p.sketch.percentile(99.0));
+            os << ",\"sum\":" << jsonNumber(p.sum)
+               << ",\"mean\":" << jsonNumber(p.mean())
+               << ",\"p50\":" << jsonNumber(p.sketch.percentile(50.0))
+               << ",\"p95\":" << jsonNumber(p.sketch.percentile(95.0))
+               << ",\"p99\":" << jsonNumber(p.sketch.percentile(99.0));
         }
         os << "}\n";
     }

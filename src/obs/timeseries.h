@@ -218,9 +218,9 @@ struct TelemetrySnapshot
  * branch — telemetry observes, it never perturbs.
  *
  * Thread-safety: record calls from different threads are safe
- * concurrently. snapshot(), windowPoint(), reset() and configure()
- * must not race with in-flight record calls (call them from the
- * decision plane or between parallel phases).
+ * concurrently. snapshot(), windowPoint() and configure() must not
+ * race with in-flight record calls (call them from the decision plane
+ * or between parallel phases).
  */
 class TimeSeriesRecorder
 {
@@ -294,9 +294,6 @@ class TimeSeriesRecorder
 
     /** Label creations refused by the cardinality cap so far. */
     uint64_t seriesDropped() const;
-
-    /** Drop all recorded data (not safe against in-flight records). */
-    void reset();
 
   private:
     struct Shard;

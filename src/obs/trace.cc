@@ -122,16 +122,6 @@ Tracer::sortedEvents() const
     return all;
 }
 
-size_t
-Tracer::eventCount() const
-{
-    auto lock = shards_.lock();
-    size_t total = 0;
-    for (const auto& shard : shards_)
-        total += shard->events.size();
-    return total;
-}
-
 void
 Tracer::writeChromeTrace(std::ostream& os) const
 {

@@ -87,8 +87,6 @@ class Tracer
     /** All events merged across shards, content-sorted (deterministic). */
     std::vector<TraceEvent> sortedEvents() const;
 
-    size_t eventCount() const;
-
     /**
      * Chrome trace_event JSON ({"traceEvents":[...]}): open the file in
      * chrome://tracing or https://ui.perfetto.dev. tid = track

@@ -1359,8 +1359,12 @@ compileFlags(std::string_view kind, const std::vector<std::string>& flags,
     std::string prefix = std::string(kFile) + ":";
     if (!ctx.subError && err->rfind(prefix, 0) == 0) {
         size_t colon = err->find(':', prefix.size());
-        *err = name(std::atoi(err->c_str() + prefix.size())) +
-               err->substr(colon);
+        long long line = 0;
+        if (colon != std::string::npos &&
+            util::parseInt(std::string_view(*err).substr(
+                               prefix.size(), colon - prefix.size()),
+                           &line))
+            *err = name(static_cast<int>(line)) + err->substr(colon);
     }
     return false;
 }

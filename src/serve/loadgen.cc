@@ -105,18 +105,5 @@ LoadGen::makeRequest(uint64_t id, size_t client, double arrivalMs) const
     return req;
 }
 
-std::vector<Request>
-LoadGen::openLoopTrace() const
-{
-    std::vector<Request> trace;
-    trace.reserve(config_.requests);
-    double t = 0.0;
-    for (uint64_t id = 0; id < config_.requests; ++id) {
-        t += interarrivalMs(id);
-        trace.push_back(makeRequest(id, 0, t));
-    }
-    return trace;
-}
-
 } // namespace serve
 } // namespace bolt

@@ -85,12 +85,6 @@ class LoadGen
     /** Closed loop: think delay before client `c`'s issue number `seq`. */
     double thinkDelayMs(size_t client, uint64_t seq) const;
 
-    /**
-     * The full open-loop trace: `requests` requests with arrival times
-     * prefix-summed from the interarrival stream, ids 0..n-1.
-     */
-    std::vector<Request> openLoopTrace() const;
-
   private:
     const core::TrainingSet& training_;
     LoadGenConfig config_;

@@ -105,12 +105,5 @@ ContentionModel::cpuUtilization(const Server& server,
     return std::clamp(util, 0.0, 100.0);
 }
 
-double
-ContentionModel::headroom(Resource r, const ResourceVector& ext)
-{
-    (void)r;
-    return std::clamp(100.0 - ext[r], 0.0, 100.0);
-}
-
 } // namespace sim
 } // namespace bolt

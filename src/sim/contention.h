@@ -93,13 +93,6 @@ class ContentionModel
     double cpuUtilization(const Server& server,
                           const PressureMap& pressure) const;
 
-    /**
-     * Per-resource overload headroom model exposed for probes: how much
-     * capacity remains on resource `r` for the observer given external
-     * pressure `ext`. In [0, 100].
-     */
-    static double headroom(Resource r, const ResourceVector& ext);
-
   private:
     IsolationConfig iso_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <ostream>
 #include <stdexcept>
 
 namespace bolt {
@@ -19,29 +18,12 @@ resourceName(Resource r)
     return names.at(index(r));
 }
 
-ResourceVector
-ResourceVector::operator+(const ResourceVector& o) const
-{
-    ResourceVector out = *this;
-    out += o;
-    return out;
-}
-
 ResourceVector&
 ResourceVector::operator+=(const ResourceVector& o)
 {
     for (size_t i = 0; i < kNumResources; ++i)
         values_[i] += o.values_[i];
     return *this;
-}
-
-ResourceVector
-ResourceVector::scaled(double factor) const
-{
-    ResourceVector out = *this;
-    for (auto& v : out.values_)
-        v *= factor;
-    return out;
 }
 
 ResourceVector
@@ -95,19 +77,6 @@ ResourceVector::fromVector(const std::vector<double>& v)
     for (size_t i = 0; i < kNumResources; ++i)
         out.values_[i] = v[i];
     return out;
-}
-
-std::ostream&
-operator<<(std::ostream& os, const ResourceVector& v)
-{
-    os << "[";
-    for (size_t i = 0; i < kNumResources; ++i) {
-        os << resourceName(static_cast<Resource>(i)) << "="
-           << v.at(i);
-        if (i + 1 < kNumResources)
-            os << " ";
-    }
-    return os << "]";
 }
 
 } // namespace sim

@@ -4,7 +4,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -232,11 +231,7 @@ class alignas(kResourceVectorAlign) ResourceVector
     const double* data() const { return values_.data(); }
 
     /** Element-wise sum (not clamped; see clamped()). */
-    ResourceVector operator+(const ResourceVector& o) const;
     ResourceVector& operator+=(const ResourceVector& o);
-
-    /** Scale every entry. */
-    ResourceVector scaled(double factor) const;
 
     /** Copy with every entry clamped into [lo, hi]. */
     ResourceVector clamped(double lo = 0.0, double hi = 100.0) const;
@@ -265,9 +260,6 @@ class alignas(kResourceVectorAlign) ResourceVector
 static_assert(sizeof(ResourceVector) % kResourceVectorAlign == 0 &&
                   alignof(ResourceVector) == kResourceVectorAlign,
               "ResourceVector must stay a fixed-size aligned value type");
-
-/** Human-readable one-line rendering, e.g. for logs and star charts. */
-std::ostream& operator<<(std::ostream& os, const ResourceVector& v);
 
 } // namespace sim
 } // namespace bolt

@@ -31,8 +31,6 @@ class Summary
 
     double mean() const;
     double stddev() const;
-    double min() const;
-    double max() const;
 
     /**
      * Inclusive linear-interpolation percentile, p in [0, 100].
@@ -43,59 +41,10 @@ class Summary
     /** All raw samples in insertion order. */
     const std::vector<double>& samples() const { return samples_; }
 
-    /** Drop all samples. */
-    void clear();
-
   private:
     std::vector<double> samples_;
     mutable std::vector<double> sorted_;
     mutable bool dirty_ = false;
-};
-
-/**
- * Fixed-bin histogram over [lo, hi]; out-of-range samples clamp to the
- * edge bins. Used for the PDF figures (Fig. 7, Fig. 11).
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, size_t bins);
-
-    void add(double x);
-
-    size_t bins() const { return counts_.size(); }
-    uint64_t count(size_t bin) const { return counts_.at(bin); }
-    uint64_t total() const { return total_; }
-
-    /** Fraction of mass in a bin (0 if empty histogram). */
-    double fraction(size_t bin) const;
-
-    /** Center value of a bin. */
-    double binCenter(size_t bin) const;
-
-  private:
-    double lo_, hi_;
-    std::vector<uint64_t> counts_;
-    uint64_t total_ = 0;
-};
-
-/**
- * Streaming mean/variance (Welford) — used inside the simulator where
- * storing every sample would be wasteful.
- */
-class OnlineStats
-{
-  public:
-    void add(double x);
-    size_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-
-  private:
-    size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
 };
 
 /**
@@ -114,9 +63,6 @@ class Heatmap2D
 
     /** P(hit) in cell (bx, by); NaN when the cell is empty. */
     double probability(size_t bx, size_t by) const;
-
-    /** Number of observations in cell (bx, by). */
-    uint64_t observations(size_t bx, size_t by) const;
 
   private:
     size_t cell(double v) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -141,38 +140,6 @@ printSeries(std::ostream& os, const std::string& title,
         table.addRow(std::move(row));
     }
     table.print(os);
-}
-
-void
-writeCsv(const std::string& path, const std::string& x_label,
-         const std::vector<Series>& series)
-{
-    std::ofstream out(path);
-    if (!out)
-        throw std::runtime_error("writeCsv: cannot open " + path);
-    out << x_label;
-    for (const auto& s : series)
-        out << "," << s.label;
-    out << "\n";
-    size_t rows = 0;
-    for (const auto& s : series)
-        rows = std::max(rows, s.xs.size());
-    for (size_t r = 0; r < rows; ++r) {
-        std::string x;
-        for (const auto& s : series) {
-            if (r < s.xs.size()) {
-                x = AsciiTable::num(s.xs[r], 6);
-                break;
-            }
-        }
-        out << x;
-        for (const auto& s : series) {
-            out << ",";
-            if (r < s.ys.size())
-                out << AsciiTable::num(s.ys[r], 6);
-        }
-        out << "\n";
-    }
 }
 
 } // namespace util

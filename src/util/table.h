@@ -84,10 +84,6 @@ void printSeries(std::ostream& os, const std::string& title,
                  const std::string& x_label,
                  const std::vector<Series>& series, int precision = 1);
 
-/** Write series to CSV (one x column + one column per series). */
-void writeCsv(const std::string& path, const std::string& x_label,
-              const std::vector<Series>& series);
-
 } // namespace util
 } // namespace bolt
 

@@ -165,10 +165,8 @@ TEST(Observation, BasicOps)
     obs.set(sim::Resource::LLC, 40.0);
     obs.set(sim::Resource::NetBw, 20.0, SparseObservation::Bound::Upper);
     EXPECT_EQ(obs.observedCount(), 2u);
-    EXPECT_EQ(obs.exactCount(), 1u);
     EXPECT_TRUE(obs.isExact(sim::Resource::LLC));
     EXPECT_FALSE(obs.isExact(sim::Resource::NetBw));
-    EXPECT_DOUBLE_EQ(obs.observedTotal(), 60.0);
     obs.clear(sim::Resource::LLC);
     EXPECT_FALSE(obs.has(sim::Resource::LLC));
 }
@@ -178,12 +176,6 @@ TEST(Observation, MinusAndMerge)
     SparseObservation obs;
     obs.set(sim::Resource::LLC, 50.0);
     obs.set(sim::Resource::MemBw, 10.0);
-    sim::ResourceVector peel;
-    peel[sim::Resource::LLC] = 30.0;
-    peel[sim::Resource::MemBw] = 40.0;
-    auto residual = obs.minus(peel);
-    EXPECT_DOUBLE_EQ(residual.get(sim::Resource::LLC), 20.0);
-    EXPECT_DOUBLE_EQ(residual.get(sim::Resource::MemBw), 0.0);
 
     SparseObservation older;
     older.set(sim::Resource::DiskBw, 33.0);
@@ -206,7 +198,6 @@ TEST_F(TrainedFixture, TrainingSetWellFormed)
     auto m = training_->matrix();
     EXPECT_EQ(m.rows(), 120u);
     EXPECT_EQ(m.cols(), sim::kNumResources);
-    EXPECT_FALSE(training_->classLabels().empty());
     for (const auto& e : training_->entries()) {
         EXPECT_GT(e.profiledLevel, 0.0);
         for (sim::Resource r : sim::kAllResources) {
@@ -431,7 +422,6 @@ TEST_F(TrainedFixture, EnvironmentHelpers)
     auto spec = steadySpec("cassandra", "read", rng, 0.9, 3);
     MiniHost host({spec}, rng.substream("host"));
     auto env = host.env();
-    EXPECT_EQ(env.coResidentCount(), 1u);
     EXPECT_EQ(env.adversaryCores().size(), 4u);
     auto ext = env.visibleExternal(1.0);
     EXPECT_GT(ext.total(), 0.0);
@@ -445,15 +435,20 @@ TEST_F(TrainedFixture, DetectorIdentifiesSteadySingleVictim)
     Detector detector(*recommender_);
     auto env = host.env();
     util::Rng drng = rng.substream("detect");
+    // The experiment's protocol: a round every kProfilingIntervalSec
+    // until the victim's exact class is among the guesses.
+    const int cap = DetectorConfig{}.maxIterations;
     bool found = false;
-    auto rounds = detector.detectIteratively(
-        env, 0.0, drng, [&](const DetectionRound& r) {
-            found = found || r.detected(spec.classLabel());
-            return found;
-        });
+    int rounds = 0;
+    while (!found && rounds < cap) {
+        DetectionRound round = detector.detectOnce(
+            env, rounds * kProfilingIntervalSec, drng, nullptr, rounds);
+        ++rounds;
+        for (const auto& g : round.guesses)
+            found = found || g.classLabel == spec.classLabel();
+    }
     EXPECT_TRUE(found) << "victim " << spec.classLabel()
-                       << " not identified in " << rounds.size()
-                       << " rounds";
+                       << " not identified in " << rounds << " rounds";
 }
 
 TEST_F(TrainedFixture, DetectorReportsResourceCharacteristics)
@@ -474,21 +469,6 @@ TEST_F(TrainedFixture, DetectorReportsResourceCharacteristics)
                         order[1] == sim::Resource::L1I ||
                         order[1] == sim::Resource::LLC;
     EXPECT_TRUE(cache_on_top);
-}
-
-TEST_F(TrainedFixture, DetectorStopsAtMaxIterations)
-{
-    util::Rng rng(82);
-    auto spec = steadySpec("email", "client", rng, 0.15, 1);
-    MiniHost host({spec}, rng.substream("host"));
-    DetectorConfig cfg;
-    cfg.maxIterations = 3;
-    Detector detector(*recommender_, cfg);
-    auto env = host.env();
-    util::Rng drng = rng.substream("detect");
-    auto rounds = detector.detectIteratively(
-        env, 0.0, drng, [](const DetectionRound&) { return false; });
-    EXPECT_EQ(rounds.size(), 3u);
 }
 
 TEST_F(TrainedFixture, RoundMatchHelpers)
@@ -541,10 +521,9 @@ TEST_F(TrainedFixture, TrainingMatrixAndLabelsAreCachedConsistently)
         auto profile = e.profile.toVector();
         for (size_t c = 0; c < sim::kNumResources; ++c)
             EXPECT_EQ(profile[c], m1(i, c)) << i;
-        // Cached class labels and interned ids agree with the entry.
-        EXPECT_EQ(e.classLabel(), training_->classLabelOf(i)) << i;
-        EXPECT_EQ(training_->classLabelOf(i),
-                  training_->className(training_->classIdOf(i)))
+        // The interned id names the entry's class.
+        EXPECT_EQ(training_->className(training_->classIdOf(i)),
+                  e.classLabel())
             << i;
     }
 }
@@ -645,34 +624,25 @@ TEST_F(TrainedFixture, CarriedCoverageRunsAndReadsFirstAnalysis)
     util::Rng rng(85);
     auto spec = steadySpec("memcached", "rd-heavy", rng, 0.9, 2);
     MiniHost host({spec}, rng.substream("host"));
-    DetectorConfig cfg;
-    cfg.carryObservations = true;
-    cfg.maxIterations = 2;
-    Detector detector(*recommender_, cfg);
+    Detector detector(*recommender_);
     auto env = host.env();
     util::Rng drng = rng.substream("detect");
 
     auto& metrics = obs::MetricsRegistry::global();
     metrics.reset();
     metrics.setEnabled(true);
-    obs::Snapshot second_round;
-    int seen = 0;
-    auto rounds = detector.detectIteratively(
-        env, 0.0, drng, [&](const DetectionRound&) {
-            if (++seen == 1) {
-                metrics.reset(); // count the second round alone
-                return false;
-            }
-            second_round = metrics.snapshot();
-            return true;
-        });
+    // Two rounds of the experiment's carry mode: round 2 takes round
+    // 1's aggregate as its prior.
+    DetectionRound first = detector.detectOnce(env, 0.0, drng, nullptr, 0);
+    metrics.reset(); // count the second round alone
+    DetectionRound round = detector.detectOnce(
+        env, kProfilingIntervalSec, drng, &first.aggregate, 1);
+    obs::Snapshot second_round = metrics.snapshot();
     metrics.setEnabled(false);
     metrics.reset();
 
-    ASSERT_EQ(rounds.size(), 2u);
-    ASSERT_GE(rounds[0].aggregate.observedCount(),
-              static_cast<size_t>(cfg.minObservedForMatch));
-    const DetectionRound& round = rounds[1];
+    ASSERT_GE(first.aggregate.observedCount(),
+              static_cast<size_t>(DetectorConfig{}.minObservedForMatch));
     EXPECT_EQ(second_round.counter(obs::MetricId::kRecommenderAnalyzeCalls)
                   .value,
               1u);

@@ -183,7 +183,7 @@ TEST(Determinism, ObservabilityIsInert)
     tracer.setEnabled(true);
     auto observed = runAtThreads(2, 41);
     obs::Snapshot snap = metrics.snapshot();
-    size_t events = tracer.eventCount();
+    size_t events = tracer.sortedEvents().size();
     metrics.setEnabled(false);
     tracer.setEnabled(false);
     tracer.clear();

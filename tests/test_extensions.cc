@@ -58,7 +58,7 @@ TEST(Obfuscation, ScramblesPressureAndCostsThroughput)
     workloads::AppInstance inst(spec, util::Rng(6));
 
     // Dispersion around the mean must exceed the plain jitter's.
-    util::OnlineStats obf;
+    util::Summary obf;
     for (double t = 0; t < 400; t += 1.0)
         obf.add(inst.pressureAt(t)[sim::Resource::L1I]);
     double mean_l1i = inst.meanPressureAt(0.0)[sim::Resource::L1I];

@@ -142,10 +142,52 @@ TEST(Integration, ResultQueriesConsistent)
     EXPECT_EQ(count, static_cast<int>(result.outcomes.size()));
 }
 
+TEST(Integration, RoundCapIsAPrefix)
+{
+    // The round cap only cuts the detection loop: at cap 2 every outcome
+    // is the cap-6 outcome cut at round 2, with and without churn.
+    for (bool churn : {false, true}) {
+        ExperimentConfig cfg;
+        cfg.servers = 8;
+        cfg.victims = 20;
+        cfg.seed = 1008;
+        if (churn) {
+            cfg.faults.departureProb = 0.15;
+            cfg.faults.arrivalProb = 0.2;
+        }
+        cfg.detector.maxIterations = 6;
+        auto full = ControlledExperiment(cfg).run();
+        cfg.detector.maxIterations = 2;
+        auto cut = ControlledExperiment(cfg).run();
+        ASSERT_EQ(full.outcomes.size(), cut.outcomes.size());
+        bool found_later = false, departed = false;
+        for (size_t i = 0; i < full.outcomes.size(); ++i) {
+            const VictimOutcome& f = full.outcomes[i];
+            const VictimOutcome& c = cut.outcomes[i];
+            ASSERT_EQ(c.spec.label(), f.spec.label()) << i;
+            ASSERT_EQ(c.server, f.server) << i;
+            bool within = f.classCorrect && f.iterations <= 2;
+            EXPECT_EQ(c.classCorrect, within) << churn << " " << i;
+            EXPECT_EQ(c.iterations, within ? f.iterations : 0)
+                << churn << " " << i;
+            bool left = f.departedRound == 1 || f.departedRound == 2;
+            EXPECT_EQ(c.departed, left) << churn << " " << i;
+            EXPECT_EQ(c.departedRound, left ? f.departedRound : 0)
+                << churn << " " << i;
+            found_later |= f.classCorrect && f.iterations > 2;
+            departed |= left;
+        }
+        // Not vacuous: the cap cuts off a later identification, and
+        // churn removes a victim within the first two rounds.
+        EXPECT_TRUE(found_later) << churn;
+        EXPECT_EQ(departed, churn);
+    }
+}
+
 TEST(Integration, PressureBinsCoverVictims)
 {
     auto result = ControlledExperiment(smallConfig(1007)).run();
-    auto bins = result.accuracyByPressure(sim::Resource::LLC, 20);
+    auto bins = result.accuracyByPressure(sim::Resource::LLC);
     int count = 0;
     for (const auto& [lo, acc_n] : bins) {
         EXPECT_GE(lo, 0);

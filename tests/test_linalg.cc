@@ -56,8 +56,7 @@ TEST(Matrix, ConstructionAndAccess)
 
 TEST(Matrix, RowColSetAppend)
 {
-    Matrix m(2, 3);
-    m.setRow(0, {1, 2, 3});
+    Matrix m = {{1, 2, 3}, {0, 0, 0}};
     EXPECT_EQ(m.row(0), (std::vector<double>{1, 2, 3}));
     EXPECT_EQ(m.col(1), (std::vector<double>{2, 0}));
     m.appendRow({7, 8, 9});

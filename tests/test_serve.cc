@@ -47,29 +47,17 @@ TEST_F(LoadGenTest, RequestsArePureFunctionsOfTheirId)
         serve::Request a = gen.makeRequest(id, 0, 10.0);
         serve::Request b = gen.makeRequest(id, 0, 10.0);
         EXPECT_EQ(a.costMs, b.costMs);
+        EXPECT_GT(a.costMs, 0.0);
+        EXPECT_DOUBLE_EQ(a.deadlineMs, 10.0 + cfg.sloMs);
         EXPECT_EQ(a.isDecompose, b.isDecompose);
         EXPECT_EQ(a.query.observedCount(), b.query.observedCount());
-        EXPECT_EQ(a.query.observedTotal(), b.query.observedTotal());
-    }
-}
-
-TEST_F(LoadGenTest, OpenLoopTraceHasMonotoneArrivalsAndDeadlines)
-{
-    auto training = smallTraining();
-    serve::LoadGenConfig cfg;
-    cfg.requests = 200;
-    cfg.offeredQps = 500.0;
-    cfg.sloMs = 25.0;
-    serve::LoadGen gen(training, cfg);
-
-    auto trace = gen.openLoopTrace();
-    ASSERT_EQ(trace.size(), 200u);
-    double prev = 0.0;
-    for (const auto& r : trace) {
-        EXPECT_GE(r.arrivalMs, prev);
-        EXPECT_DOUBLE_EQ(r.deadlineMs, r.arrivalMs + 25.0);
-        EXPECT_GT(r.costMs, 0.0);
-        prev = r.arrivalMs;
+        for (sim::Resource r : sim::kAllResources) {
+            ASSERT_EQ(a.query.has(r), b.query.has(r));
+            if (a.query.has(r)) {
+                EXPECT_EQ(a.query.get(r), b.query.get(r));
+                EXPECT_EQ(a.query.bound(r), b.query.bound(r));
+            }
+        }
     }
 }
 
@@ -187,6 +175,29 @@ TEST_F(ServeEngineTest, OpenLoopConservesEveryRequest)
     EXPECT_EQ(res.stats.offered, 300u);
     EXPECT_GT(res.stats.completed, 0u);
     expectConservation(res);
+}
+
+TEST_F(ServeEngineTest, OpenLoopArrivalsAreMonotoneInId)
+{
+    // Request id's arrival is the prefix sum of the interarrival stream
+    // through id, whatever verdict earlier requests got.
+    serve::ServeConfig cfg = baseConfig();
+    cfg.load.requests = 200;
+    cfg.load.offeredQps = 500.0;
+    auto res = serve::ServeEngine(*recommender_, cfg).run();
+    EXPECT_EQ(res.stats.offered, cfg.load.requests);
+    ASSERT_EQ(res.outcomes.size(), cfg.load.requests);
+    serve::LoadGen gen(*training_, cfg.load);
+    double t = 0.0;
+    for (uint64_t id = 0; id < res.outcomes.size(); ++id) {
+        t += gen.interarrivalMs(id);
+        EXPECT_EQ(res.outcomes[id].arrivalMs, t) << id;
+        if (id > 0) {
+            EXPECT_GE(res.outcomes[id].arrivalMs,
+                      res.outcomes[id - 1].arrivalMs)
+                << id;
+        }
+    }
 }
 
 TEST_F(ServeEngineTest, DigestIsIdenticalAtAnyThreadCount)

@@ -42,10 +42,9 @@ TEST(Resource, CoreUncorePartition)
 
 TEST(ResourceVector, Arithmetic)
 {
-    ResourceVector a(10.0), b(20.0);
-    ResourceVector c = a + b;
+    ResourceVector c(10.0), b(20.0);
+    c += b;
     EXPECT_DOUBLE_EQ(c[Resource::LLC], 30.0);
-    EXPECT_DOUBLE_EQ(c.scaled(2.0)[Resource::CPU], 60.0);
     EXPECT_DOUBLE_EQ(c.total(), 300.0);
 }
 
