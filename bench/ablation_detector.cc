@@ -12,8 +12,8 @@
  */
 #include <iostream>
 
-#include "driver_flags.h"
 #include "core/experiment.h"
+#include "util/cli_flags.h"
 #include "util/table.h"
 #include "workloads/app.h"
 
@@ -38,8 +38,10 @@ accuracyWith(const std::function<void(core::ExperimentConfig&)>& tweak,
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
 
     std::cout << "== Detector design ablations (20 hosts, 52 victims) "
                  "==\n";

@@ -7,8 +7,8 @@
  */
 #include <iostream>
 
-#include "driver_flags.h"
 #include "core/experiment.h"
+#include "util/cli_flags.h"
 #include "util/table.h"
 
 using namespace bolt;
@@ -41,8 +41,10 @@ report(const char* title, const core::ExperimentResult& result)
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
 
     {
         core::ExperimentConfig cfg;

@@ -23,8 +23,8 @@
 #include <iostream>
 #include <string>
 
-#include "driver_flags.h"
 #include "colo/tournament.h"
+#include "util/cli_flags.h"
 #include "util/digest.h"
 #include "util/table.h"
 
@@ -40,8 +40,10 @@ constexpr uint64_t kSeed = 42;
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
 
     colo::TournamentConfig tcfg;
     tcfg.seed = kSeed;

@@ -11,8 +11,8 @@
  */
 #include <iostream>
 
-#include "driver_flags.h"
 #include "attacks/coresidency.h"
+#include "util/cli_flags.h"
 #include "util/table.h"
 
 using namespace bolt;
@@ -20,8 +20,10 @@ using namespace bolt;
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
     std::cout << "== Section 5.3: VM co-residency detection ==\n";
     util::AsciiTable table({"Seed", "P(land)", "Waves", "VMs",
                             "Candidates", "Base lat (ms)",

@@ -10,10 +10,10 @@
  */
 #include <iostream>
 
-#include "driver_flags.h"
 #include "core/detector.h"
 #include "core/experiment.h"
 #include "sim/cluster.h"
+#include "util/cli_flags.h"
 #include "util/table.h"
 #include "workloads/generators.h"
 #include "util/thread_pool.h"
@@ -137,8 +137,10 @@ experimentAccuracy(int adversary_vcpus, int benchmarks, uint64_t seed)
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
 
     std::cout << "== Figure 10a: accuracy vs profiling interval "
                  "(paper: rapid drop past 30 s) ==\n";

@@ -9,7 +9,7 @@
 #include <iostream>
 #include <map>
 
-#include "driver_flags.h"
+#include "util/cli_flags.h"
 #include "util/table.h"
 #include "workloads/generators.h"
 
@@ -18,8 +18,10 @@ using namespace bolt;
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
     util::Rng rng(2017);
     auto jobs = workloads::userStudy(rng);
 

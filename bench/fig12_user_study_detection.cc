@@ -13,10 +13,10 @@
 #include <iostream>
 #include <map>
 
-#include "driver_flags.h"
 #include "core/detector.h"
 #include "core/experiment.h"
 #include "sim/cluster.h"
+#include "util/cli_flags.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "workloads/generators.h"
@@ -26,8 +26,10 @@ using namespace bolt;
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
     util::Rng rng(2017);
 
     // Train once with the same 120-app set as the controlled experiment.

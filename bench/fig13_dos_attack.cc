@@ -12,8 +12,8 @@
  */
 #include <iostream>
 
-#include "driver_flags.h"
 #include "attacks/dos.h"
+#include "util/cli_flags.h"
 #include "util/table.h"
 
 using namespace bolt;
@@ -21,8 +21,10 @@ using namespace bolt;
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
     attacks::DosTimelineExperiment experiment;
     auto bolt_run = experiment.run(true);
     auto naive_run = experiment.run(false);

@@ -20,10 +20,10 @@
 #include <iostream>
 #include <sstream>
 
-#include "driver_flags.h"
 #include "core/experiment.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "util/cli_flags.h"
 #include "util/table.h"
 
 using namespace bolt;
@@ -31,8 +31,10 @@ using namespace bolt;
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
     // Metrics feed the abstention column; observability is inert by
     // contract (tests/test_determinism.cc, tests/test_cli.cc), so this
     // cannot change the results.

@@ -12,7 +12,7 @@
 #include <cmath>
 #include <iostream>
 
-#include "driver_flags.h"
+#include "util/cli_flags.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "workloads/generators.h"
@@ -22,8 +22,10 @@ using namespace bolt;
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
     util::Rng rng(2);
     // Sample a large mixed population of instances at their natural
     // load levels, measure their (noisy) pressure, and bin P(memcached).

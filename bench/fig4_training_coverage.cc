@@ -7,8 +7,8 @@
  */
 #include <iostream>
 
-#include "driver_flags.h"
 #include "core/training.h"
+#include "util/cli_flags.h"
 #include "util/table.h"
 #include "workloads/generators.h"
 
@@ -44,8 +44,10 @@ scatter(const char* title, const std::vector<std::pair<double, double>>& pts)
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
     util::Rng rng(2017);
     auto specs = workloads::trainingSet(rng);
     auto training = core::TrainingSet::fromSpecs(specs, rng);

@@ -8,8 +8,8 @@
 #include <iomanip>
 #include <iostream>
 
-#include "driver_flags.h"
 #include "core/recommender.h"
+#include "util/cli_flags.h"
 #include "util/table.h"
 #include "workloads/generators.h"
 
@@ -36,8 +36,10 @@ starChart(const char* title, const sim::ResourceVector& profile)
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
     util::Rng rng(55);
     util::Rng tr = rng.substream("train");
     auto train_specs = workloads::trainingSet(tr);

@@ -9,8 +9,8 @@
  */
 #include <iostream>
 
-#include "driver_flags.h"
 #include "core/experiment.h"
+#include "util/cli_flags.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -19,8 +19,10 @@ using namespace bolt;
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
 
     // A denser victim mix exercises the full 1..5 co-residency range.
     std::map<int, util::Summary> by_co;

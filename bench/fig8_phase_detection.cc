@@ -7,10 +7,10 @@
  */
 #include <iostream>
 
-#include "driver_flags.h"
 #include "core/detector.h"
 #include "core/experiment.h"
 #include "sim/cluster.h"
+#include "util/cli_flags.h"
 #include "util/table.h"
 #include "workloads/generators.h"
 
@@ -19,8 +19,10 @@ using namespace bolt;
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
     util::Rng rng(88);
     util::Rng tr = rng.substream("train");
     auto train_specs = workloads::trainingSet(tr);

@@ -8,8 +8,8 @@
  */
 #include <iostream>
 
-#include "driver_flags.h"
 #include "core/experiment.h"
+#include "util/cli_flags.h"
 #include "util/table.h"
 
 using namespace bolt;
@@ -17,8 +17,10 @@ using namespace bolt;
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
 
     // Every seed's outcomes, pooled.
     core::ExperimentResult pooled;

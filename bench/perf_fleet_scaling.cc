@@ -28,8 +28,8 @@
 #include <iostream>
 #include <string>
 
-#include "driver_flags.h"
 #include "sim/shard.h"
+#include "util/cli_flags.h"
 #include "util/digest.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -93,8 +93,10 @@ selfCheck()
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
 
     util::AsciiTable table({"Hosts", "Shards", "Booted", "Alive",
                             "Arrive", "Depart", "Migrate", "Faults",

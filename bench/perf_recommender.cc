@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "driver_flags.h"
 #include "core/recommender.h"
 #include "obs/report.h"
 #include "util/cli_flags.h"
@@ -385,9 +384,12 @@ main(int argc, char** argv)
         {"json", util::FlagKind::String},
         {"reps", util::FlagKind::Int, 1, 1e6},
     };
-    auto args = bench::parseDriverFlags(argc, argv, spec);
-    if (!args)
+    util::CliArgs args;
+    std::string err = util::parseProgramFlags(argc, argv, spec, &args);
+    if (!err.empty()) {
+        std::cerr << err;
         return 2;
+    }
 
     // Metrics are recorded for the whole harness so the report can show
     // the query path's internals (prune-hit rate, scratch sourcing);
@@ -397,14 +399,14 @@ main(int argc, char** argv)
     metrics.setEnabled(true);
     metrics.reset();
     HarnessResult r =
-        runHarness(static_cast<size_t>(args->getInt("reps", 5)));
+        runHarness(static_cast<size_t>(args.getInt("reps", 5)));
     obs::Snapshot snap = metrics.snapshot();
     metrics.setEnabled(metrics_were_enabled);
 
     std::cout << "queries " << r.queries << "\n"
               << "digest " << util::hex64(r.digest) << "\n"
               << "digest_mt " << util::hex64(r.mtDigest) << "\n";
-    std::string json = args->get("json", "");
+    std::string json = args.get("json", "");
     if (!json.empty() && !writeReport(json, r, snap)) {
         std::cerr << argv[0] << ": cannot write '" << json << "'\n";
         return 1;

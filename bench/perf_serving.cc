@@ -41,10 +41,10 @@
 #include <string>
 #include <vector>
 
-#include "driver_flags.h"
 #include "core/recommender.h"
 #include "obs/timeseries.h"
 #include "serve/engine.h"
+#include "util/cli_flags.h"
 #include "util/digest.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -175,10 +175,13 @@ runJsonProbe(const core::HybridRecommender& recommender)
 int
 main(int argc, char** argv)
 {
-    auto args =
-        bench::parseDriverFlags(argc, argv, {{"json", util::FlagKind::Flag}});
-    if (!args)
+    util::CliArgs args;
+    std::string err = util::parseProgramFlags(
+        argc, argv, {{"json", util::FlagKind::Flag}}, &args);
+    if (!err.empty()) {
+        std::cerr << err;
         return 2;
+    }
 
     // Same corpus construction as a serve scenario stage with seed 1.
     util::Rng rng(1);
@@ -187,7 +190,7 @@ main(int argc, char** argv)
     auto training = core::TrainingSet::fromSpecs(specs, tr);
     core::HybridRecommender recommender(training);
 
-    if (args->has("json"))
+    if (args.has("json"))
         return runJsonProbe(recommender);
 
     util::AsciiTable table({"Offered", "Mode", "Achieved", "Goodput",

@@ -9,8 +9,8 @@
  */
 #include <iostream>
 
-#include "driver_flags.h"
 #include "core/experiment.h"
+#include "util/cli_flags.h"
 #include "util/table.h"
 
 using namespace bolt;
@@ -18,8 +18,10 @@ using namespace bolt;
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
 
     std::cout << "== Table 1: detection accuracy, controlled experiment "
                  "(paper: 87% LL / 89% Quasar aggregate) ==\n";

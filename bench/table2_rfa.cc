@@ -10,8 +10,8 @@
 #include <iostream>
 #include <string>
 
-#include "driver_flags.h"
 #include "attacks/rfa.h"
+#include "util/cli_flags.h"
 #include "util/table.h"
 #include "workloads/catalog.h"
 
@@ -38,8 +38,10 @@ steady(const char* family, const char* variant, double level,
 int
 main(int argc, char** argv)
 {
-    if (!bench::parseDriverFlags(argc, argv))
+    if (std::string err = util::parseProgramFlags(argc, argv); !err.empty()) {
+        std::cerr << err;
         return 2;
+    }
     util::Rng rng(77);
     sim::ContentionModel contention{
         sim::IsolationConfig::none(sim::Platform::VirtualMachine)};

@@ -336,11 +336,6 @@ main(int argc, char** argv)
         usage(std::cout);
         return 0;
     }
-    // Consumes the observability flags and enables the subsystems; must
-    // run before the strict parsers below see argv.
-    if (!obs::applyObsFlags(argc, argv))
-        return 2;
-
     scenario::StageKind kind{};
     bool stage_command =
         util::enumFromKey(scenario::kStageKindKeys, command, &kind);
@@ -360,17 +355,15 @@ main(int argc, char** argv)
     // scenario compiler, which owns their validation.
     CliArgs args;
     std::vector<std::string> stage_flags;
-    std::string err;
-    if (!args.parse(argc, argv, 2, *spec, scenario::kCommonCliFlags, &err,
-                    stage_command ? &stage_flags : nullptr)) {
-        std::cerr << "bolt_cli: " << err;
+    std::string err = util::parseProgramFlags(
+        argc, argv, *spec, &args, 2, stage_command ? &stage_flags : nullptr);
+    if (!err.empty()) {
+        std::cerr << err;
         if (stage_command)
             std::cerr << "plus the " << command
                       << " stage keys of docs/SCENARIOS.md\n";
         return 2;
     }
-    util::ThreadPool::setGlobalThreads(
-        static_cast<unsigned>(args.getInt("threads", 0)));
 
     if (command == "report")
         return runReport(args);

@@ -10,16 +10,30 @@
 namespace bolt {
 namespace attacks {
 
+double
+receiverLatencyMs(const workloads::AppSpec& target,
+                  const workloads::AppInstance& instance,
+                  const sim::ContentionModel& contention, bool coResident,
+                  util::Rng& rng)
+{
+    double slowdown = 1.0;
+    if (coResident) {
+        sim::ResourceVector own =
+            workloads::scaledPressure(target.base, target.pattern.level);
+        slowdown = contention.slowdown(
+            own, target.sensitivity, DosAttack::craftContention(own, 2, 1.2));
+    }
+    return instance.meanLatencyMs(slowdown) * rng.lognormal(1.0, 0.04);
+}
+
 CoResidencyResult
 CoResidencyAttack::run() const
 {
     util::Rng rng(config_.seed);
     CoResidencyResult result;
 
-    double k = static_cast<double>(config_.victimVms);
-    double n_servers = static_cast<double>(config_.servers);
     result.placementProbability =
-        1.0 - std::pow(1.0 - k / n_servers,
+        1.0 - std::pow(1.0 - 1.0 / static_cast<double>(config_.servers),
                        static_cast<double>(config_.probeVms));
 
     // --- Populate the cluster -------------------------------------------------
@@ -98,8 +112,6 @@ CoResidencyAttack::run() const
     workloads::AppInstance victim_instance(victim_spec,
                                            rng.substream("victim-inst"));
     util::Rng chan_rng = rng.substream("channel");
-    sim::ResourceVector victim_own = workloads::scaledPressure(
-        victim_spec.base, victim_spec.pattern.level);
     result.baselineLatencyMs = victim_instance.meanLatencyMs(1.0) *
                                chan_rng.lognormal(1.0, 0.04);
     result.adversaryVmsUsed = 1; // the external receiver
@@ -182,20 +194,10 @@ CoResidencyAttack::run() const
     // Only when sender and target are co-resident do the queries slow
     // down.
     for (size_t host : candidate_hosts) {
-        // Sender saturates the victim's two most sensitive resources.
-        sim::ResourceVector payload =
-            DosAttack::craftContention(victim_own, 2, 1.2);
-        double latency;
-        if (host == victim_host) {
-            double slowdown = contention.slowdown(
-                victim_own, victim_spec.sensitivity, payload);
-            latency = victim_instance.meanLatencyMs(slowdown) *
-                      chan_rng.lognormal(1.0, 0.04);
-        } else {
-            latency = victim_instance.meanLatencyMs(1.0) *
-                      chan_rng.lognormal(1.0, 0.04);
-        }
-        elapsed += 1.5; // sender burst + receiver sampling window
+        double latency =
+            receiverLatencyMs(victim_spec, victim_instance, contention,
+                              host == victim_host, chan_rng);
+        elapsed += kConfirmSec;
         if (latency >
             result.baselineLatencyMs * kLatencyRatioThreshold) {
             result.attackLatencyMs = latency;
@@ -208,7 +210,7 @@ CoResidencyAttack::run() const
     if (!result.victimPinpointed) {
         for (sim::TenantId id : wave_probes)
             cluster.remove(id);
-        elapsed += 5.0; // teardown + relaunch latency
+        elapsed += kFailedWaveSec;
     }
     } // wave loop
 

@@ -6,6 +6,9 @@
 
 #include "core/detector.h"
 #include "sched/scheduler.h"
+#include "sim/contention.h"
+#include "util/rng.h"
+#include "workloads/app.h"
 
 namespace bolt {
 namespace attacks {
@@ -20,11 +23,28 @@ inline constexpr size_t kDecoySqlVms = 7;
  */
 inline constexpr double kLatencyRatioThreshold = 2.0;
 
+/// Campaign seconds per sender/receiver confirmation: the sender's
+/// burst and the receiver's sampling window.
+inline constexpr double kConfirmSec = 1.5;
+/// Campaign seconds per failed probe wave: teardown and relaunch.
+inline constexpr double kFailedWaveSec = 5.0;
+
+/**
+ * One timed measurement of the receiver: the target's mean latency
+ * with lognormal(1.0, 0.04) jitter drawn from `rng`. A co-resident
+ * sender crafts contention on the target's two most sensitive resources
+ * at 1.2x, and the target slows by the ContentionModel's slowdown.
+ * The §5.3 attack and colo::CoResidencyOracle both measure with it.
+ */
+double receiverLatencyMs(const workloads::AppSpec& target,
+                         const workloads::AppInstance& instance,
+                         const sim::ContentionModel& contention,
+                         bool coResident, util::Rng& rng);
+
 /** Configuration of the §5.3 VM co-residency detection attack. */
 struct CoResidencyConfig
 {
     size_t servers = 40;      ///< Cluster size N.
-    size_t victimVms = 1;     ///< k: VMs the target user launches.
     size_t backgroundVms = 24; ///< Key-value stores, Hadoop, Spark, ...
     size_t probeVms = 10;     ///< n: adversarial VMs launched per wave.
     size_t maxWaves = 6;      ///< Probe waves before giving up.
@@ -34,7 +54,8 @@ struct CoResidencyConfig
 /** Outcome of one co-residency attack run. */
 struct CoResidencyResult
 {
-    /** 1 - (1 - k/N)^n: a priori probability of landing a probe. */
+    /** 1 - (1 - 1/N)^n: a priori probability of landing a probe next
+     *  to the one target VM. */
     double placementProbability = 0;
     /** Whether a probe VM actually landed next to the target. */
     bool probeCoResident = false;

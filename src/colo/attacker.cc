@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "attacks/coresidency.h"
-#include "attacks/dos.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/seeds.h"
@@ -12,6 +11,9 @@ namespace bolt {
 namespace colo {
 
 namespace {
+
+/// vCPUs of one probe VM.
+constexpr int kProbeVcpus = 2;
 
 bool
 contains(const std::vector<size_t>& v, size_t x)
@@ -28,9 +30,7 @@ CoResidencyOracle::CoResidencyOracle(const sim::Cluster& cluster,
       seed_(seed), contention_(cluster.isolation()),
       victimInstance_(victimSpec,
                       util::Rng(util::seeds::derivedSeed(
-                          seed, util::seeds::kColoOracle, 0))),
-      victimOwn_(workloads::scaledPressure(victimSpec.base,
-                                           victimSpec.pattern.level))
+                          seed, util::seeds::kColoOracle, 0)))
 {
     // Noise-free baseline: per-check lognormal(1.0, 0.04) jitter can
     // never push an un-slowed measurement past baseline x threshold,
@@ -47,19 +47,9 @@ CoResidencyOracle::confirm(size_t probeHost)
     ++checks_;
     obs::MetricsRegistry::global().add(obs::MetricId::kColoOracleChecks);
 
-    std::optional<size_t> where = cluster_.locate(victimId_);
-    double latency;
-    if (where && *where == probeHost) {
-        sim::ResourceVector payload =
-            attacks::DosAttack::craftContention(victimOwn_, 2, 1.2);
-        double slowdown = contention_.slowdown(
-            victimOwn_, victimSpec_.sensitivity, payload);
-        latency = victimInstance_.meanLatencyMs(slowdown) *
-                  rng.lognormal(1.0, 0.04);
-    } else {
-        latency =
-            victimInstance_.meanLatencyMs(1.0) * rng.lognormal(1.0, 0.04);
-    }
+    double latency = attacks::receiverLatencyMs(
+        victimSpec_, victimInstance_, contention_,
+        cluster_.locate(victimId_) == std::optional<size_t>(probeHost), rng);
     return latency > baseline_ * attacks::kLatencyRatioThreshold;
 }
 
@@ -77,15 +67,14 @@ ColoAttacker::run(sim::Cluster& cluster, sched::PlacementPolicy& allocator,
 
     workloads::AppSpec probeSpec;
     probeSpec.family = "colo-probe";
-    probeSpec.vcpus = cfg_.probeVcpus;
+    probeSpec.vcpus = kProbeVcpus;
 
     for (int wave = 0; wave < cfg_.waves && !res.pinpointed; ++wave) {
         ++res.wavesUsed;
         std::vector<std::pair<sim::TenantId, size_t>> waveProbes;
 
         auto commit = [&](size_t server) -> sim::TenantId {
-            sim::Tenant probe{cluster.nextTenantId(), cfg_.probeVcpus,
-                              true};
+            sim::Tenant probe{cluster.nextTenantId(), kProbeVcpus, true};
             if (!cluster.placeOn(server, probe))
                 return sim::kNoTenant;
             waveProbes.emplace_back(probe.id, server);
@@ -104,7 +93,7 @@ ColoAttacker::run(sim::Cluster& cluster, sched::PlacementPolicy& allocator,
             // the fan-out covers probesPerWave fresh hosts per wave.
             sched::PlacementRequest req;
             req.spec = probeSpec;
-            req.vcpus = cfg_.probeVcpus;
+            req.vcpus = kProbeVcpus;
             req.constraints.replicas = cfg_.probesPerWave;
             req.constraints.hint = sched::PlacementHint::Spread;
             req.constraints.avoid = ruledOut;
@@ -125,7 +114,7 @@ ColoAttacker::run(sim::Cluster& cluster, sched::PlacementPolicy& allocator,
                     if (cluster.server(i).tenants().empty())
                         continue;
                     if (cluster.server(i).placeableSlots(
-                            cluster.isolation()) < cfg_.probeVcpus)
+                            cluster.isolation()) < kProbeVcpus)
                         continue;
                     targets.push_back(i);
                 }
@@ -138,7 +127,7 @@ ColoAttacker::run(sim::Cluster& cluster, sched::PlacementPolicy& allocator,
                     targets.resize(3);
                 sched::PlacementRequest req;
                 req.spec = probeSpec;
-                req.vcpus = cfg_.probeVcpus;
+                req.vcpus = kProbeVcpus;
                 req.constraints.avoid = ruledOut;
                 req.constraints.affinity = targets;
                 std::optional<size_t> host =
@@ -159,7 +148,7 @@ ColoAttacker::run(sim::Cluster& cluster, sched::PlacementPolicy& allocator,
             for (int p = 0; p < cfg_.probesPerWave; ++p) {
                 sched::PlacementRequest req;
                 req.spec = probeSpec;
-                req.vcpus = cfg_.probeVcpus;
+                req.vcpus = kProbeVcpus;
                 req.constraints.avoid = ruledOut;
                 std::optional<size_t> host =
                     allocator.place(cluster, req);
@@ -178,7 +167,7 @@ ColoAttacker::run(sim::Cluster& cluster, sched::PlacementPolicy& allocator,
         // ruled out for later waves.
         sim::TenantId confirmedProbe = sim::kNoTenant;
         for (const auto& [id, host] : waveProbes) {
-            t += 1.5; // sender burst + receiver sampling window
+            t += attacks::kConfirmSec;
             ++res.oracleChecks;
             if (oracle.confirm(host)) {
                 res.pinpointed = true;
@@ -201,7 +190,7 @@ ColoAttacker::run(sim::Cluster& cluster, sched::PlacementPolicy& allocator,
             allocator.forget(id);
         }
         if (!res.pinpointed)
-            t += 5.0; // teardown + relaunch latency
+            t += attacks::kFailedWaveSec;
 
         if (onWaveEnd)
             onWaveEnd(t);

@@ -58,7 +58,6 @@ struct AttackerConfig
     AttackerKind kind = AttackerKind::Replication;
     int probesPerWave = 4;
     int waves = 3;
-    int probeVcpus = 2;
 };
 
 /** Outcome of one campaign. */
@@ -107,7 +106,6 @@ class CoResidencyOracle
     }
 
     uint64_t checks() const { return checks_; }
-    double baselineLatencyMs() const { return baseline_; }
 
   private:
     const sim::Cluster& cluster_;
@@ -116,7 +114,6 @@ class CoResidencyOracle
     uint64_t seed_;
     sim::ContentionModel contention_;
     workloads::AppInstance victimInstance_;
-    sim::ResourceVector victimOwn_;
     double baseline_ = 0.0;
     uint64_t checks_ = 0;
 };
@@ -125,9 +122,10 @@ class CoResidencyOracle
  * Deterministic co-location campaign agent: waves of probe launches
  * against a target allocator, oracle confirmation per landed probe,
  * teardown of refuted probes, and ruled-out host bookkeeping carried
- * across waves. All timing costs mirror attacks::CoResidencyAttack
- * (0.5 s per launch, 1.5 s per confirmation, 5 s per failed-wave
- * teardown).
+ * across waves. Each confirmation and each failed wave costs what it
+ * costs attacks::CoResidencyAttack (attacks::kConfirmSec,
+ * attacks::kFailedWaveSec); each launch also costs 0.5 s, which the
+ * §5.3 attack does not charge.
  */
 class ColoAttacker
 {

@@ -138,7 +138,6 @@ runRep(const TournamentConfig& cfg, AttackerKind attacker,
     acfg.kind = attacker;
     acfg.probesPerWave = cfg.probesPerWave;
     acfg.waves = cfg.waves;
-    acfg.probeVcpus = cfg.probeVcpus;
     ColoAttacker agent(acfg, derivedSeed(cellSeed, kColoProbe, 0));
 
     auto* secure = dynamic_cast<SecureAllocator*>(policy.get());

@@ -56,7 +56,6 @@ struct TournamentConfig
     int reps = 8;
     int probesPerWave = 4;
     int waves = 3;
-    int probeVcpus = 2;
     uint64_t seed = 42;
 };
 

@@ -9,6 +9,7 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "util/digest.h"
+#include "util/seeds.h"
 #include "util/thread_pool.h"
 
 namespace bolt {
@@ -16,21 +17,16 @@ namespace core {
 
 namespace {
 
-/**
- * Phase tags for counter-based RNG stream derivation. Every stochastic
- * task that may run on a pool thread draws from Rng::stream(seed,
- * {phase, ...}) with coordinates that identify the task (server id,
- * victim tenant id), never from a stream another task also draws from —
- * this is what keeps results bit-identical at any thread count. The
- * sequential phases (training-set construction, victim generation,
- * placement) keep the root substream derivation, which is likewise a
- * pure function of the seed.
- */
-enum RngPhase : uint64_t {
-    kPhaseInstance = 3,
-    kPhaseDetect = 4,
-    kPhaseNeighborInstance = 5,
-};
+// Every stochastic task that may run on a pool thread draws from
+// Rng::stream(seed, {phase, ...}) with coordinates that identify the
+// task (server id, victim tenant id), never from a stream another task
+// also draws from — this is what keeps results bit-identical at any
+// thread count. The sequential phases (training-set construction,
+// victim generation, placement) keep the root substream derivation,
+// which is likewise a pure function of the seed.
+using util::seeds::kExperimentDetect;
+using util::seeds::kExperimentInstance;
+using util::seeds::kExperimentNeighborInstance;
 
 /**
  * Tenant-id base for fault-injected background arrivals: far above any
@@ -325,8 +321,8 @@ ControlledExperiment::run()
         instances.emplace(
             t.id,
             workloads::AppInstance(
-                spec, util::Rng::stream(config_.seed,
-                                        {kPhaseInstance, *choice, t.id})));
+                spec, util::Rng::stream(config_.seed, {kExperimentInstance,
+                                                       *choice, t.id})));
     }
     metrics.add(obs::MetricId::kExperimentVictimsScheduled, placed.size());
     BOLT_LOG_INFO("placed " << placed.size() << "/" << victims_.size()
@@ -394,7 +390,7 @@ ControlledExperiment::run()
         std::map<sim::TenantId, int> found_class;
         std::map<sim::TenantId, bool> found_char;
         util::Rng host_rng =
-            util::Rng::stream(config_.seed, {kPhaseDetect, s});
+            util::Rng::stream(config_.seed, {kExperimentDetect, s});
         double t0 = host_rng.uniform(0.0, 10.0);
         double host_end = t0;
         metrics.add(obs::MetricId::kExperimentHostsProbed);
@@ -447,7 +443,7 @@ ControlledExperiment::run()
                                 arr.spec,
                                 util::Rng::stream(
                                     host_faults->faultSeed(),
-                                    {kPhaseNeighborInstance, s,
+                                    {kExperimentNeighborInstance, s,
                                      static_cast<uint64_t>(iter)})));
                         metrics.add(obs::MetricId::kFaultTenantArrivals);
                         obs::TimeSeriesRecorder::global().count(

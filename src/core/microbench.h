@@ -33,8 +33,6 @@ class Microbenchmark
 
     explicit Microbenchmark(sim::Resource target) : target_(target) {}
 
-    sim::Resource target() const { return target_; }
-
     /**
      * Simulated probe performance (1.0 = isolated) at intensity k given
      * external visible pressure on the target resource.

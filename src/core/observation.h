@@ -38,9 +38,6 @@ class SparseObservation
         bounds_[sim::index(r)] = bound;
     }
 
-    /** Remove a measurement (used by disentangling heuristics). */
-    void clear(sim::Resource r) { values_[sim::index(r)].reset(); }
-
     bool has(sim::Resource r) const
     {
         return values_[sim::index(r)].has_value();

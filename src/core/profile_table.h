@@ -69,9 +69,7 @@ class ScaledProfileTable
     /** Tabulate every entry's fullLoadBase profile. */
     explicit ScaledProfileTable(const TrainingSet& training);
 
-    size_t entries() const { return base_.rows(); }
-
-    /** entries() rounded up to a whole kernel block (column stride). */
+    /** The entry count rounded up to a whole kernel block (column stride). */
     size_t paddedEntries() const { return base_.paddedRows(); }
 
     /**

@@ -2,33 +2,23 @@
 
 #include <algorithm>
 
+#include "util/seeds.h"
 #include "workloads/catalog.h"
 
 namespace bolt {
 namespace fault {
 
-namespace {
-
-/**
- * Stream-derivation phases under the fault seed. Offset well away from
- * the experiment engine's phases so a plan with seed == experiment seed
- * still draws from decorrelated streams.
- */
-enum FaultRngPhase : uint64_t {
-    kPhaseSample = 0x0Bf0,
-    kPhaseJitter = 0x0Bf1,
-    kPhaseArrival = 0x0Bf2,
-    kPhaseDeparture = 0x0Bf3,
-    kPhaseFlip = 0x0Bf4,
-};
-
-} // namespace
+using util::seeds::kFaultArrival;
+using util::seeds::kFaultDeparture;
+using util::seeds::kFaultFlip;
+using util::seeds::kFaultJitter;
+using util::seeds::kFaultSample;
 
 HostFaults::HostFaults(const FaultPlan& plan, uint64_t root_seed,
                        size_t server)
     : plan_(plan), seed_(plan.seed ? plan.seed : root_seed),
       server_(server),
-      sampleRng_(util::Rng::stream(seed_, {kPhaseSample, server}))
+      sampleRng_(util::Rng::stream(seed_, {kFaultSample, server}))
 {
 }
 
@@ -56,7 +46,7 @@ HostFaults::capacityFactor(double t) const
         return 1.0;
     auto window = static_cast<uint64_t>(
         std::max(0.0, t) / plan_.capacityJitterWindowSec);
-    util::Rng r = util::Rng::stream(seed_, {kPhaseJitter, server_, window});
+    util::Rng r = util::Rng::stream(seed_, {kFaultJitter, server_, window});
     return 1.0 + plan_.capacityJitterAmp * r.uniform(-1.0, 1.0);
 }
 
@@ -67,7 +57,7 @@ HostFaults::arrivalAt(int round) const
     if (plan_.arrivalProb <= 0.0)
         return ev;
     util::Rng r = util::Rng::stream(
-        seed_, {kPhaseArrival, server_, static_cast<uint64_t>(round)});
+        seed_, {kFaultArrival, server_, static_cast<uint64_t>(round)});
     if (!r.bernoulli(plan_.arrivalProb))
         return ev;
     ev.fires = true;
@@ -85,7 +75,7 @@ HostFaults::departureAt(int round, size_t victim) const
         return false;
     util::Rng r = util::Rng::stream(
         seed_,
-        {kPhaseDeparture, server_, static_cast<uint64_t>(round), victim});
+        {kFaultDeparture, server_, static_cast<uint64_t>(round), victim});
     return r.bernoulli(plan_.departureProb);
 }
 
@@ -96,7 +86,7 @@ HostFaults::phaseFlipAt(int round, size_t victim, double period_sec,
     if (plan_.phaseFlipProb <= 0.0)
         return false;
     util::Rng r = util::Rng::stream(
-        seed_, {kPhaseFlip, server_, static_cast<uint64_t>(round), victim});
+        seed_, {kFaultFlip, server_, static_cast<uint64_t>(round), victim});
     if (!r.bernoulli(plan_.phaseFlipProb))
         return false;
     *new_phase = r.uniform(0.0, std::max(1.0, period_sec));

@@ -27,30 +27,7 @@ stderrSink(LogLevel level, std::string_view message)
 const char*
 logLevelName(LogLevel level)
 {
-    switch (level) {
-    case LogLevel::Error:
-        return "error";
-    case LogLevel::Warn:
-        return "warn";
-    case LogLevel::Info:
-        return "info";
-    case LogLevel::Debug:
-        return "debug";
-    }
-    return "?";
-}
-
-bool
-parseLogLevel(std::string_view name, LogLevel* out)
-{
-    for (LogLevel l : {LogLevel::Error, LogLevel::Warn, LogLevel::Info,
-                       LogLevel::Debug}) {
-        if (name == logLevelName(l)) {
-            *out = l;
-            return true;
-        }
-    }
-    return false;
+    return util::enumKey(kLogLevelKeys, level);
 }
 
 void

@@ -6,6 +6,8 @@
 #include <string>
 #include <string_view>
 
+#include "util/enum_keys.h"
+
 namespace bolt {
 namespace obs {
 
@@ -20,22 +22,25 @@ namespace obs {
  * Log output is diagnostics, never data: nothing in the library's
  * results depends on it, and the default sink writes to stderr so
  * stdout (tables, JSON) stays machine-consumable.
+ *
+ * The levels, least verbose first:  X(Sym, "key")
  */
-enum class LogLevel : int {
-    Error = 0,
-    Warn = 1,
-    Info = 2,
-    Debug = 3,
-};
+#define BOLT_LOG_LEVEL_CATALOG(X)                                              \
+    X(Error, "error")                                                          \
+    X(Warn, "warn")                                                            \
+    X(Info, "info")                                                            \
+    X(Debug, "debug")
 
-/** Lowercase level name ("error", "warn", "info", "debug"). */
+enum class LogLevel : int { BOLT_LOG_LEVEL_CATALOG(BOLT_ENUMERATOR) };
+
+#define BOLT_LOG_LEVEL_KEY(Sym, Key) {LogLevel::Sym, Key},
+/** The --log-level spellings. */
+inline constexpr util::EnumKey<LogLevel> kLogLevelKeys[] = {
+    BOLT_LOG_LEVEL_CATALOG(BOLT_LOG_LEVEL_KEY)};
+#undef BOLT_LOG_LEVEL_KEY
+
+/** Lowercase level name (its kLogLevelKeys spelling). */
 const char* logLevelName(LogLevel level);
-
-/**
- * Parse a level name (case-sensitive, lowercase). @return false and
- * leave *out untouched when the name is not a level.
- */
-bool parseLogLevel(std::string_view name, LogLevel* out);
 
 /** Set the global threshold: messages above it are dropped. */
 void setLogLevel(LogLevel level);

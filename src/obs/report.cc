@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <type_traits>
@@ -29,8 +28,7 @@ indentStr(int indent)
 
 /**
  * Full-token finite number parse. obs sits below util's parser, so the
- * --telemetry-window check and the telemetry dump reader share this
- * one instead.
+ * telemetry dump reader has this one instead.
  */
 template <typename T>
 bool
@@ -381,82 +379,16 @@ writeConfiguredOutputs(const RunReport& report)
     }
 }
 
-bool
-applyObsFlags(int& argc, char** argv)
+void
+writeOutputsAtExit(std::string program)
 {
+    g_program_name = std::move(program);
     g_start_time = std::chrono::steady_clock::now();
-    if (argc > 0 && argv[0]) {
-        const char* slash = std::strrchr(argv[0], '/');
-        g_program_name = slash ? slash + 1 : argv[0];
+    static bool registered = false;
+    if (!registered) {
+        std::atexit(atexitWriter);
+        registered = true;
     }
-
-    bool any = false;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        std::string_view arg = argv[i];
-        if (arg == "--metrics-out" || arg == "--trace-out" ||
-            arg == "--telemetry-out" || arg == "--telemetry-window" ||
-            arg == "--log-level") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: %s requires a value\n",
-                             g_program_name.c_str(), argv[i]);
-                return false;
-            }
-            const char* value = argv[++i];
-            if (arg == "--metrics-out") {
-                setMetricsOutPath(value);
-                MetricsRegistry::global().setEnabled(true);
-                any = true;
-            } else if (arg == "--trace-out") {
-                setTraceOutPath(value);
-                Tracer::global().setEnabled(true);
-                any = true;
-            } else if (arg == "--telemetry-out") {
-                setTelemetryOutPath(value);
-                TimeSeriesRecorder::global().setEnabled(true);
-                any = true;
-            } else if (arg == "--telemetry-window") {
-                double sec = 0.0;
-                if (!parseNumber(std::string_view(value), &sec) ||
-                    !(sec > 0.0)) {
-                    std::fprintf(stderr,
-                                 "%s: --telemetry-window expects a "
-                                 "positive number of sim seconds, got "
-                                 "'%s'\n",
-                                 g_program_name.c_str(), value);
-                    return false;
-                }
-                TelemetryConfig cfg =
-                    TimeSeriesRecorder::global().config();
-                cfg.windowSec = sec;
-                TimeSeriesRecorder::global().configure(cfg);
-            } else {
-                LogLevel level;
-                if (!parseLogLevel(value, &level)) {
-                    std::fprintf(
-                        stderr,
-                        "%s: unknown log level '%s' "
-                        "(expected error, warn, info, or debug)\n",
-                        g_program_name.c_str(), value);
-                    return false;
-                }
-                setLogLevel(level);
-            }
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    argv[argc] = nullptr;
-
-    if (any) {
-        static bool registered = false;
-        if (!registered) {
-            std::atexit(atexitWriter);
-            registered = true;
-        }
-    }
-    return true;
 }
 
 bool

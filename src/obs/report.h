@@ -102,26 +102,12 @@ const std::string& telemetryOutPath();
 void writeConfiguredOutputs(const RunReport& report);
 
 /**
- * Consume the shared observability flags from argv, enabling the
- * subsystems they configure:
- *
- *   --metrics-out FILE      enable metrics; write a RunReport JSON there
- *   --trace-out FILE        enable tracing; write the trace there
- *   --telemetry-out FILE    enable windowed telemetry; write JSONL there
- *   --telemetry-window SEC  telemetry window width in sim seconds (> 0)
- *   --log-level LEVEL       error|warn|info|debug (default warn)
- *
- * Consumed flags are removed from argv (argc is updated) so a
- * driver's own strict parser (util::CliArgs) never sees them.
- * Returns false (after printing to stderr) on a malformed flag, e.g. a
- * missing value or unknown log level; callers should exit(2).
- *
- * For drivers without a natural end-of-run hook, an atexit handler is
- * registered that writes a RunReport named after the program (argv[0]
- * basename) with the process wall time. bolt_cli instead writes its
- * own richer report and the atexit write detects that and stands down.
+ * Register, once, an atexit writer for programs that never call
+ * writeConfiguredOutputs themselves: it writes a RunReport named
+ * `program` with the wall time since this call. bolt_cli writes its
+ * own richer report, and the writer then stands down.
  */
-bool applyObsFlags(int& argc, char** argv);
+void writeOutputsAtExit(std::string program);
 
 /** One series point of a telemetry dump, as read back. */
 struct TelemetryPointRecord

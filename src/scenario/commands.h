@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "util/cli_flags.h"
-#include "util/thread_pool.h"
 
 namespace bolt {
 namespace scenario {
@@ -14,11 +13,8 @@ namespace scenario {
  * Stage commands (one per `stage:` kind) take kStageCliFlags and pass
  * every other `--key value` through to compileFlags; `run` and
  * `report` take their own list. Every command also takes
- * kCommonCliFlags and the observability flags of obs::applyObsFlags.
+ * util::kCommonFlags.
  */
-inline const std::vector<util::CliFlagSpec> kCommonCliFlags = {
-    {"threads", util::FlagKind::Int, 0, util::kMaxThreadsFlag},
-};
 inline const std::vector<util::CliFlagSpec> kStageCliFlags = {
     {"dump", util::FlagKind::Flag},
 };

@@ -230,7 +230,6 @@ runAttackStage(const Stage& stage, uint64_t seed, std::ostream& os,
         attacks::CoResidencyConfig cfg;
         cfg.probeVms = static_cast<size_t>(a.probes);
         cfg.maxWaves = static_cast<size_t>(a.waves);
-        cfg.victimVms = static_cast<size_t>(a.victimVms);
         cfg.seed = seed;
         auto result = attacks::CoResidencyAttack(cfg).run();
 
@@ -487,8 +486,7 @@ runWithSeed(const Scenario& s, uint64_t seed, std::ostream& os,
                    << " top=" << a.topResources << " duration="
                    << util::AsciiTable::num(a.durationSec, 0) << "s";
             else
-                os << " probes=" << a.probes << " waves=" << a.waves
-                   << " victim-vms=" << a.victimVms;
+                os << " probes=" << a.probes << " waves=" << a.waves;
             os << " seed=" << sseed << "\n";
             outcome = runAttackStage(stage, sseed, os, indent);
             break;

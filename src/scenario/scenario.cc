@@ -53,9 +53,9 @@ errorAt(std::string_view filename, int line, const std::string& message)
 //
 // Every key of every block is declared once, as one Key in the field
 // lists below (topKeys, sloRuleKeys, expectKeys, stageKeys) bound to
-// the struct member it fills. Four passes walk the same lists: Reader
-// compiles a parsed map into the structs, Writer is dump(), Folder is
-// graphDigest() and Describer is schemaKeys(). So a key's spelling,
+// the struct member it fills. Three passes walk the same lists: Reader
+// compiles a parsed map into the structs, Writer is dump() (and so
+// graphDigest()) and Describer is schemaKeys(). So a key's spelling,
 // range, default and order cannot disagree between them.
 //
 // A pass is a visitor with these members:
@@ -409,66 +409,6 @@ class Writer
     std::string lead_;
 };
 
-/** Fold pass: graphDigest() over the typed values. */
-class Folder
-{
-  public:
-    explicit Folder(util::Fnv1a* d) : d_(d) {}
-
-    static bool branch(bool taken) { return taken; }
-
-    template <typename T>
-    void
-    operator()(const Key&, const T& m)
-    {
-        if constexpr (std::is_same_v<T, std::string>) {
-            d_->u64(m.size());
-            d_->str(m);
-        } else if constexpr (std::is_same_v<T, double>) {
-            d_->f64(m);
-        } else {
-            d_->u64(static_cast<uint64_t>(m));
-        }
-    }
-
-    template <typename E, size_t N>
-    void
-    operator()(const Key& k, const E& m, const util::EnumKey<E> (&table)[N])
-    {
-        (*this)(k, std::string(enumKey(table, m)));
-    }
-
-    template <typename... M>
-    void
-    opt(const Key& k, bool has, const M&... m)
-    {
-        (*this)(k, has);
-        (*this)(k, m...);
-    }
-
-    template <typename Walk>
-    void
-    block(const Key& k, const bool* has, Walk walk)
-    {
-        if (has)
-            (*this)(k, *has);
-        if (!has || *has)
-            walk(*this);
-    }
-
-    template <typename Items, typename Walk>
-    void
-    list(const Key&, const Items& items, Walk walk)
-    {
-        d_->u64(items.size());
-        for (const auto& item : items)
-            walk(*this, item);
-    }
-
-  private:
-    util::Fnv1a* d_;
-};
-
 /**
  * Describe pass: one schemaKeys() row per key, its default read from a
  * default-constructed struct. A block's rows follow its own row; a
@@ -782,9 +722,6 @@ stageKeys(V& v, S& st)
             v({"waves", "Co-residency: probe waves before giving up", 1,
                1000},
               a.waves);
-            v({"victim-vms", "Co-residency: VMs the target user runs", 1,
-               100},
-              a.victimVms);
         }
     }
     if (v.branch(st.kind == StageKind::Fleet)) {
@@ -1206,8 +1143,7 @@ uint64_t
 Scenario::graphDigest() const
 {
     util::Fnv1a d;
-    Folder fold(&d);
-    topKeys(fold, *this);
+    d.str(dump());
     for (const Stage& stage : stages)
         if (stage.sub)
             d.u64(stage.sub->graphDigest());

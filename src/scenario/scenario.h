@@ -27,9 +27,9 @@ namespace scenario {
  * Each key of each block (top level, slo rule, expect item, stage and
  * its nested blocks) is declared once, in a field list in scenario.cc:
  * key, struct member, range or enum table, class and help. Compile,
- * dump(), graphDigest() and schemaKeys() are generic walks over those
- * lists; only cross-field rules and include resolution are explicit
- * code. docs/SCENARIOS.md documents the schema key by key, and a test
+ * dump() and schemaKeys() are generic walks over those lists, and
+ * graphDigest() hashes the dump; only cross-field rules and include
+ * resolution are explicit code. docs/SCENARIOS.md documents the schema key by key, and a test
  * compares it with schemaKeys() row by row, so the two cannot drift.
  *
  * Determinism: every stage owns a counter-based seed (explicit
@@ -147,7 +147,6 @@ struct AttackStage
     // kind: coresidency
     int probes = 10;
     int waves = 8;
-    int victimVms = 1;
 };
 
 /**
@@ -280,9 +279,9 @@ struct Scenario
     std::string sourcePath;
 
     /**
-     * FNV-1a fingerprint of the entire graph — every field of every
-     * stage, sub-scenarios included. compile(dump()) reproduces it
-     * exactly (the round-trip identity the tests pin).
+     * FNV-1a fingerprint of the entire graph: of dump(), folded with
+     * each include stage's sub-scenario digest. compile(dump())
+     * reproduces it exactly (the round-trip identity the tests pin).
      */
     uint64_t graphDigest() const;
 

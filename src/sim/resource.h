@@ -251,8 +251,6 @@ class alignas(kResourceVectorAlign) ResourceVector
     /** Build from a plain 10-entry vector. */
     static ResourceVector fromVector(const std::vector<double>& v);
 
-    bool operator==(const ResourceVector& o) const = default;
-
   private:
     std::array<double, kNumResources> values_;
 };

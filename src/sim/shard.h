@@ -115,7 +115,6 @@ class FleetCluster
   public:
     explicit FleetCluster(const FleetConfig& cfg);
 
-    size_t hosts() const { return hosts_.size(); }
     size_t shards() const { return shards_; }
 
     /** Shard owning host `h` (contiguous ranges, remainder up front). */

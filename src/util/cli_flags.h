@@ -32,9 +32,9 @@ struct CliFlagSpec
 };
 
 /**
- * Strict typed CLI flag parser shared by bolt_cli's commands and
- * perf_recommender. Stage values (seeds, doubles) are the scenario
- * compiler's to parse, so the kinds stop at Int.
+ * Strict typed CLI flag parser of bolt_cli's commands and the bench
+ * drivers. Stage values (seeds, doubles) are the scenario compiler's
+ * to parse, so the kinds stop at Int.
  *
  * Strictness contract — every violation is a parse error with a
  * diagnostic that names the offending token and lists the valid flags,
@@ -86,6 +86,36 @@ class CliArgs
     std::map<std::string, std::string> raw_;
     std::map<std::string, long long> ints_;
 };
+
+/**
+ * The flags every program takes besides its own:
+ *
+ *   --threads N             pool width, 0 = hardware; never changes results
+ *   --metrics-out FILE      enable metrics; write a RunReport JSON there
+ *   --trace-out FILE        enable tracing; write the trace there
+ *   --telemetry-out FILE    enable windowed telemetry; write JSONL there
+ *   --telemetry-window SEC  telemetry window in sim seconds (finite, > 0)
+ *   --log-level LEVEL       one of obs::kLogLevelKeys (default warn)
+ */
+extern const std::vector<CliFlagSpec> kCommonFlags;
+
+/**
+ * The flag prologue of every program: one parse of argv[first..)
+ * against `spec` plus kCommonFlags into *args (a local one when null;
+ * `passthrough` as in CliArgs::parse), after which the common flags
+ * take effect. The global pool is sized from --threads; each --*-out
+ * flag enables its recorder and sets its output path, and
+ * obs::writeOutputsAtExit covers programs that write no report of
+ * their own; the telemetry window and the log level are set.
+ *
+ * @return "" on success. Otherwise the diagnostic, which starts with
+ * the program's name and ends with the valid-flags line; no flag has
+ * taken effect, and the caller prints it and exits 2.
+ */
+std::string parseProgramFlags(int argc, char** argv,
+                              const std::vector<CliFlagSpec>& spec = {},
+                              CliArgs* args = nullptr, int first = 1,
+                              std::vector<std::string>* passthrough = nullptr);
 
 } // namespace util
 } // namespace bolt

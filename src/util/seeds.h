@@ -24,6 +24,25 @@ namespace seeds {
  * tests/test_util.cc pins both the keys and the derived seeds.
  */
 
+/// Controlled experiment (src/core/experiment.cc): per-(server,
+/// tenant) app instances, per-server detection rounds, and per-(server,
+/// round) instances of fault-injected neighbors (under the fault seed).
+constexpr uint64_t kExperimentInstance = 3;
+constexpr uint64_t kExperimentDetect = 4;
+constexpr uint64_t kExperimentNeighborInstance = 5;
+
+/// Fault injection (src/fault/fault.cc), under the fault seed:
+/// per-host probe-sample faults, per-(host, window) jitter, per-(host,
+/// round) arrivals, per-(host, round, victim) departures and phase
+/// flips. Offset well away from the experiment's phases, so a plan
+/// whose seed equals the experiment seed still draws decorrelated
+/// streams.
+constexpr uint64_t kFaultSample = 0x0Bf0;
+constexpr uint64_t kFaultJitter = 0x0Bf1;
+constexpr uint64_t kFaultArrival = 0x0Bf2;
+constexpr uint64_t kFaultDeparture = 0x0Bf3;
+constexpr uint64_t kFaultFlip = 0x0Bf4;
+
 /// Serving layer (src/serve/loadgen.cc): per-request arrival gaps,
 /// closed-loop think times, query synthesis, service-cost draws.
 constexpr uint64_t kServeArrival = 0x5E40;
@@ -50,12 +69,12 @@ constexpr uint64_t kFleetProfile = 0xF1EE72;
 /// stream no matter what any other scheduler instance consumed.
 constexpr uint64_t kSchedRandomPick = 0x5C4EDA;
 
-/// Co-location arms race (src/colo): background prefill, per-(wave,
-/// probe) attacker draws, oracle channel noise, MAB exploration,
-/// secure-allocator tie-break randomization, per-(cell, rep)
-/// tournament streams, and end-state what-if probes on the fleet.
+/// Co-location arms race (src/colo): background prefill, oracle
+/// channel noise, MAB exploration, secure-allocator tie-break
+/// randomization, per-(cell, rep) tournament streams, and end-state
+/// what-if probes on the fleet. 0xC0107E52 was per-(wave, probe)
+/// attacker draws, which nothing takes any more; do not reuse it.
 constexpr uint64_t kColoPrefill = 0xC0107E51;
-constexpr uint64_t kColoWave = 0xC0107E52;
 constexpr uint64_t kColoOracle = 0xC0107E53;
 constexpr uint64_t kColoMab = 0xC0107E54;
 constexpr uint64_t kColoSecure = 0xC0107E55;

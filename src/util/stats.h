@@ -26,9 +26,6 @@ class Summary
     /** Number of samples so far. */
     size_t count() const { return samples_.size(); }
 
-    /** Whether no samples have been recorded. */
-    bool empty() const { return samples_.empty(); }
-
     double mean() const;
     double stddev() const;
 

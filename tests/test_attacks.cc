@@ -167,7 +167,6 @@ TEST(CoResidency, PlacementProbabilityFormula)
 {
     CoResidencyConfig cfg;
     cfg.servers = 40;
-    cfg.victimVms = 1;
     cfg.probeVms = 10;
     cfg.maxWaves = 1;
     cfg.backgroundVms = 8;

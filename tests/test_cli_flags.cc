@@ -138,9 +138,10 @@ TEST(CliFlags, PassthroughCollectsFlagsOutsideTheSpec)
 
 TEST(CliFlags, RandomArgvNeverCrashes)
 {
-    // bolt_cli's real specs, each parsed with and without passthrough
-    // (the stage commands use it).
-    const std::vector<CliFlagSpec>& common = scenario::kCommonCliFlags;
+    // bolt_cli's real specs and the common list every program takes,
+    // each parsed with and without passthrough (the stage commands use
+    // it).
+    const std::vector<CliFlagSpec>& common = util::kCommonFlags;
     const std::vector<const std::vector<CliFlagSpec>*> specs = {
         &scenario::kStageCliFlags, &scenario::kRunCliFlags,
         &scenario::kReportCliFlags};

@@ -255,7 +255,6 @@ TEST(FleetConservation, EndStateAuditPasses)
     fleet.run();
     std::string why;
     EXPECT_TRUE(fleet.validate(&why)) << why;
-    EXPECT_EQ(fleet.hosts(), cfg.hosts);
 }
 
 TEST(FleetClock, EpochClockIsMonotoneUnderFaultChurn)

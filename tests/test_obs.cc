@@ -1,5 +1,7 @@
 /** Tests for the observability layer: metrics registry, sim-time
- *  tracer, leveled logger and RunReport/flag plumbing (src/obs/). */
+ *  tracer, leveled logger and RunReport (src/obs/), and the
+ *  observability flags as every program parses them
+ *  (util::parseProgramFlags). */
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,12 +15,29 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "util/cli_flags.h"
 #include "json_validator.h"
 
 using namespace bolt;
 using bolt::test::JsonValidator;
 
 namespace {
+
+/**
+ * Run `tokens` through the programs' flag prologue with no flags of
+ * its own; unknown flags pass through to *rest when given. @return the
+ * diagnostic ("" on success).
+ */
+std::string
+parseFlags(std::vector<std::string> tokens,
+           std::vector<std::string>* rest = nullptr)
+{
+    std::vector<char*> argv = {const_cast<char*>("prog")};
+    for (std::string& t : tokens)
+        argv.push_back(t.data());
+    return util::parseProgramFlags(static_cast<int>(argv.size()),
+                                   argv.data(), {}, nullptr, 1, rest);
+}
 
 TEST(ObsMetrics, DisabledByDefaultRecordsNothing)
 {
@@ -346,13 +365,17 @@ TEST(ObsLog, LevelGatingAndPluggableSink)
 
 TEST(ObsLog, ParseLevelNames)
 {
-    obs::LogLevel level = obs::LogLevel::Warn;
-    EXPECT_TRUE(obs::parseLogLevel("debug", &level));
-    EXPECT_EQ(level, obs::LogLevel::Debug);
-    EXPECT_TRUE(obs::parseLogLevel("error", &level));
-    EXPECT_EQ(level, obs::LogLevel::Error);
-    EXPECT_FALSE(obs::parseLogLevel("verbose", &level));
-    EXPECT_EQ(level, obs::LogLevel::Error); // untouched on failure
+    EXPECT_EQ(parseFlags({"--log-level", "debug"}), "");
+    EXPECT_EQ(obs::logLevel(), obs::LogLevel::Debug);
+    EXPECT_EQ(parseFlags({"--log-level", "error"}), "");
+    EXPECT_EQ(obs::logLevel(), obs::LogLevel::Error);
+    std::string err = parseFlags({"--log-level", "verbose"});
+    EXPECT_NE(err.find("flag '--log-level' expects one of error, warn, "
+                       "info, debug, got 'verbose'"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(obs::logLevel(), obs::LogLevel::Error); // untouched on failure
+    obs::setLogLevel(obs::LogLevel::Warn);
 }
 
 TEST(ObsReport, RunReportJsonIsValidAndOrdered)
@@ -400,50 +423,38 @@ TEST(ObsReport, SnapshotJsonSkipsEmptyHistograms)
               std::string::npos);
 }
 
-TEST(ObsReport, ApplyObsFlagsConsumesFlagsAndRejectsBadLevel)
+TEST(ObsReport, ObsFlagsJoinOneParseAndRejectBadLevel)
 {
-    // Unknown log level -> parse failure.
-    {
-        const char* raw[] = {"prog", "--log-level", "shout", nullptr};
-        std::vector<char*> argv;
-        for (const char** p = raw; *p; ++p)
-            argv.push_back(const_cast<char*>(*p));
-        argv.push_back(nullptr);
-        int argc = 3;
-        EXPECT_FALSE(obs::applyObsFlags(argc, argv.data()));
-    }
-    // Valid flags are consumed; unrelated ones pass through untouched.
-    {
-        const char* raw[] = {"prog",     "--servers", "8",
-                             "--log-level", "debug",  "--victims",
-                             "20",       nullptr};
-        std::vector<char*> argv;
-        for (const char** p = raw; *p; ++p)
-            argv.push_back(const_cast<char*>(*p));
-        argv.push_back(nullptr);
-        int argc = 7;
-        EXPECT_TRUE(obs::applyObsFlags(argc, argv.data()));
-        EXPECT_EQ(argc, 5);
-        EXPECT_STREQ(argv[1], "--servers");
-        EXPECT_STREQ(argv[2], "8");
-        EXPECT_STREQ(argv[3], "--victims");
-        EXPECT_STREQ(argv[4], "20");
-        EXPECT_EQ(obs::logLevel(), obs::LogLevel::Debug);
-        obs::setLogLevel(obs::LogLevel::Warn);
-    }
+    // Unknown log level -> parse failure naming the flag.
+    EXPECT_NE(parseFlags({"--log-level", "shout"}).find("'--log-level'"),
+              std::string::npos);
+    // Valid flags take effect; other flags pass through untouched, or
+    // are unknown when nothing takes them.
+    std::vector<std::string> rest;
+    EXPECT_EQ(parseFlags({"--servers", "8", "--log-level", "debug",
+                          "--victims", "20"},
+                         &rest),
+              "");
+    EXPECT_EQ(rest, (std::vector<std::string>{"--servers", "8", "--victims",
+                                              "20"}));
+    EXPECT_EQ(obs::logLevel(), obs::LogLevel::Debug);
+    obs::setLogLevel(obs::LogLevel::Warn);
+    EXPECT_NE(parseFlags({"--servers", "8"}).find("unknown flag '--servers'"),
+              std::string::npos);
 }
 
 TEST(ObsReport, TelemetryWindowRejectsNonFiniteAndMalformed)
 {
     for (const char* bad : {"inf", "1e999", "nan", "0", "-1", "2x", ""}) {
-        const char* raw[] = {"prog", "--telemetry-window", bad, nullptr};
-        std::vector<char*> argv;
-        for (const char** p = raw; *p; ++p)
-            argv.push_back(const_cast<char*>(*p));
-        argv.push_back(nullptr);
-        int argc = 3;
-        EXPECT_FALSE(obs::applyObsFlags(argc, argv.data())) << bad;
+        std::string err = parseFlags({"--telemetry-window", bad});
+        EXPECT_NE(err.find("flag '--telemetry-window' expects a positive "
+                           "number of sim seconds, got '" +
+                           std::string(bad) + "'"),
+                  std::string::npos)
+            << err;
     }
+    EXPECT_NE(parseFlags({"--telemetry-window"}).find("requires a value"),
+              std::string::npos);
 }
 
 } // namespace

@@ -67,7 +67,7 @@ TEST(ResourceVector, VectorRoundTrip)
     v[Resource::NetBw] = 42.0;
     auto raw = v.toVector();
     EXPECT_EQ(raw.size(), kNumResources);
-    EXPECT_EQ(ResourceVector::fromVector(raw), v);
+    EXPECT_EQ(ResourceVector::fromVector(raw).toVector(), raw);
     EXPECT_THROW(ResourceVector::fromVector({1.0, 2.0}),
                  std::invalid_argument);
 }

@@ -488,7 +488,7 @@ TEST(Summary, PercentileAfterMoreSamples)
 TEST(Summary, EmptyBehaviour)
 {
     Summary s;
-    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(s.count(), 0u);
     EXPECT_TRUE(std::isnan(s.percentile(50)));
     EXPECT_THROW(s.percentile(-1), std::invalid_argument);
 }
@@ -667,6 +667,14 @@ TEST(Seeds, PhaseKeysAreFrozen)
     // layers; goldens across the repo depend on them. Changing any
     // value is a breaking change that must regenerate every golden.
     using namespace bolt::util::seeds;
+    EXPECT_EQ(kExperimentInstance, 3u);
+    EXPECT_EQ(kExperimentDetect, 4u);
+    EXPECT_EQ(kExperimentNeighborInstance, 5u);
+    EXPECT_EQ(kFaultSample, 0x0Bf0u);
+    EXPECT_EQ(kFaultJitter, 0x0Bf1u);
+    EXPECT_EQ(kFaultArrival, 0x0Bf2u);
+    EXPECT_EQ(kFaultDeparture, 0x0Bf3u);
+    EXPECT_EQ(kFaultFlip, 0x0Bf4u);
     EXPECT_EQ(kServeArrival, 0x5E40u);
     EXPECT_EQ(kServeThink, 0x5E41u);
     EXPECT_EQ(kServeQuery, 0x5E42u);
@@ -679,7 +687,6 @@ TEST(Seeds, PhaseKeysAreFrozen)
     EXPECT_EQ(kFleetProfile, 0xF1EE72u);
     EXPECT_EQ(kSchedRandomPick, 0x5C4EDAu);
     EXPECT_EQ(kColoPrefill, 0xC0107E51u);
-    EXPECT_EQ(kColoWave, 0xC0107E52u);
     EXPECT_EQ(kColoOracle, 0xC0107E53u);
     EXPECT_EQ(kColoMab, 0xC0107E54u);
     EXPECT_EQ(kColoSecure, 0xC0107E55u);
