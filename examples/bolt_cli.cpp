@@ -364,6 +364,9 @@ main(int argc, char** argv)
                       << " stage keys of docs/SCENARIOS.md\n";
         return 2;
     }
+    // Only a run that starts writes the --*-out files (runCompiled); a
+    // report, a --dump or an invalid scenario leaves none.
+    obs::skipOutputsAtExit();
 
     if (command == "report")
         return runReport(args);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: build + ctest in the plain configuration, then
-# again under ThreadSanitizer (BOLT_SANITIZE=thread) to vet the thread
-# pool and the parallel experiment engine, under AddressSanitizer
+# again under ThreadSanitizer (BOLT_SANITIZE=thread) to vet every
+# util::parallelFor stage (the CI `pr` job also runs the six suites
+# that drive the pool under TSan on every PR), under AddressSanitizer
 # (address) and under UndefinedBehaviorSanitizer (undefined). The
 # sanitizer legs run with UBSAN_OPTIONS=halt_on_error=1, so any report
 # fails the leg.

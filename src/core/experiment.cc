@@ -342,7 +342,8 @@ ControlledExperiment::run()
     std::vector<std::vector<VictimOutcome>> per_server(cluster.size());
     std::vector<double> host_end_sec(cluster.size(), 0.0);
 
-    cluster.forEachServer([&](size_t s, const sim::Server& server) {
+    // One host per chunk: hosts finish detection in uneven round counts.
+    util::parallelFor(0, cluster.size(), [&](size_t s) {
         std::vector<const PlacedVictim*> here;
         for (const auto& pv : placed)
             if (pv.server == s)
@@ -359,7 +360,7 @@ ControlledExperiment::run()
         // this state changes and the run is bit-identical to the
         // pre-fault engine.
         const bool faults_on = config_.faults.enabled();
-        sim::Server local = server;
+        sim::Server local = cluster.server(s);
         std::optional<fault::HostFaults> host_faults;
         if (faults_on)
             host_faults.emplace(config_.faults, config_.seed, s);
@@ -514,7 +515,7 @@ ControlledExperiment::run()
                         static_cast<int64_t>(s), t0, host_end, -1,
                         {{"victims", std::to_string(here.size())},
                          {"detected", std::to_string(detected)}});
-    });
+    }, 1);
 
     ExperimentResult result;
     for (auto& bucket : per_server)

@@ -140,13 +140,14 @@ struct ExperimentResult
  * victim on correct identification (the paper's protocol).
  *
  * Parallelism: training and placement are sequential (the scheduler is
- * stateful); the per-host detection phase fans out across the global
- * util::ThreadPool, one task per server.
+ * stateful); the per-host detection phase fans out on
+ * util::parallelFor, one chunk per server.
  *
  * Thread-safety: a ControlledExperiment instance is not itself safe to
  * share across threads (run() populates victims_), but any number of
- * instances may run() concurrently, and one run() internally uses every
- * pool thread.
+ * instances may run() concurrently. One run() uses every pool thread;
+ * a run() started while another's hosts are in flight runs its own
+ * hosts inline on its thread.
  */
 class ControlledExperiment
 {

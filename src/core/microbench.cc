@@ -16,7 +16,7 @@ Microbenchmark::performanceAt(double intensity, double visible_pressure)
 
 double
 Microbenchmark::measure(double visible_pressure, double noise_sigma,
-                        util::Rng& rng, double intensity_scale) const
+                        util::Rng& rng, double intensity_scale)
 {
     // Ramp until performance falls kDegradationThreshold below isolated.
     // The probe's *effective* intensity is limited by the adversarial

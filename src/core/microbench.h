@@ -1,7 +1,6 @@
 #ifndef BOLT_CORE_MICROBENCH_H
 #define BOLT_CORE_MICROBENCH_H
 
-#include "sim/resource.h"
 #include "util/rng.h"
 
 namespace bolt {
@@ -10,6 +9,8 @@ namespace core {
 /**
  * A tunable-intensity contention microbenchmark targeting one shared
  * resource (Section 3.2; modeled after the iBench suite the paper uses).
+ * It holds no state: the caller passes the pressure visible on the
+ * resource it probes.
  *
  * The benchmark ramps its intensity from 0 to 100% until it detects
  * pressure from co-scheduled workloads — i.e. until its own performance
@@ -31,8 +32,6 @@ class Microbenchmark
     /** Sharpness of the probe's degradation under capacity overflow. */
     static constexpr double kDegradationSlope = 2.5;
 
-    explicit Microbenchmark(sim::Resource target) : target_(target) {}
-
     /**
      * Simulated probe performance (1.0 = isolated) at intensity k given
      * external visible pressure on the target resource.
@@ -51,8 +50,8 @@ class Microbenchmark
      *                         than 4 vCPUs, Fig. 10b). Pressure below
      *                         100*(1-scale) is then undetectable.
      */
-    double measure(double visible_pressure, double noise_sigma,
-                   util::Rng& rng, double intensity_scale = 1.0) const;
+    static double measure(double visible_pressure, double noise_sigma,
+                          util::Rng& rng, double intensity_scale = 1.0);
 
     /**
      * Virtual wall-clock cost of one ramp in seconds. A full ramp across
@@ -60,9 +59,6 @@ class Microbenchmark
      * benchmarks total 2-5 s, as the paper reports.
      */
     static double rampDurationSec(double measured_pressure);
-
-  private:
-    sim::Resource target_;
 };
 
 } // namespace core

@@ -39,18 +39,18 @@ Profiler::measureResource(const HostEnvironment& env, sim::Resource r,
     if (env.faults)
         visible = std::clamp(visible * env.faults->capacityFactor(t),
                              0.0, 100.0);
-    Microbenchmark bench(r);
     double noise = env.contention->isolation().measurementNoise();
     if (sim::isCoreResource(r)) {
         // Core microbenchmarks ramp in tens of milliseconds, so the
         // probe runs twice and averages, halving the noise variance.
-        double a = bench.measure(visible, noise, rng,
-                                 config_.intensityScale);
-        double b = bench.measure(visible, noise, rng,
-                                 config_.intensityScale);
+        double a = Microbenchmark::measure(visible, noise, rng,
+                                           config_.intensityScale);
+        double b = Microbenchmark::measure(visible, noise, rng,
+                                           config_.intensityScale);
         return 0.5 * (a + b);
     }
-    return bench.measure(visible, noise, rng, config_.intensityScale);
+    return Microbenchmark::measure(visible, noise, rng,
+                                   config_.intensityScale);
 }
 
 std::optional<double>
@@ -169,9 +169,8 @@ Profiler::shutterProfile(const HostEnvironment& env, double t,
         for (sim::Resource r : sim::kUncoreResources) {
             // Windows are too short for a full ramp; the probe runs a
             // binary-search mini-ramp modeled as one noisy reading.
-            Microbenchmark bench(r);
-            double ci = bench.measure(ext[r], noise * 1.4, rng,
-                                      config_.intensityScale);
+            double ci = Microbenchmark::measure(ext[r], noise * 1.4, rng,
+                                                config_.intensityScale);
             obs.set(r, ci);
             total += ci;
         }

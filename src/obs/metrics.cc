@@ -145,38 +145,58 @@ HistogramSnapshot::binCenter(size_t b) const
 double
 HistogramSnapshot::percentile(double p) const
 {
-    if (count == 0)
+    size_t b = 0;
+    double within = 0.0;
+    if (!percentileRank(buckets.data(), buckets.size(), count, p, &b,
+                        &within))
         return std::nan(""); // documented empty-histogram sentinel
     const MetricInfo& info = metricInfo(id);
     double width = (info.hi - info.lo) / info.bins;
+    return info.lo + (static_cast<double>(b) + within) * width;
+}
+
+bool
+percentileRank(const uint64_t* buckets, size_t n, uint64_t count, double p,
+               size_t* bucket, double* within)
+{
+    if (count == 0)
+        return false;
+    // Past every bucket (count above the bucket sum): the top edge.
+    *bucket = n - 1;
+    *within = 1.0;
     p = std::min(std::max(p, 0.0), 100.0);
     if (p <= 0.0) {
-        // Low edge of the first occupied bucket.
-        for (size_t b = 0; b < buckets.size(); ++b)
-            if (buckets[b])
-                return info.lo + static_cast<double>(b) * width;
+        for (size_t b = 0; b < n; ++b) {
+            if (buckets[b]) {
+                *bucket = b;
+                *within = 0.0;
+                return true;
+            }
+        }
     }
     if (p >= 100.0) {
-        // High edge of the last occupied bucket.
-        for (size_t b = buckets.size(); b-- > 0;)
-            if (buckets[b])
-                return info.lo + static_cast<double>(b + 1) * width;
+        for (size_t b = n; b-- > 0;) {
+            if (buckets[b]) {
+                *bucket = b;
+                return true;
+            }
+        }
     }
     double rank = p / 100.0 * static_cast<double>(count);
     uint64_t cum = 0;
-    for (size_t b = 0; b < buckets.size(); ++b) {
+    for (size_t b = 0; b < n; ++b) {
         if (buckets[b] == 0)
             continue;
         double below = static_cast<double>(cum);
         cum += buckets[b];
         if (static_cast<double>(cum) >= rank) {
-            double within =
-                (rank - below) / static_cast<double>(buckets[b]);
-            within = std::min(std::max(within, 0.0), 1.0);
-            return info.lo + (static_cast<double>(b) + within) * width;
+            double frac = (rank - below) / static_cast<double>(buckets[b]);
+            *bucket = b;
+            *within = std::min(std::max(frac, 0.0), 1.0);
+            return true;
         }
     }
-    return info.hi;
+    return true;
 }
 
 const CounterSnapshot&

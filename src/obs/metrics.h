@@ -16,8 +16,8 @@ namespace obs {
  *  - Sim: a pure function of (config, seed). Identical at any thread
  *    count and on every rerun — these are the values the figures and
  *    the determinism tests may assert on.
- *  - Wall: depends on wall-clock time or scheduling (latencies, steal
- *    counts, queue depths). Reported for performance insight only.
+ *  - Wall: depends on wall-clock time or scheduling (latencies, the
+ *    chunks each pool worker ran). Reported for performance insight only.
  *
  * Histogram *bucket counts* of Sim histograms are bit-deterministic;
  * their floating-point `sum` is summed across shards in shard-creation
@@ -118,14 +118,13 @@ enum class MetricKind { Counter, Gauge, Histogram };
       "decompose() candidates skipped by the lower-bound prune")             \
     X(RecommenderPruneEvaluated, "recommender.prune_evaluated",              \
       Sim, false, "decompose() candidates fully evaluated")                  \
-    X(PoolSubmits, "pool.submits",                                           \
-      Wall, false, "Tasks submitted to the thread pool")                     \
     X(PoolTasksExecuted, "pool.tasks_executed",                              \
-      Wall, true, "Tasks executed by pool workers (per-shard = per-worker)") \
+      Wall, true,                                                            \
+      "parallelFor chunks run by pool workers (per-shard = per-worker)")     \
     X(PoolSteals, "pool.steals",                                             \
-      Wall, true, "Tasks a worker stole from a sibling's deque")             \
+      Wall, false, "Always 0: the pool has no deques to steal from")         \
     X(PoolHelperTasks, "pool.helper_tasks",                                  \
-      Wall, false, "Tasks executed by non-worker threads helping a wait")    \
+      Wall, false, "parallelFor chunks run by the thread that called it")    \
     X(ServeRequestsOffered, "serve.requests_offered",                        \
       Sim, false, "Requests the load generator offered to the engine")       \
     X(ServeAdmitted, "serve.admitted",                                       \
@@ -187,8 +186,6 @@ enum class MetricKind { Counter, Gauge, Histogram };
       Sim, false, "SLO rule transitions back to the resolved state")
 
 #define BOLT_GAUGE_METRICS(X)                                                \
-    X(PoolQueueDepthPeak, "pool.queue_depth_peak",                           \
-      Wall, "High-water mark of enqueued-but-unstarted tasks")               \
     X(ServeQueueDepthPeak, "serve.queue_depth_peak",                         \
       Sim, "High-water mark of the bounded request queue")                   \
     X(FleetVmsAlivePeak, "fleet.vms_alive_peak",                             \
@@ -315,6 +312,19 @@ struct HistogramSnapshot
      */
     double percentile(double p) const;
 };
+
+/**
+ * The rank walk behind HistogramSnapshot::percentile and
+ * QuantileSketch::percentile, which differ only in their bucket edges:
+ * where percentile `p` (clamped to [0, 100]) of `count` samples falls
+ * among `n` buckets. Returns false when `count` is 0. Otherwise sets
+ * *bucket and *within, the position inside that bucket from 0 (its low
+ * edge) to 1 (its high edge): p <= 0 gives the low edge of the first
+ * occupied bucket, p >= 100 the high edge of the last, and any other p
+ * the linear position of its rank inside the bucket that crosses it.
+ */
+bool percentileRank(const uint64_t* buckets, size_t n, uint64_t count,
+                    double p, size_t* bucket, double* within);
 
 /** A merged, point-in-time view of every metric. */
 struct Snapshot

@@ -104,10 +104,17 @@ void writeConfiguredOutputs(const RunReport& report);
 /**
  * Register, once, an atexit writer for programs that never call
  * writeConfiguredOutputs themselves: it writes a RunReport named
- * `program` with the wall time since this call. bolt_cli writes its
- * own richer report, and the writer then stands down.
+ * `program` with the wall time since this call. It stands down once
+ * writeConfiguredOutputs or skipOutputsAtExit has run.
  */
 void writeOutputsAtExit(std::string program);
+
+/**
+ * Stand the atexit writer down without writing: for a program that
+ * writes its report only when a run starts, so that an exit before one
+ * leaves no output file.
+ */
+void skipOutputsAtExit();
 
 /** One series point of a telemetry dump, as read back. */
 struct TelemetryPointRecord

@@ -96,34 +96,11 @@ QuantileSketch::bucketHi(size_t b)
 double
 QuantileSketch::percentile(double p) const
 {
-    if (count == 0)
+    size_t b = 0;
+    double within = 0.0;
+    if (!percentileRank(buckets.data(), kBuckets, count, p, &b, &within))
         return std::nan("");
-    p = std::min(std::max(p, 0.0), 100.0);
-    if (p <= 0.0) {
-        for (size_t b = 0; b < kBuckets; ++b)
-            if (buckets[b])
-                return bucketLo(b);
-    }
-    if (p >= 100.0) {
-        for (size_t b = kBuckets; b-- > 0;)
-            if (buckets[b])
-                return bucketHi(b);
-    }
-    double rank = p / 100.0 * static_cast<double>(count);
-    uint64_t cum = 0;
-    for (size_t b = 0; b < kBuckets; ++b) {
-        if (buckets[b] == 0)
-            continue;
-        double below = static_cast<double>(cum);
-        cum += buckets[b];
-        if (static_cast<double>(cum) >= rank) {
-            double within =
-                (rank - below) / static_cast<double>(buckets[b]);
-            within = std::min(std::max(within, 0.0), 1.0);
-            return bucketLo(b) + within * (bucketHi(b) - bucketLo(b));
-        }
-    }
-    return bucketHi(kBuckets - 1);
+    return bucketLo(b) + within * (bucketHi(b) - bucketLo(b));
 }
 
 /**

@@ -135,11 +135,11 @@ class QuantileSketch
     }
 
     /**
-     * Value at percentile `p` (clamped to [0, 100]), reconstructed by
-     * a rank walk with linear interpolation inside the crossing
-     * bucket. Sentinels match HistogramSnapshot::percentile: NaN when
-     * the sketch is empty, p<=0 the low edge of the first occupied
-     * bucket, p>=100 the high edge of the last occupied bucket.
+     * Value at percentile `p` (clamped to [0, 100]): the rank walk
+     * of HistogramSnapshot::percentile (obs::percentileRank) over this
+     * sketch's bucket edges, so the sentinels match: NaN when the
+     * sketch is empty, p<=0 the low edge of the first occupied bucket,
+     * p>=100 the high edge of the last occupied bucket.
      */
     double percentile(double p) const;
 

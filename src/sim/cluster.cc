@@ -1,7 +1,5 @@
 #include "cluster.h"
 
-#include "util/thread_pool.h"
-
 namespace bolt {
 namespace sim {
 
@@ -46,17 +44,6 @@ Cluster::serversWithCapacity(int slots) const
         if (s.placeableSlots(iso_) >= slots)
             out.push_back(s.id());
     return out;
-}
-
-void
-Cluster::forEachServer(
-    const std::function<void(size_t, const Server&)>& fn) const
-{
-    // One server per chunk: detection work per host is coarse and
-    // uneven (hosts finish in different iteration counts), so the
-    // work-stealing pool balances best with grain 1.
-    util::parallelFor(
-        0, servers_.size(), [&](size_t s) { fn(s, servers_[s]); }, 1);
 }
 
 } // namespace sim

@@ -1,7 +1,6 @@
 #ifndef BOLT_SIM_CLUSTER_H
 #define BOLT_SIM_CLUSTER_H
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -53,19 +52,6 @@ class Cluster
 
     /** Indices of servers with at least `slots` placeable slots. */
     std::vector<size_t> serversWithCapacity(int slots) const;
-
-    /**
-     * Run fn(server_index, server) for every host on the global thread
-     * pool (the per-server fan-out used by the controlled experiment
-     * and the bench sweeps).
-     *
-     * Thread-safety: fn runs concurrently across servers; it gets a
-     * const Server& and must not mutate the cluster. For deterministic
-     * results fn must only touch per-server state (own output slot, own
-     * Rng::stream keyed by the server index).
-     */
-    void forEachServer(
-        const std::function<void(size_t, const Server&)>& fn) const;
 
   private:
     std::vector<Server> servers_;

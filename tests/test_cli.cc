@@ -6,11 +6,12 @@
  * failed `expect:` exits 3; a stage subcommand and `run` on its
  * `--dump` print the same bytes; the observability and telemetry flags
  * never change stdout, and what they write is the same at any
- * --threads; an experiment reports its simulated seconds; the fleet
- * digest is the same at any shard count.
+ * --threads, and nothing when no run starts; an experiment reports its
+ * simulated seconds; the fleet digest is the same at any shard count.
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <regex>
@@ -230,6 +231,38 @@ TEST(BoltCli, ExperimentReportsItsSimSecondsAtAnyThreadCount)
     }
     EXPECT_GT(sim[0], 0.0);
     EXPECT_EQ(sim[0], sim[1]);
+}
+
+TEST(BoltCli, ExitBeforeTheRunStartsWritesNoOutputFile)
+{
+    // A missing include and an out-of-range key fail the compile, so no
+    // run starts and the --*-out flags leave no file; a run that starts
+    // writes all three.
+    const char* files[] = {"m.json", "t.json", "tel.jsonl"};
+    const std::string outs = " --metrics-out " + tempPath(files[0]) +
+                             " --trace-out " + tempPath(files[1]) +
+                             " --telemetry-out " + tempPath(files[2]);
+    auto written = [&] {
+        int n = 0;
+        for (const char* f : files)
+            n += std::ifstream(tempPath(f)).good() ? 1 : 0;
+        return n;
+    };
+    for (const std::string& args :
+         {"include --path " + tempPath("nope.scn"),
+          std::string("experiment --servers 0")}) {
+        SCOPED_TRACE(args);
+        for (const char* f : files)
+            std::remove(tempPath(f).c_str());
+        CliRun run = runCli(args + outs);
+        EXPECT_EQ(run.exitCode, 2) << run.err;
+        EXPECT_EQ(written(), 0);
+    }
+    CliRun run = runCli("detect --family memcached" + outs);
+    ASSERT_EQ(run.exitCode, 0) << run.err;
+    EXPECT_EQ(written(), 3);
+    EXPECT_NE(slurp(tempPath(files[0])).find("\"command\": \"detect\""),
+              std::string::npos);
 }
 
 TEST(BoltCli, TelemetryOutNeverChangesStdoutAndIsThreadInvariant)

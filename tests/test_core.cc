@@ -119,10 +119,9 @@ steadySpec(const char* family, const char* variant, util::Rng& rng,
 
 TEST(Microbenchmark, ReportsPressureAccuratelyWithoutNoise)
 {
-    Microbenchmark bench(sim::Resource::LLC);
     util::Rng rng(1);
     for (double pressure : {0.0, 20.0, 45.0, 80.0}) {
-        double ci = bench.measure(pressure, 0.0, rng);
+        double ci = Microbenchmark::measure(pressure, 0.0, rng);
         EXPECT_NEAR(ci, pressure, Microbenchmark::kStepPercent + 1e-9)
             << pressure;
     }
@@ -130,11 +129,10 @@ TEST(Microbenchmark, ReportsPressureAccuratelyWithoutNoise)
 
 TEST(Microbenchmark, MonotoneInPressure)
 {
-    Microbenchmark bench(sim::Resource::MemBw);
     util::Rng rng(2);
     double prev = -1.0;
     for (double pressure = 0.0; pressure <= 100.0; pressure += 10.0) {
-        double ci = bench.measure(pressure, 0.0, rng);
+        double ci = Microbenchmark::measure(pressure, 0.0, rng);
         EXPECT_GE(ci, prev - 1e-9);
         prev = ci;
     }
@@ -144,10 +142,9 @@ TEST(Microbenchmark, SmallVmCannotSeeLowPressure)
 {
     // Fig. 10b: an adversarial VM below 4 vCPUs cannot generate enough
     // contention; with half intensity, only pressure above ~50% shows.
-    Microbenchmark bench(sim::Resource::LLC);
     util::Rng rng(3);
-    EXPECT_DOUBLE_EQ(bench.measure(30.0, 0.0, rng, 0.5), 0.0);
-    EXPECT_GT(bench.measure(80.0, 0.0, rng, 0.5), 0.0);
+    EXPECT_DOUBLE_EQ(Microbenchmark::measure(30.0, 0.0, rng, 0.5), 0.0);
+    EXPECT_GT(Microbenchmark::measure(80.0, 0.0, rng, 0.5), 0.0);
 }
 
 TEST(Microbenchmark, RampDuration)
@@ -489,17 +486,16 @@ TEST_F(TrainedFixture, RoundMatchHelpers)
     EXPECT_FALSE(roundMatchesClass(wrong, spec));
 }
 
-/** Property sweep: microbenchmark accuracy across every resource. */
+/** Property sweep: microbenchmark accuracy across every resource. The
+ *  ramp is the same for each; the parameter picks its noise stream. */
 class ProbeSweep : public ::testing::TestWithParam<int>
 {
 };
 
 TEST_P(ProbeSweep, MeasuresEveryResource)
 {
-    auto r = static_cast<sim::Resource>(GetParam());
-    Microbenchmark bench(r);
     util::Rng rng(900 + GetParam());
-    double ci = bench.measure(60.0, 0.0, rng);
+    double ci = Microbenchmark::measure(60.0, 0.0, rng);
     EXPECT_NEAR(ci, 60.0, Microbenchmark::kStepPercent + 1e-9);
 }
 

@@ -2,8 +2,8 @@
  * @file
  * Fleet-scale invariance sweep (SLOW): the same shard/thread digest
  * invariance test_fleet pins at toy scale, re-proven on a fleet large
- * enough that shard partitioning, work stealing and the per-shard
- * profiling fan-out all actually matter. The 100k+ host curve lives in
+ * enough that shard partitioning, chunk claiming across workers and
+ * the per-shard profiling fan-out all actually matter. The 100k+ host curve lives in
  * bench/perf_fleet_scaling; this suite stays just below that so plain
  * `ctest` remains usable on a laptop.
  */

@@ -45,12 +45,12 @@ TEST(ObsMetrics, DisabledByDefaultRecordsNothing)
     EXPECT_FALSE(reg.enabled());
     reg.add(obs::MetricId::kDetectorRounds, 5);
     reg.observe(obs::MetricId::kDetectorRoundSimSec, 3.0);
-    reg.gaugeMax(obs::MetricId::kPoolQueueDepthPeak, 7.0);
+    reg.gaugeMax(obs::MetricId::kServeQueueDepthPeak, 7.0);
     obs::Snapshot snap = reg.snapshot();
     EXPECT_EQ(snap.counter(obs::MetricId::kDetectorRounds).value, 0u);
     EXPECT_EQ(snap.histogram(obs::MetricId::kDetectorRoundSimSec).count,
               0u);
-    EXPECT_FALSE(snap.gauge(obs::MetricId::kPoolQueueDepthPeak).everSet);
+    EXPECT_FALSE(snap.gauge(obs::MetricId::kServeQueueDepthPeak).everSet);
     EXPECT_EQ(snap.shards, 0u);
 }
 
@@ -174,7 +174,7 @@ TEST(ObsMetrics, GaugeTracksMaximum)
 {
     obs::MetricsRegistry reg;
     reg.setEnabled(true);
-    const auto id = obs::MetricId::kPoolQueueDepthPeak;
+    const auto id = obs::MetricId::kServeQueueDepthPeak;
     reg.gaugeMax(id, 3.0);
     reg.gaugeMax(id, 9.0);
     reg.gaugeMax(id, 5.0); // lower: must not regress the max

@@ -361,27 +361,32 @@ TEST(Cluster, TenantIdsNeverRepeat)
     EXPECT_NE(a, b);
 }
 
+// The per-server fan-out ControlledExperiment::run makes: one grain-1
+// parallelFor over the cluster's hosts.
 TEST(Cluster, ForEachServerEmptyCluster)
 {
     Cluster c(0);
     EXPECT_EQ(c.size(), 0u);
     std::atomic<int> visits{0};
-    c.forEachServer([&](size_t, const Server&) { ++visits; });
+    bolt::util::parallelFor(0, c.size(), [&](size_t) { ++visits; }, 1);
     EXPECT_EQ(visits.load(), 0);
 }
 
 TEST(Cluster, ForEachServerFewerHostsThanThreads)
 {
     // More pool workers than hosts: every host must still be visited
-    // exactly once with the matching server reference.
+    // exactly once.
     bolt::util::ThreadPool::setGlobalThreads(8);
     Cluster c(3);
     std::vector<std::atomic<int>> visits(c.size());
-    c.forEachServer([&](size_t i, const Server& s) {
-        ASSERT_LT(i, c.size());
-        EXPECT_EQ(&s, &c.server(i));
-        ++visits[i];
-    });
+    bolt::util::parallelFor(
+        0, c.size(),
+        [&](size_t i) {
+            ASSERT_LT(i, c.size());
+            EXPECT_EQ(c.server(i).id(), i);
+            ++visits[i];
+        },
+        1);
     for (size_t i = 0; i < c.size(); ++i)
         EXPECT_EQ(visits[i].load(), 1) << "host " << i;
     bolt::util::ThreadPool::setGlobalThreads(0);

@@ -4,17 +4,24 @@
  * the lazily seeded engine and its batch priming against
  * std::mt19937_64, summary
  * statistics, histograms, online stats, 2-D heatmaps, the ASCII
- * table/series renderers, and the work-stealing thread pool.
+ * table/series renderers, and the thread pool's parallelFor.
  */
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <numeric>
 #include <random>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/seeds.h"
 #include "util/stats.h"
@@ -585,25 +592,57 @@ TEST(AsciiHeatmap, RendersScale)
     EXPECT_NE(os.str().find("t"), std::string::npos);
 }
 
-TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce)
+namespace {
+
+constexpr unsigned kPoolWorkers = 4;
+
+/** Sizes the global pool for one test and restores the default after. */
+struct PoolWorkers
 {
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(2003);
+    explicit PoolWorkers(unsigned n) { ThreadPool::setGlobalThreads(n); }
+    ~PoolWorkers() { ThreadPool::setGlobalThreads(0); }
+};
+
+/** Run parallelFor over [0, n) and fail unless each index ran once. */
+void
+expectEachIndexOnce(size_t n, size_t grain)
+{
+    std::vector<std::atomic<int>> hits(n);
     for (auto& h : hits)
         h.store(0);
-    pool.parallelFor(0, hits.size(),
-                     [&](size_t i) { hits[i].fetch_add(1); });
-    for (size_t i = 0; i < hits.size(); ++i)
-        ASSERT_EQ(1, hits[i].load()) << i;
+    parallelFor(0, n, [&](size_t i) { hits[i].fetch_add(1); }, grain);
+    for (size_t i = 0; i < n; ++i)
+        ASSERT_EQ(1, hits[i].load()) << "n " << n << " grain " << grain
+                                     << " index " << i;
 }
 
-TEST(ThreadPool, UnevenTasksAreStolenAcrossWorkers)
+} // namespace
+
+TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce)
+{
+    PoolWorkers workers(kPoolWorkers);
+    expectEachIndexOnce(2003, 0);
+}
+
+TEST(ThreadPool, EveryRangeSizeRunsEachIndexOnce)
+{
+    // Empty ranges, fewer indices than workers, a few chunks per worker
+    // and many, at the grain rule's pick and at one index per chunk.
+    PoolWorkers workers(kPoolWorkers);
+    for (size_t grain : {size_t{0}, size_t{1}}) {
+        for (size_t n = 0; n <= 3 * kPoolWorkers; ++n)
+            expectEachIndexOnce(n, grain);
+        expectEachIndexOnce(10007, grain);
+    }
+}
+
+TEST(ThreadPool, UnevenChunksAllRun)
 {
     // One chunk is 1000x slower than the rest; with grain 1 the other
-    // workers must steal the remaining chunks for this to finish fast.
-    ThreadPool pool(4);
+    // threads keep claiming the remaining chunks while it runs.
+    PoolWorkers workers(kPoolWorkers);
     std::atomic<long> total{0};
-    pool.parallelFor(
+    parallelFor(
         0, 64,
         [&](size_t i) {
             volatile long acc = 0;
@@ -618,7 +657,7 @@ TEST(ThreadPool, UnevenTasksAreStolenAcrossWorkers)
 
 TEST(ThreadPool, NestedParallelForCompletes)
 {
-    ThreadPool::setGlobalThreads(4);
+    PoolWorkers workers(kPoolWorkers);
     std::vector<std::atomic<int>> hits(16 * 16);
     for (auto& h : hits)
         h.store(0);
@@ -631,26 +670,117 @@ TEST(ThreadPool, NestedParallelForCompletes)
         ASSERT_EQ(1, hits[k].load()) << k;
 }
 
+TEST(ThreadPool, CallFromSecondThreadRunsInlineWhileAnotherIsOpen)
+{
+    // Chunk 0 of the outer call holds it open until a call made from a
+    // plain std::thread has finished, so that call must run its whole
+    // range on its own thread.
+    PoolWorkers workers(kPoolWorkers);
+    std::promise<void> outer_open;
+    std::promise<void> inner_done;
+    std::shared_future<void> done = inner_done.get_future().share();
+    std::vector<std::atomic<int>> inner(100);
+    for (auto& h : inner)
+        h.store(0);
+    std::atomic<int> off_thread{0};
+    std::thread second([&] {
+        outer_open.get_future().wait();
+        const auto self = std::this_thread::get_id();
+        parallelFor(0, inner.size(), [&](size_t i) {
+            inner[i].fetch_add(1);
+            if (std::this_thread::get_id() != self)
+                off_thread.fetch_add(1);
+        }, 1);
+        inner_done.set_value();
+    });
+    std::vector<std::atomic<int>> outer(8);
+    for (auto& h : outer)
+        h.store(0);
+    parallelFor(0, outer.size(), [&](size_t i) {
+        if (i == 0) {
+            outer_open.set_value();
+            EXPECT_EQ(std::future_status::ready,
+                      done.wait_for(std::chrono::seconds(60)));
+        }
+        outer[i].fetch_add(1);
+    }, 1);
+    second.join();
+    for (size_t i = 0; i < inner.size(); ++i)
+        ASSERT_EQ(1, inner[i].load()) << i;
+    for (size_t i = 0; i < outer.size(); ++i)
+        ASSERT_EQ(1, outer[i].load()) << i;
+    EXPECT_EQ(0, off_thread.load());
+}
+
 TEST(ThreadPool, ExceptionPropagatesToCaller)
 {
-    ThreadPool pool(4);
-    EXPECT_THROW(
-        pool.parallelFor(0, 100,
-                         [](size_t i) {
-                             if (i == 57)
-                                 throw std::runtime_error("boom");
-                         },
-                         1),
-        std::runtime_error);
+    PoolWorkers workers(kPoolWorkers);
+    std::vector<std::atomic<int>> ran(100);
+    for (auto& h : ran)
+        h.store(0);
+    EXPECT_THROW(parallelFor(0, ran.size(),
+                             [&](size_t i) {
+                                 if (i == 57)
+                                     throw std::runtime_error("boom");
+                                 ran[i].fetch_add(1);
+                             },
+                             1),
+                 std::runtime_error);
+    for (size_t i = 0; i < ran.size(); ++i)
+        EXPECT_EQ(i == 57 ? 0 : 1, ran[i].load()) << i;
+}
+
+TEST(ThreadPool, NestedExceptionReachesOuterCallerAndPoolRecovers)
+{
+    PoolWorkers workers(kPoolWorkers);
+    std::vector<std::atomic<int>> outer(16);
+    for (auto& h : outer)
+        h.store(0);
+    EXPECT_THROW(parallelFor(0, outer.size(),
+                             [&](size_t i) {
+                                 parallelFor(0, 8, [&](size_t j) {
+                                     if (i == 5 && j == 3)
+                                         throw std::runtime_error("inner");
+                                 });
+                                 outer[i].fetch_add(1);
+                             },
+                             1),
+                 std::runtime_error);
+    for (size_t i = 0; i < outer.size(); ++i)
+        EXPECT_EQ(i == 5 ? 0 : 1, outer[i].load()) << i;
+    expectEachIndexOnce(2003, 0);
+}
+
+TEST(ThreadPool, ChunkCountersAddUpToChunksRun)
+{
+    PoolWorkers workers(kPoolWorkers);
+    auto& metrics = bolt::obs::MetricsRegistry::global();
+    auto count = [&](bolt::obs::MetricId id) {
+        return metrics.snapshot().counter(id).value;
+    };
+    using bolt::obs::MetricId;
+    metrics.setEnabled(true);
+    uint64_t before = count(MetricId::kPoolTasksExecuted) +
+                      count(MetricId::kPoolHelperTasks);
+    // 1000 indices at grain 0 make chunks of 1000 / (4 * 4) = 62, so 17
+    // chunks; 40 indices at grain 1 make 40.
+    parallelFor(0, 1000, [](size_t) {}, 0);
+    parallelFor(0, 40, [](size_t) {}, 1);
+    uint64_t after = count(MetricId::kPoolTasksExecuted) +
+                     count(MetricId::kPoolHelperTasks);
+    uint64_t steals = count(MetricId::kPoolSteals);
+    metrics.setEnabled(false);
+    EXPECT_EQ(17u + 40u, after - before);
+    EXPECT_EQ(0u, steals);
 }
 
 TEST(Rng, CounterStreamMatchesRegardlessOfDerivationOrder)
 {
     // Derive the same stream key from different threads in different
     // orders; the draw sequence must not depend on any of that.
-    ThreadPool pool(4);
+    PoolWorkers workers(kPoolWorkers);
     std::vector<double> first_draw(32);
-    pool.parallelFor(0, 32, [&](size_t i) {
+    parallelFor(0, 32, [&](size_t i) {
         first_draw[i] = Rng::stream(123, {7, i}).uniform();
     }, 1);
     for (size_t i = 0; i < 32; ++i)
