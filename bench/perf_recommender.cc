@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/recommender.h"
+#include "linalg/kernels.h"
 #include "obs/report.h"
 #include "util/cli_flags.h"
 #include "util/digest.h"
@@ -329,6 +330,8 @@ writeReport(const std::string& path, const HarnessResult& r,
        << "  \"queries\": " << r.queries << ",\n"
        << "  \"digest\": \"" << util::hex64(r.digest) << "\",\n"
        << "  \"digest_mt\": \"" << util::hex64(r.mtDigest) << "\",\n"
+       << "  \"kernel_backend\": \""
+       << linalg::kernelBackendName(linalg::activeKernelBackend()) << "\",\n"
        << "  \"single_thread\": {\n"
        << "    \"queries_per_sec\": " << r.stQps << ",\n"
        << "    \"analyze\": {\"p50_us\": " << r.analyzeSt.p50Us

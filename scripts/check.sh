@@ -17,11 +17,12 @@
 # among them.
 #
 # There is one build configuration per sanitizer, not per kernel
-# backend: every x86-64 build carries the AVX2 kernels and selects them
-# at startup when the CPU supports AVX2, so on such a CPU every leg
-# runs the AVX2 backend against goldens that the scalar backend
-# reproduces too. The scalar-vs-AVX2 bit-equality tests
-# (tests/test_kernels.cc) run in every ctest.
+# backend: every x86-64 build carries the AVX2 and AVX-512 kernels and
+# selects the widest the CPU reports at startup, so on such a CPU every
+# leg runs that backend against goldens that the scalar backend
+# reproduces too. The scalar-vs-SIMD bit-equality tests
+# (tests/test_kernels.cc) run in every ctest, for each backend the CPU
+# reports.
 #
 # --goldens runs the golden manifest alone (bench/goldens.cmake), or
 # with --update rewrites the goldens instead of diffing them.

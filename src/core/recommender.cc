@@ -46,8 +46,9 @@ constexpr double kPruneSlack = 1e-6;
 constexpr size_t kCells = ScaledProfileTable::kLevelCells;
 
 /**
- * Refit queue length: decompose() hands linalg::widenFit the blocks it
- * refits side by side.
+ * Refit queue capacity: decompose() hands linalg::widenFit the
+ * registers it refits side by side, linalg::widenFitLanes() candidates
+ * on the active backend, at most this many.
  */
 constexpr size_t kRefitLanes = linalg::kWidenBlocks * linalg::kKernelBlock;
 
@@ -678,6 +679,7 @@ HybridRecommender::decompose(const SparseObservation& observation,
         wc.core = sim::isCoreResource(static_cast<sim::Resource>(c));
         wc.capacity = sim::isCapacityResource(static_cast<sim::Resource>(c));
     }
+    const size_t refit_lanes = linalg::widenFitLanes();
     for (size_t depth = 2; depth <= max_parts; ++depth) {
         double improved_distance = best_distance;
         // The largest distance the Occam test below accepts at this
@@ -887,7 +889,7 @@ HybridRecommender::decompose(const SparseObservation& observation,
                 s.queued[n_queued] = j;
                 std::copy(s.baseParts.begin(), s.baseParts.end(),
                           s.queuedBase[n_queued]);
-                if (++n_queued == kRefitLanes)
+                if (++n_queued == refit_lanes)
                     refit_queued();
             }
         }

@@ -250,8 +250,10 @@ widenFit(const WidenSpec& spec, size_t cand_count, double* dist,
 } // namespace scalar_kernels
 
 // ---------------------------------------------------------------------
-// AVX2 backend (x86-64 only; see kernels_avx2.cc). Its functions carry
-// target("avx2"), so they may only run once the CPU has reported AVX2.
+// SIMD backends (x86-64 only): kernels_simd.inc built for AVX2 in
+// kernels_avx2.cc and for AVX-512F in kernels_avx512.cc. Their
+// functions carry target("avx2") or target("avx512f"), so each may
+// only run once the CPU has reported that ISA.
 // ---------------------------------------------------------------------
 
 #if defined(__x86_64__)
@@ -262,6 +264,13 @@ void pruneBounds(const PruneCoord*, size_t, size_t, size_t, double*,
                  const uint32_t*);
 void widenFit(const WidenSpec&, size_t, double*, double*);
 } // namespace avx2_kernels
+namespace avx512_kernels {
+void pearsonRow(const PearsonTable&, const double*, double*);
+void fitLevelsAndScore(const FitSpec&, size_t, double*, double*);
+void pruneBounds(const PruneCoord*, size_t, size_t, size_t, double*,
+                 const uint32_t*);
+void widenFit(const WidenSpec&, size_t, double*, double*);
+} // namespace avx512_kernels
 #endif
 
 // ---------------------------------------------------------------------
@@ -270,22 +279,24 @@ void widenFit(const WidenSpec&, size_t, double*, double*);
 
 namespace {
 
-bool
-cpuHasAvx2()
+/** One backend's copy of each kernel. */
+struct KernelSet
 {
-#if defined(__x86_64__)
-    // Idempotent; keeps the check valid even before static constructors.
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2");
-#else
-    return false;
-#endif
-}
+    void (*pearsonRow)(const PearsonTable&, const double*, double*);
+    void (*fitLevelsAndScore)(const FitSpec&, size_t, double*, double*);
+    void (*pruneBounds)(const PruneCoord*, size_t, size_t, size_t, double*,
+                        const uint32_t*);
+    void (*widenFit)(const WidenSpec&, size_t, double*, double*);
+};
 
+/** The widest backend the CPU reports. */
 KernelBackend
 defaultBackend()
 {
-    return cpuHasAvx2() ? KernelBackend::Avx2 : KernelBackend::Scalar;
+    for (KernelBackend b : {KernelBackend::Avx512, KernelBackend::Avx2})
+        if (kernelBackendAvailable(b))
+            return b;
+    return KernelBackend::Scalar;
 }
 
 std::atomic<KernelBackend>&
@@ -293,6 +304,32 @@ backendState()
 {
     static std::atomic<KernelBackend> state{defaultBackend()};
     return state;
+}
+
+/** The active backend's kernels. */
+const KernelSet&
+activeKernels()
+{
+    static constexpr KernelSet kScalar{
+        scalar_kernels::pearsonRow, scalar_kernels::fitLevelsAndScore,
+        scalar_kernels::pruneBounds, scalar_kernels::widenFit};
+#if defined(__x86_64__)
+    static constexpr KernelSet kAvx2{
+        avx2_kernels::pearsonRow, avx2_kernels::fitLevelsAndScore,
+        avx2_kernels::pruneBounds, avx2_kernels::widenFit};
+    static constexpr KernelSet kAvx512{
+        avx512_kernels::pearsonRow, avx512_kernels::fitLevelsAndScore,
+        avx512_kernels::pruneBounds, avx512_kernels::widenFit};
+    switch (activeKernelBackend()) {
+    case KernelBackend::Avx2:
+        return kAvx2;
+    case KernelBackend::Avx512:
+        return kAvx512;
+    case KernelBackend::Scalar:
+        break;
+    }
+#endif
+    return kScalar;
 }
 
 } // namespace
@@ -303,16 +340,47 @@ activeKernelBackend()
     return backendState().load(std::memory_order_relaxed);
 }
 
+const char*
+kernelBackendName(KernelBackend b)
+{
+    switch (b) {
+    case KernelBackend::Scalar:
+        return "scalar";
+    case KernelBackend::Avx2:
+        return "avx2";
+    case KernelBackend::Avx512:
+        return "avx512";
+    }
+    return "unknown";
+}
+
 bool
 kernelBackendAvailable(KernelBackend b)
 {
+#if defined(__x86_64__)
+    // Idempotent; keeps the check valid even before static constructors.
+    __builtin_cpu_init();
     switch (b) {
     case KernelBackend::Scalar:
         return true;
     case KernelBackend::Avx2:
-        return cpuHasAvx2();
+        return __builtin_cpu_supports("avx2");
+    case KernelBackend::Avx512:
+        return __builtin_cpu_supports("avx512f");
     }
     return false;
+#else
+    return b == KernelBackend::Scalar;
+#endif
+}
+
+size_t
+widenFitLanes()
+{
+    // A longer queue than one call's width buys no wider call and gates
+    // more candidates against a staler incumbent, which costs refits.
+    return kWidenBlocks *
+           (activeKernelBackend() == KernelBackend::Avx512 ? 8 : 4);
 }
 
 bool
@@ -363,13 +431,7 @@ buildPearsonTable(const SoaMatrix& rows, std::span<const double> weights)
 void
 pearsonRow(const PearsonTable& table, const double* query, double* out)
 {
-#if defined(__x86_64__)
-    if (activeKernelBackend() == KernelBackend::Avx2) {
-        avx2_kernels::pearsonRow(table, query, out);
-        return;
-    }
-#endif
-    scalar_kernels::pearsonRow(table, query, out);
+    activeKernels().pearsonRow(table, query, out);
 }
 
 void
@@ -378,13 +440,7 @@ fitLevelsAndScore(const FitSpec& spec, size_t entry_count, double* levels,
 {
     if (spec.coordCount > kMaxFitCoords)
         throw std::invalid_argument("fitLevelsAndScore: too many coords");
-#if defined(__x86_64__)
-    if (activeKernelBackend() == KernelBackend::Avx2) {
-        avx2_kernels::fitLevelsAndScore(spec, entry_count, levels, scores);
-        return;
-    }
-#endif
-    scalar_kernels::fitLevelsAndScore(spec, entry_count, levels, scores);
+    activeKernels().fitLevelsAndScore(spec, entry_count, levels, scores);
 }
 
 void
@@ -394,14 +450,7 @@ pruneBounds(const PruneCoord* coords, size_t coord_count, size_t cells,
     if (coord_count > kMaxFitCoords || cells == 0 ||
         cells > kMaxPruneCells)
         throw std::invalid_argument("pruneBounds: shape out of range");
-#if defined(__x86_64__)
-    if (activeKernelBackend() == KernelBackend::Avx2) {
-        avx2_kernels::pruneBounds(coords, coord_count, cells, entry_count,
-                                  bounds, index);
-        return;
-    }
-#endif
-    scalar_kernels::pruneBounds(coords, coord_count, cells, entry_count,
+    activeKernels().pruneBounds(coords, coord_count, cells, entry_count,
                                 bounds, index);
 }
 
@@ -412,13 +461,7 @@ widenFit(const WidenSpec& spec, size_t cand_count, double* dist,
     if (spec.coordCount > kMaxFitCoords ||
         spec.partCount > kMaxWidenParts || spec.partCount == 0)
         throw std::invalid_argument("widenFit: shape out of range");
-#if defined(__x86_64__)
-    if (activeKernelBackend() == KernelBackend::Avx2) {
-        avx2_kernels::widenFit(spec, cand_count, dist, levels);
-        return;
-    }
-#endif
-    scalar_kernels::widenFit(spec, cand_count, dist, levels);
+    activeKernels().widenFit(spec, cand_count, dist, levels);
 }
 
 } // namespace linalg

@@ -24,25 +24,31 @@ namespace linalg {
  *
  * Determinism contract: every kernel is *bit-identical* to the scalar
  * reference loops it replaces. Entries are independent output lanes, so
- * blocking (and the AVX2 backend) only evaluates independent lanes side
- * by side; no reduction is ever reassociated, every per-entry
- * accumulation keeps the reference coordinate order, and the AVX2
+ * blocking (and the SIMD backends) only evaluates independent lanes
+ * side by side; no reduction is ever reassociated, every per-entry
+ * accumulation keeps the reference coordinate order, and the SIMD
  * functions are compiled without FMA (neither the target nor
  * contraction allows it) so a vector lane executes exactly the scalar
  * instruction stream. The scalar backend is the golden reference;
  * tests/test_kernels.cc holds the bit-equality suite.
  *
- * Backend selection: the AVX2 backend is part of every x86-64 build and
- * is selected at startup when the CPU reports AVX2; otherwise (and on
- * other platforms) the scalar backend runs.
+ * Backend selection: the two SIMD backends are one width-generic source
+ * (kernels_simd.inc) built for AVX2 (4 lanes) and for AVX-512F (8
+ * lanes), and both are part of every x86-64 build. At startup the
+ * widest one the CPU reports runs: Avx512, else Avx2, else (and on
+ * other platforms) Scalar.
  *
  * This layer is resource-agnostic (linalg sits below sim): callers pass
  * the load-scaling tags (capacity => load floor) and deviation mode per
  * coordinate explicitly.
  */
 
-/** Doubles per SIMD lane group (AVX2: one 256-bit vector). */
-constexpr size_t kKernelBlock = 4;
+/**
+ * The padding unit: doubles per block of the widest backend (AVX-512:
+ * one 512-bit register). Every padded column and output holds whole
+ * registers of every backend.
+ */
+constexpr size_t kKernelBlock = 8;
 
 /** Alignment of SoA columns and kernel scratch (one cache line). */
 constexpr size_t kKernelAlign = 64;
@@ -129,16 +135,20 @@ class SoaMatrix
 /** Kernel backend. Scalar is the golden reference. */
 enum class KernelBackend : uint8_t {
     Scalar,
-    Avx2, ///< Available on x86-64 CPUs that report AVX2.
+    Avx2,   ///< Available on x86-64 CPUs that report AVX2.
+    Avx512, ///< Available on x86-64 CPUs that report AVX-512F.
 };
 
 /**
  * Backend used by subsequent kernel calls (process-wide). Starts as
- * Avx2 when available, else Scalar.
+ * the widest available: Avx512, else Avx2, else Scalar.
  */
 KernelBackend activeKernelBackend();
 
-/** Whether a backend can run here (x86-64 + CPU support for Avx2). */
+/** The backend's name: "scalar", "avx2" or "avx512". */
+const char* kernelBackendName(KernelBackend b);
+
+/** Whether a backend can run here (x86-64 + the CPU's support). */
 bool kernelBackendAvailable(KernelBackend b);
 
 /**
@@ -303,8 +313,8 @@ struct PruneCoord
  *
  * Candidate e reads row e of the cand columns, or row index[e] when an
  * index list is given; the list then needs paddedCount(entry_count)
- * entries, and the tail's must be rows the columns hold (the AVX2
- * backend gathers whole blocks).
+ * entries, and the tail's must be rows the columns hold (the SIMD
+ * backends gather whole registers).
  */
 void pruneBounds(const PruneCoord* coords, size_t coord_count, size_t cells,
                  size_t entry_count, double* bounds,
@@ -359,12 +369,20 @@ struct WidenSpec
 };
 
 /**
- * Candidate blocks the AVX2 widenFit refits side by side (a block's
- * ternary search is one long dependency chain per probe; three blocks
- * overlap their chains). A caller that queues this many blocks per call
- * keeps every call on the full-width path.
+ * Candidate registers the SIMD widenFit refits side by side (a
+ * register's ternary search is one long dependency chain per probe;
+ * three overlap their chains).
  */
 constexpr size_t kWidenBlocks = 3;
+
+/**
+ * Candidates one widenFit call of the active backend refits side by
+ * side: kWidenBlocks registers, 24 on Avx512 and 12 on Avx2 (Scalar
+ * takes Avx2's 12). A caller that queues this many per call keeps
+ * every call on the full-width path; at most kWidenBlocks *
+ * kKernelBlock.
+ */
+size_t widenFitLanes();
 
 /**
  * Refit every packed candidate in [0, cand_count): dist[e] gets the

@@ -9,14 +9,17 @@
  *    linalg::weightedPearson per entry bit for bit. This runs on every
  *    CPU, under whichever backend the CPU selected.
  *  - Backend equality: every kernel must produce byte-identical output
- *    lanes under the Scalar and Avx2 backends across randomized shapes
- *    (ragged tails, degenerate counts).
+ *    lanes under the Scalar backend and each SIMD backend (Avx2, 4
+ *    lanes; Avx512, 8 lanes) across randomized shapes: every lane tail
+ *    of both widths, the tails of their side-by-side block groups, and
+ *    degenerate counts.
  *  - End to end: a fixed mix of analyze() and decompose() queries must
- *    return bit-identical results under both backends, field by field.
+ *    return bit-identical results under every backend, field by field.
  *
- * The backend tests skip only when the CPU lacks AVX2. Comparisons go
- * through the raw IEEE-754 bit pattern, never through an epsilon: the
- * kernels promise bit-exactness, so the tests demand it.
+ * The backend tests check each SIMD backend the CPU reports and skip
+ * only when it reports none. Comparisons go through the raw IEEE-754
+ * bit pattern, never through an epsilon: the kernels promise
+ * bit-exactness, so the tests demand it.
  */
 #include <gtest/gtest.h>
 
@@ -62,8 +65,18 @@ randomColumn(std::mt19937_64& rng, size_t n, double lo, double hi)
     return col;
 }
 
-/** Entry counts covering aligned, ragged and degenerate shapes. */
-const size_t kEntryCounts[] = {1, 2, 3, 4, 5, 7, 8, 13, 16, 33};
+/**
+ * Entry counts covering aligned, ragged and degenerate shapes: every
+ * lane tail of a 4- and an 8-lane register, one to seven 8-lane blocks,
+ * and the one-cell prune bound's four-block groups with each tail at
+ * both widths (16 and 32 entries a group).
+ */
+const size_t kEntryCounts[] = {1,  2,  3,  4,  5,  7,  8,  9,  13, 15,
+                               16, 17, 23, 24, 25, 31, 32, 33, 41, 57};
+
+/** The SIMD backends, narrowest first. */
+const KernelBackend kSimdBackends[] = {KernelBackend::Avx2,
+                                       KernelBackend::Avx512};
 
 SoaMatrix
 randomRows(std::mt19937_64& rng, size_t entries, size_t lanes)
@@ -169,31 +182,54 @@ TEST(PearsonBatch, ZeroVarianceEntryCorrelatesToZero)
     EXPECT_GT(out[1], 0.9);
 }
 
-TEST(KernelBackendSelection, StartsAsAvx2ExactlyWhenCpuSupportsIt)
+TEST(KernelBackendSelection, StartsAsTheWidestBackendTheCpuReports)
 {
 #if defined(__x86_64__)
     __builtin_cpu_init();
     const bool cpu_avx2 = __builtin_cpu_supports("avx2");
+    const bool cpu_avx512 = __builtin_cpu_supports("avx512f");
 #else
     const bool cpu_avx2 = false;
+    const bool cpu_avx512 = false;
 #endif
     EXPECT_TRUE(kernelBackendAvailable(KernelBackend::Scalar));
     EXPECT_EQ(kernelBackendAvailable(KernelBackend::Avx2), cpu_avx2);
-    EXPECT_EQ(activeKernelBackend(),
-              cpu_avx2 ? KernelBackend::Avx2 : KernelBackend::Scalar);
+    EXPECT_EQ(kernelBackendAvailable(KernelBackend::Avx512), cpu_avx512);
+    // Avx512 exactly when the CPU reports AVX-512F, else Avx2 exactly
+    // when it reports AVX2.
+    EXPECT_EQ(activeKernelBackend(), cpu_avx512 ? KernelBackend::Avx512
+                                     : cpu_avx2 ? KernelBackend::Avx2
+                                                : KernelBackend::Scalar);
+    EXPECT_STREQ(kernelBackendName(KernelBackend::Scalar), "scalar");
+    EXPECT_STREQ(kernelBackendName(KernelBackend::Avx2), "avx2");
+    EXPECT_STREQ(kernelBackendName(KernelBackend::Avx512), "avx512");
 
+    // Every available backend can be selected, the narrower ones on a
+    // wider host too; an unavailable one is refused and the current one
+    // kept.
     BackendGuard guard;
-    EXPECT_TRUE(setKernelBackend(KernelBackend::Scalar));
-    EXPECT_EQ(activeKernelBackend(), KernelBackend::Scalar);
-    // An unavailable backend is refused and the current one kept.
-    EXPECT_EQ(setKernelBackend(KernelBackend::Avx2), cpu_avx2);
-    EXPECT_EQ(activeKernelBackend(),
-              cpu_avx2 ? KernelBackend::Avx2 : KernelBackend::Scalar);
+    for (KernelBackend b : {KernelBackend::Scalar, KernelBackend::Avx2,
+                            KernelBackend::Avx512}) {
+        ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
+        const bool available = kernelBackendAvailable(b);
+        EXPECT_EQ(setKernelBackend(b), available) << kernelBackendName(b);
+        EXPECT_EQ(activeKernelBackend(),
+                  available ? b : KernelBackend::Scalar)
+            << kernelBackendName(b);
+        // widenFit's call width follows the active backend.
+        EXPECT_EQ(widenFitLanes(),
+                  activeKernelBackend() == KernelBackend::Avx512
+                      ? kWidenBlocks * kKernelBlock
+                      : kWidenBlocks * 4)
+            << kernelBackendName(b);
+    }
 }
 
 TEST(FitKernel, NonPositiveWsumYieldsSentinelScore)
 {
-    AlignedVector base = {50.0, 60.0, 70.0, 80.0};
+    AlignedVector base(kKernelBlock, 0.0);
+    for (size_t e = 0; e < 4; ++e)
+        base[e] = 50.0 + 10.0 * static_cast<double>(e);
     FitCoord coord{base.data(), 1.0, 55.0, DevMode::Abs, false};
     FitSpec spec;
     spec.coords = &coord;
@@ -207,15 +243,27 @@ TEST(FitKernel, NonPositiveWsumYieldsSentinelScore)
 }
 
 // ---------------------------------------------------------------------
-// Scalar-vs-AVX2 backend equality (skipped when the CPU lacks AVX2).
+// Scalar-vs-SIMD backend equality, for each SIMD backend the CPU
+// reports (skipped when it reports none).
 // ---------------------------------------------------------------------
 
 namespace {
 
-#define SKIP_WITHOUT_AVX2()                                              \
+/** The SIMD backends this CPU runs, narrowest first. */
+std::vector<KernelBackend>
+availableSimdBackends()
+{
+    std::vector<KernelBackend> out;
+    for (KernelBackend b : kSimdBackends)
+        if (kernelBackendAvailable(b))
+            out.push_back(b);
+    return out;
+}
+
+#define SKIP_WITHOUT_SIMD()                                              \
     do {                                                                 \
-        if (!kernelBackendAvailable(KernelBackend::Avx2))                \
-            GTEST_SKIP() << "CPU lacks AVX2";                            \
+        if (availableSimdBackends().empty())                             \
+            GTEST_SKIP() << "CPU reports no SIMD backend";               \
     } while (0)
 
 void
@@ -233,7 +281,7 @@ expectLanesEqual(const AlignedVector& a, const AlignedVector& b,
 
 TEST(BackendEquality, PearsonBatchRandomizedShapes)
 {
-    SKIP_WITHOUT_AVX2();
+    SKIP_WITHOUT_SIMD();
     BackendGuard guard;
     std::mt19937_64 rng(0xa5d2);
     std::uniform_real_distribution<double> wdist(0.05, 1.0);
@@ -250,32 +298,37 @@ TEST(BackendEquality, PearsonBatchRandomizedShapes)
             for (double& v : query)
                 v = qdist(rng);
             AlignedVector scalar_out(rows.paddedRows(), 0.0);
-            AlignedVector simd_out(rows.paddedRows(), 0.0);
             ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
             pearsonRow(table, query.data(), scalar_out.data());
-            ASSERT_TRUE(setKernelBackend(KernelBackend::Avx2));
-            pearsonRow(table, query.data(), simd_out.data());
-            for (size_t e = 0; e < entries; ++e)
-                EXPECT_EQ(bits(scalar_out[e]), bits(simd_out[e]))
-                    << "entries=" << entries << " q=" << q << " e=" << e;
+            for (KernelBackend simd : availableSimdBackends()) {
+                AlignedVector simd_out(rows.paddedRows(), 0.0);
+                ASSERT_TRUE(setKernelBackend(simd));
+                pearsonRow(table, query.data(), simd_out.data());
+                for (size_t e = 0; e < entries; ++e)
+                    EXPECT_EQ(bits(scalar_out[e]), bits(simd_out[e]))
+                        << kernelBackendName(simd) << " entries=" << entries
+                        << " q=" << q << " e=" << e;
+            }
         }
     }
 }
 
 TEST(BackendEquality, FitLevelsAndScoreRandomizedShapes)
 {
-    SKIP_WITHOUT_AVX2();
+    SKIP_WITHOUT_SIMD();
     BackendGuard guard;
     std::mt19937_64 rng(0xf17);
     std::uniform_real_distribution<double> wdist(0.05, 1.0);
     std::uniform_real_distribution<double> tdist(0.0, 100.0);
     std::uniform_int_distribution<int> mdist(0, 2);
     std::uniform_int_distribution<int> bdist(0, 1);
-    // The AVX2 kernel searches four 4-entry blocks side by side, then a
-    // two-block and a one-block tail. 1 to 9 blocks cover every tail
-    // after zero, one and two whole groups, with ragged lane tails; 120
-    // entries is the production table.
-    const size_t kFitCounts[] = {1, 6, 11, 16, 18, 23, 27, 32, 35, 120};
+    // The SIMD kernels search four registers side by side (16 entries
+    // on Avx2, 32 on Avx512), then a two-register and a one-register
+    // tail. The counts cover every tail after zero, one and two whole
+    // groups at both widths, with ragged lane tails; 120 entries is the
+    // production table.
+    const size_t kFitCounts[] = {1,  6,  9,  11, 15, 16, 17, 18, 23, 24,
+                                 25, 27, 31, 32, 33, 35, 41, 49, 57, 120};
     // Every coordinate Abs, Upper or Zero; a random mix; and a leading
     // run of Zero coordinates (the level-independent prefix the kernel
     // hoists) before a random mix.
@@ -333,22 +386,25 @@ TEST(BackendEquality, FitLevelsAndScoreRandomizedShapes)
                         spec.scoreWsum = variant == 2 ? -1.0 : wsum;
 
                         size_t padded = paddedCount(entries);
-                        AlignedVector l1(padded), s1(padded), l2(padded),
-                            s2(padded);
+                        AlignedVector l1(padded), s1(padded);
                         ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
                         fitLevelsAndScore(spec, entries, l1.data(),
                                           s1.data());
-                        ASSERT_TRUE(setKernelBackend(KernelBackend::Avx2));
-                        fitLevelsAndScore(spec, entries, l2.data(),
-                                          s2.data());
                         SCOPED_TRACE(
                             "entries=" + std::to_string(entries) +
                             " coords=" + std::to_string(coords) +
                             " mix=" + std::to_string(static_cast<int>(mix)) +
                             " skip_upper=" + std::to_string(skip_upper) +
                             " variant=" + std::to_string(variant));
-                        expectLanesEqual(l1, l2, entries, "fit level");
-                        expectLanesEqual(s1, s2, entries, "fit score");
+                        for (KernelBackend simd : availableSimdBackends()) {
+                            SCOPED_TRACE(kernelBackendName(simd));
+                            AlignedVector l2(padded), s2(padded);
+                            ASSERT_TRUE(setKernelBackend(simd));
+                            fitLevelsAndScore(spec, entries, l2.data(),
+                                              s2.data());
+                            expectLanesEqual(l1, l2, entries, "fit level");
+                            expectLanesEqual(s1, s2, entries, "fit score");
+                        }
                     }
                 }
             }
@@ -358,7 +414,7 @@ TEST(BackendEquality, FitLevelsAndScoreRandomizedShapes)
 
 TEST(BackendEquality, PruneBoundsRandomizedShapes)
 {
-    SKIP_WITHOUT_AVX2();
+    SKIP_WITHOUT_SIMD();
     BackendGuard guard;
     std::mt19937_64 rng(0x6e1d);
     std::uniform_real_distribution<double> wdist(0.05, 1.0);
@@ -372,8 +428,9 @@ TEST(BackendEquality, PruneBoundsRandomizedShapes)
         double scale = capacity ? std::max(level, 0.85) : level;
         return std::clamp(base * scale, 0.0, 100.0);
     };
-    // The AVX2 one-cell bound steps four blocks together: the ragged
-    // counts cover its one-block tails, and 120 is the production table.
+    // The SIMD one-cell bound steps four registers together: the counts
+    // cover its one-register tails at both widths, and 120 is the
+    // production table.
     std::vector<size_t> counts(std::begin(kEntryCounts),
                                std::end(kEntryCounts));
     counts.push_back(120);
@@ -381,9 +438,9 @@ TEST(BackendEquality, PruneBoundsRandomizedShapes)
         for (size_t cells = 1; cells <= kMaxPruneCells; ++cells) {
             for (bool core_shared : {false, true}) {
                 // Candidates are rows of a wider table: bounded in place
-                // through a random index list (repeats allowed, the
-                // padded tail naming real rows too), and from columns
-                // packed in that order.
+                // through a random index list (repeats allowed, the tail
+                // padded to a whole kKernelBlock and naming real rows
+                // too), and from columns packed in that order.
                 const size_t coords = 10;
                 const size_t rows = entries + 5;
                 const size_t padded = paddedCount(entries);
@@ -429,22 +486,26 @@ TEST(BackendEquality, PruneBoundsRandomizedShapes)
                             pc_wide[i].cand[k] =
                                 wide[wide.size() - (cells + 1) + k].data();
                 }
-                AlignedVector b1(padded), b2(padded), b3(padded),
-                    b4(padded);
+                ASSERT_EQ(padded % kKernelBlock, 0u);
+                AlignedVector b1(padded), b3(padded);
                 ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
                 pruneBounds(pc.data(), coords, cells, entries, b1.data());
                 pruneBounds(pc_wide.data(), coords, cells, entries, b3.data(),
                             index.data());
-                ASSERT_TRUE(setKernelBackend(KernelBackend::Avx2));
-                pruneBounds(pc.data(), coords, cells, entries, b2.data());
-                pruneBounds(pc_wide.data(), coords, cells, entries, b4.data(),
-                            index.data());
                 SCOPED_TRACE("entries=" + std::to_string(entries) +
                              " cells=" + std::to_string(cells) +
                              " core_shared=" + std::to_string(core_shared));
-                expectLanesEqual(b1, b2, entries, "prune bound");
                 expectLanesEqual(b1, b3, entries, "indexed scalar bound");
-                expectLanesEqual(b1, b4, entries, "indexed prune bound");
+                for (KernelBackend simd : availableSimdBackends()) {
+                    SCOPED_TRACE(kernelBackendName(simd));
+                    AlignedVector b2(padded), b4(padded);
+                    ASSERT_TRUE(setKernelBackend(simd));
+                    pruneBounds(pc.data(), coords, cells, entries, b2.data());
+                    pruneBounds(pc_wide.data(), coords, cells, entries,
+                                b4.data(), index.data());
+                    expectLanesEqual(b1, b2, entries, "prune bound");
+                    expectLanesEqual(b1, b4, entries, "indexed prune bound");
+                }
             }
         }
     }
@@ -452,7 +513,7 @@ TEST(BackendEquality, PruneBoundsRandomizedShapes)
 
 TEST(BackendEquality, WidenFitRandomizedShapes)
 {
-    SKIP_WITHOUT_AVX2();
+    SKIP_WITHOUT_SIMD();
     BackendGuard guard;
     std::mt19937_64 rng(0x31de);
     std::uniform_real_distribution<double> wdist(0.05, 1.0);
@@ -460,10 +521,14 @@ TEST(BackendEquality, WidenFitRandomizedShapes)
     std::uniform_int_distribution<int> bdist(0, 1);
     std::uniform_int_distribution<size_t> ldist(0, 4);
     std::uniform_real_distribution<double> lvdist(0.05, 1.1);
-    // The AVX2 kernel refits three 4-lane blocks side by side, then a
-    // two- or one-block tail: the counts cover 1, 2 and 3 blocks, both
-    // tails after whole groups, and every ragged lane tail.
-    const size_t kWidenCounts[] = {1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 16, 20, 33};
+    // The SIMD kernels refit three registers side by side (12
+    // candidates on Avx2, 24 on Avx512, a full refit queue), then a
+    // two- or one-register tail: the counts cover 1, 2 and 3 registers,
+    // both tails after one and two whole groups at both widths, and
+    // every ragged lane tail of both.
+    const size_t kWidenCounts[] = {1,  2,  3,  4,  5,  7,  8,  9,
+                                   12, 13, 15, 16, 17, 20, 23, 24,
+                                   25, 31, 32, 33, 41, 57};
     for (size_t cands : kWidenCounts) {
         for (size_t parts = 2; parts <= kMaxWidenParts; ++parts) {
             for (bool core_shared : {false, true}) {
@@ -527,24 +592,27 @@ TEST(BackendEquality, WidenFitRandomizedShapes)
                     spec.wsum = weightless ? 0.0 : wsum;
 
                     size_t padded = paddedCount(cands);
-                    AlignedVector d1(padded), d2(padded);
-                    AlignedVector lv1(padded * parts), lv2(padded * parts);
+                    AlignedVector d1(padded), lv1(padded * parts);
                     ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
                     widenFit(spec, cands, d1.data(), lv1.data());
-                    ASSERT_TRUE(setKernelBackend(KernelBackend::Avx2));
-                    widenFit(spec, cands, d2.data(), lv2.data());
                     SCOPED_TRACE("cands=" + std::to_string(cands) +
                                  " parts=" + std::to_string(parts) +
                                  " core_shared=" +
                                  std::to_string(core_shared) +
                                  " variant=" + std::to_string(variant));
-                    expectLanesEqual(d1, d2, cands, "widen distance");
-                    for (size_t e = 0; e < cands; ++e)
-                        for (size_t p = 0; p < parts; ++p) {
-                            size_t i = e * parts + p;
-                            EXPECT_EQ(bits(lv1[i]), bits(lv2[i]))
-                                << "widen level e=" << e << " p=" << p;
-                        }
+                    for (KernelBackend simd : availableSimdBackends()) {
+                        SCOPED_TRACE(kernelBackendName(simd));
+                        AlignedVector d2(padded), lv2(padded * parts);
+                        ASSERT_TRUE(setKernelBackend(simd));
+                        widenFit(spec, cands, d2.data(), lv2.data());
+                        expectLanesEqual(d1, d2, cands, "widen distance");
+                        for (size_t e = 0; e < cands; ++e)
+                            for (size_t p = 0; p < parts; ++p) {
+                                size_t i = e * parts + p;
+                                EXPECT_EQ(bits(lv1[i]), bits(lv2[i]))
+                                    << "widen level e=" << e << " p=" << p;
+                            }
+                    }
                 }
             }
         }
@@ -552,7 +620,7 @@ TEST(BackendEquality, WidenFitRandomizedShapes)
 }
 
 // ---------------------------------------------------------------------
-// Scalar-vs-AVX2 end to end: analyze() and decompose() results.
+// Scalar-vs-SIMD end to end: analyze() and decompose() results.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -756,21 +824,13 @@ expectDecompositionsBitEqual(const core::Decomposition& a,
 
 TEST_F(BackendEndToEnd, AnalyzeAndDecomposeBitIdentical)
 {
-    SKIP_WITHOUT_AVX2();
+    SKIP_WITHOUT_SIMD();
     BackendGuard guard;
     std::vector<MixQuery> mix = buildMix(*training_);
 
     ASSERT_TRUE(setKernelBackend(KernelBackend::Scalar));
     MixResults scalar = runMix(*recommender_, mix);
-    ASSERT_TRUE(setKernelBackend(KernelBackend::Avx2));
-    MixResults simd = runMix(*recommender_, mix);
-
     ASSERT_EQ(scalar.analyzed.size(), 18u);
-    ASSERT_EQ(simd.analyzed.size(), scalar.analyzed.size());
-    for (size_t q = 0; q < scalar.analyzed.size(); ++q) {
-        SCOPED_TRACE("analyze query " + std::to_string(q));
-        expectResultsBitEqual(scalar.analyzed[q], simd.analyzed[q]);
-    }
     ASSERT_EQ(scalar.decomposed.size(), 17u);
     // The three-tenant no-shared-core blend took a second part, so its
     // search went on to depth 3; a four-tenant blend took a third, so
@@ -780,10 +840,21 @@ TEST_F(BackendEndToEnd, AnalyzeAndDecomposeBitIdentical)
     for (size_t q = 13; q < scalar.decomposed.size(); ++q)
         deepest = std::max(deepest, scalar.decomposed[q].parts.size());
     EXPECT_GE(deepest, 3u);
-    ASSERT_EQ(simd.decomposed.size(), scalar.decomposed.size());
-    for (size_t q = 0; q < scalar.decomposed.size(); ++q) {
-        SCOPED_TRACE("decompose query " + std::to_string(q));
-        expectDecompositionsBitEqual(scalar.decomposed[q],
-                                     simd.decomposed[q]);
+
+    for (KernelBackend backend : availableSimdBackends()) {
+        SCOPED_TRACE(kernelBackendName(backend));
+        ASSERT_TRUE(setKernelBackend(backend));
+        MixResults simd = runMix(*recommender_, mix);
+        ASSERT_EQ(simd.analyzed.size(), scalar.analyzed.size());
+        for (size_t q = 0; q < scalar.analyzed.size(); ++q) {
+            SCOPED_TRACE("analyze query " + std::to_string(q));
+            expectResultsBitEqual(scalar.analyzed[q], simd.analyzed[q]);
+        }
+        ASSERT_EQ(simd.decomposed.size(), scalar.decomposed.size());
+        for (size_t q = 0; q < scalar.decomposed.size(); ++q) {
+            SCOPED_TRACE("decompose query " + std::to_string(q));
+            expectDecompositionsBitEqual(scalar.decomposed[q],
+                                         simd.decomposed[q]);
+        }
     }
 }

@@ -290,7 +290,7 @@ TEST(Properties, PruneBoundsNeverExceedWidenFitDeviation)
 {
     using Table = core::ScaledProfileTable;
     constexpr size_t K = Table::kLevelCells;
-    constexpr size_t kCands = 13; // three full kernel blocks and a tail
+    constexpr size_t kCands = 13; // whole registers and a tail at 4 and 8 lanes
     const size_t padded = linalg::paddedCount(kCands);
     const double floor_ = workloads::kCapacityLoadFloor;
     auto predict = [&](double base, bool capacity, double level) {
@@ -396,7 +396,8 @@ TEST(Properties, PruneBoundsNeverExceedWidenFitDeviation)
         // for bit; tests/test_kernels.cc checks that).
         linalg::AlignedVector b1(padded), bk(padded);
         for (linalg::KernelBackend backend :
-             {linalg::KernelBackend::Scalar, linalg::KernelBackend::Avx2}) {
+             {linalg::KernelBackend::Scalar, linalg::KernelBackend::Avx2,
+              linalg::KernelBackend::Avx512}) {
             if (!linalg::kernelBackendAvailable(backend))
                 continue;
             linalg::KernelBackend saved = linalg::activeKernelBackend();
@@ -658,7 +659,8 @@ TEST(Properties, DecomposeMatchesUnprunedSearch)
         }
 
         for (linalg::KernelBackend backend :
-             {linalg::KernelBackend::Scalar, linalg::KernelBackend::Avx2}) {
+             {linalg::KernelBackend::Scalar, linalg::KernelBackend::Avx2,
+              linalg::KernelBackend::Avx512}) {
             if (!linalg::kernelBackendAvailable(backend))
                 continue;
             linalg::KernelBackend saved = linalg::activeKernelBackend();
