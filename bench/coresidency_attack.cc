@@ -34,7 +34,6 @@ main(int argc, char** argv)
     for (uint64_t seed : {7, 11, 19, 23, 29}) {
         attacks::CoResidencyConfig cfg;
         cfg.seed = seed;
-        cfg.maxWaves = 8;
         attacks::CoResidencyAttack attack(cfg);
         auto r = attack.run();
         table.addRow(

@@ -47,7 +47,7 @@ struct CoResidencyConfig
     size_t servers = 40;      ///< Cluster size N.
     size_t backgroundVms = 24; ///< Key-value stores, Hadoop, Spark, ...
     size_t probeVms = 10;     ///< n: adversarial VMs launched per wave.
-    size_t maxWaves = 6;      ///< Probe waves before giving up.
+    size_t maxWaves = 8;      ///< Probe waves before giving up.
     uint64_t seed = 31;
 };
 

@@ -34,18 +34,6 @@ seriesInfo(SeriesId id)
     return kSeriesTable[static_cast<size_t>(id)];
 }
 
-bool
-seriesByName(std::string_view name, SeriesId* out)
-{
-    for (size_t i = 0; i < kNumSeries; ++i) {
-        if (name == kSeriesTable[i].name) {
-            *out = static_cast<SeriesId>(i);
-            return true;
-        }
-    }
-    return false;
-}
-
 std::string
 indexedLabel(char prefix, int64_t index)
 {
@@ -158,20 +146,19 @@ struct TimeSeriesRecorder::Shard
 
     /** Find-or-create the slot for `label`, honoring the cap. */
     LabelSlot&
-    slotFor(size_t s, std::string_view label, const TelemetryConfig& cfg,
-            bool withSketch)
+    slotFor(size_t s, std::string_view label, bool withSketch)
     {
         SeriesShard& ss = series[s];
         auto it = ss.index.find(label);
         if (it != ss.index.end())
             return ss.slots[it->second];
         bool overflow = label != kOverflowLabel &&
-                        ss.slots.size() >= cfg.cardinalityCap;
+                        ss.slots.size() >= kTelemetryCardinalityCap;
         if (overflow) {
             ++dropped;
             MetricsRegistry::global().add(
                 MetricId::kTelemetrySeriesDropped);
-            return slotFor(s, kOverflowLabel, cfg, withSketch);
+            return slotFor(s, kOverflowLabel, withSketch);
         }
         ss.slots.emplace_back(std::string(label), withSketch);
         ss.index.emplace(std::string(label), ss.slots.size() - 1);
@@ -206,8 +193,8 @@ TimeSeriesRecorder::configure(const TelemetryConfig& cfg)
     assert(cfg.windowSec > 0.0);
     auto lock = shards_.lock();
     cfg_ = cfg;
-    // Recorded cells belong to the old window width and label cap:
-    // drop the shards, which also invalidates every thread-local cache.
+    // Recorded cells belong to the old window width: drop the shards,
+    // which also invalidates every thread-local cache.
     shards_.clear();
 }
 
@@ -221,7 +208,7 @@ TimeSeriesRecorder::record(SeriesId id, std::string_view label, double t,
     Shard& shard = shards_.local();
     bool withSketch = info.kind == SeriesKind::Sample;
     Shard::LabelSlot& slot =
-        info.keyed ? shard.slotFor(s, label, cfg_, withSketch)
+        info.keyed ? shard.slotFor(s, label, withSketch)
                    : shard.series[s].slots.front();
 
     int64_t w = t <= 0.0 ? 0

@@ -87,9 +87,6 @@ struct SeriesInfo
 /** Descriptor of a series id (O(1) table lookup). */
 const SeriesInfo& seriesInfo(SeriesId id);
 
-/** Reverse lookup by wire name; false when unknown. */
-bool seriesByName(std::string_view name, SeriesId* out);
-
 /**
  * A record label of a one-letter prefix and an index: "r3" (detector
  * round; "r-1" for a random focus), "c7" (serve client), "s12" (fleet
@@ -154,18 +151,19 @@ class QuantileSketch
 /// Ring length: retained windows per (series, label).
 inline constexpr size_t kTelemetryRetention = 256;
 
+/**
+ * Max distinct labels per keyed series per shard. Creation of a label
+ * past the cap routes records into the kOverflowLabel slot and bumps
+ * telemetry.series_dropped — counts are conserved, never silently
+ * truncated.
+ */
+inline constexpr size_t kTelemetryCardinalityCap = 32;
+
 /** Sizing knobs of a TimeSeriesRecorder (fixed while enabled). */
 struct TelemetryConfig
 {
     /** Sim-time window width in seconds (--telemetry-window). */
     double windowSec = 1.0;
-    /**
-     * Max distinct labels per keyed series per shard. Creation of a
-     * label past the cap routes records into the kOverflowLabel slot
-     * and bumps telemetry.series_dropped — counts are conserved, never
-     * silently truncated.
-     */
-    size_t cardinalityCap = 32;
 };
 
 /** Label that absorbs records past the cardinality cap. */

@@ -52,7 +52,7 @@ stageSeed(const Scenario& s, uint64_t scenario_seed, size_t index)
 
 /** The per-segment QPS multiplier of a serve stage's arrival ramp. */
 double
-rampFactor(const ServeStage& s, int segment)
+rampFactor(const ServeStage& s, size_t segment)
 {
     double n = static_cast<double>(s.segments);
     double center = (static_cast<double>(segment) + 0.5) / n;
@@ -85,14 +85,8 @@ runExperimentStage(const Stage& stage, uint64_t seed, std::ostream& os,
                    const std::string& indent)
 {
     const ExperimentStage& e = stage.experiment;
-    core::ExperimentConfig cfg;
-    cfg.servers = static_cast<size_t>(e.servers);
-    cfg.victims = static_cast<size_t>(e.victims);
-    cfg.policy = e.policy;
+    core::ExperimentConfig cfg = e.config;
     cfg.isolation = sim::IsolationConfig::forLevel(e.isolation, e.platform);
-    cfg.victimObfuscation = e.obfuscation;
-    if (e.hasFaults)
-        cfg.faults = e.faults;
     cfg.seed = seed;
 
     auto result = core::ControlledExperiment(cfg).run();
@@ -123,38 +117,23 @@ runServeStage(const Stage& stage, uint64_t seed, std::ostream& os,
     auto training = core::TrainingSet::fromSpecs(specs, tr);
     core::HybridRecommender recommender(training);
 
-    serve::ServeConfig cfg;
-    cfg.workers = static_cast<size_t>(s.workers);
-    cfg.queueCapacity = static_cast<size_t>(s.queueCap);
-    cfg.maxBatch = static_cast<size_t>(s.maxBatch);
-    cfg.batchSetupMs = s.batchSetupMs;
-    cfg.batchWaitMs = s.batchWaitMs;
-    cfg.admitSloCheck = s.admitCheck;
-    cfg.load.closedLoop = s.loop == LoopKind::Closed;
-    cfg.load.clients = static_cast<size_t>(s.clients);
-    cfg.load.thinkMs = s.thinkMs;
-    cfg.load.sloMs = s.sloMs;
-    cfg.load.decomposeFraction = s.decomposeFrac;
-
-    int segments = s.shape == ArrivalShape::Steady ? 1 : s.segments;
+    const serve::LoadGenConfig& load = s.config.load;
+    size_t segments =
+        s.shape == ArrivalShape::Steady ? 1 : static_cast<size_t>(s.segments);
     uint64_t offered = 0, completed = 0, shed = 0, misses = 0,
              rejected = 0;
     double worst_p99 = 0.0;
     StageOutcome out;
     util::Fnv1a d;
-    d.u64(static_cast<uint64_t>(segments));
-    for (int i = 0; i < segments; ++i) {
-        serve::ServeConfig seg = cfg;
-        int base = s.requests / segments;
-        seg.load.requests = static_cast<size_t>(
-            base + (i < s.requests % segments ? 1 : 0));
+    d.u64(segments);
+    for (size_t i = 0; i < segments; ++i) {
+        serve::ServeConfig seg = s.config;
+        seg.load.requests = load.requests / segments +
+                            (i < load.requests % segments ? 1 : 0);
         if (seg.load.requests == 0)
             continue;
-        seg.load.offeredQps = s.qps * rampFactor(s, i);
-        seg.load.seed =
-            fanoutSeed(seed, kScenarioSegment,
-                       static_cast<uint64_t>(segments),
-                       static_cast<uint64_t>(i));
+        seg.load.offeredQps = load.offeredQps * rampFactor(s, i);
+        seg.load.seed = fanoutSeed(seed, kScenarioSegment, segments, i);
 
         serve::ServeEngine engine(recommender, seg);
         auto result = engine.run();
@@ -188,10 +167,7 @@ runAttackStage(const Stage& stage, uint64_t seed, std::ostream& os,
     StageOutcome out;
     util::Fnv1a d;
     if (a.kind == AttackKind::Dos) {
-        attacks::DosTimelineConfig cfg;
-        cfg.durationSec = a.durationSec;
-        cfg.topResources = a.topResources;
-        cfg.margin = a.margin;
+        attacks::DosTimelineConfig cfg = a.dos;
         cfg.seed = seed;
         attacks::DosTimelineExperiment experiment(cfg);
         auto bolt_run = experiment.run(true);
@@ -227,9 +203,7 @@ runAttackStage(const Stage& stage, uint64_t seed, std::ostream& os,
            << " migrated-naive=" << (naive_migrated ? "yes" : "no")
            << " digest=" << hex64(out.digest) << "\n";
     } else {
-        attacks::CoResidencyConfig cfg;
-        cfg.probeVms = static_cast<size_t>(a.probes);
-        cfg.maxWaves = static_cast<size_t>(a.waves);
+        attacks::CoResidencyConfig cfg = a.coresidency;
         cfg.seed = seed;
         auto result = attacks::CoResidencyAttack(cfg).run();
 
@@ -258,16 +232,7 @@ StageOutcome
 runFleetStage(const Stage& stage, uint64_t seed, std::ostream& os,
               const std::string& indent)
 {
-    const FleetStage& f = stage.fleet;
-    sim::FleetConfig cfg;
-    cfg.hosts = static_cast<size_t>(f.hosts);
-    cfg.tenants = static_cast<size_t>(f.tenants);
-    cfg.shards = static_cast<size_t>(f.shards);
-    cfg.epochs = f.epochs;
-    cfg.arrivalsPerHostEpoch = f.arrivals;
-    cfg.departureProb = f.departures;
-    cfg.migrationProb = f.migrations;
-    cfg.hostFaultProb = f.hostFaults;
+    sim::FleetConfig cfg = stage.fleet;
     cfg.seed = seed;
 
     sim::FleetCluster fleet(cfg);
@@ -296,15 +261,7 @@ StageOutcome
 runArmsraceStage(const Stage& stage, uint64_t seed, std::ostream& os,
                  const std::string& indent)
 {
-    const ArmsraceStage& a = stage.armsrace;
-    colo::TournamentConfig cfg;
-    cfg.servers = static_cast<size_t>(a.servers);
-    cfg.utilLevels = {a.utilization};
-    cfg.attackers = {a.attacker};
-    cfg.policies = {a.allocator};
-    cfg.reps = a.reps;
-    cfg.probesPerWave = a.probes;
-    cfg.waves = a.waves;
+    colo::TournamentConfig cfg = stage.armsrace;
     cfg.seed = seed;
 
     colo::TournamentResult result = colo::runTournament(cfg);
@@ -452,14 +409,15 @@ runWithSeed(const Scenario& s, uint64_t seed, std::ostream& os,
         switch (stage.kind) {
         case StageKind::Experiment: {
             const ExperimentStage& e = stage.experiment;
-            os << ": servers=" << e.servers << " victims=" << e.victims
-               << " policy=" << enumKey(core::kPolicyKeys, e.policy)
+            os << ": servers=" << e.config.servers
+               << " victims=" << e.config.victims << " policy="
+               << enumKey(core::kPolicyKeys, e.config.policy)
                << " platform=" << enumKey(sim::kPlatformKeys, e.platform)
                << " isolation="
                << enumKey(sim::kIsolationKeys, e.isolation);
-            if (e.obfuscation > 0.0)
+            if (e.config.victimObfuscation > 0.0)
                 os << " obfuscation="
-                   << util::AsciiTable::num(e.obfuscation, 2);
+                   << util::AsciiTable::num(e.config.victimObfuscation, 2);
             if (e.hasFaults)
                 os << " faults=on";
             os << " seed=" << sseed << "\n";
@@ -468,13 +426,14 @@ runWithSeed(const Scenario& s, uint64_t seed, std::ostream& os,
         }
         case StageKind::Serve: {
             const ServeStage& sv = stage.serve;
-            os << ": " << enumKey(kLoopKindKeys, sv.loop) << " "
+            const serve::LoadGenConfig& load = sv.config.load;
+            os << ": " << enumKey(kLoopKeys, load.closedLoop) << " "
                << enumKey(kArrivalShapeKeys, sv.shape);
             if (sv.shape != ArrivalShape::Steady)
                 os << " segments=" << sv.segments;
-            os << " requests=" << sv.requests << " qps="
-               << util::AsciiTable::num(sv.qps, 0) << " seed=" << sseed
-               << "\n";
+            os << " requests=" << load.requests << " qps="
+               << util::AsciiTable::num(load.offeredQps, 0)
+               << " seed=" << sseed << "\n";
             outcome = runServeStage(stage, sseed, os, indent);
             break;
         }
@@ -482,17 +441,18 @@ runWithSeed(const Scenario& s, uint64_t seed, std::ostream& os,
             const AttackStage& a = stage.attack;
             os << ": " << enumKey(kAttackKindKeys, a.kind);
             if (a.kind == AttackKind::Dos)
-                os << " margin=" << util::AsciiTable::num(a.margin, 2)
-                   << " top=" << a.topResources << " duration="
-                   << util::AsciiTable::num(a.durationSec, 0) << "s";
+                os << " margin=" << util::AsciiTable::num(a.dos.margin, 2)
+                   << " top=" << a.dos.topResources << " duration="
+                   << util::AsciiTable::num(a.dos.durationSec, 0) << "s";
             else
-                os << " probes=" << a.probes << " waves=" << a.waves;
+                os << " probes=" << a.coresidency.probeVms
+                   << " waves=" << a.coresidency.maxWaves;
             os << " seed=" << sseed << "\n";
             outcome = runAttackStage(stage, sseed, os, indent);
             break;
         }
         case StageKind::Fleet: {
-            const FleetStage& f = stage.fleet;
+            const sim::FleetConfig& f = stage.fleet;
             os << ": hosts=" << f.hosts << " tenants=" << f.tenants
                << " shards=" << f.shards << " epochs=" << f.epochs
                << " seed=" << sseed << "\n";
@@ -500,12 +460,13 @@ runWithSeed(const Scenario& s, uint64_t seed, std::ostream& os,
             break;
         }
         case StageKind::Armsrace: {
-            const ArmsraceStage& a = stage.armsrace;
+            const colo::TournamentConfig& a = stage.armsrace;
             os << ": allocator="
-               << enumKey(colo::kPolicyKindKeys, a.allocator)
-               << " attacker=" << enumKey(colo::kAttackerKeys, a.attacker)
+               << enumKey(colo::kPolicyKindKeys, a.policies.front())
+               << " attacker="
+               << enumKey(colo::kAttackerKeys, a.attackers.front())
                << " servers=" << a.servers << " utilization="
-               << util::AsciiTable::num(a.utilization, 0)
+               << util::AsciiTable::num(a.utilLevels.front(), 0)
                << " seed=" << sseed << "\n";
             outcome = runArmsraceStage(stage, sseed, os, indent);
             break;
@@ -536,29 +497,6 @@ runWithSeed(const Scenario& s, uint64_t seed, std::ostream& os,
     total.digest = d.h;
     os << indent << "  run digest: " << hex64(total.digest) << "\n";
     return total;
-}
-
-/** Resolve one compiled SloRuleSpec into the monitor's rule form. */
-obs::SloRule
-toObsRule(const SloRuleSpec& spec)
-{
-    obs::SloRule r;
-    r.name = spec.rule;
-    r.kind = spec.kind;
-    obs::seriesByName(spec.series, &r.series);
-    r.label = spec.label;
-    r.agg = spec.agg;
-    r.op = spec.op;
-    r.value = spec.value;
-    r.sustain = static_cast<uint32_t>(spec.sustainWindows);
-    if (!spec.totalSeries.empty())
-        obs::seriesByName(spec.totalSeries, &r.totalSeries);
-    r.totalLabel = spec.totalLabel;
-    r.budget = spec.budget;
-    r.shortWindows = static_cast<uint32_t>(spec.shortWindows);
-    r.longWindows = static_cast<uint32_t>(spec.longWindows);
-    r.windows = static_cast<uint32_t>(spec.windows);
-    return r;
 }
 
 uint64_t
@@ -600,11 +538,7 @@ runScenario(const Scenario& s, std::ostream& os)
         cfg.windowSec = s.sloWindowSec;
         telemetry.configure(cfg);
         telemetry.setEnabled(true);
-        std::vector<obs::SloRule> rules;
-        rules.reserve(s.sloRules.size());
-        for (const SloRuleSpec& spec : s.sloRules)
-            rules.push_back(toObsRule(spec));
-        monitor.setRules(std::move(rules));
+        monitor.setRules(s.sloRules);
     }
 
     RunResult total = runWithSeed(s, s.seed, os, 0);

@@ -23,20 +23,24 @@ namespace {
 constexpr int kMaxStages = 64;
 constexpr int kMaxIncludeDepth = 8;
 
-// Key tables of the obs SLO-rule vocabularies, expanded from the
-// catalogs obs owns.
+// Key tables of the obs SLO-rule vocabularies and of the telemetry
+// series, expanded from the catalogs obs owns.
 #define BOLT_RULE_KIND_KEY(Sym, Key) {obs::RuleKind::Sym, Key},
 #define BOLT_RULE_AGG_KEY(Sym, Key) {obs::RuleAgg::Sym, Key},
 #define BOLT_RULE_OP_KEY(Sym, Key) {obs::RuleOp::Sym, Key},
+#define BOLT_SERIES_KEY(Sym, Key, ...) {obs::SeriesId::k##Sym, Key},
 constexpr util::EnumKey<obs::RuleKind> kRuleKindKeys[] = {
     BOLT_RULE_KIND_CATALOG(BOLT_RULE_KIND_KEY)};
 constexpr util::EnumKey<obs::RuleAgg> kRuleAggKeys[] = {
     BOLT_RULE_AGG_CATALOG(BOLT_RULE_AGG_KEY)};
 constexpr util::EnumKey<obs::RuleOp> kRuleOpKeys[] = {
     BOLT_RULE_OP_CATALOG(BOLT_RULE_OP_KEY)};
+constexpr util::EnumKey<obs::SeriesId> kSeriesKeys[] = {
+    BOLT_TELEMETRY_SERIES(BOLT_SERIES_KEY)};
 #undef BOLT_RULE_KIND_KEY
 #undef BOLT_RULE_AGG_KEY
 #undef BOLT_RULE_OP_KEY
+#undef BOLT_SERIES_KEY
 
 using util::enumKey;
 using util::fmtDouble;
@@ -59,7 +63,7 @@ errorAt(std::string_view filename, int line, const std::string& message)
 // range, default and order cannot disagree between them.
 //
 // A pass is a visitor with these members:
-//   v(key, member)              int, double, uint64_t, bool, string
+//   v(key, member)              integer, double, bool, string
 //   v(key, member, table)       enum named by a util::EnumKey table
 //   v.opt(key, has, member...)  key whose presence is its own flag
 //   v.block(key, has, walk)     nested map (has == nullptr: always on)
@@ -75,15 +79,21 @@ enum KeyFlag : unsigned {
     kBelowHi = 4,  ///< `hi` itself is out of range.
 };
 
-/** One declared key; see the field lists below. */
+/**
+ * One declared key; see the field lists below. A ranged key reads a
+ * checked signed integer into any integer member; an unranged integer
+ * key (a seed, a counter bound) reads a whole uint64_t.
+ */
 struct Key
 {
     const char* key;
     const char* help;
-    double lo = 0.0; ///< Range of an int/double key; a list's
+    double lo = 0.0; ///< Range of an integer/double key; a list's
     double hi = 0.0; ///< item-count bound (hi 0: unbounded).
     unsigned flags = 0;          ///< KeyFlag bits.
     const char* shown = nullptr; ///< Default text the struct cannot say.
+
+    bool ranged() const { return lo < hi; }
 };
 
 /** "[lo, hi]" (or "[lo, hi)"), integers in integer form. */
@@ -166,17 +176,18 @@ class Reader
                 m = s == "true";
             else
                 fail(v->line, bad + "must be true or false");
-        } else if constexpr (std::is_same_v<T, uint64_t>) {
-            if (!util::parseUInt(s, &m))
-                fail(v->line, bad + "is not an unsigned integer");
-        } else if constexpr (std::is_same_v<T, int>) {
+        } else if constexpr (std::is_integral_v<T>) {
             long long parsed = 0;
-            if (!util::parseInt(s, &parsed))
+            if (!k.ranged()) {
+                if (!parseUnranged(s, &m))
+                    fail(v->line, bad + "is not an unsigned integer");
+            } else if (!util::parseInt(s, &parsed)) {
                 fail(v->line, bad + "is not an integer");
-            else if (parsed < k.lo || parsed > k.hi)
+            } else if (parsed < k.lo || parsed > k.hi) {
                 fail(v->line, out + bracket(k, true, false));
-            else
-                m = static_cast<int>(parsed);
+            } else {
+                m = static_cast<T>(parsed);
+            }
         } else {
             double parsed = 0.0;
             if (!util::parseDouble(s, &parsed))
@@ -317,6 +328,16 @@ class Reader
         std::function<void(Reader&)> walk;
     };
 
+    /** Only a uint64_t holds an unranged integer key's whole range. */
+    template <typename T>
+    static bool
+    parseUnranged(std::string_view s, T* m)
+    {
+        if constexpr (std::is_same_v<T, uint64_t>)
+            return util::parseUInt(s, m);
+        return false;
+    }
+
     bool skip(const Key& k) const { return only && std::strcmp(only, k.key); }
 
     const TextNode*
@@ -425,16 +446,15 @@ class Describer
     void
     operator()(const Key& k, const T& m)
     {
-        constexpr bool is_int = std::is_same_v<T, int>;
         if constexpr (std::is_same_v<T, std::string>)
             row(k, "string", "-", m.empty() ? "(empty)" : m);
         else if constexpr (std::is_same_v<T, bool>)
             row(k, "bool", "true | false", text(m));
-        else if constexpr (std::is_same_v<T, uint64_t>)
-            row(k, "uint", "[0, 2^64)", text(m));
+        else if constexpr (std::is_integral_v<T>)
+            row(k, k.ranged() ? "int" : "uint",
+                k.ranged() ? bracket(k, true, false) : "[0, 2^64)", text(m));
         else
-            row(k, is_int ? "int" : "double",
-                bracket(k, is_int, k.flags & kBelowHi), text(m));
+            row(k, "double", bracket(k, false, k.flags & kBelowHi), text(m));
     }
 
     template <typename E, size_t N>
@@ -521,12 +541,12 @@ sloRuleKeys(V& v, S& r)
 {
     v({"rule", "Alert name (required, unique per scenario)", 0, 0,
        kMeta | kRequired},
-      r.rule);
+      r.name);
     v({"kind", "Rule evaluation strategy", 0, 0, kMeta}, r.kind,
       kRuleKindKeys);
     v({"series", "Telemetry series the rule watches (required)", 0, 0,
        kMeta | kRequired},
-      r.series);
+      r.series, kSeriesKeys);
     v({"label", "Series label; empty reads the unkeyed slot", 0, 0, kMeta},
       r.label);
     auto value = [&] {
@@ -543,12 +563,12 @@ sloRuleKeys(V& v, S& r)
         v({"sustain-windows",
            "Threshold: consecutive violating windows before firing", 1,
            10000, kMeta},
-          r.sustainWindows);
+          r.sustain);
     }
     if (v.branch(r.kind == obs::RuleKind::BurnRate)) {
         v({"total-series", "Burn-rate denominator series (required)", 0, 0,
            kMeta | kRequired},
-          r.totalSeries);
+          r.totalSeries, kSeriesKeys);
         v({"total-label", "Burn-rate denominator label", 0, 0, kMeta},
           r.totalLabel);
         v({"budget", "Burn-rate: allowed bad/total fraction", 1e-9, 1,
@@ -606,21 +626,21 @@ stageKeys(V& v, S& st)
 
     if (v.branch(st.kind == StageKind::Experiment)) {
         auto& e = st.experiment;
-        v({"servers", "Cluster size", 1, 100000}, e.servers);
+        v({"servers", "Cluster size", 1, 100000}, e.config.servers);
         v({"victims", "Victim workloads scheduled onto the cluster", 0,
            1000000},
-          e.victims);
-        v({"policy", "Placement policy"}, e.policy, core::kPolicyKeys);
+          e.config.victims);
+        v({"policy", "Placement policy"}, e.config.policy, core::kPolicyKeys);
         v({"platform", "Tenant packaging (Section 6)"}, e.platform,
           sim::kPlatformKeys);
         v({"isolation", "Isolation ladder rung (Fig. 14)"}, e.isolation,
           sim::kIsolationKeys);
         v({"obfuscation", "Victim pattern-obfuscation defense amplitude", 0,
            1},
-          e.obfuscation);
+          e.config.victimObfuscation);
         v.block({"faults",
                  "Fault-injection plan; must enable at least one rate"},
-                &e.hasFaults, [&p = e.faults](auto& v) {
+                &e.hasFaults, [&p = e.config.faults](auto& v) {
                     v({"arrivals",
                        "P(background VM arrives) per host per round", 0, 1},
                       p.arrivalProb);
@@ -654,37 +674,39 @@ stageKeys(V& v, S& st)
     }
     if (v.branch(st.kind == StageKind::Serve)) {
         auto& s = st.serve;
+        auto& c = s.config;
         v({"loop", "Open-loop Poisson arrivals or closed-loop client lanes"},
-          s.loop, kLoopKindKeys);
+          c.load.closedLoop, kLoopKeys);
         v({"requests", "Total requests (split across ramp segments)", 1,
            10000000},
-          s.requests);
+          c.load.requests);
         v({"qps", "Base offered QPS (open loop); ramps scale it per segment",
            1e-6, 1e9},
-          s.qps);
-        v({"clients", "Closed-loop client lanes", 1, 100000}, s.clients);
+          c.load.offeredQps);
+        v({"clients", "Closed-loop client lanes", 1, 100000},
+          c.load.clients);
         v({"think-ms", "Closed-loop mean think time, sim ms", 0, 1e6},
-          s.thinkMs);
+          c.load.thinkMs);
         v({"slo-ms", "Per-request deadline budget, sim ms", 0.001, 1e6},
-          s.sloMs);
+          c.load.sloMs);
         v({"workers", "Virtual service lanes of the sim timeline", 1, 256},
-          s.workers);
+          c.workers);
         v({"queue-cap", "Bounded request-queue capacity", 1, 1000000},
-          s.queueCap);
+          c.queueCapacity);
         v({"max-batch", "Micro-batch size cap (1 disables batching)", 1, 64},
-          s.maxBatch);
+          c.maxBatch);
         v({"batch-setup-ms", "Fixed per-batch service overhead, sim ms", 0,
            1000},
-          s.batchSetupMs);
+          c.batchSetupMs);
         v({"batch-wait-ms", "Optional one-shot batch-fill wait, sim ms", 0,
            1000},
-          s.batchWaitMs);
+          c.batchWaitMs);
         v({"admit-check", "SLO-aware admission control at arrival"},
-          s.admitCheck);
+          c.admitSloCheck);
         v({"decompose-frac", "Fraction of requests that are decompose "
                              "queries",
            0, 1},
-          s.decomposeFrac);
+          c.load.decomposeFraction);
         v.block({"arrival", "Arrival-process shape block", 0, 0, 0,
                  "(steady)"},
                 nullptr, [&s](auto& v) {
@@ -709,19 +731,19 @@ stageKeys(V& v, S& st)
         if (v.branch(a.kind == AttackKind::Dos)) {
             v({"margin", "DoS contention margin over the victim's pressure",
                1, 2},
-              a.margin);
+              a.dos.margin);
             v({"top-resources", "DoS: victim resources stressed", 1, 10},
-              a.topResources);
+              a.dos.topResources);
             v({"duration-sec", "DoS timeline length, virtual seconds", 30,
                600},
-              a.durationSec);
+              a.dos.durationSec);
         }
         if (v.branch(a.kind == AttackKind::CoResidency)) {
             v({"probes", "Co-residency: probe VMs per wave", 1, 10000},
-              a.probes);
+              a.coresidency.probeVms);
             v({"waves", "Co-residency: probe waves before giving up", 1,
                1000},
-              a.waves);
+              a.coresidency.maxWaves);
         }
     }
     if (v.branch(st.kind == StageKind::Fleet)) {
@@ -736,25 +758,26 @@ stageKeys(V& v, S& st)
         v({"epochs", "Fleet: churn + profiling epochs to run", 1, 10000},
           f.epochs);
         v({"arrivals", "Fleet: mean VM arrivals per host per epoch", 0, 100},
-          f.arrivals);
+          f.arrivalsPerHostEpoch);
         v({"departures", "Fleet: per-VM per-epoch departure probability", 0,
            1},
-          f.departures);
+          f.departureProb);
         v({"migrations", "Fleet: per-VM per-epoch migration probability", 0,
            1},
-          f.migrations);
+          f.migrationProb);
         v({"host-faults", "Fleet: per-host per-epoch fault probability", 0,
            1},
-          f.hostFaults);
+          f.hostFaultProb);
     }
     if (v.branch(st.kind == StageKind::Armsrace)) {
         auto& a = st.armsrace;
         v({"allocator", "Armsrace: allocation policy the campaign attacks"},
-          a.allocator, colo::kPolicyKindKeys);
+          a.policies.front(), colo::kPolicyKindKeys);
         v({"attacker", "Armsrace: co-location attacker strategy"},
-          a.attacker, colo::kAttackerKeys);
+          a.attackers.front(), colo::kAttackerKeys);
         v({"servers", "Armsrace: cluster size", 1, 100000}, a.servers);
-        v({"probes", "Armsrace: probe VMs per wave", 1, 10000}, a.probes);
+        v({"probes", "Armsrace: probe VMs per wave", 1, 10000},
+          a.probesPerWave);
         v({"waves", "Armsrace: probe waves before the campaign gives up", 1,
            1000},
           a.waves);
@@ -762,7 +785,7 @@ stageKeys(V& v, S& st)
           a.reps);
         v({"utilization", "Armsrace: prefill slot-utilization percent", 5,
            90},
-          a.utilization);
+          a.utilLevels.front());
     }
     if (v.branch(st.kind == StageKind::Detect))
         v({"family", "Detect: hidden victim's application family (a "
@@ -897,8 +920,7 @@ compileSloRules(const TextNode& list, std::string_view filename,
                            "with '- rule: <name>'");
             return false;
         }
-        SloRuleSpec spec;
-        spec.line = item.line;
+        obs::SloRule spec;
         {
             Reader kind(item, filename, "slo rule");
             kind.only = "kind";
@@ -918,25 +940,10 @@ compileSloRules(const TextNode& list, std::string_view filename,
         sloRuleKeys(rd, spec);
         if (!rd.finish(err))
             return false;
-        obs::SeriesId sid;
-        if (!obs::seriesByName(spec.series, &sid)) {
-            *err = errorAt(filename, rd.node(&spec.series)->line,
-                           "unknown telemetry series '" + spec.series +
-                               "' for 'series'");
-            return false;
-        }
-        if (spec.kind == obs::RuleKind::BurnRate &&
-            !obs::seriesByName(spec.totalSeries, &sid)) {
-            *err = errorAt(filename, rd.node(&spec.totalSeries)->line,
-                           "unknown telemetry series '" +
-                               spec.totalSeries +
-                               "' for 'total-series'");
-            return false;
-        }
-        for (const SloRuleSpec& prev : out->sloRules) {
-            if (prev.rule == spec.rule) {
+        for (const obs::SloRule& prev : out->sloRules) {
+            if (prev.name == spec.name) {
                 *err = errorAt(filename, item.line,
-                               "duplicate slo rule name '" + spec.rule +
+                               "duplicate slo rule name '" + spec.name +
                                    "'");
                 return false;
             }
@@ -1016,8 +1023,8 @@ compileExpects(const TextNode& list, std::string_view filename,
             }
             if (needs_rule) {
                 bool known = false;
-                for (const SloRuleSpec& spec : out->sloRules)
-                    known = known || spec.rule == e.rule;
+                for (const obs::SloRule& rule : out->sloRules)
+                    known = known || rule.name == e.rule;
                 if (!known) {
                     *err = errorAt(filename, rd.node(&e.rule)->line,
                                    "expect references undeclared slo "
@@ -1061,7 +1068,7 @@ compileStage(const TextNode& item, size_t index,
         return false;
 
     const ExperimentStage& e = stage->experiment;
-    if (e.hasFaults && !e.faults.enabled()) {
+    if (e.hasFaults && !e.config.faults.enabled()) {
         *err = errorAt(filename, rd.node(&e.hasFaults)->line,
                        "faults block enables no fault rate (set one "
                        "of: arrivals, departures, phase-flips, "
@@ -1069,7 +1076,7 @@ compileStage(const TextNode& item, size_t index,
         return false;
     }
     const ServeStage& s = stage->serve;
-    if (s.shape != ArrivalShape::Steady && s.loop == LoopKind::Closed) {
+    if (s.shape != ArrivalShape::Steady && s.config.load.closedLoop) {
         *err = errorAt(filename, rd.node(&s.shape)->line,
                        "arrival shape '" +
                            std::string(enumKey(kArrivalShapeKeys,

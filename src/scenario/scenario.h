@@ -7,11 +7,14 @@
 #include <string_view>
 #include <vector>
 
+#include "attacks/coresidency.h"
+#include "attacks/dos.h"
 #include "colo/tournament.h"
 #include "core/experiment.h"
-#include "fault/fault.h"
 #include "obs/monitor.h"
+#include "serve/engine.h"
 #include "sim/isolation.h"
+#include "sim/shard.h"
 #include "util/enum_keys.h"
 
 namespace bolt {
@@ -24,13 +27,19 @@ namespace scenario {
  * layers. New experiments become data plus documentation instead of a
  * new C++ bench driver.
  *
- * Each key of each block (top level, slo rule, expect item, stage and
- * its nested blocks) is declared once, in a field list in scenario.cc:
- * key, struct member, range or enum table, class and help. Compile,
+ * A stage holds the config of the layer it runs (core::ExperimentConfig,
+ * serve::ServeConfig, the attacks configs, sim::FleetConfig,
+ * colo::TournamentConfig), and an `slo:` rule is an obs::SloRule. Each
+ * key of each block (top level, slo rule, expect item, stage and its
+ * nested blocks) is declared once, in a field list in scenario.cc that
+ * binds it to the member of that config: key, member, range or enum
+ * table, class and help. So the compiler fills the layers' configs,
+ * and the runner only sets seeds and the values it derives. Compile,
  * dump() and schemaKeys() are generic walks over those lists, and
  * graphDigest() hashes the dump; only cross-field rules and include
- * resolution are explicit code. docs/SCENARIOS.md documents the schema key by key, and a test
- * compares it with schemaKeys() row by row, so the two cannot drift.
+ * resolution are explicit code. docs/SCENARIOS.md documents the schema
+ * key by key, and a test compares it with schemaKeys() row by row, so
+ * the two cannot drift.
  *
  * Determinism: every stage owns a counter-based seed (explicit
  * `seed:`, or derived from the scenario seed and the stage index via
@@ -43,9 +52,8 @@ namespace scenario {
 /**
  * The scenario vocabularies, X(Sym, "key"): what a stage does (the
  * `stage:` discriminator, which is also the bolt_cli subcommand), the
- * `kind:` of an attack stage, the `loop:` of a serve stage, the
- * `shape:` of its arrival block, and the `slo:` check of an expect
- * item.
+ * `kind:` of an attack stage, the `shape:` of a serve stage's arrival
+ * block, and the `slo:` check of an expect item.
  */
 #define BOLT_STAGE_KIND_CATALOG(X)                                             \
     X(Experiment, "experiment")                                                \
@@ -56,7 +64,6 @@ namespace scenario {
     X(Armsrace, "armsrace")                                                    \
     X(Detect, "detect")
 #define BOLT_ATTACK_KIND_CATALOG(X) X(Dos, "dos") X(CoResidency, "coresidency")
-#define BOLT_LOOP_KIND_CATALOG(X) X(Open, "open") X(Closed, "closed")
 #define BOLT_ARRIVAL_SHAPE_CATALOG(X)                                          \
     X(Steady, "steady") X(FlashCrowd, "flash-crowd") X(Diurnal, "diurnal")
 #define BOLT_SLO_CHECK_CATALOG(X)                                              \
@@ -65,7 +72,6 @@ namespace scenario {
 
 enum class StageKind : uint8_t { BOLT_STAGE_KIND_CATALOG(BOLT_ENUMERATOR) };
 enum class AttackKind : uint8_t { BOLT_ATTACK_KIND_CATALOG(BOLT_ENUMERATOR) };
-enum class LoopKind : uint8_t { BOLT_LOOP_KIND_CATALOG(BOLT_ENUMERATOR) };
 enum class ArrivalShape : uint8_t {
     BOLT_ARRIVAL_SHAPE_CATALOG(BOLT_ENUMERATOR)
 };
@@ -73,62 +79,55 @@ enum class SloCheck : uint8_t { BOLT_SLO_CHECK_CATALOG(BOLT_ENUMERATOR) };
 
 #define BOLT_STAGE_KIND_KEY(Sym, Key) {StageKind::Sym, Key},
 #define BOLT_ATTACK_KIND_KEY(Sym, Key) {AttackKind::Sym, Key},
-#define BOLT_LOOP_KIND_KEY(Sym, Key) {LoopKind::Sym, Key},
 #define BOLT_ARRIVAL_SHAPE_KEY(Sym, Key) {ArrivalShape::Sym, Key},
 #define BOLT_SLO_CHECK_KEY(Sym, Key) {SloCheck::Sym, Key},
 inline constexpr util::EnumKey<StageKind> kStageKindKeys[] = {
     BOLT_STAGE_KIND_CATALOG(BOLT_STAGE_KIND_KEY)};
 inline constexpr util::EnumKey<AttackKind> kAttackKindKeys[] = {
     BOLT_ATTACK_KIND_CATALOG(BOLT_ATTACK_KIND_KEY)};
-inline constexpr util::EnumKey<LoopKind> kLoopKindKeys[] = {
-    BOLT_LOOP_KIND_CATALOG(BOLT_LOOP_KIND_KEY)};
 inline constexpr util::EnumKey<ArrivalShape> kArrivalShapeKeys[] = {
     BOLT_ARRIVAL_SHAPE_CATALOG(BOLT_ARRIVAL_SHAPE_KEY)};
 inline constexpr util::EnumKey<SloCheck> kSloCheckKeys[] = {
     BOLT_SLO_CHECK_CATALOG(BOLT_SLO_CHECK_KEY)};
 #undef BOLT_STAGE_KIND_KEY
 #undef BOLT_ATTACK_KIND_KEY
-#undef BOLT_LOOP_KIND_KEY
 #undef BOLT_ARRIVAL_SHAPE_KEY
 #undef BOLT_SLO_CHECK_KEY
 
-/** A controlled detection experiment (core::ControlledExperiment). */
+/** The `loop:` of a serve stage: serve::LoadGenConfig::closedLoop. */
+inline constexpr util::EnumKey<bool> kLoopKeys[] = {{false, "open"},
+                                                    {true, "closed"}};
+
+/**
+ * A controlled detection experiment (core::ControlledExperiment). The
+ * runner builds `config.isolation` from the platform and the rung.
+ */
 struct ExperimentStage
 {
-    int servers = 8;
-    int victims = 20;
-    core::ExperimentConfig::Policy policy =
-        core::ExperimentConfig::Policy::LeastLoaded;
+    ExperimentStage()
+    {
+        config.servers = 8;
+        config.victims = 20;
+    }
+
+    core::ExperimentConfig config;
     sim::Platform platform = sim::Platform::VirtualMachine;
     sim::IsolationLevel isolation = sim::IsolationLevel::None;
-    double obfuscation = 0.0;
     /** Present iff the stage had a `faults:` block (which must enable
      *  at least one rate — a modifier-only block is a compile error). */
     bool hasFaults = false;
-    fault::FaultPlan faults;
 };
 
 /**
  * A serving-layer load test (serve::ServeEngine), optionally shaped by
  * an arrival ramp: flash-crowd and diurnal shapes split the run into
  * `segments` back-to-back engine runs whose offered QPS follows the
- * ramp curve, each segment drawing from its own derived seed.
+ * ramp curve, each segment drawing from its own derived seed. The
+ * runner splits `config.load.requests` across the segments.
  */
 struct ServeStage
 {
-    LoopKind loop = LoopKind::Open;
-    int requests = 1000;
-    double qps = 1000.0;
-    int clients = 16;
-    double thinkMs = 4.0;
-    double sloMs = 50.0;
-    int workers = 4;
-    int queueCap = 128;
-    int maxBatch = 8;
-    double batchSetupMs = 2.0;
-    double batchWaitMs = 0.0;
-    bool admitCheck = true;
-    double decomposeFrac = 0.0;
+    serve::ServeConfig config{.load = {.requests = 1000}};
 
     ArrivalShape shape = ArrivalShape::Steady;
     int segments = 6;          ///< Ramp resolution (non-steady shapes).
@@ -140,49 +139,8 @@ struct ServeStage
 struct AttackStage
 {
     AttackKind kind = AttackKind::Dos;
-    // kind: dos
-    double margin = 1.15;
-    int topResources = 2;
-    double durationSec = 120.0;
-    // kind: coresidency
-    int probes = 10;
-    int waves = 8;
-};
-
-/**
- * A fleet-scale sharded simulation (sim::FleetCluster): epoch-based
- * churn over `hosts` hosts partitioned into `shards`, two-plane so the
- * stage digest is byte-identical at any shard count x thread count
- * (`shards` only moves the partition boundaries, which shows up in the
- * cross-shard migration statistic).
- */
-struct FleetStage
-{
-    int hosts = 64;
-    int tenants = 256;
-    int shards = 1;
-    int epochs = 4;
-    double arrivals = 0.2;   ///< Mean VM arrivals per host per epoch.
-    double departures = 0.04; ///< Per-VM per-epoch departure probability.
-    double migrations = 0.02; ///< Per-VM per-epoch migration probability.
-    double hostFaults = 0.0;  ///< Per-host per-epoch fault probability.
-};
-
-/**
- * One cell of the placement arms race (colo::runTournament): `reps`
- * co-location campaigns by one attacker strategy against one
- * allocation policy at one utilization level. The stage digest is the
- * tournament digest, byte-identical at any thread count.
- */
-struct ArmsraceStage
-{
-    colo::PolicyKind allocator = colo::PolicyKind::LeastLoaded;
-    colo::AttackerKind attacker = colo::AttackerKind::Churn;
-    int servers = 24;
-    int probes = 4;           ///< Probe VMs per wave.
-    int waves = 3;            ///< Waves before the campaign gives up.
-    int reps = 8;             ///< Independent campaigns in the cell.
-    double utilization = 50.0; ///< Prefill slot-utilization percent.
+    attacks::DosTimelineConfig dos;         ///< kind == Dos.
+    attacks::CoResidencyConfig coresidency; ///< kind == CoResidency.
 };
 
 /**
@@ -194,31 +152,6 @@ struct ArmsraceStage
 struct DetectStage
 {
     std::string family = "memcached";
-};
-
-/**
- * One `slo:` rule, compiled into an obs::SloRule by the runner. Series
- * stay in source (string) form so the scenario graph stays a plain
- * data description; the runner resolves them against the telemetry
- * catalog at run time (the compiler already validated them).
- */
-struct SloRuleSpec
-{
-    std::string rule;   ///< Alert name (required, unique).
-    obs::RuleKind kind = obs::RuleKind::Threshold;
-    std::string series; ///< Telemetry series (required).
-    std::string label;  ///< Series label; empty = unkeyed.
-    obs::RuleAgg agg = obs::RuleAgg::Mean; ///< Threshold aggregate.
-    obs::RuleOp op = obs::RuleOp::Above;   ///< Threshold direction.
-    double value = 0.0; ///< Threshold / burn-rate trigger.
-    int sustainWindows = 1;   ///< Threshold: consecutive windows.
-    std::string totalSeries;  ///< Burn-rate denominator series.
-    std::string totalLabel;
-    double budget = 0.01; ///< Burn-rate: allowed bad/total fraction.
-    int shortWindows = 1; ///< Burn-rate fast window.
-    int longWindows = 1;  ///< Burn-rate slow window.
-    int windows = 1;      ///< Absence: empty windows before firing.
-    int line = 0;         ///< Source line (diagnostics only).
 };
 
 /**
@@ -253,9 +186,26 @@ struct Stage
     ExperimentStage experiment; ///< kind == Experiment.
     ServeStage serve;           ///< kind == Serve.
     AttackStage attack;         ///< kind == Attack.
-    FleetStage fleet;           ///< kind == Fleet.
-    ArmsraceStage armsrace;     ///< kind == Armsrace.
-    DetectStage detect;         ///< kind == Detect.
+    /**
+     * kind == Fleet: a fleet-scale sharded simulation
+     * (sim::FleetCluster), two-plane so the stage digest is
+     * byte-identical at any shard count x thread count (`shards` only
+     * moves the partition boundaries, which shows up in the cross-shard
+     * migration statistic).
+     */
+    sim::FleetConfig fleet;
+    /**
+     * kind == Armsrace: one cell of the placement arms race
+     * (colo::runTournament), each list holding one entry: `reps`
+     * co-location campaigns by one attacker strategy against one
+     * allocation policy at one utilization level. The stage digest is
+     * the tournament digest, byte-identical at any thread count.
+     */
+    colo::TournamentConfig armsrace{
+        .utilLevels = {50.0},
+        .attackers = {colo::AttackerKind::Churn},
+        .policies = {colo::PolicyKind::LeastLoaded}};
+    DetectStage detect; ///< kind == Detect.
 
     // kind == Include: a composable sub-scenario.
     std::string includePath; ///< As written (relative to includer).
@@ -272,7 +222,7 @@ struct Scenario
     /** Telemetry window width the runner forces when `slo:` rules are
      *  present, so alert goldens don't depend on CLI flags. */
     double sloWindowSec = 1.0;
-    std::vector<SloRuleSpec> sloRules;
+    std::vector<obs::SloRule> sloRules;
     std::vector<ExpectSpec> expects;
     std::vector<Stage> stages;
     /** Source path as opened (diagnostics only; not part of the graph). */

@@ -172,7 +172,7 @@ TEST(ScenarioCompile, MinimalScenario)
     ASSERT_EQ(s.stages.size(), 1u);
     EXPECT_EQ(s.stages[0].kind, scenario::StageKind::Serve);
     EXPECT_EQ(s.stages[0].name, "serve-0"); // <kind>-<index> default.
-    EXPECT_EQ(s.stages[0].serve.requests, 1000);
+    EXPECT_EQ(s.stages[0].serve.config.load.requests, 1000u);
 }
 
 TEST(ScenarioCompile, ErrorGoldens)
@@ -334,8 +334,13 @@ TEST(ScenarioCompile, SloAndExpectErrorGoldens)
                            "    series: not.a.series\n"
                            "stages:\n"
                            "  - stage: serve\n"),
-              "bad.scn:4: unknown telemetry series 'not.a.series' for "
-              "'series'");
+              "bad.scn:4: value 'not.a.series' for 'series' must be one of "
+              "serve.queue_depth, serve.batch_size, serve.latency_ms, "
+              "serve.tenant_requests, detector.round_events, "
+              "detector.retry_events, detector.abstentions, fault.events, "
+              "sched.migrations, dos.victim_p99_ms, dos.host_cpu_util, "
+              "fleet.util, fleet.shard_util, fleet.churn_events, "
+              "colo.coresidency_events, colo.attacker_launches");
     EXPECT_EQ(compileError("scenario: x\n"
                            "slo:\n"
                            "  - rule: twice\n"
@@ -699,6 +704,42 @@ TEST(ScenarioSchema, StageSeedsDeriveFromScenarioSeed)
     EXPECT_NE(s.graphDigest(), other.graphDigest());
 }
 
+TEST(ScenarioSchema, StageDefaultsAreLayerDefaults)
+{
+    // A stage compiled with no keys runs its layer's default config,
+    // but for the overrides its initializer states. The dump writes
+    // every key-bound member, so equal dumps check each of them.
+    const std::pair<const char*, std::vector<std::string>> kKinds[] = {
+        {"experiment", {}},
+        {"serve", {}},
+        {"attack", {"--kind", "dos"}},
+        {"attack", {"--kind", "coresidency"}},
+        {"fleet", {}},
+        {"armsrace", {}},
+    };
+    for (const auto& [kind, flags] : kKinds) {
+        Scenario compiled;
+        std::string err;
+        ASSERT_TRUE(scenario::compileFlags(kind, flags, &compiled, &err))
+            << kind << ": " << err;
+        Scenario layer = compiled;
+        scenario::Stage& st = layer.stages[0];
+        st.experiment.config = core::ExperimentConfig{};
+        st.experiment.config.servers = 8;
+        st.experiment.config.victims = 20;
+        st.serve.config = serve::ServeConfig{};
+        st.serve.config.load.requests = 1000;
+        st.attack.dos = attacks::DosTimelineConfig{};
+        st.attack.coresidency = attacks::CoResidencyConfig{};
+        st.fleet = sim::FleetConfig{};
+        st.armsrace = colo::TournamentConfig{};
+        st.armsrace.utilLevels = {50.0};
+        st.armsrace.attackers = {colo::AttackerKind::Churn};
+        st.armsrace.policies = {colo::PolicyKind::LeastLoaded};
+        EXPECT_EQ(compiled.dump(), layer.dump()) << kind;
+    }
+}
+
 // ---------------------------------------------------------- flag front end
 
 /** Compile flags expecting failure; returns the diagnostic. */
@@ -778,18 +819,19 @@ TEST(ScenarioFlags, DottedKeysAndSeedMapOntoTheStage)
     EXPECT_EQ(s.stages[0].seed, 1u);
     const scenario::ExperimentStage& e = s.stages[0].experiment;
     ASSERT_TRUE(e.hasFaults);
-    EXPECT_EQ(e.faults.arrivalProb, 0.25);
-    EXPECT_EQ(e.faults.departureProb, 0.1);
-    EXPECT_EQ(e.faults.phaseFlipProb, 0.3);
-    EXPECT_EQ(e.faults.dropoutProb, 0.05);
-    EXPECT_EQ(e.faults.spikeProb, 0.02);
-    EXPECT_EQ(e.faults.spikeMagnitude, 50.0);
-    EXPECT_EQ(e.faults.capacityJitterAmp, 0.08);
-    EXPECT_EQ(e.faults.capacityJitterWindowSec, 15.0);
-    EXPECT_EQ(e.faults.seed, 99u);
+    const fault::FaultPlan& f = e.config.faults;
+    EXPECT_EQ(f.arrivalProb, 0.25);
+    EXPECT_EQ(f.departureProb, 0.1);
+    EXPECT_EQ(f.phaseFlipProb, 0.3);
+    EXPECT_EQ(f.dropoutProb, 0.05);
+    EXPECT_EQ(f.spikeProb, 0.02);
+    EXPECT_EQ(f.spikeMagnitude, 50.0);
+    EXPECT_EQ(f.capacityJitterAmp, 0.08);
+    EXPECT_EQ(f.capacityJitterWindowSec, 15.0);
+    EXPECT_EQ(f.seed, 99u);
     // Schema defaults, not the old per-command ones.
-    EXPECT_EQ(e.servers, 8);
-    EXPECT_EQ(e.victims, 20);
+    EXPECT_EQ(e.config.servers, 8u);
+    EXPECT_EQ(e.config.victims, 20u);
 }
 
 TEST(ScenarioFlags, RejectsWhatTheOldFrontEndSilentlyRan)
@@ -982,7 +1024,7 @@ TEST(NameTables, Policy)
 {
     expectNameTable(
         core::kPolicyKeys, "experiment", {}, "policy",
-        [](const scenario::Stage& st) { return st.experiment.policy; },
+        [](const scenario::Stage& st) { return st.experiment.config.policy; },
         "--policy: value 'bogus' for 'policy' must be one of least-loaded, "
         "quasar");
 }
@@ -991,7 +1033,7 @@ TEST(NameTables, Allocator)
 {
     expectNameTable(
         colo::kPolicyKindKeys, "armsrace", {}, "allocator",
-        [](const scenario::Stage& st) { return st.armsrace.allocator; },
+        [](const scenario::Stage& st) { return st.armsrace.policies.front(); },
         "--allocator: value 'bogus' for 'allocator' must be one of "
         "least-loaded, quasar, random, mab, secure");
     // The key and the display label are separate columns.
@@ -1002,7 +1044,7 @@ TEST(NameTables, Attacker)
 {
     expectNameTable(
         colo::kAttackerKeys, "armsrace", {}, "attacker",
-        [](const scenario::Stage& st) { return st.armsrace.attacker; },
+        [](const scenario::Stage& st) { return st.armsrace.attackers.front(); },
         "--attacker: value 'bogus' for 'attacker' must be one of "
         "replication, affinity, churn");
 }
@@ -1019,8 +1061,10 @@ TEST(NameTables, AttackKind)
 TEST(NameTables, Loop)
 {
     expectNameTable(
-        scenario::kLoopKindKeys, "serve", {}, "loop",
-        [](const scenario::Stage& st) { return st.serve.loop; },
+        scenario::kLoopKeys, "serve", {}, "loop",
+        [](const scenario::Stage& st) {
+            return st.serve.config.load.closedLoop;
+        },
         "--loop: value 'bogus' for 'loop' must be one of open, closed");
 }
 

@@ -237,17 +237,18 @@ TEST(Telemetry, ColoSeriesExportIsThreadCountInvariant)
 
 TEST(Telemetry, CardinalityCapRoutesOverflowAndConservesCounts)
 {
-    TelemetryConfig cfg;
-    cfg.cardinalityCap = 4;
-    TimeSeriesRecorder rec(cfg);
+    TimeSeriesRecorder rec;
     rec.setEnabled(true);
 
-    // 10 distinct tenants, 3 events each: 4 get their own slot, the
-    // other 6 tenants' 18 records route to the overflow label.
-    for (int tenant = 0; tenant < 10; ++tenant)
+    // 6 tenants past the cap, 3 events each: the first cap tenants get
+    // their own slot, the other 6 tenants' 18 records route to the
+    // overflow label.
+    constexpr size_t kCap = obs::kTelemetryCardinalityCap;
+    for (size_t tenant = 0; tenant < kCap + 6; ++tenant)
         for (int e = 0; e < 3; ++e)
             rec.count(SeriesId::kServeTenantRequests,
-                      obs::indexedLabel('c', tenant), 0.1, 1);
+                      obs::indexedLabel('c', static_cast<int64_t>(tenant)),
+                      0.1, 1);
 
     EXPECT_EQ(rec.seriesDropped(), 18u);
     auto snap = rec.snapshot();
@@ -263,8 +264,8 @@ TEST(Telemetry, CardinalityCapRoutesOverflowAndConservesCounts)
         if (p.label == obs::kOverflowLabel)
             overflow = p.count;
     }
-    EXPECT_EQ(labels, 5u); // cap + the overflow slot.
-    EXPECT_EQ(total, 30u); // Conserved: nothing silently truncated.
+    EXPECT_EQ(labels, kCap + 1); // cap + the overflow slot.
+    EXPECT_EQ(total, 3 * (kCap + 6)); // Conserved: nothing truncated.
     EXPECT_EQ(overflow, 18u);
 }
 
